@@ -3,8 +3,9 @@
 BigDAWG's premise is that each island runs its workload "as fast as the
 hardware allows".  PR 3 rebuilt the relational engine's SELECT path around
 columnar batches and one-time expression compilation; this benchmark
-quantifies what that buys over the classic volcano executor on the engine's
-hot shapes:
+quantifies what that buys over the row-at-a-time reference executor (the
+same plan run through ``repro.engines.relational.executor.Executor``, which
+the engine itself no longer reaches) on the engine's hot shapes:
 
 1. **Filter + aggregate** — the bench_claim1/claim8 hot path: a predicate
    over 100k rows feeding global aggregates.  The vectorized path must be at
@@ -14,8 +15,10 @@ hot shapes:
 3. **Hash joins** — fact-to-dimension equi-joins: the small-dimension shape
    with a residual filter, plus 100k×10k inner and left-outer joins on the
    key-encoded batched hash join, each ≥5x.
+4. **Non-equi join** — a 2k×2k ``<`` join on the batched nested loop (the
+   shape that used to fall back to the row executor), ≥5x.
 
-Every comparison also asserts the two modes return *byte-identical* results
+Every comparison also asserts the two executors return *byte-identical* results
 (same values, same order, same binary encoding), so the speedup never comes
 at the price of drifted semantics.
 
@@ -31,8 +34,10 @@ import time
 
 import pytest
 
+from repro.common.schema import Relation
 from repro.common.serialization import BinaryCodec
 from repro.engines.relational import RelationalEngine
+from repro.engines.relational.executor import Executor
 
 SMOKE = os.environ.get("RUNTIME_BENCH_SMOKE", "") not in ("", "0")
 
@@ -42,6 +47,9 @@ BIG_DIM_COUNT = 1_000 if SMOKE else 10_000
 #: fact.fk spreads over a range wider than dim_big's keys, so the outer-join
 #: scenario has both matched and (null-padded) unmatched probe rows.
 FK_RANGE = BIG_DIM_COUNT + BIG_DIM_COUNT // 5
+#: Rows per side of the non-equi join (the reference visits every pair in
+#: Python, so this stays far below ROW_COUNT).
+NON_EQUI_ROWS = 500 if SMOKE else 2_000
 # Best-of-3 in both sizes: a single smoke measurement is too noisy on a
 # loaded CI runner to hold even a loose speedup floor.
 REPEATS = 3
@@ -57,6 +65,7 @@ FLOORS = {
     "join": 1.2 if SMOKE else 5.0,
     "join_inner_large": 1.2 if SMOKE else 5.0,
     "join_left_outer": 1.2 if SMOKE else 5.0,
+    "join_non_equi": 1.5 if SMOKE else 5.0,
 }
 
 WORKLOADS = {
@@ -83,12 +92,18 @@ WORKLOADS = {
         "SELECT count(*) AS n, count(d.weight) AS matched, sum(f.value) AS s "
         "FROM fact f LEFT JOIN dim_big d ON f.fk = d.fk"
     ),
+    "join_non_equi": (
+        "SELECT count(*) AS n, sum(f.value) AS s, max(g.value) AS hi "
+        f"FROM (SELECT id, value FROM fact WHERE id < {NON_EQUI_ROWS}) f "
+        f"JOIN (SELECT id, value FROM fact WHERE id < {NON_EQUI_ROWS}) g "
+        "ON f.value < g.value AND f.id <> g.id"
+    ),
 }
 
 
-def build_engine(mode: str) -> RelationalEngine:
+def build_engine() -> RelationalEngine:
     rng = random.Random(1234)
-    engine = RelationalEngine("bench", execution_mode=mode)
+    engine = RelationalEngine("bench")
     engine.execute(
         "CREATE TABLE fact (id INTEGER PRIMARY KEY, grp INTEGER, value FLOAT, "
         "flag INTEGER, bucket INTEGER, region TEXT, fk INTEGER)"
@@ -118,30 +133,39 @@ def build_engine(mode: str) -> RelationalEngine:
 
 
 @pytest.fixture(scope="module")
-def engines():
-    return {"vectorized": build_engine("vectorized"), "row": build_engine("row")}
+def engine():
+    return build_engine()
 
 
-def time_query(engine: RelationalEngine, query: str) -> tuple[float, object]:
+def reference_execute(engine: RelationalEngine, query: str) -> Relation:
+    """The row baseline: the engine's own plan on the reference executor."""
+    return Executor(engine).execute(engine.plan(query))
+
+
+def time_query(engine: RelationalEngine, query: str, run=None) -> tuple[float, object]:
+    """Best-of-REPEATS wall time of ``engine.execute`` (or of ``run``, e.g.
+    :func:`reference_execute`) plus the last result."""
+    run = run or RelationalEngine.execute
     best = float("inf")
     result = None
     for _ in range(REPEATS):
         started = time.perf_counter()
-        result = engine.execute(query)
+        result = run(engine, query)
         best = min(best, time.perf_counter() - started)
     return best, result
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_vectorized_speedup(engines, workload):
+def test_vectorized_speedup(engine, workload):
     query = WORKLOADS[workload]
-    vec_seconds, vec_result = time_query(engines["vectorized"], query)
-    row_seconds, row_result = time_query(engines["row"], query)
+    vec_seconds, vec_result = time_query(engine, query)
+    row_seconds, row_result = time_query(engine, query, reference_execute)
 
     codec = BinaryCodec()
     assert codec.encode(vec_result) == codec.encode(row_result), (
-        f"{workload}: vectorized and row results must be byte-identical"
+        f"{workload}: vectorized and reference results must be byte-identical"
     )
+    assert engine.fallback_reasons == {}
 
     speedup = row_seconds / vec_seconds if vec_seconds > 0 else float("inf")
     print(
@@ -164,8 +188,8 @@ def test_vectorized_speedup(engines, workload):
     )
 
 
-def test_modes_identical_on_edge_shapes(engines):
-    """Queries whose shapes stress fallbacks must agree between modes too."""
+def test_reference_identical_on_edge_shapes(engine):
+    """Shapes off the hot path must agree with the reference too."""
     queries = [
         "SELECT count(*) AS n FROM fact WHERE value > 1000.0",  # empty result
         "SELECT f.id FROM fact f LEFT JOIN dims d ON f.grp = d.grp "
@@ -174,24 +198,24 @@ def test_modes_identical_on_edge_shapes(engines):
         "WHERE d.fk < 20 ORDER BY d.fk, f.id",  # trailing null-padded build rows
         "SELECT DISTINCT flag FROM fact ORDER BY flag",
         "SELECT id FROM fact WHERE id = 4242",  # index scan
+        "SELECT d.grp, count(*) AS n FROM dims d CROSS JOIN "
+        "(SELECT id FROM fact WHERE id < 40) f GROUP BY d.grp ORDER BY d.grp",
+        "SELECT d.grp, f.id FROM dims d LEFT JOIN (SELECT id, grp FROM fact WHERE id < 60) f "
+        "ON d.grp > f.grp + 40",  # nested-loop outer join
     ]
     for query in queries:
-        vec = engines["vectorized"].execute(query)
-        row = engines["row"].execute(query)
+        vec = engine.execute(query)
+        row = reference_execute(engine, query)
         assert [r.values for r in vec.rows] == [r.values for r in row.rows], query
 
 
-def test_explain_reports_both_paths(engines):
-    plan = engines["vectorized"].explain(WORKLOADS["filter_aggregate"])
-    assert plan.startswith("ExecutionMode(vectorized)")
-    assert "[vectorized]" in plan
-
-
-def test_explain_left_outer_join_is_vectorized(engines):
-    """ISSUE-4 acceptance: no row-executor fallback on equi outer joins."""
-    plan = engines["vectorized"].explain(WORKLOADS["join_left_outer"])
-    join_line = next(line for line in plan.splitlines() if "Join" in line)
-    assert "[vectorized]" in join_line and "[row" not in join_line
+def test_explain_has_one_dialect(engine):
+    """No mode header and no per-operator path tags: there is one path."""
+    plan = engine.explain(WORKLOADS["join_left_outer"])
+    assert plan.startswith("Stats(")
+    assert "ExecutionMode" not in plan and "[vectorized]" not in plan and "[row" not in plan
+    assert any("HashJoin[left" in line for line in plan.splitlines())
+    assert "Nested_LoopJoin[inner]" in engine.explain(WORKLOADS["join_non_equi"])
 
 
 # --------------------------------------------------------------------- ISSUE 5
@@ -218,7 +242,7 @@ WIDE_JOIN_FLOOR = 1.1 if SMOKE else 1.5
 
 def build_wide_engine(optimize: bool) -> RelationalEngine:
     rng = random.Random(99)
-    engine = RelationalEngine("bench_wide", execution_mode="vectorized")
+    engine = RelationalEngine("bench_wide")
     engine.optimizer_enabled = optimize
     payload = ", ".join(f"p{i} FLOAT" for i in range(WIDE_PAYLOAD_COLUMNS))
     engine.execute(
@@ -297,10 +321,9 @@ def test_wide_join_prunes_columns_and_speeds_up():
     )
 
 
-def build_highcard_engine(mode: str, streaming: bool = True) -> RelationalEngine:
+def build_highcard_engine() -> RelationalEngine:
     rng = random.Random(7)
-    engine = RelationalEngine("bench_hc", execution_mode=mode)
-    engine.streaming_groupby = streaming
+    engine = RelationalEngine("bench_hc")
     engine.execute(
         "CREATE TABLE htab (id INTEGER PRIMARY KEY, hk INTEGER, value FLOAT)"
     )
@@ -313,36 +336,25 @@ def build_highcard_engine(mode: str, streaming: bool = True) -> RelationalEngine
 
 def test_streaming_groupby_bounds_peak_resident_rows():
     """ISSUE-5 acceptance + CI memory guard: the high-cardinality group-by
-    streams with peak resident rows O(batch + groups) — if the block path
-    silently reactivates, the peak jumps to the full input size and this
-    fails."""
+    keeps at most O(batch + groups) rows resident, far below the input size.
+    ``parallelism=1`` pins the reported path name on any host."""
     from repro.engines.relational.vectorized import DEFAULT_BATCH_ROWS
 
-    streaming = build_highcard_engine("vectorized", streaming=True)
-    block = build_highcard_engine("vectorized", streaming=False)
-    row = build_highcard_engine("row")
-
-    stream_seconds, stream_result = time_query(streaming, HIGHCARD_QUERY)
-    block_seconds, block_result = time_query(block, HIGHCARD_QUERY)
-    row_seconds, row_result = time_query(row, HIGHCARD_QUERY)
+    engine = build_highcard_engine()
+    engine.parallelism = 1
+    stream_seconds, stream_result = time_query(engine, HIGHCARD_QUERY)
+    row_seconds, row_result = time_query(engine, HIGHCARD_QUERY, reference_execute)
 
     codec = BinaryCodec()
-    encoded = codec.encode(stream_result)
-    assert encoded == codec.encode(block_result)
-    assert encoded == codec.encode(row_result)
-
-    assert streaming.groupby_paths.get("stream", 0) >= 1
-    assert streaming.groupby_paths.get("block", 0) == 0, (
-        "the block group-by path silently reactivated"
-    )
-    peak = streaming.peak_groupby_resident_rows
+    assert codec.encode(stream_result) == codec.encode(row_result)
+    assert engine.groupby_paths == {"stream": REPEATS}
+    peak = engine.peak_groupby_resident_rows
     bound = DEFAULT_BATCH_ROWS + HIGHCARD_GROUPS
     speedup = row_seconds / stream_seconds if stream_seconds > 0 else float("inf")
     print(
         f"\n[claim12:group_by_highcard] rows={ROW_COUNT} groups={HIGHCARD_GROUPS} "
-        f"peak_resident_rows: stream={peak} block={block.peak_groupby_resident_rows} "
-        f"(bound {bound}) | stream={stream_seconds * 1000:.1f}ms "
-        f"block={block_seconds * 1000:.1f}ms row={row_seconds * 1000:.1f}ms "
+        f"peak_resident_rows={peak} (bound {bound}) | "
+        f"stream={stream_seconds * 1000:.1f}ms row={row_seconds * 1000:.1f}ms "
         f"speedup_vs_row={speedup:.1f}x"
     )
     from bench_recording import record_bench
@@ -352,7 +364,6 @@ def test_streaming_groupby_bounds_peak_resident_rows():
         rows=ROW_COUNT,
         groups=HIGHCARD_GROUPS,
         stream_seconds=stream_seconds,
-        block_seconds=block_seconds,
         row_seconds=row_seconds,
         peak_resident_rows=peak,
         speedup_vs_row=speedup,
@@ -363,11 +374,10 @@ def test_streaming_groupby_bounds_peak_resident_rows():
         f"bound {bound}"
     )
     assert peak < ROW_COUNT
-    assert block.peak_groupby_resident_rows == ROW_COUNT
     floor = 1.5 if SMOKE else 4.0
     assert speedup >= floor, (
-        f"high-cardinality streaming group-by must be >= {floor}x over row "
-        f"mode, got {speedup:.2f}x"
+        f"high-cardinality streaming group-by must be >= {floor}x over the "
+        f"reference executor, got {speedup:.2f}x"
     )
 
 
@@ -390,9 +400,9 @@ PARALLEL_WORKLOADS = {
 def build_parallel_engine(workload: str, workers: int,
                           budget: int | None = None) -> RelationalEngine:
     if workload == "parallel_group_by":
-        engine = build_highcard_engine("vectorized")
+        engine = build_highcard_engine()
     else:
-        engine = build_engine("vectorized")
+        engine = build_engine()
     engine.parallelism = workers
     engine.join_memory_budget = budget
     return engine
@@ -488,12 +498,11 @@ def test_join_spill_budget_completes_and_matches():
 TRACING_OVERHEAD_CEILING = 1.3
 
 
-def test_tracing_overhead_bounded(engines):
+def test_tracing_overhead_bounded(engine):
     """ISSUE-7 acceptance + CI guard: tracing every operator, morsel and
     span stays within the overhead ceiling of the untraced run."""
     from repro.observability.tracing import Tracer, get_tracer, set_tracer
 
-    engine = engines["vectorized"]
     queries = [
         WORKLOADS["filter_aggregate"],
         WORKLOADS["group_by"],

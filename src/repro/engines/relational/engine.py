@@ -34,7 +34,6 @@ from repro.engines.base import (
     EngineCapability,
     columnar_relation_chunks,
 )
-from repro.engines.relational.executor import Executor
 from repro.engines.relational.optimizer import Optimizer
 from repro.observability.profile import PlanProfiler, SlowQueryLog
 from repro.engines.relational.planner import (
@@ -60,35 +59,21 @@ from repro.engines.relational.storage import HeapTable
 from repro.engines.relational.transactions import Transaction, TransactionManager
 
 
-#: Valid values for :attr:`RelationalEngine.execution_mode`.
-EXECUTION_MODES = ("vectorized", "row")
-
-
 class RelationalEngine(Engine, TableStatisticsProvider):
     """An in-process SQL engine over row-oriented heap tables.
 
-    SELECT statements run on one of two executors, selected by
-    ``execution_mode``:
-
-    * ``"vectorized"`` (default) — the columnar batch pipeline with one-time
-      expression compilation (:mod:`repro.engines.relational.vectorized`);
-    * ``"row"`` — the classic row-at-a-time volcano executor.
-
-    Both return identical results; the knob exists so benchmarks (and the
-    runtime's metrics) can compare the two paths.
+    Every SELECT runs on the columnar batch pipeline with one-time
+    expression compilation (:mod:`repro.engines.relational.vectorized`).
     """
 
     kind = "relational"
 
-    def __init__(self, name: str = "postgres", execution_mode: str = "vectorized") -> None:
+    def __init__(self, name: str = "postgres") -> None:
         super().__init__(name)
         self._tables: dict[str, HeapTable] = {}
         self._planner = Planner(self)
-        self._executor = Executor(self)
-        self._batch_executor = BatchExecutor(self, row_executor=self._executor)
+        self._batch_executor = BatchExecutor(self)
         self._transactions = TransactionManager(self)
-        self._execution_mode = "vectorized"
-        self.execution_mode = execution_mode
         #: Table/column statistics (row counts, NDV, null fractions, widths)
         #: maintained incrementally on DML and read by the optimizer pass.
         self.statistics = StatisticsCatalog(self)
@@ -97,24 +82,18 @@ class RelationalEngine(Engine, TableStatisticsProvider):
         #: Off, plans execute exactly as the rule-based planner built them —
         #: the baseline the wide-join benchmark measures against.
         self.optimizer_enabled = True
-        #: Whether grouped aggregation streams batches through the shared
-        #: incremental key dictionary (peak memory O(batch + groups)); off,
-        #: the legacy path materializes the whole input as one block.
-        self.streaming_groupby = True
-        #: SELECTs served per executor path, for the runtime's metrics.
-        self.executions_by_mode: dict[str, int] = {mode: 0 for mode in EXECUTION_MODES}
-        #: Row-executor fallbacks taken by the batch pipeline, keyed by the
-        #: reason string EXPLAIN shows (e.g. "non-equi join"); surfaced by
-        #: the runtime as ``relational_fallback_reasons``.
+        #: Always empty: no plan shape leaves the batch pipeline any more.
+        #: Kept because the polybench harness still reads the runtime's
+        #: ``relational_fallback_reasons`` snapshot key built from it.
         self.fallback_reasons: dict[str, int] = {}
         #: Total columns the optimizer pruned below joins/aggregates, and
-        #: grouped-aggregation executions per path ("stream" vs "block" vs
-        #: per-row), for the runtime's metrics snapshot.
+        #: grouped-aggregation executions per path ("stream",
+        #: "stream_parallel", "stream_degraded" or per-"row"), for the
+        #: runtime's metrics snapshot.
         self.columns_pruned = 0
         self.groupby_paths: dict[str, int] = {}
         #: Largest resident row footprint (batch + groups) any streaming
-        #: group-by reached — or the whole block size when the block path
-        #: runs, which is exactly what the CI memory guard watches for.
+        #: group-by reached — what the CI memory guard bounds.
         self.peak_groupby_resident_rows = 0
         #: Intra-query worker count: ``"auto"`` (core count, capped) or an
         #: explicit integer ≥ 1.  1 keeps the pipeline fully serial.
@@ -140,10 +119,6 @@ class RelationalEngine(Engine, TableStatisticsProvider):
         #: with their SQL and wall time (free until a threshold is set).
         self.slow_queries = SlowQueryLog()
 
-    def record_fallback(self, reason: str) -> None:
-        """Count one batch-pipeline fallback to the row executor."""
-        self.fallback_reasons[reason] = self.fallback_reasons.get(reason, 0) + 1
-
     def record_groupby(self, path: str, peak_rows: int) -> None:
         """Count one grouped aggregation by path and track peak resident rows."""
         self.groupby_paths[path] = self.groupby_paths.get(path, 0) + 1
@@ -166,19 +141,6 @@ class RelationalEngine(Engine, TableStatisticsProvider):
     def record_representative_prune(self, count: int) -> None:
         """Count columns dropped from group-by representative rows."""
         self.representative_columns_pruned += count
-
-    @property
-    def execution_mode(self) -> str:
-        """Which executor serves SELECTs: ``"vectorized"`` or ``"row"``."""
-        return self._execution_mode
-
-    @execution_mode.setter
-    def execution_mode(self, mode: str) -> None:
-        if mode not in EXECUTION_MODES:
-            raise ValueError(
-                f"execution_mode must be one of {EXECUTION_MODES}, got {mode!r}"
-            )
-        self._execution_mode = mode
 
     @property
     def parallelism(self) -> int | str:
@@ -357,8 +319,7 @@ class RelationalEngine(Engine, TableStatisticsProvider):
             started = time.perf_counter()
             result = self.execute_statement(statement)
             self.slow_queries.observe(
-                sql, time.perf_counter() - started,
-                engine=self.name, mode=self._execution_mode,
+                sql, time.perf_counter() - started, engine=self.name
             )
             return result
         return self.execute_statement(statement)
@@ -366,12 +327,7 @@ class RelationalEngine(Engine, TableStatisticsProvider):
     def execute_statement(self, statement: Statement) -> Relation:
         self.queries_executed += 1
         if isinstance(statement, SelectStatement):
-            plan = self._optimized_plan(statement)
-            mode = self._execution_mode
-            self.executions_by_mode[mode] += 1
-            if mode == "vectorized":
-                return self._batch_executor.execute(plan)
-            return self._executor.execute(plan)
+            return self._batch_executor.execute(self._optimized_plan(statement))
         # Everything below is DDL or DML: advance the write version so cached
         # results depending on this engine's state are invalidated.
         self.bump_write_version()
@@ -414,12 +370,12 @@ class RelationalEngine(Engine, TableStatisticsProvider):
     def explain(self, sql: str, analyze: bool = False) -> str:
         """Return the optimized plan for a SELECT statement as indented text.
 
-        The first line reports the engine's execution mode and the second a
-        ``Stats(...)`` summary of every referenced table (live row count and
-        estimated bytes from the statistics layer).  In vectorized mode
-        every operator is tagged ``[vectorized]`` or — when it falls back to
-        the row executor — ``[row: <reason>]``; optimizer-inserted prunes
-        render as ``Project(kept...) [pruned: a,b,c]``.
+        The header carries a ``Stats(...)`` summary of every referenced
+        table (live row count and estimated bytes from the statistics layer)
+        and a ``Parallel(...)`` line.  A hash join whose build side is
+        predicted to exceed ``join_memory_budget`` is tagged ``[spill]``;
+        optimizer-inserted prunes render as ``Project(kept...) [pruned:
+        a,b,c]``.
 
         With ``analyze=True`` the query is actually executed and every
         operator is additionally annotated with its estimated vs. actual
@@ -435,63 +391,44 @@ class RelationalEngine(Engine, TableStatisticsProvider):
         if self.optimizer_enabled:
             result = Optimizer(self).optimize(plan)
             plan, tables = result.plan, result.tables
-        header = f"ExecutionMode({self._execution_mode})"
-        stats_line = self._stats_line(tables)
-        if stats_line:
-            header = f"{header}\n{stats_line}"
         workers = self.effective_parallelism()
         header = (
-            f"{header}\nParallel(workers={workers}, "
+            f"Parallel(workers={workers}, "
             f"partitions={partition_count_for(workers)})"
         )
+        stats_line = self._stats_line(tables)
+        if stats_line:
+            header = f"{stats_line}\n{header}"
         profiler: PlanProfiler | None = None
         total_s: float | None = None
         result_rows: int | None = None
         if analyze:
             profiler = PlanProfiler(plan, estimator=self.estimated_plan_rows)
-            mode = self._execution_mode
             self._batch_executor.profiler = profiler
-            self._executor.profiler = profiler
             started = time.perf_counter()
             try:
-                if mode == "vectorized":
-                    result = self._batch_executor.execute(plan)
-                else:
-                    result = self._executor.execute(plan)
+                result = self._batch_executor.execute(plan)
             finally:
                 self._batch_executor.profiler = None
-                self._executor.profiler = None
             total_s = time.perf_counter() - started
             result_rows = len(result.rows)
             self.queries_executed += 1
-            self.executions_by_mode[mode] += 1
 
         def annotate(node):
             parts: list[str] = []
-            if self._execution_mode == "vectorized":
-                reason = BatchExecutor.fallback_reason(node)
-                if reason is not None:
-                    parts.append(f"[row: {reason}]")
-                else:
-                    tag = "[vectorized]"
-                    if isinstance(node, JoinNode) and self.join_memory_budget is not None:
-                        build = (
-                            node.left
-                            if node.join_type == "inner" and node.build_side != "right"
-                            else node.right
-                        )
-                        estimate = self.estimated_plan_bytes(build)
-                        if estimate is not None and estimate > self.join_memory_budget:
-                            tag = f"{tag} [spill]"
-                    parts.append(tag)
+            if (
+                isinstance(node, JoinNode)
+                and node.strategy == "hash"
+                and self.join_memory_budget is not None
+            ):
+                estimate = self._batch_executor.estimated_build_bytes(node)
+                if estimate is not None and estimate > self.join_memory_budget:
+                    parts.append("[spill]")
             if profiler is not None:
                 parts.append(profiler.annotation(node))
             return " ".join(parts)
 
-        if self._execution_mode == "vectorized" or profiler is not None:
-            text = header + "\n" + plan.explain(annotate=annotate)
-        else:
-            text = header + "\n" + plan.explain()
+        text = header + "\n" + plan.explain(annotate=annotate)
         if total_s is not None:
             text = (
                 f"{text.rstrip()}\n"

@@ -1,14 +1,19 @@
-"""Physical execution of logical plans (volcano / iterator style, materialized).
+"""Reference execution of logical plans (volcano style, row at a time).
 
-Each ``_execute_*`` method consumes its children's output relations and
-produces a new relation.  This keeps the engine simple while preserving the
-cost structure the benchmarks care about: sequential scans touch every row,
-index scans touch only matching rows, hash joins build on the smaller side.
+This is the **test reference**, not a production path: nothing reachable
+from ``RelationalEngine.execute`` / ``explain`` instantiates
+:class:`Executor`.  The parity suites run it beside the batch pipeline
+(:mod:`repro.engines.relational.vectorized`) and require byte-identical
+results (``tests/conftest.py::reference_execute``), which is why it favours
+obviousness over speed: each ``_execute_*`` method consumes its children's
+fully materialized relations, builds one ``Row`` per tuple and tree-walks
+``Expression.evaluate`` per row.  The batch pipeline borrows only its static
+schema helpers (``split_join_condition``, ``_qualified_schema``, ``_dedupe``,
+``_having_schema``) so both agree on naming and on what "the join key" means.
 """
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import ExecutionError
@@ -43,26 +48,8 @@ class Executor:
 
     def __init__(self, engine: "RelationalEngine") -> None:
         self._engine = engine
-        #: Installed by ``RelationalEngine.explain(analyze=True)`` for the
-        #: duration of one query; None skips profiling entirely.
-        self.profiler = None
 
     def execute(self, plan: LogicalPlan) -> Relation:
-        profiler = self.profiler
-        if profiler is None:
-            return self._dispatch(plan)
-        entry = profiler.entry(plan)
-        if entry is None:
-            return self._dispatch(plan)
-        # Inclusive time: the row executor materializes bottom-up, so each
-        # node's elapsed time covers its whole subtree (children record
-        # their own smaller inclusive totals as the recursion returns).
-        started = time.perf_counter()
-        relation = self._dispatch(plan)
-        entry.record(len(relation.rows), time.perf_counter() - started, mode="row")
-        return relation
-
-    def _dispatch(self, plan: LogicalPlan) -> Relation:
         if isinstance(plan, ScanNode):
             return self._execute_scan(plan)
         if isinstance(plan, IndexScanNode):
@@ -264,6 +251,18 @@ class Executor:
         """
         from repro.common.expressions import BinaryOp, split_conjuncts
 
+        # Suffix matching lets ``l.f`` resolve against a right column ``r.f``:
+        # a name that is exactly the other input's column (and not exactly
+        # one of this input's) belongs to the other input.
+        left = (left_schema, {name.lower() for name in left_schema.names})
+        right = (right_schema, {name.lower() for name in right_schema.names})
+
+        def owns(side: tuple, other: tuple, name: str) -> bool:
+            schema, names = side
+            return schema.has_column(name) and (
+                name.lower() in names or name.lower() not in other[1]
+            )
+
         keys: list[tuple[str, str]] = []
         residual: list[Expression] = []
         for conjunct in split_conjuncts(condition):
@@ -274,10 +273,10 @@ class Executor:
                 and isinstance(conjunct.right, ColumnRef)
             ):
                 a, b = conjunct.left.name, conjunct.right.name
-                if left_schema.has_column(a) and right_schema.has_column(b):
+                if owns(left, right, a) and owns(right, left, b):
                     keys.append((a, b))
                     continue
-                if left_schema.has_column(b) and right_schema.has_column(a):
+                if owns(left, right, b) and owns(right, left, a):
                     keys.append((b, a))
                     continue
             residual.append(conjunct)

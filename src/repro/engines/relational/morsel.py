@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 import pickle
 import tempfile
-from typing import Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 import numpy as np
 
@@ -33,6 +33,9 @@ from repro.common.keycodes import partition_codes
 from repro.common.schema import ColumnBatch, Schema
 from repro.common.schema import object_view as _object_view
 from repro.observability.tracing import get_tracer
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.engines.relational.engine import RelationalEngine
 
 #: Recursion floor: partitions smaller than this join in memory even when
 #: their estimate still exceeds the budget (they cannot shrink much further).
@@ -221,15 +224,15 @@ def partitioned_spill_join(
     batch_rows: int,
     budget: int | None,
     partitions: int,
-    engine: Any = None,
+    engine: "RelationalEngine",
 ) -> Iterator[ColumnBatch]:
     """Run a hash join without ever materializing the full build side.
 
     See the module docstring for the algorithm; this generator owns every
     temp file it creates and closes them as soon as their phase completes.
     """
-    record_spill = getattr(engine, "record_spill", None) or (lambda n: None)
-    record_build_bytes = getattr(engine, "record_build_bytes", None) or (lambda n: None)
+    record_spill = engine.record_spill
+    record_build_bytes = engine.record_build_bytes
     n_build = len(build_schema.columns)
     n_probe = len(probe_schema.columns)
     n_out = len(joined_schema.columns)

@@ -50,8 +50,7 @@ class LogicalPlan:
         """Return an indented text rendering of the plan (EXPLAIN).
 
         ``annotate`` optionally maps each node to a trailing marker — the
-        engine uses it to tag operators with their execution path
-        (``[vectorized]`` vs ``[row]``).
+        engine uses it for ``[spill]`` and the EXPLAIN ANALYZE actuals.
         """
         line = "  " * depth + self.describe()
         if annotate is not None:

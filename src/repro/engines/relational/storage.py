@@ -4,14 +4,19 @@ A :class:`HeapTable` stores rows in insertion order keyed by a monotonically
 increasing row id, with optional B+tree secondary indexes kept in sync on
 insert, update and delete.  Deletes are tombstoned so row ids remain stable
 for index entries and in-flight scans.
+
+Runtime worker threads share tables: mutations and scan snapshots serialize
+on a per-table lock, and every scan iterates its own snapshot, so a SELECT,
+UPDATE or DELETE racing an INSERT never sees the row dict change size under it.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.common.errors import ConstraintViolationError, ObjectNotFoundError, SchemaError
-from repro.common.schema import Row, Schema
+from repro.common.schema import Schema
 from repro.engines.relational.btree import BTreeIndex
 
 
@@ -23,6 +28,9 @@ class HeapTable:
         self.schema = schema
         self.primary_key = tuple(primary_key)
         self._rows: dict[int, tuple[Any, ...]] = {}
+        #: Guards ``_rows``, ``_next_row_id`` and the indexes against
+        #: concurrent mutation; never held while a scan yields.
+        self._lock = threading.Lock()
         self._next_row_id = 0
         self._indexes: dict[str, tuple[tuple[str, ...], BTreeIndex]] = {}
         if self.primary_key:
@@ -42,18 +50,19 @@ class HeapTable:
     def insert(self, values: Sequence[Any]) -> int:
         """Validate, store and index one row. Returns the new row id."""
         validated = self.schema.validate_row(values)
-        row_id = self._next_row_id
-        for index_name, (columns, index) in self._indexes.items():
-            key = self._key_for(validated, columns)
-            if index is not None and index_name == "__pk__":
-                if index.search(key):
-                    raise ConstraintViolationError(
-                        f"duplicate primary key {key!r} in table {self.name!r}"
-                    )
-        self._rows[row_id] = validated
-        self._next_row_id += 1
-        for columns, index in self._indexes.values():
-            index.insert(self._key_for(validated, columns), row_id)
+        with self._lock:
+            row_id = self._next_row_id
+            for index_name, (columns, index) in self._indexes.items():
+                key = self._key_for(validated, columns)
+                if index is not None and index_name == "__pk__":
+                    if index.search(key):
+                        raise ConstraintViolationError(
+                            f"duplicate primary key {key!r} in table {self.name!r}"
+                        )
+            self._rows[row_id] = validated
+            self._next_row_id += 1
+            for columns, index in self._indexes.values():
+                index.insert(self._key_for(validated, columns), row_id)
         return row_id
 
     def insert_many(self, rows: Sequence[Sequence[Any]]) -> list[int]:
@@ -68,27 +77,38 @@ class HeapTable:
 
     def delete(self, row_id: int) -> None:
         """Delete one row by id, maintaining all indexes."""
-        values = self.get(row_id)
-        for columns, index in self._indexes.values():
-            index.delete(self._key_for(values, columns), row_id)
-        del self._rows[row_id]
+        with self._lock:
+            values = self.get(row_id)
+            for columns, index in self._indexes.values():
+                index.delete(self._key_for(values, columns), row_id)
+            del self._rows[row_id]
 
     def update(self, row_id: int, new_values: Sequence[Any]) -> None:
         """Replace a row in place, maintaining all indexes."""
-        old = self.get(row_id)
         validated = self.schema.validate_row(new_values)
-        for columns, index in self._indexes.values():
-            index.delete(self._key_for(old, columns), row_id)
-            index.insert(self._key_for(validated, columns), row_id)
-        self._rows[row_id] = validated
+        with self._lock:
+            old = self.get(row_id)
+            for columns, index in self._indexes.values():
+                index.delete(self._key_for(old, columns), row_id)
+                index.insert(self._key_for(validated, columns), row_id)
+            self._rows[row_id] = validated
+
+    def _snapshot_items(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
+        with self._lock:
+            # Two flat copies zipped lazily: cheaper than one tuple per row.
+            return zip(list(self._rows), list(self._rows.values()))
+
+    def _snapshot_values(self) -> list[tuple[Any, ...]]:
+        with self._lock:
+            return list(self._rows.values())
 
     def scan(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
-        """Yield (row_id, values) for every live row in insertion order."""
-        yield from self._rows.items()
+        """Yield (row_id, values) for every row live at the call, in insertion order."""
+        return self._snapshot_items()
 
     def scan_values(self) -> Iterator[tuple[Any, ...]]:
-        """Yield raw value tuples for every live row in insertion order."""
-        yield from self._rows.values()
+        """Yield raw value tuples for every row live at the call, in insertion order."""
+        return iter(self._snapshot_values())
 
     def scan_batches(self, batch_size: int) -> Iterator[list[tuple[Any, ...]]]:
         """Yield the table's value tuples in bounded, insertion-ordered batches.
@@ -99,19 +119,9 @@ class HeapTable:
         """
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        batch: list[tuple[Any, ...]] = []
-        for values in self._rows.values():
-            batch.append(values)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
-
-    def rows(self) -> Iterator[Row]:
-        """Yield :class:`Row` objects for every live row."""
-        for values in self._rows.values():
-            yield Row(self.schema, values)
+        values = self._snapshot_values()
+        for start in range(0, len(values), batch_size):
+            yield values[start : start + batch_size]
 
     def truncate(self) -> None:
         """Remove all rows but keep schema and index definitions."""
@@ -139,9 +149,10 @@ class HeapTable:
                 raise SchemaError(f"index column {col!r} not in table {self.name!r}")
         index = BTreeIndex(unique=unique)
         resolved = tuple(columns)
-        for row_id, values in self._rows.items():
-            index.insert(self._key_for(values, resolved), row_id)
-        self._indexes[index_name] = (resolved, index)
+        with self._lock:
+            for row_id, values in self._rows.items():
+                index.insert(self._key_for(values, resolved), row_id)
+            self._indexes[index_name] = (resolved, index)
 
     def drop_index(self, index_name: str) -> None:
         if index_name not in self._indexes:
@@ -195,19 +206,12 @@ class HeapTable:
             "indexes": list(self._indexes),
         }
 
-    def apply_filter(self, predicate: Callable[[Row], bool]) -> list[int]:
-        """Return row ids of rows matching a Python predicate (used by UPDATE/DELETE)."""
-        matching = []
-        for row_id, values in self._rows.items():
-            if predicate(Row(self.schema, values)):
-                matching.append(row_id)
-        return matching
-
     def apply_filter_values(self, predicate: Callable[[Sequence[Any]], bool]) -> list[int]:
-        """Like :meth:`apply_filter` but over raw value tuples.
+        """Row ids of the rows whose value tuple satisfies ``predicate``
+        (UPDATE/DELETE's WHERE scan).
 
         Pairs with :func:`repro.common.expressions.compile_predicate`: the
         caller compiles the WHERE clause once and no per-row :class:`Row`
         objects are built while matching.
         """
-        return [row_id for row_id, values in self._rows.items() if predicate(values)]
+        return [row_id for row_id, values in self._snapshot_items() if predicate(values)]

@@ -1,9 +1,10 @@
-"""Vectorized (columnar batch) execution for the relational engine.
+"""Vectorized (columnar batch) execution: the relational engine's SELECT path.
 
-The classic executor in :mod:`repro.engines.relational.executor` materializes
-a :class:`~repro.common.schema.Row` object per tuple and tree-walks
-``Expression.evaluate`` per row per predicate — exactly the interpreted
-per-tuple overhead the Cambridge report calls out.  This module is the cure:
+The reference executor in :mod:`repro.engines.relational.executor`
+materializes a :class:`~repro.common.schema.Row` object per tuple and
+tree-walks ``Expression.evaluate`` per row per predicate — exactly the
+interpreted per-tuple overhead the Cambridge report calls out.  This module
+is the cure, and the only executor ``RelationalEngine`` runs:
 
 * **Batches, not rows.**  Operators stream
   :class:`~repro.common.schema.ColumnBatch` objects (bounded column-wise
@@ -25,13 +26,12 @@ per-tuple overhead the Cambridge report calls out.  This module is the cure:
   aggregation accumulates count/sum/avg/min/max per group with
   ``np.bincount``/segmented reductions whose accumulation order matches
   the row accumulators bit for bit.
+* **Batched nested-loop joins for everything else.**  Cross, non-equi and
+  keyless joins evaluate the whole condition over bounded slabs of the
+  left x right cross product (same kernel / compiled closure as a filter).
 
-Operators the batch path does not cover (cross and non-equi joins) fall
-back to the row executor for that subtree — with the *reason* recorded per
-operator (surfaced by EXPLAIN as ``[row: <reason>]`` and counted in the
-engine's ``fallback_reasons``) — so every query still answers; the two
-modes return identical results, which `tests/test_vectorized_execution.py`
-asserts property-style.
+Results are identical — schemas, values, order — to the reference
+executor's, which the parity suites assert property-style.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.common.cancellation import current_token
+from repro.common.cancellation import check_cancelled, current_token
 from repro.common.errors import ExecutionError, SchemaError
 from repro.common.expressions import (
     BinaryOp,
@@ -55,12 +55,10 @@ from repro.common.expressions import (
     compile_predicate,
     conjunction,
     evaluate_predicate,
-    split_conjuncts,
 )
 from repro.common.keycodes import (
     IncrementalGroupEncoder,
     JoinKeyTable,
-    encode_group_keys,
     partition_codes,
 )
 from repro.common.parallel import TaskContext, partition_count_for
@@ -163,8 +161,6 @@ def _union_nulls(left: np.ndarray | None, right: np.ndarray | None) -> np.ndarra
 
 def _as_bool(values: Any) -> np.ndarray:
     return np.asarray(values).astype(np.bool_, copy=False)
-
-
 
 
 def _null_mask_of(column: Sequence[Any]) -> np.ndarray:
@@ -397,72 +393,71 @@ class _PredicateRunner:
         self.kernel = compile_filter_kernel(predicate, schema)
         self._row_predicate = _compile_predicate_or_defer(predicate, schema)
 
-    def __call__(self, batch: ColumnBatch) -> ColumnBatch:
+    def mask(self, batch: ColumnBatch) -> "np.ndarray | list[bool]":
+        """Per-row keep flags: the kernel's ndarray, else the closure's list."""
         if self.kernel is not None:
             try:
-                mask = self.kernel(batch)
+                return self.kernel(batch)
             except (_KernelUnsupported, TypeError, OverflowError):
-                mask = None  # fall back; the row path reproduces exact semantics
-            if mask is not None:
-                if mask.all():
-                    return batch
-                return batch.compress(mask)
+                pass  # fall back; the row path reproduces exact semantics
         fn = self._row_predicate
-        flags = [fn(values) for values in batch.value_rows()]
-        if all(flags):
+        return [fn(values) for values in batch.value_rows()]
+
+    def __call__(self, batch: ColumnBatch) -> ColumnBatch:
+        mask = self.mask(batch)
+        if mask.all() if isinstance(mask, np.ndarray) else all(mask):
             return batch
-        return batch.compress(flags)
+        return batch.compress(mask)
 
 
 _FAST_AGGREGATES = ("count", "sum", "avg", "min", "max")
 
 
+def _unmatched_right_batches(
+    joined_schema: Schema,
+    left_schema: Schema,
+    right_block: ColumnBatch,
+    matched: np.ndarray,
+    batch_rows: int,
+) -> Iterator[ColumnBatch]:
+    """The trailing batches of a right/full outer join: right rows no left
+    row matched, in right input order, NULL-padded on the left."""
+    unmatched = np.flatnonzero(~matched)
+    if not unmatched.size:
+        return
+    # One gather for all unmatched rows, then cheap list slices per batch.
+    padded = right_block.gather(unmatched)
+    for start in range(0, unmatched.size, batch_rows):
+        size = min(batch_rows, int(unmatched.size) - start)
+        right_cols = [column[start : start + size] for column in padded.columns]
+        left_pad = ColumnBatch.nulls(left_schema, size).columns
+        yield ColumnBatch(joined_schema, left_pad + right_cols, size)
+
+
 class BatchExecutor:
     """Executes logical plans as a streaming columnar batch pipeline.
 
-    Produces results identical to :class:`Executor` (the row-at-a-time
-    volcano executor), which stays available both as the ``row`` execution
-    mode and as the fallback for plan shapes the batch pipeline does not
-    cover yet.
+    Produces results identical to :class:`Executor`, the row-at-a-time
+    reference implementation the parity suites compare against.
     """
 
     def __init__(
-        self,
-        engine: "RelationalEngine",
-        batch_rows: int = DEFAULT_BATCH_ROWS,
-        row_executor: Executor | None = None,
+        self, engine: "RelationalEngine", batch_rows: int = DEFAULT_BATCH_ROWS
     ) -> None:
         self._engine = engine
         self._batch_rows = batch_rows
-        self._row_executor = row_executor if row_executor is not None else Executor(engine)
         #: Installed by ``RelationalEngine.explain(analyze=True)`` for the
         #: duration of one query; None keeps the pipeline unobserved.
         self.profiler = None
 
-    # -------------------------------------------------------------- parallelism
-    def _task_context(self) -> TaskContext:
-        """Per-query task context from the engine (serial when absent)."""
-        factory = getattr(self._engine, "task_context", None)
-        if factory is not None:
-            return factory()
-        return TaskContext(1)
-
-    def _record_morsel(self) -> None:
-        record = getattr(self._engine, "record_morsels", None)
-        if record is not None:
-            record(1)
-
-    def _estimated_build_bytes(self, node: JoinNode) -> int | None:
+    def estimated_build_bytes(self, node: JoinNode) -> int | None:
         """Statistics-based build-side size prediction (None without stats)."""
-        estimate = getattr(self._engine, "estimated_plan_bytes", None)
-        if estimate is None:
-            return None
         build_child = (
             node.left
             if node.join_type == "inner" and node.build_side != "right"
             else node.right
         )
-        return estimate(build_child)
+        return self._engine.estimated_plan_bytes(build_child)
 
     # ------------------------------------------------------------------ public
     def execute(self, plan: LogicalPlan) -> Relation:
@@ -498,10 +493,7 @@ class BatchExecutor:
         if isinstance(plan, FilterNode):
             return self._filter_stream(plan)
         if isinstance(plan, JoinNode):
-            reason = self._join_fallback_reason(plan)
-            if reason is None:
-                return self._join_stream(plan)
-            return self._fallback_stream(plan, reason)
+            return self._join_stream(plan)
         if isinstance(plan, AggregateNode):
             return self._aggregate_stream(plan)
         if isinstance(plan, PruneNode):
@@ -512,81 +504,7 @@ class BatchExecutor:
             return self._sort_stream(plan)
         if isinstance(plan, LimitNode):
             return self._limit_stream(plan)
-        return self._fallback_stream(plan, f"unsupported operator: {type(plan).__name__}")
-
-    @staticmethod
-    def vectorizes(node: LogicalPlan) -> bool:
-        """Whether a plan node runs on the batch pipeline (used by EXPLAIN)."""
-        return BatchExecutor.fallback_reason(node) is None
-
-    @staticmethod
-    def fallback_reason(node: LogicalPlan) -> str | None:
-        """Why a plan node falls back to the row executor, or None if it
-        vectorizes.  EXPLAIN renders this as ``[row: <reason>]`` and the
-        engine tallies it per reason in ``fallback_reasons``."""
-        if isinstance(node, JoinNode):
-            return BatchExecutor._join_fallback_reason(node)
-        if isinstance(
-            node,
-            (
-                ScanNode,
-                IndexScanNode,
-                SubqueryNode,
-                FilterNode,
-                ProjectNode,
-                PruneNode,
-                AggregateNode,
-                SortNode,
-                LimitNode,
-            ),
-        ):
-            return None
-        return f"unsupported operator: {type(node).__name__}"
-
-    @staticmethod
-    def _join_fallback_reason(node: JoinNode) -> str | None:
-        """Static (schema-free) classification mirroring the runtime check.
-
-        Without the input schemas a conjunct's side assignment cannot be
-        fully resolved; a trivially self-referential equality (``a.x = a.x``)
-        is rejected here, and the runtime re-checks against real schemas —
-        an unresolvable key still falls back, recorded as
-        ``no equi-join keys resolved``.
-        """
-        if node.join_type == "cross" or node.condition is None:
-            return "cross join"
-        if node.join_type not in ("inner", "left", "right", "full"):
-            return f"unsupported join type: {node.join_type}"
-        if node.strategy != "hash":
-            return "non-equi join"
-        for conjunct in split_conjuncts(node.condition):
-            if (
-                isinstance(conjunct, BinaryOp)
-                and conjunct.op in ("=", "==")
-                and isinstance(conjunct.left, ColumnRef)
-                and isinstance(conjunct.right, ColumnRef)
-                and conjunct.left.name.lower() != conjunct.right.name.lower()
-            ):
-                return None
-        return "non-equi join"
-
-    # ---------------------------------------------------------------- fallback
-    def _fallback_stream(
-        self, plan: LogicalPlan, reason: str = "unsupported plan shape"
-    ) -> tuple[Schema, Iterator[ColumnBatch]]:
-        """Row-executor escape hatch for subtrees without a batch form."""
-        record = getattr(self._engine, "record_fallback", None)
-        if record is not None:
-            record(reason)
-        relation = self._row_executor.execute(plan)
-        schema = relation.schema
-
-        def generate() -> Iterator[ColumnBatch]:
-            values = [row.values for row in relation.rows]
-            for start in range(0, len(values), self._batch_rows):
-                yield ColumnBatch.from_value_rows(schema, values[start : start + self._batch_rows])
-
-        return schema, generate()
+        raise ExecutionError(f"unknown plan node: {type(plan).__name__}")
 
     # ------------------------------------------------------------------- scans
     def _scan_stream(self, node: ScanNode) -> tuple[Schema, Iterator[ColumnBatch]]:
@@ -607,7 +525,7 @@ class BatchExecutor:
                 if predicate is not None:
                     batch = predicate(batch)
                 if len(batch):
-                    self._record_morsel()
+                    self._engine.record_morsels(1)
                     yield batch
 
         return schema, generate()
@@ -640,14 +558,14 @@ class BatchExecutor:
                     if predicate is not None:
                         batch = predicate(batch)
                     if len(batch):
-                        self._record_morsel()
+                        self._engine.record_morsels(1)
                         yield batch
             if pending:
                 batch = ColumnBatch.from_value_rows(schema, pending)
                 if predicate is not None:
                     batch = predicate(batch)
                 if len(batch):
-                    self._record_morsel()
+                    self._engine.record_morsels(1)
                     yield batch
 
         return schema, generate()
@@ -671,7 +589,8 @@ class BatchExecutor:
         return schema, generate()
 
     def _join_stream(self, node: JoinNode) -> tuple[Schema, Iterator[ColumnBatch]]:
-        """Key-encoded batched hash join (inner and left/right/full outer).
+        """Key-encoded batched hash join (inner and left/right/full outer);
+        joins without a resolvable equi-key go to the batched nested loop.
 
         The build side is factorized once into dense int64 codes
         (:class:`~repro.common.keycodes.JoinKeyTable`) and laid out CSR-style
@@ -687,11 +606,15 @@ class BatchExecutor:
         """
         left_schema, left_batches = self.stream(node.left)
         right_schema, right_batches = self.stream(node.right)
-        keys, residual_conjuncts = Executor.split_join_condition(
-            node.condition, left_schema, right_schema
-        )
+        keys: list[tuple[str, str]] = []
+        if node.strategy == "hash" and node.condition is not None:
+            keys, residual_conjuncts = Executor.split_join_condition(
+                node.condition, left_schema, right_schema
+            )
         if not keys:
-            return self._fallback_stream(node, "no equi-join keys resolved")
+            return self._nested_loop_join_stream(
+                node, left_schema, left_batches, right_schema, right_batches
+            )
         joined_schema = left_schema.concat(right_schema)
         left_indices = [left_schema.index_of(pair[0]) for pair in keys]
         right_indices = [right_schema.index_of(pair[1]) for pair in keys]
@@ -715,7 +638,7 @@ class BatchExecutor:
 
         def generate() -> Iterator[ColumnBatch]:
             engine = self._engine
-            budget = getattr(engine, "join_memory_budget", None)
+            budget = engine.join_memory_budget
             # ---------------------------------------------- memory budget gate
             # Stream the build side watching the budget: a statistics-based
             # prediction or a measured overrun hands the whole join (prefix
@@ -726,7 +649,7 @@ class BatchExecutor:
             over_budget = False
             approx = 0
             if budget is not None:
-                predicted = self._estimated_build_bytes(node)
+                predicted = self.estimated_build_bytes(node)
                 over_budget = predicted is not None and predicted > budget
                 if not over_budget:
                     for part in build_iter:
@@ -739,7 +662,6 @@ class BatchExecutor:
                 parts = list(build_iter)
                 approx = sum(approx_batch_bytes(part) for part in parts)
             if over_budget:
-                spill_partitions = getattr(engine, "join_spill_partitions", 8)
                 yield from partitioned_spill_join(
                     joined_schema=joined_schema,
                     build_schema=build_schema,
@@ -754,13 +676,11 @@ class BatchExecutor:
                     track_build=track_build,
                     batch_rows=batch_rows,
                     budget=budget,
-                    partitions=spill_partitions,
+                    partitions=engine.join_spill_partitions,
                     engine=engine,
                 )
                 return
-            record_bytes = getattr(engine, "record_build_bytes", None)
-            if record_bytes is not None:
-                record_bytes(approx)
+            engine.record_build_bytes(approx)
             build_block = ColumnBatch.concat(build_schema, parts)
             table = JoinKeyTable(
                 [build_block.columns[i] for i in build_key_idx],
@@ -769,7 +689,7 @@ class BatchExecutor:
             )
             build_codes = table.build_codes
             group_count = table.group_count
-            ctx = self._task_context()
+            ctx = self._engine.task_context()
             # CSR layout: build row ids grouped by code, original order kept
             # within each code so match order equals build insertion order.
             if ctx.workers > 1 and group_count and len(build_block) >= 2048:
@@ -956,20 +876,92 @@ class BatchExecutor:
             finally:
                 ctx.close()
             if build_matched is not None:
-                unmatched = np.flatnonzero(~build_matched)
-                if unmatched.size:
-                    # One gather for all unmatched build rows, then cheap
-                    # list slices per emitted batch.
-                    padded = build_block.gather(unmatched)
-                    for start in range(0, unmatched.size, batch_rows):
-                        size = min(batch_rows, int(unmatched.size) - start)
-                        build_cols = [
-                            column[start : start + size] for column in padded.columns
-                        ]
-                        probe_pad = ColumnBatch.nulls(probe_schema, size).columns
-                        yield ColumnBatch(
-                            joined_schema, probe_pad + build_cols, size
-                        )
+                yield from _unmatched_right_batches(
+                    joined_schema, probe_schema, build_block, build_matched, batch_rows
+                )
+
+        return joined_schema, generate()
+
+    def _nested_loop_join_stream(
+        self,
+        node: JoinNode,
+        left_schema: Schema,
+        left_batches: Iterator[ColumnBatch],
+        right_schema: Schema,
+        right_batches: Iterator[ColumnBatch],
+    ) -> tuple[Schema, Iterator[ColumnBatch]]:
+        """Batched nested-loop join: cross, non-equi and keyless conditions.
+
+        The right input is pinned as one block and each left batch is walked
+        against it in slabs of at most ``batch_rows`` (left row, right row)
+        pairs — several left rows x the whole block when it is small, one
+        left row x a slice of it otherwise — so pairs are visited, and
+        matches emitted, left-major / right-ascending exactly like the
+        reference executor's double loop.  Each slab's pairs are gathered
+        into one candidate batch (``np.repeat`` / ``np.tile`` index pairs)
+        and the whole condition runs over it like a filter: numpy kernel
+        first, compiled row closure otherwise.  Left/full joins pad
+        unmatched left rows inline; right/full joins keep a matched-right
+        bitmap and emit the unmatched right rows as trailing batches.
+        """
+        joined_schema = left_schema.concat(right_schema)
+        condition = (
+            None
+            if node.condition is None
+            else _PredicateRunner(node.condition, joined_schema)
+        )
+        pad_left = node.join_type in ("left", "full")
+        track_right = node.join_type in ("right", "full")
+        batch_rows = self._batch_rows
+
+        def generate() -> Iterator[ColumnBatch]:
+            right_block = ColumnBatch.concat(right_schema, list(right_batches))
+            n_right = len(right_block)
+            # One trailing None per column: right index -1 gathers a NULL pad.
+            right_obj = [_object_view([*col, None]) for col in right_block.columns]
+            right_matched = np.zeros(n_right, dtype=np.bool_)
+            slab_right = max(1, min(n_right, batch_rows))
+            slab_left = max(1, batch_rows // slab_right)
+
+            for batch in left_batches:
+                left_obj = [_object_view(col) for col in batch.columns]
+
+                def joined(li: np.ndarray, ri: np.ndarray) -> ColumnBatch:
+                    columns = [np.take(col, li) for col in left_obj]
+                    columns += [np.take(col, ri) for col in right_obj]
+                    return ColumnBatch(joined_schema, columns, int(li.size))
+
+                for l0 in range(0, len(batch), slab_left):
+                    l1 = min(len(batch), l0 + slab_left)
+                    hit = np.zeros(l1 - l0, dtype=np.bool_)
+                    li = ri = np.zeros(0, dtype=np.int64)
+                    for r0 in range(0, n_right, slab_right):
+                        check_cancelled()
+                        if li.size:
+                            yield joined(li, ri)
+                        r1 = min(n_right, r0 + slab_right)
+                        li = np.repeat(np.arange(l0, l1), r1 - r0)
+                        ri = np.tile(np.arange(r0, r1), l1 - l0)
+                        if condition is not None:
+                            keep = np.flatnonzero(condition.mask(joined(li, ri)))
+                            li, ri = li[keep], ri[keep]
+                        hit[li - l0] = True
+                        right_matched[ri] = True
+                    if pad_left and not hit.all():
+                        # Unmatched left rows slot in at their left position;
+                        # a matched row never pads, so the stable sort only
+                        # interleaves, it never reorders a row's matches.
+                        pads = l0 + np.flatnonzero(~hit)
+                        li = np.concatenate([li, pads])
+                        ri = np.concatenate([ri, np.full(pads.size, -1, dtype=np.int64)])
+                        order = np.argsort(li, kind="stable")
+                        li, ri = li[order], ri[order]
+                    if li.size:
+                        yield joined(li, ri)
+            if track_right:
+                yield from _unmatched_right_batches(
+                    joined_schema, left_schema, right_block, right_matched, batch_rows
+                )
 
         return joined_schema, generate()
 
@@ -1076,35 +1068,15 @@ class BatchExecutor:
             if grouped_plan is not None:
                 rep_cols = self._representative_columns(node, child_schema)
                 if rep_cols is not None:
-                    prune = getattr(self._engine, "record_representative_prune", None)
-                    if prune is not None:
-                        prune(len(child_schema.columns) - len(rep_cols))
-            if grouped_plan is not None and getattr(
-                self._engine, "streaming_groupby", True
-            ):
+                    self._engine.record_representative_prune(
+                        len(child_schema.columns) - len(rep_cols)
+                    )
                 groups_out, first_values = self._run_streaming_grouped(
                     node, child_schema, batches, grouped_plan, agg_items, rep_cols
                 )
-            elif grouped_plan is not None:
-                # Legacy block path (``engine.streaming_groupby = False``):
-                # materialize the whole input as one columnar block.  Kept as
-                # the baseline the streaming benchmark measures against.
-                block = ColumnBatch.concat(child_schema, list(batches))
-                try:
-                    groups_out, first_values = self._run_vector_grouped(
-                        node, child_schema, block, grouped_plan, rep_cols
-                    )
-                    self._record_groupby("block", len(block))
-                except _KernelUnsupported:
-                    # e.g. int64 overflow risk in a SUM: replay the
-                    # materialized block through the per-row accumulators.
-                    groups_out, first_values = self._run_grouped_aggregates(
-                        node, child_schema, iter([block]), agg_items, rep_cols
-                    )
-                    self._record_groupby("block_degraded", len(block))
             else:
-                self._record_groupby("row", 0)
-                groups_out, first_values = self._run_grouped_aggregates(
+                self._engine.record_groupby("row", 0)
+                groups_out, first_values = self._fold_grouped_rows(
                     node, child_schema, batches, agg_items
                 )
         # Output schema: mirrors the row executor exactly.
@@ -1325,136 +1297,6 @@ class BatchExecutor:
             plan.append((i, name, index))
         return plan
 
-    def _run_vector_grouped(
-        self,
-        node: AggregateNode,
-        child_schema: Schema,
-        block: ColumnBatch,
-        plan: list[tuple[int, str, int | None]],
-        rep_cols: list[int] | None = None,
-    ) -> tuple[list[tuple[tuple, dict[int, Any], tuple | None]], tuple[Any, ...] | None]:
-        """Key-encoded group-by: one factorization, then segmented reductions.
-
-        Group keys become dense first-appearance int64 codes
-        (:func:`~repro.common.keycodes.encode_group_keys`), so emitting
-        groups in code order reproduces the row executor's dict-insertion
-        order.  Accumulation uses ``np.bincount`` (a strictly sequential
-        C loop, matching the row accumulators' per-group addition order bit
-        for bit — unlike ``np.sum``'s pairwise summation) and
-        ``np.minimum/maximum.reduceat`` over stable-sorted segments.
-        """
-        n = len(block)
-        if n == 0:
-            return [], None
-        columns = block.columns
-        first_values = tuple(col[0] for col in columns)
-        key_indices = [child_schema.index_of(expr.name) for expr in node.group_by]
-        for index in key_indices:
-            # NaN grouping keys: np.unique collapses all NaNs into one group
-            # while the row path's dict keeps distinct NaN objects distinct —
-            # only the per-row accumulators reproduce that faithfully.
-            if child_schema.columns[index].dtype is DataType.FLOAT:
-                self._reject_nan(columns[index], "NaN grouping key")
-        encoding = encode_group_keys(
-            [columns[i] for i in key_indices],
-            [child_schema.columns[i].dtype for i in key_indices],
-        )
-        codes, group_count = encoding.codes, encoding.group_count
-        star_counts: list[int] | None = None
-        per_item: dict[int, list[Any]] = {}
-        for i, name, col_index in plan:
-            if name == "count_star":
-                if star_counts is None:
-                    star_counts = np.bincount(codes, minlength=group_count).tolist()
-                per_item[i] = star_counts
-                continue
-            column = columns[col_index]
-            present = ~_null_mask_of(column)
-            sub_codes = codes[present]
-            group_sizes = np.bincount(sub_codes, minlength=group_count)
-            if name == "count":
-                per_item[i] = group_sizes.tolist()
-                continue
-            dtype = _KERNEL_DTYPES[child_schema.columns[col_index].dtype]
-            try:
-                values = np.fromiter(
-                    (0 if v is None else v for v in column), dtype, count=n
-                )[present]
-            except (OverflowError, TypeError, ValueError) as exc:
-                # e.g. Python ints beyond int64: the row accumulators'
-                # arbitrary precision is the only faithful path.
-                raise _KernelUnsupported(str(exc)) from exc
-            sizes = group_sizes.tolist()
-            if name == "avg":
-                totals = np.bincount(
-                    sub_codes, weights=values.astype(np.float64), minlength=group_count
-                ).tolist()
-                per_item[i] = [
-                    None if size == 0 else total / size
-                    for total, size in zip(totals, sizes)
-                ]
-            elif name == "sum":
-                if dtype is np.float64:
-                    totals = np.bincount(
-                        sub_codes, weights=values, minlength=group_count
-                    ).tolist()
-                else:
-                    ints = values.astype(np.int64)
-                    peak = int(np.abs(ints).max()) if ints.size else 0
-                    biggest = int(group_sizes.max()) if group_sizes.size else 0
-                    if peak and biggest and peak > (2**62) // biggest:
-                        raise _KernelUnsupported("int64 overflow risk in SUM")
-                    acc = np.zeros(group_count, dtype=np.int64)
-                    np.add.at(acc, sub_codes, ints)
-                    totals = acc.tolist()
-                per_item[i] = [
-                    None if size == 0 else total
-                    for total, size in zip(totals, sizes)
-                ]
-            else:  # min / max over stable-sorted segments
-                if dtype is np.float64 and values.size and bool(np.isnan(values).any()):
-                    # The row fold never replaces on NaN (NaN < x is False),
-                    # making min/max position-dependent; reduceat cannot
-                    # reproduce that, so replay through the accumulators.
-                    raise _KernelUnsupported("NaN in MIN/MAX column")
-                out: list[Any] = [None] * group_count
-                if sub_codes.size:
-                    seg_order = np.argsort(sub_codes, kind="stable")
-                    seg_codes = sub_codes[seg_order]
-                    seg_values = values[seg_order]
-                    seg_starts = np.flatnonzero(
-                        np.concatenate(([True], seg_codes[1:] != seg_codes[:-1]))
-                    )
-                    reducer = np.minimum if name == "min" else np.maximum
-                    reduced = reducer.reduceat(seg_values, seg_starts)
-                    for code, value in zip(
-                        seg_codes[seg_starts].tolist(), reduced.tolist()
-                    ):
-                        out[code] = value
-                per_item[i] = out
-        if rep_cols is None:
-            representatives = [
-                tuple(col[row] for col in columns)
-                for row in encoding.first_rows.tolist()
-            ]
-        else:
-            representatives = [
-                tuple(columns[i][row] for i in rep_cols)
-                for row in encoding.first_rows.tolist()
-            ]
-        groups_out: list[tuple[tuple, dict[int, Any], tuple | None]] = []
-        for g in range(group_count):
-            accumulators = {i: per_item[i][g] for i, _name, _col in plan}
-            groups_out.append(((), accumulators, representatives[g]))
-        return groups_out, first_values
-
-    def _record_groupby(self, path: str, peak_rows: int) -> None:
-        """Report which grouped-aggregation path ran and its peak resident
-        rows to the engine (surfaced by the runtime's metrics snapshot)."""
-        record = getattr(self._engine, "record_groupby", None)
-        if record is not None:
-            record(path, peak_rows)
-
     def _run_streaming_grouped(
         self,
         node: AggregateNode,
@@ -1486,7 +1328,7 @@ class BatchExecutor:
             i for i in key_indices if child_schema.columns[i].dtype is DataType.FLOAT
         ]
         encoder = IncrementalGroupEncoder(key_dtypes)
-        ctx = self._task_context()
+        ctx = self._engine.task_context()
         partitions = partition_count_for(ctx.workers) if ctx.workers > 1 else 1
         state: _StreamingGroupAggregator | _PartitionedGroupAggregator
         if partitions > 1:
@@ -1520,7 +1362,7 @@ class BatchExecutor:
                         itertools.chain([batch], iterator),
                         rep_cols,
                     )
-                    self._record_groupby("stream_degraded", peak)
+                    self._engine.record_groupby("stream_degraded", peak)
                     return groups_out, first_values
                 codes, new_first_rows = encoder.encode_batch(
                     [columns[i] for i in key_indices]
@@ -1544,7 +1386,7 @@ class BatchExecutor:
             ((), {i: per_item[i][g] for i, _name, _col in plan}, representatives[g])
             for g in range(encoder.group_count)
         ]
-        self._record_groupby("stream_parallel" if partitions > 1 else "stream", peak)
+        self._engine.record_groupby("stream_parallel" if partitions > 1 else "stream", peak)
         return groups_out, first_values
 
     def _degrade_streaming(
@@ -1582,18 +1424,6 @@ class BatchExecutor:
             node, child_schema, remaining, agg_items, groups, group_reprs, rep_cols
         )
         return out
-
-    def _run_grouped_aggregates(
-        self,
-        node: AggregateNode,
-        child_schema: Schema,
-        batches: Iterator[ColumnBatch],
-        agg_items: list,
-        rep_cols: list[int] | None = None,
-    ) -> tuple[list[tuple[tuple, dict[int, Any], tuple | None]], tuple[Any, ...] | None]:
-        return self._fold_grouped_rows(
-            node, child_schema, batches, agg_items, rep_cols=rep_cols
-        )
 
     def _fold_grouped_rows(
         self,

@@ -3,14 +3,11 @@
 A :class:`PlanProfiler` walks a logical plan once, creating one
 :class:`OperatorProfile` per node (keyed by node identity) seeded with the
 optimizer's *estimated* cardinality.  During execution each operator reports
-its *actuals* — rows out, batches, inclusive wall time — through one of two
-channels:
-
-* the vectorized path wraps every operator's batch iterator with
-  :func:`observe_stream`, which accounts each pull (time producing a batch,
-  inclusive of the subtree, exclusive of downstream consumption — the same
-  "actual time" semantics as PostgreSQL's EXPLAIN ANALYZE);
-* the row executor times each node's materializing ``execute`` call.
+its *actuals* — rows out, batches, inclusive wall time: the batch executor
+wraps every operator's batch iterator with :func:`observe_stream`, which
+accounts each pull (time producing a batch, inclusive of the subtree,
+exclusive of downstream consumption — the same "actual time" semantics as
+PostgreSQL's EXPLAIN ANALYZE).
 
 ``engine.explain(sql, analyze=True)`` renders estimated vs. actual per
 operator via :meth:`PlanProfiler.annotation`.  The same stream wrapper also
@@ -45,7 +42,6 @@ class OperatorProfile:
         "rows_out",
         "batches",
         "seconds",
-        "mode",
     )
 
     def __init__(self, label: str, depth: int, estimated_rows: int | None) -> None:
@@ -55,30 +51,25 @@ class OperatorProfile:
         self.rows_out: int | None = None
         self.batches: int | None = None
         self.seconds: float | None = None
-        self.mode: str | None = None
 
     @property
     def recorded(self) -> bool:
-        return self.mode is not None
+        return self.rows_out is not None
 
-    def record(
-        self, rows: int, seconds: float, batches: int | None = None, mode: str = "vectorized"
-    ) -> None:
+    def record(self, rows: int, seconds: float, batches: int) -> None:
         self.rows_out = rows
         self.batches = batches
         self.seconds = seconds
-        self.mode = mode
 
     def annotation(self) -> str:
         """The EXPLAIN ANALYZE suffix for this operator."""
         est = "?" if self.estimated_rows is None else str(self.estimated_rows)
         if not self.recorded:
             return f"(estimated={est} rows, not executed)"
-        parts = [f"estimated={est} rows", f"actual={self.rows_out} rows"]
-        if self.batches is not None:
-            parts.append(f"batches={self.batches}")
-        parts.append(f"time={self.seconds * 1000:.3f}ms")
-        return f"({', '.join(parts)})"
+        return (
+            f"(estimated={est} rows, actual={self.rows_out} rows, "
+            f"batches={self.batches}, time={self.seconds * 1000:.3f}ms)"
+        )
 
 
 class PlanProfiler:
@@ -139,10 +130,6 @@ def observe_stream(
     tracer is enabled — one ``op.<NodeType>`` span.
     """
     entry = profiler.entry(node) if profiler is not None else None
-    if entry is not None and entry.recorded:
-        # The row executor already accounted this subtree (fallback path);
-        # re-recording from the stream side would double count.
-        entry = None
     rows = 0
     count = 0
     seconds = 0.0
@@ -162,7 +149,7 @@ def observe_stream(
             yield batch
     finally:
         if entry is not None:
-            entry.record(rows, seconds, batches=count, mode="vectorized")
+            entry.record(rows, seconds, batches=count)
         if tracer is not None and tracer.enabled:
             tracer.record(
                 f"op.{type(node).__name__}",

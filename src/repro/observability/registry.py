@@ -3,7 +3,7 @@
 Before this module, every new engine- or runtime-level counter grew the
 optional-kwarg list of ``RuntimeMetrics.snapshot()`` — eight kwargs and
 counting.  Now components *register* metrics under namespaced names
-(``relational_execution_modes``, ``admission_queue_wait``, ...) and one
+(``relational_groupby_paths``, ``admission_queue_wait``, ...) and one
 ``registry.snapshot()`` call flattens everything into a single dict, so a
 dashboard, a test or a benchmark reads the whole system from one place
 without the serving layer knowing each engine's internals.

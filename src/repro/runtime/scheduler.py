@@ -31,6 +31,7 @@ import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack
+from functools import partial
 from typing import Sequence
 
 from repro.common.cancellation import CancellationToken, cancel_scope, check_cancelled
@@ -77,6 +78,27 @@ def _span_text(query: str, limit: int = 200) -> str:
     """Query text trimmed for span attributes (traces stay bounded)."""
     text = " ".join(query.split())
     return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
+def _merge_counts(per_engine) -> dict[str, int]:
+    total: dict[str, int] = {}
+    for counts in per_engine:
+        for key, count in counts.items():
+            total[key] = total.get(key, 0) + count
+    return total
+
+
+#: Relational-engine counters in the metrics snapshot: (snapshot key, engine
+#: attribute, how the per-engine values combine).  ``fallback_reasons`` is
+#: always empty now; its key stays until the polybench harness stops reading it.
+_RELATIONAL_GAUGES = (
+    ("relational_fallback_reasons", "fallback_reasons", _merge_counts),
+    ("relational_columns_pruned", "columns_pruned", sum),
+    ("relational_groupby_paths", "groupby_paths", _merge_counts),
+    ("relational_morsels_executed", "morsels_executed", sum),
+    ("relational_partitions_spilled", "partitions_spilled", sum),
+    ("relational_peak_build_bytes", "peak_build_bytes", partial(max, default=0)),
+)
 
 #: Process-wide session ids: several runtimes may serve one polystore, and
 #: session-scoped temp names (``name__s<id>``) must never collide across them.
@@ -175,23 +197,10 @@ class PolystoreRuntime:
         registry.register_gauge(
             "admission_held_s_total", lambda: round(self.admission.held_seconds(), 6)
         )
-        registry.register_gauge(
-            "relational_execution_modes", self.relational_execution_modes
-        )
-        registry.register_gauge(
-            "relational_fallback_reasons", self.relational_fallback_reasons
-        )
-        registry.register_gauge("relational_columns_pruned", self.relational_columns_pruned)
-        registry.register_gauge("relational_groupby_paths", self.relational_groupby_paths)
-        registry.register_gauge(
-            "relational_morsels_executed", self.relational_morsels_executed
-        )
-        registry.register_gauge(
-            "relational_partitions_spilled", self.relational_partitions_spilled
-        )
-        registry.register_gauge(
-            "relational_peak_build_bytes", self.relational_peak_build_bytes
-        )
+        for key, attribute, combine in _RELATIONAL_GAUGES:
+            registry.register_gauge(
+                key, partial(self._relational_gauge, attribute, combine)
+            )
         self.engine_latency = engine_latency
         self.parallel_steps = parallel_steps
         # Intra-query morsel parallelism: every relational engine gets the
@@ -363,64 +372,14 @@ class PolystoreRuntime:
         self.last_recovery = report
         return report
 
-    # ------------------------------------------------- relational executor knob
-    def relational_execution_modes(self) -> dict[str, int]:
-        """SELECTs served per relational executor path, summed over engines."""
-        counts: dict[str, int] = {}
-        for engine in self.bigdawg.catalog.engines():
-            modes = getattr(engine, "executions_by_mode", None)
-            if modes:
-                for mode, count in modes.items():
-                    counts[mode] = counts.get(mode, 0) + count
-        return counts
-
-    def relational_fallback_reasons(self) -> dict[str, int]:
-        """Batch-pipeline row-executor fallbacks per reason, summed over engines."""
-        counts: dict[str, int] = {}
-        for engine in self.bigdawg.catalog.engines():
-            reasons = getattr(engine, "fallback_reasons", None)
-            if reasons:
-                for reason, count in reasons.items():
-                    counts[reason] = counts.get(reason, 0) + count
-        return counts
-
-    def relational_columns_pruned(self) -> int:
-        """Columns the optimizer pruned below joins/aggregates, engine-wide."""
-        total = 0
-        for engine in self.bigdawg.catalog.engines():
-            total += getattr(engine, "columns_pruned", 0)
-        return total
-
-    def relational_groupby_paths(self) -> dict[str, int]:
-        """Grouped aggregations per path (stream/block/row), summed over engines."""
-        counts: dict[str, int] = {}
-        for engine in self.bigdawg.catalog.engines():
-            paths = getattr(engine, "groupby_paths", None)
-            if paths:
-                for path, count in paths.items():
-                    counts[path] = counts.get(path, 0) + count
-        return counts
-
-    def relational_morsels_executed(self) -> int:
-        """Scan morsels emitted into batch pipelines, summed over engines."""
-        total = 0
-        for engine in self.bigdawg.catalog.engines():
-            total += getattr(engine, "morsels_executed", 0)
-        return total
-
-    def relational_partitions_spilled(self) -> int:
-        """Join build partitions spilled to temp files, summed over engines."""
-        total = 0
-        for engine in self.bigdawg.catalog.engines():
-            total += getattr(engine, "partitions_spilled", 0)
-        return total
-
-    def relational_peak_build_bytes(self) -> int:
-        """Largest estimated resident join build footprint, engine-wide max."""
-        peak = 0
-        for engine in self.bigdawg.catalog.engines():
-            peak = max(peak, getattr(engine, "peak_build_bytes", 0))
-        return peak
+    # ------------------------------------------------------ relational engines
+    def _relational_gauge(self, attribute: str, combine):
+        """One ``_RELATIONAL_GAUGES`` counter, combined over every engine that has it."""
+        return combine(
+            getattr(engine, attribute)
+            for engine in self.bigdawg.catalog.engines()
+            if hasattr(engine, attribute)
+        )
 
     def set_relational_parallelism(self, value: int | str) -> None:
         """Set every relational engine's intra-query worker count.
@@ -435,17 +394,6 @@ class PolystoreRuntime:
             if hasattr(engine, "task_credits"):
                 engine.parallelism = value
                 engine.task_credits = self.task_credits
-
-    def set_relational_execution_mode(self, mode: str) -> None:
-        """Flip every relational engine in the polystore to one executor path.
-
-        This is the serving-layer end of the ``execution_mode`` knob: a
-        benchmark (or an operator) can switch the whole deployment between
-        vectorized and row execution without touching individual engines.
-        """
-        for engine in self.bigdawg.catalog.engines():
-            if hasattr(engine, "execution_mode"):
-                engine.execution_mode = mode
 
     # -------------------------------------------------------------- execution
     def _run(self, query: str, cast_method: str, chunk_size: int | None,

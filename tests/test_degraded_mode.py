@@ -322,6 +322,36 @@ class TestCooperativeCancellation:
         leaked = [run for run in created if not run._file.closed]
         assert leaked == [], f"{len(leaked)} spill temp files left open"
 
+    def test_non_equi_join_stops_within_one_slab(self):
+        engine = RelationalEngine("pg")
+        engine.parallelism = 1
+        engine._batch_executor._batch_rows = 64
+        for table in ("a", "b"):
+            engine.execute(f"CREATE TABLE {table} (id INTEGER PRIMARY KEY, v INTEGER)")
+            engine.execute(
+                f"INSERT INTO {table} VALUES "
+                + ", ".join(f"({i}, {i % 17})" for i in range(300))
+            )
+        # 300 x 300 pairs in 64-pair slabs: ~1,500 slabs, one token poll each
+        # (plus one per scanned batch).  A 30-tick deadline expires in the
+        # first left batch; the first poll past it raises.
+        ticking = TickingClock()
+        token = CancellationToken(deadline=30.0, clock=ticking.now)
+        with cancel_scope(token):
+            with pytest.raises(DeadlineExceededError):
+                engine.execute("SELECT count(*) AS n FROM a JOIN b ON a.v < b.v")
+        assert ticking.t < 45.0
+        # Client cancel between two output batches: the next slab raises.
+        token = CancellationToken()
+        with cancel_scope(token):
+            _schema, batches = engine._batch_executor.stream(
+                engine.plan("SELECT a.id, b.id FROM a LEFT JOIN b ON a.v <> b.v")
+            )
+            assert 0 < len(next(batches)) <= 64
+            token.cancel("client went away")
+            with pytest.raises(QueryCancelledError):
+                next(batches)
+
 
 # --------------------------------------------------------- retry budgets
 class TestRetryBudgets:

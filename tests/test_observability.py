@@ -61,8 +61,8 @@ def bigdawg() -> BigDawg:
     return bd
 
 
-def sql_engine(mode: str = "vectorized", rows: int = 400) -> RelationalEngine:
-    engine = RelationalEngine("pg", execution_mode=mode)
+def sql_engine(rows: int = 400) -> RelationalEngine:
+    engine = RelationalEngine("pg")
     engine.execute(
         "CREATE TABLE fact (id INTEGER PRIMARY KEY, grp INTEGER, value FLOAT)"
     )
@@ -377,19 +377,18 @@ class TestQueueWaitAndThroughput:
 
 # ---------------------------------------------------------- explain analyze
 class TestExplainAnalyze:
-    def test_vectorized_operators_report_estimates_and_actuals(self):
+    def test_operators_report_estimates_and_actuals(self):
         engine = sql_engine()
         text = engine.explain(JOIN_SQL, analyze=True)
         lines = text.splitlines()
         operator_lines = [
             line for line in lines
-            if line and not line.startswith(("ExecutionMode", "Stats", "Parallel", "Total"))
+            if line and not line.startswith(("Stats", "Parallel", "Total"))
         ]
         assert operator_lines
         for line in operator_lines:
             assert "estimated=" in line and "actual=" in line, line
-        assert any("[vectorized]" in line for line in operator_lines)
-        assert any("batches=" in line for line in operator_lines)
+            assert "batches=" in line, line
         assert "Total(rows=" in text and "time=" in text
 
     def test_actual_rows_match_execution(self):
@@ -398,14 +397,8 @@ class TestExplainAnalyze:
         expected = len(engine.execute(sql).rows)
         text = engine.explain(sql, analyze=True)
         assert f"Total(rows={expected}," in text
-        top_operator = text.splitlines()[3]  # header is 3 lines for this engine
+        top_operator = text.splitlines()[2]  # header is 2 lines for this engine
         assert f"actual={expected} rows" in top_operator
-
-    def test_row_mode_reports_actuals(self):
-        engine = sql_engine(mode="row")
-        text = engine.explain(JOIN_SQL, analyze=True)
-        assert text.startswith("ExecutionMode(row)")
-        assert "actual=" in text and "Total(rows=" in text
 
     def test_spill_join_reports_actuals(self):
         engine = sql_engine()
@@ -421,8 +414,8 @@ class TestExplainAnalyze:
         engine = sql_engine()
         before = engine.queries_executed
         text = engine.explain(JOIN_SQL)
-        assert text.startswith("ExecutionMode(vectorized)")
-        assert "[vectorized]" in text
+        assert text.startswith("Stats(")
+        assert "ExecutionMode" not in text and "[vectorized]" not in text
         assert "actual=" not in text and "Total(" not in text
         # analyze=False must not execute the query.
         assert engine.queries_executed == before
@@ -434,7 +427,6 @@ class TestExplainAnalyze:
         assert engine.queries_executed == before + 1
         # The profiler uninstalls afterwards: a plain run stays unprofiled.
         assert engine._batch_executor.profiler is None
-        assert engine._executor.profiler is None
 
 
 # ------------------------------------------------------------- slow queries
@@ -451,7 +443,7 @@ class TestSlowQueryLog:
         engine.execute("SELECT count(*) AS n FROM fact")
         entries = engine.slow_queries.entries()
         assert entries and "count(*)" in entries[0].query
-        assert entries[0].attrs["mode"] == "vectorized"
+        assert entries[0].attrs == {"engine": "pg"}
 
     def test_runtime_logs_slow_queries(self, bigdawg):
         runtime = PolystoreRuntime(bigdawg, workers=2)

@@ -37,10 +37,9 @@ from repro.engines.relational import RelationalEngine
 def make_engine(
     parallelism: int | str = 1,
     budget: int | None = None,
-    mode: str = "vectorized",
 ) -> RelationalEngine:
     """A deterministic two-table engine with NULL-heavy, skewed join keys."""
-    e = RelationalEngine("pg", execution_mode=mode)
+    e = RelationalEngine("pg")
     e.parallelism = parallelism
     e.join_memory_budget = budget
     e.execute(
@@ -182,10 +181,12 @@ class TestParallelPrimitives:
 # ------------------------------------------------------------- spill joins
 class TestSpillJoin:
     @pytest.fixture(scope="class")
-    def reference(self):
+    def reference(self, reference_execute):
         engine = make_engine(parallelism=1, budget=None)
         codec = BinaryCodec()
-        return {q: codec.encode(engine.execute(q)) for q in JOIN_GROUP_QUERIES}
+        return {
+            q: codec.encode(reference_execute(engine, q)) for q in JOIN_GROUP_QUERIES
+        }
 
     @pytest.mark.parametrize("query", JOIN_GROUP_QUERIES)
     def test_spill_results_byte_identical(self, reference, query):
@@ -277,25 +278,19 @@ class TestHavingOnlyAggregates:
     ]
 
     @pytest.mark.parametrize("query", QUERIES)
-    def test_modes_agree(self, query):
-        vectorized = make_engine(mode="vectorized")
-        row = make_engine(mode="row")
-        codec = BinaryCodec()
-        assert codec.encode(vectorized.execute(query)) == codec.encode(
-            row.execute(query)
-        )
+    def test_matches_reference(self, assert_matches_reference, query):
+        assert_matches_reference(make_engine(), query)
 
-    def test_having_only_count_filters_correctly(self):
-        for mode in ("vectorized", "row"):
-            e = RelationalEngine("pg", execution_mode=mode)
-            e.execute("CREATE TABLE t (g TEXT, v INTEGER)")
-            e.insert_rows("t", [("a", 1), ("a", 2), ("a", 3), ("b", 9)])
-            rows = e.execute(
-                "SELECT g, max(v) FROM t GROUP BY g HAVING count(*) > 2"
-            ).rows
-            assert [r.values for r in rows] == [("a", 3)]
-            # The synthesized HAVING aggregate never leaks into the output.
-            assert [c.name for c in rows[0].schema.columns] == ["g", "max(v)"]
+    def test_having_only_count_filters_correctly(self, assert_matches_reference):
+        e = RelationalEngine("pg")
+        e.execute("CREATE TABLE t (g TEXT, v INTEGER)")
+        e.insert_rows("t", [("a", 1), ("a", 2), ("a", 3), ("b", 9)])
+        rows = assert_matches_reference(
+            e, "SELECT g, max(v) FROM t GROUP BY g HAVING count(*) > 2"
+        ).rows
+        assert [r.values for r in rows] == [("a", 3)]
+        # The synthesized HAVING aggregate never leaks into the output.
+        assert [c.name for c in rows[0].schema.columns] == ["g", "max(v)"]
 
     def test_having_only_parallel_parity(self):
         codec = BinaryCodec()

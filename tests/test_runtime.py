@@ -5,6 +5,7 @@ array cast dimensions)."""
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -520,3 +521,54 @@ class TestConcurrencyStress:
         assert all(4 <= count <= 4 + inserted[0] for count in counts)
         final = bigdawg.execute(query).rows[0]["n"]
         assert final == 4 + inserted[0]  # no lost inserts
+
+    def test_scans_race_inserts_on_one_table(self, bigdawg):
+        """One client inserts while another runs UPDATE-by-predicate,
+        DELETE-by-predicate and full-scan SELECTs on the same table: every
+        scan iterates a snapshot, so none dies with "dictionary changed size
+        during iteration" and no write is lost."""
+        seeded, ops = 500, 1000
+        postgres = bigdawg.engine("postgres")
+        postgres.execute("CREATE TABLE vitals (id INTEGER PRIMARY KEY, hr INTEGER)")
+        postgres.insert_rows("vitals", [(i, i % 200) for i in range(seeded)])
+        errors: list[BaseException] = []
+        deleted = [0]
+
+        def client(statements):
+            try:
+                for statement in statements:
+                    runtime.execute(f"RELATIONAL({statement})", use_cache=False)
+            except BaseException as exc:  # noqa: BLE001 - reported by the assert below
+                errors.append(exc)
+
+        def scanner_statements():
+            for i in range(ops):
+                if i % 3 == 0:
+                    yield "UPDATE vitals SET hr = hr + 1 WHERE hr < 50"
+                elif i % 3 == 1:
+                    # Only seeded ids, which the inserter never touches: the
+                    # model's row count stays exact.
+                    yield f"DELETE FROM vitals WHERE id = {deleted[0]} AND hr >= 0"
+                    deleted[0] += 1
+                else:
+                    yield "SELECT count(*) AS n, max(hr) AS hi FROM vitals"
+
+        inserts = [f"INSERT INTO vitals VALUES ({10_000 + i}, {i % 200})" for i in range(ops)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with PolystoreRuntime(bigdawg, workers=4) as runtime:
+                threads = [
+                    threading.Thread(target=client, args=(inserts,)),
+                    threading.Thread(target=client, args=(scanner_statements(),)),
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        final = postgres.execute("SELECT count(*) AS n FROM vitals").rows[0]["n"]
+        assert final == seeded - deleted[0] + ops

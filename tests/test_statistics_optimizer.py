@@ -47,11 +47,10 @@ def fill_engine(engine: RelationalEngine, rows: int = 2000) -> RelationalEngine:
 
 @pytest.fixture(scope="module")
 def engines():
-    return (
-        fill_engine(RelationalEngine("vec", execution_mode="vectorized")),
-        fill_engine(RelationalEngine("row", execution_mode="row")),
-        fill_engine(RelationalEngine("plain", execution_mode="vectorized")),
-    )
+    """(optimized engine, same data with the optimizer off)."""
+    plain = fill_engine(RelationalEngine("plain"))
+    plain.optimizer_enabled = False
+    return fill_engine(RelationalEngine("vec")), plain
 
 
 # ------------------------------------------------------------------ statistics
@@ -133,7 +132,7 @@ class TestStatistics:
 # ------------------------------------------------------------------- optimizer
 class TestProjectionPushdown:
     def test_explain_shows_pruned_columns_and_stats(self, engines):
-        vec, _row, _plain = engines
+        vec, _plain = engines
         plan = vec.explain(
             "SELECT d.label, sum(w.val) AS s FROM wide w JOIN dim d ON w.k = d.k "
             "GROUP BY d.label"
@@ -144,12 +143,12 @@ class TestProjectionPushdown:
         assert "Project(w.k, w.val)" in plan or "Project(w.val, w.k)" in plan
 
     def test_select_star_disables_pruning(self, engines):
-        vec, _row, _plain = engines
+        vec, _plain = engines
         plan = vec.explain("SELECT * FROM wide w JOIN dim d ON w.k = d.k")
         assert "[pruned:" not in plan
 
     def test_pruning_blocked_on_outer_join_non_preserved_side(self, engines):
-        vec, _row, _plain = engines
+        vec, _plain = engines
         # LEFT JOIN: the right (non-preserved) side must not be narrowed,
         # mirroring the WHERE-pushdown boundary; the left side may be.
         plan = vec.explain("SELECT w.id FROM wide w LEFT JOIN dim d ON w.k = d.k")
@@ -168,14 +167,13 @@ class TestProjectionPushdown:
         assert "[pruned:" not in plan
 
     def test_counts_pruned_columns(self, engines):
-        vec, _row, _plain = engines
+        vec, _plain = engines
         before = vec.columns_pruned
         vec.execute("SELECT d.label FROM wide w JOIN dim d ON w.k = d.k LIMIT 1")
         assert vec.columns_pruned > before
 
-    def test_parity_wide_join_grid(self, engines):
-        vec, row, plain = engines
-        plain.optimizer_enabled = False
+    def test_parity_wide_join_grid(self, engines, reference_execute):
+        vec, plain = engines
         queries = [
             "SELECT w.id, d.label FROM wide w JOIN dim d ON w.k = d.k ORDER BY w.id LIMIT 50",
             "SELECT * FROM wide w JOIN dim d ON w.k = d.k ORDER BY w.id LIMIT 25",
@@ -190,7 +188,9 @@ class TestProjectionPushdown:
         ]
         codec = BinaryCodec()
         for query in queries:
-            expected = codec.encode(row.execute(query))
+            # One reference for both: the unoptimized plan, row at a time.
+            expected = codec.encode(reference_execute(plain, query))
+            assert codec.encode(reference_execute(vec, query)) == expected, query
             assert codec.encode(vec.execute(query)) == expected, query
             assert codec.encode(plain.execute(query)) == expected, query
 
@@ -232,54 +232,46 @@ class TestCostDecisions:
         # high-NDV column runs first.
         assert "filter=((id = 5) AND (flag = 1))" in plan
 
-    def test_type_mismatched_comparison_never_reordered(self):
-        # 'a < 5' over a TEXT column raises TypeError on the row path; the
-        # optimizer must not move a selective conjunct ahead of it (which
+    def test_type_mismatched_comparison_never_reordered(self, reference_execute):
+        # 'a < 5' over a TEXT column raises TypeError on the reference path;
+        # the optimizer must not move a selective conjunct ahead of it (which
         # would short-circuit the error away for non-matching rows).
-        import pytest as _pytest
-
-        vec = RelationalEngine("mix", execution_mode="vectorized")
-        row = RelationalEngine("mix2", execution_mode="row")
-        for engine in (vec, row):
-            engine.execute("CREATE TABLE t (a TEXT, b INTEGER)")
-            engine.insert_rows("t", [(f"s{i}", i) for i in range(200)])
+        vec = RelationalEngine("mix")
+        vec.execute("CREATE TABLE t (a TEXT, b INTEGER)")
+        vec.insert_rows("t", [(f"s{i}", i) for i in range(200)])
         query = "SELECT a FROM t WHERE a < 5 AND b = 199"
-        with _pytest.raises(TypeError):
-            row.execute(query)
-        with _pytest.raises(TypeError):
+        with pytest.raises(TypeError):
+            reference_execute(vec, query)
+        with pytest.raises(TypeError):
             vec.execute(query)
         # Same-family comparisons still reorder.
         plan = vec.explain("SELECT a FROM t WHERE a > 'zz' AND b = 7")
         assert "filter=((b = 7) AND (a > 'zz'))" in plan
 
-    def test_unsafe_conjuncts_keep_order_and_semantics(self):
-        vec = RelationalEngine("div", execution_mode="vectorized")
-        row = RelationalEngine("div2", execution_mode="row")
-        for engine in (vec, row):
-            engine.execute("CREATE TABLE t (a FLOAT, b FLOAT)")
-            engine.insert_rows(
-                "t", [(10.0, 0.0), (10.0, 2.0), (4.0, 4.0), (9.0, 3.0)]
-            )
+    def test_unsafe_conjuncts_keep_order_and_semantics(self, assert_matches_reference):
+        vec = RelationalEngine("div")
+        vec.execute("CREATE TABLE t (a FLOAT, b FLOAT)")
+        vec.insert_rows("t", [(10.0, 0.0), (10.0, 2.0), (4.0, 4.0), (9.0, 3.0)])
         query = "SELECT a FROM t WHERE b != 0 AND a / b > 2 ORDER BY a"
-        assert [r.values for r in vec.execute(query).rows] == [
-            r.values for r in row.execute(query).rows
-        ]
+        assert_matches_reference(vec, query)
         plan = vec.explain(query)
         assert "filter=((b != 0) AND ((a / b) > 2))" in plan
 
 
 # ------------------------------------------------------------ streaming group-by
 class TestStreamingGroupBy:
-    def make_pair(self, rows):
-        vec = RelationalEngine("gv", execution_mode="vectorized")
-        row = RelationalEngine("gr", execution_mode="row")
-        for engine in (vec, row):
-            engine.execute(
-                "CREATE TABLE facts (id INTEGER PRIMARY KEY, g INTEGER, "
-                "s TEXT, v FLOAT, big INTEGER)"
-            )
-            engine.insert_rows("facts", rows)
-        return vec, row
+    @staticmethod
+    def make_engine(rows, parallelism=1):
+        """``parallelism`` is pinned: the reported path name (``stream`` vs
+        ``stream_parallel``) must not depend on the host's core count."""
+        engine = RelationalEngine("gv")
+        engine.parallelism = parallelism
+        engine.execute(
+            "CREATE TABLE facts (id INTEGER PRIMARY KEY, g INTEGER, "
+            "s TEXT, v FLOAT, big INTEGER)"
+        )
+        engine.insert_rows("facts", rows)
+        return engine
 
     @staticmethod
     def default_rows(n=20_000, groups=100):
@@ -294,29 +286,24 @@ class TestStreamingGroupBy:
             for i in range(n)
         ]
 
-    def test_streaming_bounds_peak_resident_rows(self):
+    @pytest.mark.parametrize(
+        "parallelism, path", [(1, "stream"), (2, "stream_parallel")]
+    )
+    def test_streaming_bounds_peak_resident_rows(
+        self, assert_matches_reference, parallelism, path
+    ):
         groups = 100
-        vec, row = self.make_pair(self.default_rows(20_000, groups))
-        query = (
+        vec = self.make_engine(self.default_rows(20_000, groups), parallelism)
+        assert_matches_reference(
+            vec,
             "SELECT g, count(*) AS n, sum(v) AS s, avg(v) AS a, min(v) AS lo, "
-            "max(big) AS hi FROM facts GROUP BY g"
+            "max(big) AS hi FROM facts GROUP BY g",
         )
-        codec = BinaryCodec()
-        assert codec.encode(vec.execute(query)) == codec.encode(row.execute(query))
-        assert vec.groupby_paths.get("stream", 0) == 1
+        assert vec.groupby_paths == {path: 1}
         assert vec.peak_groupby_resident_rows <= DEFAULT_BATCH_ROWS + groups
         assert vec.peak_groupby_resident_rows < 20_000
 
-    def test_block_path_when_streaming_disabled(self):
-        vec, row = self.make_pair(self.default_rows(10_000))
-        vec.streaming_groupby = False
-        query = "SELECT g, sum(v) AS s FROM facts GROUP BY g"
-        codec = BinaryCodec()
-        assert codec.encode(vec.execute(query)) == codec.encode(row.execute(query))
-        assert vec.groupby_paths.get("block", 0) == 1
-        assert vec.peak_groupby_resident_rows == 10_000
-
-    def test_null_heavy_and_text_keys_parity(self):
+    def test_null_heavy_and_text_keys_parity(self, assert_matches_reference):
         rows = [
             (
                 i,
@@ -327,51 +314,52 @@ class TestStreamingGroupBy:
             )
             for i in range(9000)
         ]
-        vec, row = self.make_pair(rows)
-        codec = BinaryCodec()
+        vec = self.make_engine(rows)
         for query in [
             "SELECT g, s, count(*) AS n, sum(v) AS t FROM facts GROUP BY g, s",
             "SELECT s, avg(v) AS a, min(v) AS lo, max(v) AS hi, count(v) AS c "
             "FROM facts GROUP BY s",
         ]:
-            assert codec.encode(vec.execute(query)) == codec.encode(
-                row.execute(query)
-            ), query
+            assert_matches_reference(vec, query)
 
-    def test_int_overflow_mid_stream_degrades_exactly(self):
+    def test_int_overflow_mid_stream_degrades_exactly(self, reference_execute):
         # Early batches accumulate vectorized; a late huge value (beyond
         # int64) trips the guard and the partial state hands over to the
         # row accumulators — the total must still be exact.
         rows = [(i, i % 3, "x", 1.0, 2**61) for i in range(10_000)]
         rows[9_500] = (9_500, 9_500 % 3, "x", 1.0, 10**19)
-        vec, row = self.make_pair(rows)
+        vec = self.make_engine(rows)
         query = "SELECT g, sum(big) AS s FROM facts GROUP BY g ORDER BY g"
-        expected = [r.values for r in row.execute(query).rows]
+        expected = [r.values for r in reference_execute(vec, query).rows]
         assert [r.values for r in vec.execute(query).rows] == expected
         assert vec.groupby_paths.get("stream_degraded", 0) == 1
 
-    def test_nan_minmax_mid_stream_degrades(self):
+    def test_nan_minmax_mid_stream_degrades(self, reference_execute):
         rows = [(i, i % 4, "x", float(i % 50), i) for i in range(10_000)]
         rows[9_000] = (9_000, 0, "x", float("nan"), 9_000)
-        vec, row = self.make_pair(rows)
+        vec = self.make_engine(rows)
         query = "SELECT g, min(v) AS lo, max(v) AS hi, count(*) AS n FROM facts GROUP BY g"
         codec = BinaryCodec()
-        assert codec.encode(vec.execute(query)) == codec.encode(row.execute(query))
+        assert codec.encode(vec.execute(query)) == codec.encode(
+            reference_execute(vec, query)
+        )
         assert vec.groupby_paths.get("stream_degraded", 0) == 1
 
-    def test_nan_group_key_mid_stream_degrades(self):
+    def test_nan_group_key_mid_stream_degrades(self, reference_execute):
         rows = [(i, i % 4, "x", float(i % 6), i) for i in range(9_000)]
         rows[8_500] = (8_500, 1, "x", float("nan"), 8_500)
-        vec, row = self.make_pair(rows)
+        vec = self.make_engine(rows)
         query = "SELECT v, count(*) AS n FROM facts GROUP BY v"
         codec = BinaryCodec()
-        assert codec.encode(vec.execute(query)) == codec.encode(row.execute(query))
+        assert codec.encode(vec.execute(query)) == codec.encode(
+            reference_execute(vec, query)
+        )
 
-    def test_empty_input_group_by(self):
-        vec, row = self.make_pair([])
-        query = "SELECT g, count(*) AS n FROM facts GROUP BY g"
-        assert [r.values for r in vec.execute(query).rows] == []
-        assert [r.values for r in row.execute(query).rows] == []
+    def test_empty_input_group_by(self, assert_matches_reference):
+        result = assert_matches_reference(
+            self.make_engine([]), "SELECT g, count(*) AS n FROM facts GROUP BY g"
+        )
+        assert result.rows == []
 
 
 # ------------------------------------------------------------- lexer / parser
@@ -570,11 +558,13 @@ class TestRuntimeMetrics:
         bd.add_engine(postgres, islands=["relational"])
         postgres.execute("CREATE TABLE t (a INTEGER, b INTEGER, g INTEGER)")
         postgres.insert_rows("t", [(i, i * 2, i % 3) for i in range(500)])
-        with PolystoreRuntime(bd, workers=2) as runtime:
+        # parallelism=1: the path is named "stream" on any host; "auto" would
+        # report "stream_parallel" wherever there is more than one core.
+        with PolystoreRuntime(bd, workers=2, parallelism=1) as runtime:
             runtime.execute(
                 "RELATIONAL(SELECT s.g FROM t s JOIN t u ON s.a = u.a LIMIT 1)"
             )
             runtime.execute("RELATIONAL(SELECT g, count(*) AS n FROM t GROUP BY g)")
             snapshot = runtime.describe()["metrics"]
         assert snapshot["relational_columns_pruned"] > 0
-        assert snapshot["relational_groupby_paths"].get("stream", 0) >= 1
+        assert snapshot["relational_groupby_paths"] == {"stream": 1}

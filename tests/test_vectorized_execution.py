@@ -1,14 +1,20 @@
-"""Tests for the vectorized relational executor: batches, kernels, mode parity.
+"""Tests for the vectorized relational executor: batches, kernels, reference parity.
 
-The contract under test: the ``vectorized`` and ``row`` execution modes are
-observably identical — same schemas, same values, same ordering — with the
-vectorized path never constructing per-row ``Row`` objects on its scan and
-export hot paths.
+The contract under test: ``RelationalEngine.execute`` (the batch pipeline,
+the only SELECT path) is observably identical — same schemas, same values,
+same ordering, same ``BinaryCodec`` bytes — to the row-at-a-time reference
+executor (``conftest.reference_execute``), at any worker count and with a
+join memory budget set, while never constructing per-row ``Row`` objects on
+its scan and export hot paths.
 """
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common import schema as schema_mod
 from repro.common.expressions import (
@@ -26,9 +32,20 @@ from repro.engines.relational.vectorized import compile_filter_kernel
 
 
 # ------------------------------------------------------------------ fixtures
-def make_engine(mode: str) -> RelationalEngine:
-    """A deterministic two-table engine, identical for every call."""
-    e = RelationalEngine("pg", execution_mode=mode)
+def make_engine(
+    parallelism: int = 1, budget: int | None = None, batch_rows: int | None = None
+) -> RelationalEngine:
+    """A deterministic two-table engine, identical for every call.
+
+    ``parallelism`` is pinned (never ``"auto"``) so no assertion depends on
+    the host's core count; ``batch_rows`` shrinks the pipeline's batches so
+    small tables still cross every batch / slab boundary.
+    """
+    e = RelationalEngine("pg")
+    e.parallelism = parallelism
+    e.join_memory_budget = budget
+    if batch_rows is not None:
+        e._batch_executor._batch_rows = batch_rows
     e.execute(
         "CREATE TABLE events (id INTEGER PRIMARY KEY, grp TEXT, value FLOAT, "
         "flag INTEGER, note TEXT)"
@@ -48,6 +65,10 @@ def make_engine(mode: str) -> RelationalEngine:
     return e
 
 
+def values_of(relation) -> list[tuple]:
+    return [row.values for row in relation.rows]
+
+
 #: A grid of queries spanning NULL-heavy columns, LIKE, outer joins, global
 #: aggregates, DISTINCT, CASE, IN, scalar functions, HAVING and subqueries.
 QUERY_GRID = [
@@ -57,8 +78,10 @@ QUERY_GRID = [
     "SELECT id FROM events WHERE grp IS NOT NULL AND flag IN (1, 2) ORDER BY id DESC LIMIT 7 OFFSET 3",
     "SELECT id, note FROM events WHERE note LIKE 'note_1%' ORDER BY id",
     "SELECT count(*) AS n, sum(value) AS s, avg(value) AS a, min(value) AS lo, max(value) AS hi FROM events",
+    "SELECT count(*) AS n, sum(value) AS s, avg(value) AS a FROM events WHERE value > 20 AND flag = 3",
     "SELECT count(*) AS n FROM events WHERE value > 200",
     "SELECT grp, count(*) AS n, avg(value) AS a FROM events GROUP BY grp ORDER BY n DESC",
+    "SELECT grp, count(*) AS n FROM events GROUP BY grp ORDER BY grp",
     "SELECT grp, count(*) AS n FROM events GROUP BY grp HAVING count(*) > 100",
     "SELECT DISTINCT grp FROM events ORDER BY grp",
     "SELECT DISTINCT flag, grp FROM events WHERE id < 50",
@@ -68,11 +91,13 @@ QUERY_GRID = [
     # Outer joins: NULL-keyed rows on both sides, unmatched rows both ways.
     "SELECT e.id, e.grp, d.weight FROM events e LEFT JOIN dims d ON e.grp = d.grp",
     "SELECT e.id, d.grp, d.weight FROM events e RIGHT JOIN dims d ON e.grp = d.grp",
+    "SELECT e.id, d.grp FROM events e FULL OUTER JOIN dims d ON e.grp = d.grp",
     "SELECT e.id, e.grp, d.grp, d.weight FROM events e FULL OUTER JOIN dims d ON e.grp = d.grp",
     "SELECT d.grp, e.id FROM dims d LEFT OUTER JOIN events e ON d.grp = e.grp AND e.value > 25",
     "SELECT e.id, d.weight FROM events e FULL JOIN dims d ON e.grp = d.grp WHERE e.flag = 2 OR e.flag IS NULL",
     # Multi-column group-by and NULL-heavy grouped aggregates.
     "SELECT grp, flag, count(*) AS n, sum(value) AS s FROM events GROUP BY grp, flag",
+    "SELECT grp, flag, avg(value) AS a, sum(value) AS s, min(value) AS lo FROM events GROUP BY grp, flag",
     "SELECT grp, avg(value) AS a, min(value) AS lo, max(value) AS hi, count(value) AS c FROM events GROUP BY grp",
     "SELECT flag, grp, note, count(*) AS n FROM events GROUP BY flag, grp, note ORDER BY n DESC, flag, grp, note",
     "SELECT note, min(grp) AS g, count(*) AS n FROM events GROUP BY note HAVING count(*) > 10",
@@ -86,131 +111,192 @@ QUERY_GRID = [
     "SELECT 1 + 2 AS three",
 ]
 
+#: Joins with no hashable key — cross, non-equi, keyless — which run on the
+#: batched nested loop: every join type, numeric (kernel) and TEXT (row
+#: closure) conditions, NULL-valued conditions, empty inputs, and consumers
+#: (GROUP BY, ORDER BY ... LIMIT) above the join.
+NESTED_LOOP_GRID = [
+    "SELECT e.id, d.grp, d.weight FROM events e CROSS JOIN dims d",
+    "SELECT count(*) AS n FROM events CROSS JOIN dims",
+    "SELECT e.id, d.grp FROM events e JOIN dims d ON e.value < d.weight",
+    "SELECT e.id, e.value, d.weight FROM events e LEFT JOIN dims d ON e.value < d.weight",
+    "SELECT e.id, d.grp FROM events e RIGHT JOIN dims d ON e.value > d.weight * 30",
+    "SELECT e.id, d.grp FROM events e FULL JOIN dims d ON e.value > d.weight * 30",
+    "SELECT e.id, d.weight FROM events e JOIN dims d ON e.flag <> d.weight",
+    "SELECT e.id, d.weight FROM events e FULL OUTER JOIN dims d ON e.flag <> d.weight AND e.id < 40",
+    "SELECT e.id, d.grp FROM events e LEFT JOIN dims d ON e.value BETWEEN d.weight AND d.weight * 3",
+    "SELECT e.id, d.grp FROM events e RIGHT JOIN dims d ON e.value >= d.weight AND e.value <= d.weight + 1",
+    # TEXT comparisons have no numpy kernel: the compiled closure runs per pair.
+    "SELECT e.id, e.grp, d.grp FROM events e LEFT JOIN dims d ON e.grp < d.grp",
+    "SELECT e.id, d.grp FROM events e FULL JOIN dims d ON e.grp > d.grp AND e.note LIKE 'note_1%'",
+    # Keyless equality: both sides of `=` come from the left input.
+    "SELECT e.id, d.grp FROM events e JOIN dims d ON e.flag = e.flag",
+    "SELECT e.id, d.grp FROM events e LEFT JOIN dims d ON e.flag = e.flag AND e.id < 30",
+    # OR of an equality and an inequality is not a hashable key either.
+    "SELECT e.id, d.grp FROM events e JOIN dims d ON e.grp = d.grp OR e.value > d.weight * 25",
+    "SELECT e.id, d.grp FROM events e FULL JOIN dims d ON e.grp = d.grp OR e.value > d.weight * 25",
+    # Empty left / empty right inputs under every padding rule.
+    "SELECT e.id, d.grp FROM (SELECT id, value FROM events WHERE id < 0) e LEFT JOIN dims d ON e.value < d.weight",
+    "SELECT e.id, d.grp FROM (SELECT id, value FROM events WHERE id < 0) e FULL JOIN dims d ON e.value < d.weight",
+    "SELECT e.id, d.grp FROM events e LEFT JOIN (SELECT grp, weight FROM dims WHERE weight < 0) d ON e.value < d.weight",
+    "SELECT e.id, d.grp FROM events e RIGHT JOIN (SELECT grp, weight FROM dims WHERE weight < 0) d ON e.value < d.weight",
+    "SELECT e.id, d.grp FROM events e CROSS JOIN (SELECT grp, weight FROM dims WHERE weight < 0) d",
+    # A condition that is NULL for every pair matches nothing and pads everything.
+    "SELECT e.id, d.grp FROM events e LEFT JOIN dims d ON e.value < NULL",
+    "SELECT e.id, d.grp FROM events e FULL JOIN dims d ON e.flag = NULL",
+    # Consumers above the join.
+    "SELECT d.grp, count(*) AS n, sum(e.value) AS s FROM events e JOIN dims d ON e.value < d.weight GROUP BY d.grp",
+    "SELECT e.id, d.weight FROM events e JOIN dims d ON e.value > d.weight ORDER BY e.id DESC, d.weight LIMIT 15",
+    "SELECT a.id, b.id FROM (SELECT id, value FROM events WHERE id < 9) a "
+    "FULL JOIN (SELECT id, value FROM events WHERE id > 460) b ON a.value < b.value",
+]
 
-class TestModeParity:
-    """Property: both executors return identical relations for every query."""
+FULL_GRID = QUERY_GRID + NESTED_LOOP_GRID
+
+
+class TestReferenceParity:
+    """Property: the batch pipeline returns the reference executor's bytes."""
+
+    #: parallelism 1 / 2 / 4, a join memory budget (hash joins spill), and
+    #: tiny batches (every operator and join slab boundary is crossed).
+    CONFIGS = {
+        "serial": dict(parallelism=1),
+        "workers2": dict(parallelism=2),
+        "workers4": dict(parallelism=4),
+        "budget": dict(parallelism=2, budget=256),
+        "batch7": dict(parallelism=1, batch_rows=7),
+    }
 
     @pytest.fixture(scope="class")
     def engines(self):
-        return make_engine("vectorized"), make_engine("row")
+        return {name: make_engine(**config) for name, config in self.CONFIGS.items()}
 
-    @pytest.mark.parametrize("query", QUERY_GRID)
-    def test_vectorized_equals_row(self, engines, query):
-        vectorized, row = engines
-        result_v = vectorized.execute(query)
-        result_r = row.execute(query)
-        assert result_v.schema == result_r.schema
-        assert [r.values for r in result_v.rows] == [r.values for r in result_r.rows]
+    @pytest.mark.parametrize("config", list(CONFIGS))
+    @pytest.mark.parametrize("query", FULL_GRID)
+    def test_matches_reference(self, engines, config, query, assert_matches_reference):
+        engine = engines[config]
+        assert_matches_reference(engine, query)
+        assert engine.fallback_reasons == {}
 
-    @pytest.mark.parametrize(
-        "query",
-        [
-            "SELECT count(*) AS n, sum(value) AS s, avg(value) AS a FROM events WHERE value > 20 AND flag = 3",
-            "SELECT grp, count(*) AS n FROM events GROUP BY grp ORDER BY grp",
-            "SELECT grp, flag, avg(value) AS a, sum(value) AS s, min(value) AS lo FROM events GROUP BY grp, flag",
-            "SELECT e.id, e.grp, d.weight FROM events e LEFT JOIN dims d ON e.grp = d.grp",
-            "SELECT e.id, d.grp FROM events e FULL OUTER JOIN dims d ON e.grp = d.grp",
-        ],
-    )
-    def test_results_byte_identical_through_codec(self, engines, query):
-        vectorized, row = engines
-        codec = BinaryCodec()
-        assert codec.encode(vectorized.execute(query)) == codec.encode(row.execute(query))
+    @pytest.mark.parametrize("batch_rows", [1, 3, 600])
+    @pytest.mark.parametrize("query", NESTED_LOOP_GRID)
+    def test_nested_loop_slab_shapes(self, batch_rows, query, assert_matches_reference):
+        """Slab geometry is invisible: one pair per slab, a few left rows per
+        slab, or a whole left batch against the whole right block."""
+        assert_matches_reference(make_engine(batch_rows=batch_rows), query)
 
-    @pytest.fixture(scope="class")
-    def parallel_engines(self):
-        engines = {}
-        for workers in (1, 2, 4):
-            e = make_engine("vectorized")
-            e.parallelism = workers
-            engines[workers] = e
-        return engines
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize("query", QUERY_GRID)
-    def test_byte_identical_across_worker_counts(
-        self, parallel_engines, workers, query
-    ):
-        """Morsel parallelism is invisible: every grid query returns the same
-        bytes at any worker count as the fully serial pipeline."""
-        serial = parallel_engines[1].execute(query)
-        parallel = parallel_engines[workers].execute(query)
-        assert parallel.schema == serial.schema
-        assert [r.values for r in parallel.rows] == [r.values for r in serial.rows]
-        codec = BinaryCodec()
-        try:
-            expected = codec.encode(serial)
-        except ValueError:
-            # A pre-existing inference quirk (min over TEXT typed FLOAT)
-            # makes a few grid schemas unencodable on every path; the exact
-            # value comparison above already covers those.
-            return
-        assert codec.encode(parallel) == expected
-
-    def test_update_delete_agree_across_modes(self):
-        results = {}
-        for mode in ("vectorized", "row"):
-            e = make_engine(mode)
-            e.execute("UPDATE events SET value = value + 1 WHERE flag = 2 AND value > 10")
-            e.execute("DELETE FROM events WHERE note LIKE 'note_2%'")
-            results[mode] = [r.values for r in e.execute("SELECT * FROM events ORDER BY id").rows]
-        assert results["vectorized"] == results["row"]
+    def test_update_delete_then_select_matches_reference(self, assert_matches_reference):
+        e = make_engine()
+        e.execute("UPDATE events SET value = value + 1 WHERE flag = 2 AND value > 10")
+        e.execute("DELETE FROM events WHERE note LIKE 'note_2%'")
+        result = assert_matches_reference(e, "SELECT * FROM events ORDER BY id")
+        assert 0 < len(result.rows) < 500
 
 
-class TestExecutionModeKnob:
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            RelationalEngine("pg", execution_mode="warp")
+_NULLABLE_INTS = st.one_of(st.none(), st.integers(-3, 3))
+_NULLABLE_FLOATS = st.one_of(st.none(), st.sampled_from([-1.5, 0.0, 0.5, 2.0]))
+_NULLABLE_TEXT = st.one_of(st.none(), st.sampled_from(["a", "b", "c"]))
+_TABLE_ROWS = st.lists(
+    st.tuples(_NULLABLE_INTS, _NULLABLE_FLOATS, _NULLABLE_TEXT), max_size=9
+)
+_COMPARISONS = st.sampled_from(["=", "<>", "<", "<=", ">", ">="])
+#: Operand pairs a comparison may join on: numeric x numeric (numpy kernel),
+#: TEXT x TEXT (row closure), and one same-side pair (keyless).
+_OPERANDS = st.sampled_from(
+    [("l.i", "r.i"), ("l.f", "r.f"), ("l.i", "r.f"), ("l.t", "r.t"), ("l.i", "l.f")]
+)
+
+
+@st.composite
+def _join_conditions(draw) -> str:
+    def comparison() -> str:
+        left, right = draw(_OPERANDS)
+        return f"{left} {draw(_COMPARISONS)} {right}"
+
+    condition = comparison()
+    if draw(st.booleans()):
+        condition = f"{condition} {draw(st.sampled_from(['AND', 'OR']))} {comparison()}"
+    return condition
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    left=_TABLE_ROWS,
+    right=_TABLE_ROWS,
+    join=st.sampled_from(["JOIN", "LEFT JOIN", "RIGHT JOIN", "FULL JOIN"]),
+    condition=_join_conditions(),
+    batch_rows=st.sampled_from([1, 2, 5, 4096]),
+)
+def test_random_joins_match_reference(
+    assert_matches_reference, left, right, join, condition, batch_rows
+):
+    """Small NULL-heavy tables under random comparison conditions: equi
+    conditions take the hash join, everything else the nested loop, and
+    both must reproduce the reference bytes for every join type."""
+    e = RelationalEngine("prop")
+    e.parallelism = 1
+    e._batch_executor._batch_rows = batch_rows
+    for table, rows in (("l", left), ("r", right)):
+        e.execute(f"CREATE TABLE {table} (i INTEGER, f FLOAT, t TEXT)")
+        e.insert_rows(table, rows)
+    assert_matches_reference(e, f"SELECT * FROM l {join} r ON {condition}")
+    assert e.fallback_reasons == {}
+
+
+class TestOnePath:
+    """There is one SELECT path: no mode knob, no fallback, one EXPLAIN dialect."""
+
+    def test_no_execution_knobs(self):
+        with pytest.raises(TypeError):
+            RelationalEngine("pg", execution_mode="row")
         e = RelationalEngine("pg")
-        with pytest.raises(ValueError):
-            e.execution_mode = "warp"
+        assert not hasattr(e, "execution_mode")
+        assert not hasattr(e, "streaming_groupby")
 
-    def test_mode_counters(self):
-        e = make_engine("vectorized")
-        e.execute("SELECT count(*) FROM events")
-        e.execution_mode = "row"
-        e.execute("SELECT count(*) FROM events")
-        e.execute("SELECT count(*) FROM events")
-        assert e.executions_by_mode["vectorized"] == 1
-        assert e.executions_by_mode["row"] == 2
-
-    def test_explain_reports_mode_and_operator_paths(self):
-        e = make_engine("vectorized")
+    def test_explain_has_no_mode_header_or_path_tags(self):
+        e = make_engine()
         plan = e.explain(
             "SELECT e.id, d.weight FROM events e LEFT JOIN dims d ON e.grp = d.grp WHERE e.value > 1"
         )
-        assert plan.startswith("ExecutionMode(vectorized)")
-        # Equi outer joins run on the batch pipeline now — no row fallback.
-        join_line = next(line for line in plan.splitlines() if "Join" in line)
-        assert "[vectorized]" in join_line
-        scan_line = next(line for line in plan.splitlines() if "SeqScan" in line)
-        assert "[vectorized]" in scan_line
-        e.execution_mode = "row"
-        assert e.explain("SELECT id FROM events").startswith("ExecutionMode(row)")
-        assert "[vectorized]" not in e.explain("SELECT id FROM events")
+        assert plan.startswith("Stats(")
+        assert "ExecutionMode" not in plan
+        assert "[vectorized]" not in plan and "[row" not in plan
+        assert any("HashJoin[left" in line for line in plan.splitlines())
 
-    def test_explain_annotates_fallback_reason(self):
-        e = make_engine("vectorized")
+    def test_explain_names_nested_loop_joins(self):
+        e = make_engine()
         plan = e.explain(
             "SELECT e.id FROM events e JOIN dims d ON e.value > d.weight LIMIT 5"
         )
         join_line = next(line for line in plan.splitlines() if "Join" in line)
-        assert "[row: non-equi join]" in join_line
+        assert "Nested_LoopJoin[inner]" in join_line and "[row" not in join_line
         cross = e.explain("SELECT count(*) AS n FROM events CROSS JOIN dims")
-        cross_join_line = next(line for line in cross.splitlines() if "Join" in line)
-        assert "[row: cross join]" in cross_join_line
+        assert any("Nested_LoopJoin[cross]" in line for line in cross.splitlines())
 
-    def test_fallback_reason_counters(self):
-        e = make_engine("vectorized")
-        assert e.fallback_reasons == {}
-        e.execute("SELECT count(*) AS n FROM events CROSS JOIN dims")
+    def test_explain_analyze_annotates_nested_loop_join(self, reference_execute):
+        e = make_engine()
+        query = "SELECT e.id, d.grp FROM events e LEFT JOIN dims d ON e.value < d.weight"
+        text = e.explain(query, analyze=True)
+        join_line = next(line for line in text.splitlines() if "Nested_LoopJoin" in line)
+        expected_rows = len(reference_execute(e, query).rows)
+        assert "estimated=" in join_line
+        assert f"actual={expected_rows} rows" in join_line
+        assert "batches=" in join_line and "time=" in join_line
+        assert "not executed" not in text
+
+    def test_spill_tag_only_on_hash_joins(self):
+        e = make_engine(budget=1)
+        hash_plan = e.explain("SELECT e.id FROM events e JOIN dims d ON e.grp = d.grp")
+        assert "[spill]" in next(l for l in hash_plan.splitlines() if "Join" in l)
+        loop_plan = e.explain("SELECT e.id FROM events e JOIN dims d ON e.value < d.weight")
+        assert "[spill]" not in loop_plan
+
+    def test_cross_and_non_equi_joins_record_no_fallback(self):
+        e = make_engine()
         e.execute("SELECT count(*) AS n FROM events CROSS JOIN dims")
         e.execute("SELECT e.id FROM events e JOIN dims d ON e.value > d.weight LIMIT 5")
-        assert e.fallback_reasons.get("cross join") == 2
-        assert e.fallback_reasons.get("non-equi join") == 1
-        # Vectorized shapes leave the counters alone.
         e.execute("SELECT e.id FROM events e LEFT JOIN dims d ON e.grp = d.grp LIMIT 5")
-        assert sum(e.fallback_reasons.values()) == 3
+        assert e.fallback_reasons == {}
 
 
 class TestColumnBatch:
@@ -275,17 +361,19 @@ class TestColumnarExport:
 
 
 class TestLikeCompilation:
-    def test_like_regex_compiled_once(self):
+    def test_like_regex_compiled_once(self, reference_execute):
         _like_regex.cache_clear()
-        engine = make_engine("row")  # the interpreted path used to recompile per row
-        result = engine.execute("SELECT count(*) AS n FROM events WHERE note LIKE 'note_1%'")
+        # The interpreted (reference) path used to recompile per row.
+        result = reference_execute(
+            make_engine(), "SELECT count(*) AS n FROM events WHERE note LIKE 'note_1%'"
+        )
         assert result.rows[0]["n"] > 0
         info = _like_regex.cache_info()
         assert info.misses == 1, "LIKE pattern must compile exactly once"
         assert info.hits >= 400  # one hit per scanned non-null row after the first
 
     def test_like_semantics_unchanged(self):
-        engine = make_engine("vectorized")
+        engine = make_engine()
         # % spans any run, _ exactly one character; both are case sensitive.
         rows = engine.execute(
             "SELECT DISTINCT note FROM events WHERE note LIKE 'note__' ORDER BY note"
@@ -389,165 +477,148 @@ class TestFilterKernel:
         assert list(kernel(batch)) == [reference(row) for row in batch.value_rows()]
 
 
-class TestDivisionModeParity:
+class TestDivisionParity:
     """Satellite (e): `/` and `%` kernels keep per-row error semantics."""
 
     @staticmethod
-    def build(mode):
-        e = RelationalEngine("d", execution_mode=mode)
+    def build():
+        e = RelationalEngine("d")
         e.execute("CREATE TABLE m (x FLOAT, y FLOAT)")
         e.insert_rows("m", [(4.0, 2.0), (9.0, 3.0), (1.0, 4.0), (None, 5.0), (8.0, None)])
         return e
 
-    def test_division_results_identical(self):
-        results = {}
-        for mode in ("vectorized", "row"):
-            e = self.build(mode)
-            results[mode] = [
-                r.values for r in e.execute("SELECT x FROM m WHERE x / y > 1.5 ORDER BY x").rows
-            ]
-        assert results["vectorized"] == results["row"] == [(4.0,), (9.0,)]
+    def test_division_results_identical(self, assert_matches_reference):
+        result = assert_matches_reference(
+            self.build(), "SELECT x FROM m WHERE x / y > 1.5 ORDER BY x"
+        )
+        assert values_of(result) == [(4.0,), (9.0,)]
 
-    def test_division_by_zero_raises_in_both_modes(self):
+    def test_division_by_zero_raises_like_reference(self, reference_execute):
         from repro.common.errors import ExecutionError
 
-        for mode in ("vectorized", "row"):
-            e = self.build(mode)
-            e.execute("INSERT INTO m VALUES (1.0, 0.0)")
-            with pytest.raises(ExecutionError, match="division by zero"):
-                e.execute("SELECT x FROM m WHERE x / y > 1")
+        e = self.build()
+        e.execute("INSERT INTO m VALUES (1.0, 0.0)")
+        with pytest.raises(ExecutionError, match="division by zero"):
+            e.execute("SELECT x FROM m WHERE x / y > 1")
+        with pytest.raises(ExecutionError, match="division by zero"):
+            reference_execute(e, "SELECT x FROM m WHERE x / y > 1")
 
-    def test_zero_divisor_behind_and_guard_skipped_in_both_modes(self):
-        results = {}
-        for mode in ("vectorized", "row"):
-            e = self.build(mode)
-            e.insert_rows("m", [(7.0, 0.0)])
-            results[mode] = [
-                r.values
-                for r in e.execute(
-                    "SELECT x FROM m WHERE y > 1 AND x / y > 1.5 ORDER BY x"
-                ).rows
-            ]
-        assert results["vectorized"] == results["row"] == [(4.0,), (9.0,)]
+    def test_zero_divisor_behind_and_guard_skipped(self, assert_matches_reference):
+        e = self.build()
+        e.insert_rows("m", [(7.0, 0.0)])
+        result = assert_matches_reference(
+            e, "SELECT x FROM m WHERE y > 1 AND x / y > 1.5 ORDER BY x"
+        )
+        assert values_of(result) == [(4.0,), (9.0,)]
+
+    def test_zero_divisor_in_join_condition(self, assert_matches_reference, reference_execute):
+        # The nested-loop join evaluates the same masked-division kernel
+        # over pairs: guarded zeros are skipped, unguarded ones raise.
+        from repro.common.errors import ExecutionError
+
+        e = self.build()
+        e.execute("CREATE TABLE d (z FLOAT)")
+        e.insert_rows("d", [(0.0,), (2.0,), (None,)])
+        assert_matches_reference(
+            e, "SELECT m.x, d.z FROM m LEFT JOIN d ON d.z > 0 AND m.x / d.z > 1.5"
+        )
+        for run in (e.execute, lambda q: reference_execute(e, q)):
+            with pytest.raises(ExecutionError, match="division by zero"):
+                run("SELECT m.x, d.z FROM m JOIN d ON m.x / d.z > 1.5")
 
 
 class TestOuterJoinWherePlacement:
     """WHERE is post-join for outer joins: no pushdown to the padded side."""
 
     @staticmethod
-    def build(mode):
-        e = RelationalEngine("w", execution_mode=mode)
+    def build():
+        e = RelationalEngine("w")
         e.execute("CREATE TABLE a (id INTEGER, k INTEGER)")
         e.execute("CREATE TABLE b (k INTEGER, v FLOAT)")
         e.insert_rows("a", [(1, 1), (2, 2)])
         e.insert_rows("b", [(1, 5.0)])
         return e
 
-    def test_where_on_padded_side_filters_padded_rows(self):
-        for mode in ("vectorized", "row"):
-            e = self.build(mode)
-            rows = [
-                r.values
-                for r in e.execute(
-                    "SELECT a.id, b.v FROM a LEFT JOIN b ON a.k = b.k WHERE b.v > 0"
-                ).rows
-            ]
-            # Standard SQL: the padded row (2, NULL) cannot satisfy b.v > 0.
-            assert rows == [(1, 5.0)], mode
+    def test_where_on_padded_side_filters_padded_rows(self, assert_matches_reference):
+        result = assert_matches_reference(
+            self.build(), "SELECT a.id, b.v FROM a LEFT JOIN b ON a.k = b.k WHERE b.v > 0"
+        )
+        # Standard SQL: the padded row (2, NULL) cannot satisfy b.v > 0.
+        assert values_of(result) == [(1, 5.0)]
 
-    def test_where_on_preserved_side_still_pushes_down(self):
-        e = self.build("vectorized")
+    def test_where_on_preserved_side_still_pushes_down(self, assert_matches_reference):
+        e = self.build()
         plan = e.explain("SELECT a.id FROM a LEFT JOIN b ON a.k = b.k WHERE a.id > 1")
         scan_a = next(line for line in plan.splitlines() if "SeqScan(a)" in line)
         assert "filter=" in scan_a  # preserved-side conjunct pushed onto the scan
-        rows = [
-            r.values
-            for r in e.execute(
-                "SELECT a.id, b.v FROM a LEFT JOIN b ON a.k = b.k WHERE a.id > 1"
-            ).rows
-        ]
-        assert rows == [(2, None)]
+        result = assert_matches_reference(
+            e, "SELECT a.id, b.v FROM a LEFT JOIN b ON a.k = b.k WHERE a.id > 1"
+        )
+        assert values_of(result) == [(2, None)]
 
-    def test_full_join_where_stays_above(self):
-        for mode in ("vectorized", "row"):
-            e = self.build(mode)
-            rows = [
-                r.values
-                for r in e.execute(
-                    "SELECT a.id, b.v FROM a FULL JOIN b ON a.k = b.k WHERE a.id IS NOT NULL"
-                ).rows
-            ]
-            assert rows == [(1, 5.0), (2, None)], mode
+    def test_full_join_where_stays_above(self, assert_matches_reference):
+        result = assert_matches_reference(
+            self.build(),
+            "SELECT a.id, b.v FROM a FULL JOIN b ON a.k = b.k WHERE a.id IS NOT NULL",
+        )
+        assert values_of(result) == [(1, 5.0), (2, None)]
 
 
 class TestNaNParity:
     """NaN shapes force the per-row accumulators (position-dependent folds)."""
 
-    def test_grouped_min_max_with_nan_matches_row_mode(self):
-        import math
-
-        out = {}
-        for mode in ("vectorized", "row"):
-            e = RelationalEngine("n", execution_mode=mode)
-            e.execute("CREATE TABLE t (g INTEGER, v FLOAT)")
-            e.insert_rows(
-                "t",
-                [(1, 5.0), (1, float("nan")), (2, float("nan")), (2, 3.0), (1, 2.0)],
-            )
-            out[mode] = [
-                r.values
-                for r in e.execute(
-                    "SELECT g, min(v) AS lo, max(v) AS hi FROM t GROUP BY g"
-                ).rows
-            ]
+    def test_grouped_min_max_with_nan_matches_reference(self, reference_execute):
+        e = RelationalEngine("n")
+        e.execute("CREATE TABLE t (g INTEGER, v FLOAT)")
+        e.insert_rows(
+            "t",
+            [(1, 5.0), (1, float("nan")), (2, float("nan")), (2, 3.0), (1, 2.0)],
+        )
+        query = "SELECT g, min(v) AS lo, max(v) AS hi FROM t GROUP BY g"
+        actual = values_of(e.execute(query))
+        expected = values_of(reference_execute(e, query))
 
         def same(x, y):
             if isinstance(x, float) and isinstance(y, float):
                 return x == y or (math.isnan(x) and math.isnan(y))
             return x == y
 
-        assert all(
-            same(x, y)
-            for a, b in zip(out["vectorized"], out["row"])
-            for x, y in zip(a, b)
-        )
+        assert len(actual) == len(expected) == 2
+        assert all(same(x, y) for a, b in zip(actual, expected) for x, y in zip(a, b))
 
-    def test_nan_group_keys_match_row_mode(self):
-        out = {}
-        for mode in ("vectorized", "row"):
-            e = RelationalEngine("n2", execution_mode=mode)
-            e.execute("CREATE TABLE t (v FLOAT)")
-            e.insert_rows("t", [(float("nan"),), (1.0,), (float("nan"),), (1.0,)])
-            out[mode] = [
-                r.values
-                for r in e.execute("SELECT v, count(*) AS n FROM t GROUP BY v").rows
-            ]
-        # Distinct NaN objects are distinct dict keys on the row path; the
-        # vectorized path must not collapse them into one group.
-        assert len(out["vectorized"]) == len(out["row"]) == 3
-        assert [n for _v, n in out["vectorized"]] == [n for _v, n in out["row"]]
+    def test_nan_group_keys_match_reference(self, reference_execute):
+        e = RelationalEngine("n2")
+        e.execute("CREATE TABLE t (v FLOAT)")
+        e.insert_rows("t", [(float("nan"),), (1.0,), (float("nan"),), (1.0,)])
+        query = "SELECT v, count(*) AS n FROM t GROUP BY v"
+        actual = values_of(e.execute(query))
+        expected = values_of(reference_execute(e, query))
+        # Distinct NaN objects are distinct dict keys on the reference path;
+        # the batch pipeline must not collapse them into one group.
+        assert len(actual) == len(expected) == 3
+        assert [n for _v, n in actual] == [n for _v, n in expected]
 
-    def test_self_referential_equality_not_tagged_vectorized(self):
+    def test_self_referential_equality_runs_as_nested_loop(self, assert_matches_reference):
         e = RelationalEngine("sr")
         e.execute("CREATE TABLE a (x INTEGER)")
         e.execute("CREATE TABLE b (y INTEGER)")
-        e.insert_rows("a", [(1,)])
-        e.insert_rows("b", [(2,)])
-        plan = e.explain("SELECT a.x FROM a JOIN b ON a.x = a.x")
-        join_line = next(line for line in plan.splitlines() if "Join" in line)
-        assert "[row: non-equi join]" in join_line
-        # And execution agrees with row mode (falls back, same answer).
-        vec = [r.values for r in e.execute("SELECT a.x FROM a JOIN b ON a.x = a.x").rows]
-        e.execution_mode = "row"
-        assert vec == [r.values for r in e.execute("SELECT a.x FROM a JOIN b ON a.x = a.x").rows]
+        e.insert_rows("a", [(1,), (None,)])
+        e.insert_rows("b", [(2,), (3,)])
+        # The planner sees an equality and says "hash"; no key resolves
+        # across the two inputs, so the join runs as a nested loop.
+        for join in ("JOIN", "LEFT JOIN", "RIGHT JOIN", "FULL JOIN"):
+            assert_matches_reference(e, f"SELECT a.x, b.y FROM a {join} b ON a.x = a.x")
+        result = e.execute("SELECT a.x, b.y FROM a JOIN b ON a.x = a.x")
+        assert values_of(result) == [(1, 2), (1, 3)]
+        assert e.fallback_reasons == {}
 
 
 class TestBuildSideHint:
-    """Satellite: the planner's build-side decision reaches both executors."""
+    """Satellite: the planner's build-side decision reaches the executor."""
 
     @staticmethod
-    def build(mode="vectorized"):
-        e = RelationalEngine("b", execution_mode=mode)
+    def build():
+        e = RelationalEngine("b")
         e.execute("CREATE TABLE big (id INTEGER, k INTEGER)")
         e.insert_rows("big", [(i, i % 40) for i in range(2000)])
         e.execute("CREATE TABLE small (k INTEGER, tag TEXT)")
@@ -565,130 +636,105 @@ class TestBuildSideHint:
         join_line = next(line for line in plan.splitlines() if "Join" in line)
         assert "build=left" in join_line
 
-    def test_outer_join_with_empty_build_side(self):
+    def test_outer_join_with_empty_build_side(self, assert_matches_reference):
         # Regression: the pad gather must not index into zero-length build
         # columns when the right side is empty (or filtered to nothing).
-        out = {}
-        for mode in ("vectorized", "row"):
-            e = RelationalEngine("eb", execution_mode=mode)
-            e.execute("CREATE TABLE a (id INTEGER, k INTEGER)")
-            e.execute("CREATE TABLE b (k INTEGER, w FLOAT)")
-            e.insert_rows("a", [(1, 10), (2, 20)])
-            out[mode] = {
-                "empty": [
-                    r.values
-                    for r in e.execute(
-                        "SELECT a.id, b.w FROM a LEFT JOIN b ON a.k = b.k"
-                    ).rows
-                ],
-                "full": [
-                    r.values
-                    for r in e.execute(
-                        "SELECT a.id, b.w FROM a FULL JOIN b ON a.k = b.k"
-                    ).rows
-                ],
-            }
-        assert out["vectorized"] == out["row"]
-        assert out["row"]["empty"] == [(1, None), (2, None)]
+        e = RelationalEngine("eb")
+        e.execute("CREATE TABLE a (id INTEGER, k INTEGER)")
+        e.execute("CREATE TABLE b (k INTEGER, w FLOAT)")
+        e.insert_rows("a", [(1, 10), (2, 20)])
+        left = assert_matches_reference(e, "SELECT a.id, b.w FROM a LEFT JOIN b ON a.k = b.k")
+        assert_matches_reference(e, "SELECT a.id, b.w FROM a FULL JOIN b ON a.k = b.k")
+        assert values_of(left) == [(1, None), (2, None)]
 
-    def test_probe_key_beyond_int64_matches_row_mode(self):
+    def test_probe_key_beyond_int64_matches_reference(self, reference_execute):
         # Regression: a probe-side Python int too large for int64 must probe
         # as "no match", not crash the numeric transform.
-        out = {}
-        for mode in ("vectorized", "row"):
-            e = RelationalEngine("oi", execution_mode=mode)
-            e.execute("CREATE TABLE big (k INTEGER)")
-            e.execute("CREATE TABLE small (k INTEGER, tag TEXT)")
-            e.insert_rows("big", [(2**70,), (5,), (7,)])
-            e.insert_rows("small", [(5, "five"), (9, "nine")])
-            out[mode] = [
-                r.values
-                for r in e.execute(
-                    "SELECT b.k, s.tag FROM big b LEFT JOIN small s ON b.k = s.k"
-                ).rows
-            ]
-        assert out["vectorized"] == out["row"]
-        assert (2**70, None) in out["row"] and (5, "five") in out["row"]
+        e = RelationalEngine("oi")
+        e.execute("CREATE TABLE big (k INTEGER)")
+        e.execute("CREATE TABLE small (k INTEGER, tag TEXT)")
+        e.insert_rows("big", [(2**70,), (5,), (7,)])
+        e.insert_rows("small", [(5, "five"), (9, "nine")])
+        query = "SELECT b.k, s.tag FROM big b LEFT JOIN small s ON b.k = s.k"
+        actual = values_of(e.execute(query))
+        assert actual == values_of(reference_execute(e, query))
+        assert (2**70, None) in actual and (5, "five") in actual
 
-    def test_large_left_small_right_parity(self):
-        out = {}
-        for mode in ("vectorized", "row"):
-            e = self.build(mode)
-            out[mode] = [
-                r.values
-                for r in e.execute(
-                    "SELECT b.id, s.tag FROM big b JOIN small s ON b.k = s.k ORDER BY b.id"
-                ).rows
-            ]
-        assert out["vectorized"] == out["row"]
-        assert len(out["row"]) == 1500  # 2000 rows, 30 of 40 key values match
+    def test_nested_loop_value_beyond_int64_matches_reference(self, reference_execute):
+        # The numeric kernel cannot pack 2**70; the join must drop to the
+        # compiled closure for exact Python-int comparison, not crash.
+        e = RelationalEngine("oi2")
+        e.execute("CREATE TABLE big (k INTEGER)")
+        e.execute("CREATE TABLE small (k INTEGER, tag TEXT)")
+        e.insert_rows("big", [(2**70,), (5,), (7,)])
+        e.insert_rows("small", [(5, "five"), (9, "nine"), (2**71, "huge")])
+        for join in ("JOIN", "LEFT JOIN", "FULL JOIN"):
+            query = f"SELECT b.k, s.tag FROM big b {join} small s ON b.k > s.k"
+            assert values_of(e.execute(query)) == values_of(reference_execute(e, query))
+
+    def test_large_left_small_right_parity(self, assert_matches_reference):
+        result = assert_matches_reference(
+            self.build(),
+            "SELECT b.id, s.tag FROM big b JOIN small s ON b.k = s.k ORDER BY b.id",
+        )
+        assert len(result.rows) == 1500  # 2000 rows, 30 of 40 key values match
 
 
-class TestModeParityEdgeCases:
+class TestReferenceParityEdgeCases:
     """Regressions for divergences the numeric kernels could introduce."""
 
-    @staticmethod
-    def run_both(create_sql, table, rows, query):
-        out = {}
-        for mode in ("vectorized", "row"):
-            e = RelationalEngine("t", execution_mode=mode)
+    @pytest.fixture()
+    def run(self, assert_matches_reference):
+        def run(create_sql, table, rows, query):
+            e = RelationalEngine("t")
             e.execute(create_sql)
             e.insert_rows(table, rows)
-            out[mode] = [r.values for r in e.execute(query).rows]
-        return out
+            return values_of(assert_matches_reference(e, query))
 
-    def test_integer_arithmetic_does_not_wrap(self):
+        return run
+
+    def test_integer_arithmetic_does_not_wrap(self, run):
         # int64 kernels would wrap 4e9**2 negative; Python ints must win.
-        out = self.run_both(
+        out = run(
             "CREATE TABLE t (v INTEGER)", "t",
             [(4_000_000_000,), (2,)],
             "SELECT v FROM t WHERE v * v > 0",
         )
-        assert out["vectorized"] == out["row"] == [(4_000_000_000,), (2,)]
+        assert out == [(4_000_000_000,), (2,)]
 
-    def test_falsy_integer_and_null_is_null(self):
-        # Row mode short-circuits AND only on the literal False: 0 AND NULL
-        # is NULL (excluded), and NOT NULL stays NULL.
-        out = self.run_both(
+    def test_falsy_integer_and_null_is_null(self, run):
+        # The reference short-circuits AND only on the literal False: 0 AND
+        # NULL is NULL (excluded), and NOT NULL stays NULL.
+        run(
             "CREATE TABLE u (flag INTEGER, y FLOAT)", "u",
             [(0, None), (0, 1.0), (1, 9.0)],
             "SELECT flag FROM u WHERE NOT (flag AND y > 5)",
         )
-        assert out["vectorized"] == out["row"]
 
-    def test_sum_over_text_concatenates_like_row_mode(self):
-        out = self.run_both(
+    def test_same_side_equality_is_not_a_hash_key(self, assert_matches_reference):
+        # Both tables have a column `f`: suffix matching used to read `l.f`
+        # as the right input's `r.f` and hash `l.i = r.f` instead.
+        e = RelationalEngine("k")
+        for table in ("l", "r"):
+            e.execute(f"CREATE TABLE {table} (i INTEGER, f FLOAT)")
+        e.insert_rows("l", [(2, None), (3, 3.0)])
+        e.insert_rows("r", [(None, 2.0), (7, 8.0)])
+        for join in ("JOIN", "LEFT JOIN", "FULL JOIN"):
+            assert_matches_reference(e, f"SELECT * FROM l {join} r ON l.i = l.f")
+        result = e.execute("SELECT l.i, r.i FROM l JOIN r ON l.i = l.f")
+        assert values_of(result) == [(3, None), (3, 7)]
+
+    def test_sum_over_text_concatenates_like_reference(self, run):
+        out = run(
             "CREATE TABLE s (name TEXT)", "s",
             [("a",), ("b",)],
             "SELECT sum(name) AS s FROM s",
         )
-        assert out["vectorized"] == out["row"] == [("ab",)]
+        assert out == [("ab",)]
 
 
-class TestRuntimeModeThreading:
-    def test_scheduler_metrics_report_execution_modes(self):
-        from repro.core.bigdawg import BigDawg
-        from repro.runtime import PolystoreRuntime
-
-        bigdawg = BigDawg()
-        engine = RelationalEngine("postgres")
-        bigdawg.add_engine(engine, islands=["relational"])
-        engine.execute("CREATE TABLE t (id INTEGER, v FLOAT)")
-        engine.insert_rows("t", [(1, 2.0), (2, 4.0)])
-        runtime = PolystoreRuntime(bigdawg, workers=2)
-        try:
-            runtime.execute("RELATIONAL(SELECT count(*) AS n FROM t)", use_cache=False)
-            modes = runtime.describe()["metrics"]["relational_execution_modes"]
-            assert modes.get("vectorized", 0) >= 1
-            runtime.set_relational_execution_mode("row")
-            assert engine.execution_mode == "row"
-            runtime.execute("RELATIONAL(SELECT count(*) AS n FROM t)", use_cache=False)
-            modes = runtime.describe()["metrics"]["relational_execution_modes"]
-            assert modes.get("row", 0) >= 1
-        finally:
-            runtime.shutdown()
-
-    def test_runtime_metrics_report_fallback_reasons(self):
+class TestRuntimeMetrics:
+    def test_fallback_reasons_key_stays_and_is_empty(self):
         from repro.core.bigdawg import BigDawg
         from repro.runtime import PolystoreRuntime
 
@@ -701,17 +747,17 @@ class TestRuntimeModeThreading:
         engine.insert_rows("b", [(1,), (3,)])
         runtime = PolystoreRuntime(bigdawg, workers=2)
         try:
-            runtime.execute(
+            result = runtime.execute(
                 "RELATIONAL(SELECT count(*) AS n FROM a CROSS JOIN b)", use_cache=False
             )
-            reasons = runtime.describe()["metrics"]["relational_fallback_reasons"]
-            assert reasons.get("cross join", 0) >= 1
-            # Vectorized equi-joins do not add fallback counts.
+            assert values_of(result) == [(4,)]
             runtime.execute(
-                "RELATIONAL(SELECT count(*) AS n FROM a LEFT JOIN b ON a.id = b.id)",
+                "RELATIONAL(SELECT count(*) AS n FROM a LEFT JOIN b ON a.id < b.id)",
                 use_cache=False,
             )
-            after = runtime.describe()["metrics"]["relational_fallback_reasons"]
-            assert sum(after.values()) == sum(reasons.values())
+            metrics = runtime.describe()["metrics"]
+            assert metrics["relational_fallback_reasons"] == {}
+            assert "relational_execution_modes" not in metrics
+            assert not hasattr(runtime, "set_relational_execution_mode")
         finally:
             runtime.shutdown()
