@@ -5,11 +5,11 @@ The paper contrasts naive *file-based import/export* between engines with a
 
 * :class:`CsvCodec` — the file-based path: every value is rendered to text,
   written line by line, then re-parsed and re-coerced on the receiving side.
-* :class:`BinaryCodec` — the direct path: values are packed with ``struct``
-  into a compact binary frame that the receiver can decode without text
-  parsing.  All-numeric relations are packed *columnar* — one null-flag
-  vector plus one contiguous value buffer per column — so a frame of
-  waveform samples is a handful of bulk packs instead of a per-value loop.
+* :class:`BinaryCodec` — the direct path: every relation is packed
+  *columnar* — one null-flag vector plus one contiguous value buffer per
+  column — into a compact binary frame, so encoding and decoding a chunk is
+  a handful of bulk numpy conversions, with no text parsing and no per-value
+  loop.
 
 Both codecs also support the chunked CAST pipeline through
 ``encode_chunks`` / ``decode_chunks``: each chunk becomes one independent,
@@ -31,9 +31,11 @@ import struct
 from datetime import datetime, timezone
 from typing import Any, Iterable, Iterator
 
+import numpy as np
+
 from repro.common.errors import CastError
-from repro.common.schema import Relation, Row, Schema
-from repro.common.types import DataType
+from repro.common.schema import ColumnarRelation, Relation, Schema, object_view
+from repro.common.types import DataType, coerce
 
 
 def _timestamp_to_epoch(value: Any) -> float:
@@ -222,32 +224,32 @@ class CsvCodec(ChunkedCodecMixin):
 class BinaryCodec(ChunkedCodecMixin):
     """Compact binary encoding of a relation, modelling a direct binary CAST path.
 
-    Frame layout::
+    Every frame is columnar — there is one layout::
 
-        [u8 layout][u32 row_count][u32 column_count]
+        [u8 layout = 1][u32 row_count][u32 column_count]
         for each column: [u8 type_tag]
+        for each column: [u8 null flag x row_count] then the non-null values
 
-    followed by, for ``layout == LAYOUT_ROW_MAJOR``, row-major packed values::
+    with the non-null values packed contiguously (little-endian)::
 
-        null flag (u8) then, when non-null,
-        INTEGER  -> i64
-        FLOAT    -> f64
-        BOOLEAN  -> u8
-        TIMESTAMP-> f64 (epoch seconds, UTC; naive datetimes treated as UTC)
-        TEXT     -> u32 length + utf-8 bytes
+        INTEGER   -> i64
+        FLOAT     -> f64
+        BOOLEAN   -> u8
+        TIMESTAMP -> f64 (epoch seconds, UTC; naive datetimes treated as UTC)
+        TEXT/NULL -> [u32 blob_bytes][u32 length-in-characters x non-null]
+                     then one UTF-8 blob of the values joined together
 
-    or, for ``layout == LAYOUT_COLUMNAR`` (chosen automatically when every
-    column is numeric), one column at a time::
-
-        [u8 null flag x row_count]
-        then the non-null values packed contiguously with one bulk
-        ``struct.pack`` (i64 / f64 / u8 as above)
-
-    The columnar layout is what makes large numeric CASTs cheap: encoding and
-    decoding are a few bulk packs per column instead of a per-value loop.
+    Encoding reads whole columns through ``Relation.column_values`` and
+    packs each with one ``numpy`` conversion; decoding unpacks each with one
+    ``np.frombuffer`` and returns a :class:`ColumnarRelation`, so neither
+    side builds a :class:`~repro.common.schema.Row` or touches a value at a
+    time (TIMESTAMP and TEXT values are the exception: each datetime or
+    string is still its own Python object).  Decoded values are native
+    Python objects, never numpy scalars.  Frames are transient — written and
+    read by the same process during one CAST — so the layout carries no
+    version beyond its leading byte.
     """
 
-    LAYOUT_ROW_MAJOR = 0
     LAYOUT_COLUMNAR = 1
 
     _TYPE_TAGS = {
@@ -260,160 +262,95 @@ class BinaryCodec(ChunkedCodecMixin):
     }
     _TAG_TYPES = {v: k for k, v in _TYPE_TAGS.items()}
 
-    #: struct format character for each columnar-packable type.
-    _COLUMNAR_FORMATS = {
-        DataType.INTEGER: "q",
-        DataType.FLOAT: "d",
-        DataType.BOOLEAN: "B",
-        DataType.TIMESTAMP: "d",
+    #: Wire dtype of each fixed-width type; TEXT and NULL travel as a blob.
+    _WIRE_DTYPES = {
+        DataType.INTEGER: np.dtype("<i8"),
+        DataType.FLOAT: np.dtype("<f8"),
+        DataType.BOOLEAN: np.dtype("?"),
+        DataType.TIMESTAMP: np.dtype("<f8"),
     }
-
-    def __init__(self, columnar: bool = True) -> None:
-        #: When True (the default) all-numeric relations are packed columnar;
-        #: False forces the row-major layout.  Relations with TEXT columns
-        #: always use row-major regardless.
-        self.columnar = columnar
+    _LENGTH_DTYPE = np.dtype("<u4")
 
     def encode(self, relation: Relation) -> bytes:
         schema = relation.schema
-        use_columnar = self.columnar and all(
-            c.dtype in self._COLUMNAR_FORMATS for c in schema
-        )
-        layout = self.LAYOUT_COLUMNAR if use_columnar else self.LAYOUT_ROW_MAJOR
-        out = io.BytesIO()
-        out.write(struct.pack("<BII", layout, len(relation), len(schema)))
-        for col in schema:
-            out.write(struct.pack("<B", self._TYPE_TAGS[col.dtype]))
-        if layout == self.LAYOUT_COLUMNAR:
-            self._encode_columnar(out, relation)
-        else:
-            for row in relation:
-                for value, col in zip(row.values, schema):
-                    self._write_value(out, value, col.dtype)
-        return out.getvalue()
+        parts = [
+            struct.pack("<BII", self.LAYOUT_COLUMNAR, len(relation), len(schema)),
+            bytes(self._TYPE_TAGS[col.dtype] for col in schema),
+        ]
+        for index, col in enumerate(schema):
+            # column_values hands back the stored column directly when the
+            # relation is columnar-backed (a chunk out of an engine's export
+            # or out of decode), so a CAST never converts through rows.
+            column = relation.column_values(index)
+            if None in column:
+                column = object_view(column)
+                nulls = np.equal(column, None)
+                parts.append(nulls.tobytes())
+                column = column[~nulls]
+            else:
+                parts.append(bytes(len(column)))
+            wire = self._WIRE_DTYPES.get(col.dtype)
+            if wire is None:
+                try:
+                    text = "".join(column)
+                except TypeError:
+                    # A column typed TEXT that holds other values (an
+                    # unvalidated result set): render them, as str() would.
+                    column = [str(v) for v in column]
+                    text = "".join(column)
+                blob = text.encode("utf-8")
+                parts.append(struct.pack("<I", len(blob)))
+                parts.append(
+                    np.fromiter(map(len, column), self._LENGTH_DTYPE, len(column)).tobytes()
+                )
+                parts.append(blob)
+                continue
+            if col.dtype is DataType.TIMESTAMP:
+                column = [_timestamp_to_epoch(v) for v in column]
+            parts.append(np.asarray(column, dtype=wire).tobytes())
+        return b"".join(parts)
 
-    def decode(self, payload: bytes, schema: Schema) -> Relation:
+    def decode(self, payload: bytes, schema: Schema) -> ColumnarRelation:
         view = memoryview(payload)
-        offset = 0
-        layout, row_count, col_count = struct.unpack_from("<BII", view, offset)
-        offset += 9
+        layout, row_count, col_count = struct.unpack_from("<BII", view, 0)
+        if layout != self.LAYOUT_COLUMNAR:
+            raise CastError(f"unknown binary frame layout {layout}")
         if col_count != len(schema):
             raise CastError(
                 f"binary frame has {col_count} columns but schema expects {len(schema)}"
             )
-        tags = []
-        for _ in range(col_count):
-            (tag,) = struct.unpack_from("<B", view, offset)
-            offset += 1
-            tags.append(self._TAG_TYPES[tag])
-        if layout == self.LAYOUT_COLUMNAR:
-            return self._decode_columnar(view, offset, row_count, tags, schema)
-        if layout != self.LAYOUT_ROW_MAJOR:
-            raise CastError(f"unknown binary frame layout {layout}")
-        relation = Relation(schema)
-        for _ in range(row_count):
-            values = []
-            for dtype in tags:
-                value, offset = self._read_value(view, offset, dtype)
-                values.append(value)
-            relation.append(values)
-        return relation
-
-    # ------------------------------------------------------------ columnar path
-    def _encode_columnar(self, out: io.BytesIO, relation: Relation) -> None:
-        for index, col in enumerate(relation.schema):
-            # column_values hands back the stored column directly when the
-            # relation is columnar-backed (e.g. a chunk streamed out of the
-            # relational engine's batch scan), so an all-numeric CAST never
-            # converts through per-row objects.
-            column = relation.column_values(index)
-            out.write(bytes(1 if value is None else 0 for value in column))
-            if col.dtype is DataType.TIMESTAMP:
-                packed = [_timestamp_to_epoch(v) for v in column if v is not None]
-            elif col.dtype is DataType.BOOLEAN:
-                packed = [1 if v else 0 for v in column if v is not None]
-            elif col.dtype is DataType.INTEGER:
-                packed = [int(v) for v in column if v is not None]
-            else:
-                packed = [float(v) for v in column if v is not None]
-            fmt = self._COLUMNAR_FORMATS[col.dtype]
-            out.write(struct.pack(f"<{len(packed)}{fmt}", *packed))
-
-    def _decode_columnar(self, view: memoryview, offset: int, row_count: int,
-                         tags: list[DataType], schema: Schema) -> Relation:
+        offset = 9 + col_count
         columns: list[list[Any]] = []
-        for dtype in tags:
-            fmt = self._COLUMNAR_FORMATS.get(dtype)
-            if fmt is None:
-                raise CastError(f"columnar frames do not support type {dtype}")
-            flags = bytes(view[offset : offset + row_count])
+        for tag, col in zip(view[9:offset], schema):
+            dtype = self._TAG_TYPES[tag]
+            nulls = np.frombuffer(view, np.bool_, row_count, offset)
             offset += row_count
-            non_null = row_count - sum(flags)
-            values = struct.unpack_from(f"<{non_null}{fmt}", view, offset)
-            offset += struct.calcsize(f"<{non_null}{fmt}")
-            if dtype is DataType.TIMESTAMP:
-                values = [datetime.fromtimestamp(v, tz=timezone.utc) for v in values]
-            elif dtype is DataType.BOOLEAN:
-                values = [bool(v) for v in values]
-            column: list[Any] = []
-            it = iter(values)
-            for flag in flags:
-                column.append(None if flag else next(it))
-            columns.append(column)
-        relation = Relation(schema)
-        if tags == schema.types:
-            # The unpacked values already have the exact Python types the
-            # schema asks for; skip per-value re-validation so the decode
-            # stays a bulk operation.
-            rows = relation.rows
-            for values in zip(*columns) if columns else ():
-                rows.append(Row(schema, values))
-        else:
-            for values in zip(*columns) if columns else ():
-                relation.append(list(values))
-        return relation
-
-    # ----------------------------------------------------------- row-major path
-    def _write_value(self, out: io.BytesIO, value: Any, dtype: DataType) -> None:
-        if value is None:
-            out.write(b"\x01")
-            return
-        out.write(b"\x00")
-        if dtype is DataType.INTEGER:
-            out.write(struct.pack("<q", int(value)))
-        elif dtype is DataType.FLOAT:
-            out.write(struct.pack("<d", float(value)))
-        elif dtype is DataType.BOOLEAN:
-            out.write(struct.pack("<B", 1 if value else 0))
-        elif dtype is DataType.TIMESTAMP:
-            out.write(struct.pack("<d", _timestamp_to_epoch(value)))
-        elif dtype in (DataType.TEXT, DataType.NULL):
-            encoded = str(value).encode("utf-8")
-            out.write(struct.pack("<I", len(encoded)))
-            out.write(encoded)
-        else:  # pragma: no cover - exhaustive over DataType
-            raise CastError(f"unsupported type for binary encoding: {dtype}")
-
-    def _read_value(self, view: memoryview, offset: int, dtype: DataType) -> tuple[Any, int]:
-        (null_flag,) = struct.unpack_from("<B", view, offset)
-        offset += 1
-        if null_flag:
-            return None, offset
-        if dtype is DataType.INTEGER:
-            (value,) = struct.unpack_from("<q", view, offset)
-            return value, offset + 8
-        if dtype is DataType.FLOAT:
-            (value,) = struct.unpack_from("<d", view, offset)
-            return value, offset + 8
-        if dtype is DataType.BOOLEAN:
-            (value,) = struct.unpack_from("<B", view, offset)
-            return bool(value), offset + 1
-        if dtype is DataType.TIMESTAMP:
-            (stamp,) = struct.unpack_from("<d", view, offset)
-            return datetime.fromtimestamp(stamp, tz=timezone.utc), offset + 8
-        if dtype in (DataType.TEXT, DataType.NULL):
-            (length,) = struct.unpack_from("<I", view, offset)
-            offset += 4
-            raw = bytes(view[offset : offset + length])
-            return raw.decode("utf-8"), offset + length
-        raise CastError(f"unsupported type for binary decoding: {dtype}")
+            count = row_count - int(np.count_nonzero(nulls))
+            wire = self._WIRE_DTYPES.get(dtype)
+            if wire is None:
+                (blob_bytes,) = struct.unpack_from("<I", view, offset)
+                offset += 4
+                ends = np.cumsum(
+                    np.frombuffer(view, self._LENGTH_DTYPE, count, offset), dtype=np.int64
+                ).tolist()
+                offset += 4 * count
+                text = str(view[offset : offset + blob_bytes], "utf-8")
+                offset += blob_bytes
+                values = [text[a:b] for a, b in zip([0] + ends, ends)]
+            else:
+                values = np.frombuffer(view, wire, count, offset).tolist()
+                offset += wire.itemsize * count
+                if dtype is DataType.TIMESTAMP:
+                    values = [datetime.fromtimestamp(v, tz=timezone.utc) for v in values]
+            if count != row_count:
+                # A fresh object array is all None: only the non-null slots
+                # are written.
+                padded = np.empty(row_count, dtype=object)
+                padded[~nulls] = object_view(values)
+                values = padded.tolist()
+            if dtype is not col.dtype:
+                # The frame's type differs from the schema asked for: coerce,
+                # as appending to a Relation of that schema would.
+                values = [coerce(v, col.dtype) for v in values]
+            columns.append(values)
+        return ColumnarRelation(schema, columns, row_count)

@@ -15,13 +15,14 @@ path, one decoded chunk) in memory, so the *wire* side of a CAST runs in
 bounded space.  Destination-side memory depends on the target: engines with
 incremental import (relational, key-value) consume each chunk as it arrives,
 while the array engine — which needs its dimension bounds before it can
-allocate — buffers the decoded cells until the stream ends.
+allocate — holds each chunk's columns as typed numpy vectors until the
+stream ends.
 
 Three methods are supported:
 
 * ``method="binary"`` — the direct path: each chunk is framed with the
-  compact binary codec (columnar for all-numeric schemas) and decoded by the
-  receiver without text parsing.
+  compact binary codec (one columnar layout) and decoded by the receiver
+  without text parsing.
 * ``method="csv"``    — the file-based path: each chunk is rendered to
   delimited text (optionally staged through a real temporary file) and
   re-parsed on the way in.
@@ -57,9 +58,10 @@ from repro.engines.base import DEFAULT_CHUNK_ROWS
 from repro.observability.tracing import get_tracer
 
 
-@dataclass
+@dataclass(slots=True)
 class CastRecord:
-    """Accounting for one completed cast."""
+    """Accounting for one completed cast (slotted: the history keeps one per
+    cast for the life of the migrator)."""
 
     object_name: str
     source_engine: str
@@ -95,13 +97,15 @@ class CastMigrator:
     journal: Any = None
 
     def __post_init__(self) -> None:
-        self._object_locks: dict[str, threading.Lock] = {}
+        self._object_locks: dict[str, threading.RLock] = {}
         self._locks_guard = threading.Lock()
 
-    def object_lock(self, object_name: str) -> threading.Lock:
-        """The lock serializing casts of one object (exposed for the runtime)."""
+    def object_lock(self, object_name: str) -> threading.RLock:
+        """The lock serializing casts of one object.  Re-entrant, so a caller
+        can hold it across its own "is the cast still needed?" check and the
+        :meth:`cast` call (the plan executor does)."""
         with self._locks_guard:
-            return self._object_locks.setdefault(object_name.lower(), threading.Lock())
+            return self._object_locks.setdefault(object_name.lower(), threading.RLock())
 
     def cast(
         self,

@@ -72,12 +72,7 @@ class ArrayIsland(Island):
     def _to_relation(result) -> Relation:
         """Flatten an array / aggregate-dict result into a relation."""
         if isinstance(result, StoredArray):
-            columns = [Column(d.name, DataType.INTEGER) for d in result.schema.dimensions]
-            columns += [Column(a.name, a.dtype) for a in result.schema.attributes]
-            relation = Relation(Schema(columns))
-            for coordinates, values in result.iter_cells():
-                relation.append(list(coordinates) + [values[a.name] for a in result.schema.attributes])
-            return relation
+            return result.to_relation()
         if isinstance(result, dict):
             # Either {aggregate_name: value} or {coordinate: value} from grouping.
             keys = list(result)

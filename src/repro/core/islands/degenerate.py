@@ -91,12 +91,7 @@ class DegenerateIsland(Island):
         if isinstance(result, Relation):
             return result
         if isinstance(result, StoredArray):
-            columns = [Column(d.name, DataType.INTEGER) for d in result.schema.dimensions]
-            columns += [Column(a.name, a.dtype) for a in result.schema.attributes]
-            relation = Relation(Schema(columns))
-            for coordinates, values in result.iter_cells():
-                relation.append(list(coordinates) + [values[a.name] for a in result.schema.attributes])
-            return relation
+            return result.to_relation()
         if isinstance(result, dict):
             schema = Schema([Column("key", DataType.TEXT), Column("value", DataType.TEXT)])
             relation = Relation(schema)

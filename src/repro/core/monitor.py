@@ -18,6 +18,7 @@ Two pieces implement that here:
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from collections import defaultdict, deque
@@ -29,7 +30,7 @@ from repro.core.cast import CastMigrator
 from repro.core.catalog import BigDawgCatalog
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     """One measured query execution."""
 
@@ -68,8 +69,11 @@ class ExecutionMonitor:
         self._lock = threading.Lock()
 
     def record(self, query_class: str, object_name: str, engine_name: str, seconds: float) -> None:
+        # A window of observations repeats a handful of names: interned, each
+        # costs the observation a slot instead of a string of its own.
         observation = Observation(
-            query_class, object_name.lower(), engine_name.lower(), seconds
+            sys.intern(query_class), sys.intern(object_name.lower()),
+            sys.intern(engine_name.lower()), seconds,
         )
         with self._lock:
             self._observations.append(observation)

@@ -471,27 +471,31 @@ class PlanExecution:
         self.plan.timings[f"{index + 1}. {step.describe()}"] = time.perf_counter() - started
 
     def _run_cast(self, index: int, step: CastStep) -> None:
-        if self._planner.cast_is_noop(step):
-            with self._lock:
-                self.skipped_casts.append(index)
-            return
-        try:
-            self._bigdawg.migrator.cast(
-                step.object_name,
-                step.target_engine,
-                method=step.method,
-                chunk_size=step.chunk_size,
-                source_engine=step.source_engine,
-                **self._planner._cast_options(step),
-            )
-        except CastError:
-            # Lost a race: another execution moved the object between our
-            # no-op check and the cast.  If it is reachable now, that is
-            # exactly the state this step wanted.
-            if not self._planner.cast_is_noop(step):
-                raise
-            with self._lock:
-                self.skipped_casts.append(index)
+        migrator = self._bigdawg.migrator
+        # Check and cast under the object's (re-entrant) cast lock: two plans
+        # that both found the object unreachable must not both move it.
+        with migrator.object_lock(step.object_name):
+            if self._planner.cast_is_noop(step):
+                with self._lock:
+                    self.skipped_casts.append(index)
+                return
+            try:
+                migrator.cast(
+                    step.object_name,
+                    step.target_engine,
+                    method=step.method,
+                    chunk_size=step.chunk_size,
+                    source_engine=step.source_engine,
+                    **self._planner._cast_options(step),
+                )
+            except CastError:
+                # Lost a race with a cast made outside a plan (an advisor
+                # migration): if the object is reachable now, that is
+                # exactly the state this step wanted.
+                if not self._planner.cast_is_noop(step):
+                    raise
+                with self._lock:
+                    self.skipped_casts.append(index)
 
     def _rewrite(self, body: str) -> str:
         """Swap logical WITH-binding names for this execution's physical names."""

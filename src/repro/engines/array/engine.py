@@ -19,14 +19,14 @@ from repro.common.errors import (
     ObjectNotFoundError,
     ParseError,
 )
-from repro.common.schema import Column, Relation, Schema
+from repro.common.schema import Relation, Schema, object_view
 from repro.common.types import DataType
 from repro.engines.array import operators as ops
 from repro.engines.array.aql import AqlCall, parse_aql
 from repro.engines.array.schema import ArraySchema, Attribute, Dimension
-from repro.engines.array.storage import StoredArray
+from repro.engines.array.storage import _NUMPY_DTYPES, StoredArray
 from repro.common.cancellation import check_cancelled
-from repro.engines.base import DEFAULT_CHUNK_ROWS, Engine, EngineCapability, relation_chunks
+from repro.engines.base import DEFAULT_CHUNK_ROWS, Engine, EngineCapability
 
 
 class ArrayEngine(Engine):
@@ -51,13 +51,7 @@ class ArrayEngine(Engine):
 
     def export_relation(self, name: str) -> Relation:
         """Flatten an array to rows: dimension coordinates then attribute values."""
-        array = self.array(name)
-        columns = [Column(d.name, DataType.INTEGER) for d in array.schema.dimensions]
-        columns += [Column(a.name, a.dtype) for a in array.schema.attributes]
-        relation = Relation(Schema(columns))
-        for coordinates, values in array.iter_cells():
-            relation.append(list(coordinates) + [values[a.name] for a in array.schema.attributes])
-        return relation
+        return self.array(name).to_relation()
 
     def import_relation(self, name: str, relation: Relation, **options: Any) -> None:
         """Build an array from a relation.
@@ -70,24 +64,33 @@ class ArrayEngine(Engine):
 
     def export_schema(self, name: str) -> Schema:
         """The relational schema of a flattened export, from metadata alone."""
-        array = self.array(name)
-        columns = [Column(d.name, DataType.INTEGER) for d in array.schema.dimensions]
-        columns += [Column(a.name, a.dtype) for a in array.schema.attributes]
-        return Schema(columns)
+        return self.array(name).flat_schema()
 
     def export_chunks(self, name: str, chunk_size: int = DEFAULT_CHUNK_ROWS) -> Iterator[Relation]:
-        """Stream populated cells as bounded chunks of flattened rows."""
+        """Stream populated cells as bounded columnar chunks of flattened rows."""
+        if chunk_size <= 0:
+            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         array = self.array(name)
-        rows = (
-            list(coordinates) + [values[a.name] for a in array.schema.attributes]
-            for coordinates, values in array.iter_cells()
-        )
-        return relation_chunks(self.export_schema(name), rows, chunk_size)
+
+        def generate() -> Iterator[Relation]:
+            for chunk in array.cell_chunks(chunk_size):
+                check_cancelled()  # chunk boundary: cancelled exports stop here
+                yield chunk
+
+        return generate()
 
     def import_chunks(self, name: str, schema: Schema, chunks: Iterable[Relation],
                       **options: Any) -> None:
-        """Accumulate cells chunk by chunk, then build the array once the
-        dimension bounds are known (arrays need their extent up front)."""
+        """Read each chunk's columns into typed numpy vectors, then build the
+        array once the dimension bounds are known (arrays need their extent
+        up front) and land every chunk with one scatter per attribute.
+
+        Dimension values are coerced to int, a NULL float attribute becomes a
+        NaN cell, TEXT lands in an object buffer, the last row wins on a
+        repeated coordinate, and an empty stream yields the 1-cell ``(0, ...)``
+        array.  A column the array cannot hold (a NULL coordinate, a NULL
+        integer attribute) raises :class:`ExecutionError`.
+        """
         if name.lower() in self._arrays and not options.get("replace", True):
             raise DuplicateObjectError(f"array {name!r} already exists")
         dim_columns: list[str] = options.get("dimensions") or [schema.names[0]]
@@ -95,19 +98,25 @@ class ArrayEngine(Engine):
         attr_columns = [c for c in schema.columns if c.name not in dim_columns]
         if not attr_columns:
             raise ExecutionError("importing an array requires at least one attribute column")
-        cells: list[tuple[tuple[int, ...], dict[str, Any]]] = []
+        landed: list[tuple[list[np.ndarray], list[np.ndarray]]] = []
         bounds: list[tuple[int, int]] | None = None
-        for chunk in chunks:
-            for row in chunk:
-                coordinates = tuple(int(row[d]) for d in dim_columns)
-                if bounds is None:
-                    bounds = [(c, c) for c in coordinates]
-                else:
-                    bounds = [
-                        (min(lo, c), max(hi, c))
-                        for (lo, hi), c in zip(bounds, coordinates)
-                    ]
-                cells.append((coordinates, {c.name: row[c.name] for c in attr_columns}))
+        for number, chunk in enumerate(chunks):
+            if not len(chunk):
+                continue
+            coordinates = [
+                _column_vector(name, chunk, d, DataType.INTEGER, number) for d in dim_columns
+            ]
+            extent = [(int(c.min()), int(c.max())) for c in coordinates]
+            if bounds is None:
+                bounds = extent
+            else:
+                bounds = [
+                    (min(lo, c_lo), max(hi, c_hi))
+                    for (lo, hi), (c_lo, c_hi) in zip(bounds, extent)
+                ]
+            landed.append((coordinates, [
+                _column_vector(name, chunk, c.name, c.dtype, number) for c in attr_columns
+            ]))
         if bounds is None:
             bounds = [(0, 0)] * len(dim_columns)
         dims = [
@@ -116,8 +125,29 @@ class ArrayEngine(Engine):
         ]
         attributes = [Attribute(c.name, c.dtype) for c in attr_columns]
         stored = StoredArray(ArraySchema(name, dims, attributes))
-        for coordinates, values in cells:
-            stored.write_cell(coordinates, values)
+        # Per chunk, the row-major cell number of every row; the buffers are
+        # C-contiguous, so reshape(-1) is a view to scatter into.
+        cells = [
+            np.ravel_multi_index(
+                tuple(c - low for c, (low, _high) in zip(coordinates, bounds)),
+                stored.schema.shape,
+            )
+            for coordinates, _values in landed
+        ]
+        present = stored.present_mask.reshape(-1)
+        for flat in cells:
+            present[flat] = True
+        # numpy leaves the winner of a repeated index in one fancy assignment
+        # unspecified, so when some coordinate repeats (fewer cells than rows)
+        # each chunk keeps only the last row of every coordinate.
+        repeats = stored.populated_cells < sum(len(flat) for flat in cells)
+        for flat, (_coordinates, values) in zip(cells, landed):
+            if repeats:
+                _cell, last = np.unique(flat[::-1], return_index=True)
+                keep = len(flat) - 1 - last
+                flat, values = flat[keep], [column[keep] for column in values]
+            for attribute, column in zip(attributes, values):
+                stored.buffer(attribute.name).reshape(-1)[flat] = column
         self._arrays[name.lower()] = stored
 
     def drop_object(self, name: str) -> None:
@@ -279,6 +309,23 @@ class ArrayEngine(Engine):
     def _execute_apply(self, array: StoredArray, new_attribute: str, expression: str) -> StoredArray:
         attribute, fn = _compile_arithmetic(expression, array)
         return ops.apply(array, new_attribute, DataType.FLOAT, fn, attribute)
+
+
+def _column_vector(array: str, chunk: Relation, column: str, dtype: DataType,
+                   chunk_number: int) -> np.ndarray:
+    """One column of an imported chunk as the numpy vector its cells are
+    stored as; what numpy cannot convert (a NULL where the buffer is integer,
+    a datetime, an out-of-range integer) is an :class:`ExecutionError`."""
+    values = chunk.column_values(chunk.schema.index_of(column))
+    if dtype is DataType.TEXT:
+        return object_view(values)
+    try:
+        return np.asarray(values, dtype=_NUMPY_DTYPES[dtype])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ExecutionError(
+            f"cannot import array {array!r}: column {column!r} of chunk {chunk_number} "
+            f"does not fit a {dtype} array buffer ({exc})"
+        ) from exc
 
 
 _COMPARISON_RE = re.compile(

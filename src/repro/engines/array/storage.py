@@ -15,7 +15,8 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.common.errors import SchemaError, UnsupportedOperationError
-from repro.common.types import DataType
+from repro.common.schema import Column, ColumnarRelation, Schema
+from repro.common.types import DataType, coerce
 from repro.engines.array.schema import ArraySchema
 
 
@@ -125,6 +126,51 @@ class StoredArray:
                 raw = self._buffers[attribute.name.lower()][tuple(idx)]
                 values[attribute.name] = raw.item() if hasattr(raw, "item") else raw
             yield coordinates, values
+
+    # -------------------------------------------------------- relational view
+    def flat_schema(self) -> Schema:
+        """The schema of the flattened array: one INTEGER column per
+        dimension (the cell's coordinates), then one column per attribute."""
+        columns = [Column(d.name, DataType.INTEGER) for d in self.schema.dimensions]
+        columns += [Column(a.name, a.dtype) for a in self.schema.attributes]
+        return Schema(columns)
+
+    def cell_chunks(self, chunk_size: int | None = None) -> Iterator[ColumnarRelation]:
+        """Populated cells, row-major, as columnar relations over
+        :meth:`flat_schema` of at most ``chunk_size`` rows (one relation with
+        every cell when None; nothing for an array with no populated cell).
+
+        The one array -> relation gather: coordinates come from
+        ``np.nonzero`` on the presence mask, values from one fancy-index read
+        per attribute, and ``tolist`` hands out native Python values — the
+        buffer dtype is the type guarantee for INTEGER/FLOAT/BOOLEAN, while
+        TEXT (an object buffer) and TIMESTAMP (epoch seconds in a float
+        buffer) go through :func:`~repro.common.types.coerce`.  Only one
+        chunk's values exist as Python objects at a time.
+        """
+        schema = self.flat_schema()
+        indexes = np.nonzero(self._present)
+        total = len(indexes[0])
+        step = chunk_size if chunk_size is not None else max(total, 1)
+        for start in range(0, total, step):
+            part = tuple(axis[start : start + step] for axis in indexes)
+            columns = [
+                (axis + dimension.start).tolist()
+                for axis, dimension in zip(part, self.schema.dimensions)
+            ]
+            for attribute in self.schema.attributes:
+                values = self._buffers[attribute.name.lower()][part].tolist()
+                if attribute.dtype in (DataType.TEXT, DataType.TIMESTAMP):
+                    values = [coerce(value, attribute.dtype) for value in values]
+                columns.append(values)
+            yield ColumnarRelation(schema, columns, len(part[0]))
+
+    def to_relation(self) -> ColumnarRelation:
+        """The whole array flattened to one relation (see :meth:`cell_chunks`)."""
+        for relation in self.cell_chunks():
+            return relation
+        schema = self.flat_schema()
+        return ColumnarRelation(schema, [[] for _ in schema], 0)
 
     # ---------------------------------------------------------------- synopsis
     def synopsis(self, attribute: str) -> list[ChunkSynopsis]:

@@ -23,10 +23,10 @@ import functools
 import itertools
 import threading
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.common.cancellation import check_cancelled
-from repro.common.schema import ColumnarRelation, Relation, Row, Schema
+from repro.common.schema import Relation, Row, Schema
 
 #: Default number of rows per chunk on the streaming CAST path.
 DEFAULT_CHUNK_ROWS = 8192
@@ -36,8 +36,8 @@ def relation_chunks(schema: Schema, rows: Iterable[Any], chunk_size: int,
                     validate: bool = True) -> Iterator[Relation]:
     """Group a row stream into relations of at most ``chunk_size`` rows.
 
-    The single home of the chunk-boundary logic every exporter shares.
-    ``rows`` yields value sequences (coerced through the schema when
+    The chunk-boundary logic of every exporter that walks rows (engines whose
+    storage is columnar slice it into chunks themselves).  ``rows`` yields value sequences (coerced through the schema when
     ``validate`` is True) or ready-made :class:`Row` objects (pass
     ``validate=False`` when the rows are already schema-typed, e.g. straight
     from an engine's own storage).  Raises eagerly on a non-positive
@@ -59,33 +59,6 @@ def relation_chunks(schema: Schema, rows: Iterable[Any], chunk_size: int,
                 chunk = Relation(schema)
         if len(chunk):
             yield chunk
-
-    return generate()
-
-
-def columnar_relation_chunks(schema: Schema, value_rows: Iterable[Sequence[Any]],
-                             chunk_size: int) -> Iterator[Relation]:
-    """Group a stream of value tuples into columnar-backed relation chunks.
-
-    The columnar sibling of :func:`relation_chunks`: each emitted chunk is a
-    :class:`~repro.common.schema.ColumnarRelation`, so a consumer that reads
-    columns (the binary codec's columnar layout) never triggers per-row
-    ``Row`` construction, while row-oriented consumers materialize lazily.
-    ``value_rows`` must already be schema-typed (engine-native storage).
-    """
-    if chunk_size <= 0:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-
-    def generate() -> Iterator[Relation]:
-        pending: list[Sequence[Any]] = []
-        for values in value_rows:
-            pending.append(values)
-            if len(pending) >= chunk_size:
-                check_cancelled()  # chunk boundary: cancelled exports stop here
-                yield ColumnarRelation.from_value_rows(schema, pending)
-                pending = []
-        if pending:
-            yield ColumnarRelation.from_value_rows(schema, pending)
 
     return generate()
 

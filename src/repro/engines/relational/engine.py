@@ -27,13 +27,8 @@ from repro.common.parallel import (
     partition_count_for,
     resolve_parallelism,
 )
-from repro.common.schema import Column, Relation, Row, Schema, TableDefinition
-from repro.engines.base import (
-    DEFAULT_CHUNK_ROWS,
-    Engine,
-    EngineCapability,
-    columnar_relation_chunks,
-)
+from repro.common.schema import Column, ColumnarRelation, Relation, Schema, TableDefinition
+from repro.engines.base import DEFAULT_CHUNK_ROWS, Engine, EngineCapability
 from repro.engines.relational.optimizer import Optimizer
 from repro.observability.profile import PlanProfiler, SlowQueryLog
 from repro.engines.relational.planner import (
@@ -188,10 +183,7 @@ class RelationalEngine(Engine, TableStatisticsProvider):
 
     def export_relation(self, name: str) -> Relation:
         table = self.table(name)
-        relation = Relation(table.schema)
-        for _row_id, values in table.scan():
-            relation.rows.append(Row(table.schema, values))
-        return relation
+        return ColumnarRelation.from_value_rows(table.schema, list(table.scan_values()))
 
     def import_relation(self, name: str, relation: Relation, **options: Any) -> None:
         self.import_chunks(name, relation.schema, [relation], **options)
@@ -224,17 +216,27 @@ class RelationalEngine(Engine, TableStatisticsProvider):
     def export_chunks(self, name: str, chunk_size: int = DEFAULT_CHUNK_ROWS) -> Iterator[Relation]:
         """Stream the table scan as bounded *columnar* chunks.
 
-        Each chunk is a :class:`~repro.common.schema.ColumnarRelation` built
-        straight from the heap table's value tuples — no per-row ``Row``
-        objects — so a CAST whose codec reads columns (the binary columnar
-        layout) moves data from storage to the wire zero-conversion.
+        Each chunk is a :class:`~repro.common.schema.ColumnarRelation`
+        transposed from one batch of the heap scan — no per-row ``Row``
+        objects — so a CAST whose consumer reads columns (the binary codec,
+        a columnar import) moves data from storage to the wire without
+        touching a row.
         """
+        if chunk_size <= 0:
+            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         table = self.table(name)
-        return columnar_relation_chunks(table.schema, table.scan_values(), chunk_size)
+
+        def generate() -> Iterator[Relation]:
+            for batch in table.scan_batches(chunk_size):
+                check_cancelled()  # chunk boundary: cancelled exports stop here
+                yield ColumnarRelation.from_value_rows(table.schema, batch)
+
+        return generate()
 
     def import_chunks(self, name: str, schema: Schema, chunks: Iterable[Relation],
                       **options: Any) -> None:
-        """Build the destination table one chunk at a time, then publish it."""
+        """Bulk-load the destination table one chunk's columns at a time
+        (see :meth:`HeapTable.insert_columns`), then publish it."""
         primary_key = options.get("primary_key", ())
         replace = options.get("replace", True)
         key = name.lower()
@@ -242,8 +244,7 @@ class RelationalEngine(Engine, TableStatisticsProvider):
             raise DuplicateObjectError(f"table {name!r} already exists")
         table = HeapTable(name, schema, primary_key)
         for chunk in chunks:
-            for row in chunk:
-                table.insert(row.values)
+            table.insert_columns([chunk.column_values(i) for i in range(len(chunk.schema))])
         self._tables[key] = table
         self.statistics.invalidate(name)
 

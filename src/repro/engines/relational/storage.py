@@ -13,11 +13,22 @@ UPDATE or DELETE racing an INSERT never sees the row dict change size under it.
 from __future__ import annotations
 
 import threading
+from datetime import datetime
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.common.errors import ConstraintViolationError, ObjectNotFoundError, SchemaError
 from repro.common.schema import Schema
+from repro.common.types import DataType
 from repro.engines.relational.btree import BTreeIndex
+
+#: The exact Python type :func:`~repro.common.types.coerce` produces per type.
+_PYTHON_TYPES = {
+    DataType.INTEGER: int,
+    DataType.FLOAT: float,
+    DataType.TEXT: str,
+    DataType.BOOLEAN: bool,
+    DataType.TIMESTAMP: datetime,
+}
 
 
 class HeapTable:
@@ -68,6 +79,55 @@ class HeapTable:
     def insert_many(self, rows: Sequence[Sequence[Any]]) -> list[int]:
         """Insert a batch of rows; returns their row ids."""
         return [self.insert(row) for row in rows]
+
+    def insert_columns(self, columns: Sequence[Sequence[Any]]) -> None:
+        """Bulk-load a chunk given as one value sequence per schema column.
+
+        A chunk whose every column already holds exactly the schema's Python
+        types (what an engine export or a decoded frame delivers) is checked
+        per column and stored as is; any other chunk is coerced row by row
+        through :meth:`Schema.validate_row`, as :meth:`insert` would.  The
+        chunk lands under one lock acquisition: primary keys are checked for
+        the whole chunk first — a duplicate raises with nothing stored —
+        and the indexes are filled after the rows.
+        """
+        if self._typed(columns):
+            rows = list(zip(*columns))
+        else:
+            rows = [self.schema.validate_row(values) for values in zip(*columns)]
+        with self._lock:
+            keys = {
+                name: self._keys_for(rows, key_columns)
+                for name, (key_columns, _index) in self._indexes.items()
+            }
+            if "__pk__" in keys:
+                _key_columns, index = self._indexes["__pk__"]
+                seen: set[tuple[Any, ...]] = set()
+                for key in keys["__pk__"]:
+                    if key in seen or (len(index) and index.search(key)):
+                        raise ConstraintViolationError(
+                            f"duplicate primary key {key!r} in table {self.name!r}"
+                        )
+                    seen.add(key)
+            first = self._next_row_id
+            self._next_row_id += len(rows)
+            self._rows.update(zip(range(first, self._next_row_id), rows))
+            for name, (_key_columns, index) in self._indexes.items():
+                for row_id, key in enumerate(keys[name], first):
+                    index.insert(key, row_id)
+
+    def _typed(self, columns: Sequence[Sequence[Any]]) -> bool:
+        """Whether every value of every column is of its schema column's
+        exact Python type (or None where the column is nullable)."""
+        if len(columns) != len(self.schema):
+            return False
+        for column, values in zip(self.schema, columns):
+            found = set(map(type, values))
+            if column.nullable:
+                found.discard(type(None))
+            if found - {_PYTHON_TYPES.get(column.dtype)}:
+                return False
+        return True
 
     def get(self, row_id: int) -> tuple[Any, ...]:
         """Fetch one row by id."""
@@ -125,11 +185,12 @@ class HeapTable:
 
     def truncate(self) -> None:
         """Remove all rows but keep schema and index definitions."""
-        self._rows.clear()
-        definitions = [(name, cols) for name, (cols, _idx) in self._indexes.items()]
-        self._indexes.clear()
-        for name, cols in definitions:
-            self.create_index(name, cols, unique=(name == "__pk__"), if_not_exists=True)
+        with self._lock:
+            self._rows.clear()
+            self._indexes = {
+                name: (columns, BTreeIndex(unique=(name == "__pk__")))
+                for name, (columns, _index) in self._indexes.items()
+            }
 
     # ---------------------------------------------------------------- indexes
     def create_index(
@@ -155,9 +216,12 @@ class HeapTable:
             self._indexes[index_name] = (resolved, index)
 
     def drop_index(self, index_name: str) -> None:
-        if index_name not in self._indexes:
-            raise ObjectNotFoundError(f"index {index_name!r} does not exist on {self.name!r}")
-        del self._indexes[index_name]
+        with self._lock:
+            if index_name not in self._indexes:
+                raise ObjectNotFoundError(
+                    f"index {index_name!r} does not exist on {self.name!r}"
+                )
+            del self._indexes[index_name]
 
     def indexes(self) -> dict[str, tuple[str, ...]]:
         """Return {index name: indexed columns}."""
@@ -196,6 +260,13 @@ class HeapTable:
 
     def _key_for(self, values: Sequence[Any], columns: Sequence[str]) -> tuple[Any, ...]:
         return tuple(values[self.schema.index_of(col)] for col in columns)
+
+    def _keys_for(
+        self, rows: Sequence[Sequence[Any]], columns: Sequence[str]
+    ) -> list[tuple[Any, ...]]:
+        """:meth:`_key_for` over many rows, resolving the columns once."""
+        positions = [self.schema.index_of(col) for col in columns]
+        return [tuple(values[i] for i in positions) for values in rows]
 
     # ------------------------------------------------------------------ stats
     def statistics(self) -> dict[str, Any]:

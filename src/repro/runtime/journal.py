@@ -15,7 +15,8 @@ visible.
 
 Records are append-only dicts.  Two backends:
 
-* :class:`MemoryJournalBackend` — an in-process list, the test default.
+* :class:`MemoryJournalBackend` — in-process and bounded (complete DML/CAST
+  intents age out), the default.
 * :class:`FileJournalBackend` — one JSON line per record, flushed on every
   append (optionally fsync'd), tolerant of a torn trailing line from a crash
   mid-append.  Reopening the same path resumes the sequence numbers, so a
@@ -42,6 +43,7 @@ import json
 import os
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
@@ -71,21 +73,43 @@ CRASH_POINTS = {
 
 
 class MemoryJournalBackend:
-    """Journal records in an in-process list (the default, for tests)."""
+    """Journal records in process memory (the default: tests, and runtimes
+    that need not survive a restart).
+
+    Bounded.  Recovery never reads a DML or CAST intent again once it is
+    committed or aborted — :meth:`JournalRecovery.recover
+    <repro.runtime.recovery.JournalRecovery.recover>` skips complete intents
+    and only revisits committed *promotions* — so of those only the newest
+    :attr:`COMPLETE_INTENTS_KEPT` stay, for inspection; a runtime that
+    journals every write would otherwise grow by a few KB per query for as
+    long as it lives.  Open intents and promotions are never dropped.
+    """
 
     name = "memory"
 
+    #: Complete DML/CAST intents whose records are kept (oldest first out).
+    COMPLETE_INTENTS_KEPT = 128
+
     def __init__(self) -> None:
-        self._records: list[dict] = []
+        self._records: dict[str, list[dict]] = {}   # intent id -> its records
+        self._complete: deque[str] = deque()
         self._lock = threading.Lock()
 
     def append(self, record: dict) -> None:
+        intent = record.get("intent", "")
         with self._lock:
-            self._records.append(record)
+            self._records.setdefault(intent, []).append(record)
+            if (record.get("phase") in ("commit", "abort")
+                    and record.get("kind") != "promotion"):
+                self._complete.append(intent)
+                if len(self._complete) > self.COMPLETE_INTENTS_KEPT:
+                    self._records.pop(self._complete.popleft(), None)
 
     def records(self) -> list[dict]:
+        """The kept records, in append (sequence) order."""
         with self._lock:
-            return list(self._records)
+            records = [record for group in self._records.values() for record in group]
+        return sorted(records, key=lambda record: record.get("seq", 0))
 
     def close(self) -> None:  # pragma: no cover - symmetry with the file backend
         pass

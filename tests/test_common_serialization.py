@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import CastError
-from repro.common.schema import Relation, Schema
+from repro.common.schema import ColumnarRelation, Relation, Row, Schema
 from repro.common.serialization import BinaryCodec, CsvCodec
 
 
@@ -170,44 +170,80 @@ class TestChunkedFrames:
         assert list(BinaryCodec().decode_chunks([], SCHEMA)) == []
 
 
+#: ``BinaryCodec().encode`` of :func:`numeric_relation`, captured at the
+#: commit before the codec moved from ``struct`` to numpy: numeric frames
+#: must stay byte-identical.
+GOLDEN_NUMERIC_FRAME = bytes.fromhex(
+    "01040000000400000001020405"
+    "00010000" "0100000000000000" "fdffffffffffffff" "0000000000010000"
+    "00010000" "000000000000f83f" "00000000000004c0" "0000000000000000"
+    "00010000" "010001"
+    "00010001" "00000040f882d741" "00000050882dd841"
+)
+
+NUMERIC_SCHEMA = Schema(
+    [("i", "integer"), ("v", "float"), ("ok", "boolean"), ("at", "timestamp")]
+)
+
+
+def numeric_relation() -> Relation:
+    return Relation(NUMERIC_SCHEMA, [
+        [1, 1.5, True, datetime(2020, 1, 1, tzinfo=timezone.utc)],
+        [None, None, None, None],
+        [-3, -2.5, False, datetime(2021, 6, 1, 12, 0, tzinfo=timezone.utc)],
+        [2 ** 40, 0.0, True, None],
+    ])
+
+
+def values_of(relation: Relation) -> list[tuple]:
+    return [tuple(r.values) for r in relation]
+
+
 class TestColumnarLayout:
-    def test_all_numeric_schema_uses_columnar_layout(self):
-        schema = Schema([("i", "integer"), ("v", "float"), ("ok", "boolean"), ("at", "timestamp")])
-        relation = Relation(schema, [
-            [1, 1.5, True, datetime(2020, 1, 1, tzinfo=timezone.utc)],
-            [None, None, None, None],
-            [3, -2.5, False, datetime(2021, 6, 1, 12, 0, tzinfo=timezone.utc)],
-        ])
+    def test_numeric_frame_is_byte_identical_to_the_golden_frame(self):
+        assert BinaryCodec().encode(numeric_relation()) == GOLDEN_NUMERIC_FRAME
+        decoded = BinaryCodec().decode(GOLDEN_NUMERIC_FRAME, NUMERIC_SCHEMA)
+        assert values_of(decoded) == values_of(numeric_relation())
+
+    @pytest.mark.parametrize("relation", [
+        numeric_relation(), sample_relation(), Relation(SCHEMA),
+        Relation(Schema([("n", "null"), ("t", "text")]), [[None, None], [None, "x"]]),
+    ], ids=["numeric", "text", "empty", "null-typed"])
+    def test_every_frame_is_columnar(self, relation):
         payload = BinaryCodec().encode(relation)
         assert payload[0] == BinaryCodec.LAYOUT_COLUMNAR
-        decoded = BinaryCodec().decode(payload, schema)
-        assert [tuple(r.values) for r in decoded] == [tuple(r.values) for r in relation]
+        assert values_of(BinaryCodec().decode(payload, relation.schema)) == values_of(relation)
 
-    def test_text_column_falls_back_to_row_major(self):
-        payload = BinaryCodec().encode(sample_relation())
-        assert payload[0] == BinaryCodec.LAYOUT_ROW_MAJOR
+    def test_unknown_layout_byte_is_rejected(self):
+        payload = b"\x00" + BinaryCodec().encode(numeric_relation())[1:]
+        with pytest.raises(CastError):
+            BinaryCodec().decode(payload, NUMERIC_SCHEMA)
 
-    def test_forced_row_major_roundtrips(self):
-        schema = Schema([("i", "integer"), ("v", "float")])
-        relation = Relation(schema, [[i, i * 0.5] for i in range(10)])
-        codec = BinaryCodec(columnar=False)
-        payload = codec.encode(relation)
-        assert payload[0] == BinaryCodec.LAYOUT_ROW_MAJOR
-        decoded = codec.decode(payload, schema)
-        assert [tuple(r.values) for r in decoded] == [tuple(r.values) for r in relation]
+    def test_decode_builds_no_rows_and_native_values(self):
+        decoded = BinaryCodec().decode(BinaryCodec().encode(sample_relation()), SCHEMA)
+        assert isinstance(decoded, ColumnarRelation)
+        assert decoded._rows == [] and len(decoded) == 3   # nothing materialized yet
+        natives = (int, float, str, bool, datetime, type(None))
+        for index in range(len(SCHEMA)):
+            assert all(type(v) in natives for v in decoded.column_values(index))
 
-    def test_columnar_and_row_major_decode_identically(self):
-        schema = Schema([("i", "integer"), ("v", "float")])
-        relation = Relation(schema, [[i, i * 0.5] for i in range(100)] + [[None, None]])
-        columnar = BinaryCodec().decode(BinaryCodec().encode(relation), schema)
-        row_major = BinaryCodec(columnar=False).decode(
-            BinaryCodec(columnar=False).encode(relation), schema
-        )
-        assert [tuple(r.values) for r in columnar] == [tuple(r.values) for r in row_major]
+    def test_null_heavy_and_all_null_columns(self):
+        schema = Schema([("i", "integer"), ("t", "text"), ("f", "float"), ("b", "boolean")])
+        relation = Relation(schema, [[None, None, None, None]] * 5
+                            + [[7, None, None, True]] + [[None, None, None, None]] * 5)
+        decoded = BinaryCodec().decode(BinaryCodec().encode(relation), schema)
+        assert values_of(decoded) == values_of(relation)
+
+    def test_unicode_text_roundtrip(self):
+        schema = Schema([("t", "text")])
+        texts = ["", "ascii", "naïve café", "雪だるま ☃", "a\x00b", "😀 astral 𝄞", None, "tail"]
+        relation = Relation(schema, [[t] for t in texts])
+        decoded = BinaryCodec().decode(BinaryCodec().encode(relation), schema)
+        assert decoded.column_values(0) == texts
 
     def test_columnar_frame_decoded_into_wider_schema_coerces(self):
-        # When frame tags differ from the target schema, decode still coerces
-        # (the unvalidated fast path only applies on an exact type match).
+        # When a frame's type tag differs from the target schema's column,
+        # decode coerces that column, as appending to the relation would.
         int_schema = Schema([("v", "integer")])
         float_schema = Schema([("v", "float")])
         payload = BinaryCodec().encode(Relation(int_schema, [[1], [2]]))
@@ -215,11 +251,14 @@ class TestColumnarLayout:
         assert [row["v"] for row in decoded] == [1.0, 2.0]
         assert all(isinstance(row["v"], float) for row in decoded)
 
-    def test_columnar_empty_relation(self):
-        schema = Schema([("i", "integer")])
-        payload = BinaryCodec().encode(Relation(schema))
-        assert payload[0] == BinaryCodec.LAYOUT_COLUMNAR
-        assert len(BinaryCodec().decode(payload, schema)) == 0
+    def test_text_column_holding_other_values_is_rendered(self):
+        # Unvalidated result sets can type a column TEXT and fill it with
+        # numbers; the frame carries their str(), as the codec always did.
+        schema = Schema([("t", "text")])
+        relation = Relation(schema)
+        relation.rows.extend(Row(schema, [v]) for v in (1.5, "x", None, 7))
+        decoded = BinaryCodec().decode(BinaryCodec().encode(relation), schema)
+        assert decoded.column_values(0) == ["1.5", "x", None, "7"]
 
 
 class TestBinarySpecifics:

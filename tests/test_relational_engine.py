@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +14,7 @@ from repro.common.errors import (
     ObjectNotFoundError,
     ParseError,
     SchemaError,
+    TypeMismatchError,
 )
 from repro.common.schema import Schema
 from repro.engines.base import EngineCapability
@@ -142,6 +146,88 @@ class TestHeapTable:
         table.truncate()
         assert len(table) == 0
         assert "idx_name" in table.indexes()
+        table.insert([1, "again", 1.0])   # the emptied indexes accept the old key
+        assert len(table.index_lookup("idx_name", "again")) == 1
+
+    def test_insert_columns_matches_row_inserts(self):
+        bulk, single = self.make_table(), self.make_table()
+        rows = [[i, f"n{i}", float(i % 5)] for i in range(1, 40)]
+        bulk.create_index("idx_score", ["score"])
+        single.create_index("idx_score", ["score"])
+        bulk.insert_columns([list(column) for column in zip(*rows)])
+        single.insert_many(rows)
+        assert list(bulk.scan()) == list(single.scan())
+        assert bulk.index_lookup("idx_score", 3.0) == single.index_lookup("idx_score", 3.0)
+        with pytest.raises(ConstraintViolationError):
+            bulk.insert_columns([[100, 7], ["x", "y"], [0.0, 0.0]])   # 7 is taken
+        assert len(bulk) == len(rows) and bulk.index_lookup("__pk__", 100) == []
+        with pytest.raises(TypeMismatchError):
+            bulk.insert_columns([[None], ["null id"], [0.0]])   # id is NOT NULL
+
+    def test_truncate_bulk_load_and_index_ddl_race_scans(self):
+        """truncate() and drop_index() used to mutate the row dict and the
+        index map outside the table lock: racing a load, truncate could swap
+        the indexes out from under it (rows landed, index entries lost) or
+        die in "dictionary changed size during iteration".  Under the lock,
+        whatever interleaving runs, every scan sees whole rows and the
+        indexes end up describing exactly the rows that are left."""
+        table = self.make_table()
+        table.create_index("idx_score", ["score"])
+        errors: list[BaseException] = []
+        done = threading.Event()
+        rounds, chunk = 150, 40
+
+        def guarded(body):
+            def run():
+                try:
+                    body()
+                except BaseException as exc:  # noqa: BLE001 - reported by the assert below
+                    errors.append(exc)
+            return threading.Thread(target=run)
+
+        def load():
+            for r in range(rounds):
+                ids = list(range(r * chunk, (r + 1) * chunk))
+                table.insert_columns([ids, [f"n{i}" for i in ids], [float(i % 5) for i in ids]])
+                table.insert([-1 - r, "single", 9.0])
+
+        def truncate():
+            for _ in range(rounds):
+                table.truncate()
+
+        def index_ddl():
+            for _ in range(rounds):
+                table.create_index("idx_tmp", ["name"], if_not_exists=True)
+                table.drop_index("idx_tmp")
+
+        def scan():
+            while not done.is_set():
+                for batch in table.scan_batches(64):
+                    assert all(len(values) == 3 for values in batch)
+                assert all(len(values) == 3 for _row_id, values in table.scan())
+
+        writers = [guarded(load), guarded(truncate), guarded(index_ddl)]
+        scanner = guarded(scan)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in writers + [scanner]:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=120)
+            done.set()
+            scanner.join(timeout=120)
+            assert not any(thread.is_alive() for thread in writers + [scanner])
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert errors == []
+        rows = dict(table.scan())
+        for name in ("__pk__", "idx_score"):
+            entries = sorted(row_id for _key, row_id in table._indexes[name][1].items())
+            assert entries == sorted(rows), name
+        for row_id, values in rows.items():
+            assert (row_id, values) in table.index_lookup("__pk__", values[0])
 
 
 # --------------------------------------------------------------------------- parser

@@ -22,9 +22,11 @@ from repro.engines.relational import RelationalEngine
 from repro.runtime import (
     AdmissionController,
     AdmissionTimeout,
+    MemoryJournalBackend,
     PolystoreRuntime,
     ResultCache,
     RuntimeMetrics,
+    WriteIntentJournal,
 )
 
 
@@ -572,3 +574,39 @@ class TestConcurrencyStress:
         assert errors == []
         final = postgres.execute("SELECT count(*) AS n FROM vitals").rows[0]["n"]
         assert final == seeded - deleted[0] + ops
+
+
+# ---------------------------------------------------------------------------
+# The in-memory journal is bounded
+# ---------------------------------------------------------------------------
+class TestMemoryJournalBound:
+    def test_complete_dml_and_cast_intents_age_out(self):
+        """A runtime journals every write; the memory backend used to keep
+        every record for the life of the process (a few KB per query).
+        Recovery never re-reads a complete DML or CAST intent, so only the
+        newest few stay; open intents and promotions are never dropped."""
+        backend = MemoryJournalBackend()
+        journal = WriteIntentJournal(backend)
+        kept = backend.COMPLETE_INTENTS_KEPT
+        stuck = journal.begin("cast", object="stuck")            # never finishes
+        stuck.mark("imported")
+        election = journal.begin("promotion", object="waves")
+        election.commit()
+        for i in range(3 * kept):
+            intent = journal.begin("dml" if i % 2 else "cast", n=i)
+            intent.mark("applied")
+            intent.abort() if i % 7 == 0 else intent.commit()
+        states = journal.replay()
+        assert len(states) == kept + 2
+        assert len(backend.records()) == 3 * kept + 2 + 2
+        assert [s.intent_id for s in states[:2]] == [stuck.intent_id, election.intent_id]
+        assert [s.intent_id for s in journal.open_intents()] == [stuck.intent_id]
+        assert states[1].committed and states[1].kind == "promotion"
+        # The newest complete intents are the ones kept, whole and in order.
+        assert [s.payload["n"] for s in states[2:]] == list(range(2 * kept, 3 * kept))
+        assert all(s.complete and "applied" in s.steps for s in states[2:])
+        seqs = [record["seq"] for record in backend.records()]
+        assert seqs == sorted(seqs)
+        # Counters and sequence numbers are the journal's, not the window's.
+        assert journal.intents_written == 3 * kept + 2
+        assert journal.begin("dml").intent_id > states[-1].intent_id
