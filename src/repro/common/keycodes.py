@@ -23,10 +23,12 @@ NULL-sentinel contract
 Dtype specialization
 --------------------
 INTEGER/FLOAT/BOOLEAN columns are factorized with ``np.unique`` over a
-fixed-width numpy array (NULLs masked out first).  Everything else — TEXT,
-TIMESTAMP, out-of-int64-range integers, and mixed-type column pairs — uses
-a stable insertion-ordered Python dict, which preserves the row path's
-``==``/``hash`` equality semantics exactly (``1 == 1.0``, ``True == 1``).
+fixed-width numpy array (a typed vector's own buffer; NULLs masked out
+first).  A dictionary-encoded TEXT column already *is* factorized: its codes
+shift by one.  Everything else — plain TEXT, TIMESTAMP, out-of-int64-range
+integers, and mixed-type column pairs — uses a stable insertion-ordered
+Python dict, which preserves the row path's ``==``/``hash`` equality
+semantics exactly (``1 == 1.0``, ``True == 1``).
 """
 
 from __future__ import annotations
@@ -37,41 +39,23 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.common.types import DataType
+from repro.common.vectors import VECTOR_DTYPES, DictVector, numeric_view, take, to_list
 
 #: Public sentinel: the code of a row whose key must not participate in a
 #: join (NULL key on either side, or a probe key absent from the build side).
 NULL_CODE = -1
 
-#: numpy dtype per scalar type for the fast factorization path.
-_CODE_DTYPES = {
-    DataType.INTEGER: np.int64,
-    DataType.FLOAT: np.float64,
-    DataType.BOOLEAN: np.bool_,
-}
-
 #: Mixed-radix combination must stay inside int64; re-densify before this.
 _RADIX_LIMIT = np.int64(2) ** 62
-
-
-def _null_mask(values: Sequence[Any]) -> np.ndarray:
-    return np.fromiter((v is None for v in values), np.bool_, count=len(values))
-
-
-def _filled_array(values: Sequence[Any], dtype: Any) -> np.ndarray:
-    """Pack a value list into a numpy array, substituting 0 at NULLs."""
-    return np.fromiter(
-        (0 if v is None else v for v in values), dtype, count=len(values)
-    )
 
 
 class _NumericColumnCodes:
     """Per-column factorization over a fixed-width numpy dtype."""
 
     def __init__(self, values: Sequence[Any], dtype: Any) -> None:
-        nulls = _null_mask(values)
-        filled = _filled_array(values, dtype)  # may raise OverflowError
+        filled, nulls = numeric_view(values, dtype)  # may raise OverflowError
         self._dtype = dtype
-        if nulls.any():
+        if nulls is not None and nulls.any():
             uniq, inverse = np.unique(filled[~nulls], return_inverse=True)
             codes = np.zeros(len(values), dtype=np.int64)
             codes[~nulls] = inverse.astype(np.int64) + 1
@@ -92,13 +76,14 @@ class _NumericColumnCodes:
         if len(uniq) == 0:
             return np.zeros(len(values), dtype=np.int64)
         try:
-            nulls = _null_mask(values)
-            filled = _filled_array(values, self._dtype)
+            filled, nulls = numeric_view(values, self._dtype)
         except (OverflowError, TypeError, ValueError):
             return self._transform_one_by_one(values)
         idx = np.searchsorted(uniq, filled)
         clipped = np.minimum(idx, len(uniq) - 1)
-        found = (~nulls) & (idx < len(uniq)) & (uniq[clipped] == filled)
+        found = (idx < len(uniq)) & (uniq[clipped] == filled)
+        if nulls is not None:
+            found &= ~nulls
         return np.where(found, clipped + 1, 0).astype(np.int64)
 
     def _transform_one_by_one(self, values: Sequence[Any]) -> np.ndarray:
@@ -122,26 +107,50 @@ class _NumericColumnCodes:
 
 class _ObjectColumnCodes:
     """Insertion-ordered dict factorization: the stable fallback for object
-    columns, preserving Python ``==``/``hash`` equality across types."""
+    columns, preserving Python ``==``/``hash`` equality across types.  A
+    dictionary-encoded column skips the per-row dict: its codes are the
+    factorization, and the value -> code mapping is built from its
+    dictionary only if a probe side ever needs it."""
 
     def __init__(self, values: Sequence[Any]) -> None:
+        self._mapping: dict[Any, int] | None = None
+        self._remapped: tuple[Any, np.ndarray] | None = None
+        if isinstance(values, DictVector):
+            self._entries = values.dictionary[:-1].tolist()
+            self.codes = values.codes.astype(np.int64) + 1
+            self.radix = len(self._entries) + 1
+            return
         mapping: dict[Any, int] = {}
         setdefault = mapping.setdefault
         # fromiter writes int64 slots directly — no interim list, no
         # per-element ndarray __setitem__.
-        codes = np.fromiter(
-            (0 if v is None else setdefault(v, len(mapping) + 1) for v in values),
+        self.codes = np.fromiter(
+            (0 if v is None else setdefault(v, len(mapping) + 1) for v in to_list(values)),
             np.int64,
             count=len(values),
         )
         self._mapping = mapping
-        self.codes = codes
         self.radix = len(mapping) + 1
 
     def transform(self, values: Sequence[Any]) -> np.ndarray:
-        get = self._mapping.get
+        mapping = self._mapping
+        if mapping is None:
+            mapping = self._mapping = {
+                entry: code for code, entry in enumerate(self._entries, 1)
+            }
+        get = mapping.get
+        if isinstance(values, DictVector):
+            # One lookup per distinct probe string, broadcast through the
+            # codes (NULL, -1, lands on the trailing 0).
+            if self._remapped is None or self._remapped[0] is not values.dictionary:
+                entries = values.dictionary[:-1].tolist()
+                remap = np.fromiter(
+                    (get(entry, 0) for entry in entries), np.int64, count=len(entries)
+                )
+                self._remapped = (values.dictionary, np.append(remap, 0))
+            return self._remapped[1][values.codes]
         return np.fromiter(
-            (0 if v is None else get(v, 0) for v in values),
+            (0 if v is None else get(v, 0) for v in to_list(values)),
             np.int64,
             count=len(values),
         )
@@ -149,7 +158,7 @@ class _ObjectColumnCodes:
 
 def _encode_column(values: Sequence[Any], dtype: DataType | None):
     """Factorize one key column; numpy-specialized when the dtype allows."""
-    np_dtype = _CODE_DTYPES.get(dtype) if dtype is not None else None
+    np_dtype = VECTOR_DTYPES.get(dtype) if dtype is not None else None
     if np_dtype is not None:
         try:
             return _NumericColumnCodes(values, np_dtype)
@@ -278,33 +287,31 @@ class IncrementalGroupEncoder:
 
     def encode_batch(
         self, columns: Sequence[Sequence[Any]]
-    ) -> tuple[np.ndarray, list[int]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Encode one batch of key columns against the shared dictionary.
 
         Returns ``(codes, new_first_rows)``: the global int64 group code per
-        row, plus the batch row index of the first occurrence of each group
+        row, plus the batch row indices of the first occurrence of each group
         that is **new** to the stream, in global-code order (the new groups
         occupy codes ``group_count_before .. group_count_after - 1``).
         """
         local = encode_group_keys(columns, self._dtypes)
         key_map = self._key_map
         before = len(key_map)
-        translation = np.empty(local.group_count, dtype=np.int64)
-        first_rows = local.first_rows.tolist()
-        if self._single:
-            column = columns[0]
-            for g, r in enumerate(first_rows):
-                translation[g] = key_map.setdefault(column[r], len(key_map))
-        else:
-            for g, r in enumerate(first_rows):
-                key = tuple(column[r] for column in columns)
-                translation[g] = key_map.setdefault(key, len(key_map))
+        # Only the batch's distinct keys turn into Python values: one gather
+        # per key column at the groups' first rows.
+        firsts = [to_list(take(column, local.first_rows)) for column in columns]
+        keys = firsts[0] if self._single else zip(*firsts)
+        setdefault = key_map.setdefault
+        translation = np.fromiter(
+            (setdefault(key, len(key_map)) for key in keys),
+            np.int64,
+            count=local.group_count,
+        )
         # Local codes are first-appearance ordered, so new global codes are
-        # assigned in increasing order as ``g`` advances — the new-group
+        # assigned in increasing order as the groups advance — the new-group
         # representatives come out already sorted by global code.
-        new_first_rows = [
-            r for g, r in enumerate(first_rows) if translation[g] >= before
-        ]
+        new_first_rows = local.first_rows[translation >= before]
         return translation[local.codes], new_first_rows
 
 

@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
 
+import numpy as np
+
+from repro.common import vectors
 from repro.common.errors import SchemaError, TypeMismatchError
 from repro.common.types import DataType, coerce, common_type, parse_type
 
@@ -334,27 +337,16 @@ class Relation:
         return Relation(self._schema, [r.values for r in self.rows[:n]])
 
 
-def object_view(column: Sequence[Any]) -> "Any":
-    """A column as a 1-D object ndarray (reused as-is when it already is one):
-    the shared building block for C-speed gathers/compresses over columns
-    that must keep their original Python values."""
-    import numpy as np
-
-    if isinstance(column, np.ndarray):
-        return column
-    arr = np.empty(len(column), dtype=object)
-    arr[:] = column
-    return arr
-
-
 class ColumnBatch:
     """A bounded batch of tuples stored column-wise.
 
     This is the unit of exchange inside the vectorized relational executor:
     operators stream ``ColumnBatch`` objects instead of per-tuple
-    :class:`Row` objects, so a predicate or projection touches contiguous
-    column lists (or numpy views of them) rather than one Python object per
-    row.
+    :class:`Row` objects.  A column is any kind :mod:`repro.common.vectors`
+    describes — the typed vectors a table scan hands out, or a plain
+    sequence of Python values — and is read-only: operators build new
+    columns rather than mutating.  :meth:`value_rows` and :meth:`row` are
+    where a batch turns back into native Python tuples.
     """
 
     __slots__ = ("schema", "columns", "_length")
@@ -363,8 +355,6 @@ class ColumnBatch:
         self, schema: Schema, columns: Sequence[Sequence[Any]], length: int | None = None
     ) -> None:
         self.schema = schema
-        # Columns are read-only sequences (lists, tuples or 1-D object
-        # ndarrays); operators build new columns rather than mutating.
         self.columns = list(columns)
         if length is None:
             length = len(self.columns[0]) if self.columns else 0
@@ -392,23 +382,28 @@ class ColumnBatch:
             return (() for _ in range(self._length))
         return zip(*self.columns)
 
+    def row(self, index: int) -> tuple[Any, ...]:
+        """One tuple of the batch, without materializing the others."""
+        return tuple(column[index] for column in self.columns)
+
     def with_schema(self, schema: Schema) -> "ColumnBatch":
         """The same columns under a different (equally wide) schema."""
         return ColumnBatch(schema, self.columns, self._length)
+
+    def select(self, schema: Schema, indices: Sequence[int]) -> "ColumnBatch":
+        """The columns at ``indices`` (shared, not copied) under ``schema``."""
+        return ColumnBatch(schema, [self.columns[i] for i in indices], self._length)
 
     def compress(self, mask: Sequence[bool]) -> "ColumnBatch":
         """Keep only the rows where ``mask`` is true.
 
         A numpy boolean mask (the filter kernels' output) compresses each
-        column with a C-speed boolean gather over an object view; list
+        column with a C-speed boolean gather that keeps its kind; list
         masks (the row-closure fallback) use the Python path.
         """
-        import numpy as np
-
         if isinstance(mask, np.ndarray):
-            kept = [object_view(column)[mask] for column in self.columns]
-            length = len(kept[0]) if kept else int(np.count_nonzero(mask))
-            return ColumnBatch(self.schema, kept, length)
+            kept = [vectors.take(column, mask) for column in self.columns]
+            return ColumnBatch(self.schema, kept, int(np.count_nonzero(mask)))
         kept = [
             [value for value, keep in zip(column, mask) if keep]
             for column in self.columns
@@ -417,51 +412,38 @@ class ColumnBatch:
         return ColumnBatch(self.schema, kept, length)
 
     def take(self, indices: Sequence[int]) -> "ColumnBatch":
-        """Gather rows by position (used by the hash join's build side)."""
+        """Gather rows by position, in Python (small index lists)."""
         return ColumnBatch(
             self.schema,
             [[column[i] for i in indices] for column in self.columns],
             len(indices),
         )
 
-    def gather(self, indices: Any) -> "ColumnBatch":
-        """Vectorized row gather: ``np.take`` over object views of each column.
-
-        ``indices`` is a numpy integer array (or any sequence accepted by
-        ``np.take``).  Unlike :meth:`take`, which loops in Python, this is a
-        C-speed gather — the probe side of the batched hash join calls it
-        once per batch instead of once per row.
-        """
-        import numpy as np
-
-        count = int(len(indices))
-        out = [
-            np.take(object_view(column), indices).tolist() for column in self.columns
-        ]
-        return ColumnBatch(self.schema, out, count)
+    def gather(self, indices: Any, pad: Any = None) -> "ColumnBatch":
+        """Vectorized row gather by a numpy integer array: each column keeps
+        its kind (see :func:`repro.common.vectors.take`).  ``pad`` marks the
+        output rows that are outer-join NULL padding."""
+        return ColumnBatch(
+            self.schema,
+            [vectors.take(column, indices, pad) for column in self.columns],
+            int(len(indices)),
+        )
 
     @classmethod
     def concat(cls, schema: Schema, batches: Sequence["ColumnBatch"]) -> "ColumnBatch":
         """Vertically concatenate batches into one (used to pin a join's build
-        side or a group-by's input in memory as columns, never as rows)."""
+        side in memory as columns, never as rows)."""
         if not batches:
             return cls(schema, [[] for _ in schema], 0)
-        width = len(batches[0].columns)
-        columns: list[list[Any]] = [[] for _ in range(width)]
-        total = 0
-        for batch in batches:
-            total += len(batch)
-            for slot, column in zip(columns, batch.columns):
-                slot.extend(column)
-        return cls(schema, columns, total)
+        columns = [
+            vectors.concat(parts) for parts in zip(*(batch.columns for batch in batches))
+        ]
+        return cls(schema, columns, sum(len(batch) for batch in batches))
 
     @classmethod
     def nulls(cls, schema: Schema, length: int) -> "ColumnBatch":
         """An all-NULL batch: the padding side of an outer join's unmatched rows."""
         return cls(schema, [[None] * length for _ in schema], length)
-
-    def to_relation(self) -> "ColumnarRelation":
-        return ColumnarRelation(self.schema, self.columns, self._length)
 
 
 class ColumnarRelation(Relation):
@@ -481,13 +463,6 @@ class ColumnarRelation(Relation):
             length = len(self._columns[0]) if self._columns else 0
         self._length = length
         self._materialized = False
-
-    @classmethod
-    def from_value_rows(cls, schema: Schema, value_rows: Sequence[Sequence[Any]]) -> "ColumnarRelation":
-        count = len(value_rows)
-        if count == 0:
-            return cls(schema, [[] for _ in schema], 0)
-        return cls(schema, [list(col) for col in zip(*value_rows)], count)
 
     @property
     def rows(self) -> list[Row]:

@@ -34,8 +34,9 @@ from typing import Any, Iterable, Iterator
 import numpy as np
 
 from repro.common.errors import CastError
-from repro.common.schema import ColumnarRelation, Relation, Schema, object_view
+from repro.common.schema import ColumnarRelation, Relation, Schema
 from repro.common.types import DataType, coerce
+from repro.common.vectors import object_view
 
 
 def _timestamp_to_epoch(value: Any) -> float:

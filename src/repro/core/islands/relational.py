@@ -61,10 +61,17 @@ class RelationalIsland(Island):
                     return only_engine.execute(query)
             # Cross-engine (or non-SQL source): materialize inputs into a scratch engine.
             scratch = RelationalEngine("_relational_island_scratch")
-            for table, engine in placements.items():
-                relation = RelationalShim(engine).fetch_relation(table)
-                scratch.import_relation(table, relation)
-            return scratch.execute(query)
+            try:
+                for table, engine in placements.items():
+                    relation = RelationalShim(engine).fetch_relation(table)
+                    scratch.import_relation(table, relation)
+                return scratch.execute(query)
+            finally:
+                # An engine is a reference cycle: dropped with it, the copied
+                # tables (rows, indexes, column snapshot) would sit in memory
+                # until the cyclic collector next runs a full pass.
+                for table in scratch.list_objects():
+                    scratch.drop_object(table)
         except TransientEngineError:
             failed_before_apply = True
             raise

@@ -19,8 +19,9 @@ from repro.common.errors import (
     ObjectNotFoundError,
     ParseError,
 )
-from repro.common.schema import Relation, Schema, object_view
+from repro.common.schema import Relation, Schema
 from repro.common.types import DataType
+from repro.common.vectors import object_view
 from repro.engines.array import operators as ops
 from repro.engines.array.aql import AqlCall, parse_aql
 from repro.engines.array.schema import ArraySchema, Attribute, Dimension

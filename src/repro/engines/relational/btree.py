@@ -48,6 +48,10 @@ class BTreeIndex:
         """Number of (key, row_id) pairs stored."""
         return self._size
 
+    @property
+    def unique(self) -> bool:
+        return self._unique
+
     # ------------------------------------------------------------------ insert
     def insert(self, key: Any, row_id: int) -> None:
         """Insert one key → row_id mapping, splitting nodes as necessary."""

@@ -50,15 +50,18 @@ from repro.engines.relational.sql.ast import (
     UpdateStatement,
 )
 from repro.engines.relational.sql.parser import parse_sql
-from repro.engines.relational.storage import HeapTable
+from repro.engines.relational.storage import ColumnSnapshot, HeapTable
 from repro.engines.relational.transactions import Transaction, TransactionManager
 
 
 class RelationalEngine(Engine, TableStatisticsProvider):
-    """An in-process SQL engine over row-oriented heap tables.
+    """An in-process SQL engine over heap tables.
 
-    Every SELECT runs on the columnar batch pipeline with one-time
-    expression compilation (:mod:`repro.engines.relational.vectorized`).
+    Writes, index lookups and DML go to each table's row store; every
+    SELECT scan and CAST export slices the table's columnar snapshot
+    (:meth:`HeapTable.column_snapshot`) and runs on the columnar batch
+    pipeline with one-time expression compilation
+    (:mod:`repro.engines.relational.vectorized`).
     """
 
     kind = "relational"
@@ -182,8 +185,8 @@ class RelationalEngine(Engine, TableStatisticsProvider):
         return name.lower() in self._tables
 
     def export_relation(self, name: str) -> Relation:
-        table = self.table(name)
-        return ColumnarRelation.from_value_rows(table.schema, list(table.scan_values()))
+        snapshot = self.table(name).column_snapshot()
+        return _snapshot_chunk(snapshot, 0, len(snapshot))
 
     def import_relation(self, name: str, relation: Relation, **options: Any) -> None:
         self.import_chunks(name, relation.schema, [relation], **options)
@@ -216,20 +219,21 @@ class RelationalEngine(Engine, TableStatisticsProvider):
     def export_chunks(self, name: str, chunk_size: int = DEFAULT_CHUNK_ROWS) -> Iterator[Relation]:
         """Stream the table scan as bounded *columnar* chunks.
 
-        Each chunk is a :class:`~repro.common.schema.ColumnarRelation`
-        transposed from one batch of the heap scan — no per-row ``Row``
-        objects — so a CAST whose consumer reads columns (the binary codec,
-        a columnar import) moves data from storage to the wire without
-        touching a row.
+        Each chunk is a :class:`~repro.common.schema.ColumnarRelation` sliced
+        from the table's columnar snapshot — the same read image SELECT
+        scans, with values turned back into native Python lists here — so a
+        CAST whose consumer reads columns (the binary codec, a columnar
+        import) moves data from storage to the wire without touching a row.
         """
         if chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         table = self.table(name)
 
         def generate() -> Iterator[Relation]:
-            for batch in table.scan_batches(chunk_size):
+            snapshot = table.column_snapshot()
+            for start in range(0, len(snapshot), chunk_size):
                 check_cancelled()  # chunk boundary: cancelled exports stop here
-                yield ColumnarRelation.from_value_rows(table.schema, batch)
+                yield _snapshot_chunk(snapshot, start, min(start + chunk_size, len(snapshot)))
 
         return generate()
 
@@ -288,18 +292,16 @@ class RelationalEngine(Engine, TableStatisticsProvider):
         return TableDefinition(name, schema, tuple(primary_key), self.name)
 
     def insert_rows(self, table_name: str, rows: Sequence[Sequence[Any]]) -> int:
-        """Bulk insert; returns the number of rows inserted."""
-        table = self.table(table_name)
+        """Bulk insert, all rows or (when one is invalid or repeats a unique
+        key) none; returns the number of rows inserted."""
+        row_ids = self.table(table_name).insert_many(rows)
         txn = self._transactions.active_transaction
-        count = 0
-        for values in rows:
-            row_id = table.insert(values)
-            if txn is not None:
+        if txn is not None:
+            for row_id in row_ids:
                 txn.record_insert(table_name, row_id)
-            count += 1
-        self.statistics.note_mutation(table_name, count)
+        self.statistics.note_mutation(table_name, len(row_ids))
         self.bump_write_version()
-        return count
+        return len(row_ids)
 
     def create_index(
         self, index_name: str, table_name: str, columns: Sequence[str], unique: bool = False
@@ -495,23 +497,25 @@ class RelationalEngine(Engine, TableStatisticsProvider):
         return self._count_relation(0)
 
     def _execute_insert(self, statement: InsertStatement) -> Relation:
-        table = self.table(statement.table)
-        txn = self._transactions.active_transaction
-        count = 0
+        """Every VALUES row is evaluated before any lands, and they land
+        together (:meth:`insert_rows`): a bad row leaves the table unchanged."""
+        schema = self.table(statement.table).schema
+        rows = []
         for expressions in statement.rows:
-            literal_values = [expr.evaluate(None) if _is_constant(expr) else None for expr in expressions]
+            for expression in expressions:
+                if expression.referenced_columns():
+                    raise ExecutionError(
+                        f"INSERT value {expression.to_sql()} is not a constant: "
+                        "VALUES cannot reference columns"
+                    )
+            values = [expression.evaluate(None) for expression in expressions]
             if statement.columns:
-                values = [None] * len(table.schema)
-                for column, value in zip(statement.columns, literal_values):
-                    values[table.schema.index_of(column)] = value
-            else:
-                values = literal_values
-            row_id = table.insert(values)
-            if txn is not None:
-                txn.record_insert(statement.table, row_id)
-            count += 1
-        self.statistics.note_mutation(statement.table, count)
-        return self._count_relation(count)
+                named = values
+                values = [None] * len(schema)
+                for column, value in zip(statement.columns, named):
+                    values[schema.index_of(column)] = value
+            rows.append(values)
+        return self._count_relation(self.insert_rows(statement.table, rows))
 
     def _execute_update(self, statement: UpdateStatement) -> Relation:
         table = self.table(statement.table)
@@ -563,6 +567,8 @@ class RelationalEngine(Engine, TableStatisticsProvider):
         self._transactions.finish(txn)
 
 
-def _is_constant(expr: Any) -> bool:
-    """INSERT values must be constant-foldable (no column references)."""
-    return not expr.referenced_columns()
+def _snapshot_chunk(snapshot: ColumnSnapshot, start: int, stop: int) -> ColumnarRelation:
+    """Rows ``start:stop`` of a table snapshot as native-valued columns."""
+    columns = [snapshot.values(i, start, stop) for i in range(len(snapshot.schema))]
+    return ColumnarRelation(snapshot.schema, columns, stop - start)
+

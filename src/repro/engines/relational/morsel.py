@@ -31,7 +31,7 @@ import numpy as np
 from repro.common.cancellation import current_token
 from repro.common.keycodes import partition_codes
 from repro.common.schema import ColumnBatch, Schema
-from repro.common.schema import object_view as _object_view
+from repro.common.vectors import object_view as _object_view, to_list
 from repro.observability.tracing import get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -52,6 +52,12 @@ def _approx_run_bytes(rows: int, columns: int) -> int:
     return rows * 16 * max(1, columns)
 
 
+def _spill_columns(batch: ColumnBatch, rows: np.ndarray) -> list[list]:
+    """The given rows of a batch as lists of native Python values: spill
+    runs hold (and pickle) plain lists whatever kind the columns were."""
+    return [to_list(column) for column in batch.gather(rows).columns]
+
+
 class IncrementalJoinKeyEncoder:
     """Insertion-ordered dict join-key encoder for the spill path.
 
@@ -68,6 +74,7 @@ class IncrementalJoinKeyEncoder:
     def encode(self, key_columns: list, n: int, fit: bool) -> np.ndarray:
         codes = np.empty(n, dtype=np.int64)
         mapping = self._map
+        key_columns = [to_list(column) for column in key_columns]
         if len(key_columns) == 1:
             column = key_columns[0]
             for idx in range(n):
@@ -265,18 +272,18 @@ def partitioned_spill_join(
             )
             for p, rows in enumerate(partition_codes(codes, partitions)):
                 if rows.size:
-                    gathered = batch.gather(rows)
                     build_runs[p].append(
                         (build_total + rows).tolist(),
                         codes[rows].tolist(),
-                        gathered.columns,
+                        _spill_columns(batch, rows),
                     )
             if null_build is not None:
                 null_rows = np.flatnonzero(codes < 0)
                 if null_rows.size:
-                    gathered = batch.gather(null_rows)
                     null_build.append(
-                        (build_total + null_rows).tolist(), None, gathered.columns
+                        (build_total + null_rows).tolist(),
+                        None,
+                        _spill_columns(batch, null_rows),
                     )
             build_total += n
         record_spill(sum(1 for run in build_runs if len(run)))
@@ -294,24 +301,19 @@ def partitioned_spill_join(
             )
             for p, rows in enumerate(partition_codes(codes, partitions)):
                 if rows.size:
-                    gathered = batch.gather(rows)
                     probe_runs[p].append(
                         (probe_total + rows).tolist(),
                         codes[rows].tolist(),
-                        gathered.columns,
+                        _spill_columns(batch, rows),
                     )
             if pad_run is not None:
                 # NULL or never-seen keys cannot match any partition: emit
                 # their pads directly, already in final output column order.
                 misses = np.flatnonzero(codes < 0)
                 if misses.size:
-                    gathered = batch.gather(misses)
+                    missed = _spill_columns(batch, misses)
                     pad_cols = [[None] * int(misses.size) for _ in range(n_build)]
-                    ordered = (
-                        pad_cols + gathered.columns
-                        if build_on_left
-                        else gathered.columns + pad_cols
-                    )
+                    ordered = pad_cols + missed if build_on_left else missed + pad_cols
                     pad_run.append((probe_total + misses).tolist(), None, ordered)
             probe_total += n
 

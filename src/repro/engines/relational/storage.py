@@ -1,24 +1,37 @@
-"""Row storage for the relational engine.
+"""Table storage for the relational engine: a row store to write and look up,
+a columnar snapshot to scan.
 
 A :class:`HeapTable` stores rows in insertion order keyed by a monotonically
 increasing row id, with optional B+tree secondary indexes kept in sync on
 insert, update and delete.  Deletes are tombstoned so row ids remain stable
-for index entries and in-flight scans.
+for index entries and in-flight scans.  The row dict is the write and index
+store: DML, point lookups and the reference executor read it.
 
-Runtime worker threads share tables: mutations and scan snapshots serialize
-on a per-table lock, and every scan iterates its own snapshot, so a SELECT,
-UPDATE or DELETE racing an INSERT never sees the row dict change size under it.
+Every table scan of the SELECT pipeline and of the CAST export reads a
+:class:`ColumnSnapshot` instead (:meth:`HeapTable.column_snapshot`): the rows
+live at one instant, captured under the table lock, whose columns turn into
+typed vectors (:mod:`repro.common.vectors`) one at a time, the first time a
+scan asks for them, each from those same captured rows.  The snapshot is
+memoised on the table and dropped by every mutator — they hold the same lock
+— so a static table packs a column once for all the queries that follow,
+and a table under writes pays only for the columns its scans touch.
+
+Runtime worker threads share tables: mutations and snapshots serialize on a
+per-table lock, and every scan iterates its own snapshot, so a SELECT, UPDATE
+or DELETE racing an INSERT never sees the row dict change size under it.
 """
 
 from __future__ import annotations
 
 import threading
 from datetime import datetime
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.common.errors import ConstraintViolationError, ObjectNotFoundError, SchemaError
 from repro.common.schema import Schema
 from repro.common.types import DataType
+from repro.common.vectors import to_list, vector_from_values
 from repro.engines.relational.btree import BTreeIndex
 
 #: The exact Python type :func:`~repro.common.types.coerce` produces per type.
@@ -31,17 +44,62 @@ _PYTHON_TYPES = {
 }
 
 
+class ColumnSnapshot:
+    """One table state as columns, each packed on first use.
+
+    ``rows`` is the value tuples live when the snapshot was taken, in
+    insertion order; :meth:`column` packs one column of them into its typed
+    vector — INTEGER / FLOAT / BOOLEAN a ``NumericVector``, TEXT a
+    ``DictVector``, anything else an object array — and keeps it.  Every
+    column comes from the same ``rows``, so all have ``len(rows)`` entries
+    of one table state however late they are asked for.  Two threads asking
+    for one column at once both pack it, to the same content.
+    """
+
+    __slots__ = ("schema", "rows", "_columns")
+
+    def __init__(self, schema: Schema, rows: list[tuple[Any, ...]]) -> None:
+        self.schema = schema
+        self.rows = rows
+        self._columns: list[Any] = [None] * len(schema)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def column(self, index: int) -> Any:
+        column = self._columns[index]
+        if column is None:
+            values = list(map(itemgetter(index), self.rows))
+            column = vector_from_values(values, self.schema.columns[index].dtype)
+            self._columns[index] = column
+        return column
+
+    def values(self, index: int, start: int, stop: int) -> list[Any]:
+        """Rows ``start:stop`` of one column as native Python values (what a
+        CAST export ships): unpacked from the vector when a scan already
+        packed it, else read off the captured rows — an export never packs
+        a column only to unpack it."""
+        column = self._columns[index]
+        if column is not None:
+            return to_list(column[start:stop])
+        return list(map(itemgetter(index), self.rows[start:stop]))
+
+
 class HeapTable:
-    """An append-ordered row store with secondary indexes."""
+    """An append-ordered row store with secondary indexes and a columnar
+    snapshot for scans."""
 
     def __init__(self, name: str, schema: Schema, primary_key: Sequence[str] = ()) -> None:
         self.name = name
         self.schema = schema
         self.primary_key = tuple(primary_key)
         self._rows: dict[int, tuple[Any, ...]] = {}
-        #: Guards ``_rows``, ``_next_row_id`` and the indexes against
-        #: concurrent mutation; never held while a scan yields.
+        #: Guards ``_rows``, ``_next_row_id``, the indexes and ``_snapshot``
+        #: against concurrent mutation; never held while a scan yields.
         self._lock = threading.Lock()
+        #: The memoised :class:`ColumnSnapshot` of the current rows, or None
+        #: since the last mutation.
+        self._snapshot: ColumnSnapshot | None = None
         self._next_row_id = 0
         self._indexes: dict[str, tuple[tuple[str, ...], BTreeIndex]] = {}
         if self.primary_key:
@@ -60,25 +118,12 @@ class HeapTable:
 
     def insert(self, values: Sequence[Any]) -> int:
         """Validate, store and index one row. Returns the new row id."""
-        validated = self.schema.validate_row(values)
-        with self._lock:
-            row_id = self._next_row_id
-            for index_name, (columns, index) in self._indexes.items():
-                key = self._key_for(validated, columns)
-                if index is not None and index_name == "__pk__":
-                    if index.search(key):
-                        raise ConstraintViolationError(
-                            f"duplicate primary key {key!r} in table {self.name!r}"
-                        )
-            self._rows[row_id] = validated
-            self._next_row_id += 1
-            for columns, index in self._indexes.values():
-                index.insert(self._key_for(validated, columns), row_id)
-        return row_id
+        return self.insert_many([values])[0]
 
     def insert_many(self, rows: Sequence[Sequence[Any]]) -> list[int]:
-        """Insert a batch of rows; returns their row ids."""
-        return [self.insert(row) for row in rows]
+        """Validate, store and index a batch of rows — all of them, or none
+        when any fails validation or repeats a unique key; returns their row ids."""
+        return list(self._land([self.schema.validate_row(values) for values in rows]))
 
     def insert_columns(self, columns: Sequence[Sequence[Any]]) -> None:
         """Bulk-load a chunk given as one value sequence per schema column.
@@ -87,34 +132,48 @@ class HeapTable:
         types (what an engine export or a decoded frame delivers) is checked
         per column and stored as is; any other chunk is coerced row by row
         through :meth:`Schema.validate_row`, as :meth:`insert` would.  The
-        chunk lands under one lock acquisition: primary keys are checked for
-        the whole chunk first — a duplicate raises with nothing stored —
-        and the indexes are filled after the rows.
+        chunk lands all or nothing, like :meth:`insert_many`.
         """
         if self._typed(columns):
-            rows = list(zip(*columns))
+            self._land(list(zip(*columns)))
         else:
-            rows = [self.schema.validate_row(values) for values in zip(*columns)]
+            self._land([self.schema.validate_row(values) for values in zip(*columns)])
+
+    def _land(self, rows: list[tuple[Any, ...]]) -> range:
+        """Store validated rows under one lock acquisition: unique keys are
+        checked for the whole batch first — a duplicate, in the table or in
+        the batch, raises with nothing stored — and the indexes are filled
+        after the rows.  Returns the new row ids."""
         with self._lock:
             keys = {
                 name: self._keys_for(rows, key_columns)
                 for name, (key_columns, _index) in self._indexes.items()
             }
-            if "__pk__" in keys:
-                _key_columns, index = self._indexes["__pk__"]
-                seen: set[tuple[Any, ...]] = set()
-                for key in keys["__pk__"]:
-                    if key in seen or (len(index) and index.search(key)):
-                        raise ConstraintViolationError(
-                            f"duplicate primary key {key!r} in table {self.name!r}"
-                        )
-                    seen.add(key)
+            for name, (_key_columns, index) in self._indexes.items():
+                if index.unique:
+                    self._reject_duplicates(name, index, keys[name])
             first = self._next_row_id
             self._next_row_id += len(rows)
+            self._snapshot = None
             self._rows.update(zip(range(first, self._next_row_id), rows))
             for name, (_key_columns, index) in self._indexes.items():
                 for row_id, key in enumerate(keys[name], first):
                     index.insert(key, row_id)
+        return range(first, first + len(rows))
+
+    def _reject_duplicates(
+        self, name: str, index: BTreeIndex, keys: Sequence[tuple[Any, ...]]
+    ) -> None:
+        """Raise if any of ``keys`` is already in the unique ``index`` or
+        occurs twice among them.  Caller holds the lock."""
+        seen: set[tuple[Any, ...]] = set()
+        for key in keys:
+            if key in seen or (len(index) and index.search(key)):
+                kind = "primary key" if name == "__pk__" else f"key in unique index {name!r}"
+                raise ConstraintViolationError(
+                    f"duplicate {kind} {key!r} in table {self.name!r}"
+                )
+            seen.add(key)
 
     def _typed(self, columns: Sequence[Sequence[Any]]) -> bool:
         """Whether every value of every column is of its schema column's
@@ -139,15 +198,27 @@ class HeapTable:
         """Delete one row by id, maintaining all indexes."""
         with self._lock:
             values = self.get(row_id)
+            self._snapshot = None
             for columns, index in self._indexes.values():
                 index.delete(self._key_for(values, columns), row_id)
             del self._rows[row_id]
 
     def update(self, row_id: int, new_values: Sequence[Any]) -> None:
-        """Replace a row in place, maintaining all indexes."""
+        """Replace a row in place, maintaining all indexes.
+
+        A new key some other row already holds in a unique index raises
+        before anything is touched: rows, indexes and snapshot stay as they
+        were.
+        """
         validated = self.schema.validate_row(new_values)
         with self._lock:
             old = self.get(row_id)
+            for name, (columns, index) in self._indexes.items():
+                if index.unique:
+                    new_key = self._key_for(validated, columns)
+                    if new_key != self._key_for(old, columns):
+                        self._reject_duplicates(name, index, [new_key])
+            self._snapshot = None
             for columns, index in self._indexes.values():
                 index.delete(self._key_for(old, columns), row_id)
                 index.insert(self._key_for(validated, columns), row_id)
@@ -158,9 +229,20 @@ class HeapTable:
             # Two flat copies zipped lazily: cheaper than one tuple per row.
             return zip(list(self._rows), list(self._rows.values()))
 
-    def _snapshot_values(self) -> list[tuple[Any, ...]]:
+    def column_snapshot(self) -> ColumnSnapshot:
+        """The rows live at the call as a :class:`ColumnSnapshot`.
+
+        Capture and memoisation happen under the lock every mutator holds
+        while it drops the memo, so the snapshot returned reflects every
+        write that finished before the call and none that starts after, and
+        a snapshot a write has overtaken is never handed to a later caller.
+        """
         with self._lock:
-            return list(self._rows.values())
+            snapshot = self._snapshot
+            if snapshot is None:
+                snapshot = ColumnSnapshot(self.schema, list(self._rows.values()))
+                self._snapshot = snapshot
+            return snapshot
 
     def scan(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
         """Yield (row_id, values) for every row live at the call, in insertion order."""
@@ -168,24 +250,13 @@ class HeapTable:
 
     def scan_values(self) -> Iterator[tuple[Any, ...]]:
         """Yield raw value tuples for every row live at the call, in insertion order."""
-        return iter(self._snapshot_values())
-
-    def scan_batches(self, batch_size: int) -> Iterator[list[tuple[Any, ...]]]:
-        """Yield the table's value tuples in bounded, insertion-ordered batches.
-
-        This is the vectorized executor's (and the columnar export path's)
-        entry point: it bounds memory per batch and never constructs a
-        :class:`Row` object.
-        """
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        values = self._snapshot_values()
-        for start in range(0, len(values), batch_size):
-            yield values[start : start + batch_size]
+        with self._lock:
+            return iter(list(self._rows.values()))
 
     def truncate(self) -> None:
         """Remove all rows but keep schema and index definitions."""
         with self._lock:
+            self._snapshot = None
             self._rows.clear()
             self._indexes = {
                 name: (columns, BTreeIndex(unique=(name == "__pk__")))

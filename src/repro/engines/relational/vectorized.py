@@ -7,9 +7,14 @@ interpreted per-tuple overhead the Cambridge report calls out.  This module
 is the cure, and the only executor ``RelationalEngine`` runs:
 
 * **Batches, not rows.**  Operators stream
-  :class:`~repro.common.schema.ColumnBatch` objects (bounded column-wise
-  slices) straight out of :class:`HeapTable.scan_batches`, so no operator
-  ever builds a full ``Relation`` of ``Row`` objects.
+  :class:`~repro.common.schema.ColumnBatch` objects, and a table scan's
+  batches are slices of the table's columnar snapshot
+  (:meth:`HeapTable.column_snapshot`): typed vectors
+  (:mod:`repro.common.vectors`) that stay typed through filter, gather,
+  join and NULL padding, so kernels read buffers instead of converting
+  Python values per query.  Values turn back into native Python only where
+  rows are made: ``value_rows()`` / ``row()`` for results, sort, projected
+  expressions, group representatives and row-closure fallbacks.
 * **Compile once, run per batch.**  Predicates, projections, join keys,
   group keys and sort keys are lowered once per plan node with
   :meth:`Expression.compile` into positional-tuple closures — no per-row
@@ -17,7 +22,10 @@ is the cure, and the only executor ``RelationalEngine`` runs:
 * **numpy kernels where the data allows.**  When a predicate only touches
   numeric columns (dtype mapping shared with the array island), it is
   lowered to a numpy mask kernel with SQL three-valued NULL semantics, so a
-  filter over a 100k-row batch is a handful of vector ops.
+  filter over a 100k-row batch is a handful of vector ops.  ``=``, ``<>``,
+  ``IN`` and ``LIKE`` between a dictionary-encoded TEXT column and
+  constants join the same kernel: evaluated once per distinct string and
+  broadcast through the codes.
 * **Key-encoded joins and group-bys.**  Join keys and grouping keys are
   factorized once into dense int64 codes (:mod:`repro.common.keycodes`);
   a hash join probes whole batches with ``np.take`` gathers over a CSR
@@ -63,9 +71,16 @@ from repro.common.keycodes import (
 )
 from repro.common.parallel import TaskContext, partition_count_for
 from repro.common.schema import Column, ColumnBatch, Relation, Row, Schema
-from repro.common.schema import object_view as _object_view
 from repro.common.types import DataType, infer_type
-from repro.engines.array.storage import _NUMPY_DTYPES as _ARRAY_ISLAND_DTYPES
+from repro.common.vectors import (
+    VECTOR_DTYPES,
+    DictVector,
+    NumericVector,
+    null_mask,
+    numeric_view,
+    take,
+    to_list,
+)
 from repro.engines.relational.executor import _DUAL_SCHEMA, Executor
 from repro.engines.relational.functions import make_aggregate
 from repro.engines.relational.morsel import approx_batch_bytes, partitioned_spill_join
@@ -91,16 +106,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Rows per batch on the vectorized pipeline (bounded memory per operator).
 DEFAULT_BATCH_ROWS = 4096
 
-#: numpy dtype per scalar type, shared with the array island's buffers so a
-#: relational batch and an array chunk agree on the wire representation.
-#: Only types whose Python values pack losslessly into a fixed-width numpy
-#: array participate in kernels; TEXT/TIMESTAMP predicates use the compiled
-#: row closure instead.
-_KERNEL_DTYPES = {
-    dtype: _ARRAY_ISLAND_DTYPES[dtype]
-    for dtype in (DataType.INTEGER, DataType.FLOAT, DataType.BOOLEAN)
-}
-
 _COMPARE_OPS: dict[str, Callable[[Any, Any], Any]] = {
     "=": operator.eq,
     "==": operator.eq,
@@ -112,10 +117,21 @@ _COMPARE_OPS: dict[str, Callable[[Any, Any], Any]] = {
     ">=": operator.ge,
 }
 
+def _like_float(fn: Callable[[Any, Any], Any]) -> Callable[[Any, Any], Any]:
+    """``fn`` with numpy's overflow / invalid warnings off: Python floats
+    run to inf and NaN in silence, and so must the kernel."""
+
+    def quiet(left: Any, right: Any) -> Any:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(left, right)
+
+    return quiet
+
+
 _ARITH_OPS: dict[str, Callable[[Any, Any], Any]] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
+    "+": _like_float(operator.add),
+    "-": _like_float(operator.sub),
+    "*": _like_float(operator.mul),
 }
 
 #: Division and modulo get masked kernels: the by-zero error must fire only
@@ -163,29 +179,67 @@ def _as_bool(values: Any) -> np.ndarray:
     return np.asarray(values).astype(np.bool_, copy=False)
 
 
-def _null_mask_of(column: Sequence[Any]) -> np.ndarray:
-    if isinstance(column, np.ndarray):
-        return np.equal(column, None)
-    return np.fromiter((v is None for v in column), np.bool_, count=len(column))
-
-
 def _count_nulls(column: Sequence[Any]) -> int:
-    if isinstance(column, np.ndarray):
-        return int(np.count_nonzero(np.equal(column, None)))
-    return column.count(None)
+    if isinstance(column, (list, tuple)):
+        return column.count(None)
+    return int(np.count_nonzero(null_mask(column)))
 
 
-# Each lowered node maps ({column index: (values array, null mask | None)},
-# active-row mask) to its own (values, null mask | None) pair.  Values at
+# Each lowered node maps ({column index: (values array, null mask | None),
+# or the DictVector of a TEXT column}, active-row mask) to its own (values,
+# null mask | None) pair.  Values at
 # null positions are unspecified; the final mask removes them (SQL: NULL is
 # not satisfied).  The active mask marks rows the row executor would
 # actually evaluate at this point — AND/OR narrow it for their right
 # operands, and the division kernels consult it so ``x / 0`` errors fire
 # for exactly the rows that survive short-circuiting.
-_KernelNode = Callable[
-    [dict[int, tuple[np.ndarray, "np.ndarray | None"]], np.ndarray],
-    tuple[Any, "np.ndarray | None"],
-]
+_KernelNode = Callable[[dict[int, Any], np.ndarray], tuple[Any, "np.ndarray | None"]]
+
+#: Comparisons the kernel answers per distinct string of a dictionary TEXT
+#: column: against constants none of them can raise, whatever the string.
+_DICTIONARY_OPS = ("=", "==", "!=", "<>", "like")
+
+
+def _dictionary_column(expr: Expression, schema: Schema) -> int | None:
+    """The TEXT column ``expr`` compares with constants by ``=``, ``<>``,
+    ``LIKE`` or ``IN``, or None when ``expr`` is not of that shape."""
+    if isinstance(expr, BinaryOp) and expr.op.lower() in _DICTIONARY_OPS:
+        if isinstance(expr.left, ColumnRef) and isinstance(expr.right, Literal):
+            ref = expr.left
+        elif isinstance(expr.left, Literal) and isinstance(expr.right, ColumnRef):
+            ref = expr.right
+        else:
+            return None
+    elif isinstance(expr, InList) and isinstance(expr.operand, ColumnRef):
+        ref = expr.operand
+    else:
+        return None
+    index = schema.index_of(ref.name)
+    return index if schema.columns[index].dtype is DataType.TEXT else None
+
+
+def _lower_dictionary(
+    expr: Expression, index: int, schema: Schema, columns: dict[int, Any]
+) -> _KernelNode:
+    """``expr`` over one dictionary column: the compiled row closure runs once
+    per dictionary entry (and once on NULL), and the answers — exactly the
+    row path's — are broadcast through the codes."""
+    fn = expr.compile(Schema([schema.columns[index]]))
+    columns[index] = None  # read as the DictVector itself
+    answered: list[Any] = [None, None, None]  # dictionary, truth, null per entry
+
+    def _broadcast(env: dict, active: np.ndarray) -> tuple[Any, np.ndarray | None]:
+        vector = env[index]
+        if answered[0] is not vector.dictionary:
+            answers = [fn((entry,)) for entry in vector.dictionary.tolist()]
+            answered[:] = (
+                vector.dictionary,
+                np.array([answer is True for answer in answers], dtype=np.bool_),
+                np.array([answer is None for answer in answers], dtype=np.bool_),
+            )
+        return answered[1][vector.codes], answered[2][vector.codes]
+
+    return _broadcast
 
 
 def _require_float_columns(expr: Expression, schema: Schema) -> None:
@@ -207,6 +261,9 @@ def _lower(expr: Expression, schema: Schema, columns: dict[int, Any]) -> tuple[_
     AND/OR to operands that produce genuine booleans keeps the two paths
     identical; anything else falls back to the compiled row closure.
     """
+    text_column = _dictionary_column(expr, schema)
+    if text_column is not None:
+        return _lower_dictionary(expr, text_column, schema, columns), True
     if isinstance(expr, Literal):
         value = expr.value
         if not isinstance(value, (bool, int, float)) or value is None:
@@ -215,9 +272,9 @@ def _lower(expr: Expression, schema: Schema, columns: dict[int, Any]) -> tuple[_
     if isinstance(expr, ColumnRef):
         index = schema.index_of(expr.name)
         dtype = schema.columns[index].dtype
-        if dtype not in _KERNEL_DTYPES:
+        if dtype not in VECTOR_DTYPES:
             raise _KernelUnsupported(f"column {expr.name!r} has non-numeric type {dtype}")
-        columns[index] = _KERNEL_DTYPES[dtype]
+        columns[index] = VECTOR_DTYPES[dtype]
         return (lambda env, active: env[index]), dtype is DataType.BOOLEAN
     if isinstance(expr, BinaryOp):
         op = expr.op.lower()
@@ -289,7 +346,7 @@ def _lower(expr: Expression, schema: Schema, columns: dict[int, Any]) -> tuple[_
                         raise ZeroDivisionError("float modulo")
                     raise ExecutionError("division by zero")
                 safe_rv = np.where(zero, 1, rv) if zero.any() else rv
-                with np.errstate(divide="ignore", invalid="ignore"):
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                     vals = np.mod(lv, safe_rv) if modulo else np.true_divide(lv, safe_rv)
                 return vals, _union_nulls(ln, rn)
 
@@ -353,16 +410,15 @@ class FilterKernel:
 
     def __call__(self, batch: ColumnBatch) -> np.ndarray:
         length = len(batch)
-        env: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
+        env: dict[int, Any] = {}
         for index, dtype in self._columns:
             column = batch.columns[index]
-            if None in column:
-                nulls = np.fromiter((v is None for v in column), np.bool_, count=length)
-                vals = np.asarray([0 if v is None else v for v in column], dtype=dtype)
+            if dtype is not None:
+                env[index] = numeric_view(column, dtype)
+            elif isinstance(column, DictVector):
+                env[index] = column
             else:
-                nulls = None
-                vals = np.asarray(column, dtype=dtype)
-            env[index] = (vals, nulls)
+                raise _KernelUnsupported("TEXT column is not dictionary-encoded")
         vals, nulls = self._fn(env, np.ones(length, dtype=np.bool_))
         mask = _as_bool(vals)
         if mask.ndim == 0:
@@ -393,24 +449,62 @@ class _PredicateRunner:
         self.kernel = compile_filter_kernel(predicate, schema)
         self._row_predicate = _compile_predicate_or_defer(predicate, schema)
 
-    def mask(self, batch: ColumnBatch) -> "np.ndarray | list[bool]":
-        """Per-row keep flags: the kernel's ndarray, else the closure's list."""
+    def mask(self, batch: ColumnBatch) -> np.ndarray:
+        """Per-row keep flags, from the kernel or else the row closure."""
         if self.kernel is not None:
             try:
                 return self.kernel(batch)
             except (_KernelUnsupported, TypeError, OverflowError):
                 pass  # fall back; the row path reproduces exact semantics
-        fn = self._row_predicate
-        return [fn(values) for values in batch.value_rows()]
+        return np.fromiter(
+            map(self._row_predicate, batch.value_rows()), np.bool_, count=len(batch)
+        )
 
     def __call__(self, batch: ColumnBatch) -> ColumnBatch:
         mask = self.mask(batch)
-        if mask.all() if isinstance(mask, np.ndarray) else all(mask):
-            return batch
-        return batch.compress(mask)
+        return batch if mask.all() else batch.compress(mask)
 
 
 _FAST_AGGREGATES = ("count", "sum", "avg", "min", "max")
+
+
+def _abs_peak(ints: np.ndarray) -> int:
+    """Largest magnitude in a non-empty int64 array, as a Python int
+    (``np.abs`` wraps around at the most negative value)."""
+    return max(-int(ints.min()), int(ints.max()))
+
+
+def _fold_vector(name: str, total: Any, present: np.ndarray) -> Any:
+    """Fold one batch's non-NULL values (a non-empty fixed-width array) into
+    a global SUM / AVG / MIN / MAX running ``total`` (None before the first
+    value), to the bit what the row accumulators hold after the same rows."""
+    if name in ("sum", "avg"):
+        if name == "avg" or present.dtype == np.float64:
+            # accumulate() is a strict left fold, like the accumulators' +=;
+            # the running total rides in front as the fold's first term.
+            seed = 0.0 if name == "avg" and total is None else total
+            terms = present.astype(np.float64, copy=False)
+            if seed is not None:
+                terms = np.concatenate(([seed], terms))
+            with np.errstate(over="ignore", invalid="ignore"):  # inf / NaN, like float +
+                return float(np.add.accumulate(terms)[-1])
+        ints = present.astype(np.int64, copy=False)
+        if _abs_peak(ints) * ints.size < 2**62:
+            batch_sum = int(ints.sum())
+        else:
+            batch_sum = sum(ints.tolist())
+        return batch_sum if total is None else total + batch_sum
+    extreme = (present.min() if name == "min" else present.max()).item()
+    if present.dtype == np.float64 and (extreme != extreme or extreme == 0.0):
+        # NaN (the accumulators never replace on it) or a zero that may be
+        # signed: which value wins depends on where they sit, so fold this
+        # batch the way the accumulators do.
+        extreme = (min if name == "min" else max)(present.tolist())
+    if total is None:
+        return extreme
+    if name == "min":
+        return extreme if extreme < total else total
+    return extreme if extreme > total else total
 
 
 def _unmatched_right_batches(
@@ -468,24 +562,33 @@ class BatchExecutor:
             rows.extend(Row(schema, values) for values in batch.value_rows())
         return relation
 
-    def stream(self, plan: LogicalPlan) -> tuple[Schema, Iterator[ColumnBatch]]:
+    def stream(
+        self, plan: LogicalPlan, columns: Sequence[str] | None = None
+    ) -> tuple[Schema, Iterator[ColumnBatch]]:
         """Output schema plus a bounded-batch iterator for a plan subtree.
+
+        ``columns`` names the only output columns the caller will read (a
+        prune or a projection knows them): a table scan then emits just
+        those, so the snapshot packs no column nobody asked for.  Every
+        other operator ignores it.
 
         When a :class:`~repro.observability.profile.PlanProfiler` is
         installed (EXPLAIN ANALYZE) or the global tracer is enabled, the
         iterator is wrapped to account per-operator rows/batches/time;
         otherwise the pipeline is returned untouched.
         """
-        schema, batches = self._stream_impl(plan)
+        schema, batches = self._stream_impl(plan, columns)
         profiler = self.profiler
         tracer = get_tracer()
         if profiler is not None or tracer.enabled:
             batches = observe_stream(plan, batches, profiler, tracer)
         return schema, batches
 
-    def _stream_impl(self, plan: LogicalPlan) -> tuple[Schema, Iterator[ColumnBatch]]:
+    def _stream_impl(
+        self, plan: LogicalPlan, columns: Sequence[str] | None
+    ) -> tuple[Schema, Iterator[ColumnBatch]]:
         if isinstance(plan, ScanNode):
-            return self._scan_stream(plan)
+            return self._scan_stream(plan, columns)
         if isinstance(plan, IndexScanNode):
             return self._index_scan_stream(plan)
         if isinstance(plan, SubqueryNode):
@@ -507,23 +610,56 @@ class BatchExecutor:
         raise ExecutionError(f"unknown plan node: {type(plan).__name__}")
 
     # ------------------------------------------------------------------- scans
-    def _scan_stream(self, node: ScanNode) -> tuple[Schema, Iterator[ColumnBatch]]:
+    def _scan_stream(
+        self, node: ScanNode, columns: Sequence[str] | None
+    ) -> tuple[Schema, Iterator[ColumnBatch]]:
+        """Slice the table's columnar snapshot into batches.
+
+        Only the columns in ``columns`` (all when None) plus those the scan
+        predicate reads are taken from the snapshot — which packs a column
+        the first time any scan takes it — and only the former are emitted.
+        """
         if node.table == "__dual__":
             return _DUAL_SCHEMA, iter([ColumnBatch.from_value_rows(_DUAL_SCHEMA, [(0,)])])
         table = self._engine.table(node.table)
-        schema = Executor._qualified_schema(table.schema, node.alias or node.table)
-        predicate = None if node.predicate is None else _PredicateRunner(node.predicate, schema)
+        full_schema = Executor._qualified_schema(table.schema, node.alias or node.table)
+        emitted = read = list(range(len(full_schema)))
+        if columns is not None:
+            try:
+                # Never zero columns: a batch takes its length from them.
+                emitted = sorted({full_schema.index_of(name) for name in columns} or {0})
+                filtered = () if node.predicate is None else node.predicate.referenced_columns()
+                read = sorted({*emitted, *(full_schema.index_of(name) for name in filtered)})
+            except SchemaError:
+                # A reference that does not resolve must fail where the row
+                # path fails it — on the first evaluated row — so read it all.
+                emitted = read
+        read_schema = Schema([full_schema.columns[i] for i in read])
+        schema = Schema([full_schema.columns[i] for i in emitted])
+        keep = [read.index(i) for i in emitted]
+        predicate = (
+            None if node.predicate is None else _PredicateRunner(node.predicate, read_schema)
+        )
+        batch_rows = self._batch_rows
 
         def generate() -> Iterator[ColumnBatch]:
             token = current_token()
-            for values in table.scan_batches(self._batch_rows):
+            snapshot = table.column_snapshot()
+            vectors = [snapshot.column(i) for i in read]
+            for start in range(0, len(snapshot), batch_rows):
                 if token is not None:
                     # Cooperative cancellation: a timed-out or abandoned
                     # query stops at the next batch, not at end-of-scan.
                     token.check()
-                batch = ColumnBatch.from_value_rows(schema, values)
-                if predicate is not None:
-                    batch = predicate(batch)
+                stop = min(start + batch_rows, len(snapshot))
+                batch = ColumnBatch(
+                    read_schema, [vector[start:stop] for vector in vectors], stop - start
+                )
+                mask = None if predicate is None else predicate.mask(batch)
+                if len(keep) < len(read):
+                    batch = batch.select(schema, keep)
+                if mask is not None and not mask.all():
+                    batch = batch.compress(mask)
                 if len(batch):
                     self._engine.record_morsels(1)
                     yield batch
@@ -738,7 +874,6 @@ class BatchExecutor:
                 counts = np.bincount(
                     sorted_codes, minlength=group_count
                 ).astype(np.int64)
-            build_obj = [_object_view(col) for col in build_block.columns]
             build_matched = (
                 np.zeros(len(build_block), dtype=np.bool_) if track_build else None
             )
@@ -765,25 +900,17 @@ class BatchExecutor:
                 else:
                     probe_rep = np.zeros(0, dtype=np.int64)
                     build_rows = np.zeros(0, dtype=np.int64)
-                probe_obj: list[np.ndarray] | None = None
-                cand_build: list[np.ndarray] | None = None
-                cand_probe: list[np.ndarray] | None = None
                 if residual is not None and total:
-                    probe_obj = [_object_view(col) for col in batch.columns]
-                    cand_build = [np.take(col, build_rows) for col in build_obj]
-                    cand_probe = [np.take(col, probe_rep) for col in probe_obj]
+                    cand_build = build_block.gather(build_rows).columns
+                    cand_probe = batch.gather(probe_rep).columns
                     ordered = (
                         cand_build + cand_probe if build_on_left else cand_probe + cand_build
                     )
                     keep = np.fromiter(
-                        (residual(values) for values in zip(*(c.tolist() for c in ordered))),
-                        np.bool_,
-                        count=total,
+                        map(residual, zip(*map(to_list, ordered))), np.bool_, count=total
                     )
                     probe_rep = probe_rep[keep]
                     build_rows = build_rows[keep]
-                    cand_build = [col[keep] for col in cand_build]
-                    cand_probe = [col[keep] for col in cand_probe]
                 matched_rows = build_rows if track_build else None
                 pads = (
                     np.flatnonzero(np.bincount(probe_rep, minlength=length) == 0)
@@ -793,61 +920,24 @@ class BatchExecutor:
                 out_len = int(probe_rep.size + pads.size)
                 if not out_len:
                     return matched_rows, None
-                if cand_build is not None:
-                    # Residual path: candidate columns are already gathered
-                    # and keep-compressed — merge in the pads (if any) with
-                    # one concatenate + permutation instead of re-gathering.
-                    if pads.size:
-                        merge_order = np.argsort(
-                            np.concatenate([probe_rep, pads]), kind="stable"
-                        )
-                        pad_fill = np.full(pads.size, None, dtype=object)
-                        probe_cols = [
-                            np.concatenate([kept, np.take(view, pads)])[merge_order]
-                            for kept, view in zip(cand_probe, probe_obj)
-                        ]
-                        build_cols = [
-                            np.concatenate([kept, pad_fill])[merge_order]
-                            for kept in cand_build
-                        ]
-                    else:
-                        probe_cols, build_cols = cand_probe, cand_build
+                if pads.size:
+                    # Unmatched probe rows slot in at their probe position,
+                    # gathering build row 0 under a pad flag that NULLs it.
+                    merge_keys = np.concatenate([probe_rep, pads])
+                    merge_order = np.argsort(merge_keys, kind="stable")
+                    seq_probe = merge_keys[merge_order]
+                    seq_build = np.concatenate(
+                        [build_rows, np.zeros(pads.size, dtype=np.int64)]
+                    )[merge_order]
+                    is_pad = merge_order >= probe_rep.size
                 else:
-                    if pads.size:
-                        merge_keys = np.concatenate([probe_rep, pads])
-                        merge_order = np.argsort(merge_keys, kind="stable")
-                        seq_probe = merge_keys[merge_order]
-                        seq_build = np.concatenate(
-                            [build_rows, np.zeros(pads.size, dtype=np.int64)]
-                        )[merge_order]
-                        is_pad = np.concatenate(
-                            [
-                                np.zeros(probe_rep.size, dtype=np.bool_),
-                                np.ones(pads.size, dtype=np.bool_),
-                            ]
-                        )[merge_order]
-                    else:
-                        seq_probe, seq_build, is_pad = probe_rep, build_rows, None
-                    if probe_obj is None:
-                        probe_obj = [_object_view(col) for col in batch.columns]
-                    probe_cols = [np.take(col, seq_probe) for col in probe_obj]
-                    if len(build_block):
-                        build_cols = [np.take(col, seq_build) for col in build_obj]
-                        if is_pad is not None:
-                            for col in build_cols:
-                                col[is_pad] = None
-                    else:
-                        # Empty build side: every emitted row is a pad (only
-                        # left/full outer reach here) — nothing to gather.
-                        build_cols = [
-                            np.full(out_len, None, dtype=object) for _ in build_obj
-                        ]
+                    seq_probe, seq_build, is_pad = probe_rep, build_rows, None
+                probe_cols = batch.gather(seq_probe).columns
+                build_cols = build_block.gather(seq_build, is_pad).columns
                 ordered_cols = (
                     build_cols + probe_cols if build_on_left else probe_cols + build_cols
                 )
-                return matched_rows, ColumnBatch(
-                    joined_schema, [col.tolist() for col in ordered_cols], out_len
-                )
+                return matched_rows, ColumnBatch(joined_schema, ordered_cols, out_len)
 
             probe_task = probe_one
             tracer = get_tracer()
@@ -917,18 +1007,17 @@ class BatchExecutor:
         def generate() -> Iterator[ColumnBatch]:
             right_block = ColumnBatch.concat(right_schema, list(right_batches))
             n_right = len(right_block)
-            # One trailing None per column: right index -1 gathers a NULL pad.
-            right_obj = [_object_view([*col, None]) for col in right_block.columns]
             right_matched = np.zeros(n_right, dtype=np.bool_)
             slab_right = max(1, min(n_right, batch_rows))
             slab_left = max(1, batch_rows // slab_right)
 
             for batch in left_batches:
-                left_obj = [_object_view(col) for col in batch.columns]
 
                 def joined(li: np.ndarray, ri: np.ndarray) -> ColumnBatch:
-                    columns = [np.take(col, li) for col in left_obj]
-                    columns += [np.take(col, ri) for col in right_obj]
+                    # Right index -1 is the NULL pad of an unmatched left row.
+                    pad = ri < 0
+                    right = right_block.gather(ri, pad if pad.any() else None)
+                    columns = batch.gather(li).columns + right.columns
                     return ColumnBatch(joined_schema, columns, int(li.size))
 
                 for l0 in range(0, len(batch), slab_left):
@@ -972,22 +1061,25 @@ class BatchExecutor:
         batch — the savings materialize in the operators above (the hash
         join gathers and the group-by representatives touch fewer columns).
         """
-        child_schema, batches = self.stream(node.child)
+        child_schema, batches = self.stream(node.child, node.columns)
         indices = [child_schema.index_of(name) for name in node.columns]
         schema = child_schema.project(node.columns)
 
         def generate() -> Iterator[ColumnBatch]:
             for batch in batches:
-                yield ColumnBatch(
-                    schema, [batch.columns[i] for i in indices], len(batch)
-                )
+                yield batch.select(schema, indices)
 
         return schema, generate()
 
     def _project_stream(self, node: ProjectNode) -> tuple[Schema, Iterator[ColumnBatch]]:
-        child_schema, batches = self.stream(node.child)
+        wanted = None
+        if isinstance(node.child, ScanNode) and not any(item.star for item in node.items):
+            wanted = sorted(
+                set().union(*(item.expression.referenced_columns() for item in node.items))
+            )
+        child_schema, batches = self.stream(node.child, wanted)
         first = next(batches, None)
-        first_values = next(first.value_rows(), None) if first is not None else None
+        first_values = first.row(0) if first is not None and len(first) else None
         columns: list[Column] = []
         for item in node.items:
             if item.star:
@@ -1192,7 +1284,7 @@ class BatchExecutor:
                 item.expression.name
             ):
                 index = child_schema.index_of(item.expression.name)
-                if name in ("sum", "avg") and child_schema.columns[index].dtype not in _KERNEL_DTYPES:
+                if name in ("sum", "avg") and child_schema.columns[index].dtype not in VECTOR_DTYPES:
                     # sum(values, 0) over e.g. TEXT would raise where the row
                     # accumulator (seeded from the first value) does not.
                     return None
@@ -1213,7 +1305,7 @@ class BatchExecutor:
             if len(batch) == 0:
                 continue
             if not saw_rows:
-                first_values = next(batch.value_rows())
+                first_values = batch.row(0)
                 saw_rows = True
             for i, name, col_index in plan:
                 if name == "count_star":
@@ -1223,15 +1315,29 @@ class BatchExecutor:
                 if name == "count":
                     counts[i] += len(column) - _count_nulls(column)
                     continue
+                if isinstance(column, NumericVector):
+                    present = (
+                        column.values if column.nulls is None else column.values[~column.nulls]
+                    )
+                    if not present.size:
+                        continue
+                    counts[i] += int(present.size)
+                    totals[i] = _fold_vector(name, totals[i], present)
+                    continue
                 present = [v for v in column if v is not None]
                 if not present:
                     continue
                 counts[i] += len(present)
                 if name in ("sum", "avg"):
                     # sum(values, start) adds sequentially, reproducing the
-                    # row accumulator's += order bit for bit.
-                    start = totals[i] if totals[i] is not None else (0.0 if name == "avg" else 0)
-                    totals[i] = sum(present, start)
+                    # row accumulator's += order bit for bit: AVG starts
+                    # from 0.0, SUM from its first value.
+                    if totals[i] is not None:
+                        totals[i] = sum(present, totals[i])
+                    elif name == "avg":
+                        totals[i] = sum(present, 0.0)
+                    else:
+                        totals[i] = sum(present[1:], present[0])
                 elif name == "min":
                     low = min(present)
                     totals[i] = low if totals[i] is None or low < totals[i] else totals[i]
@@ -1253,12 +1359,11 @@ class BatchExecutor:
     @staticmethod
     def _reject_nan(column: Sequence[Any], reason: str) -> None:
         try:
-            values = np.fromiter(
-                (0.0 if v is None else v for v in column), np.float64, count=len(column)
-            )
+            values, nulls = numeric_view(column, np.float64)
         except (TypeError, ValueError) as exc:
             raise _KernelUnsupported(str(exc)) from exc
-        if bool(np.isnan(values).any()):
+        nan = np.isnan(values)
+        if bool((nan if nulls is None else nan & ~nulls).any()):
             raise _KernelUnsupported(reason)
 
     @staticmethod
@@ -1292,7 +1397,7 @@ class BatchExecutor:
             ):
                 return None
             index = child_schema.index_of(item.expression.name)
-            if name != "count" and child_schema.columns[index].dtype not in _KERNEL_DTYPES:
+            if name != "count" and child_schema.columns[index].dtype not in VECTOR_DTYPES:
                 return None
             plan.append((i, name, index))
         return plan
@@ -1346,7 +1451,7 @@ class BatchExecutor:
                     continue
                 columns = batch.columns
                 if first_values is None:
-                    first_values = next(batch.value_rows())
+                    first_values = batch.row(0)
                 try:
                     for index in float_keys:
                         self._reject_nan(columns[index], "NaN grouping key")
@@ -1367,16 +1472,11 @@ class BatchExecutor:
                 codes, new_first_rows = encoder.encode_batch(
                     [columns[i] for i in key_indices]
                 )
-                if rep_cols is None:
-                    for row in new_first_rows:
-                        representatives.append(
-                            tuple(column[row] for column in columns)
-                        )
-                else:
-                    for row in new_first_rows:
-                        representatives.append(
-                            tuple(columns[i][row] for i in rep_cols)
-                        )
+                if new_first_rows.size:
+                    kept = columns if rep_cols is None else [columns[i] for i in rep_cols]
+                    representatives.extend(
+                        zip(*(to_list(take(column, new_first_rows)) for column in kept))
+                    )
                 state.accumulate(codes, prepared, encoder.group_count)
                 peak = max(peak, n + encoder.group_count)
         finally:
@@ -1582,7 +1682,7 @@ class _StreamingGroupAggregator:
             if name in ("count_star", "count"):
                 st["counts"] = np.zeros(0, dtype=np.int64)
             else:
-                dtype = _KERNEL_DTYPES[child_schema.columns[col].dtype]
+                dtype = VECTOR_DTYPES[child_schema.columns[col].dtype]
                 st["dtype"] = dtype
                 if name == "sum":
                     st["float"] = dtype is np.float64
@@ -1616,7 +1716,7 @@ class _StreamingGroupAggregator:
                 continue
             present = present_cache.get(col)
             if present is None:
-                present = ~_null_mask_of(columns[col])
+                present = ~null_mask(columns[col])
                 present_cache[col] = present
             if name == "count":
                 prepared.append((present, None))
@@ -1626,11 +1726,7 @@ class _StreamingGroupAggregator:
             values = packed_cache.get(col)
             if values is None:
                 try:
-                    values = np.fromiter(
-                        (0 if v is None else v for v in columns[col]),
-                        dtype,
-                        count=n,
-                    )
+                    values, _nulls = numeric_view(columns[col], dtype)
                 except (OverflowError, TypeError, ValueError) as exc:
                     # e.g. Python ints beyond int64: only the row
                     # accumulators' arbitrary precision is faithful.
@@ -1645,8 +1741,8 @@ class _StreamingGroupAggregator:
                 continue
             if name == "sum" and not st["float"]:
                 ints = values.astype(np.int64, copy=False)
-                peak = int(np.abs(ints[present]).max()) if present.any() else 0
-                if peak < 0 or (peak and st["abs_max"] + peak * n > 2**62):
+                peak = _abs_peak(ints[present]) if present.any() else 0
+                if peak and st["abs_max"] + peak * n > 2**62:
                     raise _KernelUnsupported("int64 overflow risk in SUM")
                 prepared.append((present, ints))
                 continue

@@ -4,19 +4,24 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
+from datetime import datetime
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import (
     ConstraintViolationError,
+    ExecutionError,
     ObjectNotFoundError,
     ParseError,
     SchemaError,
     TypeMismatchError,
 )
 from repro.common.schema import Schema
+from repro.common.vectors import DictVector, NumericVector
 from repro.engines.base import EngineCapability
 from repro.engines.relational import BTreeIndex, HeapTable, RelationalEngine
 from repro.engines.relational.sql.ast import SelectStatement
@@ -202,8 +207,11 @@ class TestHeapTable:
 
         def scan():
             while not done.is_set():
-                for batch in table.scan_batches(64):
-                    assert all(len(values) == 3 for values in batch)
+                snapshot = table.column_snapshot()
+                ids = snapshot.column(0)
+                time.sleep(0)   # let the writers in between the two columns
+                assert len(ids) == len(snapshot.column(2)) == len(snapshot)
+                assert ids.tolist() == [values[0] for values in snapshot.rows]
                 assert all(len(values) == 3 for _row_id, values in table.scan())
 
         writers = [guarded(load), guarded(truncate), guarded(index_ddl)]
@@ -228,6 +236,192 @@ class TestHeapTable:
             assert entries == sorted(rows), name
         for row_id, values in rows.items():
             assert (row_id, values) in table.index_lookup("__pk__", values[0])
+
+
+    def test_update_onto_a_taken_unique_key_changes_nothing(self):
+        """update() used to delete the old key from every index before the
+        unique insert failed: the row stayed in the table but fell out of the
+        primary-key index.  The new key is now checked first."""
+        table = self.make_table()
+        table.insert_many([[i, f"n{i}", float(i)] for i in (1, 2, 3)])
+        table.create_index("idx_name", ["name"], unique=True)
+        before_rows = list(table.scan())
+        before_snapshot = table.column_snapshot()
+        (row_id, _values), = table.index_lookup("__pk__", 2)
+        with pytest.raises(ConstraintViolationError, match="primary key"):
+            table.update(row_id, [1, "n2", 2.0])
+        with pytest.raises(ConstraintViolationError, match="idx_name"):
+            table.update(row_id, [2, "n3", 2.0])
+        assert list(table.scan()) == before_rows
+        assert table.column_snapshot() is before_snapshot
+        for found_id, values in before_rows:
+            assert table.index_lookup("__pk__", values[0]) == [(found_id, values)]
+            assert table.index_lookup("idx_name", values[1]) == [(found_id, values)]
+        table.update(row_id, [2, "renamed", 2.5])   # keeping its own key is no conflict
+        assert table.index_lookup("__pk__", 2) == [(row_id, (2, "renamed", 2.5))]
+
+    def test_insert_many_lands_all_rows_or_none(self):
+        table = self.make_table()
+        table.insert([1, "a", 1.0])
+        with pytest.raises(ConstraintViolationError):
+            table.insert_many([[2, "b", 2.0], [1, "again", 3.0]])      # taken in the table
+        with pytest.raises(ConstraintViolationError):
+            table.insert_many([[2, "b", 2.0], [2, "twice", 3.0]])      # repeated in the batch
+        with pytest.raises(TypeMismatchError):
+            table.insert_many([[2, "b", 2.0], [None, "null id", 3.0]])
+        assert [values for _rid, values in table.scan()] == [(1, "a", 1.0)]
+        assert table.index_lookup("__pk__", 2) == []
+        assert len(table.insert_many([[2, "b", 2.0], [3, "c", 3.0]])) == 2
+
+
+# ----------------------------------------------------------------- column snapshot
+class TestColumnSnapshot:
+    """HeapTable.column_snapshot(): one table state, packed a column at a time."""
+
+    def make_table(self, rows: int = 0) -> HeapTable:
+        schema = Schema([("id", "integer", False), ("name", "text"), ("score", "float")])
+        table = HeapTable("t", schema, primary_key=("id",))
+        table.insert_many([self.row(i) for i in range(rows)])
+        return table
+
+    @staticmethod
+    def row(i: int) -> list:
+        return [i, f"n{i}", float(i)]
+
+    @staticmethod
+    def check_one_state(snapshot) -> list[int]:
+        """Pack ``id``, let other threads run, pack the rest: every column
+        must describe the same rows."""
+        ids = snapshot.column(0).tolist()
+        time.sleep(0)
+        names, scores = snapshot.column(1).tolist(), snapshot.column(2).tolist()
+        assert len(ids) == len(names) == len(scores) == len(snapshot)
+        assert names == [f"n{i}" for i in ids] and scores == [float(i) for i in ids]
+        return ids
+
+    def test_vector_kinds_and_native_values(self):
+        schema = Schema([("i", "integer"), ("f", "float"), ("b", "boolean"), ("s", "text"),
+                         ("ts", "timestamp"), ("big", "integer")])
+        table = HeapTable("kinds", schema)
+        stamp = datetime(2020, 1, 2, 3, 4, 5)
+        rows = [(1, 0.5, True, "x", stamp, 2**70), (None, None, None, None, None, None),
+                (-3, float("inf"), False, "", stamp, -1), (1, -0.0, True, "x", stamp, 0)]
+        table.insert_many(rows)
+        snapshot = table.column_snapshot()
+        i, f, b, s, ts, big = (snapshot.column(n) for n in range(6))
+        assert isinstance(i, NumericVector) and i.values.dtype == np.int64
+        assert isinstance(f, NumericVector) and f.values.dtype == np.float64
+        assert isinstance(b, NumericVector) and b.values.dtype == np.bool_
+        assert i.nulls.tolist() == [False, True, False, False]
+        assert isinstance(s, DictVector) and s.codes.dtype == np.int32
+        assert s.codes.tolist() == [0, -1, 1, 0] and s.dictionary.tolist() == ["x", "", None]
+        assert isinstance(ts, np.ndarray) and ts.dtype == object
+        assert isinstance(big, np.ndarray) and big.dtype == object   # beyond int64
+        for n in range(6):
+            column = snapshot.column(n)
+            assert column.tolist() == [row[n] for row in rows]
+            assert [column[r] for r in range(4)] == [row[n] for row in rows]
+            assert [type(v) for v in column.tolist()] == [type(row[n]) for row in rows]
+            assert snapshot.values(n, 1, 3) == [row[n] for row in rows[1:3]]
+        assert str(f.tolist()[3]) == "-0.0"
+        null_free = HeapTable("nf", Schema([("i", "integer")]))
+        null_free.insert_many([[1], [2]])
+        assert null_free.column_snapshot().column(0).nulls is None
+
+    def test_memoised_until_any_mutator_and_lazy_from_captured_rows(self):
+        table = self.make_table(3)
+        first = table.column_snapshot()
+        assert table.column_snapshot() is first
+        mutations = [
+            lambda: table.insert(self.row(10)),
+            lambda: table.insert_many([self.row(11), self.row(12)]),
+            lambda: table.insert_columns([[13], ["n13"], [13.0]]),
+            lambda: table.update(table.index_lookup("__pk__", 10)[0][0], [10, "n10", 10.0]),
+            lambda: table.delete(table.index_lookup("__pk__", 11)[0][0]),
+            table.truncate,
+        ]
+        for mutate in mutations:
+            before = table.column_snapshot()
+            size = len(before)
+            mutate()
+            after = table.column_snapshot()
+            assert after is not before and table.column_snapshot() is after
+            # Packed only now, after the write: still the state it captured.
+            assert len(before.column(0)) == len(before.column(1)) == size
+            assert after.column(0).tolist() == [values[0] for _rid, values in table.scan()]
+        assert first.column(0).tolist() == [0, 1, 2]
+        # Reads and index DDL keep the memo.
+        table.insert(self.row(1))
+        kept = table.column_snapshot()
+        table.create_index("idx_name", ["name"])
+        list(table.scan_values())
+        table.index_lookup("__pk__", 1)
+        table.drop_index("idx_name")
+        assert table.column_snapshot() is kept
+
+    def test_snapshots_race_writers(self):
+        """Scanners pack one column, yield, then pack the others while
+        writers insert, update, delete and truncate: every snapshot is one
+        table state, holds every write acknowledged before it was taken and
+        none started after, and a snapshot a write overtook is never handed
+        out again (the next one would miss an acknowledged write)."""
+        table = self.make_table()
+        started: list[int] = []     # ids whose insert has begun
+        acked: list[int] = []       # ids whose insert has returned
+        errors: list[BaseException] = []
+        done = threading.Event()
+
+        def guarded(body):
+            def run():
+                try:
+                    body()
+                except BaseException as exc:  # noqa: BLE001 - reported by the assert below
+                    errors.append(exc)
+            return threading.Thread(target=run)
+
+        def insert():
+            for i in range(3000):
+                started.append(i)
+                table.insert(self.row(i))
+                acked.append(i)
+
+        def rewrite():
+            # Same-valued updates and a delete + re-insert of negative ids:
+            # they drop the memo and reshuffle rows without touching the
+            # inserter's ids.
+            for i in range(1, 1500):
+                row_id = table.insert(self.row(-i))
+                table.update(row_id, self.row(-i))
+                table.delete(row_id)
+
+        def scan():
+            while not done.is_set():
+                seen = len(acked)
+                snapshot = table.column_snapshot()
+                begun = len(started)
+                ids = {i for i in self.check_one_state(snapshot) if i >= 0}
+                assert set(acked[:seen]) <= ids <= set(started[:begun])
+
+        writers = [guarded(insert), guarded(rewrite)]
+        scanners = [guarded(scan), guarded(scan)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in writers + scanners:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=120)
+            done.set()
+            for thread in scanners:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in writers + scanners)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert self.check_one_state(table.column_snapshot()) == list(range(3000))
+        table.truncate()
+        assert len(table.column_snapshot()) == 0
 
 
 # --------------------------------------------------------------------------- parser
@@ -407,6 +601,42 @@ class TestRelationalEngine:
     def test_primary_key_violation_through_sql(self, engine):
         with pytest.raises(ConstraintViolationError):
             engine.execute("INSERT INTO patients VALUES (1, 1, 'x', 1.0)")
+
+    def test_update_onto_a_taken_primary_key_leaves_the_index_intact(self, engine):
+        """Shown at the parent: a bare ValueError, and afterwards SELECT *
+        still listed row 2 while WHERE id = 2 (the index path) found nothing."""
+        before = [r.values for r in engine.execute("SELECT * FROM patients ORDER BY id")]
+        with pytest.raises(ConstraintViolationError):
+            engine.execute("UPDATE patients SET id = 1 WHERE id = 2")
+        table = engine.table("patients")
+        assert [values for _rid, values in table.index_lookup("__pk__", 2)] == [before[1]]
+        assert [r.values for r in engine.execute("SELECT * FROM patients ORDER BY id")] == before
+        for row in before:
+            by_key = engine.execute(f"SELECT * FROM patients WHERE id = {row[0]}")
+            assert [r.values for r in by_key] == [row]
+
+    def test_insert_rejects_non_constant_values_before_any_row_lands(self, engine):
+        """Shown at the parent: `INSERT INTO t VALUES (1, id + 1)` answered
+        affected_rows=1 and stored NULL for the expression."""
+        before = [r.values for r in engine.execute("SELECT * FROM patients ORDER BY id")]
+        with pytest.raises(ExecutionError, match=r"\(id \+ 1\)"):
+            engine.execute("INSERT INTO patients VALUES (6, id + 1, 'x', 1.0)")
+        bad_later_rows = [
+            "(6, 1, 'ok', 1.0), (7, age, 'column reference', 1.0)",
+            "(6, 1, 'ok', 1.0), (1, 1, 'taken key', 1.0)",
+            "(6, 1, 'ok', 1.0), (6, 1, 'key repeated', 1.0)",
+            "(6, 1, 'ok', 1.0), (7, 'not a number', 'x', 1.0)",
+            "(6, 1, 'ok', 1.0), (7, 1)",
+        ]
+        for values in bad_later_rows:
+            with pytest.raises(Exception):  # noqa: B017 - each row fails its own way
+                engine.execute(f"INSERT INTO patients VALUES {values}")
+            after = engine.execute("SELECT * FROM patients ORDER BY id")
+            assert [r.values for r in after] == before, values
+            assert engine.execute("SELECT * FROM patients WHERE id = 6").rows == []
+        done = engine.execute("INSERT INTO patients VALUES (6, 30 + 3, 'x', 1.0), (7, -1, 'y', 2.0)")
+        assert done.rows[0]["affected_rows"] == 2
+        assert engine.execute("SELECT age FROM patients WHERE id = 6").rows[0]["age"] == 33
 
     def test_missing_table_raises(self, engine):
         with pytest.raises(ObjectNotFoundError):
