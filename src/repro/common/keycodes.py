@@ -33,13 +33,23 @@ semantics exactly (``1 == 1.0``, ``True == 1``).
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
 from repro.common.types import DataType
-from repro.common.vectors import VECTOR_DTYPES, DictVector, numeric_view, take, to_list
+from repro.common.vectors import (
+    VECTOR_DTYPES,
+    DictVector,
+    NumericVector,
+    null_mask,
+    numeric_view,
+    take,
+    to_list,
+)
 
 #: Public sentinel: the code of a row whose key must not participate in a
 #: join (NULL key on either side, or a probe key absent from the build side).
@@ -226,6 +236,25 @@ def encode_group_keys(
     )
 
 
+def partition_order(codes: np.ndarray, num_partitions: int) -> tuple[np.ndarray, list[int]]:
+    """Rows stably sorted by partition ``codes[i] % num_partitions``, plus the
+    ``num_partitions + 1`` bounds of each partition's slice of that order.
+
+    Rows with negative codes (:data:`NULL_CODE`) belong to no partition: they
+    sort past ``bounds[-1]``.
+    """
+    if num_partitions < 1:
+        raise ValueError(f"num_partitions must be >= 1, got {num_partitions}")
+    codes = np.asarray(codes, dtype=np.int64)
+    # Negative codes go to a sentinel bucket past the last real partition
+    # (numpy's modulo maps -1 % k to k-1, which would leak NULLs into a
+    # real partition).
+    pids = np.where(codes >= 0, codes % num_partitions, num_partitions)
+    order = np.argsort(pids, kind="stable").astype(np.int64, copy=False)
+    bounds = np.searchsorted(pids[order], np.arange(num_partitions + 1))
+    return order, bounds.tolist()
+
+
 def partition_codes(codes: np.ndarray, num_partitions: int) -> list[np.ndarray]:
     """Radix-partition dense int64 key codes into per-partition row indices.
 
@@ -238,23 +267,102 @@ def partition_codes(codes: np.ndarray, num_partitions: int) -> list[np.ndarray]:
 
     Returns ``num_partitions`` int64 arrays of row indices.
     """
-    if num_partitions < 1:
-        raise ValueError(f"num_partitions must be >= 1, got {num_partitions}")
-    codes = np.asarray(codes, dtype=np.int64)
-    if num_partitions == 1:
-        return [np.flatnonzero(codes >= 0).astype(np.int64, copy=False)]
-    # Negative codes go to a sentinel bucket past the last real partition
-    # (numpy's modulo maps -1 % k to k-1, which would leak NULLs into a
-    # real partition).
-    valid = codes >= 0
-    pids = np.where(valid, codes % num_partitions, num_partitions)
-    order = np.argsort(pids, kind="stable")
-    sorted_pids = pids[order]
-    bounds = np.searchsorted(sorted_pids, np.arange(num_partitions + 1))
-    return [
-        order[bounds[p] : bounds[p + 1]].astype(np.int64, copy=False)
-        for p in range(num_partitions)
-    ]
+    order, bounds = partition_order(codes, num_partitions)
+    return [order[bounds[p] : bounds[p + 1]] for p in range(num_partitions)]
+
+
+_HASH_MASK = 0x7FFF_FFFF_FFFF_FFFF
+_GOLDEN = 0x9E37_79B9_7F4A_7C15
+_INT64_LIMIT = 2.0**63
+
+
+def _mixed_bits(bits: Any) -> Any:
+    """Multiplicative mix of a float's 64 bits: a ``uint64`` array (whose
+    product wraps) or a Python int (masked to the same 64 bits)."""
+    mixed = (bits * _GOLDEN) & 0xFFFF_FFFF_FFFF_FFFF
+    return mixed ^ (mixed >> 32)
+
+
+def value_hash(value: Any) -> int:
+    """Routing hash of one Python value, equal for values equal under ``==``.
+
+    A number that is a whole int64 hashes to itself (so ``1``, ``1.0`` and
+    ``True`` agree, and dense integer keys spread evenly modulo anything);
+    any other number hashes the bits of its float; everything else goes
+    through Python's ``hash``.  :func:`_float_hashes` and the ``int64``
+    branch of :meth:`PartitionRouter.hashes` compute the same function over
+    buffers.
+    """
+    if isinstance(value, int) and -(2**63) <= value < 2**63:
+        return value & _HASH_MASK
+    if isinstance(value, (int, float)):
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf if value > 0 else -math.inf
+        if value.is_integer() and -_INT64_LIMIT <= value < _INT64_LIMIT:
+            return int(value) & _HASH_MASK
+        (bits,) = struct.unpack("<Q", struct.pack("<d", value))
+        return _mixed_bits(bits) & _HASH_MASK
+    return hash(value) & _HASH_MASK
+
+
+def _float_hashes(values: np.ndarray) -> np.ndarray:
+    whole = (values == np.floor(values)) & (values >= -_INT64_LIMIT) & (values < _INT64_LIMIT)
+    ints = np.where(whole, values, 0.0).astype(np.int64)
+    mixed = _mixed_bits(values.view(np.uint64)).view(np.int64)
+    return np.where(whole, ints, mixed) & _HASH_MASK
+
+
+class PartitionRouter:
+    """Routes the rows of both inputs of one spilled join to partitions by
+    key *value*, batch by batch, so neither input is ever encoded whole.
+
+    Keys that are equal under the row executor's ``==`` (``1 == 1.0 ==
+    True``; the same string out of two dictionaries) hash alike whatever
+    vector kind carries them, hence share a partition at every depth: depth
+    ``d`` reads the ``d``-th base-``partitions`` digit of the hash.  A row
+    with a NULL in any key column matches nothing; it is dropped, or — when
+    the join must still emit it NULL-padded — dealt round-robin by row id.
+    """
+
+    def __init__(self, partitions: int) -> None:
+        self.partitions = partitions
+        #: id(dictionary) -> (dictionary, hash per entry); the reference
+        #: keeps the id from being reused while the join runs.
+        self._dictionary_hashes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _column_hashes(self, column: Any) -> np.ndarray:
+        if isinstance(column, NumericVector):
+            values = column.values
+            if values.dtype == np.float64:
+                return _float_hashes(values)
+            return values.astype(np.int64, copy=False) & _HASH_MASK
+        if isinstance(column, DictVector):
+            dictionary = column.dictionary
+            entry = self._dictionary_hashes.get(id(dictionary))
+            if entry is None:
+                table = np.fromiter(map(value_hash, dictionary), np.int64, count=len(dictionary))
+                entry = self._dictionary_hashes[id(dictionary)] = (dictionary, table)
+            return entry[1][column.codes]
+        return np.fromiter(map(value_hash, column), np.int64, count=len(column))
+
+    def hashes(self, key_columns: Sequence[Any]) -> tuple[np.ndarray, np.ndarray]:
+        """Non-negative int64 hash per row, and the rows with a NULL key."""
+        combined = self._column_hashes(key_columns[0])
+        nulls = null_mask(key_columns[0])
+        for column in key_columns[1:]:
+            combined = ((combined * 1000003) ^ self._column_hashes(column)) & _HASH_MASK
+            nulls = nulls | null_mask(column)
+        return combined, nulls
+
+    def order(
+        self, key_columns: Sequence[Any], ids: np.ndarray, depth: int, keep_nulls: bool
+    ) -> tuple[np.ndarray, list[int]]:
+        """:func:`partition_order` of one batch at recursion ``depth``."""
+        hashes, nulls = self.hashes(key_columns)
+        codes = np.where(nulls, ids if keep_nulls else NULL_CODE, hashes)
+        return partition_order(codes // self.partitions**depth, self.partitions)
 
 
 class IncrementalGroupEncoder:

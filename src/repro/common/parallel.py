@@ -47,11 +47,13 @@ def resolve_parallelism(setting: int | str | None, cap: int = _AUTO_CAP) -> int:
 class WorkerCredits:
     """Fleet-wide budget of extra intra-query workers.
 
-    The runtime creates one of these sized to its pool and installs it on
-    every relational engine.  ``acquire_up_to`` never blocks: a query asking
-    for 3 extra workers when only 1 credit remains gets 1 and runs mostly
-    serial.  That is the cooperation with admission — intra-query fan-out
-    can never hold more threads than the serving pool was sized for.
+    The runtime creates one of these sized to the cores its serving pool
+    does not already occupy (none on a saturated host: morsel threads there
+    only take turns on the GIL) and installs it on every relational engine.
+    ``acquire_up_to`` never blocks: a query asking for 3 extra workers when
+    only 1 credit remains gets 1 and runs mostly serial.  That is the
+    cooperation with admission — serving pool plus intra-query fan-out can
+    never hold more busy threads than the host has cores.
     """
 
     def __init__(self, total: int) -> None:

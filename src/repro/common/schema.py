@@ -394,6 +394,13 @@ class ColumnBatch:
         """The columns at ``indices`` (shared, not copied) under ``schema``."""
         return ColumnBatch(schema, [self.columns[i] for i in indices], self._length)
 
+    def slice(self, start: int, stop: int) -> "ColumnBatch":
+        """Rows ``start:stop`` (``0 <= start <= stop <= len``); typed vectors
+        come back as views, not copies."""
+        return ColumnBatch(
+            self.schema, [column[start:stop] for column in self.columns], stop - start
+        )
+
     def compress(self, mask: Sequence[bool]) -> "ColumnBatch":
         """Keep only the rows where ``mask`` is true.
 

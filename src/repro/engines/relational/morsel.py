@@ -1,37 +1,52 @@
-"""Memory-budgeted partitioned (grace/hybrid) hash join with disk spill.
+"""The hash join: the in-memory build/probe kernel, and the memory-budgeted
+partitioned (grace/hybrid) join that runs the same kernel one partition at a
+time over columnar spill runs.
 
-When a join's build side exceeds the engine's ``join_memory_budget``, the
-vectorized executor hands both inputs to :func:`partitioned_spill_join`
-instead of materializing the build block.  Keys are encoded through an
-insertion-ordered dictionary (the row executor's Python ``==``/``hash``
-semantics), radix-partitioned with
-:func:`~repro.common.keycodes.partition_codes`, and streamed to per-
-partition temp files.  Each partition is then joined independently — a
-partition whose build run still exceeds the budget re-partitions
-recursively, following the hybrid hash join design (arXiv:2112.02480) of
-degrading gracefully rather than OOMing.
+:class:`HashJoinTable` pins one build block in memory — key codes from
+:class:`~repro.common.keycodes.JoinKeyTable`, rows laid out CSR-style — and
+resolves whole probe batches against it.  The vectorized executor uses it
+directly while the build side fits ``join_memory_budget``.  Over budget it
+hands both inputs to :func:`partitioned_spill_join`, which never holds the
+build side whole:
 
-Output order is the exact in-memory order: every emitted row is tagged with
-its global probe row id (matched rows and left/full pads alike live in
-exactly one partition run, each run ascending by id), so a K-way merge by id
-reproduces the probe-major emission of the in-memory join byte for byte.
-Unmatched build rows (right/full) merge the same way by global build row id
-into the trailing null-padded batches.
+* **Routing.**  Each batch is split by a hash of its key *values*
+  (:class:`~repro.common.keycodes.PartitionRouter`: array arithmetic on the
+  key buffers or dictionary codes; equal keys share a partition, NULL keys
+  match nothing) with one gather per column, and the slices go to one
+  :class:`SpillRun` per partition.
+* **Runs.**  A run is a sequence of chunks in the join's one temp file
+  (:class:`SpillFile`), each a global row-id vector plus the columns' typed
+  buffers written raw (values and null mask of a ``NumericVector``, codes of
+  a ``DictVector`` — its dictionary stays the table's, by reference); only
+  a column that is not a typed vector is pickled.  A run buffers at most
+  one chunk before writing it, and a chunk is one write and one read.
+* **Leaves.**  A partition whose build run still exceeds the budget
+  re-partitions on the next hash digit (arXiv:2112.02480: degrade
+  gracefully rather than OOM); otherwise its build run becomes a
+  :class:`HashJoinTable` and its probe chunks go through ``probe`` — the
+  in-memory join, partition by partition.
+* **Order.**  Every emitted row carries its global probe row id and lives in
+  exactly one output run, ascending; :func:`merge_by_id` interleaves the
+  runs a window at a time, which reproduces the in-memory join's
+  probe-major emission byte for byte.  Unmatched build rows (right/full)
+  merge the same way by build row id into the trailing null-padded batches.
 """
 
 from __future__ import annotations
 
-import heapq
+import os
 import pickle
 import tempfile
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
 from repro.common.cancellation import current_token
-from repro.common.keycodes import partition_codes
+from repro.common.keycodes import JoinKeyTable, PartitionRouter, partition_codes
+from repro.common.parallel import TaskContext, partition_count_for
 from repro.common.schema import ColumnBatch, Schema
-from repro.common.vectors import object_view as _object_view, to_list
+from repro.common.vectors import DictVector, NumericVector, to_list
 from repro.observability.tracing import get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -41,489 +56,440 @@ if TYPE_CHECKING:  # pragma: no cover
 #: their estimate still exceeds the budget (they cannot shrink much further).
 _MIN_RECURSE_ROWS = 64
 _MAX_RECURSE_DEPTH = 3
+#: Flat per-cell cost of the O(1) resident-size estimates.
+_CELL_BYTES = 16
 
 
 def approx_batch_bytes(batch: ColumnBatch) -> int:
     """O(1) resident-size estimate for budget checks (per-cell flat cost)."""
-    return len(batch) * 16 * max(1, len(batch.columns))
+    return len(batch) * _CELL_BYTES * max(1, len(batch.columns))
 
 
-def _approx_run_bytes(rows: int, columns: int) -> int:
-    return rows * 16 * max(1, columns)
+@dataclass(frozen=True)
+class JoinSpec:
+    """What one equi-join is, independent of how much memory it gets."""
+
+    joined_schema: Schema
+    build_schema: Schema
+    probe_schema: Schema
+    build_key_idx: list[int]
+    probe_key_idx: list[int]
+    #: Compiled non-equi conjuncts over a joined row, if any.
+    residual: Callable[[tuple], bool] | None
+    build_on_left: bool
+    pad_probe: bool  #: left/full: unmatched probe rows are emitted NULL-padded
+    track_build: bool  #: right/full: unmatched build rows trail the output
+
+    def ordered(self, build_columns: list, probe_columns: list) -> list:
+        """Both sides' columns in joined-schema order."""
+        if self.build_on_left:
+            return build_columns + probe_columns
+        return probe_columns + build_columns
 
 
-def _spill_columns(batch: ColumnBatch, rows: np.ndarray) -> list[list]:
-    """The given rows of a batch as lists of native Python values: spill
-    runs hold (and pickle) plain lists whatever kind the columns were."""
-    return [to_list(column) for column in batch.gather(rows).columns]
+class HashJoinTable:
+    """One build block pinned in memory, ready to be probed.
 
-
-class IncrementalJoinKeyEncoder:
-    """Insertion-ordered dict join-key encoder for the spill path.
-
-    Unlike :class:`~repro.common.keycodes.JoinKeyTable`, which wants the
-    whole build side at once, this encoder grows batch by batch, so the
-    build stream can be partitioned to disk without being materialized.
-    Key equality is Python ``==``/``hash`` (``1 == 1.0 == True``), the row
-    executor's semantics; NULL in any key column never matches (code -1).
+    The build keys are factorized into dense int64 codes and the build row
+    ids laid out CSR-style (grouped by code, original order kept within each
+    code so match order equals build insertion order); :meth:`probe` then
+    resolves a probe batch to build rows with ``np.repeat`` index arithmetic
+    and two gathers — no per-row tuples.  Only residual (non-equi)
+    conjuncts, if any, run per candidate.  The table is read-only after
+    construction, so probes may run on worker threads; the caller applies
+    the matched-build rows each probe returns to :attr:`matched`.
     """
 
-    def __init__(self) -> None:
-        self._map: dict[Any, int] = {}
+    def __init__(
+        self, spec: JoinSpec, build_block: ColumnBatch, ctx: TaskContext | None = None
+    ) -> None:
+        self.spec = spec
+        self.block = build_block
+        self._keys = JoinKeyTable(
+            [build_block.columns[i] for i in spec.build_key_idx],
+            [spec.build_schema.columns[i].dtype for i in spec.build_key_idx],
+            [spec.probe_schema.columns[i].dtype for i in spec.probe_key_idx],
+        )
+        build_codes = self._keys.build_codes
+        group_count = self._keys.group_count
+        if ctx is not None and ctx.workers > 1 and group_count and len(build_block) >= 2048:
+            # Parallel build: each radix partition owns a disjoint set of
+            # codes, hence disjoint slices of the shared CSR arrays —
+            # scatter targets depend only on codes, never on scheduling.
+            counts = np.bincount(build_codes[build_codes >= 0], minlength=group_count)
+            counts = counts.astype(np.int64)
+            starts = np.zeros(group_count, dtype=np.int64)
+            np.cumsum(counts[:-1], out=starts[1:])
+            sorted_rows = np.empty(int(counts.sum()), dtype=np.int64)
 
-    def encode(self, key_columns: list, n: int, fit: bool) -> np.ndarray:
-        codes = np.empty(n, dtype=np.int64)
-        mapping = self._map
-        key_columns = [to_list(column) for column in key_columns]
-        if len(key_columns) == 1:
-            column = key_columns[0]
-            for idx in range(n):
-                value = column[idx]
-                if value is None:
-                    codes[idx] = -1
-                elif fit:
-                    codes[idx] = mapping.setdefault(value, len(mapping))
-                else:
-                    codes[idx] = mapping.get(value, -1)
+            def build_partition(rows_p: np.ndarray) -> None:
+                if not rows_p.size:
+                    return
+                codes_p = build_codes[rows_p]
+                order_p = np.argsort(codes_p, kind="stable")
+                cs = codes_p[order_p]
+                seg_new = np.concatenate(([True], cs[1:] != cs[:-1]))
+                seg_begin = np.flatnonzero(seg_new)
+                offsets = np.arange(cs.size, dtype=np.int64) - seg_begin[np.cumsum(seg_new) - 1]
+                sorted_rows[starts[cs] + offsets] = rows_p[order_p]
+
+            ctx.run_all(
+                [
+                    (lambda rows=rows: build_partition(rows))
+                    for rows in partition_codes(build_codes, partition_count_for(ctx.workers))
+                ]
+            )
         else:
-            for idx in range(n):
-                values = tuple(column[idx] for column in key_columns)
-                if any(value is None for value in values):
-                    codes[idx] = -1
-                elif fit:
-                    codes[idx] = mapping.setdefault(values, len(mapping))
-                else:
-                    codes[idx] = mapping.get(values, -1)
-        return codes
+            order = np.argsort(build_codes, kind="stable")
+            sorted_codes = build_codes[order]
+            first_valid = int(np.searchsorted(sorted_codes, 0))
+            sorted_rows = order[first_valid:]
+            sorted_codes = sorted_codes[first_valid:]
+            starts = np.searchsorted(sorted_codes, np.arange(group_count))
+            counts = np.bincount(sorted_codes, minlength=group_count).astype(np.int64)
+        self._starts, self._counts, self._sorted_rows = starts, counts, sorted_rows
+        #: Build rows some probe row matched (right/full joins only).
+        self.matched = np.zeros(len(build_block), dtype=np.bool_) if spec.track_build else None
+
+    def probe(self, batch: ColumnBatch) -> tuple[np.ndarray, np.ndarray, ColumnBatch | None]:
+        """Join one probe batch: ``(build rows matched, the probe row of each
+        output row, the joined batch or None when nothing is emitted)``."""
+        spec = self.spec
+        length = len(batch)
+        pcodes = self._keys.probe([batch.columns[i] for i in spec.probe_key_idx])
+        hits = np.flatnonzero(pcodes >= 0)
+        probe_rep = build_rows = np.zeros(0, dtype=np.int64)
+        if hits.size:
+            codes_h = pcodes[hits]
+            cnts = self._counts[codes_h]
+            total = int(cnts.sum())
+            probe_rep = np.repeat(hits, cnts)
+            seg_start = np.repeat(self._starts[codes_h], cnts)
+            cum = np.cumsum(cnts)
+            offsets = np.arange(total, dtype=np.int64) - np.repeat(cum - cnts, cnts)
+            build_rows = self._sorted_rows[seg_start + offsets]
+        if spec.residual is not None and build_rows.size:
+            ordered = spec.ordered(
+                self.block.gather(build_rows).columns, batch.gather(probe_rep).columns
+            )
+            keep = np.fromiter(
+                map(spec.residual, zip(*map(to_list, ordered))), np.bool_, count=build_rows.size
+            )
+            probe_rep = probe_rep[keep]
+            build_rows = build_rows[keep]
+        pads = (
+            np.flatnonzero(np.bincount(probe_rep, minlength=length) == 0)
+            if spec.pad_probe
+            else np.zeros(0, dtype=np.int64)
+        )
+        out_len = int(probe_rep.size + pads.size)
+        if not out_len:
+            return build_rows, probe_rep, None
+        if pads.size:
+            # Unmatched probe rows slot in at their probe position,
+            # gathering build row 0 under a pad flag that NULLs it.
+            merge_keys = np.concatenate([probe_rep, pads])
+            merge_order = np.argsort(merge_keys, kind="stable")
+            seq_probe = merge_keys[merge_order]
+            seq_build = np.concatenate([build_rows, np.zeros(pads.size, dtype=np.int64)])[
+                merge_order
+            ]
+            is_pad = merge_order >= probe_rep.size
+        else:
+            seq_probe, seq_build, is_pad = probe_rep, build_rows, None
+        columns = spec.ordered(
+            self.block.gather(seq_build, is_pad).columns, batch.gather(seq_probe).columns
+        )
+        return build_rows, seq_probe, ColumnBatch(spec.joined_schema, columns, out_len)
+
+
+def _numbered(batches: Iterable[ColumnBatch]) -> Iterator[tuple[np.ndarray, ColumnBatch]]:
+    """Each non-empty batch of a stream with its rows' global ids."""
+    total = 0
+    for batch in batches:
+        if len(batch):
+            yield np.arange(total, total + len(batch), dtype=np.int64), batch
+            total += len(batch)
+
+
+class SpillFile:
+    """One join's spill space: a temp file of chunk payloads, appended and
+    read back by offset (one ``pwrite`` / ``pread`` per chunk, no seeks, no
+    buffer in between).  Space is reclaimed when the join closes the file."""
+
+    def __init__(self) -> None:
+        self._file = tempfile.TemporaryFile(buffering=0)
+        self._end = 0
+
+    def append(self, payload: bytes) -> int:
+        """Write ``payload`` at the end; returns the offset it starts at."""
+        offset = self._end
+        view = memoryview(payload)
+        while view:
+            written = os.pwrite(self._file.fileno(), view, self._end)
+            self._end += written
+            view = view[written:]
+        return offset
+
+    def read(self, offset: int, nbytes: int) -> bytes:
+        data = os.pread(self._file.fileno(), nbytes, offset)
+        while len(data) < nbytes:  # a single pread is capped near 2 GiB
+            data += os.pread(self._file.fileno(), nbytes - len(data), offset + len(data))
+        return data
+
+    def close(self) -> None:
+        self._file.close()
 
 
 class SpillRun:
-    """Append-only spill stream of (ids, codes, columns) chunks on temp disk.
+    """Append-only run of ``(ids, batch)`` chunks in a join's spill file.
 
-    ``ids`` are global row ids, strictly ascending across a run's lifetime
-    (chunks are appended in stream order), which is what lets the final
-    merge reproduce in-memory output order without a sort.
+    ``ids`` are global row ids, ascending across the run's lifetime (pieces
+    are appended in stream order), which is what lets :func:`merge_by_id`
+    restore in-memory output order.  Appended pieces wait in memory until
+    they add up to ``chunk_rows`` rows and are then written as one chunk —
+    never split, so the rows of one piece always share a chunk — as raw
+    buffers; the chunk's place and layout (dtypes, null masks, dictionaries)
+    stay in memory.
     """
 
-    def __init__(self) -> None:
-        self._file = tempfile.TemporaryFile()
+    def __init__(self, spill: SpillFile, schema: Schema, chunk_rows: int = 1) -> None:
+        self._spill = spill
+        self._schema = schema
+        self._chunk_rows = chunk_rows
+        self._pending: list[tuple[np.ndarray, ColumnBatch]] = []
+        self._pending_rows = 0
+        self._chunks: list[tuple[int, int, int, list]] = []  # rows, offset, bytes, layouts
         self.rows = 0
-        self.columns = 0
-
-    def append(
-        self, ids: list[int], codes: list[int] | None, columns: list[list]
-    ) -> None:
-        if not ids:
-            return
-        self.rows += len(ids)
-        self.columns = len(columns)
-        pickle.dump((ids, codes, columns), self._file, protocol=pickle.HIGHEST_PROTOCOL)
 
     def __len__(self) -> int:
         return self.rows
 
     @property
     def bytes_estimate(self) -> int:
-        return _approx_run_bytes(self.rows, self.columns)
+        return self.rows * _CELL_BYTES * max(1, len(self._schema))
 
-    def read_chunks(self) -> Iterator[tuple[list[int], list[int] | None, list[list]]]:
-        self._file.seek(0)
-        while True:
-            try:
-                yield pickle.load(self._file)
-            except EOFError:
-                return
+    def append(self, ids: np.ndarray, batch: ColumnBatch) -> None:
+        if not len(ids):
+            return
+        self._pending.append((ids, batch))
+        self._pending_rows += len(ids)
+        self.rows += len(ids)
+        if self._pending_rows >= self._chunk_rows:
+            self._flush()
 
-    def close(self) -> None:
-        self._file.close()
-
-
-class _RunCursor:
-    """Streaming read position over one spill run, ascending by id."""
-
-    def __init__(self, run: SpillRun) -> None:
-        self._chunks = run.read_chunks()
-        self._ids: np.ndarray = np.zeros(0, dtype=np.int64)
-        self._cols: list[list] = []
-        self._pos = 0
-        self._advance()
-
-    def _advance(self) -> None:
-        while self._pos >= len(self._ids):
-            try:
-                ids, _codes, cols = next(self._chunks)
-            except StopIteration:
-                self._ids = np.zeros(0, dtype=np.int64)
-                self._cols = []
-                self._pos = 0
-                self.exhausted = True
-                return
-            self._ids = np.asarray(ids, dtype=np.int64)
-            self._cols = cols
-            self._pos = 0
-        self.exhausted = False
+    def _flush(self) -> None:
+        """Write the pending pieces as one chunk."""
+        if not self._pending:
+            return
+        ids = np.concatenate([ids for ids, _batch in self._pending])
+        batch = ColumnBatch.concat(self._schema, [batch for _ids, batch in self._pending])
+        self._pending = []
+        self._pending_rows = 0
+        buffers: list[Any] = [ids]
+        layouts = []
+        for column in batch.columns:
+            if isinstance(column, NumericVector):
+                buffers.append(column.values)
+                if column.nulls is not None:
+                    buffers.append(column.nulls)
+                layouts.append((column.values.dtype, column.nulls is not None))
+            elif isinstance(column, DictVector):
+                buffers.append(column.codes)
+                layouts.append(column.dictionary)
+            else:
+                # TIMESTAMP, integers beyond int64, computed columns:
+                # arbitrary Python values have no buffer to write.
+                buffers.append(pickle.dumps(to_list(column), protocol=pickle.HIGHEST_PROTOCOL))
+                layouts.append(len(buffers[-1]))
+        payload = b"".join(buffers)  # 1-D unit-stride arrays: contiguous buffers
+        self._chunks.append((len(ids), self._spill.append(payload), len(payload), layouts))
 
     @property
-    def head(self) -> int:
-        return int(self._ids[self._pos])
+    def chunk_count(self) -> int:
+        """Chunks on disk once the pending one, if any, is written too."""
+        self._flush()
+        return len(self._chunks)
 
-    def take_upto(self, bound: int | None, sink: list[list]) -> int:
-        """Move every buffered row with id < bound (all rows if None) into
-        ``sink`` (one list per output column); returns rows taken."""
-        taken = 0
-        while not self.exhausted:
-            if bound is None:
-                end = len(self._ids)
+    def read_chunks(self) -> Iterator[tuple[np.ndarray, ColumnBatch]]:
+        """The run's chunks in append order, one resident at a time (the
+        vectors are read-only views of the one payload read back)."""
+        self._flush()
+        for rows, start, nbytes, layouts in self._chunks:
+            payload = self._spill.read(start, nbytes)
+            offset = 0
+
+            def take(dtype: Any) -> np.ndarray:
+                nonlocal offset
+                out = np.frombuffer(payload, dtype, rows, offset)
+                offset += out.nbytes
+                return out
+
+            ids = take(np.int64)
+            columns: list[Any] = []
+            for layout in layouts:
+                if isinstance(layout, tuple):
+                    dtype, has_nulls = layout
+                    values = take(dtype)
+                    columns.append(NumericVector(values, take(np.bool_) if has_nulls else None))
+                elif isinstance(layout, np.ndarray):
+                    columns.append(DictVector(take(np.int32), layout))
+                else:
+                    columns.append(pickle.loads(payload[offset : offset + layout]))
+                    offset += layout
+            yield ids, ColumnBatch(self._schema, columns, rows)
+
+
+def merge_by_id(runs: list[SpillRun], schema: Schema) -> Iterator[ColumnBatch]:
+    """Interleave id-disjoint ascending runs into one stream ascending by id.
+
+    One chunk per run is resident.  Each step takes from every run the rows
+    whose id does not exceed the smallest last id among the resident chunks
+    that have a successor on disk (everything resident, once none has), so
+    no later chunk can hold an id inside the window; the window's pieces are
+    concatenated and put in id order by one stable argsort.  Rows sharing an
+    id sit in one run, where the sort keeps their order.
+    """
+    runs = [run for run in runs if len(run)]
+    streams = [run.read_chunks() for run in runs]
+    on_disk = [run.chunk_count - 1 for run in runs]
+    heads = [next(stream) for stream in streams]
+    live = list(range(len(runs)))
+    while live:
+        bound = min((heads[k][0][-1] for k in live if on_disk[k]), default=None)
+        ids_taken: list[np.ndarray] = []
+        taken: list[ColumnBatch] = []
+        for k in list(live):
+            ids, batch = heads[k]
+            cut = len(ids) if bound is None else int(np.searchsorted(ids, bound, side="right"))
+            if cut < len(ids):
+                heads[k] = ids[cut:], batch.slice(cut, len(ids))
+                ids, batch = ids[:cut], batch.slice(0, cut)
+            elif on_disk[k]:
+                on_disk[k] -= 1
+                heads[k] = next(streams[k])
             else:
-                end = int(np.searchsorted(self._ids, bound))
-            if end <= self._pos:
-                break
-            for out, col in zip(sink, self._cols):
-                out.extend(col[self._pos : end])
-            taken += end - self._pos
-            self._pos = end
-            self._advance()
-        return taken
-
-
-def _merge_runs(
-    runs: list[SpillRun], n_columns: int, batch_rows: int
-) -> Iterator[list[list]]:
-    """K-way merge of id-disjoint ascending runs; yields column-list chunks
-    of at most ``batch_rows`` rows, globally ascending by id."""
-    cursors = []
-    for run in runs:
-        cursor = _RunCursor(run)
-        if not cursor.exhausted:
-            cursors.append(cursor)
-    heap = [(cursor.head, idx) for idx, cursor in enumerate(cursors)]
-    heapq.heapify(heap)
-    buffer: list[list] = [[] for _ in range(n_columns)]
-    buffered = 0
-    while heap:
-        _, idx = heapq.heappop(heap)
-        cursor = cursors[idx]
-        bound = heap[0][0] if heap else None
-        buffered += cursor.take_upto(bound, buffer)
-        if not cursor.exhausted:
-            heapq.heappush(heap, (cursor.head, idx))
-        while buffered >= batch_rows:
-            yield [col[:batch_rows] for col in buffer]
-            buffer = [col[batch_rows:] for col in buffer]
-            buffered -= batch_rows
-    if buffered:
-        yield buffer
+                live.remove(k)
+            if cut:
+                ids_taken.append(ids)
+                taken.append(batch)
+        window = ColumnBatch.concat(schema, taken)
+        if len(taken) > 1:
+            window = window.gather(np.argsort(np.concatenate(ids_taken), kind="stable"))
+        yield window
 
 
 def partitioned_spill_join(
+    spec: JoinSpec,
+    build_batches: Iterable[ColumnBatch],
+    probe_batches: Iterable[ColumnBatch],
     *,
-    joined_schema: Schema,
-    build_schema: Schema,
-    probe_schema: Schema,
-    build_batches: Iterator[ColumnBatch],
-    probe_batches: Iterator[ColumnBatch],
-    build_key_idx: list[int],
-    probe_key_idx: list[int],
-    residual: Callable[[tuple], bool] | None,
-    build_on_left: bool,
-    pad_probe: bool,
-    track_build: bool,
     batch_rows: int,
-    budget: int | None,
-    partitions: int,
+    budget: int,
     engine: "RelationalEngine",
 ) -> Iterator[ColumnBatch]:
     """Run a hash join without ever materializing the full build side.
 
-    See the module docstring for the algorithm; this generator owns every
-    temp file it creates and closes them as soon as their phase completes.
+    See the module docstring for the algorithm.  Every run lives in the one
+    spill file this generator opens and closes in its ``finally`` — so a
+    cancellation raised at any batch boundary, even while the inputs are
+    still being partitioned, leaks no temp file.
     """
-    record_spill = engine.record_spill
-    record_build_bytes = engine.record_build_bytes
-    n_build = len(build_schema.columns)
-    n_probe = len(probe_schema.columns)
-    n_out = len(joined_schema.columns)
-    encoder = IncrementalJoinKeyEncoder()
-
+    partitions = engine.join_spill_partitions
+    router = PartitionRouter(partitions)
     token = current_token()
-
-    # Every spill run the join can own is reachable from these bindings, and
-    # all of them are closed by the single ``finally`` at the bottom — so a
-    # cancellation raised at any batch boundary, even while the inputs are
-    # still being partitioned, leaks no temp files.
-    build_runs = [SpillRun() for _ in range(partitions)]
-    null_build = SpillRun() if track_build else None
-    probe_runs = [SpillRun() for _ in range(partitions)]
-    pad_run = SpillRun() if pad_probe else None
+    tracer = get_tracer()
+    spill = SpillFile()
     out_runs: list[SpillRun] = []
     unmatched_runs: list[SpillRun] = []
+    # The build runs' write buffers are resident build rows: together they
+    # stay inside the budget.  Probe rows are bounded per batch anyway.
+    build_chunk_rows = budget // (_CELL_BYTES * max(1, len(spec.build_schema)) * partitions)
+    build_chunk_rows = max(1, min(batch_rows, build_chunk_rows))
 
-    def _partition_inputs() -> None:
-        # --------------------------------------------- partition the build side
-        build_total = 0
-        for batch in build_batches:
+    def open_partitions() -> tuple[list[SpillRun], list[SpillRun]]:
+        return (
+            [SpillRun(spill, spec.build_schema, build_chunk_rows) for _ in range(partitions)],
+            [SpillRun(spill, spec.probe_schema, batch_rows) for _ in range(partitions)],
+        )
+
+    def partition(
+        chunks: Iterable[tuple[np.ndarray, ColumnBatch]],
+        build_side: bool, targets: list[SpillRun], depth: int,
+    ) -> None:
+        # A NULL-keyed row matches nothing: it is kept (anywhere) only when
+        # the join type still emits it NULL-padded.
+        key_idx = spec.build_key_idx if build_side else spec.probe_key_idx
+        keep_nulls = spec.track_build if build_side else spec.pad_probe
+        for ids, batch in chunks:
             if token is not None:
                 token.check()
-            n = len(batch)
-            if n == 0:
-                continue
-            codes = encoder.encode(
-                [batch.columns[i] for i in build_key_idx], n, fit=True
+            order, bounds = router.order(
+                [batch.columns[i] for i in key_idx], ids, depth, keep_nulls
             )
-            for p, rows in enumerate(partition_codes(codes, partitions)):
-                if rows.size:
-                    build_runs[p].append(
-                        (build_total + rows).tolist(),
-                        codes[rows].tolist(),
-                        _spill_columns(batch, rows),
-                    )
-            if null_build is not None:
-                null_rows = np.flatnonzero(codes < 0)
-                if null_rows.size:
-                    null_build.append(
-                        (build_total + null_rows).tolist(),
-                        None,
-                        _spill_columns(batch, null_rows),
-                    )
-            build_total += n
-        record_spill(sum(1 for run in build_runs if len(run)))
+            order = order[: bounds[-1]]
+            ids, batch = ids[order], batch.gather(order)
+            for run, start, stop in zip(targets, bounds, bounds[1:]):
+                if stop > start:
+                    run.append(ids[start:stop], batch.slice(start, stop))
+        if build_side:
+            engine.record_spill(sum(1 for run in targets if len(run)))
 
-        # --------------------------------------------- partition the probe side
-        probe_total = 0
-        for batch in probe_batches:
-            if token is not None:
-                token.check()
-            n = len(batch)
-            if n == 0:
-                continue
-            codes = encoder.encode(
-                [batch.columns[i] for i in probe_key_idx], n, fit=False
-            )
-            for p, rows in enumerate(partition_codes(codes, partitions)):
-                if rows.size:
-                    probe_runs[p].append(
-                        (probe_total + rows).tolist(),
-                        codes[rows].tolist(),
-                        _spill_columns(batch, rows),
-                    )
-            if pad_run is not None:
-                # NULL or never-seen keys cannot match any partition: emit
-                # their pads directly, already in final output column order.
-                misses = np.flatnonzero(codes < 0)
-                if misses.size:
-                    missed = _spill_columns(batch, misses)
-                    pad_cols = [[None] * int(misses.size) for _ in range(n_build)]
-                    ordered = pad_cols + missed if build_on_left else missed + pad_cols
-                    pad_run.append((probe_total + misses).tolist(), None, ordered)
-            probe_total += n
-
-    # ---------------------------------------------------- per-partition joining
     def process(build_run: SpillRun, probe_run: SpillRun, depth: int) -> None:
-        tracer = get_tracer()
-        if token is not None:
-            token.check()
-        try:
-            if (
-                budget is not None
-                and build_run.bytes_estimate > budget
-                and depth < _MAX_RECURSE_DEPTH
-                and len(build_run) > _MIN_RECURSE_ROWS
+        if (
+            build_run.bytes_estimate > budget
+            and depth < _MAX_RECURSE_DEPTH
+            and len(build_run) > _MIN_RECURSE_ROWS
+        ):
+            with tracer.span(
+                "join.spill_repartition", kind="operator",
+                depth=depth, build_rows=len(build_run),
             ):
-                with tracer.span(
-                    "join.spill_repartition", kind="operator",
-                    depth=depth, build_rows=len(build_run),
-                ):
-                    _recurse(build_run, probe_run, depth)
-                return
+                sub_build, sub_probe = open_partitions()
+                partition(build_run.read_chunks(), True, sub_build, depth + 1)
+                partition(probe_run.read_chunks(), False, sub_probe, depth + 1)
+                for build_sub, probe_sub in zip(sub_build, sub_probe):
+                    process(build_sub, probe_sub, depth + 1)
+        elif (len(build_run) or spec.pad_probe) and (len(probe_run) or spec.track_build):
             with tracer.span(
                 "join.spill_leaf", kind="operator", depth=depth,
                 build_rows=len(build_run), probe_rows=len(probe_run),
             ):
-                _process_leaf(build_run, probe_run)
-        finally:
-            build_run.close()
-            probe_run.close()
+                join_leaf(build_run, probe_run)
 
-    def _recurse(build_run: SpillRun, probe_run: SpillRun, depth: int) -> None:
-        # Codes congruent mod ``partitions**(depth+1)`` landed together; the
-        # next digit of the radix splits them further without reloading more
-        # than one chunk at a time.
-        divisor = partitions ** (depth + 1)
-        sub_build = [SpillRun() for _ in range(partitions)]
-        sub_probe = [SpillRun() for _ in range(partitions)]
-        try:
-            for run, subs in ((build_run, sub_build), (probe_run, sub_probe)):
-                for ids, codes, cols in run.read_chunks():
-                    arr = np.asarray(codes, dtype=np.int64)
-                    ids_arr = np.asarray(ids, dtype=np.int64)
-                    sub_pid = (arr // divisor) % partitions
-                    for p in range(partitions):
-                        rows = np.flatnonzero(sub_pid == p)
-                        if rows.size:
-                            views = [_object_view(col) for col in cols]
-                            subs[p].append(
-                                ids_arr[rows].tolist(),
-                                arr[rows].tolist(),
-                                [np.take(view, rows).tolist() for view in views],
-                            )
-            record_spill(sum(1 for run in sub_build if len(run)))
-            for p in range(partitions):
-                process(sub_build[p], sub_probe[p], depth + 1)
-        finally:
-            for run in sub_build + sub_probe:
-                run.close()
-
-    def _process_leaf(build_run: SpillRun, probe_run: SpillRun) -> None:
-        build_ids: list[int] = []
-        build_codes: list[int] = []
-        build_cols: list[list] = [[] for _ in range(n_build)]
-        for ids, codes, cols in build_run.read_chunks():
-            build_ids.extend(ids)
-            build_codes.extend(codes)
-            for acc, col in zip(build_cols, cols):
-                acc.extend(col)
-        record_build_bytes(_approx_run_bytes(len(build_ids), n_build))
-        codes_arr = np.asarray(build_codes, dtype=np.int64)
-        uniq = np.unique(codes_arr)
-        local = np.searchsorted(uniq, codes_arr)
-        # CSR in (code, build id) order: chunks arrive in build-stream order,
-        # so a stable sort by local code keeps global build order per code.
-        order = np.argsort(local, kind="stable")
-        sorted_rows = order.astype(np.int64, copy=False)
-        counts = np.bincount(local, minlength=len(uniq)).astype(np.int64)
-        starts = np.zeros(len(uniq), dtype=np.int64)
-        if len(uniq) > 1:
-            np.cumsum(counts[:-1], out=starts[1:])
-        build_views = [_object_view(col) for col in build_cols]
-        matched = (
-            np.zeros(len(build_ids), dtype=np.bool_) if track_build else None
-        )
-        out_run = SpillRun()
-        # Registered before the probe loop so the outer ``finally`` closes it
-        # even when a cancellation interrupts the leaf mid-probe.
+    def join_leaf(build_run: SpillRun, probe_run: SpillRun) -> None:
+        build_chunks = list(build_run.read_chunks())
+        build_ids = np.concatenate([ids for ids, _batch in build_chunks] or [np.zeros(0, np.int64)])
+        build_block = ColumnBatch.concat(spec.build_schema, [batch for _ids, batch in build_chunks])
+        engine.record_build_bytes(approx_batch_bytes(build_block))
+        table = HashJoinTable(spec, build_block)
+        out_run = SpillRun(spill, spec.joined_schema)
         out_runs.append(out_run)
-        for ids, codes, cols in probe_run.read_chunks():
-            length = len(ids)
-            arr = np.asarray(codes, dtype=np.int64)
-            ids_arr = np.asarray(ids, dtype=np.int64)
-            if len(uniq):
-                pos = np.searchsorted(uniq, arr)
-                pos_clip = np.minimum(pos, len(uniq) - 1)
-                found = uniq[pos_clip] == arr
-            else:
-                pos_clip = np.zeros(length, dtype=np.int64)
-                found = np.zeros(length, dtype=np.bool_)
-            hits = np.flatnonzero(found)
-            if hits.size:
-                codes_h = pos_clip[hits]
-                cnts = counts[codes_h]
-                total = int(cnts.sum())
-            else:
-                codes_h = np.zeros(0, dtype=np.int64)
-                cnts = np.zeros(0, dtype=np.int64)
-                total = 0
-            if total:
-                probe_rep = np.repeat(hits, cnts)
-                seg_start = np.repeat(starts[codes_h], cnts)
-                cum = np.cumsum(cnts)
-                offsets = np.arange(total, dtype=np.int64) - np.repeat(cum - cnts, cnts)
-                rows = sorted_rows[seg_start + offsets]
-            else:
-                probe_rep = np.zeros(0, dtype=np.int64)
-                rows = np.zeros(0, dtype=np.int64)
-            probe_views = [_object_view(col) for col in cols]
-            cand_build = [np.take(view, rows) for view in build_views]
-            cand_probe = [np.take(view, probe_rep) for view in probe_views]
-            if residual is not None and total:
-                ordered = (
-                    cand_build + cand_probe if build_on_left else cand_probe + cand_build
-                )
-                keep = np.fromiter(
-                    (residual(values) for values in zip(*(c.tolist() for c in ordered))),
-                    np.bool_,
-                    count=total,
-                )
-                probe_rep = probe_rep[keep]
-                rows = rows[keep]
-                cand_build = [col[keep] for col in cand_build]
-                cand_probe = [col[keep] for col in cand_probe]
-            if matched is not None and rows.size:
-                matched[rows] = True
-            pads = (
-                np.flatnonzero(np.bincount(probe_rep, minlength=length) == 0)
-                if pad_probe
-                else np.zeros(0, dtype=np.int64)
-            )
-            out_len = int(probe_rep.size + pads.size)
-            if not out_len:
-                continue
-            if pads.size:
-                merge_order = np.argsort(
-                    np.concatenate([probe_rep, pads]), kind="stable"
-                )
-                pad_fill = np.full(pads.size, None, dtype=object)
-                out_probe = [
-                    np.concatenate([kept, np.take(view, pads)])[merge_order]
-                    for kept, view in zip(cand_probe, probe_views)
-                ]
-                out_build = [
-                    np.concatenate([kept, pad_fill])[merge_order]
-                    for kept in cand_build
-                ]
-                out_ids = np.concatenate(
-                    [ids_arr[probe_rep], ids_arr[pads]]
-                )[merge_order]
-            else:
-                out_probe, out_build = cand_probe, cand_build
-                out_ids = ids_arr[probe_rep]
-            ordered_cols = (
-                out_build + out_probe if build_on_left else out_probe + out_build
-            )
-            out_run.append(
-                out_ids.tolist(), None, [col.tolist() for col in ordered_cols]
-            )
-        if matched is not None:
-            unmatched = np.flatnonzero(~matched)
-            if unmatched.size:
-                run = SpillRun()
-                unmatched_runs.append(run)
-                ids_arr = np.asarray(build_ids, dtype=np.int64)
-                for start in range(0, int(unmatched.size), batch_rows):
-                    chunk = unmatched[start : start + batch_rows]
-                    run.append(
-                        ids_arr[chunk].tolist(),
-                        None,
-                        [np.take(view, chunk).tolist() for view in build_views],
-                    )
+        for ids, batch in probe_run.read_chunks():
+            if token is not None:
+                token.check()
+            build_rows, seq_probe, out = table.probe(batch)
+            if table.matched is not None:
+                table.matched[build_rows] = True
+            if out is not None:
+                out_run.append(ids[seq_probe], out)
+        if table.matched is not None:
+            unmatched = np.flatnonzero(~table.matched)
+            unmatched_run = SpillRun(spill, spec.build_schema)
+            unmatched_runs.append(unmatched_run)
+            unmatched_run.append(build_ids[unmatched], build_block.gather(unmatched))
 
     try:
-        _partition_inputs()
-        for p in range(partitions):
-            process(build_runs[p], probe_runs[p], 0)
-
-        # ------------------------------------------ probe-ordered output merge
-        merge_inputs = list(out_runs)
-        if pad_run is not None:
-            merge_inputs.append(pad_run)
-        for cols in _merge_runs(merge_inputs, n_out, batch_rows):
-            yield ColumnBatch(joined_schema, cols, len(cols[0]))
-
-        # -------------------------------------- trailing unmatched build rows
-        if track_build:
-            trailing = list(unmatched_runs)
-            if null_build is not None and len(null_build):
-                trailing.append(null_build)
-            for cols in _merge_runs(trailing, n_build, batch_rows):
-                size = len(cols[0])
-                probe_pad = ColumnBatch.nulls(probe_schema, size).columns
-                ordered = cols + probe_pad if build_on_left else probe_pad + cols
-                yield ColumnBatch(joined_schema, ordered, size)
+        build_runs, probe_runs = open_partitions()
+        partition(_numbered(build_batches), True, build_runs, 0)
+        partition(_numbered(probe_batches), False, probe_runs, 0)
+        for build_run, probe_run in zip(build_runs, probe_runs):
+            process(build_run, probe_run, 0)
+        yield from merge_by_id(out_runs, spec.joined_schema)
+        # Right/full joins always build on the right: the trailing unmatched
+        # build rows are NULL-padded on the probe (left) side.
+        for window in merge_by_id(unmatched_runs, spec.build_schema):
+            probe_pad = ColumnBatch.nulls(spec.probe_schema, len(window)).columns
+            yield ColumnBatch(spec.joined_schema, probe_pad + window.columns, len(window))
     finally:
-        # ``SpillRun.close`` is idempotent, so runs already closed by their
-        # per-partition ``process`` call are safely re-closed here.
-        for run in build_runs + probe_runs + out_runs + unmatched_runs:
-            run.close()
-        if pad_run is not None:
-            pad_run.close()
-        if null_build is not None:
-            null_build.close()
+        spill.close()

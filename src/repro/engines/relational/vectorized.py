@@ -64,11 +64,7 @@ from repro.common.expressions import (
     conjunction,
     evaluate_predicate,
 )
-from repro.common.keycodes import (
-    IncrementalGroupEncoder,
-    JoinKeyTable,
-    partition_codes,
-)
+from repro.common.keycodes import IncrementalGroupEncoder, partition_codes
 from repro.common.parallel import TaskContext, partition_count_for
 from repro.common.schema import Column, ColumnBatch, Relation, Row, Schema
 from repro.common.types import DataType, infer_type
@@ -83,7 +79,12 @@ from repro.common.vectors import (
 )
 from repro.engines.relational.executor import _DUAL_SCHEMA, Executor
 from repro.engines.relational.functions import make_aggregate
-from repro.engines.relational.morsel import approx_batch_bytes, partitioned_spill_join
+from repro.engines.relational.morsel import (
+    HashJoinTable,
+    JoinSpec,
+    approx_batch_bytes,
+    partitioned_spill_join,
+)
 from repro.engines.relational.planner import (
     AggregateNode,
     FilterNode,
@@ -523,7 +524,7 @@ def _unmatched_right_batches(
     padded = right_block.gather(unmatched)
     for start in range(0, unmatched.size, batch_rows):
         size = min(batch_rows, int(unmatched.size) - start)
-        right_cols = [column[start : start + size] for column in padded.columns]
+        right_cols = padded.slice(start, start + size).columns
         left_pad = ColumnBatch.nulls(left_schema, size).columns
         yield ColumnBatch(joined_schema, left_pad + right_cols, size)
 
@@ -728,12 +729,11 @@ class BatchExecutor:
         """Key-encoded batched hash join (inner and left/right/full outer);
         joins without a resolvable equi-key go to the batched nested loop.
 
-        The build side is factorized once into dense int64 codes
-        (:class:`~repro.common.keycodes.JoinKeyTable`) and laid out CSR-style
-        (rows grouped by code, original order preserved); each probe batch
-        then resolves to build rows with ``searchsorted``/``np.repeat``
-        index arithmetic and two ``np.take`` gathers — no per-row tuples.
-        Only residual (non-equi) conjuncts, if any, run per candidate.
+        The build side is pinned as one
+        :class:`~repro.engines.relational.morsel.HashJoinTable` and each
+        probe batch resolved against it — or, over ``join_memory_budget``,
+        both inputs go to the partitioned spill join, which runs the same
+        table one partition at a time.
 
         Outer joins track a matched-build bitmap: unmatched probe rows are
         null-padded inline (left/full, preserving the row executor's
@@ -751,14 +751,9 @@ class BatchExecutor:
             return self._nested_loop_join_stream(
                 node, left_schema, left_batches, right_schema, right_batches
             )
-        joined_schema = left_schema.concat(right_schema)
         left_indices = [left_schema.index_of(pair[0]) for pair in keys]
         right_indices = [right_schema.index_of(pair[1]) for pair in keys]
-        residual = (
-            _compile_predicate_or_defer(conjunction(residual_conjuncts), joined_schema)
-            if residual_conjuncts
-            else None
-        )
+        joined_schema = left_schema.concat(right_schema)
         # Outer joins probe the left input (left-major output order); inner
         # joins honor the planner's build-side hint.
         build_on_left = node.join_type == "inner" and node.build_side != "right"
@@ -768,8 +763,21 @@ class BatchExecutor:
         else:
             build_schema, build_batches, build_key_idx = right_schema, right_batches, right_indices
             probe_schema, probe_batches, probe_key_idx = left_schema, left_batches, left_indices
-        pad_probe = node.join_type in ("left", "full")
-        track_build = node.join_type in ("right", "full")
+        spec = JoinSpec(
+            joined_schema=joined_schema,
+            build_schema=build_schema,
+            probe_schema=probe_schema,
+            build_key_idx=build_key_idx,
+            probe_key_idx=probe_key_idx,
+            residual=(
+                _compile_predicate_or_defer(conjunction(residual_conjuncts), joined_schema)
+                if residual_conjuncts
+                else None
+            ),
+            build_on_left=build_on_left,
+            pad_probe=node.join_type in ("left", "full"),
+            track_build=node.join_type in ("right", "full"),
+        )
         batch_rows = self._batch_rows
 
         def generate() -> Iterator[ColumnBatch]:
@@ -782,7 +790,6 @@ class BatchExecutor:
             # partitioned spill join, which never pins the full build side.
             parts: list[ColumnBatch] = []
             build_iter = iter(build_batches)
-            over_budget = False
             approx = 0
             if budget is not None:
                 predicted = self.estimated_build_bytes(node)
@@ -794,180 +801,45 @@ class BatchExecutor:
                         if approx > budget:
                             over_budget = True
                             break
+                if over_budget:
+                    yield from partitioned_spill_join(
+                        spec,
+                        itertools.chain(parts, build_iter),
+                        probe_batches,
+                        batch_rows=batch_rows,
+                        budget=budget,
+                        engine=engine,
+                    )
+                    return
             else:
                 parts = list(build_iter)
                 approx = sum(approx_batch_bytes(part) for part in parts)
-            if over_budget:
-                yield from partitioned_spill_join(
-                    joined_schema=joined_schema,
-                    build_schema=build_schema,
-                    probe_schema=probe_schema,
-                    build_batches=itertools.chain(parts, build_iter),
-                    probe_batches=probe_batches,
-                    build_key_idx=build_key_idx,
-                    probe_key_idx=probe_key_idx,
-                    residual=residual,
-                    build_on_left=build_on_left,
-                    pad_probe=pad_probe,
-                    track_build=track_build,
-                    batch_rows=batch_rows,
-                    budget=budget,
-                    partitions=engine.join_spill_partitions,
-                    engine=engine,
-                )
-                return
             engine.record_build_bytes(approx)
             build_block = ColumnBatch.concat(build_schema, parts)
-            table = JoinKeyTable(
-                [build_block.columns[i] for i in build_key_idx],
-                [build_schema.columns[i].dtype for i in build_key_idx],
-                [probe_schema.columns[i].dtype for i in probe_key_idx],
-            )
-            build_codes = table.build_codes
-            group_count = table.group_count
-            ctx = self._engine.task_context()
-            # CSR layout: build row ids grouped by code, original order kept
-            # within each code so match order equals build insertion order.
-            if ctx.workers > 1 and group_count and len(build_block) >= 2048:
-                # Parallel build: each radix partition owns a disjoint set of
-                # codes, hence disjoint slices of the shared CSR arrays —
-                # scatter targets depend only on codes, never on scheduling.
-                valid = build_codes >= 0
-                counts = np.bincount(
-                    build_codes[valid], minlength=group_count
-                ).astype(np.int64)
-                starts = np.zeros(group_count, dtype=np.int64)
-                if group_count > 1:
-                    np.cumsum(counts[:-1], out=starts[1:])
-                sorted_rows = np.empty(int(counts.sum()), dtype=np.int64)
-                part_rows = partition_codes(
-                    build_codes, partition_count_for(ctx.workers)
-                )
+            # The context is held from before the (possibly parallel) build:
+            # whatever raises from here on hands the borrowed credits back.
+            with engine.task_context() as ctx:
+                table = HashJoinTable(spec, build_block, ctx)
+                probe_task = table.probe
+                tracer = get_tracer()
+                if tracer.enabled:
 
-                def build_partition(rows_p: np.ndarray) -> None:
-                    if not rows_p.size:
-                        return
-                    codes_p = build_codes[rows_p]
-                    order_p = np.argsort(codes_p, kind="stable")
-                    cs = codes_p[order_p]
-                    seg_new = np.concatenate(([True], cs[1:] != cs[:-1]))
-                    seg_begin = np.flatnonzero(seg_new)
-                    seg_ids = np.cumsum(seg_new) - 1
-                    offsets = (
-                        np.arange(cs.size, dtype=np.int64) - seg_begin[seg_ids]
-                    )
-                    sorted_rows[starts[cs] + offsets] = rows_p[order_p]
+                    def probe_task(batch: ColumnBatch):
+                        with tracer.span("join.probe_morsel", kind="operator", rows=len(batch)):
+                            return table.probe(batch)
 
-                ctx.run_all(
-                    [
-                        (lambda rows=rows: build_partition(rows))
-                        for rows in part_rows
-                    ]
-                )
-            else:
-                order = np.argsort(build_codes, kind="stable")
-                sorted_codes = build_codes[order]
-                first_valid = int(np.searchsorted(sorted_codes, 0))
-                sorted_rows = order[first_valid:]
-                sorted_codes = sorted_codes[first_valid:]
-                starts = np.searchsorted(sorted_codes, np.arange(group_count))
-                counts = np.bincount(
-                    sorted_codes, minlength=group_count
-                ).astype(np.int64)
-            build_matched = (
-                np.zeros(len(build_block), dtype=np.bool_) if track_build else None
-            )
-
-            def probe_one(
-                batch: ColumnBatch,
-            ) -> tuple[np.ndarray | None, ColumnBatch | None]:
-                length = len(batch)
-                pcodes = table.probe([batch.columns[i] for i in probe_key_idx])
-                hits = np.flatnonzero(pcodes >= 0)
-                if hits.size:
-                    codes_h = pcodes[hits]
-                    cnts = counts[codes_h]
-                    total = int(cnts.sum())
-                else:
-                    cnts = np.zeros(0, dtype=np.int64)
-                    total = 0
-                if total:
-                    probe_rep = np.repeat(hits, cnts)
-                    seg_start = np.repeat(starts[codes_h], cnts)
-                    cum = np.cumsum(cnts)
-                    offsets = np.arange(total, dtype=np.int64) - np.repeat(cum - cnts, cnts)
-                    build_rows = sorted_rows[seg_start + offsets]
-                else:
-                    probe_rep = np.zeros(0, dtype=np.int64)
-                    build_rows = np.zeros(0, dtype=np.int64)
-                if residual is not None and total:
-                    cand_build = build_block.gather(build_rows).columns
-                    cand_probe = batch.gather(probe_rep).columns
-                    ordered = (
-                        cand_build + cand_probe if build_on_left else cand_probe + cand_build
-                    )
-                    keep = np.fromiter(
-                        map(residual, zip(*map(to_list, ordered))), np.bool_, count=total
-                    )
-                    probe_rep = probe_rep[keep]
-                    build_rows = build_rows[keep]
-                matched_rows = build_rows if track_build else None
-                pads = (
-                    np.flatnonzero(np.bincount(probe_rep, minlength=length) == 0)
-                    if pad_probe
-                    else np.zeros(0, dtype=np.int64)
-                )
-                out_len = int(probe_rep.size + pads.size)
-                if not out_len:
-                    return matched_rows, None
-                if pads.size:
-                    # Unmatched probe rows slot in at their probe position,
-                    # gathering build row 0 under a pad flag that NULLs it.
-                    merge_keys = np.concatenate([probe_rep, pads])
-                    merge_order = np.argsort(merge_keys, kind="stable")
-                    seq_probe = merge_keys[merge_order]
-                    seq_build = np.concatenate(
-                        [build_rows, np.zeros(pads.size, dtype=np.int64)]
-                    )[merge_order]
-                    is_pad = merge_order >= probe_rep.size
-                else:
-                    seq_probe, seq_build, is_pad = probe_rep, build_rows, None
-                probe_cols = batch.gather(seq_probe).columns
-                build_cols = build_block.gather(seq_build, is_pad).columns
-                ordered_cols = (
-                    build_cols + probe_cols if build_on_left else probe_cols + build_cols
-                )
-                return matched_rows, ColumnBatch(joined_schema, ordered_cols, out_len)
-
-            probe_task = probe_one
-            tracer = get_tracer()
-            if tracer.enabled:
-
-                def probe_task(batch: ColumnBatch):
-                    with tracer.span(
-                        "join.probe_morsel", kind="operator", rows=len(batch)
-                    ):
-                        return probe_one(batch)
-
-            try:
-                # Morsel-wise probe: the CSR table is read-only after build,
-                # so probe batches fan out to workers; results come back in
+                # Morsel-wise probe: the table is read-only after build, so
+                # probe batches fan out to workers; results come back in
                 # input order (matched-bitmap updates applied here, in
                 # order) — output is byte-identical to the serial loop.
-                for matched_rows, out in ctx.map_ordered(probe_task, probe_batches):
-                    if (
-                        build_matched is not None
-                        and matched_rows is not None
-                        and matched_rows.size
-                    ):
-                        build_matched[matched_rows] = True
+                for build_rows, _probe_rows, out in ctx.map_ordered(probe_task, probe_batches):
+                    if table.matched is not None:
+                        table.matched[build_rows] = True
                     if out is not None:
                         yield out
-            finally:
-                ctx.close()
-            if build_matched is not None:
+            if table.matched is not None:
                 yield from _unmatched_right_batches(
-                    joined_schema, probe_schema, build_block, build_matched, batch_rows
+                    joined_schema, probe_schema, build_block, table.matched, batch_rows
                 )
 
         return joined_schema, generate()
@@ -1433,18 +1305,19 @@ class BatchExecutor:
             i for i in key_indices if child_schema.columns[i].dtype is DataType.FLOAT
         ]
         encoder = IncrementalGroupEncoder(key_dtypes)
-        ctx = self._engine.task_context()
-        partitions = partition_count_for(ctx.workers) if ctx.workers > 1 else 1
-        state: _StreamingGroupAggregator | _PartitionedGroupAggregator
-        if partitions > 1:
-            state = _PartitionedGroupAggregator(plan, child_schema, partitions, ctx)
-        else:
-            state = _StreamingGroupAggregator(plan, child_schema)
         representatives: list[tuple[Any, ...]] = []
         first_values: tuple[Any, ...] | None = None
         peak = 0
         iterator = iter(batches)
-        try:
+        # Held from before the aggregator is built: whatever raises from here
+        # on hands the borrowed credits back.
+        with self._engine.task_context() as ctx:
+            partitions = partition_count_for(ctx.workers) if ctx.workers > 1 else 1
+            state: _StreamingGroupAggregator | _PartitionedGroupAggregator
+            if partitions > 1:
+                state = _PartitionedGroupAggregator(plan, child_schema, partitions, ctx)
+            else:
+                state = _StreamingGroupAggregator(plan, child_schema)
             for batch in iterator:
                 n = len(batch)
                 if n == 0:
@@ -1479,8 +1352,6 @@ class BatchExecutor:
                     )
                 state.accumulate(codes, prepared, encoder.group_count)
                 peak = max(peak, n + encoder.group_count)
-        finally:
-            ctx.close()
         per_item = state.results()
         groups_out = [
             ((), {i: per_item[i][g] for i, _name, _col in plan}, representatives[g])

@@ -38,6 +38,8 @@ def normalize_query(query: str) -> str:
     is a different query from the single-spaced one), so only the whitespace
     *between* tokens is collapsed, and case is never folded.
     """
+    if "'" not in query and '"' not in query:
+        return " ".join(query.split())
     result: list[str] = []
     quote: str | None = None
     pending_space = False

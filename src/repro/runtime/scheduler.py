@@ -206,8 +206,14 @@ class PolystoreRuntime:
         # Intra-query morsel parallelism: every relational engine gets the
         # knob plus one shared fleet-wide extra-worker budget, so a single
         # big join cannot grab `workers x parallelism` threads under load.
+        # The budget is the cores the serving pool does not already occupy:
+        # morsel threads on a saturated host only take turns on the GIL, so
+        # there operators run inline on the query's own thread.
         self.parallelism = parallelism
-        self.task_credits = WorkerCredits(max(0, resolve_parallelism(parallelism) - 1) * workers)
+        idle_cores = max(0, resolve_parallelism("auto") - workers)
+        self.task_credits = WorkerCredits(
+            min((resolve_parallelism(parallelism) - 1) * workers, idle_cores)
+        )
         self.set_relational_parallelism(parallelism)
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="bigdawg-runtime"
@@ -385,8 +391,9 @@ class PolystoreRuntime:
         """Set every relational engine's intra-query worker count.
 
         Each engine keeps borrowing extra workers from the runtime's shared
-        :class:`WorkerCredits` budget, so raising the knob never lets the
-        deployment exceed ``workers x parallelism`` busy threads.
+        :class:`WorkerCredits` budget, sized at construction to the cores
+        the serving pool leaves idle, so raising the knob never lets the
+        deployment run more busy threads than the host has cores.
         """
         resolve_parallelism(value)  # validates before touching any engine
         self.parallelism = value

@@ -303,14 +303,14 @@ class TestCooperativeCancellation:
             "INSERT INTO users VALUES "
             + ", ".join(f"({u}, 'user{u}')" for u in range(80))
         )
-        created: list[morsel.SpillRun] = []
-        original_init = morsel.SpillRun.__init__
+        created: list[morsel.SpillFile] = []
+        original_init = morsel.SpillFile.__init__
 
         def tracking_init(self):
             original_init(self)
             created.append(self)
 
-        monkeypatch.setattr(morsel.SpillRun, "__init__", tracking_init)
+        monkeypatch.setattr(morsel.SpillFile, "__init__", tracking_init)
         ticking = TickingClock()
         token = CancellationToken(deadline=20.0, clock=ticking.now)
         with cancel_scope(token):
@@ -319,7 +319,7 @@ class TestCooperativeCancellation:
                     "SELECT count(*) AS n FROM events JOIN users ON user_id = uid"
                 )
         assert created, "join never reached the spill path"
-        leaked = [run for run in created if not run._file.closed]
+        leaked = [spill for spill in created if not spill._file.closed]
         assert leaked == [], f"{len(leaked)} spill temp files left open"
 
     def test_non_equi_join_stops_within_one_slab(self):

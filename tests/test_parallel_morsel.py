@@ -22,7 +22,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.common.keycodes import partition_codes
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.common.keycodes import PartitionRouter, partition_codes, value_hash
 from repro.common.parallel import (
     TaskContext,
     WorkerCredits,
@@ -30,6 +33,8 @@ from repro.common.parallel import (
     resolve_parallelism,
 )
 from repro.common.serialization import BinaryCodec
+from repro.common.types import DataType
+from repro.common.vectors import vector_from_values
 from repro.engines.relational import RelationalEngine
 
 
@@ -114,6 +119,81 @@ class TestPartitionCodes:
     def test_rejects_zero_partitions(self):
         with pytest.raises(ValueError):
             partition_codes(np.array([1], dtype=np.int64), 0)
+
+
+_EDGE_NUMBERS = [
+    0, 1, -1, True, False, 0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 1e300, float("inf"), float("-inf"),
+    2**53, 2**53 + 1, float(2**53), 2**63 - 1, -(2**63), float(2**63), -float(2**63),
+    2**63, 2**64 + 1, -(2**63) - 1, 10**400,
+]
+
+
+class TestPartitionRouter:
+    """The routing hash: equal under ``==`` means equal hash, whatever kind
+    of vector (or plain list) carries the value."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(_EDGE_NUMBERS)
+            | st.integers(-(2**70), 2**70)
+            | st.floats(allow_nan=False)
+            | st.booleans(),
+            min_size=2, max_size=12,
+        )
+    )
+    def test_equal_numbers_hash_alike(self, values):
+        hashes = [value_hash(v) for v in values]
+        assert all(0 <= h < 2**63 for h in hashes)
+        for a, ha in zip(values, hashes):
+            for b, hb in zip(values, hashes):
+                if a == b:
+                    assert ha == hb, (a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.none() | st.integers(-(2**63), 2**63 - 1), max_size=30),
+        st.lists(
+            st.none() | st.sampled_from([v for v in _EDGE_NUMBERS if isinstance(v, float)])
+            | st.floats(), max_size=30,
+        ),
+        st.lists(st.none() | st.booleans(), max_size=30),
+        st.lists(st.none() | st.text(max_size=3), max_size=30),
+    )
+    def test_vector_kinds_hash_like_their_values(self, ints, floats, bools, texts):
+        router = PartitionRouter(8)
+        for values, dtype in (
+            (ints, DataType.INTEGER), (floats, DataType.FLOAT),
+            (bools, DataType.BOOLEAN), (texts, DataType.TEXT),
+        ):
+            typed, nulls = router.hashes([vector_from_values(values, dtype)])
+            plain, plain_nulls = router.hashes([values])
+            expected_nulls = [v is None for v in values]
+            assert nulls.tolist() == plain_nulls.tolist() == expected_nulls
+            keep = ~nulls
+            assert typed[keep].tolist() == plain[keep].tolist()
+            assert plain[keep].tolist() == [value_hash(v) for v in values if v is not None]
+
+    def test_null_keys_are_dropped_or_dealt_round_robin(self):
+        router = PartitionRouter(4)
+        keys = vector_from_values([5, None, 9, None, None, 6], DataType.INTEGER)
+        ids = np.arange(100, 106)
+        order, bounds = router.order([keys], ids, depth=0, keep_nulls=False)
+        assert sorted(order[: bounds[-1]].tolist()) == [0, 2, 5]
+        order, bounds = router.order([keys], ids, depth=0, keep_nulls=True)
+        assert bounds[-1] == 6
+        # Rows 1, 3, 4 (ids 101, 103, 104) go where id % 4 says.
+        parts = [order[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
+        assert parts == [[4], [0, 1, 2], [5], [3]]
+
+    def test_depth_reads_the_next_digit(self):
+        router = PartitionRouter(4)
+        keys = vector_from_values(list(range(64)), DataType.INTEGER)
+        ids = np.arange(64)
+        for depth in range(3):
+            order, bounds = router.order([keys], ids, depth, keep_nulls=False)
+            for p, (a, b) in enumerate(zip(bounds, bounds[1:])):
+                assert all((k // 4**depth) % 4 == p for k in order[a:b].tolist())
 
 
 # -------------------------------------------------------------- primitives
@@ -238,6 +318,184 @@ class TestSpillJoin:
         engine = make_engine()
         engine.execute("SELECT count(*) FROM events")
         assert engine.morsels_executed > 0
+
+
+# ------------------------------------------ spill joins: where routing can err
+def make_routing_engine(parallelism: int = 1, budget: int | None = None) -> RelationalEngine:
+    """Join inputs whose equal keys differ in type, vector kind or
+    dictionary, with NULL keys on both sides and one dominant build key."""
+    e = RelationalEngine("pg")
+    e.parallelism = parallelism
+    e.join_memory_budget = budget
+    rng = random.Random(11)
+
+    def maybe_null(value):
+        return None if rng.random() < 0.1 else value
+
+    e.execute("CREATE TABLE lhs (id INTEGER PRIMARY KEY, ik INTEGER, tk TEXT, v FLOAT)")
+    e.insert_rows(
+        "lhs",
+        [
+            (i, maybe_null(rng.randrange(40)), maybe_null(f"s{rng.randrange(13)}"),
+             round(rng.uniform(0.0, 50.0), 2))
+            for i in range(600)
+        ],
+    )
+    # FLOAT keys, a third of them fractional (they match no INTEGER); TEXT
+    # keys over another range and in another first-appearance order, so the
+    # two sides' dictionaries give equal strings different codes.
+    e.execute("CREATE TABLE rhs (id INTEGER PRIMARY KEY, fk FLOAT, tk TEXT, w INTEGER)")
+    e.insert_rows(
+        "rhs",
+        [
+            (i, maybe_null(rng.randrange(50) + (0.5 if rng.random() < 0.33 else 0.0)),
+             maybe_null(f"s{20 - rng.randrange(16)}"), rng.randrange(50))
+            for i in range(500)
+        ],
+    )
+    # One key holds 93 % of the rows: no hash digit splits it.
+    e.execute("CREATE TABLE skew (id INTEGER PRIMARY KEY, k INTEGER, payload INTEGER)")
+    e.insert_rows(
+        "skew", [(i, 7 if i % 14 else maybe_null(i % 40), i * 3) for i in range(700)]
+    )
+    return e
+
+
+ROUTING_JOINS = {
+    "integer_float": "SELECT l.id, r.id, l.ik, r.fk FROM lhs l {join} rhs r ON l.ik = r.fk",
+    "text_dictionaries": "SELECT l.id, r.id, l.tk, r.tk FROM lhs l {join} rhs r ON l.tk = r.tk",
+    "two_columns": (
+        "SELECT l.id, r.id, l.tk, r.fk FROM lhs l {join} rhs r "
+        "ON l.ik = r.fk AND l.tk = r.tk"
+    ),
+    "residual": "SELECT l.id, r.id, l.v, r.w FROM lhs l {join} rhs r ON l.ik = r.fk AND l.v > r.w",
+    "dominant_key": "SELECT l.id, s.id, s.payload FROM lhs l {join} skew s ON l.ik = s.k",
+}
+JOIN_TYPES = ["JOIN", "LEFT JOIN", "RIGHT JOIN", "FULL OUTER JOIN"]
+
+
+class TestSpillRouting:
+    @pytest.fixture(scope="class")
+    def expected(self, reference_execute):
+        engine = make_routing_engine()
+        codec = BinaryCodec()
+        out = {}
+        for name, template in ROUTING_JOINS.items():
+            for join in JOIN_TYPES:
+                query = template.format(join=join)
+                in_memory = codec.encode(engine.execute(query))
+                assert in_memory == codec.encode(reference_execute(engine, query))
+                out[name, join] = in_memory
+        assert engine.partitions_spilled == 0
+        return out
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("budget", [256, 8192])
+    @pytest.mark.parametrize("join", JOIN_TYPES)
+    @pytest.mark.parametrize("name", ROUTING_JOINS)
+    def test_spilled_join_is_byte_identical(self, expected, name, join, budget, workers):
+        engine = make_routing_engine(parallelism=workers, budget=budget)
+        result = engine.execute(ROUTING_JOINS[name].format(join=join))
+        assert BinaryCodec().encode(result) == expected[name, join]
+        assert engine.partitions_spilled > 0
+
+    def test_dominant_key_recurses_to_the_depth_limit(self):
+        from repro.engines.relational import morsel
+        from repro.observability.tracing import Tracer, set_tracer
+
+        engine = make_routing_engine(budget=256)
+        tracer = Tracer(enabled=True)
+        previous = set_tracer(tracer)
+        try:
+            engine.execute(ROUTING_JOINS["dominant_key"].format(join="LEFT JOIN"))
+        finally:
+            set_tracer(previous)
+        leaves = tracer.spans("join.spill_leaf")
+        assert max(s.attrs["depth"] for s in leaves) == morsel._MAX_RECURSE_DEPTH
+        # The dominant key's 650 build rows reach one leaf together.
+        assert max(s.attrs["build_rows"] for s in leaves) >= 650
+        assert tracer.spans("join.spill_repartition")
+
+    def test_typed_columns_spill_as_buffers(self, monkeypatch):
+        """INTEGER keys with FLOAT / TEXT / INTEGER payloads: nothing on the
+        spill path may pickle a column or turn one into a Python list."""
+        from repro.common import keycodes, vectors
+        from repro.engines.relational import morsel
+
+        query = "SELECT l.id, l.v, l.tk, s.payload FROM lhs l LEFT JOIN skew s ON l.id = s.id"
+        codec = BinaryCodec()
+        expected = codec.encode(make_routing_engine().execute(query))
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("typed columns left their buffers on the spill path")
+
+        class NoPickle:
+            dump = dumps = load = loads = staticmethod(forbidden)
+            HIGHEST_PROTOCOL = 0
+
+        engine = make_routing_engine(budget=1024)
+        _schema, batches = engine._batch_executor.stream(engine.plan(query))
+        monkeypatch.setattr(morsel, "pickle", NoPickle)
+        for module in (morsel, vectors, keycodes):
+            monkeypatch.setattr(module, "to_list", forbidden)
+        batches = list(batches)
+        monkeypatch.undo()
+        assert engine.partitions_spilled > 0
+        assert all(
+            isinstance(column, (vectors.NumericVector, vectors.DictVector))
+            for batch in batches
+            for column in batch.columns
+        )
+        relation = engine.execute(query)
+        assert codec.encode(relation) == expected
+        assert [row for batch in batches for row in batch.value_rows()] == [
+            tuple(row.values) for row in relation
+        ]
+
+
+class TestMergeById:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_windows_equal_a_global_stable_sort_by_id(self, seed):
+        """Random id-disjoint ascending runs, written in random pieces with
+        random chunk sizes (so chunk ends fall inside merge windows)."""
+        from repro.common.schema import Column, ColumnBatch, Schema
+        from repro.engines.relational.morsel import SpillFile, SpillRun, merge_by_id
+
+        rng = np.random.default_rng(seed)
+        schema = Schema([Column("n", DataType.INTEGER), Column("t", DataType.TEXT)])
+        run_count = int(rng.integers(1, 7))
+        # An id may repeat (one probe row, several matches), always within
+        # one piece of one run.
+        repeats = rng.integers(1, 4, size=400)
+        ids = np.repeat(np.arange(400), repeats)
+        owner = np.repeat(rng.integers(0, run_count, size=400), repeats)
+        payload = rng.integers(-50, 50, size=ids.size)
+        text = vector_from_values(
+            [None if v % 9 == 0 else f"t{v % 5}" for v in payload.tolist()], DataType.TEXT
+        )
+        numbers = vector_from_values(
+            [None if v % 11 == 0 else v for v in payload.tolist()], DataType.INTEGER
+        )
+        runs = []
+        spill = SpillFile()
+        try:
+            for r in range(run_count):
+                run = SpillRun(spill, schema, chunk_rows=int(rng.integers(1, 60)))
+                runs.append(run)
+                rows = np.flatnonzero(owner == r)
+                # Pieces end only where the id changes.
+                breaks = np.flatnonzero(np.diff(ids[rows])) + 1
+                cuts = np.sort(rng.choice(breaks, size=min(len(breaks), 12), replace=False))
+                for piece in np.split(rows, cuts):
+                    batch = ColumnBatch(schema, [numbers, text], ids.size).gather(piece)
+                    run.append(ids[piece], batch)
+            windows = list(merge_by_id(runs, schema))
+        finally:
+            spill.close()
+        merged = [row for window in windows for row in window.value_rows()]
+        order = np.argsort(ids, kind="stable")
+        assert merged == [(numbers[i], text[i]) for i in order.tolist()]
+        assert sum(len(window) for window in windows) == ids.size
 
 
 # ---------------------------------------------------------------- group-by
@@ -390,11 +648,66 @@ class TestRuntimeParallelism:
         assert metrics["relational_peak_build_bytes"] >= 0
 
     def test_runtime_results_match_across_parallelism(self, runtime):
-        rt, _ = runtime
+        rt, postgres = runtime
         codec = BinaryCodec()
         query = JOIN_GROUP_QUERIES[5]
         rt.set_relational_parallelism(1)
         serial = codec.encode(rt.execute(query, use_cache=False))
+        # The runtime lends morsel workers only from idle cores, which this
+        # host may not have: the fan-out under test brings its own credits.
+        rt.task_credits = WorkerCredits(3)
         rt.set_relational_parallelism(4)
         parallel = codec.encode(rt.execute(query, use_cache=False))
         assert serial == parallel
+        assert postgres.groupby_paths.get("stream_parallel", 0) > 0
+        assert rt.task_credits.available == 3
+
+    @pytest.mark.parametrize(
+        "patched, query",
+        [
+            # The join's parallel CSR build (>= 2048 build rows) ...
+            ("repro.common.parallel.TaskContext.run_all",
+             "SELECT count(*) FROM big a JOIN big b ON a.id = b.id"),
+            # ... and the partitioned group-by's constructor both run after
+            # the query has borrowed its workers.
+            ("repro.engines.relational.vectorized._PartitionedGroupAggregator.__init__",
+             "SELECT k, sum(id) FROM big GROUP BY k"),
+        ],
+    )
+    def test_a_build_that_raises_returns_its_credits(self, runtime, monkeypatch, patched, query):
+        rt, postgres = runtime
+        postgres.execute("CREATE TABLE big (id INTEGER PRIMARY KEY, k INTEGER)")
+        postgres.insert_rows("big", [(i, i % 7) for i in range(3000)])
+        rt.task_credits = WorkerCredits(3)
+        rt.set_relational_parallelism(4)
+
+        def boom(*_args, **_kwargs):
+            raise MemoryError("no room for the build")
+
+        monkeypatch.setattr(patched, boom)
+        with pytest.raises(Exception, match="no room for the build"):
+            rt.execute(query, use_cache=False)
+        assert rt.task_credits.available == 3
+
+    @pytest.mark.parametrize(
+        "cores, workers, parallelism, expected",
+        [
+            (2, 2, 2, 0),  # saturated: operators run inline
+            (2, 4, 4, 0),
+            (8, 2, 2, 2),  # (parallelism - 1) x workers fits the idle cores
+            (8, 2, 4, 6),
+            (8, 4, 4, 4),  # capped by the idle cores
+            (8, 3, 1, 0),  # parallelism 1 never borrows
+            (8, 8, "auto", 0),
+            (8, 2, "auto", 6),
+        ],
+    )
+    def test_credits_are_the_cores_the_serving_pool_leaves_idle(
+        self, monkeypatch, cores, workers, parallelism, expected
+    ):
+        from repro.core.bigdawg import BigDawg
+        from repro.runtime import PolystoreRuntime
+
+        monkeypatch.setattr("repro.common.parallel.os.cpu_count", lambda: cores)
+        with PolystoreRuntime(BigDawg(), workers=workers, parallelism=parallelism) as rt:
+            assert rt.task_credits.available == expected

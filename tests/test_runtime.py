@@ -12,6 +12,9 @@ import time
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.common.errors import CatalogError
 from repro.common.schema import Relation, Schema
 from repro.core.bigdawg import BigDawg
@@ -28,6 +31,29 @@ from repro.runtime import (
     RuntimeMetrics,
     WriteIntentJournal,
 )
+
+
+def reference_normalize_query(query: str) -> str:
+    """``normalize_query`` one character at a time, quoted or not: the loop
+    the whitespace-only fast path has to agree with."""
+    result: list[str] = []
+    quote: str | None = None
+    pending_space = False
+    for ch in query:
+        if quote is not None:
+            result.append(ch)
+            if ch == quote:
+                quote = None
+        elif ch.isspace():
+            pending_space = True
+        else:
+            if pending_space and result:
+                result.append(" ")
+            pending_space = False
+            if ch in ("'", '"'):
+                quote = ch
+            result.append(ch)
+    return "".join(result)
 
 
 @pytest.fixture()
@@ -232,6 +258,19 @@ class TestResultCache:
         single = normalize_query('TEXT(SEARCH notes FOR "chest pain")')
         double = normalize_query('TEXT(SEARCH notes FOR "chest  pain")')
         assert single != double
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(
+            alphabet=st.sampled_from(list("ab'\" \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2003\u3000")),
+            max_size=40,
+        )
+        | st.text(max_size=40)
+    )
+    def test_normalization_fast_path_agrees_with_the_character_loop(self, query):
+        from repro.runtime.cache import normalize_query
+
+        assert normalize_query(query) == reference_normalize_query(query)
 
     def test_invalidated_by_transaction_rollback(self, bigdawg):
         cache = ResultCache(bigdawg.catalog)
