@@ -133,3 +133,7 @@ def test_claim1_speedup_summary(bench_deployment, bench_onesize):
     assert specialized_wins == 3
     speedups = [b / p for _l, b, p in rows[1:]]
     assert max(speedups) > 10
+    # The inverted index's posting arrays answer the demo's MIN query from
+    # one candidate set and a bincount; the single store scans every note.
+    _label, text_onesize, text_polystore = rows[3]
+    assert text_onesize / text_polystore >= 2.5

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 
 from repro.common.errors import ParseError
-from repro.common.schema import Column, Relation, Schema
+from repro.common.schema import Column, ColumnarRelation, Relation, Schema
 from repro.common.types import DataType
 from repro.core.islands.base import Island
 from repro.core.shims import TextShim
@@ -21,6 +21,12 @@ from repro.core.shims import TextShim
 _SEARCH_RE = re.compile(
     r"^\s*search\s+([A-Za-z_][A-Za-z0-9_]*)\s+for\s+(.+?)(?:\s+min\s+(\d+))?\s*$",
     re.IGNORECASE,
+)
+
+
+_ROWS = Schema([Column("row", DataType.TEXT)])
+_DOCUMENTS = Schema(
+    [Column("row", DataType.TEXT), Column("qualifier", DataType.TEXT), Column("count", DataType.INTEGER)]
 )
 
 
@@ -39,40 +45,8 @@ class TextIsland(Island):
             raise ParseError(f"not a text island query: {query!r}")
         table, phrases_text, minimum = match.group(1), match.group(2), match.group(3)
         phrases = [p.strip().strip('"').strip("'") for p in re.split(r"\s+and\s+", phrases_text, flags=re.IGNORECASE)]
-        engine = self.engine_for_object(table)
-        shim = TextShim(engine)
+        shim = TextShim(self.engine_for_object(table))
         if minimum is not None:
-            rows = self._rows_with_min(shim, table, phrases, int(minimum))
-            schema = Schema([Column("row", DataType.TEXT)])
-            relation = Relation(schema)
-            for row in rows:
-                relation.append([row])
-            return relation
-        postings = self._search(shim, table, phrases)
-        schema = Schema(
-            [Column("row", DataType.TEXT), Column("qualifier", DataType.TEXT), Column("count", DataType.INTEGER)]
-        )
-        relation = Relation(schema)
-        for posting in postings:
-            relation.append([posting.row, posting.qualifier, posting.count])
-        return relation
-
-    # ----------------------------------------------------------------- helpers
-    @staticmethod
-    def _search(shim: TextShim, table: str, phrases: list[str]):
-        results = None
-        for phrase in phrases:
-            postings = {(p.row, p.qualifier): p for p in shim.search_phrase(table, phrase)}
-            if results is None:
-                results = postings
-            else:
-                results = {key: posting for key, posting in results.items() if key in postings}
-        return sorted((results or {}).values(), key=lambda p: (p.row, p.qualifier))
-
-    @staticmethod
-    def _rows_with_min(shim: TextShim, table: str, phrases: list[str], minimum: int) -> list[str]:
-        row_sets = []
-        for phrase in phrases:
-            row_sets.append(set(shim.rows_with_min_documents(table, phrase, minimum)))
-        rows = set.intersection(*row_sets) if row_sets else set()
-        return sorted(rows)
+            return ColumnarRelation(_ROWS, [shim.rows_with_min_documents(table, phrases, int(minimum))])
+        found = shim.search(table, phrases)
+        return ColumnarRelation(_DOCUMENTS, [found.rows, found.qualifiers, found.counts])

@@ -16,7 +16,7 @@ Three shim families exist, one per island data model:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from repro.common.errors import UnsupportedOperationError
 from repro.common.schema import Relation
@@ -25,6 +25,7 @@ from repro.engines.array.engine import ArrayEngine
 from repro.engines.array.storage import StoredArray
 from repro.engines.base import Engine, EngineCapability
 from repro.engines.keyvalue.engine import KeyValueEngine
+from repro.engines.keyvalue.text_index import DocumentMatches
 from repro.engines.relational.engine import RelationalEngine
 from repro.engines.tiledb.engine import TileDBEngine
 
@@ -117,19 +118,20 @@ class TextShim(Shim):
     def supports_native(self) -> bool:
         return bool(self.engine.capabilities & EngineCapability.TEXT_SEARCH)
 
-    def search_phrase(self, object_name: str, phrase: str):
-        if not isinstance(self.engine, KeyValueEngine):
-            raise UnsupportedOperationError(
-                f"engine {self.engine.name!r} does not support text search"
-            )
-        return self.engine.text_search(object_name, phrase)
+    def search(self, object_name: str, phrases: Sequence[str]) -> DocumentMatches:
+        """Documents containing every phrase, in one engine call."""
+        return self._keyvalue_engine().text_search(object_name, phrases)
 
-    def rows_with_min_documents(self, object_name: str, phrase: str, minimum: int) -> list[str]:
+    def rows_with_min_documents(self, object_name: str, phrases: Sequence[str], minimum: int) -> list[str]:
+        """Rows with at least ``minimum`` documents per phrase, in one engine call."""
+        return self._keyvalue_engine().rows_with_min_documents(object_name, phrases, minimum)
+
+    def _keyvalue_engine(self) -> KeyValueEngine:
         if not isinstance(self.engine, KeyValueEngine):
             raise UnsupportedOperationError(
                 f"engine {self.engine.name!r} does not support text search"
             )
-        return self.engine.rows_with_min_documents(object_name, phrase, minimum)
+        return self.engine
 
 
 class AssociativeShim(Shim):

@@ -6,7 +6,7 @@ values, scanned through server-side iterator stacks and split into tablets.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.common.cancellation import check_cancelled
 from repro.common.errors import DuplicateObjectError, ObjectNotFoundError, TypeMismatchError
@@ -16,7 +16,7 @@ from repro.engines.base import DEFAULT_CHUNK_ROWS, Engine, EngineCapability, rel
 from repro.engines.keyvalue.iterators import ScanIterator, apply_stack
 from repro.engines.keyvalue.store import Entry, ScanRange, SortedKeyValueStore
 from repro.engines.keyvalue.tablet import TabletManager
-from repro.engines.keyvalue.text_index import InvertedTextIndex, Posting
+from repro.engines.keyvalue.text_index import DocumentMatches, InvertedTextIndex
 
 
 class KeyValueTable:
@@ -39,8 +39,14 @@ class KeyValueTable:
         self._typed_mutations += 1
         if value is not None:
             self.value_type = self._widen(self.value_type, value)
-        if self.text_index is not None and isinstance(value, str):
-            self.text_index.add_document(row, f"{family}:{qualifier}", value)
+        if self.text_index is not None:
+            # The newest version is the cell's document: text replaces the
+            # old one, anything else leaves the cell with none.
+            document = f"{family}:{qualifier}"
+            if isinstance(value, str):
+                self.text_index.add_document(row, document, value)
+            else:
+                self.text_index.remove_document(row, document)
         self.tablets.maybe_split(self.store)
         return entry
 
@@ -226,26 +232,29 @@ class KeyValueEngine(Engine):
         return self.table(table_name).scan(scan_range, iterators)
 
     def get_row(self, table_name: str, row: str) -> dict[str, Any]:
-        """All cells of a row as ``{family:qualifier: value}``."""
+        """The newest version of every cell of a row as ``{family:qualifier: value}``."""
         check_cancelled()
         self.queries_executed += 1
-        return {
-            f"{e.key.family}:{e.key.qualifier}": e.value
-            for e in self.table(table_name).store.get_row(row)
-        }
+        cells: dict[str, Any] = {}
+        # Versions of a cell come newest first.
+        for e in self.table(table_name).store.get_row(row):
+            cells.setdefault(f"{e.key.family}:{e.key.qualifier}", e.value)
+        return cells
 
     # ------------------------------------------------------------- text search
-    def text_search(self, table_name: str, phrase: str) -> list[Posting]:
-        """Documents in the table containing a phrase."""
+    def text_search(self, table_name: str, phrases: Sequence[str]) -> DocumentMatches:
+        """Documents in the table containing every phrase; count is the
+        first phrase's occurrences."""
         self.queries_executed += 1
         index = self._require_text_index(table_name)
-        return index.search_phrase(phrase)
+        return index.documents_with_phrases(phrases)
 
-    def rows_with_min_documents(self, table_name: str, phrase: str, minimum: int) -> list[str]:
-        """Rows with at least ``minimum`` documents containing the phrase."""
+    def rows_with_min_documents(self, table_name: str, phrases: Sequence[str],
+                                minimum: int) -> list[str]:
+        """Rows with at least ``minimum`` documents containing each phrase."""
         self.queries_executed += 1
         index = self._require_text_index(table_name)
-        return index.rows_with_min_documents(phrase, minimum)
+        return index.rows_with_phrases(phrases, minimum)
 
     def _require_text_index(self, table_name: str) -> InvertedTextIndex:
         table = self.table(table_name)

@@ -475,6 +475,11 @@ def _abs_peak(ints: np.ndarray) -> int:
     return max(-int(ints.min()), int(ints.max()))
 
 
+def _has_negative_zero(floats: np.ndarray) -> bool:
+    zeros = floats == 0.0
+    return bool(zeros.any()) and bool(np.signbit(floats[zeros]).any())
+
+
 def _fold_vector(name: str, total: Any, present: np.ndarray) -> Any:
     """Fold one batch's non-NULL values (a non-empty fixed-width array) into
     a global SUM / AVG / MIN / MAX running ``total`` (None before the first
@@ -1604,10 +1609,15 @@ class _StreamingGroupAggregator:
                     raise _KernelUnsupported(str(exc)) from exc
                 packed_cache[col] = values
             if name in ("min", "max"):
-                if dtype is np.float64 and bool(np.isnan(values[present]).any()):
-                    # The row fold never replaces on NaN, making MIN/MAX
-                    # position-dependent; reductions cannot reproduce that.
-                    raise _KernelUnsupported("NaN in MIN/MAX column")
+                if dtype is np.float64:
+                    floats = values[present]
+                    if bool(np.isnan(floats).any()):
+                        # The row fold never replaces on NaN, making MIN/MAX
+                        # position-dependent; reductions cannot reproduce that.
+                        raise _KernelUnsupported("NaN in MIN/MAX column")
+                    if _has_negative_zero(floats):
+                        # Nor which of two equal zeros the fold keeps (the first).
+                        raise _KernelUnsupported("negative zero in MIN/MAX column")
                 prepared.append((present, values))
                 continue
             if name == "sum" and not st["float"]:
@@ -1617,6 +1627,10 @@ class _StreamingGroupAggregator:
                     raise _KernelUnsupported("int64 overflow risk in SUM")
                 prepared.append((present, ints))
                 continue
+            if name == "sum" and _has_negative_zero(values[present]):
+                # A SUM of negative zeros only is -0.0, but every bincount
+                # bin starts at +0.0.
+                raise _KernelUnsupported("negative zero in SUM column")
             prepared.append((present, values))
         return prepared
 

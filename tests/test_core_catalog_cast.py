@@ -102,7 +102,7 @@ class TestShims:
     def test_text_shim(self, catalog):
         shim = TextShim(catalog.engine("accumulo"))
         assert shim.supports_native()
-        assert shim.rows_with_min_documents("notes", "very sick", 1) == ["p1"]
+        assert shim.rows_with_min_documents("notes", ["very sick"], 1) == ["p1"]
 
     def test_associative_shim_from_each_model(self, catalog):
         kv = AssociativeShim(catalog.engine("accumulo")).fetch_associative("notes")

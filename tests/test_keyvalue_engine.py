@@ -179,11 +179,19 @@ class TestKeyValueEngine:
         assert engine.get_row("patients", "p1") == {"attr:age": 64, "attr:race": "white"}
         assert len(engine.scan("patients")) == 2
 
+    def test_get_row_returns_the_newest_version_of_each_cell(self):
+        engine = KeyValueEngine()
+        engine.create_table("notes", text_indexed=True)
+        engine.put("notes", "p1", "md", "n1", "very sick")
+        engine.put("notes", "p1", "md", "n1", 42)
+        engine.put("notes", "p1", "md", "n2", "resting")
+        assert engine.get_row("notes", "p1") == {"md:n1": 42, "md:n2": "resting"}
+
     def test_text_search_requires_indexed_table(self):
         engine = KeyValueEngine()
         engine.create_table("plain")
         with pytest.raises(ObjectNotFoundError):
-            engine.text_search("plain", "anything")
+            engine.text_search("plain", ["anything"])
 
     def test_text_search_on_indexed_table(self):
         engine = KeyValueEngine()
@@ -191,7 +199,7 @@ class TestKeyValueEngine:
         engine.put("notes", "p1", "doctor", "n1", "patient very sick")
         engine.put("notes", "p1", "doctor", "n2", "patient very sick again")
         engine.put("notes", "p2", "doctor", "n1", "doing fine")
-        assert engine.rows_with_min_documents("notes", "very sick", 2) == ["p1"]
+        assert engine.rows_with_min_documents("notes", ["very sick"], 2) == ["p1"]
 
     def test_export_import_roundtrip(self):
         engine = KeyValueEngine()

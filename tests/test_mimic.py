@@ -92,7 +92,7 @@ class TestLoader:
         )
 
     def test_notes_are_text_indexed(self, deployment):
-        hits = deployment.keyvalue.text_search("notes", "very sick")
+        hits = deployment.keyvalue.text_search("notes", ["very sick"])
         assert len(hits) > 0
 
     def test_waveform_feed_tuples_ordered(self, deployment):
