@@ -255,22 +255,6 @@ def partition_order(codes: np.ndarray, num_partitions: int) -> tuple[np.ndarray,
     return order, bounds.tolist()
 
 
-def partition_codes(codes: np.ndarray, num_partitions: int) -> list[np.ndarray]:
-    """Radix-partition dense int64 key codes into per-partition row indices.
-
-    Row ``i`` lands in partition ``codes[i] % num_partitions``; rows keep
-    their input order inside each partition, so per-partition processing in
-    partition-then-row order is deterministic regardless of which worker
-    handles which partition.  Rows with negative codes (:data:`NULL_CODE`)
-    belong to no partition and are excluded — join and group keys shard on
-    real key identity only.
-
-    Returns ``num_partitions`` int64 arrays of row indices.
-    """
-    order, bounds = partition_order(codes, num_partitions)
-    return [order[bounds[p] : bounds[p + 1]] for p in range(num_partitions)]
-
-
 _HASH_MASK = 0x7FFF_FFFF_FFFF_FFFF
 _GOLDEN = 0x9E37_79B9_7F4A_7C15
 _INT64_LIMIT = 2.0**63

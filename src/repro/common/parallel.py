@@ -11,7 +11,7 @@ load every query degrades toward serial instead of oversubscribing the box.
 everything inline (no pool, no threads), which keeps the single-threaded
 path byte-for-byte identical to the pre-parallel executor; with more workers
 it lazily spins up a bounded pool and offers an order-preserving streaming
-map plus a barrier-style ``run_all``.
+map (the hash join's probe fan-out).
 """
 
 from __future__ import annotations
@@ -139,21 +139,6 @@ class TaskContext:
             for future in pending:
                 future.cancel()
 
-    def run_all(self, thunks: list[Callable[[], Any]]) -> list[Any]:
-        """Run every thunk and barrier; results in thunk order.
-
-        The barrier is what keeps partitioned accumulation deterministic:
-        callers dispatch one batch's partition tasks, wait for all of them,
-        then move to the next batch, so per-partition state always folds
-        batches in the same order as a serial run.
-        """
-        if self.workers <= 1 or len(thunks) <= 1:
-            return [thunk() for thunk in thunks]
-        pool = self._executor()
-        ctx = capture_context()
-        futures = [pool.submit(with_context, ctx, thunk) for thunk in thunks]
-        return [future.result() for future in futures]
-
     # --------------------------------------------------------------- lifetime
     def close(self) -> None:
         if self._closed:
@@ -171,10 +156,3 @@ class TaskContext:
     def __exit__(self, *exc: object) -> None:
         self.close()
 
-
-def partition_count_for(workers: int) -> int:
-    """Number of radix partitions for a worker count: next power of two."""
-    count = 1
-    while count < max(1, workers):
-        count <<= 1
-    return count

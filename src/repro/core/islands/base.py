@@ -21,6 +21,16 @@ from repro.core.catalog import BigDawgCatalog
 from repro.core.shims import Shim, shim_for
 from repro.engines.base import Engine
 
+#: Statement prefixes that mutate their target objects — these must be
+#: routed to the primary copy and invalidate replicas afterwards.
+_WRITE_PREFIXES = ("insert", "update", "delete", "drop", "create", "alter")
+
+
+def is_write_statement(text: str) -> bool:
+    """Whether a statement writes: the islands send it to the primary copy
+    and the runtime journals it."""
+    return text.strip().lower().startswith(_WRITE_PREFIXES)
+
 
 class Island(ABC):
     """Base class of every island."""

@@ -14,7 +14,7 @@ import re
 
 from repro.common.errors import ParseError, TransientEngineError
 from repro.common.schema import Relation
-from repro.core.islands.base import Island
+from repro.core.islands.base import Island, is_write_statement
 from repro.core.shims import RelationalShim
 from repro.engines.base import EngineCapability
 from repro.engines.relational.engine import RelationalEngine
@@ -31,17 +31,13 @@ class RelationalIsland(Island):
         stripped = query.strip().lower()
         return stripped.startswith(("select", "insert", "update", "delete", "create", "drop"))
 
-    #: Statement prefixes that mutate their target objects — these must be
-    #: routed to the primary copy and invalidate replicas afterwards.
-    _WRITE_PREFIXES = ("insert", "update", "delete", "drop", "create", "alter")
-
     def execute(self, query: str) -> Relation:
         self.queries_executed += 1
         tables = self.referenced_tables(query)
         if not tables:
             # Table-free SELECT (constant expressions): run on any SQL engine.
             return self._any_sql_engine().execute(query)
-        is_write = query.strip().lower().startswith(self._WRITE_PREFIXES)
+        is_write = is_write_statement(query)
         placements = {
             table: self.engine_for_object(table, for_write=is_write)
             for table in tables

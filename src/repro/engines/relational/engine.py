@@ -24,7 +24,6 @@ from repro.common.parallel import (
     PARALLELISM_AUTO,
     TaskContext,
     WorkerCredits,
-    partition_count_for,
     resolve_parallelism,
 )
 from repro.common.schema import Column, ColumnarRelation, Relation, Schema, TableDefinition
@@ -86,8 +85,8 @@ class RelationalEngine(Engine, TableStatisticsProvider):
         self.fallback_reasons: dict[str, int] = {}
         #: Total columns the optimizer pruned below joins/aggregates, and
         #: grouped-aggregation executions per path ("stream",
-        #: "stream_parallel", "stream_degraded" or per-"row"), for the
-        #: runtime's metrics snapshot.
+        #: "stream_degraded" or per-"row"), for the runtime's metrics
+        #: snapshot.
         self.columns_pruned = 0
         self.groupby_paths: dict[str, int] = {}
         #: Largest resident row footprint (batch + groups) any streaming
@@ -394,11 +393,7 @@ class RelationalEngine(Engine, TableStatisticsProvider):
         if self.optimizer_enabled:
             result = Optimizer(self).optimize(plan)
             plan, tables = result.plan, result.tables
-        workers = self.effective_parallelism()
-        header = (
-            f"Parallel(workers={workers}, "
-            f"partitions={partition_count_for(workers)})"
-        )
+        header = f"Parallel(workers={self.effective_parallelism()})"
         stats_line = self._stats_line(tables)
         if stats_line:
             header = f"{stats_line}\n{header}"

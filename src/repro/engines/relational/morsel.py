@@ -43,8 +43,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 import numpy as np
 
 from repro.common.cancellation import current_token
-from repro.common.keycodes import JoinKeyTable, PartitionRouter, partition_codes
-from repro.common.parallel import TaskContext, partition_count_for
+from repro.common.keycodes import JoinKeyTable, PartitionRouter
 from repro.common.schema import ColumnBatch, Schema
 from repro.common.vectors import DictVector, NumericVector, to_list
 from repro.observability.tracing import get_tracer
@@ -100,9 +99,7 @@ class HashJoinTable:
     the matched-build rows each probe returns to :attr:`matched`.
     """
 
-    def __init__(
-        self, spec: JoinSpec, build_block: ColumnBatch, ctx: TaskContext | None = None
-    ) -> None:
+    def __init__(self, spec: JoinSpec, build_block: ColumnBatch) -> None:
         self.spec = spec
         self.block = build_block
         self._keys = JoinKeyTable(
@@ -112,42 +109,13 @@ class HashJoinTable:
         )
         build_codes = self._keys.build_codes
         group_count = self._keys.group_count
-        if ctx is not None and ctx.workers > 1 and group_count and len(build_block) >= 2048:
-            # Parallel build: each radix partition owns a disjoint set of
-            # codes, hence disjoint slices of the shared CSR arrays —
-            # scatter targets depend only on codes, never on scheduling.
-            counts = np.bincount(build_codes[build_codes >= 0], minlength=group_count)
-            counts = counts.astype(np.int64)
-            starts = np.zeros(group_count, dtype=np.int64)
-            np.cumsum(counts[:-1], out=starts[1:])
-            sorted_rows = np.empty(int(counts.sum()), dtype=np.int64)
-
-            def build_partition(rows_p: np.ndarray) -> None:
-                if not rows_p.size:
-                    return
-                codes_p = build_codes[rows_p]
-                order_p = np.argsort(codes_p, kind="stable")
-                cs = codes_p[order_p]
-                seg_new = np.concatenate(([True], cs[1:] != cs[:-1]))
-                seg_begin = np.flatnonzero(seg_new)
-                offsets = np.arange(cs.size, dtype=np.int64) - seg_begin[np.cumsum(seg_new) - 1]
-                sorted_rows[starts[cs] + offsets] = rows_p[order_p]
-
-            ctx.run_all(
-                [
-                    (lambda rows=rows: build_partition(rows))
-                    for rows in partition_codes(build_codes, partition_count_for(ctx.workers))
-                ]
-            )
-        else:
-            order = np.argsort(build_codes, kind="stable")
-            sorted_codes = build_codes[order]
-            first_valid = int(np.searchsorted(sorted_codes, 0))
-            sorted_rows = order[first_valid:]
-            sorted_codes = sorted_codes[first_valid:]
-            starts = np.searchsorted(sorted_codes, np.arange(group_count))
-            counts = np.bincount(sorted_codes, minlength=group_count).astype(np.int64)
-        self._starts, self._counts, self._sorted_rows = starts, counts, sorted_rows
+        order = np.argsort(build_codes, kind="stable")
+        sorted_codes = build_codes[order]
+        first_valid = int(np.searchsorted(sorted_codes, 0))
+        self._sorted_rows = order[first_valid:]
+        sorted_codes = sorted_codes[first_valid:]
+        self._starts = np.searchsorted(sorted_codes, np.arange(group_count))
+        self._counts = np.bincount(sorted_codes, minlength=group_count).astype(np.int64)
         #: Build rows some probe row matched (right/full joins only).
         self.matched = np.zeros(len(build_block), dtype=np.bool_) if spec.track_build else None
 

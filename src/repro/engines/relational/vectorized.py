@@ -64,8 +64,7 @@ from repro.common.expressions import (
     conjunction,
     evaluate_predicate,
 )
-from repro.common.keycodes import IncrementalGroupEncoder, partition_codes
-from repro.common.parallel import TaskContext, partition_count_for
+from repro.common.keycodes import IncrementalGroupEncoder
 from repro.common.schema import Column, ColumnBatch, Relation, Row, Schema
 from repro.common.types import DataType, infer_type
 from repro.common.vectors import (
@@ -821,10 +820,8 @@ class BatchExecutor:
                 approx = sum(approx_batch_bytes(part) for part in parts)
             engine.record_build_bytes(approx)
             build_block = ColumnBatch.concat(build_schema, parts)
-            # The context is held from before the (possibly parallel) build:
-            # whatever raises from here on hands the borrowed credits back.
+            table = HashJoinTable(spec, build_block)
             with engine.task_context() as ctx:
-                table = HashJoinTable(spec, build_block, ctx)
                 probe_task = table.probe
                 tracer = get_tracer()
                 if tracer.enabled:
@@ -1314,55 +1311,47 @@ class BatchExecutor:
         first_values: tuple[Any, ...] | None = None
         peak = 0
         iterator = iter(batches)
-        # Held from before the aggregator is built: whatever raises from here
-        # on hands the borrowed credits back.
-        with self._engine.task_context() as ctx:
-            partitions = partition_count_for(ctx.workers) if ctx.workers > 1 else 1
-            state: _StreamingGroupAggregator | _PartitionedGroupAggregator
-            if partitions > 1:
-                state = _PartitionedGroupAggregator(plan, child_schema, partitions, ctx)
-            else:
-                state = _StreamingGroupAggregator(plan, child_schema)
-            for batch in iterator:
-                n = len(batch)
-                if n == 0:
-                    continue
-                columns = batch.columns
-                if first_values is None:
-                    first_values = batch.row(0)
-                try:
-                    for index in float_keys:
-                        self._reject_nan(columns[index], "NaN grouping key")
-                    prepared = state.prepare(columns, n)
-                except _KernelUnsupported:
-                    groups_out = self._degrade_streaming(
-                        node,
-                        child_schema,
-                        agg_items,
-                        state,
-                        key_indices,
-                        representatives,
-                        itertools.chain([batch], iterator),
-                        rep_cols,
-                    )
-                    self._engine.record_groupby("stream_degraded", peak)
-                    return groups_out, first_values
-                codes, new_first_rows = encoder.encode_batch(
-                    [columns[i] for i in key_indices]
+        state = _StreamingGroupAggregator(plan, child_schema)
+        for batch in iterator:
+            n = len(batch)
+            if n == 0:
+                continue
+            columns = batch.columns
+            if first_values is None:
+                first_values = batch.row(0)
+            try:
+                for index in float_keys:
+                    self._reject_nan(columns[index], "NaN grouping key")
+                prepared = state.prepare(columns, n)
+            except _KernelUnsupported:
+                groups_out = self._degrade_streaming(
+                    node,
+                    child_schema,
+                    agg_items,
+                    state,
+                    key_indices,
+                    representatives,
+                    itertools.chain([batch], iterator),
+                    rep_cols,
                 )
-                if new_first_rows.size:
-                    kept = columns if rep_cols is None else [columns[i] for i in rep_cols]
-                    representatives.extend(
-                        zip(*(to_list(take(column, new_first_rows)) for column in kept))
-                    )
-                state.accumulate(codes, prepared, encoder.group_count)
-                peak = max(peak, n + encoder.group_count)
+                self._engine.record_groupby("stream_degraded", peak)
+                return groups_out, first_values
+            codes, new_first_rows = encoder.encode_batch(
+                [columns[i] for i in key_indices]
+            )
+            if new_first_rows.size:
+                kept = columns if rep_cols is None else [columns[i] for i in rep_cols]
+                representatives.extend(
+                    zip(*(to_list(take(column, new_first_rows)) for column in kept))
+                )
+            state.accumulate(codes, prepared, encoder.group_count)
+            peak = max(peak, n + encoder.group_count)
         per_item = state.results()
         groups_out = [
             ((), {i: per_item[i][g] for i, _name, _col in plan}, representatives[g])
             for g in range(encoder.group_count)
         ]
-        self._engine.record_groupby("stream_parallel" if partitions > 1 else "stream", peak)
+        self._engine.record_groupby("stream", peak)
         return groups_out, first_values
 
     def _degrade_streaming(
@@ -1370,7 +1359,7 @@ class BatchExecutor:
         node: AggregateNode,
         child_schema: Schema,
         agg_items: list,
-        state: "_StreamingGroupAggregator | _PartitionedGroupAggregator",
+        state: "_StreamingGroupAggregator",
         key_indices: list[int],
         representatives: list[tuple[Any, ...]],
         remaining: Iterator[ColumnBatch],
@@ -1759,92 +1748,3 @@ class _StreamingGroupAggregator:
                     accumulator.load(st["vals"][code].item())
             accumulators[i] = accumulator
         return accumulators
-
-
-class _PartitionedGroupAggregator:
-    """K radix-partitioned streaming aggregators folded by parallel tasks.
-
-    Global group ``g`` lives in partition ``g % k`` under local code
-    ``g // k`` (locals stay dense and first-appearance ordered within each
-    partition).  Each batch dispatches one task per partition and
-    **barriers** before the next batch, so every partition folds batches in
-    stream order and each group's accumulation sequence — including the
-    seeded-bincount float folds — is bit-for-bit the serial aggregator's.
-    The outward interface (prepare/accumulate/results/seeded_accumulators)
-    matches :class:`_StreamingGroupAggregator` exactly.
-    """
-
-    def __init__(
-        self,
-        plan: list[tuple[int, str, int | None]],
-        child_schema: Schema,
-        partitions: int,
-        ctx: TaskContext,
-    ) -> None:
-        self._plan = plan
-        self._k = partitions
-        self._ctx = ctx
-        self._parts = [
-            _StreamingGroupAggregator(plan, child_schema) for _ in range(partitions)
-        ]
-        # Never accumulated into: used only to run ``prepare``'s vetting
-        # (dtype packing, NaN checks, the int-SUM overflow guard).
-        self._probe = _StreamingGroupAggregator(plan, child_schema)
-        self._group_count = 0
-
-    def prepare(self, columns: list, n: int) -> list:
-        # The overflow guard consults accumulated |acc| maxima; sync the
-        # probe's to the max across partitions — which IS the serial
-        # aggregator's abs_max (the global max over all groups) — so the
-        # guard trips on exactly the same batch as single-threaded mode.
-        for i, _name, _col in self._plan:
-            probe_state = self._probe._state[i]
-            if "abs_max" in probe_state:
-                probe_state["abs_max"] = max(
-                    part._state[i]["abs_max"] for part in self._parts
-                )
-        return self._probe.prepare(columns, n)
-
-    def accumulate(self, codes: np.ndarray, prepared: list, group_count: int) -> None:
-        self._group_count = group_count
-        k = self._k
-        part_rows = partition_codes(codes, k)
-
-        def make_task(p: int, rows: np.ndarray):
-            part = self._parts[p]
-            local_count = (group_count - p + k - 1) // k if group_count > p else 0
-
-            def task() -> None:
-                local_codes = codes[rows] // k
-                local_prepared: list[Any] = []
-                for payload in prepared:
-                    if payload is None:
-                        local_prepared.append(None)
-                    else:
-                        present, values = payload
-                        local_prepared.append(
-                            (
-                                present[rows],
-                                None if values is None else values[rows],
-                            )
-                        )
-                part.accumulate(local_codes, local_prepared, local_count)
-
-            return task
-
-        self._ctx.run_all([make_task(p, part_rows[p]) for p in range(k)])
-
-    def results(self) -> dict[int, list[Any]]:
-        part_results = [part.results() for part in self._parts]
-        k = self._k
-        out: dict[int, list[Any]] = {}
-        for i, _name, _col in self._plan:
-            out[i] = [
-                part_results[g % k][i][g // k] for g in range(self._group_count)
-            ]
-        return out
-
-    def seeded_accumulators(self, code: int, items_by_index: dict) -> dict[int, Any]:
-        return self._parts[code % self._k].seeded_accumulators(
-            code // self._k, items_by_index
-        )

@@ -6,8 +6,11 @@ the reproduction:
 
 * :mod:`repro.runtime.scheduler` — :class:`PolystoreRuntime`, a worker-pool
   executor with ``submit``/``execute_many`` that runs cross-island plans
-  concurrently and overlaps independent plan steps, plus per-client
-  :class:`RuntimeSession` handles with session-scoped temporaries.
+  concurrently and overlaps independent plan steps; every island query and
+  plan step takes one dispatch path (journal, breakers and retry,
+  admission, call, failover).
+* :mod:`repro.runtime.session` — per-client :class:`RuntimeSession` handles
+  with session-scoped temporaries.
 * :mod:`repro.runtime.admission` — per-engine admission control: bounded
   concurrent slots with a FIFO wait queue and timeout, so a slow array scan
   cannot starve relational traffic.
@@ -49,7 +52,8 @@ from repro.runtime.journal import (
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.recovery import JournalRecovery, RecoveryReport
 from repro.runtime.resilience import CircuitBreaker, EngineResilience, RetryBudget, RetryPolicy
-from repro.runtime.scheduler import PolystoreRuntime, RuntimeSession
+from repro.runtime.scheduler import PolystoreRuntime
+from repro.runtime.session import RuntimeSession
 
 __all__ = [
     "AdmissionController",

@@ -10,9 +10,11 @@
 3. **Scheduling** — plan steps run in dependency waves; steps in the same
    wave (independent CASTs, unrelated WITH-binding materializations) run on
    parallel threads.
-4. **Admission** — before running, every step is admitted by the gates of the
-   engines it touches, so no engine sees more concurrency than its slot
-   budget and a slow scan on one engine cannot starve the others.
+4. **Dispatch** — an island query or plan step is one record (its statement
+   scanned once for the objects it names) on one path: a write's journal
+   intent, breakers and retry, admission at the gates of the engines it
+   touches (so no engine sees more concurrency than its slot budget), the
+   call, and failover when a breaker is open.
 5. **Accounting** — latency lands in :class:`~repro.runtime.metrics.RuntimeMetrics`
    and in the :class:`~repro.core.monitor.ExecutionMonitor`, where the
    migration advisor mines it.
@@ -25,7 +27,6 @@ use it to study scheduling under realistic service times; it defaults to 0.
 
 from __future__ import annotations
 
-import itertools
 import re
 import threading
 import time
@@ -48,6 +49,7 @@ from repro.common.errors import (
 from repro.common.parallel import WorkerCredits, resolve_parallelism
 from repro.common.schema import Relation
 from repro.core.bigdawg import BigDawg
+from repro.core.islands.base import Island, is_write_statement
 from repro.core.query.planner import BindingStep, CastStep, PlanExecution, QueryPlan
 from repro.observability.profile import SlowQueryLog
 from repro.observability.tracing import (
@@ -63,15 +65,18 @@ from repro.runtime.journal import WriteIntentJournal
 from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.recovery import JournalRecovery, RecoveryReport
 from repro.runtime.resilience import EngineResilience
+from repro.runtime.session import RuntimeSession
 
-_IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+#: An identifier, or a whole single-quoted string literal (``''`` escapes
+#: included) whose identifier group stays empty: no island syntax quotes an
+#: object name, so a literal that spells one must not count as naming it.
+_IDENTIFIER_RE = re.compile(r"'[^']*(?:''[^']*)*'|([A-Za-z_][A-Za-z0-9_]*)")
 
-#: Statement prefixes the islands route to the primary copy (mutations).
-_WRITE_PREFIXES = ("insert", "update", "delete", "drop", "create", "alter")
 
-
-def _is_write_statement(text: str) -> bool:
-    return text.strip().lower().startswith(_WRITE_PREFIXES)
+def _object_names(text: str) -> list[str]:
+    """The identifiers of ``text`` outside its string literals: candidate
+    catalog objects, each once, in order of first appearance."""
+    return list(dict.fromkeys(name for name in _IDENTIFIER_RE.findall(text) if name))
 
 
 def _span_text(query: str, limit: int = 200) -> str:
@@ -100,13 +105,39 @@ _RELATIONAL_GAUGES = (
     ("relational_peak_build_bytes", "peak_build_bytes", partial(max, default=0)),
 )
 
-#: Process-wide session ids: several runtimes may serve one polystore, and
-#: session-scoped temp names (``name__s<id>``) must never collide across them.
-_SESSION_IDS = itertools.count(1)
-
 #: Installed as the thread-scoped tracer for queries that lose the 1-in-N
 #: sampling draw, so their whole call tree records nothing.
 _UNSAMPLED_TRACER = Tracer(enabled=False)
+
+
+class _Dispatch:
+    """One island query or plan step on its way to the engines.
+
+    Built once per dispatch, its statement scanned once: journaling, engine
+    resolution, failover and the execution monitor read it.  ``call`` runs
+    the dispatch (attempts and failovers call it again); ``step`` is None for
+    a bare island query; a CAST step has no island and no text.
+    ``cast_method`` / ``chunk_size`` are how a read failover CASTs a
+    stranded object into the island.
+    """
+
+    __slots__ = (
+        "description", "call", "step", "island", "members", "text",
+        "is_write", "names", "cast_method", "chunk_size",
+    )
+
+    def __init__(self, description: str, call, step: object = None,
+                 island: Island | None = None, text: str | None = None,
+                 cast_method: str = "binary", chunk_size: int | None = None) -> None:
+        self.description, self.call, self.step = description, call, step
+        self.island, self.text = island, text
+        self.cast_method, self.chunk_size = cast_method, chunk_size
+        self.members = (
+            None if island is None else [engine.name for engine in island.member_engines()]
+        )
+        self.is_write = text is not None and is_write_statement(text)
+        #: Candidate catalog objects the statement names.
+        self.names = [] if text is None else _object_names(text)
 
 
 class PolystoreRuntime:
@@ -121,7 +152,6 @@ class PolystoreRuntime:
         engine_slots: dict[str, int] | None = None,
         cache_capacity: int = 256,
         engine_latency: float = 0.0,
-        parallel_steps: bool = True,
         parallelism: int | str = "auto",
         resilience: EngineResilience | None = None,
         serve_stale_on_open: bool = False,
@@ -156,8 +186,6 @@ class PolystoreRuntime:
         self.admission.wait_sink = self.metrics.record_queue_wait
         registry = self.metrics.registry
         self.resilience.bind_registry(registry)
-        registry.counter("stale_served")
-        registry.counter("failover_total")
         # Durable-write surface: the write-ahead intent journal covers DML
         # dispatches, CAST protocols and primary promotions; the migrator
         # gets the journal injected (duck-typed — core/ never imports
@@ -166,43 +194,31 @@ class PolystoreRuntime:
         bigdawg.migrator.journal = self.journal
         #: The report of the most recent :meth:`recover` run, if any.
         self.last_recovery: RecoveryReport | None = None
-        registry.counter("writes_failed_over")
-        registry.counter("intents_replayed")
-        registry.counter("recovery_rollbacks")
-        registry.register_gauge(
-            "intents_written", lambda: self.journal.intents_written
-        )
-        registry.register_gauge(
-            "journal_open_intents", lambda: len(self.journal.open_intents())
-        )
         # Per-engine degraded-mode accounting: which engine's outage caused
         # stale serves / failovers, surfaced as dict-valued gauges.
         self._degraded_lock = threading.Lock()
         self._stale_served_by_engine: dict[str, int] = {}
         self._failover_by_engine: dict[str, int] = {}
-        registry.register_gauge(
-            "stale_served_by_engine",
-            lambda: dict(self._stale_served_by_engine),
-        )
-        registry.register_gauge(
-            "failover_by_engine", lambda: dict(self._failover_by_engine)
-        )
+        for name in ("stale_served", "failover_total", "writes_failed_over",
+                     "intents_replayed", "recovery_rollbacks"):
+            registry.counter(name)
+        gauges = {
+            "intents_written": lambda: self.journal.intents_written,
+            "journal_open_intents": lambda: len(self.journal.open_intents()),
+            "stale_served_by_engine": lambda: dict(self._stale_served_by_engine),
+            "failover_by_engine": lambda: dict(self._failover_by_engine),
+            "queue_depth": self.admission.queue_depth,
+            "admission_wait_s_total": lambda: round(self.admission.queue_wait_seconds(), 6),
+            "admission_held_s_total": lambda: round(self.admission.held_seconds(), 6),
+        }
+        for key, attribute, combine in _RELATIONAL_GAUGES:
+            gauges[key] = partial(self._relational_gauge, attribute, combine)
+        for name, read in gauges.items():
+            registry.register_gauge(name, read)
         # Replica-aware read routing avoids engines whose breaker is open:
         # the catalog asks this probe before choosing the copy to read.
         bigdawg.catalog.set_health_probe(self.resilience.engine_is_available)
-        registry.register_gauge("queue_depth", self.admission.queue_depth)
-        registry.register_gauge(
-            "admission_wait_s_total", lambda: round(self.admission.queue_wait_seconds(), 6)
-        )
-        registry.register_gauge(
-            "admission_held_s_total", lambda: round(self.admission.held_seconds(), 6)
-        )
-        for key, attribute, combine in _RELATIONAL_GAUGES:
-            registry.register_gauge(
-                key, partial(self._relational_gauge, attribute, combine)
-            )
         self.engine_latency = engine_latency
-        self.parallel_steps = parallel_steps
         # Intra-query morsel parallelism: every relational engine gets the
         # knob plus one shared fleet-wide extra-worker budget, so a single
         # big join cannot grab `workers x parallelism` threads under load.
@@ -307,8 +323,8 @@ class PolystoreRuntime:
             result = self._run(query, cast_method, chunk_size, use_cache)
         return result, tracer
 
-    def session(self) -> "RuntimeSession":
-        return RuntimeSession(self, next(_SESSION_IDS))
+    def session(self) -> RuntimeSession:
+        return RuntimeSession(self)
 
     def shutdown(self, wait: bool = True) -> None:
         """Stop accepting queries and wind down the worker pool.
@@ -407,59 +423,46 @@ class PolystoreRuntime:
              use_cache: bool, queued_at: float | None = None,
              deadline: float | None = None,
              token: CancellationToken | None = None) -> Relation:
-        tracer = get_tracer()
-        if tracer.enabled and tracer.sample_every and not tracer.sample_query():
-            # This query lost the 1-in-N sampling draw: install a disabled
-            # tracer for the worker's whole call tree so every layer below
-            # (steps, CAST chunks, operators) skips its spans too.
-            with tracer_scope(_UNSAMPLED_TRACER):
-                return self._run_query(
-                    query, cast_method, chunk_size, use_cache, None, deadline,
-                    token,
-                )
-        return self._run_query(
-            query, cast_method, chunk_size, use_cache, queued_at, deadline, token
-        )
-
-    def _run_query(self, query: str, cast_method: str, chunk_size: int | None,
-                   use_cache: bool, queued_at: float | None,
-                   deadline: float | None,
-                   token: CancellationToken | None = None) -> Relation:
         started = time.perf_counter()
         tracer = get_tracer()
+        if tracer.enabled and tracer.sample_every and not tracer.sample_query():
+            # This query lost the 1-in-N sampling draw: a disabled tracer
+            # for the worker's whole call tree makes every layer below
+            # (steps, CAST chunks, operators) skip its spans too.
+            tracer, queued_at = _UNSAMPLED_TRACER, None
         if token is None:
             # Direct callers (runtime.trace) skip submit(): give the query a
             # token anyway so its deadline still cancels mid-batch.
             token = CancellationToken(deadline=deadline, clock=self.resilience.now)
-        with cancel_scope(token), \
+        with tracer_scope(tracer), cancel_scope(token), \
                 tracer.span("query", kind="lifecycle", query=_span_text(query)) as root:
             if queued_at is not None and tracer.enabled:
                 tracer.record(
                     "queued", start_s=queued_at, duration_s=time.time() - queued_at,
                     parent=root, kind="lifecycle",
                 )
+            serve_stale = use_cache and self.serve_stale_on_open
+            if serve_stale:
+                # The engines the query needs, resolved when asked: routing
+                # moves as breakers open.
+                names, is_write = _object_names(query), is_write_statement(query)
+                needed = lambda: self._referenced_engines(names, is_write)  # noqa: E731
+            pre_open: set[str] = set()
             try:
-                if use_cache:
-                    hit = self.cache.get(query)
-                    if hit is not None:
-                        elapsed = time.perf_counter() - started
-                        self.metrics.record_completed(elapsed, cached=True)
-                        root.set("cached", True)
-                        return hit
+                hit = self.cache.get(query) if use_cache else None
+                if hit is not None:
+                    self.metrics.record_completed(time.perf_counter() - started, cached=True)
+                    root.set("cached", True)
+                    return hit
                 fingerprint = self.cache.fingerprint()
-                pre_open: set[str] = set()
-                if use_cache and self.serve_stale_on_open:
-                    # Breakers already open *before* this execution: a
-                    # transient failure mid-query only qualifies for a stale
-                    # read when the query was degraded going in, so a failure
-                    # that first trips its own breaker still surfaces hard.
+                if serve_stale:
+                    # Breakers already open *before* this execution (see
+                    # _stale_read).
                     try:
-                        pre_open = self.resilience.open_engines(
-                            self._referenced_engines(query)
-                        )
+                        pre_open = self.resilience.open_engines(needed())
                     except BigDawgError:
-                        pre_open = set()
-                result, plan = self._execute_uncached(
+                        pass
+                result, final = self._execute_uncached(
                     query, cast_method, chunk_size, deadline
                 )
                 if use_cache:
@@ -470,45 +473,42 @@ class PolystoreRuntime:
                 self.metrics.record_completed(elapsed, cached=False)
                 if self.slow_queries.enabled:
                     self.slow_queries.observe(query, elapsed)
-                self._observe(query, plan, elapsed)
+                self._observe(final, elapsed)
                 return result
-            except (CircuitOpenError, TransientEngineError) as error:
-                # Degraded-mode read: the live execution failed against an
-                # engine whose breaker is (now) open, but a last-known-good
-                # cached result may still be useful.  Covers multi-engine
-                # plans — *any* required breaker being open qualifies, not
-                # just the one that refused admission — and transient
-                # failures that tripped a breaker mid-query.  Strictly
-                # opt-in (serve_stale_on_open) and always flagged.
-                if use_cache and self.serve_stale_on_open:
-                    open_engines = self._open_engines_for(query, error)
-                    if not isinstance(error, CircuitOpenError):
-                        # Transient failures only qualify when a required
-                        # breaker was open before the query started (see
-                        # ``pre_open`` above).
-                        open_engines &= pre_open
-                    stale = self.cache.get_stale(query) if open_engines else None
+            except Exception as error:
+                if serve_stale and isinstance(error, (CircuitOpenError, TransientEngineError)):
+                    stale = self._stale_read(query, error, needed(), pre_open)
                     if stale is not None:
-                        self.metrics.registry.counter("stale_served").inc()
-                        with self._degraded_lock:
-                            for name in open_engines:
-                                self._stale_served_by_engine[name] = (
-                                    self._stale_served_by_engine.get(name, 0) + 1
-                                )
-                        elapsed = time.perf_counter() - started
-                        self.metrics.record_completed(elapsed, cached=True)
+                        self.metrics.record_completed(time.perf_counter() - started, cached=True)
                         root.set("stale", True)
                         return stale
                 self.metrics.record_failed()
                 raise
-            except Exception:
-                self.metrics.record_failed()
-                raise
+
+    def _stale_read(self, query: str, error: Exception, needed: set[str],
+                    pre_open: set[str]) -> Relation | None:
+        """The last-known-good cached result of a query a breaker failed.
+
+        The opt-in degraded read (``serve_stale_on_open``): *any* engine the
+        query needs with an open breaker qualifies it, not just the one that
+        refused admission.  A transient failure qualifies only when such a
+        breaker was open before the query started (``pre_open``), so a
+        failure that first trips its own breaker still surfaces hard.
+        """
+        open_engines = self._open_engines_for_dispatch(needed, error)
+        if not isinstance(error, CircuitOpenError):
+            open_engines &= pre_open
+        stale = self.cache.get_stale(query) if open_engines else None
+        if stale is not None:
+            self.metrics.registry.counter("stale_served").inc()
+            self._count_by_engine(self._stale_served_by_engine, open_engines)
+        return stale
 
     def _execute_uncached(
         self, query: str, cast_method: str, chunk_size: int | None,
         deadline: float | None = None,
-    ) -> tuple[Relation, QueryPlan | None]:
+    ) -> tuple[Relation, _Dispatch]:
+        """Run the query; returns its result and its final dispatch."""
         stripped = query.strip()
         tracer = get_tracer()
         if self.bigdawg.is_scoped(stripped):
@@ -519,36 +519,36 @@ class PolystoreRuntime:
             execution = self.bigdawg.planner.start(plan)
             try:
                 with tracer.span("executed", kind="lifecycle", steps=len(plan.steps)):
-                    self._run_plan(plan, execution, deadline)
+                    final = self._run_plan(plan, execution, deadline)
                 self.metrics.record_casts_skipped(len(execution.skipped_casts))
-                return execution.finish(), plan
+                return execution.finish(), final
             finally:
                 execution.cleanup()
         island = self.bigdawg._choose_island(stripped)
-        members = [engine.name for engine in island.member_engines()]
-
-        def resolve() -> set[str]:
-            engines = self._referenced_engines(stripped, members)
-            if not engines and members:
-                engines = {members[0].lower()}
-            return engines
-
+        record = _Dispatch(
+            "island query", lambda: island.execute(stripped), island=island,
+            text=stripped, cast_method=cast_method, chunk_size=chunk_size,
+        )
         with tracer.span("executed", kind="lifecycle"):
-            return self._dispatch_resilient(
-                resolve(),
-                lambda: island.execute(stripped),
-                deadline=deadline,
-                description="island query",
-                reresolve=resolve,
-                island=island,
-                text=stripped,
-                cast_method=cast_method,
-                chunk_size=chunk_size,
-            ), None
+            return self._dispatch(record, deadline), record
 
     def _run_plan(self, plan: QueryPlan, execution: PlanExecution,
-                  deadline: float | None = None) -> None:
-        """Run steps in dependency waves; a wave's steps run on parallel threads."""
+                  deadline: float | None = None) -> _Dispatch:
+        """Run steps in dependency waves, a wave's steps on parallel threads;
+        returns the final step's dispatch record."""
+        records: list[_Dispatch | None] = [None] * len(plan.steps)
+
+        def run_step(index: int) -> None:
+            step = plan.steps[index]
+            scope = getattr(step, "scope", None)
+            record = records[index] = _Dispatch(
+                step.describe(), lambda: execution.run_step(index), step=step,
+                island=self.bigdawg.island(scope.island) if scope is not None else None,
+                text=scope.body_without_casts if scope is not None else None,
+            )
+            with get_tracer().span("plan_step", kind="step", step=record.description):
+                self._dispatch(record, deadline)
+
         dependencies = plan.step_dependencies()
         completed: set[int] = set()
         remaining = set(range(len(plan.steps)))
@@ -556,9 +556,8 @@ class PolystoreRuntime:
             ready = sorted(i for i in remaining if dependencies[i] <= completed)
             if not ready:
                 raise PlanningError("plan dependencies contain a cycle")
-            if len(ready) == 1 or not self.parallel_steps:
-                for index in ready:
-                    self._run_admitted_step(execution, plan, index, deadline)
+            if len(ready) == 1:
+                run_step(ready[0])
             else:
                 errors: list[BaseException] = []
                 # Wave threads are raw Threads, not pool workers: carry the
@@ -568,17 +567,11 @@ class PolystoreRuntime:
 
                 def run(index: int) -> None:
                     try:
-                        with_context(
-                            ctx, self._run_admitted_step, execution, plan, index,
-                            deadline,
-                        )
+                        with_context(ctx, run_step, index)
                     except BaseException as exc:  # noqa: BLE001 - re-raised below
                         errors.append(exc)
 
-                threads = [
-                    threading.Thread(target=run, args=(index,), daemon=True)
-                    for index in ready
-                ]
+                threads = [threading.Thread(target=run, args=(i,), daemon=True) for i in ready]
                 for thread in threads:
                     thread.start()
                 for thread in threads:
@@ -587,157 +580,123 @@ class PolystoreRuntime:
                     raise errors[0]
             completed.update(ready)
             remaining.difference_update(ready)
+        return records[-1]
 
-    def _run_admitted_step(self, execution: PlanExecution, plan: QueryPlan,
-                           index: int, deadline: float | None = None) -> None:
-        step = plan.steps[index]
-        engines = self._step_engines(step)
-        tracer = get_tracer()
-        scope = getattr(step, "scope", None)
-        island = self.bigdawg.island(scope.island) if scope is not None else None
-        text = scope.body_without_casts if scope is not None else None
-        with tracer.span("plan_step", kind="step", step=step.describe()):
-            # The whole admit-and-dispatch is the retryable unit: a retried
-            # attempt re-queues at the admission gates (fairness under load)
-            # and the breakers are checked *before* admission, so traffic to
-            # a tripped engine fails fast instead of holding queue slots.
-            self._dispatch_resilient(
-                engines,
-                lambda: execution.run_step(index),
-                deadline=deadline,
-                description=step.describe(),
-                reresolve=lambda: self._step_engines(step),
-                island=island,
-                text=text,
-                cast_method=getattr(step, "method", "binary"),
-                chunk_size=getattr(step, "chunk_size", None),
-            )
+    def _dispatch(self, record: _Dispatch, deadline: float | None):
+        """Run one dispatch: journal → breakers/retry → admission → call → failover.
 
-    def _dispatch_resilient(self, engines: set[str], call, deadline: float | None,
-                            description: str, reresolve=None, island=None,
-                            text: str | None = None, cast_method: str = "binary",
-                            chunk_size: int | None = None):
-        """Dispatch under retry/breakers/failover, journaling mutations.
-
-        Statements the islands route to a primary copy (DML/DDL) are
-        wrapped in a write-ahead intent: the begin record lands before the
-        dispatch, the intent's idempotency token is stamped onto the engines
-        once the write applies, and the commit record seals it — so crash
-        recovery can always classify an interrupted write as applied (roll
-        forward) or not (roll back).  Reads skip the journal entirely.
+        Admit-and-call is the retryable unit, so a retried attempt re-queues
+        at the gates, and the breakers are checked *before* admission, so
+        traffic to a tripped engine fails fast instead of holding slots.  A
+        write (DML/DDL) is a write-ahead intent: begin before the dispatch,
+        the intent's token stamped onto the engines once it applies, commit
+        after — so recovery can tell an interrupted write applied (roll
+        forward) or not (roll back).  Reads skip the journal.
         """
-        if text is None or not _is_write_statement(text):
-            return self._dispatch_with_failover(
-                engines, call, deadline, description, reresolve, island,
-                text, cast_method, chunk_size,
+        engines = self._engines(record)
+        intent = None
+        if record.is_write:
+            intent = self.journal.begin(
+                "dml", query=_span_text(record.text), engines=sorted(engines),
+                tables=self._catalog_tables(record.names),
             )
-        intent = self.journal.begin(
-            "dml",
-            query=_span_text(text),
-            engines=sorted(engines),
-            tables=self._catalog_tables(text),
-        )
-        self.journal.crash_point("dml.begin")
+            self.journal.crash_point("dml.begin")
+        token = intent.token if intent is not None else None
         try:
-            result = self._dispatch_with_failover(
-                engines, call, deadline, description, reresolve, island,
-                text, cast_method, chunk_size, write_token=intent.token,
-            )
+            try:
+                result = self.resilience.run(
+                    engines, lambda: self._admitted_call(record, engines, token),
+                    deadline=deadline, description=record.description,
+                )
+            except (CircuitOpenError, TransientEngineError) as error:
+                result = self._failover(record, engines, error, deadline, token)
         except BaseException as error:
-            if not isinstance(error, SimulatedCrashError):
+            if intent is not None and not isinstance(error, SimulatedCrashError):
                 intent.abort(error=type(error).__name__)
             raise
-        self.journal.crash_point("dml.dispatched")
-        intent.mark("applied")
-        self.journal.crash_point("dml.applied")
-        intent.commit()
-        self.journal.crash_point("dml.committed")
+        if intent is not None:
+            self.journal.crash_point("dml.dispatched")
+            intent.mark("applied")
+            self.journal.crash_point("dml.applied")
+            intent.commit()
+            self.journal.crash_point("dml.committed")
         return result
 
-    def _dispatch_with_failover(self, engines: set[str], call,
-                                deadline: float | None, description: str,
-                                reresolve=None, island=None,
-                                text: str | None = None,
-                                cast_method: str = "binary",
-                                chunk_size: int | None = None,
-                                write_token: str | None = None):
-        """Dispatch under retry/breakers; on an open breaker, fail over.
+    def _admitted_call(self, record: _Dispatch, engines: set[str],
+                       write_token: str | None):
+        """One attempt: admit at the engines' gates, call, and stamp a
+        write's token onto the engines once the call succeeded."""
+        with ExitStack() as stack:
+            with get_tracer().span("admitted", kind="lifecycle",
+                                   engines=",".join(sorted(engines))):
+                stack.enter_context(self.admission.admit(engines))
+            if self.engine_latency > 0:
+                time.sleep(self.engine_latency)
+            result = record.call()
+            if write_token is not None:
+                for name in engines:
+                    try:
+                        self.bigdawg.catalog.engine(name).note_write_token(write_token)
+                    except ObjectNotFoundError:  # pragma: no cover - defensive
+                        pass
+            return result
 
-        When the protected dispatch fails against an engine whose breaker is
-        (now) open, the step is *re-planned* instead of surfacing the error.
-        For reads, engine resolution runs again — with the breaker open, the
-        catalog's replica-aware routing now picks a healthy fresh copy —
-        and, if plain rerouting finds nothing, a fresh healthy replica from
-        outside the island is CAST into a healthy member first.  For writes,
-        rerouting alone cannot help (only the primary accepts writes), so a
-        fresh healthy replica is *promoted* to primary first — a journaled
-        election under a ``failover.write`` span — and the write re-routes
-        to the new primary.  Only when the rerouted engine set is actually
-        clear of open breakers is the step re-dispatched, with its retry
-        attempts budgeted out of whatever deadline remains, so a failover
-        can never overshoot the query's budget.
+    def _failover(self, record: _Dispatch, engines: set[str], error: Exception,
+                  deadline: float | None, write_token: str | None):
+        """Re-plan a dispatch an open breaker refused, or re-raise ``error``.
+
+        A read re-resolves its engines (routing now avoids the open breaker)
+        and, if that finds no healthy copy in the island, first CASTs a
+        fresh healthy replica from outside it into a healthy member.  A
+        write first *promotes* a fresh healthy replica to primary (a
+        journaled election, under a ``failover.write`` span).  The dispatch
+        repeats only on an engine set clear of open breakers, with as many
+        attempts as the deadline still allows.
         """
-        try:
+        broken = self._open_engines_for_dispatch(engines, error)
+        if not broken:
+            raise error
+        failover_attempts: int | None = None
+        if deadline is not None:
+            # The failed primary already spent part of the query's budget,
+            # so the re-dispatch gets only as many attempts (with worst-case
+            # backoff) as still fit before the deadline.
+            remaining = deadline - self.resilience.now()
+            if remaining <= 0:
+                raise DeadlineExceededError(
+                    f"query deadline exhausted before failover of "
+                    f"{record.description or 'step'}"
+                ) from error
+            failover_attempts = self.resilience.retry.attempts_within(remaining)
+        elected = False
+        if record.is_write and record.island is not None:
+            elected = self._elect_write_primaries(record.text, broken, record.description)
+            if not elected:
+                raise error
+        rerouted = self._engines(record)
+        if not record.is_write and (rerouted == engines or rerouted & broken) \
+                and record.island is not None and record.text is not None:
+            if self._provision_replicas(record):
+                rerouted = self._engines(record)
+        if not rerouted or rerouted == engines or rerouted & broken:
+            raise error
+        self.metrics.registry.counter("failover_total").inc()
+        if elected:
+            self.metrics.registry.counter("writes_failed_over").inc()
+        self._count_by_engine(self._failover_by_engine, broken)
+        with get_tracer().span(
+            "failover.write" if elected else "failover",
+            kind="resilience", step=record.description,
+            from_engines=",".join(sorted(broken)),
+            to_engines=",".join(sorted(rerouted)),
+            error=type(error).__name__,
+            budget_attempts=failover_attempts or 0,
+        ):
             return self.resilience.run(
-                engines,
-                lambda: self._admitted_dispatch(engines, call, write_token),
-                deadline=deadline,
-                description=description,
+                rerouted, lambda: self._admitted_call(record, rerouted, write_token),
+                deadline=deadline, description=f"failover: {record.description}",
+                max_attempts=failover_attempts,
             )
-        except (CircuitOpenError, TransientEngineError) as error:
-            broken = self._open_engines_for_dispatch(engines, error)
-            if not broken or reresolve is None:
-                raise
-            failover_attempts: int | None = None
-            if deadline is not None:
-                # Deadline-aware failover budgeting: the failed primary
-                # already spent part of the query's budget, so the
-                # re-dispatch gets only as many attempts (with worst-case
-                # backoff) as still fit before the deadline.
-                remaining = deadline - self.resilience.now()
-                if remaining <= 0:
-                    raise DeadlineExceededError(
-                        f"query deadline exhausted before failover of "
-                        f"{description or 'step'}"
-                    ) from error
-                failover_attempts = self.resilience.retry.attempts_within(remaining)
-            is_write = text is not None and _is_write_statement(text)
-            elected = False
-            if is_write and island is not None:
-                elected = self._elect_write_primaries(text, broken, description)
-                if not elected:
-                    raise
-            rerouted = set(reresolve())
-            if not is_write and (rerouted == engines or rerouted & broken) \
-                    and island is not None and text is not None:
-                if self._provision_replicas(text, island, cast_method, chunk_size):
-                    rerouted = set(reresolve())
-            if not rerouted or rerouted == engines or rerouted & broken:
-                raise
-            self.metrics.registry.counter("failover_total").inc()
-            if elected:
-                self.metrics.registry.counter("writes_failed_over").inc()
-            with self._degraded_lock:
-                for name in sorted(broken):
-                    self._failover_by_engine[name] = (
-                        self._failover_by_engine.get(name, 0) + 1
-                    )
-            tracer = get_tracer()
-            with tracer.span(
-                "failover.write" if elected else "failover",
-                kind="resilience", step=description,
-                from_engines=",".join(sorted(broken)),
-                to_engines=",".join(sorted(rerouted)),
-                error=type(error).__name__,
-                budget_attempts=failover_attempts or 0,
-            ):
-                return self.resilience.run(
-                    rerouted,
-                    lambda: self._admitted_dispatch(rerouted, call, write_token),
-                    deadline=deadline,
-                    description=f"failover: {description}",
-                    max_attempts=failover_attempts,
-                )
 
     def _elect_write_primaries(self, text: str, broken: set[str],
                                description: str) -> bool:
@@ -754,7 +713,7 @@ class PolystoreRuntime:
         """
         catalog = self.bigdawg.catalog
         elected = False
-        for name in sorted(set(_IDENTIFIER_RE.findall(text))):
+        for name in sorted(_object_names(text)):
             check_cancelled()  # client cancellation lands between elections
             try:
                 primary = catalog.locate(name)
@@ -771,11 +730,8 @@ class PolystoreRuntime:
                 continue
             target = candidates[0].engine_name
             intent = self.journal.begin(
-                "promotion",
-                object=primary.name,
-                from_engine=primary.engine_name,
-                to_engine=target,
-                step=description,
+                "promotion", object=primary.name, from_engine=primary.engine_name,
+                to_engine=target, step=description,
             )
             self.journal.crash_point("promotion.begin")
             try:
@@ -783,8 +739,8 @@ class PolystoreRuntime:
             except CatalogError as error:
                 # Lost a race (another thread promoted first, or the copy
                 # went stale between the check and the swap): record the
-                # abort and move on — reresolve() will see whatever primary
-                # won.
+                # abort and move on — re-resolution will see whatever
+                # primary won.
                 intent.abort(error=type(error).__name__)
                 continue
             intent.mark("catalog")
@@ -794,56 +750,49 @@ class PolystoreRuntime:
             elected = True
         return elected
 
-    def _catalog_tables(self, text: str) -> list[str]:
-        """Catalog objects a statement mentions (for the journal record)."""
-        names = []
-        for token in sorted(set(_IDENTIFIER_RE.findall(text))):
+    def _catalog_tables(self, names: Sequence[str]) -> list[str]:
+        """Catalog objects among ``names`` (for the journal record)."""
+        tables = []
+        for name in sorted(names):
             try:
-                names.append(self.bigdawg.catalog.locate(token).name)
+                tables.append(self.bigdawg.catalog.locate(name).name)
             except ObjectNotFoundError:
                 continue
-        return names
+        return tables
+
+    def _count_by_engine(self, counts: dict[str, int], names: set[str]) -> None:
+        with self._degraded_lock:
+            for name in names:
+                counts[name] = counts.get(name, 0) + 1
 
     def _open_engines_for_dispatch(self, engines: set[str],
                                    error: BaseException) -> set[str]:
-        """Engines in this dispatch whose breaker is open, plus the refuser."""
+        """Engines in ``engines`` whose breaker is open, plus the refuser."""
         broken = self.resilience.open_engines(engines)
         name = getattr(error, "engine", None)
         if name and not self.resilience.engine_is_available(name):
             broken.add(name.lower())
         return broken
 
-    def _open_engines_for(self, query: str, error: BaseException) -> set[str]:
-        """Open-breaker engines the *query* needs (the stale-serve test)."""
-        return self._open_engines_for_dispatch(
-            self._referenced_engines(query), error
-        )
-
-    def _provision_replicas(self, text: str, island, cast_method: str,
-                            chunk_size: int | None) -> bool:
-        """CAST stranded objects' fresh healthy replicas into the island.
-
-        For each object the step reads whose every in-island copy is
-        unhealthy but which has a fresh healthy copy *outside* the island,
-        copy that replica onto a healthy island member — the alternate-CAST
-        failover path.  Returns True when at least one object moved.
-        """
-        members = [engine.name.lower() for engine in island.member_engines()]
+    def _provision_replicas(self, record: _Dispatch) -> bool:
+        """Copy each object the dispatch reads that has no healthy copy in
+        the island, from a fresh healthy replica outside it, onto a healthy
+        member (the alternate-CAST failover).  True when one moved."""
         healthy_members = [
-            name for name in members if self.resilience.engine_is_available(name)
+            name.lower() for name in record.members
+            if self.resilience.engine_is_available(name.lower())
         ]
         if not healthy_members:
             return False
         catalog = self.bigdawg.catalog
         moved = False
-        for token in sorted(set(_IDENTIFIER_RE.findall(text))):
+        for name in sorted(record.names):
             try:
-                primary = catalog.locate(token)
+                primary = catalog.locate(name)
             except ObjectNotFoundError:
                 continue
-            fresh = catalog.fresh_locations(token)
             healthy = [
-                loc for loc in fresh
+                loc for loc in catalog.fresh_locations(name)
                 if self.resilience.engine_is_available(loc.engine_name)
             ]
             if not healthy or any(loc.engine_name in healthy_members for loc in healthy):
@@ -851,8 +800,8 @@ class PolystoreRuntime:
             source = healthy[0].engine_name
             try:
                 self.bigdawg.migrator.cast(
-                    token, healthy_members[0], method=cast_method,
-                    chunk_size=chunk_size,
+                    name, healthy_members[0], method=record.cast_method,
+                    chunk_size=record.chunk_size,
                     source_engine=None if source == primary.engine_name else source,
                 )
             except BigDawgError:
@@ -860,103 +809,57 @@ class PolystoreRuntime:
             moved = True
         return moved
 
-    def _admitted_dispatch(self, engines: set[str], fn,
-                           write_token: str | None = None):
-        """Admit at the engines' gates, then dispatch one attempt of ``fn``.
-
-        For journaled writes, the intent's idempotency token is stamped onto
-        the touched engines *after* the dispatch succeeds — recovery uses
-        the token to tell an applied-but-uncommitted write (roll forward)
-        from one that never reached an engine (roll back).
-        """
-        tracer = get_tracer()
-        with ExitStack() as stack:
-            with tracer.span("admitted", kind="lifecycle",
-                             engines=",".join(sorted(engines))):
-                stack.enter_context(self.admission.admit(engines))
-            self._dispatch_delay()
-            result = fn()
-            if write_token is not None:
-                for name in engines:
-                    try:
-                        self.bigdawg.catalog.engine(name).note_write_token(write_token)
-                    except ObjectNotFoundError:  # pragma: no cover - defensive
-                        pass
-            return result
-
-    def _dispatch_delay(self) -> None:
-        if self.engine_latency > 0:
-            time.sleep(self.engine_latency)
-
     # ------------------------------------------------------- engine discovery
-    def _step_engines(self, step: object) -> set[str]:
-        """The engines a plan step will touch, for admission control."""
-        catalog = self.bigdawg.catalog
+    def _engines(self, record: _Dispatch) -> set[str]:
+        """The engines a dispatch claims at the breakers and gates, resolved
+        afresh on every call: a CAST its source and target, a statement the
+        copies the islands will touch, a WITH binding also the temp engine."""
+        step = record.step
         if isinstance(step, CastStep):
             engines = {step.target_engine.lower()}
             if step.source_engine is not None:
                 engines.add(step.source_engine.lower())
             else:
                 try:
-                    engines.add(catalog.locate(step.object_name).engine_name)
+                    engines.add(self.bigdawg.catalog.locate(step.object_name).engine_name)
                 except ObjectNotFoundError:
                     pass
             return engines
-        scope = getattr(step, "scope", None)
-        if scope is None:  # pragma: no cover - defensive
-            return set()
-        members = [
-            engine.name
-            for engine in self.bigdawg.island(scope.island).member_engines()
-        ]
-        engines = self._referenced_engines(scope.body_without_casts, members)
+        engines = self._referenced_engines(record.names, record.is_write, record.members)
         if isinstance(step, BindingStep):
             # The materialization writes into the temp engine: admit there
             # too, so binding writes stay inside that engine's slot budget.
             engines.add(self.bigdawg.temp_engine().name.lower())
+        elif step is None and not engines and record.members:
+            engines = {record.members[0].lower()}
         return engines
 
-    def _referenced_engines(self, text: str,
+    def _referenced_engines(self, names: Sequence[str], is_write: bool,
                             members: Sequence[str] | None = None) -> set[str]:
-        """Engines serving reads of any catalog object the text mentions.
-
-        Uses the catalog's replica-aware read routing (restricted to the
-        island's ``members`` when given), so admission slots and breaker
-        claims are taken against the copies the islands will actually read —
-        not a primary that routing is steering around.
-        """
+        """Engines serving the catalog objects among ``names``: the primary
+        for a write, else the copy the catalog's replica-aware read routing
+        picks (among ``members`` when given) — where the islands will go."""
         catalog = self.bigdawg.catalog
-        # Write statements are routed to the primary by the islands; claim
-        # the same copy here so admission matches the actual dispatch.
-        is_write = _is_write_statement(text)
         engines: set[str] = set()
-        for token in set(_IDENTIFIER_RE.findall(text)):
+        for name in names:
             try:
                 if is_write:
-                    engines.add(catalog.locate(token).engine_name)
+                    engines.add(catalog.locate(name).engine_name)
                 else:
-                    engines.add(
-                        catalog.locate_for_read(token, members=members).engine_name
-                    )
+                    engines.add(catalog.locate_for_read(name, members=members).engine_name)
             except ObjectNotFoundError:
                 continue
         return engines
 
     # -------------------------------------------------------------- monitoring
-    def _observe(self, query: str, plan: QueryPlan | None, elapsed: float) -> None:
+    def _observe(self, final: _Dispatch, elapsed: float) -> None:
         """Feed the execution monitor so the advisor learns from live traffic."""
+        island = final.step.scope.island if final.step is not None else "auto"
+        catalog = self.bigdawg.catalog
         try:
-            if plan is not None and plan.steps:
-                final = plan.steps[-1]
-                scope = getattr(final, "scope", None)
-                island = scope.island if scope is not None else "auto"
-                body = scope.body_without_casts if scope is not None else query
-            else:
-                island, body = "auto", query
-            catalog = self.bigdawg.catalog
-            for token in _IDENTIFIER_RE.findall(body):
+            for name in final.names:
                 try:
-                    location = catalog.locate(token)
+                    location = catalog.locate(name)
                 except ObjectNotFoundError:
                     continue
                 self.bigdawg.monitor.record(
@@ -965,63 +868,6 @@ class PolystoreRuntime:
                 return
         except BigDawgError:  # pragma: no cover - observation must never fail a query
             pass
-
-
-class RuntimeSession:
-    """A per-client handle: counts its traffic and scopes its temporaries.
-
-    Any temporary materialized through :meth:`materialize` lives until the
-    session closes (use it as a context manager), at which point it is
-    dropped from both its engine and the catalog — per-query WITH bindings
-    are already scoped to their plan execution and need no session help.
-    """
-
-    def __init__(self, runtime: PolystoreRuntime, session_id: int) -> None:
-        self.runtime = runtime
-        self.id = session_id
-        self.queries_submitted = 0
-        self._temporaries: list[str] = []
-        self._lock = threading.Lock()
-        self._closed = False
-
-    # ------------------------------------------------------------------ query
-    def submit(self, query: str, **options: object) -> "Future[Relation]":
-        self._check_open()
-        with self._lock:
-            self.queries_submitted += 1
-        return self.runtime.submit(query, **options)  # type: ignore[arg-type]
-
-    def execute(self, query: str, **options: object) -> Relation:
-        return self.submit(query, **options).result()
-
-    # ------------------------------------------------------------- temporaries
-    def materialize(self, name: str, relation: Relation) -> str:
-        """Store a relation as a session-scoped temporary table."""
-        self._check_open()
-        physical = f"{name}__s{self.id}"
-        self.runtime.bigdawg.materialize_temporary(physical, relation)
-        with self._lock:
-            self._temporaries.append(physical)
-        return physical
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        with self._lock:
-            temporaries, self._temporaries = self._temporaries, []
-        for name in temporaries:
-            self.runtime.bigdawg.drop_temporary(name)
-
-    def __enter__(self) -> "RuntimeSession":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RuntimeError(f"session {self.id} is closed")
 
 
 __all__ = ["PolystoreRuntime", "RuntimeSession"]

@@ -25,13 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.keycodes import PartitionRouter, partition_codes, value_hash
-from repro.common.parallel import (
-    TaskContext,
-    WorkerCredits,
-    partition_count_for,
-    resolve_parallelism,
-)
+from repro.common.keycodes import PartitionRouter, partition_order, value_hash
+from repro.common.parallel import TaskContext, WorkerCredits, resolve_parallelism
 from repro.common.serialization import BinaryCodec
 from repro.common.types import DataType
 from repro.common.vectors import vector_from_values
@@ -90,13 +85,21 @@ JOIN_GROUP_QUERIES = [
 
 
 # ------------------------------------------------------------ partitioning
+def partition_codes(codes: np.ndarray, num_partitions: int) -> list[np.ndarray]:
+    """Each partition's row indices, sliced out of :func:`partition_order`."""
+    order, bounds = partition_order(codes, num_partitions)
+    return [order[bounds[p] : bounds[p + 1]] for p in range(num_partitions)]
+
+
 class TestPartitionCodes:
     def test_partitions_are_disjoint_cover_and_ordered(self):
         codes = np.array([5, 3, -1, 0, 8, 3, -1, 13, 2, 0], dtype=np.int64)
+        order, bounds = partition_order(codes, 4)
+        assert len(bounds) == 5
+        # NULL codes (-1) sort past the last partition.
+        assert sorted(order[bounds[-1]:].tolist()) == [2, 6]
         parts = partition_codes(codes, 4)
-        assert len(parts) == 4
         seen = np.concatenate(parts)
-        # NULL codes (-1) appear in no partition.
         assert set(seen.tolist()) == {0, 1, 3, 4, 5, 7, 8, 9}
         for p, rows in enumerate(parts):
             assert np.all(codes[rows] % 4 == p)
@@ -118,7 +121,7 @@ class TestPartitionCodes:
 
     def test_rejects_zero_partitions(self):
         with pytest.raises(ValueError):
-            partition_codes(np.array([1], dtype=np.int64), 0)
+            partition_order(np.array([1], dtype=np.int64), 0)
 
 
 _EDGE_NUMBERS = [
@@ -205,10 +208,6 @@ class TestParallelPrimitives:
         with pytest.raises(ValueError):
             resolve_parallelism(0)
 
-    def test_partition_count_is_power_of_two_at_least_workers(self):
-        for workers, expected in [(1, 1), (2, 2), (3, 4), (4, 4), (5, 8), (8, 8)]:
-            assert partition_count_for(workers) == expected
-
     def test_map_ordered_preserves_order_with_threads(self):
         with TaskContext(4) as ctx:
             out = list(ctx.map_ordered(lambda x: x * x, range(100)))
@@ -225,11 +224,6 @@ class TestParallelPrimitives:
         assert list(ctx.map_ordered(work, range(5))) == [1, 2, 3, 4, 5]
         assert thread_ids == {threading.get_ident()}
         ctx.close()
-
-    def test_run_all_returns_results_in_submission_order(self):
-        with TaskContext(4) as ctx:
-            results = ctx.run_all([lambda i=i: i * 10 for i in range(8)])
-        assert results == [i * 10 for i in range(8)]
 
     def test_worker_credits_acquire_and_release(self):
         credits = WorkerCredits(3)
@@ -309,7 +303,7 @@ class TestSpillJoin:
     def test_explain_reports_parallel_header_and_spill_tag(self):
         engine = make_engine(parallelism=2, budget=64)
         text = engine.explain(JOIN_GROUP_QUERIES[0])
-        assert "Parallel(workers=2, partitions=2)" in text
+        assert "Parallel(workers=2)" in text
         assert "[spill]" in text
         unbudgeted = make_engine(parallelism=2, budget=None)
         assert "[spill]" not in unbudgeted.explain(JOIN_GROUP_QUERIES[0])
@@ -500,20 +494,19 @@ class TestMergeById:
 
 # ---------------------------------------------------------------- group-by
 class TestParallelGroupBy:
-    def test_parallel_groupby_uses_partitioned_path(self):
+    def test_parallel_groupby_keeps_stream_path(self):
         engine = make_engine(parallelism=4)
         engine.execute(
             "SELECT user_id, sum(amount) FROM events GROUP BY user_id"
         )
-        assert engine.groupby_paths.get("stream_parallel", 0) > 0
+        assert engine.groupby_paths == {"stream": 1}
 
     def test_serial_groupby_keeps_stream_path(self):
         engine = make_engine(parallelism=1)
         engine.execute(
             "SELECT user_id, sum(amount) FROM events GROUP BY user_id"
         )
-        assert engine.groupby_paths.get("stream", 0) > 0
-        assert "stream_parallel" not in engine.groupby_paths
+        assert engine.groupby_paths == {"stream": 1}
 
     def test_aggregate_only_groupby_prunes_representatives(self):
         engine = make_engine()
@@ -659,22 +652,10 @@ class TestRuntimeParallelism:
         rt.set_relational_parallelism(4)
         parallel = codec.encode(rt.execute(query, use_cache=False))
         assert serial == parallel
-        assert postgres.groupby_paths.get("stream_parallel", 0) > 0
+        assert postgres.groupby_paths.get("stream", 0) > 0
         assert rt.task_credits.available == 3
 
-    @pytest.mark.parametrize(
-        "patched, query",
-        [
-            # The join's parallel CSR build (>= 2048 build rows) ...
-            ("repro.common.parallel.TaskContext.run_all",
-             "SELECT count(*) FROM big a JOIN big b ON a.id = b.id"),
-            # ... and the partitioned group-by's constructor both run after
-            # the query has borrowed its workers.
-            ("repro.engines.relational.vectorized._PartitionedGroupAggregator.__init__",
-             "SELECT k, sum(id) FROM big GROUP BY k"),
-        ],
-    )
-    def test_a_build_that_raises_returns_its_credits(self, runtime, monkeypatch, patched, query):
+    def test_a_build_that_raises_returns_its_credits(self, runtime, monkeypatch):
         rt, postgres = runtime
         postgres.execute("CREATE TABLE big (id INTEGER PRIMARY KEY, k INTEGER)")
         postgres.insert_rows("big", [(i, i % 7) for i in range(3000)])
@@ -684,9 +665,9 @@ class TestRuntimeParallelism:
         def boom(*_args, **_kwargs):
             raise MemoryError("no room for the build")
 
-        monkeypatch.setattr(patched, boom)
+        monkeypatch.setattr("repro.engines.relational.morsel.HashJoinTable.__init__", boom)
         with pytest.raises(Exception, match="no room for the build"):
-            rt.execute(query, use_cache=False)
+            rt.execute("SELECT count(*) FROM big a JOIN big b ON a.id = b.id", use_cache=False)
         assert rt.task_credits.available == 3
 
     @pytest.mark.parametrize(

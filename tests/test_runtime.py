@@ -22,12 +22,16 @@ from repro.core.query.planner import BindingStep, CastStep, IslandQueryStep
 from repro.engines.array import ArrayEngine
 from repro.engines.keyvalue import KeyValueEngine
 from repro.engines.relational import RelationalEngine
+from repro.observability.tracing import Tracer, set_tracer
 from repro.runtime import (
     AdmissionController,
     AdmissionTimeout,
+    EngineResilience,
+    FaultInjector,
     MemoryJournalBackend,
     PolystoreRuntime,
     ResultCache,
+    RetryPolicy,
     RuntimeMetrics,
     WriteIntentJournal,
 )
@@ -649,3 +653,142 @@ class TestMemoryJournalBound:
         # Counters and sequence numbers are the journal's, not the window's.
         assert journal.intents_written == 3 * kept + 2
         assert journal.begin("dml").intent_id > states[-1].intent_id
+
+
+# ---------------------------------------------------------------------------
+# The dispatch contract: what one query costs the layers around the engines
+# ---------------------------------------------------------------------------
+#: Spans the runtime itself opens around a query.
+RUNTIME_SPANS = {
+    "query", "queued", "planned", "executed", "plan_step", "admitted",
+    "failover", "failover.write",
+}
+
+
+def runtime_span_edges(tracer: Tracer) -> list[str]:
+    """``parent>child`` for every runtime span, its parent being the nearest
+    enclosing runtime span (engine and CAST spans in between are skipped)."""
+    spans = tracer.spans()
+    by_id = {span.span_id: span for span in spans}
+    edges = []
+    for span in spans:
+        if span.name not in RUNTIME_SPANS:
+            continue
+        parent = by_id.get(span.parent_id)
+        while parent is not None and parent.name not in RUNTIME_SPANS:
+            parent = by_id.get(parent.parent_id)
+        edges.append(span.name if parent is None else f"{parent.name}>{span.name}")
+    return sorted(edges)
+
+
+class TestDispatchContract:
+    """One ``EngineResilience.run`` and one ``AdmissionController.admit`` per
+    dispatch (an island query, or each plan step), three journal records per
+    DML, and the same runtime spans in the same nesting — what per-layer
+    attribution of a query's time relies on."""
+
+    ISLAND = ["executed>admitted", "query", "query>executed", "query>queued"]
+    ONE_STEP = [
+        "executed>plan_step", "plan_step>admitted", "query", "query>executed",
+        "query>planned", "query>queued",
+    ]
+    TWO_STEPS = [
+        "executed>plan_step", "executed>plan_step", "plan_step>admitted",
+        "plan_step>admitted", "query", "query>executed", "query>planned",
+        "query>queued",
+    ]
+
+    @pytest.mark.parametrize(
+        "query, dispatches, records, edges",
+        [
+            ("SELECT count(*) AS n FROM patients WHERE age > 60", 1, 0, ISLAND),
+            ("INSERT INTO patients VALUES (5, 30)", 1, 3, ISLAND),
+            ("RELATIONAL(SELECT count(*) AS n FROM patients WHERE age > 60)", 1, 0, ONE_STEP),
+            ("RELATIONAL(INSERT INTO patients VALUES (5, 30))", 1, 3, ONE_STEP),
+            # The CAST journals itself (begin, imported, renamed, catalog, commit).
+            ("RELATIONAL(SELECT count(*) AS n FROM CAST(wave_copy, relational))", 2, 5, TWO_STEPS),
+            (
+                "WITH seniors = RELATIONAL(SELECT id, age FROM patients WHERE age >= 64) "
+                "RELATIONAL(SELECT count(*) AS n FROM seniors WHERE age >= 70)",
+                2, 0, TWO_STEPS,
+            ),
+        ],
+        ids=[
+            "island-read", "island-write", "scoped-read", "scoped-write",
+            "cast-then-query", "with-binding",
+        ],
+    )
+    def test_calls_records_and_spans_per_dispatch(
+        self, runtime, monkeypatch, query, dispatches, records, edges
+    ):
+        calls = {"run": 0, "admit": 0}
+
+        def counted(name, method):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(EngineResilience, "run", counted("run", EngineResilience.run))
+        monkeypatch.setattr(
+            AdmissionController, "admit", counted("admit", AdmissionController.admit)
+        )
+        written = runtime.journal.records_written
+        tracer = Tracer(enabled=True)
+        previous = set_tracer(tracer)
+        try:
+            runtime.execute(query, use_cache=False)
+        finally:
+            set_tracer(previous)
+        assert calls == {"run": dispatches, "admit": dispatches}
+        assert runtime.journal.records_written - written == records
+        assert runtime_span_edges(tracer) == edges
+
+
+# ---------------------------------------------------------------------------
+# Object names come from the statement, never from its string literals
+# ---------------------------------------------------------------------------
+class TestLiteralObjectNames:
+    """A string literal that spells a catalog object's name must not make
+    the runtime claim, journal or fail over that object's engine."""
+
+    @pytest.fixture(params=[True, False], ids=["replicated", "unreplicated"])
+    def split(self, request):
+        """patients on postgres (with or without a fresh replica on mysql),
+        notes on mysql; postgres down and its breaker open."""
+        bd = BigDawg()
+        postgres = RelationalEngine("postgres")
+        mysql = RelationalEngine("mysql")
+        bd.add_engine(postgres, islands=["relational"])
+        bd.add_engine(mysql, islands=["relational"])
+        postgres.execute("CREATE TABLE patients (id INTEGER PRIMARY KEY, age INTEGER)")
+        postgres.execute("INSERT INTO patients VALUES (1, 64), (2, 70)")
+        mysql.execute("CREATE TABLE notes (id INTEGER PRIMARY KEY, body TEXT)")
+        if request.param:
+            bd.migrator.cast("patients", "mysql")
+        rt = PolystoreRuntime(
+            bd, workers=2,
+            resilience=EngineResilience(
+                retry=RetryPolicy(max_attempts=1), failure_threshold=1, cooldown_s=60.0,
+            ),
+        )
+        injector = FaultInjector().outage()
+        injector.install(postgres)
+        rt.resilience.breaker("postgres").record_failure()
+        yield bd, rt
+        injector.uninstall()
+        rt.shutdown()
+
+    def test_a_literal_neither_claims_nor_elects_the_object_it_names(self, split):
+        """Replicated, patients must not be promoted to mysql; unreplicated,
+        postgres's open breaker must not refuse the write to mysql."""
+        bd, rt = split
+        rt.execute("RELATIONAL(INSERT INTO notes VALUES (1, 'it''s patients'))")
+        rows = bd.engine("mysql").execute("SELECT body FROM notes").rows
+        assert [row["body"] for row in rows] == ["it's patients"]
+        assert bd.catalog.locate("patients").engine_name == "postgres"
+        (intent,) = rt.journal.replay()
+        assert intent.kind == "dml" and intent.committed
+        assert intent.payload["engines"] == ["mysql"]
+        assert intent.payload["tables"] == ["notes"]
+        assert rt.metrics.snapshot()["failover_total"] == 0

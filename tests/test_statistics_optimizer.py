@@ -262,8 +262,8 @@ class TestCostDecisions:
 class TestStreamingGroupBy:
     @staticmethod
     def make_engine(rows, parallelism=1):
-        """``parallelism`` is pinned: the reported path name (``stream`` vs
-        ``stream_parallel``) must not depend on the host's core count."""
+        """``parallelism`` is pinned so the grid does not depend on the
+        host's core count."""
         engine = RelationalEngine("gv")
         engine.parallelism = parallelism
         engine.execute(
@@ -287,7 +287,7 @@ class TestStreamingGroupBy:
         ]
 
     @pytest.mark.parametrize(
-        "parallelism, path", [(1, "stream"), (2, "stream_parallel")]
+        "parallelism, path", [(1, "stream"), (2, "stream")]
     )
     def test_streaming_bounds_peak_resident_rows(
         self, assert_matches_reference, parallelism, path
@@ -558,8 +558,6 @@ class TestRuntimeMetrics:
         bd.add_engine(postgres, islands=["relational"])
         postgres.execute("CREATE TABLE t (a INTEGER, b INTEGER, g INTEGER)")
         postgres.insert_rows("t", [(i, i * 2, i % 3) for i in range(500)])
-        # parallelism=1: the path is named "stream" on any host; "auto" would
-        # report "stream_parallel" wherever there is more than one core.
         with PolystoreRuntime(bd, workers=2, parallelism=1) as runtime:
             runtime.execute(
                 "RELATIONAL(SELECT s.g FROM t s JOIN t u ON s.a = u.a LIMIT 1)"
