@@ -1,15 +1,28 @@
 """An in-memory B+tree used for secondary indexes in the relational engine.
 
-Keys are arbitrary comparable Python tuples (so composite indexes work) and
+Keys are mutually comparable Python tuples (so composite indexes work) and
 values are lists of row identifiers.  The tree supports point lookups, range
 scans and ordered iteration — everything the planner needs to turn an
 equality or range predicate into an index scan instead of a sequential scan.
+
+A key holding ``None`` or NaN cannot be ordered, so the tree never stores
+one: :meth:`BTreeIndex.insert` and :meth:`~BTreeIndex.delete` ignore it and
+:meth:`~BTreeIndex.search` finds nothing under it.  That is also SQL's
+answer: ``=``, ``<`` and ``>`` never match a NULL, so no index path needs it.
 """
 
 from __future__ import annotations
 
 import bisect
 from typing import Any, Iterator
+
+
+def orderable(key: tuple[Any, ...]) -> bool:
+    """Whether the tree stores ``key``: not when a part is None or NaN."""
+    for part in key:   # a loop, not all(): this runs once per key of every load
+        if part is None or part != part:
+            return False
+    return True
 
 
 class _Node:
@@ -54,7 +67,10 @@ class BTreeIndex:
 
     # ------------------------------------------------------------------ insert
     def insert(self, key: Any, row_id: int) -> None:
-        """Insert one key → row_id mapping, splitting nodes as necessary."""
+        """Insert one key → row_id mapping, splitting nodes as necessary (a
+        key that is not :func:`orderable` is not stored)."""
+        if not orderable(key):
+            return
         root = self._root
         result = self._insert(root, key, row_id)
         if result is not None:
@@ -116,6 +132,8 @@ class BTreeIndex:
         Underfull nodes are left as-is (lazy deletion); lookups stay correct and
         the tree is rebuilt on bulk reload, which matches how the engine uses it.
         """
+        if not orderable(key):
+            return False
         leaf = self._find_leaf(key)
         idx = bisect.bisect_left(leaf.keys, key)
         if idx >= len(leaf.keys) or leaf.keys[idx] != key:
@@ -140,6 +158,8 @@ class BTreeIndex:
 
     def search(self, key: Any) -> list[int]:
         """Return all row ids stored under ``key`` (empty list if absent)."""
+        if not orderable(key):
+            return []
         leaf = self._find_leaf(key)
         idx = bisect.bisect_left(leaf.keys, key)
         if idx < len(leaf.keys) and leaf.keys[idx] == key:

@@ -19,7 +19,7 @@ from repro.common.errors import (
     ExecutionError,
     ObjectNotFoundError,
 )
-from repro.common.expressions import compile_predicate
+from repro.common.expressions import Expression, compile_predicate
 from repro.common.parallel import (
     PARALLELISM_AUTO,
     TaskContext,
@@ -264,8 +264,8 @@ class RelationalEngine(Engine, TableStatisticsProvider):
     def table_indexes(self, table: str) -> dict[str, tuple[str, ...]]:
         return self.table(table).indexes()
 
-    def table_columns(self, table: str) -> list[str]:
-        return self.table(table).schema.names
+    def table_schema(self, table: str) -> Schema:
+        return self.table(table).schema
 
     def table_stats(self, table: str) -> TableStats | None:
         """Full table statistics for the optimizer (lazily analyzed)."""
@@ -513,38 +513,68 @@ class RelationalEngine(Engine, TableStatisticsProvider):
         return self._count_relation(self.insert_rows(statement.table, rows))
 
     def _execute_update(self, statement: UpdateStatement) -> Relation:
+        """Every new row is evaluated before any lands, and they land
+        together (:meth:`HeapTable.update_many`): a failing expression or a
+        taken key leaves the table unchanged.  If another write replaced a
+        matched row in between, nothing lands and the statement matches and
+        evaluates again, so that write is neither overwritten nor applied
+        to a row the WHERE no longer selects."""
         table = self.table(statement.table)
-        txn = self._transactions.active_transaction
-        matching = table.apply_filter_values(
-            compile_predicate(statement.where, table.schema)
-        )
         assignments = [
             (table.schema.index_of(column), expression.compile(table.schema))
             for column, expression in statement.assignments.items()
         ]
-        for row_id in matching:
-            old = table.get(row_id)
-            new_values = list(old)
-            for index, expression in assignments:
-                new_values[index] = expression(old)
-            if txn is not None:
+        updated = None
+        while updated is None:
+            matched = self._matching_rows(table, statement.where)
+            changes = []
+            for row_id, old in matched:
+                new_values = list(old)
+                for index, expression in assignments:
+                    new_values[index] = expression(old)
+                changes.append((row_id, new_values))
+            updated = table.update_many(changes, expected=[old for _row_id, old in matched])
+        txn = self._transactions.active_transaction
+        if txn is not None:
+            for row_id, old in updated:
                 txn.record_update(statement.table, row_id, old)
-            table.update(row_id, new_values)
-        self.statistics.note_mutation(statement.table, len(matching))
-        return self._count_relation(len(matching))
+        self.statistics.note_mutation(statement.table, len(updated))
+        return self._count_relation(len(updated))
 
     def _execute_delete(self, statement: DeleteStatement) -> Relation:
+        """Like UPDATE: a row another write replaced since it matched sends
+        the statement back to match again."""
         table = self.table(statement.table)
+        deleted = None
+        while deleted is None:
+            matched = self._matching_rows(table, statement.where)
+            deleted = table.delete_many(
+                [row_id for row_id, _values in matched],
+                expected=[values for _row_id, values in matched],
+            )
         txn = self._transactions.active_transaction
-        matching = table.apply_filter_values(
-            compile_predicate(statement.where, table.schema)
-        )
-        for row_id in matching:
-            if txn is not None:
-                txn.record_delete(statement.table, row_id, table.get(row_id))
-            table.delete(row_id)
-        self.statistics.note_mutation(statement.table, len(matching))
-        return self._count_relation(len(matching))
+        if txn is not None:
+            for row_id, old in deleted:
+                txn.record_delete(statement.table, row_id, old)
+        self.statistics.note_mutation(statement.table, len(deleted))
+        return self._count_relation(len(deleted))
+
+    def _matching_rows(
+        self, table: HeapTable, where: Expression | None
+    ) -> list[tuple[int, tuple[Any, ...]]]:
+        """The (row_id, values) pairs an UPDATE/DELETE's WHERE selects, live
+        at one instant under the table lock.
+
+        Through the index path a SELECT with the same WHERE would take
+        (:meth:`Planner.index_access`): its candidates are kept where the
+        *whole* compiled WHERE holds, so NULL logic matches the scan
+        exactly.  Without one, a full scan (:meth:`HeapTable.apply_filter_values`).
+        """
+        predicate = compile_predicate(where, table.schema)
+        path = self._planner.index_access(table.name, where)
+        if path is None:
+            return table.apply_filter_values(predicate)
+        return [(row_id, values) for row_id, values in path.candidates(table) if predicate(values)]
 
     @staticmethod
     def _count_relation(count: int) -> Relation:

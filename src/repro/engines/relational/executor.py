@@ -96,19 +96,7 @@ class Executor:
         table = self._engine.table(node.table)
         schema = self._qualified_schema(table.schema, node.alias or node.table)
         relation = Relation(schema)
-        if node.equals is not None:
-            matches = table.index_lookup(node.index_name, node.equals)
-        else:
-            matches = list(
-                table.index_range(
-                    node.index_name,
-                    low=node.low,
-                    high=node.high,
-                    include_low=node.include_low,
-                    include_high=node.include_high,
-                )
-            )
-        for _row_id, values in matches:
+        for _row_id, values in node.candidates(table):
             row = Row(schema, values)
             if node.residual is None or evaluate_predicate(node.residual, row):
                 relation.rows.append(row)

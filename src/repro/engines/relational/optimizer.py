@@ -300,7 +300,7 @@ class Optimizer:
             if getattr(node, "table", None) == "__dual__":
                 return None
             try:
-                columns = self._stats.table_columns(node.table)
+                columns = self._stats.table_schema(node.table).names
             except Exception:  # noqa: BLE001 - missing table errors at run time
                 return None
             if any("." in c for c in columns):

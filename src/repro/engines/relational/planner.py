@@ -5,8 +5,9 @@ The planner turns a parsed :class:`SelectStatement` into a tree of
 
 * predicate pushdown — WHERE conjuncts that mention only one table's columns
   move below the join into that table's scan;
-* index selection — an equality or range conjunct on a leading index column
-  turns a sequential scan into an index scan;
+* index selection — an equality or range conjunct on a single-column index
+  turns a sequential scan into an index scan (:meth:`Planner.index_access`,
+  which UPDATE and DELETE use too);
 * join ordering — the smaller input (by row-count statistic) becomes the hash
   join's build side.
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from datetime import datetime
 from typing import Any, Callable
 
 from repro.common.errors import PlanningError
@@ -29,12 +31,24 @@ from repro.common.expressions import (
     conjunction,
     split_conjuncts,
 )
+from repro.common.schema import Schema
+from repro.common.types import DataType
 from repro.engines.relational.sql.ast import SelectStatement, TableRef
 
 #: Canonical rendering of a HAVING-context aggregate reference, e.g.
 #: ``count(*)`` or ``sum(v + 1)`` (see the parser's aggregate-in-expression
 #: branch, which emits ``ColumnRef(f"{aggregate}({inner_sql})")``).
 _HAVING_AGGREGATE_RE = re.compile(r"^(count|sum|avg|min|max|stddev)\((.*)\)$", re.IGNORECASE)
+
+#: Per column type, the literal types a B+tree key of that column orders
+#: against (``bool`` is an ``int``); any other literal never picks an index.
+_ORDERABLE: dict[DataType, tuple[type, ...]] = {
+    DataType.INTEGER: (int, float),
+    DataType.FLOAT: (int, float),
+    DataType.BOOLEAN: (int, float),
+    DataType.TEXT: (str,),
+    DataType.TIMESTAMP: (datetime,),
+}
 
 
 @dataclass
@@ -82,7 +96,9 @@ class ScanNode(LogicalPlan):
 
 @dataclass
 class IndexScanNode(LogicalPlan):
-    """Index lookup or range scan over a single table."""
+    """Index lookup (``equals``) or range scan (``low``/``high``, ``None``
+    open) over a single table.  The bound comes from one conjunct of the
+    WHERE clause; ``residual`` is the rest of it."""
 
     table: str
     index_name: str
@@ -102,6 +118,16 @@ class IndexScanNode(LogicalPlan):
             detail = f"{self.column} in [{self.low!r}, {self.high!r}]"
         suffix = f" residual={self.residual.to_sql()}" if self.residual else ""
         return f"IndexScan({self.table} via {self.index_name}: {detail}){suffix}"
+
+    def candidates(self, table: Any) -> list[tuple[int, tuple[Any, ...]]]:
+        """The (row_id, values) pairs of ``table`` (a ``HeapTable``) inside
+        the index bound, as one list read under the table lock."""
+        if self.equals is not None:
+            return table.index_lookup(self.index_name, self.equals)
+        return table.index_range(
+            self.index_name, low=self.low, high=self.high,
+            include_low=self.include_low, include_high=self.include_high,
+        )
 
 
 @dataclass
@@ -240,7 +266,8 @@ class LimitNode(LogicalPlan):
 
 
 class TableStatisticsProvider:
-    """Minimal statistics interface the planner needs (row counts and indexes)."""
+    """Minimal statistics interface the planner needs (row counts, indexes
+    and schemas)."""
 
     def table_row_count(self, table: str) -> int:  # pragma: no cover - interface
         raise NotImplementedError
@@ -248,7 +275,7 @@ class TableStatisticsProvider:
     def table_indexes(self, table: str) -> dict[str, tuple[str, ...]]:  # pragma: no cover
         raise NotImplementedError
 
-    def table_columns(self, table: str) -> list[str]:  # pragma: no cover - interface
+    def table_schema(self, table: str) -> Schema:  # pragma: no cover - interface
         raise NotImplementedError
 
     def table_stats(self, table: str):
@@ -399,7 +426,7 @@ class Planner:
     ) -> tuple[LogicalPlan, list[Expression]]:
         """Push WHERE conjuncts onto the scans whose columns they reference."""
         if isinstance(plan, ScanNode):
-            columns = {c.lower() for c in self._stats.table_columns(plan.table)}
+            columns = {c.lower() for c in self._stats.table_schema(plan.table).names}
             alias = (plan.alias or plan.table).lower()
             local: list[Expression] = []
             remaining: list[Expression] = []
@@ -439,7 +466,7 @@ class Planner:
     def _choose_access_paths(self, plan: LogicalPlan) -> LogicalPlan:
         """Replace scans with index scans where a pushed-down predicate allows it."""
         if isinstance(plan, ScanNode):
-            return self._maybe_index_scan(plan)
+            return self.index_access(plan.table, plan.predicate, plan.alias) or plan
         if isinstance(plan, JoinNode):
             plan.left = self._choose_access_paths(plan.left)
             plan.right = self._choose_access_paths(plan.right)
@@ -451,45 +478,60 @@ class Planner:
                 setattr(plan, child_attr, self._choose_access_paths(getattr(plan, child_attr)))
         return plan
 
-    def _maybe_index_scan(self, scan: ScanNode) -> LogicalPlan:
-        if scan.predicate is None or scan.table == "__dual__":
-            return scan
-        indexes = self._stats.table_indexes(scan.table)
-        if not indexes:
-            return scan
-        leading = {}
-        for index_name, columns in indexes.items():
-            if columns:
-                leading.setdefault(columns[0].lower(), index_name)
-        conjuncts = split_conjuncts(scan.predicate)
+    def index_access(
+        self, table: str, predicate: Expression | None, alias: str | None = None
+    ) -> IndexScanNode | None:
+        """The index path for reading ``table`` filtered by ``predicate``, or
+        None for a sequential scan — the one access-path choice SELECT scans
+        and UPDATE/DELETE share.
+
+        The first conjunct ``column <op> literal`` (either side; ``op`` one
+        of ``= < <= > >=``) on the column of a single-column index picks that
+        index, and the other conjuncts become the residual.  A NULL literal
+        never does (``=``/``<``/``>`` never match NULL, and the index holds
+        no NULL keys), nor does a literal the B+tree cannot order against
+        the column's values (``id = '2'`` on an INTEGER key): those stay with
+        the scan, whose predicate answers them.
+        """
+        if predicate is None or table == "__dual__":
+            return None
+        # A composite index orders by its full key, so a bound on its
+        # leading column alone is not a key range; only one-column indexes.
+        single = {}
+        for index_name, columns in self._stats.table_indexes(table).items():
+            if len(columns) == 1:
+                single.setdefault(columns[0].lower(), index_name)
+        if not single:
+            return None
+        schema = self._stats.table_schema(table)
+        conjuncts = split_conjuncts(predicate)
         for i, conjunct in enumerate(conjuncts):
             simple = self._simple_comparison(conjunct)
             if simple is None:
                 continue
             column, op, value = simple
             bare = column.split(".")[-1].lower()
-            if bare not in leading:
+            if (
+                bare not in single
+                or op not in ("=", "==", "<", "<=", ">", ">=")
+                or not isinstance(value, _ORDERABLE.get(schema.column(bare).dtype, ()))
+                or value != value  # NaN
+            ):
                 continue
-            index_name = leading[bare]
-            residual = conjunction(conjuncts[:i] + conjuncts[i + 1 :])
+            node = IndexScanNode(
+                table=table, index_name=single[bare], column=bare, alias=alias,
+                residual=conjunction(conjuncts[:i] + conjuncts[i + 1 :]),
+            )
             if op in ("=", "=="):
-                return IndexScanNode(
-                    table=scan.table, index_name=index_name, column=bare,
-                    alias=scan.alias, equals=value, residual=residual,
-                )
-            if op in ("<", "<=", ">", ">="):
-                node = IndexScanNode(
-                    table=scan.table, index_name=index_name, column=bare,
-                    alias=scan.alias, residual=residual,
-                )
-                if op in (">", ">="):
-                    node.low = value
-                    node.include_low = op == ">="
-                else:
-                    node.high = value
-                    node.include_high = op == "<="
-                return node
-        return scan
+                node.equals = value
+            elif op in (">", ">="):
+                node.low = value
+                node.include_low = op == ">="
+            else:
+                node.high = value
+                node.include_high = op == "<="
+            return node
+        return None
 
     @staticmethod
     def _simple_comparison(expr: Expression) -> tuple[str, str, Any] | None:

@@ -5,7 +5,9 @@ A :class:`HeapTable` stores rows in insertion order keyed by a monotonically
 increasing row id, with optional B+tree secondary indexes kept in sync on
 insert, update and delete.  Deletes are tombstoned so row ids remain stable
 for index entries and in-flight scans.  The row dict is the write and index
-store: DML, point lookups and the reference executor read it.
+store: DML, point lookups and the reference executor read it.  An index
+holds no key with a NULL (or NaN) in it (:func:`~repro.engines.relational.
+btree.orderable`); a primary key refuses one.
 
 Every table scan of the SELECT pipeline and of the CAST export reads a
 :class:`ColumnSnapshot` instead (:meth:`HeapTable.column_snapshot`): the rows
@@ -16,9 +18,11 @@ memoised on the table and dropped by every mutator — they hold the same lock
 — so a static table packs a column once for all the queries that follow,
 and a table under writes pays only for the columns its scans touch.
 
-Runtime worker threads share tables: mutations and snapshots serialize on a
-per-table lock, and every scan iterates its own snapshot, so a SELECT, UPDATE
-or DELETE racing an INSERT never sees the row dict change size under it.
+Runtime worker threads share tables: mutations, snapshots and index reads
+serialize on a per-table lock, and every scan iterates its own snapshot (an
+index read returns one list), so a SELECT, UPDATE or DELETE racing an INSERT
+never sees the row dict or a B+tree leaf change under it.  Every mutator
+lands all of its rows or none: keys are checked before anything moves.
 """
 
 from __future__ import annotations
@@ -26,13 +30,13 @@ from __future__ import annotations
 import threading
 from datetime import datetime
 from operator import itemgetter
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.common.errors import ConstraintViolationError, ObjectNotFoundError, SchemaError
 from repro.common.schema import Schema
 from repro.common.types import DataType
 from repro.common.vectors import to_list, vector_from_values
-from repro.engines.relational.btree import BTreeIndex
+from repro.engines.relational.btree import BTreeIndex, orderable
 
 #: The exact Python type :func:`~repro.common.types.coerce` produces per type.
 _PYTHON_TYPES = {
@@ -162,14 +166,26 @@ class HeapTable:
         return range(first, first + len(rows))
 
     def _reject_duplicates(
-        self, name: str, index: BTreeIndex, keys: Sequence[tuple[Any, ...]]
+        self,
+        name: str,
+        index: BTreeIndex,
+        keys: Sequence[tuple[Any, ...]],
+        replaced: "set[int] | frozenset[int]" = frozenset(),
     ) -> None:
-        """Raise if any of ``keys`` is already in the unique ``index`` or
-        occurs twice among them.  Caller holds the lock."""
+        """Raise if any of ``keys`` occurs twice among them or is held in the
+        unique ``index`` by a row outside ``replaced`` (the rows whose keys
+        the same write gives up).  A key with a NULL is never a duplicate,
+        but a primary key may not hold one.  Caller holds the lock."""
+        kind = "primary key" if name == "__pk__" else f"key in unique index {name!r}"
         seen: set[tuple[Any, ...]] = set()
         for key in keys:
-            if key in seen or (len(index) and index.search(key)):
-                kind = "primary key" if name == "__pk__" else f"key in unique index {name!r}"
+            if not orderable(key):
+                if name == "__pk__":
+                    raise ConstraintViolationError(
+                        f"NULL in primary key {key!r} of table {self.name!r}"
+                    )
+                continue
+            if key in seen or any(row_id not in replaced for row_id in index.search(key)):
                 raise ConstraintViolationError(
                     f"duplicate {kind} {key!r} in table {self.name!r}"
                 )
@@ -191,38 +207,104 @@ class HeapTable:
     def get(self, row_id: int) -> tuple[Any, ...]:
         """Fetch one row by id."""
         if row_id not in self._rows:
-            raise ObjectNotFoundError(f"row {row_id} not found in table {self.name!r}")
+            raise self._no_row(row_id)
         return self._rows[row_id]
+
+    def _no_row(self, row_id: int) -> ObjectNotFoundError:
+        return ObjectNotFoundError(f"row {row_id} not found in table {self.name!r}")
 
     def delete(self, row_id: int) -> None:
         """Delete one row by id, maintaining all indexes."""
+        if not self.delete_many([row_id]):
+            raise self._no_row(row_id)
+
+    def delete_many(
+        self, row_ids: Sequence[int], expected: Sequence[tuple[Any, ...]] | None = None
+    ) -> list[tuple[int, tuple[Any, ...]]] | None:
+        """Delete rows by id under one lock acquisition, maintaining all
+        indexes; a row already gone is skipped.  Returns ``(row id, old
+        values)`` of every row deleted — or, when another write replaced one
+        of the rows since the caller read ``expected`` (:meth:`_overtaken`),
+        None with nothing deleted."""
         with self._lock:
-            values = self.get(row_id)
-            self._snapshot = None
+            if expected is not None and self._overtaken(row_ids, expected):
+                return None
+            gone = [(row_id, self._rows.pop(row_id)) for row_id in row_ids if row_id in self._rows]
+            if gone:
+                self._snapshot = None
             for columns, index in self._indexes.values():
-                index.delete(self._key_for(values, columns), row_id)
-            del self._rows[row_id]
+                for row_id, values in gone:
+                    index.delete(self._key_for(values, columns), row_id)
+        return gone
 
     def update(self, row_id: int, new_values: Sequence[Any]) -> None:
-        """Replace a row in place, maintaining all indexes.
+        """Replace one row in place (see :meth:`update_many`)."""
+        if not self.update_many([(row_id, new_values)]):
+            raise self._no_row(row_id)
 
-        A new key some other row already holds in a unique index raises
-        before anything is touched: rows, indexes and snapshot stay as they
-        were.
+    def update_many(
+        self,
+        changes: Sequence[tuple[int, Sequence[Any]]],
+        expected: Sequence[tuple[Any, ...]] | None = None,
+    ) -> list[tuple[int, tuple[Any, ...]]] | None:
+        """Replace rows in place, maintaining all indexes — every row, or
+        none.  The shape of :meth:`_land`:
+
+        1. every new row is validated before the lock is taken;
+        2. under it, each new unique key is checked within the batch and
+           against the rows the batch leaves untouched — so ``SET id = id +
+           1`` over ids 1 and 2 succeeds, and a clash raises with rows,
+           indexes and snapshot as they were;
+        3. then every row and index entry moves, in the same acquisition.
+
+        A row deleted since the caller read it is skipped.  ``expected`` is
+        the values the caller computed the new rows from, one per change: if
+        another write replaced any of those rows since (:meth:`_overtaken`),
+        nothing moves and the call returns None, so the caller can read
+        again rather than overwrite that write.  Otherwise returns ``(row id,
+        old values)`` of every row replaced.
         """
-        validated = self.schema.validate_row(new_values)
+        validated = [(row_id, self.schema.validate_row(values)) for row_id, values in changes]
         with self._lock:
-            old = self.get(row_id)
+            if expected is not None and self._overtaken(
+                [row_id for row_id, _values in changes], expected
+            ):
+                return None
+            validated = [(row_id, values) for row_id, values in validated if row_id in self._rows]
+            old = [(row_id, self._rows[row_id]) for row_id, _values in validated]
+            replaced = {row_id for row_id, _values in validated}
+            moves = {}
             for name, (columns, index) in self._indexes.items():
+                moves[name] = [
+                    (row_id, self._key_for(before, columns), self._key_for(after, columns))
+                    for (row_id, before), (_row_id, after) in zip(old, validated)
+                ]
                 if index.unique:
-                    new_key = self._key_for(validated, columns)
-                    if new_key != self._key_for(old, columns):
-                        self._reject_duplicates(name, index, [new_key])
-            self._snapshot = None
-            for columns, index in self._indexes.values():
-                index.delete(self._key_for(old, columns), row_id)
-                index.insert(self._key_for(validated, columns), row_id)
-            self._rows[row_id] = validated
+                    self._reject_duplicates(
+                        name, index, [new for _row_id, _old, new in moves[name]], replaced
+                    )
+            if old:
+                self._snapshot = None
+            for name, (_columns, index) in self._indexes.items():
+                moved = [move for move in moves[name] if move[1] != move[2]]
+                # Every old entry leaves before any new one lands: a unique
+                # key can pass from one row of the batch to another.
+                for row_id, before, _after in moved:
+                    index.delete(before, row_id)
+                for row_id, _before, after in moved:
+                    index.insert(after, row_id)
+            self._rows.update(validated)
+        return old
+
+    def _overtaken(self, row_ids: Sequence[int], expected: Sequence[tuple[Any, ...]]) -> bool:
+        """Whether a write replaced any of ``row_ids`` since the caller read
+        ``expected`` (their value tuples then, in order).  Every write stores
+        a new tuple, so identity tells; a row deleted since does not count.
+        Caller holds the lock."""
+        rows = self._rows
+        return any(
+            rows.get(row_id, values) is not values for row_id, values in zip(row_ids, expected)
+        )
 
     def _snapshot_items(self) -> Iterator[tuple[int, tuple[Any, ...]]]:
         with self._lock:
@@ -259,8 +341,8 @@ class HeapTable:
             self._snapshot = None
             self._rows.clear()
             self._indexes = {
-                name: (columns, BTreeIndex(unique=(name == "__pk__")))
-                for name, (columns, _index) in self._indexes.items()
+                name: (columns, BTreeIndex(unique=index.unique))
+                for name, (columns, index) in self._indexes.items()
             }
 
     # ---------------------------------------------------------------- indexes
@@ -271,7 +353,8 @@ class HeapTable:
         unique: bool = False,
         if_not_exists: bool = False,
     ) -> None:
-        """Create a B+tree index over the named columns and backfill it."""
+        """Create a B+tree index over the named columns and backfill it
+        (rows whose key holds a NULL are not indexed)."""
         if index_name in self._indexes:
             if if_not_exists:
                 return
@@ -282,8 +365,8 @@ class HeapTable:
         index = BTreeIndex(unique=unique)
         resolved = tuple(columns)
         with self._lock:
-            for row_id, values in self._rows.items():
-                index.insert(self._key_for(values, resolved), row_id)
+            for row_id, key in zip(self._rows, self._keys_for(self._rows.values(), resolved)):
+                index.insert(key, row_id)
             self._indexes[index_name] = (resolved, index)
 
     def drop_index(self, index_name: str) -> None:
@@ -298,20 +381,15 @@ class HeapTable:
         """Return {index name: indexed columns}."""
         return {name: cols for name, (cols, _idx) in self._indexes.items()}
 
-    def find_index(self, column: str) -> tuple[str, BTreeIndex] | None:
-        """Return an index whose leading column is ``column``, if one exists."""
-        target = column.lower()
-        for name, (columns, index) in self._indexes.items():
-            if columns and columns[0].lower() == target:
-                return name, index
-        return None
-
     def index_lookup(self, index_name: str, key: Any) -> list[tuple[int, tuple[Any, ...]]]:
-        """Equality lookup through an index; returns (row_id, values) pairs."""
-        columns, index = self._indexes[index_name]
+        """Equality lookup through an index: the (row_id, values) pairs live
+        at the call, read under the table lock.  A key with a NULL matches
+        nothing."""
         if not isinstance(key, tuple):
             key = (key,)
-        return [(row_id, self._rows[row_id]) for row_id in index.search(key) if row_id in self._rows]
+        with self._lock:
+            _columns, index = self._indexes[index_name]
+            return [(row_id, self._rows[row_id]) for row_id in index.search(key)]
 
     def index_range(
         self,
@@ -320,14 +398,18 @@ class HeapTable:
         high: Any = None,
         include_low: bool = True,
         include_high: bool = True,
-    ) -> Iterator[tuple[int, tuple[Any, ...]]]:
-        """Range scan through an index; returns (row_id, values) pairs in key order."""
-        _columns, index = self._indexes[index_name]
+    ) -> list[tuple[int, tuple[Any, ...]]]:
+        """Range scan through an index: the (row_id, values) pairs live at
+        the call, in key order, collected under the table lock (a leaf split
+        mid-walk would repeat entries).  A ``None`` bound is open."""
         low_key = (low,) if low is not None and not isinstance(low, tuple) else low
         high_key = (high,) if high is not None and not isinstance(high, tuple) else high
-        for _key, row_id in index.range_scan(low_key, high_key, include_low, include_high):
-            if row_id in self._rows:
-                yield row_id, self._rows[row_id]
+        with self._lock:
+            _columns, index = self._indexes[index_name]
+            return [
+                (row_id, self._rows[row_id])
+                for _key, row_id in index.range_scan(low_key, high_key, include_low, include_high)
+            ]
 
     def _key_for(self, values: Sequence[Any], columns: Sequence[str]) -> tuple[Any, ...]:
         return tuple(values[self.schema.index_of(col)] for col in columns)
@@ -348,12 +430,15 @@ class HeapTable:
             "indexes": list(self._indexes),
         }
 
-    def apply_filter_values(self, predicate: Callable[[Sequence[Any]], bool]) -> list[int]:
-        """Row ids of the rows whose value tuple satisfies ``predicate``
-        (UPDATE/DELETE's WHERE scan).
+    def apply_filter_values(
+        self, predicate: Callable[[Sequence[Any]], bool]
+    ) -> list[tuple[int, tuple[Any, ...]]]:
+        """The (row_id, values) pairs, of the rows live at the call, whose
+        value tuple satisfies ``predicate`` (UPDATE/DELETE's WHERE when no
+        index path applies).
 
         Pairs with :func:`repro.common.expressions.compile_predicate`: the
         caller compiles the WHERE clause once and no per-row :class:`Row`
         objects are built while matching.
         """
-        return [row_id for row_id, values in self._snapshot_items() if predicate(values)]
+        return [(row_id, values) for row_id, values in self._snapshot_items() if predicate(values)]

@@ -56,9 +56,24 @@ class Transaction:
         self.engine._finish_transaction(self)
 
     def rollback(self) -> None:
-        """Undo every change made inside the transaction, newest first."""
+        """Undo every change made inside the transaction, newest first.
+
+        A run of consecutive updates to one table is undone by one
+        :meth:`HeapTable.update_many` that puts each row back as it was
+        before the run: that state existed, so its unique keys agree, while
+        undoing row by row can pass through one where a key is taken twice
+        (``SET id = id + 1`` moved key 2 from one row to another).
+        """
         self._require_active()
+        batch: dict[int, tuple[Any, ...]] = {}   # row id -> values before the run
+        batch_table = ""
         for record in reversed(self._undo):
+            if batch and (record.kind != "update" or record.table != batch_table):
+                self._restore(batch_table, batch)
+            if record.kind == "update":
+                batch_table = record.table
+                batch[record.row_id] = record.before   # older records come later
+                continue
             table = self.engine.table(record.table)
             if record.kind == "insert":
                 if record.row_id in table._rows:
@@ -67,8 +82,8 @@ class Transaction:
                 # Re-insert with the original values (row id is not preserved,
                 # which is acceptable for the engine's usage).
                 table.insert(record.before)
-            elif record.kind == "update":
-                table.update(record.row_id, record.before)
+        if batch:
+            self._restore(batch_table, batch)
         if self._undo:
             # Undoing visibly mutated table state; results cached while the
             # transaction's changes were live must be invalidated.
@@ -76,6 +91,13 @@ class Transaction:
         self._undo.clear()
         self.active = False
         self.engine._finish_transaction(self)
+
+    def _restore(self, table_name: str, batch: dict[int, tuple[Any, ...]]) -> None:
+        table = self.engine.table(table_name)
+        for row_id in batch:
+            table.get(row_id)   # raises, as a row-by-row update would, if a row is gone
+        table.update_many(list(batch.items()))
+        batch.clear()
 
     def _require_active(self) -> None:
         if not self.active:

@@ -677,16 +677,7 @@ class BatchExecutor:
         predicate = None if node.residual is None else _PredicateRunner(node.residual, schema)
 
         def generate() -> Iterator[ColumnBatch]:
-            if node.equals is not None:
-                matches = table.index_lookup(node.index_name, node.equals)
-            else:
-                matches = table.index_range(
-                    node.index_name,
-                    low=node.low,
-                    high=node.high,
-                    include_low=node.include_low,
-                    include_high=node.include_high,
-                )
+            matches = node.candidates(table)
             token = current_token()
             pending: list[tuple[Any, ...]] = []
             for _row_id, values in matches:

@@ -22,6 +22,11 @@ Records are append-only dicts.  Two backends:
   mid-append.  Reopening the same path resumes the sequence numbers, so a
   "restarted" runtime sees the previous process's intents.
 
+Reopening a journal and recovering from it each read the records once, as
+a stream (:meth:`WriteIntentJournal.unfinished`): what they hold is the
+intents still open, not the history.  The file itself still grows with
+every write; nothing truncates or rotates it yet.
+
 Every intent carries an **idempotency token**: the scheduler stamps it onto
 the engines a journaled write touched (:meth:`~repro.engines.base.Engine.
 note_write_token`), so recovery can tell "the engine applied this write but
@@ -43,9 +48,9 @@ import json
 import os
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 __all__ = [
     "CRASH_POINTS",
@@ -111,6 +116,9 @@ class MemoryJournalBackend:
             records = [record for group in self._records.values() for record in group]
         return sorted(records, key=lambda record: record.get("seq", 0))
 
+    def iter_records(self) -> Iterator[dict]:
+        return iter(self.records())
+
     def close(self) -> None:  # pragma: no cover - symmetry with the file backend
         pass
 
@@ -142,20 +150,20 @@ class FileJournalBackend:
             if self._fsync:
                 os.fsync(self._file.fileno())
 
-    def records(self) -> list[dict]:
+    def iter_records(self) -> Iterator[dict]:
+        """The records one line at a time, in file order: a reader holds one
+        line, not the journal."""
         with self._lock:
             self._file.flush()
-        out: list[dict] = []
         with open(self.path, encoding="utf-8") as handle:
             for line in handle:
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    out.append(json.loads(line))
+                    yield json.loads(line)
                 except json.JSONDecodeError:
                     continue  # torn trailing write from a crash mid-append
-        return out
 
     def close(self) -> None:
         with self._lock:
@@ -204,10 +212,36 @@ class IntentState:
     steps: dict = field(default_factory=dict)
     committed: bool = False
     aborted: bool = False
+    #: The begin record's sequence number (the intent's place in the journal).
+    seq: int = 0
 
     @property
     def complete(self) -> bool:
         return self.committed or self.aborted
+
+    @property
+    def settled(self) -> bool:
+        """Whether recovery is done with the intent: a DML or CAST intent
+        once it commits or aborts; a promotion once it aborts, or commits
+        and its demoted copy is ``resolved``."""
+        if self.kind == "promotion":
+            return self.aborted or (self.committed and "resolved" in self.steps)
+        return self.complete
+
+    def apply(self, record: dict) -> None:
+        """Fold one of this intent's records into the state."""
+        phase = record.get("phase")
+        if phase == "begin":
+            self.kind = record.get("kind", self.kind)
+            self.token = record.get("token", self.token)
+            self.payload = dict(record.get("payload") or {})
+            self.seq = int(record.get("seq", 0))
+        elif phase == "apply":
+            self.steps[record.get("step", "")] = dict(record.get("payload") or {})
+        elif phase == "commit":
+            self.committed = True
+        elif phase == "abort":
+            self.aborted = True
 
 
 class WriteIntentJournal:
@@ -225,13 +259,16 @@ class WriteIntentJournal:
         self._clock = clock
         self._lock = threading.Lock()
         self._crash_hook: Callable[[str], None] | None = None
-        existing = self.backend.records()
-        self._seq = max((int(r.get("seq", 0)) for r in existing), default=0)
+        self._seq = 0
+        phases: Counter[str] = Counter()
+        for record in self.backend.iter_records():
+            phases[record.get("phase", "")] += 1
+            self._seq = max(self._seq, int(record.get("seq", 0)))
         #: Intents begun, journal-wide (prior process runs included).
-        self.intents_written = sum(1 for r in existing if r.get("phase") == "begin")
-        self.intents_committed = sum(1 for r in existing if r.get("phase") == "commit")
-        self.intents_aborted = sum(1 for r in existing if r.get("phase") == "abort")
-        self.records_written = len(existing)
+        self.intents_written = phases["begin"]
+        self.intents_committed = phases["commit"]
+        self.intents_aborted = phases["abort"]
+        self.records_written = sum(phases.values())
 
     # --------------------------------------------------------------- recording
     def begin(self, kind: str, **payload: Any) -> Intent:
@@ -287,35 +324,50 @@ class WriteIntentJournal:
 
     # ------------------------------------------------------------------ replay
     def replay(self) -> list[IntentState]:
-        """Reconstruct every intent, in begin order, from the record stream."""
+        """Reconstruct every intent, in begin order, from the record stream.
+
+        For inspection: it holds a state per intent ever written.  Recovery
+        reads :meth:`unfinished`, which does not.
+        """
+        return self._fold(self.backend.iter_records(), keep_settled=True)
+
+    def unfinished(self) -> list[IntentState]:
+        """What recovery still has to act on, in begin order: the open
+        intents, and the committed promotions whose demoted copy is not yet
+        ``resolved`` (:attr:`IntentState.settled`).
+
+        One streaming pass over the records; a DML or CAST intent's state
+        is dropped at its commit or abort record, so memory follows the open
+        intents, not the history.  File order is not sequence order across
+        intents (``begin`` reserves its number before it appends, so two
+        threads can write n+1 before n), hence the final sort; within one
+        intent it is, since one protocol run appends its records in turn.
+        """
+        return self._fold(self.backend.iter_records(), keep_settled=False)
+
+    @staticmethod
+    def _fold(records: Iterable[dict], keep_settled: bool) -> list[IntentState]:
         states: dict[str, IntentState] = {}
-        for record in sorted(self.backend.records(), key=lambda r: r.get("seq", 0)):
+        for record in records:
             intent_id = record.get("intent")
             if not intent_id:
                 continue
             state = states.get(intent_id)
-            phase = record.get("phase")
             if state is None:
                 state = states[intent_id] = IntentState(
                     intent_id=intent_id,
                     kind=record.get("kind", ""),
                     token=record.get("token", ""),
+                    seq=int(record.get("seq", 0)),
                 )
-            if phase == "begin":
-                state.kind = record.get("kind", state.kind)
-                state.token = record.get("token", state.token)
-                state.payload = dict(record.get("payload") or {})
-            elif phase == "apply":
-                state.steps[record.get("step", "")] = dict(record.get("payload") or {})
-            elif phase == "commit":
-                state.committed = True
-            elif phase == "abort":
-                state.aborted = True
-        return list(states.values())
+            state.apply(record)
+            if not keep_settled and state.settled:
+                del states[intent_id]
+        return sorted(states.values(), key=lambda state: state.seq)
 
     def open_intents(self) -> list[IntentState]:
-        """Intents begun but never committed or aborted — recovery's worklist."""
-        return [state for state in self.replay() if not state.complete]
+        """Intents begun but never committed or aborted."""
+        return [state for state in self.unfinished() if not state.complete]
 
     def has_intents(self) -> bool:
         return self.intents_written > 0

@@ -106,7 +106,9 @@ class JournalRecovery:
     # ----------------------------------------------------------------- driver
     def recover(self) -> RecoveryReport:
         report = RecoveryReport()
-        states = self.journal.replay()
+        # One streaming pass: the open intents plus the committed promotions
+        # still to resolve — not every intent the journal ever held.
+        states = self.journal.unfinished()
         handlers = {
             "dml": self._recover_dml,
             "cast": self._recover_cast,

@@ -25,6 +25,8 @@ The contract under test:
 from __future__ import annotations
 
 import json
+import random
+import tracemalloc
 
 import pytest
 
@@ -46,6 +48,7 @@ from repro.runtime import (
     RetryPolicy,
     WriteIntentJournal,
 )
+from repro.runtime.recovery import JournalRecovery
 
 
 class FakeClock:
@@ -186,6 +189,125 @@ class TestWriteIntentJournal:
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         assert [record["phase"] for record in lines] == ["begin", "apply"]
         assert lines[0]["token"].endswith(".cast")
+
+
+# ------------------------------------------------------- streaming replay
+def random_journal(rng: random.Random, intents: int) -> tuple[list[dict], set[str]]:
+    """Records of ``intents`` random protocol runs, in a file order whose
+    sequence numbers interleave out of order across intents (``begin``
+    reserves its number before it appends), plus the ids recovery still has
+    to act on: open intents and committed promotions not yet resolved."""
+    scripts: list[list[dict]] = []
+    unfinished: set[str] = set()
+    for n in range(intents):
+        intent_id, kind = f"i{n:08d}", rng.choice(["dml", "cast", "promotion"])
+        steps = rng.sample(["dispatched", "applied", "imported", "renamed", "catalog"],
+                           rng.randint(0, 3))
+        script = [{"intent": intent_id, "kind": kind, "phase": "begin",
+                   "token": f"w{n:08d}.{kind}", "payload": {"n": n}}]
+        script += [{"intent": intent_id, "kind": kind, "phase": "apply", "step": step,
+                    "payload": {"at": step}} for step in steps]
+        end = rng.choice(["commit", "abort", None])
+        if end is not None:
+            script.append({"intent": intent_id, "kind": kind, "phase": end})
+        resolved = kind == "promotion" and end == "commit" and rng.random() < 0.5
+        if resolved:
+            script.append({"intent": intent_id, "kind": kind, "phase": "apply",
+                           "step": "resolved", "payload": {"outcome": "fresh"}})
+        if end is None or (kind == "promotion" and end == "commit" and not resolved):
+            unfinished.add(intent_id)
+        scripts.append(script)
+
+    def interleave() -> list[dict]:
+        # A random merge that keeps each intent's own records in order.
+        cursors = [0] * len(scripts)
+        live = [i for i, script in enumerate(scripts) if script]
+        merged = []
+        while live:
+            i = rng.choice(live)
+            merged.append(scripts[i][cursors[i]])
+            cursors[i] += 1
+            if cursors[i] == len(scripts[i]):
+                live.remove(i)
+        return merged
+
+    for seq, record in enumerate(interleave(), start=1):
+        record["seq"] = seq
+    return interleave(), unfinished
+
+
+class TestStreamingReplay:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_unfinished_is_replay_filtered_on_out_of_order_journals(self, tmp_path, seed):
+        rng = random.Random(seed)
+        records, unfinished = random_journal(rng, rng.randint(1, 60))
+        path = tmp_path / "journal.jsonl"
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        journal = WriteIntentJournal(FileJournalBackend(path))
+        try:
+            replayed = journal.replay()
+            streamed = journal.unfinished()
+            committed_promotions = [s for s in replayed if s.kind == "promotion"
+                                    and s.committed and "resolved" not in s.steps]
+            expected = [s for s in replayed if not s.complete] + committed_promotions
+            expected.sort(key=lambda state: state.seq)
+            assert streamed == expected
+            assert {s.intent_id for s in streamed} == unfinished
+            assert [s.seq for s in streamed] == sorted(s.seq for s in streamed)
+            assert journal.open_intents() == [s for s in replayed if not s.complete]
+            phases = [r["phase"] for r in records]
+            assert journal.intents_written == phases.count("begin") == len(replayed)
+            assert journal.intents_committed == phases.count("commit")
+            assert journal.intents_aborted == phases.count("abort")
+            assert journal.records_written == len(records)
+            assert journal.begin("dml").intent_id > max(s.intent_id for s in replayed)
+        finally:
+            journal.backend.close()
+
+    def test_memory_backend_streams_the_same_way(self):
+        journal = WriteIntentJournal(MemoryJournalBackend())
+        open_cast = journal.begin("cast", object="x")
+        journal.begin("dml").commit()
+        election = journal.begin("promotion", object="y")
+        election.mark("catalog")
+        election.commit()
+        settled = journal.begin("promotion", object="z")
+        settled.commit()
+        journal.annotate(settled.intent_id, "resolved", kind="promotion", outcome="fresh")
+        assert [s.intent_id for s in journal.unfinished()] == [
+            open_cast.intent_id, election.intent_id]
+        assert [s.intent_id for s in journal.open_intents()] == [open_cast.intent_id]
+
+    def test_recovery_memory_stays_flat_as_committed_history_grows(self, tmp_path):
+        """Reopening a journal and recovering from it used to load every
+        record, and keep an IntentState per intent ever written: 10x the
+        committed DML meant about 10x the memory.  Now both stream."""
+        def peak_bytes(history: int) -> int:
+            path = tmp_path / f"journal-{history}.jsonl"
+            journal = WriteIntentJournal(FileJournalBackend(path))
+            for i in range(history):
+                intent = journal.begin("dml", engines=["postgres"],
+                                       query=f"UPDATE vitals SET hr = {i} WHERE id = {i}")
+                intent.mark("applied")
+                intent.commit()
+            journal.begin("dml", engines=["postgres"], query="DELETE FROM vitals")
+            journal.backend.close()
+            bd = BigDawg()
+            bd.add_engine(RelationalEngine("postgres"), islands=["relational"])
+            tracemalloc.start()
+            try:
+                reopened = WriteIntentJournal(FileJournalBackend(path))
+                report = JournalRecovery(bd, reopened).recover()
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+                reopened.backend.close()
+            assert report.rolled_back == 1 and report.rolled_forward == 0
+            assert reopened.intents_written == history + 1
+            return peak
+
+        small, large = peak_bytes(300), peak_bytes(3000)
+        assert large < 1.5 * small, (small, large)
 
 
 # --------------------------------------------------------- DML crash sweep

@@ -20,6 +20,7 @@ from repro.common.errors import (
     SchemaError,
     TypeMismatchError,
 )
+from repro.common.expressions import compile_predicate
 from repro.common.schema import Schema
 from repro.common.vectors import DictVector, NumericVector
 from repro.engines.base import EngineCapability
@@ -81,6 +82,17 @@ class TestBTree:
         with pytest.raises(ValueError):
             BTreeIndex(order=2)
 
+    def test_keys_with_null_or_nan_are_not_stored(self):
+        tree = BTreeIndex(order=4)
+        for i in range(20):
+            tree.insert((i,), i)
+        for key in ((None,), (float("nan"),), (3, None)):
+            tree.insert(key, 99)
+            assert tree.search(key) == []
+            assert tree.delete(key, 99) is False
+        assert len(tree) == 20
+        assert [k[0] for k in tree.keys()] == list(range(20))
+
 
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(-1000, 1000), min_size=1, max_size=300))
@@ -115,6 +127,34 @@ class TestHeapTable:
         table.insert([1, "a", 1.0])
         with pytest.raises(ConstraintViolationError):
             table.insert([1, "b", 2.0])
+
+    def test_primary_key_refuses_null_on_a_nullable_column(self):
+        """A table built through the API may leave its key column nullable;
+        a NULL key is still refused, on insert and on update, with nothing
+        stored."""
+        table = HeapTable("t", Schema([("id", "integer"), ("name", "text")]), primary_key=("id",))
+        with pytest.raises(ConstraintViolationError, match="NULL in primary key"):
+            table.insert([None, "a"])
+        rid = table.insert([1, "a"])
+        with pytest.raises(ConstraintViolationError, match="NULL in primary key"):
+            table.insert_many([[2, "b"], [None, "c"]])
+        with pytest.raises(ConstraintViolationError, match="NULL in primary key"):
+            table.update(rid, [None, "a"])
+        assert list(table.scan()) == [(rid, (1, "a"))]
+        assert table.index_lookup("__pk__", 1) == [(rid, (1, "a"))]
+
+    def test_writes_from_an_overtaken_read_change_nothing(self):
+        table = self.make_table()
+        first, second = table.insert_many([[1, "a", 1.0], [2, "b", 2.0]])
+        read = [table.get(first), table.get(second)]
+        table.update(second, [2, "b", 9.0])   # another write gets in between
+        assert table.update_many([(first, [1, "x", 1.0]), (second, [2, "x", 2.0])],
+                                 expected=read) is None
+        assert table.delete_many([first, second], expected=read) is None
+        assert [values for _rid, values in table.scan()] == [(1, "a", 1.0), (2, "b", 9.0)]
+        table.delete(first)   # a row deleted since the read is skipped, not a conflict
+        assert table.update_many([(first, [1, "x", 1.0]), (second, [2, "x", 9.0])],
+                                 expected=[read[0], table.get(second)]) == [(second, (2, "b", 9.0))]
 
     def test_secondary_index_lookup_and_range(self):
         table = self.make_table()
@@ -689,3 +729,355 @@ class TestTransactions:
         engine.begin()
         with pytest.raises(TransactionError):
             engine.begin()
+
+
+# ------------------------------------------------------ index path and DML
+def indexed_engine() -> RelationalEngine:
+    engine = RelationalEngine()
+    engine.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+    engine.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)")
+    engine.execute("CREATE INDEX idx_v ON t (v)")
+    return engine
+
+
+def result_rows(engine: RelationalEngine, sql: str = "SELECT * FROM t") -> list[tuple]:
+    return sorted(row.values for row in engine.execute(sql))
+
+
+def index_entries(table: HeapTable, name: str) -> list[tuple]:
+    return sorted(table._indexes[name][1].items())
+
+
+def scanned_entries(table: HeapTable, name: str) -> list[tuple]:
+    """What index ``name`` must hold: every row's key without a NULL or NaN."""
+    positions = [table.schema.index_of(c) for c in table._indexes[name][0]]
+    out = []
+    for row_id, values in table.scan():
+        key = tuple(values[i] for i in positions)
+        if all(part is not None and part == part for part in key):
+            out.append((key, row_id))
+    return sorted(out)
+
+
+class TestNullKeysStayOutOfIndexes:
+    """A B+tree cannot order None against an int.  Each of these used to
+    raise a bare TypeError — after the row had landed, or after the
+    old index entry had gone — leaving the index and the heap disagreeing."""
+
+    def test_insert_of_a_null_key(self):
+        engine = indexed_engine()
+        assert result_rows(engine, "INSERT INTO t VALUES (4, NULL)") == [(1,)]
+        assert result_rows(engine) == [(1, 10), (2, 20), (3, 30), (4, None)]
+        assert result_rows(engine, "SELECT * FROM t WHERE v IS NULL") == [(4, None)]
+        assert result_rows(engine, "SELECT * FROM t WHERE v >= 10") == [(1, 10), (2, 20), (3, 30)]
+        table = engine.table("t")
+        assert index_entries(table, "idx_v") == scanned_entries(table, "idx_v")
+
+    def test_update_to_and_from_a_null_key(self):
+        engine = indexed_engine()
+        assert result_rows(engine, "UPDATE t SET v = NULL WHERE id = 2") == [(1,)]
+        assert result_rows(engine, "SELECT * FROM t WHERE v = 20") == []
+        assert result_rows(engine) == [(1, 10), (2, None), (3, 30)]
+        assert result_rows(engine, "UPDATE t SET v = 25 WHERE v IS NULL") == [(1,)]
+        assert result_rows(engine, "SELECT * FROM t WHERE v = 25") == [(2, 25)]
+        assert result_rows(engine, "DELETE FROM t WHERE v < 100") == [(3,)]
+        table = engine.table("t")
+        assert len(table) == 0 and index_entries(table, "idx_v") == []
+
+    def test_create_index_over_a_null_and_a_nan(self):
+        engine = RelationalEngine()
+        engine.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER, f FLOAT)")
+        engine.insert_rows("t", [(1, 10, 1.0), (2, None, float("nan")), (3, 30, None)])
+        engine.execute("CREATE INDEX idx_v ON t (v)")
+        engine.execute("CREATE UNIQUE INDEX idx_f ON t (f)")
+        engine.insert_rows("t", [(4, None, float("nan"))])   # NULL/NaN are never duplicates
+        table = engine.table("t")
+        for name in ("idx_v", "idx_f"):
+            assert index_entries(table, name) == scanned_entries(table, name)
+        assert result_rows(engine, "SELECT id FROM t WHERE v > 0") == [(1,), (3,)]
+        assert result_rows(engine, "SELECT id FROM t WHERE f >= 1") == [(1,)]
+        assert table.index_lookup("idx_v", None) == []
+
+    def test_truncate_keeps_a_secondary_index_unique(self):
+        engine = indexed_engine()
+        engine.execute("CREATE UNIQUE INDEX idx_u ON t (v)")
+        engine.table("t").truncate()
+        engine.execute("INSERT INTO t VALUES (1, 10)")
+        with pytest.raises(ConstraintViolationError, match="idx_u"):
+            engine.execute("INSERT INTO t VALUES (2, 10)")
+
+
+class TestIndexPathLiterals:
+    """A NULL literal used to read as "no bound" (every row matched), and
+    an INTEGER key compared against '2' raised inside the B+tree."""
+
+    @pytest.mark.parametrize("where", ["id = NULL", "NULL = id", "v > NULL", "v <= NULL"])
+    def test_a_null_literal_matches_nothing(self, where):
+        engine = indexed_engine()
+        assert "IndexScan" not in engine.explain(f"SELECT * FROM t WHERE {where}")
+        assert result_rows(engine, f"SELECT * FROM t WHERE {where}") == []
+        assert result_rows(engine, f"UPDATE t SET v = 0 WHERE {where}") == [(0,)]
+        assert result_rows(engine, f"DELETE FROM t WHERE {where}") == [(0,)]
+        assert result_rows(engine) == [(1, 10), (2, 20), (3, 30)]
+
+    def test_a_literal_of_another_type_takes_the_scan(self):
+        engine = indexed_engine()
+        assert "IndexScan" not in engine.explain("SELECT * FROM t WHERE id = '2'")
+        assert result_rows(engine, "SELECT * FROM t WHERE id = '2'") == []
+        assert result_rows(engine, "UPDATE t SET v = 0 WHERE id = '2'") == [(0,)]
+        assert result_rows(engine, "SELECT * FROM t WHERE id = 2.0") == [(2, 20)]
+        assert result_rows(engine, "SELECT * FROM t WHERE 15 < v AND id = '2'") == []
+
+    def test_a_composite_index_is_not_a_range_on_its_first_column(self):
+        """A bound on the leading column alone is not a key range of a
+        two-column B+tree: read as one, ``a = 1`` found nothing and
+        ``a > 1`` returned every row."""
+        engine = RelationalEngine()
+        engine.execute("CREATE TABLE c (a INTEGER PRIMARY KEY, b INTEGER PRIMARY KEY, v INTEGER)")
+        engine.execute("INSERT INTO c VALUES (1, 1, 10), (1, 2, 20), (2, 1, 30)")
+        assert result_rows(engine, "SELECT * FROM c WHERE a = 1") == [(1, 1, 10), (1, 2, 20)]
+        assert result_rows(engine, "SELECT * FROM c WHERE a > 1") == [(2, 1, 30)]
+        assert result_rows(engine, "SELECT * FROM c WHERE a <= 1") == [(1, 1, 10), (1, 2, 20)]
+        assert result_rows(engine, "DELETE FROM c WHERE a = 1") == [(2,)]
+
+
+class TestAtomicUpdate:
+    """Every new row is evaluated and every key checked before any row
+    moves, as INSERT does.  Applied row by row, the first two statements
+    raised with row 1 already changed."""
+
+    def engine(self) -> RelationalEngine:
+        engine = RelationalEngine()
+        engine.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        engine.execute("INSERT INTO t VALUES (1, 5), (2, 0), (12, 30)")
+        return engine
+
+    def test_a_failing_expression_changes_nothing(self):
+        engine = self.engine()
+        with pytest.raises(ExecutionError, match="division by zero"):
+            engine.execute("UPDATE t SET v = 100 / v WHERE id > 0")
+        assert result_rows(engine) == [(1, 5), (2, 0), (12, 30)]
+
+    def test_a_key_clash_with_an_untouched_row_changes_nothing(self):
+        engine = self.engine()
+        before_snapshot = engine.table("t").column_snapshot()
+        with pytest.raises(ConstraintViolationError, match=r"\(12,\)"):
+            engine.execute("UPDATE t SET id = id + 10 WHERE id < 3")
+        assert result_rows(engine) == [(1, 5), (2, 0), (12, 30)]
+        assert engine.table("t").column_snapshot() is before_snapshot
+        assert result_rows(engine, "SELECT * FROM t WHERE id = 1") == [(1, 5)]
+        with pytest.raises(ConstraintViolationError):
+            engine.execute("UPDATE t SET id = 7")   # one key for three rows
+        assert result_rows(engine) == [(1, 5), (2, 0), (12, 30)]
+
+    def test_keys_may_pass_between_rows_of_one_statement(self):
+        engine = self.engine()
+        assert result_rows(engine, "UPDATE t SET id = id + 1") == [(3,)]
+        assert result_rows(engine) == [(2, 5), (3, 0), (13, 30)]
+        assert result_rows(engine, "SELECT * FROM t WHERE id = 2") == [(2, 5)]
+        table = engine.table("t")
+        assert index_entries(table, "__pk__") == scanned_entries(table, "__pk__")
+
+    def test_rollback_undoes_updates_and_a_delete(self):
+        """A rollback restores a run of updates together: undone row by
+        row, ``SET id = id + 1`` would put id 2 back while row 1 held it."""
+        engine = self.engine()
+        with pytest.raises(RuntimeError):
+            with engine.begin():
+                engine.execute("UPDATE t SET v = v + 1 WHERE id < 3")
+                engine.execute("UPDATE t SET id = id + 1 WHERE id < 3")
+                engine.execute("UPDATE t SET v = 0 WHERE id = 3")
+                engine.execute("DELETE FROM t WHERE id = 12")
+                raise RuntimeError("boom")
+        assert result_rows(engine) == [(1, 5), (2, 0), (12, 30)]
+        assert result_rows(engine, "SELECT * FROM t WHERE id = 2") == [(2, 0)]
+
+
+def test_by_key_dml_takes_the_index_path(monkeypatch):
+    """A WHERE the SELECT planner answers from an index never walks the
+    table; one it cannot still does."""
+    engine = indexed_engine()
+    walked = []
+    original = HeapTable.apply_filter_values
+    monkeypatch.setattr(HeapTable, "apply_filter_values",
+                        lambda self, predicate: walked.append(1) or original(self, predicate))
+    assert result_rows(engine, "UPDATE t SET v = 21 WHERE id = 2") == [(1,)]
+    assert result_rows(engine, "DELETE FROM t WHERE v >= 30 AND id > 0") == [(1,)]
+    assert walked == []
+    assert result_rows(engine, "UPDATE t SET v = 0 WHERE v IS NULL OR id = 1") == [(1,)]
+    assert walked == [1]
+    assert result_rows(engine) == [(1, 0), (2, 21)]
+
+
+def test_index_range_scans_racing_inserts_return_each_row_once():
+    """index_range used to walk B+tree leaves lazily, outside the table
+    lock: a leaf split mid-walk handed the moved entries out twice."""
+    engine = RelationalEngine()
+    engine.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+    engine.execute("CREATE INDEX idx_v ON t (v)")
+    rng = np.random.default_rng(7)
+    engine.insert_rows("t", [(i, int(v)) for i, v in enumerate(rng.integers(0, 10_000, 2000))])
+    done = threading.Event()
+    errors: list[BaseException] = []
+
+    def insert() -> None:
+        try:
+            for i, v in enumerate(rng.integers(0, 10_000, 6000), start=2000):
+                engine.insert_rows("t", [(i, int(v))])
+        except BaseException as exc:  # noqa: BLE001 - reported by the assert below
+            errors.append(exc)
+        finally:
+            done.set()
+
+    duplicated = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    writer = threading.Thread(target=insert)
+    try:
+        writer.start()
+        while not done.is_set() and not duplicated:
+            ids = [row[0] for row in engine.execute("SELECT id FROM t WHERE v > 5").rows]
+            if len(ids) != len(set(ids)):
+                duplicated.append(len(ids) - len(set(ids)))
+    finally:
+        done.wait(timeout=120)
+        writer.join(timeout=120)
+        sys.setswitchinterval(interval)
+    assert not writer.is_alive() and errors == []
+    assert duplicated == []
+
+
+def test_concurrent_updates_of_one_row_keep_both_writes():
+    """Two threads each add to a different column of one row.  An UPDATE
+    computes the new row from the values it matched; written back blindly,
+    it reverted a change the other thread made in between."""
+    engine = RelationalEngine()
+    engine.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER)")
+    engine.execute("INSERT INTO t VALUES (1, 0, 0), (2, 0, 0)")
+    rounds = 1500
+    errors: list[BaseException] = []
+
+    def bump(column: str) -> None:
+        try:
+            for _ in range(rounds):
+                engine.execute(f"UPDATE t SET {column} = {column} + 1 WHERE id = 1")
+        except BaseException as exc:  # noqa: BLE001 - reported by the assert below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=bump, args=(column,)) for column in ("a", "b")]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+    finally:
+        for thread in threads:
+            thread.join(timeout=120)
+        sys.setswitchinterval(interval)
+    assert errors == [] and not any(thread.is_alive() for thread in threads)
+    assert result_rows(engine) == [(1, rounds, rounds), (2, 0, 0)]
+
+
+# Domains small enough that WHERE literals hit stored keys often.
+_INTS = st.one_of(st.none(), st.integers(-4, 4))
+_TEXTS = st.one_of(st.none(), st.sampled_from(["a", "b", "bb"]))
+_FLOATS = st.one_of(st.none(), st.sampled_from([-1.5, 0.0, 2.0, 2.5, float("nan")]))
+_COLUMN_LITERALS = {
+    # column -> (literals of its own type, a literal of another type)
+    "id": (st.one_of(st.none(), st.integers(-1, 12), st.just(2.5)), "'2'"),
+    "v": (st.one_of(_INTS, st.just(1.5)), "'1'"),
+    "w": (_TEXTS, "2"),
+    "f": (st.one_of(_FLOATS.filter(lambda x: x is None or x == x), st.integers(-2, 3)), "'x'"),
+}
+
+
+def _sql_literal(value) -> str:
+    if value is None:
+        return "NULL"
+    if isinstance(value, str):
+        return f"'{value}'"
+    return repr(value)
+
+
+@st.composite
+def _comparisons(draw) -> str:
+    column = draw(st.sampled_from(sorted(_COLUMN_LITERALS)))
+    own, other = _COLUMN_LITERALS[column]
+    if draw(st.integers(0, 5)) == 0:
+        # Another type only under "=": an ordering against it raises in
+        # the scan's predicate as well as anywhere else.
+        return f"{column} = {other}"
+    op = draw(st.sampled_from(["=", "<", "<=", ">", ">="]))
+    literal = _sql_literal(draw(own))
+    if draw(st.booleans()):
+        flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}[op]
+        return f"{literal} {flipped} {column}"
+    return f"{column} {op} {literal}"
+
+
+_RESIDUALS = st.sampled_from([
+    "v IS NULL", "w IS NOT NULL", "v + 1 > 0", "w LIKE 'b%'", "f <> 2.0",
+    "(v = 1 OR w = 'a')", "NOT (id > 5)",
+])
+_WHERES = st.lists(st.one_of(_comparisons(), _RESIDUALS), min_size=1,
+                   max_size=2).map(" AND ".join)
+#: None is a DELETE.
+_SETS = st.sampled_from([None, "w = 'z'", "v = v + 1", "v = NULL, f = 2.0", "id = id + 1",
+                         "id = id + 100", "f = f * 2"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.lists(st.tuples(_INTS, _TEXTS, _FLOATS), min_size=1, max_size=14),
+    where=_WHERES,
+    assignment=_SETS,
+)
+def test_dml_through_the_index_path_touches_what_the_scan_would(data, where, assignment):
+    """UPDATE/DELETE choose the index path a SELECT would, then keep the
+    candidates the whole WHERE accepts: they must touch exactly the rows
+    ``apply_filter_values`` selects with the same compiled predicate, land
+    all of them or none, and leave every index equal to a full-scan filter."""
+    engine = RelationalEngine()
+    engine.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER, w TEXT, f FLOAT)")
+    engine.insert_rows("t", [(i, v, w, f) for i, (v, w, f) in enumerate(data)])
+    for column in ("v", "w", "f"):
+        engine.execute(f"CREATE INDEX idx_{column} ON t ({column})")
+    table = engine.table("t")
+    sql = (f"DELETE FROM t WHERE {where}" if assignment is None
+           else f"UPDATE t SET {assignment} WHERE {where}")
+    statement = parse_sql(sql)
+    before = dict(table.scan())
+    expected = table.apply_filter_values(compile_predicate(statement.where, table.schema))
+    model = dict(before)
+    if assignment is None:
+        for row_id, _values in expected:
+            del model[row_id]
+    else:
+        assignments = [(table.schema.index_of(c), e.compile(table.schema))
+                       for c, e in statement.assignments.items()]
+        for row_id, values in expected:
+            new = list(values)
+            for position, expression in assignments:
+                new[position] = expression(values)
+            model[row_id] = table.schema.validate_row(new)
+    ids = [values[0] for values in model.values()]
+    clash = len(ids) != len(set(ids))
+    if clash:
+        with pytest.raises(ConstraintViolationError):
+            engine.execute(sql)
+        model = before
+    else:
+        assert result_rows(engine, sql) == [(len(expected),)]
+
+    def comparable(state):   # NaN == NaN, for the comparison
+        return {row_id: tuple("NaN" if x != x else x for x in values)
+                for row_id, values in state.items()}
+
+    assert comparable(dict(table.scan())) == comparable(model)
+    for name in ("__pk__", "idx_v", "idx_w", "idx_f"):
+        assert index_entries(table, name) == scanned_entries(table, name), name
+    for value in (None, -1, 0, 1, 2, 4):
+        by_index = sorted(row_id for row_id, _values in table.index_lookup("idx_v", value))
+        by_scan = sorted(row_id for row_id, values in table.scan()
+                         if value is not None and values[1] == value)
+        assert by_index == by_scan
