@@ -4,9 +4,10 @@ Stands up a tiny BigDAWG deployment (relational + array + text engines),
 enables the global :class:`~repro.observability.tracing.Tracer`, and runs a
 cross-island query through the :class:`~repro.runtime.scheduler.PolystoreRuntime`:
 an array object is CAST into the relational island and aggregated there, so
-the trace covers the full lifecycle — queued, admitted, planned, the CAST's
-export/encode/decode/import stages, and the relational execution — across
-the runtime's worker threads.
+the trace covers the full lifecycle — admitted, planned, the CAST's
+export/encode/decode/import stages, and the relational execution.
+``runtime.execute`` runs on this thread; a query handed to
+``runtime.submit`` would also show the time it queued for a worker.
 
 The spans are written to ``traced_query.json`` in Chrome trace-event format;
 open chrome://tracing (or https://ui.perfetto.dev) and load the file to see

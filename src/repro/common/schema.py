@@ -302,6 +302,12 @@ class Relation:
         """
         return [row.values[index] for row in self.rows]
 
+    def column_vector(self, index: int) -> Any:
+        """One column in the form the relation stores it: a typed vector
+        (:mod:`repro.common.vectors`) where the producer stored one, else
+        the list :meth:`column_values` returns."""
+        return self.column_values(index)
+
     def column(self, name: str) -> list[Any]:
         """Return all values of one column as a list."""
         return self.column_values(self._schema.index_of(name))
@@ -460,12 +466,14 @@ class ColumnarRelation(Relation):
     that only needs columns (the binary codec's columnar layout) reads them
     via :meth:`column_values` without a single :class:`Row` ever being
     constructed, while row-oriented consumers transparently materialize on
-    first access.
+    first access.  A column may be stored as a typed vector (a whole-array
+    export does); :meth:`column_vector` hands it out as is, and
+    :meth:`column_values` as a list.
     """
 
-    def __init__(self, schema: Schema, columns: Sequence[list[Any]], length: int | None = None) -> None:
+    def __init__(self, schema: Schema, columns: Sequence[Any], length: int | None = None) -> None:
         super().__init__(schema)
-        self._columns: list[list[Any]] = list(columns)
+        self._columns: list[Any] = list(columns)
         if length is None:
             length = len(self._columns[0]) if self._columns else 0
         self._length = length
@@ -486,6 +494,11 @@ class ColumnarRelation(Relation):
         return self._length
 
     def column_values(self, index: int) -> list[Any]:
+        if self._materialized:
+            return super().column_values(index)
+        return vectors.to_list(self._columns[index])
+
+    def column_vector(self, index: int) -> Any:
         if self._materialized:
             return super().column_values(index)
         return self._columns[index]

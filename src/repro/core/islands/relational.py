@@ -3,9 +3,10 @@
 The island offers the *intersection* of capabilities — plain SQL — over all of
 its member engines.  Queries whose tables all live in one SQL-capable engine
 are pushed down and executed natively; queries touching objects stored in
-non-SQL engines (or spanning engines) are executed by materializing each
-referenced object through its relational shim into a scratch relational engine
-and running the SQL there.
+non-SQL engines (or spanning engines) fetch each referenced object through
+its relational shim and run the SQL in a scratch relational engine, where
+every export is a read-only foreign table: scanned in place, never copied
+into a heap, and refusing any write (a write there would change a copy).
 """
 
 from __future__ import annotations
@@ -55,17 +56,18 @@ class RelationalIsland(Island):
                 if only_engine.capabilities & EngineCapability.SQL:
                     # Single SQL-capable engine: push the whole query down.
                     return only_engine.execute(query)
-            # Cross-engine (or non-SQL source): materialize inputs into a scratch engine.
+            # Cross-engine (or non-SQL source): each object's export becomes a
+            # read-only foreign table of a scratch engine, scanned in place.
             scratch = RelationalEngine("_relational_island_scratch")
             try:
                 for table, engine in placements.items():
                     relation = RelationalShim(engine).fetch_relation(table)
-                    scratch.import_relation(table, relation)
+                    scratch.attach_foreign(table, relation, engine.name)
                 return scratch.execute(query)
             finally:
-                # An engine is a reference cycle: dropped with it, the copied
-                # tables (rows, indexes, column snapshot) would sit in memory
-                # until the cyclic collector next runs a full pass.
+                # An engine is a reference cycle: dropped with it, the
+                # exported columns would sit in memory until the cyclic
+                # collector next runs a full pass.
                 for table in scratch.list_objects():
                     scratch.drop_object(table)
         except TransientEngineError:

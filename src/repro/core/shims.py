@@ -142,7 +142,8 @@ class AssociativeShim(Shim):
     def fetch_associative(self, object_name: str) -> AssociativeArray:
         """Build an associative array from the engine's object.
 
-        * Key-value tables map naturally: row key x (family:qualifier) -> value.
+        * Key-value tables map naturally: row key x (family:qualifier) -> the
+          cell's newest value.
         * Relations use their first column as the row key and remaining columns
           as column keys.
         * Arrays use stringified coordinates.
@@ -150,7 +151,7 @@ class AssociativeShim(Shim):
         if isinstance(self.engine, KeyValueEngine):
             table = self.engine.table(object_name)
             out = AssociativeArray()
-            for entry in table.store.scan():
+            for entry in table.store.latest():
                 out.set(entry.key.row, f"{entry.key.family}:{entry.key.qualifier}", entry.value)
             return out
         relation = self.engine.export_relation(object_name)

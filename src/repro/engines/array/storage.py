@@ -17,6 +17,7 @@ import numpy as np
 from repro.common.errors import SchemaError, UnsupportedOperationError
 from repro.common.schema import Column, ColumnarRelation, Schema
 from repro.common.types import DataType, coerce
+from repro.common.vectors import NumericVector
 from repro.engines.array.schema import ArraySchema
 
 
@@ -140,13 +141,9 @@ class StoredArray:
         :meth:`flat_schema` of at most ``chunk_size`` rows (one relation with
         every cell when None; nothing for an array with no populated cell).
 
-        The one array -> relation gather: coordinates come from
-        ``np.nonzero`` on the presence mask, values from one fancy-index read
-        per attribute, and ``tolist`` hands out native Python values — the
-        buffer dtype is the type guarantee for INTEGER/FLOAT/BOOLEAN, while
-        TEXT (an object buffer) and TIMESTAMP (epoch seconds in a float
-        buffer) go through :func:`~repro.common.types.coerce`.  Only one
-        chunk's values exist as Python objects at a time.
+        The one array -> relation gather (:meth:`_gather`), with ``tolist``
+        handing out native Python values.  Only one chunk's values exist as
+        Python objects at a time.
         """
         schema = self.flat_schema()
         indexes = np.nonzero(self._present)
@@ -155,22 +152,39 @@ class StoredArray:
         for start in range(0, total, step):
             part = tuple(axis[start : start + step] for axis in indexes)
             columns = [
-                (axis + dimension.start).tolist()
-                for axis, dimension in zip(part, self.schema.dimensions)
+                column.tolist() if isinstance(column, np.ndarray) else column
+                for column in self._gather(part)
             ]
-            for attribute in self.schema.attributes:
-                values = self._buffers[attribute.name.lower()][part].tolist()
-                if attribute.dtype in (DataType.TEXT, DataType.TIMESTAMP):
-                    values = [coerce(value, attribute.dtype) for value in values]
-                columns.append(values)
             yield ColumnarRelation(schema, columns, len(part[0]))
 
     def to_relation(self) -> ColumnarRelation:
-        """The whole array flattened to one relation (see :meth:`cell_chunks`)."""
-        for relation in self.cell_chunks():
-            return relation
-        schema = self.flat_schema()
-        return ColumnarRelation(schema, [[] for _ in schema], 0)
+        """The whole array flattened to one relation over :meth:`flat_schema`,
+        kept typed: coordinates and INTEGER/FLOAT/BOOLEAN attributes are
+        ``NumericVector`` columns over the gathered buffers, with no Python
+        value made (see :meth:`ColumnarRelation.column_vector`)."""
+        indexes = np.nonzero(self._present)
+        columns = [
+            NumericVector(column) if isinstance(column, np.ndarray) else column
+            for column in self._gather(indexes)
+        ]
+        return ColumnarRelation(self.flat_schema(), columns, len(indexes[0]))
+
+    def _gather(self, part: tuple[np.ndarray, ...]) -> list[Any]:
+        """The cells at ``part`` (one index array per axis, from ``np.nonzero``
+        on the presence mask) as :meth:`flat_schema` columns: coordinates and
+        fixed-width attributes one fancy-index read each, an ``ndarray`` whose
+        dtype is the type guarantee; TEXT (an object buffer) and TIMESTAMP
+        (epoch seconds in a float buffer) as lists through
+        :func:`~repro.common.types.coerce`."""
+        columns: list[Any] = [
+            axis + dimension.start for axis, dimension in zip(part, self.schema.dimensions)
+        ]
+        for attribute in self.schema.attributes:
+            values = self._buffers[attribute.name.lower()][part]
+            if attribute.dtype in (DataType.TEXT, DataType.TIMESTAMP):
+                values = [coerce(value, attribute.dtype) for value in values.tolist()]
+            columns.append(values)
+        return columns
 
     # ---------------------------------------------------------------- synopsis
     def synopsis(self, attribute: str) -> list[ChunkSynopsis]:

@@ -110,12 +110,15 @@ class KeyValueEngine(Engine):
         return name.lower() in self._tables
 
     def export_relation(self, name: str) -> Relation:
-        """Flatten a key-value table to (row, family, qualifier, value) rows."""
-        table = self.table(name)
-        relation = Relation(self.export_schema(name))
-        for entry in table.store.scan():
-            relation.append([entry.key.row, entry.key.family, entry.key.qualifier, entry.value])
-        return relation
+        """Flatten a key-value table to (row, family, qualifier, value) rows,
+        one per cell: its newest version."""
+        return Relation(self.export_schema(name), self._cells(name))
+
+    def _cells(self, name: str) -> Iterator[list[Any]]:
+        return (
+            [entry.key.row, entry.key.family, entry.key.qualifier, entry.value]
+            for entry in self.table(name).store.latest()
+        )
 
     def export_schema(self, name: str) -> Schema:
         """The flattened export schema, widening the value column to a type
@@ -138,13 +141,9 @@ class KeyValueEngine(Engine):
         )
 
     def export_chunks(self, name: str, chunk_size: int = DEFAULT_CHUNK_ROWS) -> Iterator[Relation]:
-        """Stream the sorted scan as bounded chunks of flattened entries."""
-        table = self.table(name)
-        rows = (
-            [entry.key.row, entry.key.family, entry.key.qualifier, entry.value]
-            for entry in table.store.scan()
-        )
-        return relation_chunks(self.export_schema(name), rows, chunk_size)
+        """Stream the cells' newest versions, in key order, as bounded chunks
+        of flattened entries."""
+        return relation_chunks(self.export_schema(name), self._cells(name), chunk_size)
 
     def import_chunks(self, name: str, schema: Schema, chunks: Iterable[Relation],
                       **options: Any) -> None:

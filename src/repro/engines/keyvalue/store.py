@@ -130,6 +130,17 @@ class SortedKeyValueStore:
                     continue
             yield entry
 
+    def latest(self) -> Iterator[Entry]:
+        """The newest version of every cell (row, family, qualifier), in key
+        order: what a reader of the table's current state sees."""
+        last = None
+        for entry in self._entries[:]:
+            key = entry.key
+            cell = (key.row, key.family, key.qualifier)
+            if cell != last:  # versions of a cell come newest first
+                last = cell
+                yield entry
+
     def get_row(self, row: str) -> list[Entry]:
         """All entries for one row."""
         return list(self.scan(ScanRange(start_row=row, end_row=row)))

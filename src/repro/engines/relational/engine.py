@@ -49,7 +49,7 @@ from repro.engines.relational.sql.ast import (
     UpdateStatement,
 )
 from repro.engines.relational.sql.parser import parse_sql
-from repro.engines.relational.storage import ColumnSnapshot, HeapTable
+from repro.engines.relational.storage import ColumnSnapshot, ForeignTable, HeapTable
 from repro.engines.relational.transactions import Transaction, TransactionManager
 
 
@@ -67,7 +67,7 @@ class RelationalEngine(Engine, TableStatisticsProvider):
 
     def __init__(self, name: str = "postgres") -> None:
         super().__init__(name)
-        self._tables: dict[str, HeapTable] = {}
+        self._tables: dict[str, HeapTable | ForeignTable] = {}
         self._planner = Planner(self)
         self._batch_executor = BatchExecutor(self)
         self._transactions = TransactionManager(self)
@@ -190,6 +190,13 @@ class RelationalEngine(Engine, TableStatisticsProvider):
     def import_relation(self, name: str, relation: Relation, **options: Any) -> None:
         self.import_chunks(name, relation.schema, [relation], **options)
 
+    def attach_foreign(self, name: str, relation: Relation, engine: str) -> None:
+        """Make ``relation``, object ``name`` as exported by ``engine``,
+        scannable here as a read-only :class:`ForeignTable` over its
+        columns: no copy, no index, and every write refused."""
+        self._tables[name.lower()] = ForeignTable(name, relation, engine)
+        self.statistics.invalidate(name)
+
     def drop_object(self, name: str) -> None:
         key = name.lower()
         if key not in self._tables:
@@ -252,7 +259,7 @@ class RelationalEngine(Engine, TableStatisticsProvider):
         self.statistics.invalidate(name)
 
     # -------------------------------------------------------------- statistics
-    def table(self, name: str) -> HeapTable:
+    def table(self, name: str) -> HeapTable | ForeignTable:
         key = name.lower()
         if key not in self._tables:
             raise ObjectNotFoundError(f"table {name!r} does not exist in engine {self.name!r}")
@@ -592,7 +599,8 @@ class RelationalEngine(Engine, TableStatisticsProvider):
         self._transactions.finish(txn)
 
 
-def _snapshot_chunk(snapshot: ColumnSnapshot, start: int, stop: int) -> ColumnarRelation:
+def _snapshot_chunk(snapshot: ColumnSnapshot | ForeignTable, start: int,
+                    stop: int) -> ColumnarRelation:
     """Rows ``start:stop`` of a table snapshot as native-valued columns."""
     columns = [snapshot.values(i, start, stop) for i in range(len(snapshot.schema))]
     return ColumnarRelation(snapshot.schema, columns, stop - start)

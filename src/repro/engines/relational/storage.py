@@ -23,6 +23,10 @@ serialize on a per-table lock, and every scan iterates its own snapshot (an
 index read returns one list), so a SELECT, UPDATE or DELETE racing an INSERT
 never sees the row dict or a B+tree leaf change under it.  Every mutator
 lands all of its rows or none: keys are checked before anything moves.
+
+A :class:`ForeignTable` is the read-only other kind: the columns of an
+object another engine exported, scanned in place by SQL that reaches it
+through a shim.
 """
 
 from __future__ import annotations
@@ -32,10 +36,15 @@ from datetime import datetime
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.common.errors import ConstraintViolationError, ObjectNotFoundError, SchemaError
-from repro.common.schema import Schema
-from repro.common.types import DataType
-from repro.common.vectors import to_list, vector_from_values
+from repro.common.errors import (
+    ConstraintViolationError,
+    ObjectNotFoundError,
+    SchemaError,
+    UnsupportedOperationError,
+)
+from repro.common.schema import Column, Relation, Schema
+from repro.common.types import DataType, coerce
+from repro.common.vectors import DictVector, NumericVector, to_list, vector_from_values
 from repro.engines.relational.btree import BTreeIndex, orderable
 
 #: The exact Python type :func:`~repro.common.types.coerce` produces per type.
@@ -46,6 +55,15 @@ _PYTHON_TYPES = {
     DataType.BOOLEAN: bool,
     DataType.TIMESTAMP: datetime,
 }
+
+
+def _holds_exact_types(column: Column, values: Sequence[Any]) -> bool:
+    """Whether every value is of the column's exact Python type (or None
+    where the column is nullable)."""
+    found = set(map(type, values))
+    if column.nullable:
+        found.discard(type(None))
+    return not found - {_PYTHON_TYPES.get(column.dtype)}
 
 
 class ColumnSnapshot:
@@ -194,15 +212,9 @@ class HeapTable:
     def _typed(self, columns: Sequence[Sequence[Any]]) -> bool:
         """Whether every value of every column is of its schema column's
         exact Python type (or None where the column is nullable)."""
-        if len(columns) != len(self.schema):
-            return False
-        for column, values in zip(self.schema, columns):
-            found = set(map(type, values))
-            if column.nullable:
-                found.discard(type(None))
-            if found - {_PYTHON_TYPES.get(column.dtype)}:
-                return False
-        return True
+        return len(columns) == len(self.schema) and all(
+            _holds_exact_types(column, values) for column, values in zip(self.schema, columns)
+        )
 
     def get(self, row_id: int) -> tuple[Any, ...]:
         """Fetch one row by id."""
@@ -442,3 +454,83 @@ class HeapTable:
         objects are built while matching.
         """
         return [(row_id, values) for row_id, values in self._snapshot_items() if predicate(values)]
+
+
+class ForeignTable:
+    """A read-only table over a relation another engine exported: what SQL
+    over an object that lives outside the scanning engine reads, with no
+    heap copy (the relational island's shim reads).
+
+    It holds the schema and one column set, and is its own column snapshot.
+    A column the export already stores as a typed vector (the array
+    engine's gather) is scanned as is; any other is packed once with
+    :func:`~repro.common.vectors.vector_from_values` the first time a scan
+    takes it, its values coerced to the schema type first where the export
+    left them loose.  Statistics get a row count and :meth:`scan_values`;
+    there are no indexes.
+
+    Every write refuses with :class:`UnsupportedOperationError` naming the
+    object and its engine: it would land in this copy and vanish with it.
+    """
+
+    primary_key: tuple[str, ...] = ()
+
+    def __init__(self, name: str, relation: Relation, engine: str) -> None:
+        self.name = name
+        self.schema = relation.schema
+        #: The engine the object lives in.
+        self.engine = engine
+        self._length = len(relation)
+        self._sources = [relation.column_vector(i) for i in range(len(self.schema))]
+        self._columns: list[Any] = [None] * len(self.schema)
+
+    def __len__(self) -> int:
+        return self._length
+
+    @property
+    def row_count(self) -> int:
+        return self._length
+
+    def column_snapshot(self) -> "ForeignTable":
+        return self
+
+    def column(self, index: int) -> Any:
+        """One column as a typed vector (see :meth:`ColumnSnapshot.column`)."""
+        column = self._columns[index]
+        if column is None:
+            column = self._sources[index]
+            if not isinstance(column, (NumericVector, DictVector)):
+                column = vector_from_values(
+                    self._typed_values(index), self.schema.columns[index].dtype
+                )
+            self._columns[index] = column
+        return column
+
+    def values(self, index: int, start: int, stop: int) -> list[Any]:
+        """Rows ``start:stop`` of one column as native Python values."""
+        return to_list(self.column(index)[start:stop])
+
+    def _typed_values(self, index: int) -> list[Any]:
+        values = to_list(self._sources[index])
+        column = self.schema.columns[index]
+        if _holds_exact_types(column, values):
+            return values
+        return [coerce(value, column.dtype) for value in values]
+
+    def scan_values(self) -> Iterator[tuple[Any, ...]]:
+        """Yield the value tuples, in export order."""
+        return zip(*(self._typed_values(i) for i in range(len(self.schema))))
+
+    def indexes(self) -> dict[str, tuple[str, ...]]:
+        return {}
+
+    def _read_only(self, *_args: Any, **_kwargs: Any) -> Any:
+        raise UnsupportedOperationError(
+            f"{self.name!r} lives in engine {self.engine!r}, which the relational "
+            "island reads through a shim: it cannot be written through SQL"
+        )
+
+    # What INSERT, UPDATE, DELETE and CREATE INDEX call; UPDATE and DELETE
+    # stop at their matcher, apply_filter_values.
+    insert_many = update_many = delete_many = apply_filter_values = _read_only
+    create_index = _read_only

@@ -17,10 +17,19 @@ Records are append-only dicts.  Two backends:
 
 * :class:`MemoryJournalBackend` — in-process and bounded (complete DML/CAST
   intents age out), the default.
-* :class:`FileJournalBackend` — one JSON line per record, flushed on every
-  append (optionally fsync'd), tolerant of a torn trailing line from a crash
+* :class:`FileJournalBackend` — one JSON line per record, one ``O_DSYNC``
+  write per append by default, tolerant of a torn trailing line from a crash
   mid-append.  Reopening the same path resumes the sequence numbers, so a
   "restarted" runtime sees the previous process's intents.
+
+What is synced when: a ``begin`` record is durable before the protocol acts,
+and a commit or abort before the protocol returns.  A step's :meth:`Intent.
+mark` is durable on its own (CAST and promotion steps, which recovery reads);
+a step recovery can do without is staged instead (:meth:`Intent.stage`) and
+goes out in the terminal record's write.  A DML dispatch stages its ``applied``
+mark — recovery asks the engines for the intent's write token when the mark
+is missing — so an acknowledged DML costs two synced writes: begin, then
+``applied`` + commit.
 
 Reopening a journal and recovering from it each read the records once, as
 a stream (:meth:`WriteIntentJournal.unfinished`): what they hold is the
@@ -50,7 +59,7 @@ import threading
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "CRASH_POINTS",
@@ -100,15 +109,16 @@ class MemoryJournalBackend:
         self._complete: deque[str] = deque()
         self._lock = threading.Lock()
 
-    def append(self, record: dict) -> None:
-        intent = record.get("intent", "")
+    def append(self, *records: dict) -> None:
         with self._lock:
-            self._records.setdefault(intent, []).append(record)
-            if (record.get("phase") in ("commit", "abort")
-                    and record.get("kind") != "promotion"):
-                self._complete.append(intent)
-                if len(self._complete) > self.COMPLETE_INTENTS_KEPT:
-                    self._records.pop(self._complete.popleft(), None)
+            for record in records:
+                intent = record.get("intent", "")
+                self._records.setdefault(intent, []).append(record)
+                if (record.get("phase") in ("commit", "abort")
+                        and record.get("kind") != "promotion"):
+                    self._complete.append(intent)
+                    if len(self._complete) > self.COMPLETE_INTENTS_KEPT:
+                        self._records.pop(self._complete.popleft(), None)
 
     def records(self) -> list[dict]:
         """The kept records, in append (sequence) order."""
@@ -126,35 +136,53 @@ class MemoryJournalBackend:
 class FileJournalBackend:
     """Journal records as JSON lines appended to one file.
 
-    Every append is flushed before returning (``fsync=True`` additionally
-    forces it to the device, the durable-deployment setting).  Reading back
-    skips blank and torn lines — a crash mid-append must not make the whole
-    journal unreadable, it just loses the record that was being written,
-    which by the write-ahead discipline means the step it described never
-    happened as far as recovery is concerned.
+    Every :meth:`append` is one ``os.write`` of its encoded lines, in the
+    kernel before it returns.  With ``fsync=True`` (the default) the file is
+    opened ``O_DSYNC``, so that write also returns only once the data and
+    the file size are on the device: ``fdatasync``-level durability, one
+    blocking call per append.  ``fsync=False`` leaves flushing to the OS
+    (tests and scratch runs).
+
+    Reading back skips blank and torn lines — a crash mid-append must not
+    make the whole journal unreadable, it just loses the record that was
+    being written, which by the write-ahead discipline means the step it
+    described never happened as far as recovery is concerned.  Opening a
+    file whose last line is torn first ends that line, so the next record
+    starts a line of its own.
     """
 
     name = "file"
 
-    def __init__(self, path: "str | os.PathLike[str]", fsync: bool = False) -> None:
+    def __init__(self, path: "str | os.PathLike[str]", fsync: bool = True) -> None:
         self.path = os.fspath(path)
-        self._fsync = fsync
         self._lock = threading.Lock()
-        self._file = open(self.path, "a", encoding="utf-8")
+        sync = os.O_DSYNC if fsync else 0
+        # Unbuffered, and written only through os.write on its descriptor:
+        # the file object just owns the descriptor's lifetime.
+        self._file = open(  # noqa: SIM115 - closed by close()
+            self.path, "ab", buffering=0,
+            opener=lambda name, flags: os.open(name, flags | sync, 0o644),
+        )
+        if _ends_torn(self.path):
+            self._write(b"\n")
 
-    def append(self, record: dict) -> None:
-        line = json.dumps(record, default=str, separators=(",", ":"))
+    def append(self, *records: dict) -> None:
+        """Append ``records`` in one write (a crash mid-write tears the line
+        it reached, and loses that record and any after it)."""
+        data = "".join(
+            json.dumps(record, default=str, separators=(",", ":")) + "\n" for record in records
+        ).encode("utf-8")
         with self._lock:
-            self._file.write(line + "\n")
-            self._file.flush()
-            if self._fsync:
-                os.fsync(self._file.fileno())
+            self._write(data)
+
+    def _write(self, data: bytes) -> None:
+        fd, view = self._file.fileno(), memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
 
     def iter_records(self) -> Iterator[dict]:
         """The records one line at a time, in file order: a reader holds one
         line, not the journal."""
-        with self._lock:
-            self._file.flush()
         with open(self.path, encoding="utf-8") as handle:
             for line in handle:
                 line = line.strip()
@@ -170,16 +198,26 @@ class FileJournalBackend:
             self._file.close()
 
 
+def _ends_torn(path: str) -> bool:
+    """Whether the file is non-empty and does not end in a newline."""
+    with open(path, "rb") as handle:
+        if handle.seek(0, os.SEEK_END) == 0:
+            return False
+        handle.seek(-1, os.SEEK_END)
+        return handle.read(1) != b"\n"
+
+
 class Intent:
     """A live handle on one journaled protocol run.
 
-    The protocol calls :meth:`mark` after each completed step and exactly one
-    of :meth:`commit` / :meth:`abort` at the end.  The handle never swallows
-    the distinction: a crash between steps simply leaves the intent without a
-    terminal record, which is what recovery keys on.
+    The protocol calls :meth:`mark` (or :meth:`stage`) after each completed
+    step and exactly one of :meth:`commit` / :meth:`abort` at the end.  The
+    handle never swallows the distinction: a crash between steps simply
+    leaves the intent without a terminal record, which is what recovery keys
+    on.
     """
 
-    __slots__ = ("journal", "intent_id", "kind", "token")
+    __slots__ = ("journal", "intent_id", "kind", "token", "_staged")
 
     def __init__(self, journal: "WriteIntentJournal", intent_id: str,
                  kind: str, token: str) -> None:
@@ -187,17 +225,32 @@ class Intent:
         self.intent_id = intent_id
         self.kind = kind
         self.token = token
+        self._staged: list[dict] = []
 
     def mark(self, step: str, **payload: Any) -> None:
-        """Record that one protocol step completed."""
+        """Record that one protocol step completed, durably before returning."""
         self.journal._append(self.intent_id, self.kind, "apply", step=step,
                              payload=payload)
 
+    def stage(self, step: str, **payload: Any) -> None:
+        """Record a completed step that recovery can do without: the mark is
+        held by this handle and goes out in the same write as the commit or
+        abort, so a crash before then loses it with the handle."""
+        self._staged.append(
+            self.journal._record(self.intent_id, self.kind, "apply", step=step, payload=payload)
+        )
+
     def commit(self, **payload: Any) -> None:
-        self.journal.commit_intent(self.intent_id, kind=self.kind, **payload)
+        self.journal.commit_intent(self.intent_id, kind=self.kind,
+                                   staged=self._take_staged(), **payload)
 
     def abort(self, **payload: Any) -> None:
-        self.journal.abort_intent(self.intent_id, kind=self.kind, **payload)
+        self.journal.abort_intent(self.intent_id, kind=self.kind,
+                                  staged=self._take_staged(), **payload)
+
+    def _take_staged(self) -> list[dict]:
+        staged, self._staged = self._staged, []
+        return staged
 
 
 @dataclass
@@ -283,15 +336,20 @@ class WriteIntentJournal:
                      reserved_seq=seq)
         return Intent(self, intent_id, kind, token)
 
-    def commit_intent(self, intent_id: str, kind: str = "", **payload: Any) -> None:
+    def commit_intent(self, intent_id: str, kind: str = "", *,
+                      staged: Sequence[dict] = (), **payload: Any) -> None:
+        """Append the commit record, after the intent's ``staged`` marks
+        (:meth:`Intent.stage`) in the same write."""
         with self._lock:
             self.intents_committed += 1
-        self._append(intent_id, kind, "commit", payload=payload)
+        self._append(intent_id, kind, "commit", payload=payload, staged=staged)
 
-    def abort_intent(self, intent_id: str, kind: str = "", **payload: Any) -> None:
+    def abort_intent(self, intent_id: str, kind: str = "", *,
+                     staged: Sequence[dict] = (), **payload: Any) -> None:
+        """Append the abort record, after the intent's ``staged`` marks."""
         with self._lock:
             self.intents_aborted += 1
-        self._append(intent_id, kind, "abort", payload=payload)
+        self._append(intent_id, kind, "abort", payload=payload, staged=staged)
 
     def annotate(self, intent_id: str, step: str, kind: str = "",
                  **payload: Any) -> None:
@@ -300,13 +358,22 @@ class WriteIntentJournal:
 
     def _append(self, intent_id: str, kind: str, phase: str,
                 step: str | None = None, token: str | None = None,
-                payload: dict | None = None,
-                reserved_seq: int | None = None) -> None:
+                payload: dict | None = None, reserved_seq: int | None = None,
+                staged: Sequence[dict] = ()) -> None:
+        """Write one record, preceded by ``staged`` ones, in one backend append."""
+        record = self._record(intent_id, kind, phase, step, token, payload, reserved_seq)
         with self._lock:
-            if reserved_seq is None:
+            self.records_written += 1 + len(staged)
+        self.backend.append(*staged, record)
+
+    def _record(self, intent_id: str, kind: str, phase: str,
+                step: str | None = None, token: str | None = None,
+                payload: dict | None = None, reserved_seq: int | None = None) -> dict:
+        """One record, numbered now unless :meth:`begin` reserved its number."""
+        if reserved_seq is None:
+            with self._lock:
                 self._seq += 1
                 reserved_seq = self._seq
-            self.records_written += 1
         record = {
             "seq": reserved_seq,
             "intent": intent_id,
@@ -320,7 +387,7 @@ class WriteIntentJournal:
             record["token"] = token
         if payload:
             record["payload"] = payload
-        self.backend.append(record)
+        return record
 
     # ------------------------------------------------------------------ replay
     def replay(self) -> list[IntentState]:

@@ -1,7 +1,10 @@
-"""The polystore runtime: a worker pool serving many clients concurrently.
+"""The polystore runtime: serving many clients concurrently.
 
 :class:`PolystoreRuntime` is the layer between clients and
-:class:`~repro.core.bigdawg.BigDawg`.  Each submitted query flows through:
+:class:`~repro.core.bigdawg.BigDawg`.  A blocking :meth:`~PolystoreRuntime.
+execute` runs on the caller's own thread; :meth:`~PolystoreRuntime.submit`
+and :meth:`~PolystoreRuntime.execute_many` hand queries to a worker pool.
+Either way each query flows through:
 
 1. **Result cache** — a fingerprint-verified lookup; hits return immediately
    and never touch an engine.
@@ -141,7 +144,14 @@ class _Dispatch:
 
 
 class PolystoreRuntime:
-    """Concurrent serving layer over one :class:`BigDawg` polystore."""
+    """Concurrent serving layer over one :class:`BigDawg` polystore.
+
+    ``workers`` sizes only the pool behind :meth:`submit` and
+    :meth:`execute_many`; :meth:`execute` and :meth:`trace` run on the
+    calling thread.  How many calls reach an engine at once is bounded by
+    the admission slots (``slots_per_engine`` / ``engine_slots``), whichever
+    thread the calls come from.
+    """
 
     def __init__(
         self,
@@ -263,22 +273,14 @@ class PolystoreRuntime:
         and the in-flight query unwinds at its next batch boundary,
         cleaning up shadow/spill state on the way out.
         """
-        if self._closed:
-            raise RuntimeError("runtime has been shut down")
-        self.metrics.record_submitted()
-        if deadline_s is None:
-            deadline_s = self.default_deadline_s
-        deadline = (
-            self.resilience.now() + deadline_s if deadline_s is not None else None
-        )
-        token = CancellationToken(deadline=deadline, clock=self.resilience.now)
+        deadline, token = self._accept(deadline_s)
         # When tracing, remember the enqueue instant so the worker can emit
         # a "queued" span for the time spent waiting for a pool thread.
         queued_at = time.time() if get_tracer().enabled else None
         try:
             future = self._pool.submit(
-                self._run, query, cast_method, chunk_size, use_cache, queued_at,
-                deadline, token,
+                self._run, query, cast_method, chunk_size, use_cache, deadline, token,
+                queued_at,
             )
         except RuntimeError:
             # Lost the race with a concurrent shutdown(): the pool refused
@@ -290,8 +292,15 @@ class PolystoreRuntime:
     def execute(self, query: str, cast_method: str = "binary",
                 chunk_size: int | None = None, use_cache: bool = True,
                 deadline_s: float | None = None) -> Relation:
-        """Submit and wait: the blocking single-client call."""
-        return self.submit(query, cast_method, chunk_size, use_cache, deadline_s).result()
+        """Run one query on the calling thread and return its result.
+
+        The blocking single-client call.  It takes no pool thread, so a
+        cache hit costs a lookup and not a hand-off; ``deadline_s`` works as
+        for :meth:`submit`.  Raises ``RuntimeError`` once :meth:`shutdown`
+        has started (a call already running finishes).
+        """
+        deadline, token = self._accept(deadline_s)
+        return self._run(query, cast_method, chunk_size, use_cache, deadline, token)
 
     def execute_many(self, queries: Sequence[str], cast_method: str = "binary",
                      chunk_size: int | None = None, use_cache: bool = True) -> list[Relation]:
@@ -304,10 +313,10 @@ class PolystoreRuntime:
               use_cache: bool = False) -> "tuple[Relation, Tracer]":
         """Run one query traced, without enabling tracing for anyone else.
 
-        A fresh enabled :class:`Tracer` is installed as a *thread-scoped*
-        override for just this call (concurrent traffic keeps seeing the
-        process-global tracer), the query runs synchronously in the calling
-        thread, and both the result and the tracer full of spans come back::
+        :meth:`execute` under a fresh enabled :class:`Tracer`, installed as
+        a *thread-scoped* override for just this call (concurrent traffic
+        keeps seeing the process-global tracer); both the result and the
+        tracer full of spans come back::
 
             relation, tracer = runtime.trace("SELECT ...")
             print(render_tree(tracer.spans()))
@@ -315,13 +324,23 @@ class PolystoreRuntime:
         ``use_cache`` defaults to False so the trace shows real execution
         rather than one cache-hit span.
         """
+        tracer = Tracer(enabled=True)
+        with tracer_scope(tracer):
+            result = self.execute(query, cast_method, chunk_size, use_cache)
+        return result, tracer
+
+    def _accept(self, deadline_s: float | None) -> tuple[float | None, CancellationToken]:
+        """Take one client query in: refuse it after shutdown, count it, and
+        give it its deadline (``default_deadline_s`` when None) and token."""
         if self._closed:
             raise RuntimeError("runtime has been shut down")
-        tracer = Tracer(enabled=True)
         self.metrics.record_submitted()
-        with tracer_scope(tracer):
-            result = self._run(query, cast_method, chunk_size, use_cache)
-        return result, tracer
+        if deadline_s is None:
+            deadline_s = self.default_deadline_s
+        deadline = (
+            self.resilience.now() + deadline_s if deadline_s is not None else None
+        )
+        return deadline, CancellationToken(deadline=deadline, clock=self.resilience.now)
 
     def session(self) -> RuntimeSession:
         return RuntimeSession(self)
@@ -331,9 +350,10 @@ class PolystoreRuntime:
 
         Contract (idempotent; callable from any thread):
 
-        * After ``shutdown`` *starts*, every ``submit`` raises
-          ``RuntimeError`` — including submits racing the shutdown, which
-          the pool itself refuses.
+        * After ``shutdown`` *starts*, every ``submit``, ``execute`` and
+          ``trace`` raises ``RuntimeError`` — including submits racing the
+          shutdown, which the pool itself refuses.  An ``execute`` already
+          running on its caller's thread finishes.
         * ``wait=True`` (default) blocks until every already-submitted query
           finishes; their futures complete normally.
         * ``wait=False`` returns immediately: queries whose worker already
@@ -420,20 +440,17 @@ class PolystoreRuntime:
 
     # -------------------------------------------------------------- execution
     def _run(self, query: str, cast_method: str, chunk_size: int | None,
-             use_cache: bool, queued_at: float | None = None,
-             deadline: float | None = None,
-             token: CancellationToken | None = None) -> Relation:
+             use_cache: bool, deadline: float | None, token: CancellationToken,
+             queued_at: float | None = None) -> Relation:
+        """Serve one query on the current thread (a caller's, or a pool
+        worker's for a submitted one, which passes its enqueue instant)."""
         started = time.perf_counter()
         tracer = get_tracer()
         if tracer.enabled and tracer.sample_every and not tracer.sample_query():
             # This query lost the 1-in-N sampling draw: a disabled tracer
-            # for the worker's whole call tree makes every layer below
+            # for the query's whole call tree makes every layer below
             # (steps, CAST chunks, operators) skip its spans too.
             tracer, queued_at = _UNSAMPLED_TRACER, None
-        if token is None:
-            # Direct callers (runtime.trace) skip submit(): give the query a
-            # token anyway so its deadline still cancels mid-batch.
-            token = CancellationToken(deadline=deadline, clock=self.resilience.now)
         with tracer_scope(tracer), cancel_scope(token), \
                 tracer.span("query", kind="lifecycle", query=_span_text(query)) as root:
             if queued_at is not None and tracer.enabled:
@@ -616,7 +633,10 @@ class PolystoreRuntime:
             raise
         if intent is not None:
             self.journal.crash_point("dml.dispatched")
-            intent.mark("applied")
+            # Not synced on its own: the mark goes out in the commit's write.
+            # A crash before that loses it, and recovery reads the engines'
+            # write token instead.
+            intent.stage("applied")
             self.journal.crash_point("dml.applied")
             intent.commit()
             self.journal.crash_point("dml.committed")

@@ -36,13 +36,18 @@ class RuntimeSession:
 
     # ------------------------------------------------------------------ query
     def submit(self, query: str, **options: object) -> "Future[Relation]":
-        self._check_open()
-        with self._lock:
-            self.queries_submitted += 1
+        self._count()
         return self.runtime.submit(query, **options)  # type: ignore[arg-type]
 
     def execute(self, query: str, **options: object) -> Relation:
-        return self.submit(query, **options).result()
+        """Run one query on the calling thread (see :meth:`PolystoreRuntime.execute`)."""
+        self._count()
+        return self.runtime.execute(query, **options)  # type: ignore[arg-type]
+
+    def _count(self) -> None:
+        self._check_open()
+        with self._lock:
+            self.queries_submitted += 1
 
     # ------------------------------------------------------------- temporaries
     def materialize(self, name: str, relation: Relation) -> str:

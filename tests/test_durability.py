@@ -24,7 +24,9 @@ The contract under test:
 
 from __future__ import annotations
 
+import fcntl
 import json
+import os
 import random
 import tracemalloc
 
@@ -190,6 +192,122 @@ class TestWriteIntentJournal:
         assert [record["phase"] for record in lines] == ["begin", "apply"]
         assert lines[0]["token"].endswith(".cast")
 
+    def test_reopening_a_torn_tail_keeps_the_next_record(self, tmp_path):
+        """The next process's first record used to be glued onto the torn
+        line, and skipped with it: an intent recovery could not see."""
+        path = tmp_path / "journal.jsonl"
+        journal = WriteIntentJournal(FileJournalBackend(path, fsync=False))
+        journal.begin("dml", query="INSERT ...").commit()
+        journal.backend.close()
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"seq": 99, "intent": "i000')  # crash mid-append
+        reopened = WriteIntentJournal(FileJournalBackend(path, fsync=False))
+        intent = reopened.begin("dml", query="UPDATE ...")
+        reopened.backend.close()
+        restarted = WriteIntentJournal(FileJournalBackend(path, fsync=False))
+        try:
+            assert [s.intent_id for s in restarted.open_intents()] == [intent.intent_id]
+            assert [r["intent"] for r in restarted.backend.iter_records()][-1] == intent.intent_id
+        finally:
+            restarted.backend.close()
+
+
+# ------------------------------------------------------ journal write policy
+def journal_writes(monkeypatch, backend: FileJournalBackend) -> list[bytes]:
+    """Every ``os.write`` to the backend's file from now on, as written."""
+    writes: list[bytes] = []
+    write, journal_fd = os.write, backend._file.fileno()
+
+    def counted(fd, data):
+        if fd == journal_fd and not backend._file.closed:
+            writes.append(bytes(data))
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", counted)
+    return writes
+
+
+class TestJournalWritePolicy:
+    def test_durable_by_default_one_dsync_write_per_record(self, tmp_path, monkeypatch):
+        backend = FileJournalBackend(tmp_path / "journal.jsonl")
+        try:
+            assert fcntl.fcntl(backend._file.fileno(), fcntl.F_GETFL) & os.O_DSYNC
+            writes = journal_writes(monkeypatch, backend)
+
+            def no_fsync(fd):
+                raise AssertionError("an O_DSYNC append needs no fsync")
+
+            monkeypatch.setattr(os, "fsync", no_fsync)
+            monkeypatch.setattr(os, "fdatasync", no_fsync, raising=False)
+            journal = WriteIntentJournal(backend)
+            intent = journal.begin("cast", object="patients")
+            intent.mark("imported")
+            intent.commit()
+            assert [json.loads(w)["phase"] for w in writes] == ["begin", "apply", "commit"]
+        finally:
+            backend.close()
+        fast = FileJournalBackend(tmp_path / "fast.jsonl", fsync=False)
+        try:
+            assert not fcntl.fcntl(fast._file.fileno(), fcntl.F_GETFL) & os.O_DSYNC
+        finally:
+            fast.close()
+
+    def test_a_durable_dml_makes_two_journal_writes(self, polystore, tmp_path, monkeypatch):
+        """begin, then the staged ``applied`` mark together with the commit."""
+        bd, postgres, mysql = polystore
+        backend = FileJournalBackend(tmp_path / "wal.jsonl")
+        runtime = fast_runtime(bd, journal=WriteIntentJournal(backend))
+        try:
+            writes = journal_writes(monkeypatch, backend)
+            runtime.execute("INSERT INTO patients VALUES (9, 33)")
+        finally:
+            runtime.shutdown()
+            backend.close()
+        assert [[json.loads(line)["phase"] for line in w.splitlines()] for w in writes] == [
+            ["begin"], ["apply", "commit"]]
+        assert (9, 33) in rows_of(postgres)
+
+    @pytest.mark.parametrize("point", CRASH_POINTS["dml"])
+    def test_file_journal_crash_sweep_loses_no_acknowledged_write(
+        self, polystore, tmp_path, point
+    ):
+        """A crash at each DML boundary, on a durable file journal: after
+        recovery every acknowledged write is visible once, and the staged
+        ``applied`` mark of the crashed write never reaches the file — not
+        even when the same journal goes on to journal more writes."""
+        bd, postgres, mysql = polystore
+        before = rows_of(postgres)
+        path = tmp_path / "wal.jsonl"
+        journal = WriteIntentJournal(FileJournalBackend(path))
+        runtime = fast_runtime(bd, journal=journal)
+        runtime.execute("INSERT INTO patients VALUES (8, 50)")
+        injector = FaultInjector().crash_at(point).attach_journal(journal)
+        try:
+            with pytest.raises(SimulatedCrashError):
+                runtime.execute("INSERT INTO patients VALUES (9, 33)")
+        finally:
+            injector.uninstall()
+            runtime.shutdown()
+        revived = restart(bd, journal)
+        try:
+            revived.execute("INSERT INTO patients VALUES (10, 20)")
+        finally:
+            revived.shutdown()
+            journal.backend.close()
+        applied = point != "dml.begin"  # the engine applied from "dispatched" on
+        assert rows_of(postgres) == sorted(
+            before + [(8, 50), (10, 20)] + ([(9, 33)] if applied else []))
+        reopened = WriteIntentJournal(FileJournalBackend(path, fsync=False))
+        try:
+            records = list(reopened.backend.iter_records())
+            assert reopened.open_intents() == []
+        finally:
+            reopened.backend.close()
+        (crashed,) = [r["intent"] for r in records
+                      if r["phase"] == "begin" and "(9, 33)" in r["payload"]["query"]]
+        marks = [r["step"] for r in records if r["intent"] == crashed and r["phase"] == "apply"]
+        assert marks == (["applied"] if point == "dml.committed" else [])
+
 
 # ------------------------------------------------------- streaming replay
 def random_journal(rng: random.Random, intents: int) -> tuple[list[dict], set[str]]:
@@ -284,7 +402,7 @@ class TestStreamingReplay:
         committed DML meant about 10x the memory.  Now both stream."""
         def peak_bytes(history: int) -> int:
             path = tmp_path / f"journal-{history}.jsonl"
-            journal = WriteIntentJournal(FileJournalBackend(path))
+            journal = WriteIntentJournal(FileJournalBackend(path, fsync=False))
             for i in range(history):
                 intent = journal.begin("dml", engines=["postgres"],
                                        query=f"UPDATE vitals SET hr = {i} WHERE id = {i}")
@@ -296,7 +414,7 @@ class TestStreamingReplay:
             bd.add_engine(RelationalEngine("postgres"), islands=["relational"])
             tracemalloc.start()
             try:
-                reopened = WriteIntentJournal(FileJournalBackend(path))
+                reopened = WriteIntentJournal(FileJournalBackend(path, fsync=False))
                 report = JournalRecovery(bd, reopened).recover()
                 _current, peak = tracemalloc.get_traced_memory()
             finally:

@@ -212,8 +212,9 @@ class TestRuntimeTracing:
         finally:
             runtime.shutdown()
         names = traced.span_names()
-        assert {"query", "queued", "planned", "executed", "admitted",
-                "plan_step"} <= names
+        assert {"query", "planned", "executed", "admitted", "plan_step"} <= names
+        # execute() runs on the caller's thread: nothing waited for the pool.
+        assert "queued" not in names
         (root,) = traced.spans("query")
         assert root.parent_id is None
         # Everything the query did shares its trace, including the plan step
@@ -222,6 +223,18 @@ class TestRuntimeTracing:
         assert step.trace_id == root.trace_id
         (executed,) = traced.spans("executed")
         assert executed.parent_id == root.span_id
+
+    def test_submitted_query_records_its_queue_wait(self, traced, bigdawg):
+        runtime = PolystoreRuntime(bigdawg, workers=2)
+        try:
+            runtime.submit("RELATIONAL(SELECT count(*) AS n FROM patients)",
+                           use_cache=False).result()
+        finally:
+            runtime.shutdown()
+        (root,) = traced.spans("query")
+        (queued,) = traced.spans("queued")
+        assert queued.parent_id == root.span_id
+        assert {"planned", "executed", "admitted", "plan_step"} <= traced.span_names()
 
     def test_cast_stages_are_traced(self, traced, bigdawg):
         runtime = PolystoreRuntime(bigdawg, workers=2)

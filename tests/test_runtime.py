@@ -15,14 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import CatalogError
+from repro.common.cancellation import CancellationToken, cancel_scope, current_token
+from repro.common.errors import CatalogError, DeadlineExceededError
 from repro.common.schema import Relation, Schema
 from repro.core.bigdawg import BigDawg
 from repro.core.query.planner import BindingStep, CastStep, IslandQueryStep
 from repro.engines.array import ArrayEngine
 from repro.engines.keyvalue import KeyValueEngine
 from repro.engines.relational import RelationalEngine
-from repro.observability.tracing import Tracer, set_tracer
+from repro.observability.tracing import Tracer, get_tracer, set_tracer, tracer_scope
 from repro.runtime import (
     AdmissionController,
     AdmissionTimeout,
@@ -494,6 +495,143 @@ class TestPolystoreRuntime:
                 ).rows[0]["n"] == 2
 
 
+# ---------------------------------------------------------------------------
+# execute() serves on the caller's thread; submit() goes through the pool
+# ---------------------------------------------------------------------------
+class TestCallerThread:
+    QUERY = "RELATIONAL(SELECT count(*) AS n FROM patients WHERE age > 60)"
+
+    @staticmethod
+    def engine_threads(bigdawg, monkeypatch, before=None) -> list[str]:
+        """Names of the threads postgres's SQL calls run on, from now on;
+        ``before`` (if given) runs first inside each call."""
+        threads: list[str] = []
+        postgres = bigdawg.engine("postgres")
+        original = postgres.execute
+
+        def execute(sql):
+            threads.append(threading.current_thread().name)
+            if before is not None:
+                before()
+            return original(sql)
+
+        monkeypatch.setattr(postgres, "execute", execute)
+        return threads
+
+    def test_execute_calls_the_engine_on_the_calling_thread(
+        self, bigdawg, runtime, monkeypatch
+    ):
+        threads = self.engine_threads(bigdawg, monkeypatch)
+        assert runtime.execute(self.QUERY, use_cache=False).rows[0]["n"] == 3
+        runtime.trace(self.QUERY)
+        with runtime.session() as session:
+            session.execute(self.QUERY, use_cache=False)
+        assert threads == [threading.current_thread().name] * 3
+
+    def test_submit_and_execute_many_use_pool_threads_and_record_queue_wait(
+        self, bigdawg, runtime, monkeypatch
+    ):
+        threads = self.engine_threads(bigdawg, monkeypatch)
+        tracer = Tracer(enabled=True)
+        previous = set_tracer(tracer)
+        try:
+            assert runtime.submit(self.QUERY, use_cache=False).result().rows[0]["n"] == 3
+            runtime.execute_many([self.QUERY] * 3, use_cache=False)
+        finally:
+            set_tracer(previous)
+        assert len(threads) == 4
+        assert all(name.startswith("bigdawg-runtime") for name in threads)
+        assert len(tracer.spans("queued")) == 4
+
+    def test_deadline_cancels_mid_batch_on_the_calling_thread(
+        self, bigdawg, monkeypatch
+    ):
+        postgres = bigdawg.engine("postgres")
+        postgres._batch_executor._batch_rows = 64
+        postgres.execute("CREATE TABLE big (id INTEGER PRIMARY KEY, v INTEGER)")
+        postgres.insert_rows("big", [(i, i % 7) for i in range(4000)])
+        ticks = [0.0]
+
+        def clock() -> float:  # every read is one "second"
+            ticks[0] += 1.0
+            return ticks[0]
+
+        threads = self.engine_threads(bigdawg, monkeypatch)
+        resilience = EngineResilience(
+            retry=RetryPolicy(max_attempts=1), clock=clock, sleep=lambda s: None
+        )
+        with PolystoreRuntime(bigdawg, workers=2, resilience=resilience) as runtime:
+            with pytest.raises(DeadlineExceededError):
+                runtime.execute("RELATIONAL(SELECT sum(v) AS s FROM big)",
+                                use_cache=False, deadline_s=30.0)
+        assert threads == [threading.current_thread().name]
+        # One token poll per 64-row batch: the scan stopped within a batch
+        # of the deadline, far short of the ~62 batches it needs.
+        assert ticks[0] < 45.0
+
+    def test_tracer_and_cancel_scopes_are_restored_after_return_and_raise(self, runtime):
+        def scopes():
+            return get_tracer(), current_token()
+
+        bare = scopes()
+        assert bare[1] is None
+        runtime.execute(self.QUERY, use_cache=False)
+        assert scopes() == bare
+        with pytest.raises(Exception):
+            runtime.execute("RELATIONAL(SELECT * FROM no_such_table)")
+        assert scopes() == bare
+        outer = (Tracer(enabled=False), CancellationToken())
+        with tracer_scope(outer[0]), cancel_scope(outer[1]):
+            runtime.trace(self.QUERY)
+            assert scopes() == outer
+            with pytest.raises(Exception):
+                runtime.trace("RELATIONAL(SELECT * FROM no_such_table)")
+            assert scopes() == outer
+        assert scopes() == bare
+
+    def test_execute_after_shutdown_raises_and_a_running_call_finishes(
+        self, bigdawg, monkeypatch
+    ):
+        entered, release = threading.Event(), threading.Event()
+
+        def hold():
+            entered.set()
+            assert release.wait(10)
+
+        self.engine_threads(bigdawg, monkeypatch, before=hold)
+        runtime = PolystoreRuntime(bigdawg, workers=1)
+        results: list[Relation] = []
+        caller = threading.Thread(
+            target=lambda: results.append(runtime.execute(self.QUERY, use_cache=False))
+        )
+        caller.start()
+        try:
+            assert entered.wait(10)
+            runtime.shutdown()
+            for entry in (runtime.execute, runtime.trace, runtime.submit):
+                with pytest.raises(RuntimeError, match="shut down"):
+                    entry(self.QUERY)
+        finally:
+            release.set()
+            caller.join(10)
+        assert [r.rows[0]["n"] for r in results] == [3]
+
+    def test_execute_never_touches_the_pool(self, runtime):
+        class NoPool:
+            def __getattr__(self, name):
+                raise AssertionError(f"execute() used the pool's {name!r}")
+
+        pool, runtime._pool = runtime._pool, NoPool()
+        try:
+            runtime.execute(self.QUERY)              # miss
+            runtime.execute(self.QUERY)              # hit
+            runtime.execute("RELATIONAL(INSERT INTO patients VALUES (5, 90))")
+            runtime.trace(self.QUERY)
+        finally:
+            runtime._pool = pool
+        assert runtime.metrics.cache_hits >= 1
+
+
 # --------------------------------------------------------------------- stress
 class TestConcurrencyStress:
     def test_mixed_reads_casts_and_with_queries(self, bigdawg):
@@ -687,18 +825,16 @@ class TestDispatchContract:
     DML, and the same runtime spans in the same nesting — what per-layer
     attribution of a query's time relies on."""
 
-    ISLAND = ["executed>admitted", "query", "query>executed", "query>queued"]
+    ISLAND = ["executed>admitted", "query", "query>executed"]
     ONE_STEP = [
         "executed>plan_step", "plan_step>admitted", "query", "query>executed",
-        "query>planned", "query>queued",
+        "query>planned",
     ]
     TWO_STEPS = [
         "executed>plan_step", "executed>plan_step", "plan_step>admitted",
         "plan_step>admitted", "query", "query>executed", "query>planned",
-        "query>queued",
     ]
-
-    @pytest.mark.parametrize(
+    CASES = pytest.mark.parametrize(
         "query, dispatches, records, edges",
         [
             ("SELECT count(*) AS n FROM patients WHERE age > 60", 1, 0, ISLAND),
@@ -718,9 +854,30 @@ class TestDispatchContract:
             "cast-then-query", "with-binding",
         ],
     )
+
+    @CASES
     def test_calls_records_and_spans_per_dispatch(
         self, runtime, monkeypatch, query, dispatches, records, edges
     ):
+        observed = self.observe(
+            runtime, monkeypatch, lambda: runtime.execute(query, use_cache=False)
+        )
+        assert observed == ({"run": dispatches, "admit": dispatches}, records, edges)
+
+    @CASES
+    def test_a_submitted_query_adds_only_its_queue_wait(
+        self, runtime, monkeypatch, query, dispatches, records, edges
+    ):
+        observed = self.observe(
+            runtime, monkeypatch, lambda: runtime.submit(query, use_cache=False).result()
+        )
+        expected_edges = sorted([*edges, "query>queued"])
+        assert observed == ({"run": dispatches, "admit": dispatches}, records, expected_edges)
+
+    @staticmethod
+    def observe(runtime, monkeypatch, run) -> tuple[dict, int, list[str]]:
+        """Resilience runs and admissions counted, journal records written,
+        and runtime span edges, over one call of ``run``."""
         calls = {"run": 0, "admit": 0}
 
         def counted(name, method):
@@ -737,12 +894,10 @@ class TestDispatchContract:
         tracer = Tracer(enabled=True)
         previous = set_tracer(tracer)
         try:
-            runtime.execute(query, use_cache=False)
+            run()
         finally:
             set_tracer(previous)
-        assert calls == {"run": dispatches, "admit": dispatches}
-        assert runtime.journal.records_written - written == records
-        assert runtime_span_edges(tracer) == edges
+        return calls, runtime.journal.records_written - written, runtime_span_edges(tracer)
 
 
 # ---------------------------------------------------------------------------
