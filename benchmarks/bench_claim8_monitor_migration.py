@@ -31,12 +31,11 @@ def _build() -> BigDawg:
     bigdawg.add_engine(scidb, islands=["array"])
     rng = np.random.default_rng(31)
     schema = Schema([("signal_id", "integer"), ("sample_index", "integer"), ("value", "float")])
-    relation = Relation(schema)
+    rows = []
     for signal in range(SIGNALS):
         values = np.sin(np.linspace(0, 60, SAMPLES)) + 0.1 * rng.standard_normal(SAMPLES)
-        for index, value in enumerate(values):
-            relation.append([signal, index, float(value)])
-    postgres.import_relation("waveforms", relation)
+        rows.extend([signal, index, value] for index, value in enumerate(values.tolist()))
+    postgres.import_relation("waveforms", Relation(schema, rows))
     bigdawg.catalog.register_object("waveforms", "postgres", "table")
     return bigdawg
 

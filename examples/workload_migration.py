@@ -25,12 +25,11 @@ from repro.engines.relational import RelationalEngine
 def build_waveform_rows(signals: int, samples: int, seed: int = 5) -> Relation:
     rng = np.random.default_rng(seed)
     schema = Schema([("signal_id", "integer"), ("sample_index", "integer"), ("value", "float")])
-    relation = Relation(schema)
+    rows = []
     for signal in range(signals):
         values = np.sin(np.linspace(0, 40, samples)) + 0.1 * rng.standard_normal(samples)
-        for index, value in enumerate(values):
-            relation.append([signal, index, float(value)])
-    return relation
+        rows.extend([signal, index, value] for index, value in enumerate(values.tolist()))
+    return Relation(schema, rows)
 
 
 def windowed_average_sql(engine: RelationalEngine, window: int) -> float:

@@ -1,14 +1,21 @@
-"""Relational schemas and rows — the lingua franca of the polystore.
+"""Relational schemas and relations — the lingua franca of the polystore.
 
-Every island ultimately exchanges data as a :class:`Schema` plus an iterable
-of :class:`Row` objects (or a :class:`Relation`, which bundles the two).  Each
-engine translates its native representation to and from this form at the
-shim/CAST boundary.
+Every island answers, and every CAST and shim moves, one result type: a
+:class:`Relation`, a :class:`Schema` plus one column per schema column.
+Columns are what is stored (any kind :mod:`repro.common.vectors`
+describes), and a relation never changes after it is built.
+:attr:`Relation.rows` is a read-only view of :class:`Row` objects, built
+from the columns the first time someone asks.  ``Relation(schema, rows)``
+is where values from outside are checked and coerced to the schema;
+:meth:`Relation.from_columns` is how engines, islands and codecs hand over
+columns they already produced, with no check.  Each engine translates its
+native representation to and from this form at the shim/CAST boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -241,10 +248,17 @@ class Row:
 
 
 class Relation:
-    """A fully materialized result set: a schema and a list of rows.
+    """A result set: a schema, one column per schema column and a length.
 
-    This is the unit of exchange at island boundaries and the return type of
-    every island ``execute`` call.
+    The unit of exchange at island boundaries, the return type of every
+    island ``execute`` call and what CAST moves between engines.  A column
+    is any kind :mod:`repro.common.vectors` describes — a ``NumericVector``,
+    a ``DictVector``, an object array or a list — and is never written
+    after the relation is built.
+
+    ``Relation(schema, rows)`` checks and coerces plain value rows through
+    :meth:`Schema.validate_row` (a :class:`Row` is taken as already
+    checked); :meth:`from_columns` takes its producer's columns unchecked.
     """
 
     #: Set (per instance) by the runtime when this result was served from the
@@ -252,35 +266,56 @@ class Relation:
     #: of date, and the caller opted into receiving it anyway.
     stale = False
 
-    def __init__(self, schema: Schema, rows: Iterable[Row | Sequence[Any]] | None = None) -> None:
+    def __init__(self, schema: Schema, rows: Iterable[Row | Sequence[Any]] = ()) -> None:
+        width = len(schema)
+        values: list[tuple[Any, ...]] = []
+        for row in rows:
+            if isinstance(row, Row):
+                if len(row) != width:
+                    raise SchemaError("row width does not match relation schema")
+                values.append(row.values)
+            else:
+                values.append(schema.validate_row(row))
         self._schema = schema
-        self._rows: list[Row] = []
-        if rows is not None:
-            for row in rows:
-                self.append(row)
+        self._columns = tuple(map(list, zip(*values))) if values else tuple([] for _ in schema)
+        self._length = len(values)
+        self._rows: tuple[Row, ...] | None = None
+
+    @classmethod
+    def from_columns(
+        cls, schema: Schema, columns: Sequence[Any], length: int | None = None
+    ) -> "Relation":
+        """A relation over ``columns`` as given, one per schema column, with
+        no check; ``length`` is needed only when there are no columns."""
+        relation = cls.__new__(cls)
+        relation._schema = schema
+        relation._columns = tuple(columns)
+        if length is None:
+            length = len(relation._columns[0]) if relation._columns else 0
+        relation._length = length
+        relation._rows = None
+        return relation
 
     @property
     def schema(self) -> Schema:
         return self._schema
 
     @property
-    def rows(self) -> list[Row]:
-        return self._rows
-
-    def append(self, row: Row | Sequence[Any]) -> None:
-        if isinstance(row, Row):
-            if len(row) != len(self._schema):
-                raise SchemaError("row width does not match relation schema")
-            self._rows.append(Row(self._schema, row.values))
-        else:
-            self._rows.append(Row(self._schema, self._schema.validate_row(row)))
-
-    def extend(self, rows: Iterable[Row | Sequence[Any]]) -> None:
-        for row in rows:
-            self.append(row)
+    def rows(self) -> tuple[Row, ...]:
+        """The rows, read-only: built from the columns' native values on
+        first access, then kept (two threads racing here build the same)."""
+        rows = self._rows
+        if rows is None:
+            schema = self._schema
+            if self._columns:
+                values = zip(*map(vectors.to_list, self._columns))
+            else:
+                values = repeat((), self._length)
+            rows = self._rows = tuple(Row(schema, v) for v in values)
+        return rows
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._length
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows)
@@ -294,19 +329,14 @@ class Relation:
         return f"Relation({self._schema!r}, {len(self)} rows)"
 
     def column_values(self, index: int) -> list[Any]:
-        """Return one column (by ordinal position) as a list of values.
-
-        Columnar-backed relations override this to hand out their stored
-        column without materializing rows, which is what lets the binary
-        codec encode an exported chunk with zero per-row conversion.
-        """
-        return [row.values[index] for row in self.rows]
+        """One column (by ordinal position) as a list of native values,
+        read off the stored column without building a row."""
+        return vectors.to_list(self._columns[index])
 
     def column_vector(self, index: int) -> Any:
-        """One column in the form the relation stores it: a typed vector
-        (:mod:`repro.common.vectors`) where the producer stored one, else
-        the list :meth:`column_values` returns."""
-        return self.column_values(index)
+        """One column as stored: a typed vector (:mod:`repro.common.vectors`)
+        where the producer stored one."""
+        return self._columns[index]
 
     def column(self, name: str) -> list[Any]:
         """Return all values of one column as a list."""
@@ -327,20 +357,20 @@ class Relation:
                 parts.append((value is None, value))
             return tuple(parts)
 
-        ordered = sorted(self.rows, key=key, reverse=descending)
-        return Relation(self._schema, [r.values for r in ordered])
+        return Relation(self._schema, sorted(self.rows, key=key, reverse=descending))
 
     @classmethod
     def from_dicts(cls, schema: Schema, records: Iterable[dict[str, Any]]) -> "Relation":
         """Build a relation from dictionaries keyed by column name."""
-        relation = cls(schema)
-        for record in records:
-            relation.append([record.get(name) for name in schema.names])
-        return relation
+        return cls(schema, [[record.get(name) for name in schema.names] for record in records])
 
     def head(self, n: int) -> "Relation":
-        """Return the first ``n`` rows as a new relation."""
-        return Relation(self._schema, [r.values for r in self.rows[:n]])
+        """Return the first ``n`` rows as a new relation (sharing columns)."""
+        return Relation.from_columns(
+            self._schema,
+            [column[:n] for column in self._columns],
+            len(range(self._length)[:n]),
+        )
 
 
 class ColumnBatch:
@@ -457,59 +487,6 @@ class ColumnBatch:
     def nulls(cls, schema: Schema, length: int) -> "ColumnBatch":
         """An all-NULL batch: the padding side of an outer join's unmatched rows."""
         return cls(schema, [[None] * length for _ in schema], length)
-
-
-class ColumnarRelation(Relation):
-    """A :class:`Relation` backed by columns; rows materialize lazily.
-
-    Exported chunks from a columnar scan arrive as this type: a consumer
-    that only needs columns (the binary codec's columnar layout) reads them
-    via :meth:`column_values` without a single :class:`Row` ever being
-    constructed, while row-oriented consumers transparently materialize on
-    first access.  A column may be stored as a typed vector (a whole-array
-    export does); :meth:`column_vector` hands it out as is, and
-    :meth:`column_values` as a list.
-    """
-
-    def __init__(self, schema: Schema, columns: Sequence[Any], length: int | None = None) -> None:
-        super().__init__(schema)
-        self._columns: list[Any] = list(columns)
-        if length is None:
-            length = len(self._columns[0]) if self._columns else 0
-        self._length = length
-        self._materialized = False
-
-    @property
-    def rows(self) -> list[Row]:
-        if not self._materialized:
-            schema = self._schema
-            if self._columns:
-                self._rows.extend(Row(schema, values) for values in zip(*self._columns))
-            self._materialized = True
-        return self._rows
-
-    def __len__(self) -> int:
-        if self._materialized:
-            return len(self._rows)
-        return self._length
-
-    def column_values(self, index: int) -> list[Any]:
-        if self._materialized:
-            return super().column_values(index)
-        return vectors.to_list(self._columns[index])
-
-    def column_vector(self, index: int) -> Any:
-        if self._materialized:
-            return super().column_values(index)
-        return self._columns[index]
-
-    def append(self, row: Row | Sequence[Any]) -> None:
-        self.rows  # materialize so columns never go stale
-        super().append(row)
-
-    def extend(self, rows: Iterable[Row | Sequence[Any]]) -> None:
-        self.rows
-        super().extend(rows)
 
 
 @dataclass

@@ -34,7 +34,7 @@ from typing import Any, Iterable, Iterator
 import numpy as np
 
 from repro.common.errors import CastError
-from repro.common.schema import ColumnarRelation, Relation, Schema
+from repro.common.schema import Relation, Schema
 from repro.common.types import DataType, coerce
 from repro.common.vectors import object_view
 
@@ -102,12 +102,9 @@ class CsvCodec(ChunkedCodecMixin):
         newlines, exactly as they are rendered by :meth:`encode`.
         """
         text = payload.decode("utf-8")
-        records = self._split_records(text)
-        if not records:
-            return Relation(schema)
-        relation = Relation(schema)
+        rows = []
         single_text_column = len(schema) == 1 and schema.columns[0].dtype is DataType.TEXT
-        for fields in records[1:]:
+        for fields in self._split_records(text)[1:]:
             if fields == [""] and not single_text_column:
                 # A blank line cannot be a row — except for a single-TEXT-column
                 # schema, where it is a legitimate empty-string value.
@@ -116,9 +113,8 @@ class CsvCodec(ChunkedCodecMixin):
                 raise CastError(
                     f"CSV row has {len(fields)} fields but schema expects {len(schema)}"
                 )
-            values = [self._parse(field, col.dtype) for field, col in zip(fields, schema)]
-            relation.append(values)
-        return relation
+            rows.append([self._parse(field, col.dtype) for field, col in zip(fields, schema)])
+        return Relation(schema, rows)
 
     def _split_records(self, text: str) -> list[list[str]]:
         """Split the full payload into records, honouring quoted newlines."""
@@ -242,7 +238,7 @@ class BinaryCodec(ChunkedCodecMixin):
 
     Encoding reads whole columns through ``Relation.column_values`` and
     packs each with one ``numpy`` conversion; decoding unpacks each with one
-    ``np.frombuffer`` and returns a :class:`ColumnarRelation`, so neither
+    ``np.frombuffer`` and returns ``Relation.from_columns``, so neither
     side builds a :class:`~repro.common.schema.Row` or touches a value at a
     time (TIMESTAMP and TEXT values are the exception: each datetime or
     string is still its own Python object).  Decoded values are native
@@ -279,9 +275,8 @@ class BinaryCodec(ChunkedCodecMixin):
             bytes(self._TYPE_TAGS[col.dtype] for col in schema),
         ]
         for index, col in enumerate(schema):
-            # column_values hands back the stored column directly when the
-            # relation is columnar-backed (a chunk out of an engine's export
-            # or out of decode), so a CAST never converts through rows.
+            # column_values reads the stored column, so a CAST never
+            # converts through rows.
             column = relation.column_values(index)
             if None in column:
                 column = object_view(column)
@@ -311,7 +306,7 @@ class BinaryCodec(ChunkedCodecMixin):
             parts.append(np.asarray(column, dtype=wire).tobytes())
         return b"".join(parts)
 
-    def decode(self, payload: bytes, schema: Schema) -> ColumnarRelation:
+    def decode(self, payload: bytes, schema: Schema) -> Relation:
         view = memoryview(payload)
         layout, row_count, col_count = struct.unpack_from("<BII", view, 0)
         if layout != self.LAYOUT_COLUMNAR:
@@ -351,7 +346,7 @@ class BinaryCodec(ChunkedCodecMixin):
                 values = padded.tolist()
             if dtype is not col.dtype:
                 # The frame's type differs from the schema asked for: coerce,
-                # as appending to a Relation of that schema would.
+                # as building a Relation of that schema from rows would.
                 values = [coerce(v, col.dtype) for v in values]
             columns.append(values)
-        return ColumnarRelation(schema, columns, row_count)
+        return Relation.from_columns(schema, columns, row_count)

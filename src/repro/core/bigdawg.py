@@ -24,7 +24,7 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Any
 
-from repro.common.errors import CatalogError, ObjectNotFoundError, PlanningError
+from repro.common.errors import CatalogError, ObjectNotFoundError, ParseError, PlanningError
 from repro.common.schema import Relation
 from repro.core.cast import CastMigrator, CastRecord
 from repro.core.catalog import BigDawgCatalog
@@ -199,10 +199,10 @@ class BigDawg:
         # Common semantics: prefer the island whose engines hold the referenced objects.
         for island in candidates:
             if isinstance(island, RelationalIsland):
-                tables = island.referenced_tables(query)
                 try:
+                    tables = island.referenced_tables(query)
                     engines = {self.catalog.locate(t).engine_name for t in tables}
-                except ObjectNotFoundError:
+                except (ObjectNotFoundError, ParseError):
                     continue
                 members = {e.name.lower() for e in island.member_engines()}
                 if engines <= members:

@@ -78,12 +78,7 @@ class ArrayIsland(Island):
             keys = list(result)
             if keys and isinstance(keys[0], str):
                 schema = Schema([Column(key, DataType.FLOAT) for key in keys])
-                relation = Relation(schema)
-                relation.append([result[key] for key in keys])
-                return relation
+                return Relation(schema, [[result[key] for key in keys]])
             schema = Schema([Column("coordinate", DataType.INTEGER), Column("value", DataType.FLOAT)])
-            relation = Relation(schema)
-            for key in sorted(result):
-                relation.append([int(key), float(result[key])])
-            return relation
+            return Relation(schema, [[int(key), float(result[key])] for key in sorted(result)])
         raise ExecutionError(f"cannot convert array result of type {type(result).__name__} to a relation")

@@ -75,10 +75,7 @@ class D4MIsland(Island):
         if degree:
             totals = assoc.sum_rows() if degree_axis.lower() == "rows" else assoc.sum_cols()
             schema = Schema([Column("key", DataType.TEXT), Column("degree", DataType.FLOAT)])
-            relation = Relation(schema)
-            for key in sorted(totals):
-                relation.append([key, totals[key]])
-            return relation
+            return Relation(schema, [[key, totals[key]] for key in sorted(totals)])
         return self.to_relation(assoc)
 
     @staticmethod
@@ -106,10 +103,7 @@ class D4MIsland(Island):
         schema = Schema(
             [Column("row", DataType.TEXT), Column("col", DataType.TEXT), Column("value", value_type)]
         )
-        relation = Relation(schema)
-        for entry in assoc.entries():
-            relation.append([entry.row, entry.col, entry.value])
-        return relation
+        return Relation(schema, [[entry.row, entry.col, entry.value] for entry in assoc.entries()])
 
 
 def _numeric_or_none(value) -> float | None:

@@ -94,20 +94,14 @@ class DegenerateIsland(Island):
             return result.to_relation()
         if isinstance(result, dict):
             schema = Schema([Column("key", DataType.TEXT), Column("value", DataType.TEXT)])
-            relation = Relation(schema)
-            for key, value in result.items():
-                relation.append([str(key), str(value)])
-            return relation
+            return Relation(schema, [[str(key), str(value)] for key, value in result.items()])
         if isinstance(result, list):
             schema = Schema(
                 [Column("row", DataType.TEXT), Column("family", DataType.TEXT),
                  Column("qualifier", DataType.TEXT), Column("value", DataType.TEXT)]
             )
-            relation = Relation(schema)
-            for entry in result:
-                relation.append([entry.key.row, entry.key.family, entry.key.qualifier, str(entry.value)])
-            return relation
-        schema = Schema([Column("value", infer_type(result))])
-        relation = Relation(schema)
-        relation.append([result])
-        return relation
+            return Relation(schema, [
+                [entry.key.row, entry.key.family, entry.key.qualifier, str(entry.value)]
+                for entry in result
+            ])
+        return Relation(Schema([Column("value", infer_type(result))]), [[result]])

@@ -130,16 +130,14 @@ class MyriaIsland(Island):
                 raise PlanningError("a Myria plan must start with a scan")
             elif step.kind == "select":
                 predicate = step.options["predicate"]
-                filtered = Relation(current.schema)
-                filtered.rows.extend(row for row in current.rows if predicate(row))
-                current = filtered
+                current = Relation(current.schema, [row for row in current.rows if predicate(row)])
             elif step.kind == "project":
                 columns = step.options["columns"]
                 schema = current.schema.project(columns)
-                projected = Relation(schema)
-                for row in current.rows:
-                    projected.append([row[c] for c in columns])
-                current = projected
+                current = Relation.from_columns(
+                    schema, [current.column_vector(current.schema.index_of(c)) for c in columns],
+                    len(current),
+                )
             elif step.kind == "join":
                 current = self._join(current, step)
             elif step.kind == "group_by":
@@ -154,14 +152,14 @@ class MyriaIsland(Island):
         right = self._run(step.options["other"])
         left_col, right_col = step.options["left"], step.options["right"]
         joined_schema = left.schema.prefixed("l").concat(right.schema.prefixed("r"))
-        result = Relation(joined_schema)
         build: dict = {}
         for row in right.rows:
             build.setdefault(row[right_col], []).append(row)
-        for row in left.rows:
-            for match in build.get(row[left_col], []):
-                result.append(list(row.values) + list(match.values))
-        return result
+        return Relation(joined_schema, [
+            row.values + match.values
+            for row in left.rows
+            for match in build.get(row[left_col], [])
+        ])
 
     def _group_by(self, child: Relation, step: MyriaStep) -> Relation:
         from repro.engines.relational.functions import make_aggregate
@@ -184,8 +182,7 @@ class MyriaIsland(Island):
 
         columns = [child.schema.column(k) for k in keys]
         columns += [Column(name, DataType.FLOAT) for name in aggregates]
-        schema = Schema(columns)
-        result = Relation(schema)
-        for group_key, accumulators in groups.items():
-            result.append(list(group_key) + [accumulators[name].result() for name in aggregates])
-        return result
+        return Relation(Schema(columns), [
+            list(group_key) + [accumulators[name].result() for name in aggregates]
+            for group_key, accumulators in groups.items()
+        ])

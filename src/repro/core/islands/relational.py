@@ -7,20 +7,21 @@ non-SQL engines (or spanning engines) fetch each referenced object through
 its relational shim and run the SQL in a scratch relational engine, where
 every export is a read-only foreign table: scanned in place, never copied
 into a heap, and refusing any write (a write there would change a copy).
+
+Each statement is parsed once (:meth:`RelationalEngine.parse`): its tables
+are read off the AST, and the engine that runs it receives the text with
+that AST, which it does not parse again.
 """
 
 from __future__ import annotations
 
-import re
-
-from repro.common.errors import ParseError, TransientEngineError
+from repro.common.errors import TransientEngineError
 from repro.common.schema import Relation
-from repro.core.islands.base import Island, is_write_statement
+from repro.core.islands.base import Island
 from repro.core.shims import RelationalShim
 from repro.engines.base import EngineCapability
 from repro.engines.relational.engine import RelationalEngine
-from repro.engines.relational.sql.ast import SelectStatement
-from repro.engines.relational.sql.parser import parse_sql
+from repro.engines.relational.sql.ast import SelectStatement, Statement
 
 
 class RelationalIsland(Island):
@@ -34,11 +35,12 @@ class RelationalIsland(Island):
 
     def execute(self, query: str) -> Relation:
         self.queries_executed += 1
-        tables = self.referenced_tables(query)
+        sql = RelationalEngine.parse(query)
+        tables = _tables(sql.statement)
         if not tables:
             # Table-free SELECT (constant expressions): run on any SQL engine.
-            return self._any_sql_engine().execute(query)
-        is_write = is_write_statement(query)
+            return self._any_sql_engine().execute(sql)
+        is_write = not isinstance(sql.statement, SelectStatement)
         placements = {
             table: self.engine_for_object(table, for_write=is_write)
             for table in tables
@@ -55,7 +57,7 @@ class RelationalIsland(Island):
                 only_engine = next(iter(placements.values()))
                 if only_engine.capabilities & EngineCapability.SQL:
                     # Single SQL-capable engine: push the whole query down.
-                    return only_engine.execute(query)
+                    return only_engine.execute(sql)
             # Cross-engine (or non-SQL source): each object's export becomes a
             # read-only foreign table of a scratch engine, scanned in place.
             scratch = RelationalEngine("_relational_island_scratch")
@@ -63,7 +65,7 @@ class RelationalIsland(Island):
                 for table, engine in placements.items():
                     relation = RelationalShim(engine).fetch_relation(table)
                     scratch.attach_foreign(table, relation, engine.name)
-                return scratch.execute(query)
+                return scratch.execute(sql)
             finally:
                 # An engine is a reference cycle: dropped with it, the
                 # exported columns would sit in memory until the cyclic
@@ -82,50 +84,32 @@ class RelationalIsland(Island):
 
     # ----------------------------------------------------------------- helpers
     def referenced_tables(self, query: str) -> list[str]:
-        """Table names referenced by a SELECT (FROM and JOIN clauses, subqueries included)."""
-        try:
-            statement = parse_sql(query)
-        except ParseError:
-            # Fall back to a regex scan for non-SELECT statements.
-            return self._regex_tables(query)
-        if not isinstance(statement, SelectStatement):
-            return self._regex_tables(query)
-        tables: list[str] = []
-
-        def visit(select: SelectStatement) -> None:
-            refs = [select.from_table] + [join.table for join in select.joins]
-            for ref in refs:
-                if ref is None:
-                    continue
-                if ref.subquery is not None:
-                    visit(ref.subquery)
-                elif ref.name is not None:
-                    tables.append(ref.name)
-
-        visit(statement)
-        # Preserve order, drop duplicates.
-        seen = set()
-        ordered = []
-        for table in tables:
-            if table.lower() not in seen:
-                seen.add(table.lower())
-                ordered.append(table)
-        return ordered
-
-    @staticmethod
-    def _regex_tables(query: str) -> list[str]:
-        matches = re.findall(r"\b(?:from|join|into|update|table)\s+([A-Za-z_][A-Za-z0-9_]*)",
-                             query, flags=re.IGNORECASE)
-        seen = set()
-        ordered = []
-        for table in matches:
-            if table.lower() not in seen:
-                seen.add(table.lower())
-                ordered.append(table)
-        return ordered
+        """Table names a statement references: the one a DML/DDL statement
+        names, or a SELECT's FROM and JOIN tables, subqueries included."""
+        return _tables(RelationalEngine.parse(query).statement)
 
     def _any_sql_engine(self) -> RelationalEngine:
         for engine in self.member_engines():
             if isinstance(engine, RelationalEngine):
                 return engine
         return RelationalEngine("_relational_island_scratch")
+
+
+def _tables(statement: Statement) -> list[str]:
+    """The table names ``statement`` references, first mention first."""
+    if not isinstance(statement, SelectStatement):
+        return [statement.table]
+    tables: dict[str, str] = {}
+
+    def visit(select: SelectStatement) -> None:
+        refs = [select.from_table] + [join.table for join in select.joins]
+        for ref in refs:
+            if ref is None:
+                continue
+            if ref.subquery is not None:
+                visit(ref.subquery)
+            elif ref.name is not None:
+                tables.setdefault(ref.name.lower(), ref.name)
+
+    visit(statement)
+    return list(tables.values())

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 
 from repro.common.errors import ParseError
-from repro.common.schema import Column, ColumnarRelation, Relation, Schema
+from repro.common.schema import Column, Relation, Schema
 from repro.common.types import DataType
 from repro.core.islands.base import Island
 from repro.core.shims import TextShim
@@ -47,6 +47,8 @@ class TextIsland(Island):
         phrases = [p.strip().strip('"').strip("'") for p in re.split(r"\s+and\s+", phrases_text, flags=re.IGNORECASE)]
         shim = TextShim(self.engine_for_object(table))
         if minimum is not None:
-            return ColumnarRelation(_ROWS, [shim.rows_with_min_documents(table, phrases, int(minimum))])
+            return Relation.from_columns(
+                _ROWS, [shim.rows_with_min_documents(table, phrases, int(minimum))]
+            )
         found = shim.search(table, phrases)
-        return ColumnarRelation(_DOCUMENTS, [found.rows, found.qualifiers, found.counts])
+        return Relation.from_columns(_DOCUMENTS, [found.rows, found.qualifiers, found.counts])

@@ -15,7 +15,7 @@ from typing import Any, Iterator
 import numpy as np
 
 from repro.common.errors import SchemaError, UnsupportedOperationError
-from repro.common.schema import Column, ColumnarRelation, Schema
+from repro.common.schema import Column, Relation, Schema
 from repro.common.types import DataType, coerce
 from repro.common.vectors import NumericVector
 from repro.engines.array.schema import ArraySchema
@@ -136,8 +136,8 @@ class StoredArray:
         columns += [Column(a.name, a.dtype) for a in self.schema.attributes]
         return Schema(columns)
 
-    def cell_chunks(self, chunk_size: int | None = None) -> Iterator[ColumnarRelation]:
-        """Populated cells, row-major, as columnar relations over
+    def cell_chunks(self, chunk_size: int | None = None) -> Iterator[Relation]:
+        """Populated cells, row-major, as relations over
         :meth:`flat_schema` of at most ``chunk_size`` rows (one relation with
         every cell when None; nothing for an array with no populated cell).
 
@@ -155,19 +155,19 @@ class StoredArray:
                 column.tolist() if isinstance(column, np.ndarray) else column
                 for column in self._gather(part)
             ]
-            yield ColumnarRelation(schema, columns, len(part[0]))
+            yield Relation.from_columns(schema, columns, len(part[0]))
 
-    def to_relation(self) -> ColumnarRelation:
+    def to_relation(self) -> Relation:
         """The whole array flattened to one relation over :meth:`flat_schema`,
         kept typed: coordinates and INTEGER/FLOAT/BOOLEAN attributes are
         ``NumericVector`` columns over the gathered buffers, with no Python
-        value made (see :meth:`ColumnarRelation.column_vector`)."""
+        value made (see :meth:`Relation.column_vector`)."""
         indexes = np.nonzero(self._present)
         columns = [
             NumericVector(column) if isinstance(column, np.ndarray) else column
             for column in self._gather(indexes)
         ]
-        return ColumnarRelation(self.flat_schema(), columns, len(indexes[0]))
+        return Relation.from_columns(self.flat_schema(), columns, len(indexes[0]))
 
     def _gather(self, part: tuple[np.ndarray, ...]) -> list[Any]:
         """The cells at ``part`` (one index array per axis, from ``np.nonzero``

@@ -25,40 +25,29 @@ import threading
 from abc import ABC, abstractmethod
 from typing import Any, Callable, Iterable, Iterator
 
+from repro.common import vectors
 from repro.common.cancellation import check_cancelled
-from repro.common.schema import Relation, Row, Schema
+from repro.common.schema import Relation, Schema
 
 #: Default number of rows per chunk on the streaming CAST path.
 DEFAULT_CHUNK_ROWS = 8192
 
 
-def relation_chunks(schema: Schema, rows: Iterable[Any], chunk_size: int,
-                    validate: bool = True) -> Iterator[Relation]:
-    """Group a row stream into relations of at most ``chunk_size`` rows.
-
-    The chunk-boundary logic of every exporter that walks rows (engines whose
-    storage is columnar slice it into chunks themselves).  ``rows`` yields value sequences (coerced through the schema when
-    ``validate`` is True) or ready-made :class:`Row` objects (pass
-    ``validate=False`` when the rows are already schema-typed, e.g. straight
-    from an engine's own storage).  Raises eagerly on a non-positive
-    ``chunk_size``; yields nothing for an empty stream.
-    """
+def _sliced(relation: Relation, chunk_size: int) -> Iterator[Relation]:
+    """``relation`` as relations of at most ``chunk_size`` rows, each a slice
+    of every column (views where the column is typed).  Raises eagerly on a
+    non-positive ``chunk_size``; yields nothing for an empty relation."""
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+    columns = [relation.column_vector(i) for i in range(len(relation.schema))]
 
     def generate() -> Iterator[Relation]:
-        chunk = Relation(schema)
-        for row in rows:
-            if validate:
-                chunk.append(row)
-            else:
-                chunk.rows.append(row if isinstance(row, Row) else Row(schema, row))
-            if len(chunk) >= chunk_size:
-                check_cancelled()  # chunk boundary: cancelled exports stop here
-                yield chunk
-                chunk = Relation(schema)
-        if len(chunk):
-            yield chunk
+        for start in range(0, len(relation), chunk_size):
+            check_cancelled()  # chunk boundary: cancelled exports stop here
+            stop = min(start + chunk_size, len(relation))
+            yield Relation.from_columns(
+                relation.schema, [column[start:stop] for column in columns], stop - start
+            )
 
     return generate()
 
@@ -238,12 +227,11 @@ class Engine(ABC):
     def export_chunks(self, name: str, chunk_size: int = DEFAULT_CHUNK_ROWS) -> Iterator[Relation]:
         """Export an object as a stream of relations of at most ``chunk_size`` rows.
 
-        The fallback materializes the full relation and slices it; engines with
-        an incremental scan override this to bound memory.  Yields nothing for
-        an empty object.
+        The fallback exports the full relation and slices its columns;
+        engines with an incremental scan override this to bound memory.
+        Yields nothing for an empty object.
         """
-        relation = self.export_relation(name)
-        return relation_chunks(relation.schema, relation.rows, chunk_size, validate=False)
+        return _sliced(self.export_relation(name), chunk_size)
 
     def export_stream(self, name: str, chunk_size: int = DEFAULT_CHUNK_ROWS
                       ) -> tuple[Schema, Iterator[Relation]]:
@@ -270,21 +258,22 @@ class Engine(ABC):
             # full export is cheap here.
             return self.export_relation(name).schema, iter(())
         relation = self.export_relation(name)
-        return relation.schema, relation_chunks(
-            relation.schema, relation.rows, chunk_size, validate=False
-        )
+        return relation.schema, _sliced(relation, chunk_size)
 
     def import_chunks(self, name: str, schema: Schema, chunks: Iterable[Relation],
                       **options: Any) -> None:
         """Create (or replace) an object from a stream of relation chunks.
 
-        The fallback concatenates the chunks and delegates to
+        The fallback concatenates the chunks' columns and delegates to
         ``import_relation``; engines that can append incrementally override
         this so only one decoded chunk is held at a time.
         """
-        combined = Relation(schema)
-        for chunk in chunks:
-            combined.rows.extend(chunk.rows)
+        parts = list(chunks)
+        columns = [
+            vectors.concat([chunk.column_vector(i) for chunk in parts]) if parts else []
+            for i in range(len(schema))
+        ]
+        combined = Relation.from_columns(schema, columns, sum(len(chunk) for chunk in parts))
         self.import_relation(name, combined, **options)
 
     def describe(self) -> dict[str, Any]:

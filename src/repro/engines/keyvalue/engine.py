@@ -6,13 +6,13 @@ values, scanned through server-side iterator stacks and split into tablets.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.common.cancellation import check_cancelled
 from repro.common.errors import DuplicateObjectError, ObjectNotFoundError, TypeMismatchError
 from repro.common.schema import Column, Relation, Schema
 from repro.common.types import DataType, common_type, infer_type
-from repro.engines.base import DEFAULT_CHUNK_ROWS, Engine, EngineCapability, relation_chunks
+from repro.engines.base import Engine, EngineCapability
 from repro.engines.keyvalue.iterators import ScanIterator, apply_stack
 from repro.engines.keyvalue.store import Entry, ScanRange, SortedKeyValueStore
 from repro.engines.keyvalue.tablet import TabletManager
@@ -112,13 +112,10 @@ class KeyValueEngine(Engine):
     def export_relation(self, name: str) -> Relation:
         """Flatten a key-value table to (row, family, qualifier, value) rows,
         one per cell: its newest version."""
-        return Relation(self.export_schema(name), self._cells(name))
-
-    def _cells(self, name: str) -> Iterator[list[Any]]:
-        return (
+        return Relation(self.export_schema(name), [
             [entry.key.row, entry.key.family, entry.key.qualifier, entry.value]
             for entry in self.table(name).store.latest()
-        )
+        ])
 
     def export_schema(self, name: str) -> Schema:
         """The flattened export schema, widening the value column to a type
@@ -139,11 +136,6 @@ class KeyValueEngine(Engine):
                 Column("value", value_type),
             ]
         )
-
-    def export_chunks(self, name: str, chunk_size: int = DEFAULT_CHUNK_ROWS) -> Iterator[Relation]:
-        """Stream the cells' newest versions, in key order, as bounded chunks
-        of flattened entries."""
-        return relation_chunks(self.export_schema(name), self._cells(name), chunk_size)
 
     def import_chunks(self, name: str, schema: Schema, chunks: Iterable[Relation],
                       **options: Any) -> None:

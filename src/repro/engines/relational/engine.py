@@ -26,7 +26,7 @@ from repro.common.parallel import (
     WorkerCredits,
     resolve_parallelism,
 )
-from repro.common.schema import Column, ColumnarRelation, Relation, Schema, TableDefinition
+from repro.common.schema import Column, Relation, Schema, TableDefinition
 from repro.engines.base import DEFAULT_CHUNK_ROWS, Engine, EngineCapability
 from repro.engines.relational.optimizer import Optimizer
 from repro.observability.profile import PlanProfiler, SlowQueryLog
@@ -51,6 +51,23 @@ from repro.engines.relational.sql.ast import (
 from repro.engines.relational.sql.parser import parse_sql
 from repro.engines.relational.storage import ColumnSnapshot, ForeignTable, HeapTable
 from repro.engines.relational.transactions import Transaction, TransactionManager
+
+
+class ParsedSql(str):
+    """SQL text that carries the :class:`Statement` it parses to
+    (:meth:`RelationalEngine.parse`).
+
+    :meth:`RelationalEngine.execute` runs ``statement`` without parsing the
+    text again, while whatever reads its argument as text (fault injection,
+    the slow-query log) still reads text.
+    """
+
+    statement: Statement
+
+    def __new__(cls, text: str, statement: Statement) -> "ParsedSql":
+        sql = super().__new__(cls, text)
+        sql.statement = statement
+        return sql
 
 
 class RelationalEngine(Engine, TableStatisticsProvider):
@@ -225,7 +242,7 @@ class RelationalEngine(Engine, TableStatisticsProvider):
     def export_chunks(self, name: str, chunk_size: int = DEFAULT_CHUNK_ROWS) -> Iterator[Relation]:
         """Stream the table scan as bounded *columnar* chunks.
 
-        Each chunk is a :class:`~repro.common.schema.ColumnarRelation` sliced
+        Each chunk is a :class:`~repro.common.schema.Relation` sliced
         from the table's columnar snapshot — the same read image SELECT
         scans, with values turned back into native Python lists here — so a
         CAST whose consumer reads columns (the binary codec, a columnar
@@ -316,14 +333,21 @@ class RelationalEngine(Engine, TableStatisticsProvider):
         self.bump_write_version()
 
     # ------------------------------------------------------------------ query
+    @staticmethod
+    def parse(sql: str) -> ParsedSql:
+        """Parse one SQL statement, once: the relational island reads its
+        tables off the result and hands that same result to :meth:`execute`."""
+        return ParsedSql(sql, parse_sql(sql))
+
     def execute(self, sql: str) -> Relation:
         """Parse, plan and execute one SQL statement.
 
+        A :class:`ParsedSql` is not parsed again: its ``statement`` runs.
         DDL and DML statements return a one-column relation with the affected
         row count; SELECT returns its result set.
         """
         check_cancelled()
-        statement = parse_sql(sql)
+        statement = sql.statement if isinstance(sql, ParsedSql) else parse_sql(sql)
         if self.slow_queries.enabled and isinstance(statement, SelectStatement):
             started = time.perf_counter()
             result = self.execute_statement(statement)
@@ -416,7 +440,7 @@ class RelationalEngine(Engine, TableStatisticsProvider):
             finally:
                 self._batch_executor.profiler = None
             total_s = time.perf_counter() - started
-            result_rows = len(result.rows)
+            result_rows = len(result)
             self.queries_executed += 1
 
         def annotate(node):
@@ -494,6 +518,9 @@ class RelationalEngine(Engine, TableStatisticsProvider):
             if statement.if_exists:
                 return self._count_relation(0)
             raise ObjectNotFoundError(f"table {statement.table!r} does not exist")
+        table = self._tables[key]
+        if isinstance(table, ForeignTable):
+            table.refuse_write()
         del self._tables[key]
         self.statistics.invalidate(statement.table)
         return self._count_relation(0)
@@ -585,10 +612,7 @@ class RelationalEngine(Engine, TableStatisticsProvider):
 
     @staticmethod
     def _count_relation(count: int) -> Relation:
-        schema = Schema([Column("affected_rows", "integer")])
-        relation = Relation(schema)
-        relation.append([count])
-        return relation
+        return Relation.from_columns(_COUNT_SCHEMA, [[count]])
 
     # ------------------------------------------------------------ transactions
     def begin(self) -> Transaction:
@@ -599,9 +623,12 @@ class RelationalEngine(Engine, TableStatisticsProvider):
         self._transactions.finish(txn)
 
 
+_COUNT_SCHEMA = Schema([Column("affected_rows", "integer")])
+
+
 def _snapshot_chunk(snapshot: ColumnSnapshot | ForeignTable, start: int,
-                    stop: int) -> ColumnarRelation:
+                    stop: int) -> Relation:
     """Rows ``start:stop`` of a table snapshot as native-valued columns."""
     columns = [snapshot.values(i, start, stop) for i in range(len(snapshot.schema))]
-    return ColumnarRelation(snapshot.schema, columns, stop - start)
+    return Relation.from_columns(snapshot.schema, columns, stop - start)
 

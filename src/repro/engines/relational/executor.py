@@ -75,40 +75,26 @@ class Executor:
     # ------------------------------------------------------------------ scans
     def _execute_scan(self, node: ScanNode) -> Relation:
         if node.table == "__dual__":
-            relation = Relation(_DUAL_SCHEMA)
-            relation.append([0])
-            return relation
+            return Relation(_DUAL_SCHEMA, [[0]])
         table = self._engine.table(node.table)
         schema = self._qualified_schema(table.schema, node.alias or node.table)
-        relation = Relation(schema)
+        rows = (Row(schema, values) for values in table.scan_values())
         if node.predicate is None:
-            # No predicate: bulk-wrap the stored tuples, skipping the
-            # per-row generator and predicate machinery entirely.
-            relation.rows.extend(Row(schema, values) for values in table.scan_values())
-            return relation
-        for values in table.scan_values():
-            row = Row(schema, values)
-            if evaluate_predicate(node.predicate, row):
-                relation.rows.append(row)
-        return relation
+            return Relation(schema, rows)
+        return Relation(schema, [row for row in rows if evaluate_predicate(node.predicate, row)])
 
     def _execute_index_scan(self, node: IndexScanNode) -> Relation:
         table = self._engine.table(node.table)
         schema = self._qualified_schema(table.schema, node.alias or node.table)
-        relation = Relation(schema)
-        for _row_id, values in node.candidates(table):
-            row = Row(schema, values)
-            if node.residual is None or evaluate_predicate(node.residual, row):
-                relation.rows.append(row)
-        return relation
+        rows = (Row(schema, values) for _row_id, values in node.candidates(table))
+        return Relation(schema, [
+            row for row in rows
+            if node.residual is None or evaluate_predicate(node.residual, row)
+        ])
 
     def _execute_subquery(self, node: SubqueryNode) -> Relation:
         inner = self.execute(node.plan)
-        schema = self._qualified_schema(inner.schema, node.alias)
-        result = Relation(schema)
-        for row in inner:
-            result.rows.append(Row(schema, row.values))
-        return result
+        return Relation(self._qualified_schema(inner.schema, node.alias), inner.rows)
 
     @staticmethod
     def _qualified_schema(schema: Schema, qualifier: str) -> Schema:
@@ -125,11 +111,7 @@ class Executor:
     # ---------------------------------------------------------------- operators
     def _execute_filter(self, node: FilterNode) -> Relation:
         child = self.execute(node.child)
-        result = Relation(child.schema)
-        for row in child:
-            if evaluate_predicate(node.predicate, row):
-                result.rows.append(row)
-        return result
+        return Relation(child.schema, [row for row in child if evaluate_predicate(node.predicate, row)])
 
     def _execute_join(self, node: JoinNode) -> Relation:
         left = self.execute(node.left)
@@ -140,27 +122,27 @@ class Executor:
             if keys:
                 return self._hash_join(node, left, right, joined_schema, keys)
         # Nested loop (cross joins and non-equi conditions, all join types).
-        result = Relation(joined_schema)
+        out: list[Row] = []
         track_right = node.join_type in ("right", "full")
-        right_matched = [False] * len(right.rows) if track_right else None
+        right_matched = [False] * len(right) if track_right else None
         for left_row in left:
             matched = False
             for r_index, right_row in enumerate(right.rows):
                 candidate = Row(joined_schema, left_row.values + right_row.values)
                 if node.condition is None or evaluate_predicate(node.condition, candidate):
-                    result.rows.append(candidate)
+                    out.append(candidate)
                     matched = True
                     if right_matched is not None:
                         right_matched[r_index] = True
             if node.join_type in ("left", "full") and not matched:
                 padding = tuple([None] * len(right.schema))
-                result.rows.append(Row(joined_schema, left_row.values + padding))
+                out.append(Row(joined_schema, left_row.values + padding))
         if right_matched is not None:
             padding = tuple([None] * len(left.schema))
             for r_index, right_row in enumerate(right.rows):
                 if not right_matched[r_index]:
-                    result.rows.append(Row(joined_schema, padding + right_row.values))
-        return result
+                    out.append(Row(joined_schema, padding + right_row.values))
+        return Relation(joined_schema, out)
 
     def _hash_join(
         self,
@@ -170,7 +152,7 @@ class Executor:
         joined_schema: Schema,
         keys: list[tuple[str, str]],
     ) -> Relation:
-        result = Relation(joined_schema)
+        out: list[Row] = []
         left_cols = [pair[0] for pair in keys]
         right_cols = [pair[1] for pair in keys]
         # Honor the planner's build-side hint; outer joins always build on
@@ -187,7 +169,7 @@ class Executor:
             key = tuple(row[c] for c in build_cols)
             build.setdefault(key, []).append((index, row))
         track_build = node.join_type in ("right", "full")
-        build_matched = [False] * len(build_rel.rows) if track_build else None
+        build_matched = [False] * len(build_rel) if track_build else None
         pad_probe = node.join_type in ("left", "full")
         build_padding = tuple([None] * len(build_rel.schema))
         for probe_row in probe_rel:
@@ -200,22 +182,18 @@ class Executor:
                     values = probe_row.values + build_row.values
                 candidate = Row(joined_schema, values)
                 if node.condition is None or evaluate_predicate(node.condition, candidate):
-                    result.rows.append(candidate)
+                    out.append(candidate)
                     matched = True
                     if build_matched is not None:
                         build_matched[index] = True
             if pad_probe and not matched:
-                result.rows.append(
-                    Row(joined_schema, probe_row.values + build_padding)
-                )
+                out.append(Row(joined_schema, probe_row.values + build_padding))
         if build_matched is not None:
             probe_padding = tuple([None] * len(probe_rel.schema))
             for index, build_row in enumerate(build_rel.rows):
                 if not build_matched[index]:
-                    result.rows.append(
-                        Row(joined_schema, probe_padding + build_row.values)
-                    )
-        return result
+                    out.append(Row(joined_schema, probe_padding + build_row.values))
+        return Relation(joined_schema, out)
 
     @staticmethod
     def _equi_join_keys(
@@ -275,11 +253,9 @@ class Executor:
         child = self.execute(node.child)
         indices = [child.schema.index_of(name) for name in node.columns]
         schema = child.schema.project(node.columns)
-        result = Relation(schema)
-        result.rows.extend(
+        return Relation(schema, [
             Row(schema, tuple(row.values[i] for i in indices)) for row in child.rows
-        )
-        return result
+        ])
 
     def _execute_project(self, node: ProjectNode) -> Relation:
         child = self.execute(node.child)
@@ -291,7 +267,7 @@ class Executor:
                 dtype = self._expression_type(item.expression, child)
                 columns.append(Column(item.output_name, dtype))
         schema = Schema(self._dedupe(columns))
-        result = Relation(schema)
+        out: list[Row] = []
         seen: set[tuple] = set()
         for row in child:
             values: list[Any] = []
@@ -305,8 +281,8 @@ class Executor:
                 if candidate in seen:
                     continue
                 seen.add(candidate)
-            result.rows.append(Row(schema, candidate))
-        return result
+            out.append(Row(schema, candidate))
+        return Relation(schema, out)
 
     def _execute_aggregate(self, node: AggregateNode) -> Relation:
         child = self.execute(node.child)
@@ -357,7 +333,7 @@ class Executor:
                 columns.append(Column(item.output_name, dtype))
         schema = Schema(self._dedupe(columns))
         having_schema = self._having_schema(schema, node.items, having_items)
-        result = Relation(schema)
+        out: list[Row] = []
         for key, accumulators in groups.items():
             values: list[Any] = []
             representative = group_rows[key]
@@ -383,8 +359,8 @@ class Executor:
                 )
                 if not evaluate_predicate(node.having, having_row):
                     continue
-            result.rows.append(out_row)
-        return result
+            out.append(out_row)
+        return Relation(schema, out)
 
     @staticmethod
     def _having_schema(schema: Schema, items: list, having_items: list = ()) -> Schema:
@@ -414,14 +390,6 @@ class Executor:
 
     def _execute_sort(self, node: SortNode) -> Relation:
         child = self.execute(node.child)
-
-        def sort_key(row: Row) -> tuple:
-            parts = []
-            for item in node.order_by:
-                value = item.expression.evaluate(row)
-                parts.append((value is None, value))
-            return tuple(parts)
-
         # Python's sort is stable, so apply keys right-to-left for mixed directions.
         rows = list(child.rows)
         for item in reversed(node.order_by):
@@ -430,17 +398,13 @@ class Executor:
                 return (value is None, value)
 
             rows.sort(key=key, reverse=item.descending)
-        result = Relation(child.schema)
-        result.rows.extend(rows)
-        return result
+        return Relation(child.schema, rows)
 
     def _execute_limit(self, node: LimitNode) -> Relation:
         child = self.execute(node.child)
         start = node.offset or 0
         end = None if node.limit is None else start + node.limit
-        result = Relation(child.schema)
-        result.rows.extend(child.rows[start:end])
-        return result
+        return Relation(child.schema, child.rows[start:end])
 
     # ------------------------------------------------------------------ helpers
     def _expression_type(self, expression: Expression | None, child: Relation) -> DataType:

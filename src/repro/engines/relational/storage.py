@@ -161,11 +161,18 @@ class HeapTable:
         else:
             self._land([self.schema.validate_row(values) for values in zip(*columns)])
 
-    def _land(self, rows: list[tuple[Any, ...]]) -> range:
+    def restore(self, row_id: int, values: tuple[Any, ...]) -> None:
+        """Put a deleted row back under its old row id (a rollback undoing a
+        DELETE), so older undo records of the same transaction still find
+        it; unique keys are checked as :meth:`insert` checks them."""
+        self._land([values], row_id)
+
+    def _land(self, rows: list[tuple[Any, ...]], first: int | None = None) -> range:
         """Store validated rows under one lock acquisition: unique keys are
         checked for the whole batch first — a duplicate, in the table or in
         the batch, raises with nothing stored — and the indexes are filled
-        after the rows.  Returns the new row ids."""
+        after the rows.  The rows take new ids unless ``first`` gives the
+        (freed) id of the first.  Returns their row ids."""
         with self._lock:
             keys = {
                 name: self._keys_for(rows, key_columns)
@@ -174,10 +181,11 @@ class HeapTable:
             for name, (_key_columns, index) in self._indexes.items():
                 if index.unique:
                     self._reject_duplicates(name, index, keys[name])
-            first = self._next_row_id
-            self._next_row_id += len(rows)
+            if first is None:
+                first = self._next_row_id
+                self._next_row_id += len(rows)
             self._snapshot = None
-            self._rows.update(zip(range(first, self._next_row_id), rows))
+            self._rows.update(zip(range(first, first + len(rows)), rows))
             for name, (_key_columns, index) in self._indexes.items():
                 for row_id, key in enumerate(keys[name], first):
                     index.insert(key, row_id)
@@ -524,13 +532,14 @@ class ForeignTable:
     def indexes(self) -> dict[str, tuple[str, ...]]:
         return {}
 
-    def _read_only(self, *_args: Any, **_kwargs: Any) -> Any:
+    def refuse_write(self, *_args: Any, **_kwargs: Any) -> Any:
         raise UnsupportedOperationError(
             f"{self.name!r} lives in engine {self.engine!r}, which the relational "
             "island reads through a shim: it cannot be written through SQL"
         )
 
     # What INSERT, UPDATE, DELETE and CREATE INDEX call; UPDATE and DELETE
-    # stop at their matcher, apply_filter_values.
-    insert_many = update_many = delete_many = apply_filter_values = _read_only
-    create_index = _read_only
+    # stop at their matcher, apply_filter_values.  DROP TABLE calls
+    # refuse_write itself.
+    insert_many = update_many = delete_many = apply_filter_values = refuse_write
+    create_index = refuse_write

@@ -79,9 +79,9 @@ class Transaction:
                 if record.row_id in table._rows:
                     table.delete(record.row_id)
             elif record.kind == "delete":
-                # Re-insert with the original values (row id is not preserved,
-                # which is acceptable for the engine's usage).
-                table.insert(record.before)
+                # Under its old row id: an older update or insert record of
+                # this transaction names that id.
+                table.restore(record.row_id, record.before)
         if batch:
             self._restore(batch_table, batch)
         if self._undo:

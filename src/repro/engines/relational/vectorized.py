@@ -12,8 +12,10 @@ is the cure, and the only executor ``RelationalEngine`` runs:
   (:meth:`HeapTable.column_snapshot`): typed vectors
   (:mod:`repro.common.vectors`) that stay typed through filter, gather,
   join and NULL padding, so kernels read buffers instead of converting
-  Python values per query.  Values turn back into native Python only where
-  rows are made: ``value_rows()`` / ``row()`` for results, sort, projected
+  Python values per query.  A result is the concatenated batches' columns,
+  handed to the :class:`~repro.common.schema.Relation` as they are.  Values
+  turn back into native Python only where rows are made: the result's
+  ``rows`` view, and ``value_rows()`` / ``row()`` for sort, projected
   expressions, group representatives and row-closure fallbacks.
 * **Compile once, run per batch.**  Predicates, projections, join keys,
   group keys and sort keys are lowered once per plan node with
@@ -561,11 +563,8 @@ class BatchExecutor:
     # ------------------------------------------------------------------ public
     def execute(self, plan: LogicalPlan) -> Relation:
         schema, batches = self.stream(plan)
-        relation = Relation(schema)
-        rows = relation.rows
-        for batch in batches:
-            rows.extend(Row(schema, values) for values in batch.value_rows())
-        return relation
+        result = ColumnBatch.concat(schema, list(batches))
+        return Relation.from_columns(schema, result.columns, len(result))
 
     def stream(
         self, plan: LogicalPlan, columns: Sequence[str] | None = None

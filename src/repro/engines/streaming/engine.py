@@ -60,10 +60,7 @@ class StreamingEngine(Engine):
         schema = Schema(
             [Column("timestamp", DataType.FLOAT)] + list(stream.schema.columns)
         )
-        relation = Relation(schema)
-        for item in stream.tuples():
-            relation.append([item.timestamp, *item.values])
-        return relation
+        return Relation(schema, [[item.timestamp, *item.values] for item in stream.tuples()])
 
     def import_relation(self, name: str, relation: Relation, **options: Any) -> None:
         """Create a stream from a relation; a ``timestamp`` column orders the tuples."""

@@ -216,10 +216,7 @@ class TileDBEngine(Engine):
         array = self.array(name)
         columns = [Column(f"d{i}", DataType.INTEGER) for i in range(array.schema.ndim)]
         columns.append(Column(array.schema.attribute, DataType.FLOAT))
-        relation = Relation(Schema(columns))
-        for coordinates, value in array.cells():
-            relation.append(list(coordinates) + [value])
-        return relation
+        return Relation(Schema(columns), [[*coordinates, value] for coordinates, value in array.cells()])
 
     def import_relation(self, name: str, relation: Relation, **options: Any) -> None:
         names = relation.schema.names

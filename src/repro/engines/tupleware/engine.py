@@ -38,12 +38,9 @@ class TuplewareEngine(Engine):
         return name.lower() in self._datasets
 
     def export_relation(self, name: str) -> Relation:
-        data = self.dataset(name)
+        values = self.dataset(name).ravel().tolist()
         schema = Schema([Column("index", DataType.INTEGER), Column("value", DataType.FLOAT)])
-        relation = Relation(schema)
-        for i, value in enumerate(data.ravel()):
-            relation.append([i, float(value)])
-        return relation
+        return Relation.from_columns(schema, [list(range(len(values))), values])
 
     def import_relation(self, name: str, relation: Relation, **options: Any) -> None:
         value_column = options.get("value_column", relation.schema.names[-1])

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.common.schema import Relation
 from repro.core.bigdawg import BigDawg
 
 
@@ -139,15 +140,9 @@ class SeeDB:
         sample_name = f"{self.table}_seedb_sample"
         relation = self.bigdawg.execute(f"RELATIONAL(SELECT * FROM {self.table})")
         step = max(1, int(round(1.0 / max(self.sample_fraction, 1e-6))))
-        from repro.common.schema import Relation
-
-        sampled = Relation(relation.schema)
-        for i, row in enumerate(relation.rows):
-            if (i + self.seed) % step == 0:
-                sampled.rows.append(row)
-        if not sampled.rows and relation.rows:
-            sampled.rows.append(relation.rows[0])
-        self.bigdawg.materialize_temporary(sample_name, sampled)
+        rows = relation.rows
+        sampled = [row for i, row in enumerate(rows) if (i + self.seed) % step == 0] or rows[:1]
+        self.bigdawg.materialize_temporary(sample_name, Relation(relation.schema, sampled))
         self._sample_table = sample_name
         return sample_name
 

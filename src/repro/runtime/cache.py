@@ -125,7 +125,8 @@ class ResultCache:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return _snapshot(entry.relation)
+            # A relation never changes once built: every hit can share it.
+            return entry.relation
 
     def put(self, query: str, relation: Relation, fingerprint: Fingerprint) -> bool:
         """Store a result computed while the polystore was at ``fingerprint``.
@@ -137,7 +138,7 @@ class ResultCache:
             return False
         key = normalize_query(query)
         with self._lock:
-            self._entries[key] = _Entry(_snapshot(relation), fingerprint)
+            self._entries[key] = _Entry(relation, fingerprint)
             self._entries.move_to_end(key)
             # A fresh result supersedes any stale copy kept for fallback.
             self._stale.pop(key, None)
@@ -155,8 +156,9 @@ class ResultCache:
         This is the opt-in degraded-mode read: the runtime calls it only
         when a circuit breaker refused the live execution.  The returned
         relation carries ``stale=True`` so callers can tell (and render)
-        that it may not reflect current engine state.  ``keep_stale=False``
-        caches never hold anything here.
+        that it may not reflect current engine state: a new relation over
+        the entry's columns, so the stored one is never flagged.
+        ``keep_stale=False`` caches never hold anything here.
         """
         key = normalize_query(query)
         with self._lock:
@@ -164,9 +166,14 @@ class ResultCache:
             if entry is None:
                 return None
             self.stale_hits += 1
-            snapshot = _snapshot(entry.relation)
-        snapshot.stale = True
-        return snapshot
+        relation = entry.relation
+        stale = Relation.from_columns(
+            relation.schema,
+            [relation.column_vector(i) for i in range(len(relation.schema))],
+            len(relation),
+        )
+        stale.stale = True
+        return stale
 
     def _demote_locked(self, key: str, entry: _Entry) -> None:
         """Move an invalidated/evicted entry to the bounded stale buffer."""
@@ -215,10 +222,3 @@ class ResultCache:
             "stale_size": stale_size,
             "stale_hits": self.stale_hits,
         }
-
-
-def _snapshot(relation: Relation) -> Relation:
-    """A shallow copy: fresh row list, shared (treated-as-immutable) rows."""
-    copy = Relation(relation.schema)
-    copy.rows.extend(relation.rows)
-    return copy

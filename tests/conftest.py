@@ -94,13 +94,13 @@ def reference_array_import(name: str, schema: Schema, chunks: Iterable[Relation]
 
 def reference_array_export(array: StoredArray) -> Relation:
     """The relation an array flattens to: the ``iter_cells`` loop (one
-    validated ``Relation.append`` per cell) ``StoredArray.to_relation`` replaced."""
+    validated row per cell) ``StoredArray.to_relation`` replaced."""
     columns = [Column(d.name, DataType.INTEGER) for d in array.schema.dimensions]
     columns += [Column(a.name, a.dtype) for a in array.schema.attributes]
-    relation = Relation(Schema(columns))
-    for coordinates, values in array.iter_cells():
-        relation.append(list(coordinates) + [values[a.name] for a in array.schema.attributes])
-    return relation
+    return Relation(Schema(columns), [
+        list(coordinates) + [values[a.name] for a in array.schema.attributes]
+        for coordinates, values in array.iter_cells()
+    ])
 
 
 def reference_table_import(name: str, schema: Schema, chunks: Iterable[Relation],

@@ -197,9 +197,7 @@ class TestEngineChunkApi:
                 self.native_chunk_calls += 1
                 relation = _relation(6)
                 for start in range(0, len(relation), chunk_size):
-                    chunk = Relation(SCHEMA)
-                    chunk.rows.extend(relation.rows[start : start + chunk_size])
-                    yield chunk
+                    yield Relation(SCHEMA, relation.rows[start : start + chunk_size])
 
             def import_relation(self, name, relation, **options):
                 pass

@@ -102,12 +102,10 @@ def _polystore() -> tuple[CastMigrator, RelationalEngine, ArrayEngine]:
 
 
 def _chunks(relation: Relation, size: int) -> list[Relation]:
-    out = []
-    for start in range(0, len(relation), size):
-        chunk = Relation(relation.schema)
-        chunk.rows.extend(relation.rows[start : start + size])
-        out.append(chunk)
-    return out
+    return [
+        Relation(relation.schema, relation.rows[start : start + size])
+        for start in range(0, len(relation), size)
+    ]
 
 
 def _outcome(fn):
@@ -297,9 +295,8 @@ class TestRelationalBulkLoad:
         # Values that are not yet the schema's Python types (ints in a FLOAT
         # column, numpy scalars) take the validate_row path and land native.
         engine = RelationalEngine("postgres")
-        relation = Relation(self.SCHEMA)
-        relation.rows.extend(
-            Row(self.SCHEMA, v) for v in ([np.int64(1), 2], [True, np.float64(0.5)]))
+        relation = Relation(self.SCHEMA, [
+            Row(self.SCHEMA, v) for v in ([np.int64(1), 2], [True, np.float64(0.5)])])
         engine.import_relation("t", relation)
         rows = [r.values for r in engine.export_relation("t")]
         assert rows == [(1, 2.0), (1, 0.5)]

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+from datetime import datetime, timezone
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import SchemaError, TypeMismatchError
 from repro.common.schema import Column, Relation, Row, Schema, TableDefinition
+from repro.common.serialization import BinaryCodec
 from repro.common.types import DataType
+from repro.common.vectors import vector_from_values
 
 
 @pytest.fixture()
@@ -125,12 +129,11 @@ class TestRow:
 
 
 class TestRelation:
-    def test_append_validates(self, patient_schema):
-        relation = Relation(patient_schema)
-        relation.append([1, "64", "white", 2])
+    def test_constructor_validates(self, patient_schema):
+        relation = Relation(patient_schema, [[1, "64", "white", 2]])
         assert relation.rows[0]["age"] == 64
         with pytest.raises(SchemaError):
-            relation.append([1, 2])
+            Relation(patient_schema, [[1, 2]])
 
     def test_column_extraction_and_sort(self, patient_schema):
         relation = Relation(patient_schema, [
@@ -159,6 +162,18 @@ class TestRelation:
         b = Relation(patient_schema, [[1, 60, "white", 1.0]])
         assert a == b
 
+    def test_rows_are_a_read_only_view(self, patient_schema):
+        relation = Relation(patient_schema, [[1, 60, "white", 1.0]])
+        assert isinstance(relation.rows, tuple)
+        with pytest.raises(AttributeError):
+            relation.rows.append(Row(patient_schema, (2, 70, "black", 2.0)))
+        with pytest.raises(TypeError):
+            relation.rows[0] = Row(patient_schema, (2, 70, "black", 2.0))
+        with pytest.raises(AttributeError):
+            relation.rows = ()
+        assert not hasattr(relation, "append") and not hasattr(relation, "extend")
+        assert len(relation) == 1 and relation.column("patient_id") == [1]
+
 
 class TestTableDefinition:
     def test_primary_key_must_exist(self, patient_schema):
@@ -179,3 +194,84 @@ def test_relation_roundtrip_through_dicts(rows):
     relation = Relation(schema, [list(row) for row in rows])
     rebuilt = Relation.from_dicts(schema, relation.to_dicts())
     assert rebuilt == relation
+
+
+# ------------------------------------------------- rows in, columns in: one type
+NATIVE_TYPES = (int, float, str, bool, datetime, type(None))
+
+#: Per column type, the values a column may hold: every kind the vectors
+#: module stores (NULLs everywhere, NaN, integers beyond int64 — which stay
+#: an object array — TEXT dictionaries and TIMESTAMP object arrays).
+_VALUES = {
+    DataType.INTEGER: st.integers(-(2 ** 63), 2 ** 63 - 1) | st.integers(2 ** 63, 2 ** 70),
+    DataType.FLOAT: st.floats(),
+    DataType.BOOLEAN: st.booleans(),
+    DataType.TEXT: st.text(max_size=4),
+    DataType.TIMESTAMP: st.datetimes(
+        min_value=datetime(1970, 1, 2), max_value=datetime(2100, 1, 1),
+        timezones=st.just(timezone.utc),
+    ),
+}
+
+
+@st.composite
+def relation_parts(draw):
+    """A schema, value rows for it, and per column whether the column-built
+    relation stores it as a plain list or as its typed vector."""
+    types = draw(st.lists(st.sampled_from(sorted(_VALUES, key=str)), min_size=1, max_size=4))
+    schema = Schema([(f"c{i}", dtype) for i, dtype in enumerate(types)])
+    rows = draw(st.lists(
+        st.tuples(*(st.none() | _VALUES[dtype] for dtype in types)), max_size=8
+    ))
+    typed = draw(st.lists(st.booleans(), min_size=len(types), max_size=len(types)))
+    return schema, rows, typed
+
+
+def _canonical(values) -> tuple:
+    """Values with NaN spelled out (no two NaN objects need be equal)."""
+    return tuple("NaN" if isinstance(v, float) and v != v else v for v in values)
+
+
+def _canonical_rows(relation: Relation) -> list[tuple]:
+    return [_canonical(row.values) for row in relation.rows]
+
+
+def _encoded(relation: Relation):
+    try:
+        return BinaryCodec().encode(relation)
+    except (OverflowError, ValueError) as error:   # integers beyond int64
+        return type(error)
+
+
+@settings(max_examples=150, deadline=None)
+@given(relation_parts(), st.integers(0, 9))
+def test_a_relation_built_from_rows_equals_one_built_from_columns(parts, n):
+    schema, rows, typed = parts
+    from_rows = Relation(schema, rows)
+    columns = [list(column) for column in zip(*rows)] or [[] for _ in schema]
+    from_columns = Relation.from_columns(schema, [
+        vector_from_values(values, column.dtype) if as_vector else values
+        for values, column, as_vector in zip(columns, schema, typed)
+    ], len(rows))
+
+    has_nan = any(isinstance(v, float) and v != v for row in rows for v in row)
+    assert len(from_rows) == len(from_columns) == len(rows)
+    assert _canonical_rows(from_rows) == _canonical_rows(from_columns) == [
+        _canonical(row) for row in rows
+    ]
+    for index in range(len(schema)):
+        for relation in (from_rows, from_columns):
+            values = relation.column_values(index)
+            assert all(type(v) in NATIVE_TYPES for v in values)
+            assert _canonical(values) == _canonical(columns[index])
+    assert from_rows == from_rows and from_columns == from_columns
+    assert has_nan or (from_rows == from_columns and from_columns == from_rows)
+    name = schema.names[n % len(schema)]
+    for descending in (False, True):
+        assert _canonical_rows(from_rows.sorted_by(name, descending=descending)) == \
+            _canonical_rows(from_columns.sorted_by(name, descending=descending))
+    assert _canonical_rows(from_rows.head(n)) == _canonical_rows(from_columns.head(n))
+    assert len(from_columns.head(n)) == min(n, len(rows))
+    assert [_canonical(d.values()) for d in from_rows.to_dicts()] == \
+        [_canonical(d.values()) for d in from_columns.to_dicts()]
+    assert _encoded(from_rows) == _encoded(from_columns)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import CastError
-from repro.common.schema import ColumnarRelation, Relation, Row, Schema
+from repro.common.schema import Relation, Row, Schema
 from repro.common.serialization import BinaryCodec, CsvCodec
 
 
@@ -21,11 +21,11 @@ SCHEMA = Schema(
 
 
 def sample_relation() -> Relation:
-    relation = Relation(SCHEMA)
-    relation.append([1, "alice", 3.5, True, datetime(2015, 8, 31, 12, 0, tzinfo=timezone.utc)])
-    relation.append([2, "bob, the builder", None, False, None])
-    relation.append([3, 'quote "x"\nnewline', -1.25, None, datetime(2020, 1, 1, tzinfo=timezone.utc)])
-    return relation
+    return Relation(SCHEMA, [
+        [1, "alice", 3.5, True, datetime(2015, 8, 31, 12, 0, tzinfo=timezone.utc)],
+        [2, "bob, the builder", None, False, None],
+        [3, 'quote "x"\nnewline', -1.25, None, datetime(2020, 1, 1, tzinfo=timezone.utc)],
+    ])
 
 
 @pytest.mark.parametrize("codec", [CsvCodec(), BinaryCodec()], ids=["csv", "binary"])
@@ -144,11 +144,10 @@ class TestChunkedFrames:
     @pytest.mark.parametrize("codec", [CsvCodec(), BinaryCodec()], ids=["csv", "binary"])
     def test_chunked_roundtrip_matches_single_shot(self, codec):
         relation = sample_relation()
-        chunks = []
-        for start in range(0, len(relation), 2):
-            chunk = Relation(SCHEMA)
-            chunk.rows.extend(relation.rows[start : start + 2])
-            chunks.append(chunk)
+        chunks = [
+            Relation(SCHEMA, relation.rows[start : start + 2])
+            for start in range(0, len(relation), 2)
+        ]
         frames = list(codec.encode_chunks(chunks))
         assert len(frames) == 2
         decoded_chunks = list(codec.decode_chunks(frames, SCHEMA))
@@ -159,8 +158,7 @@ class TestChunkedFrames:
     @pytest.mark.parametrize("codec", [CsvCodec(), BinaryCodec()], ids=["csv", "binary"])
     def test_each_frame_decodes_independently(self, codec):
         relation = sample_relation()
-        chunk = Relation(SCHEMA)
-        chunk.rows.extend(relation.rows[1:2])
+        chunk = Relation(SCHEMA, relation.rows[1:2])
         (frame,) = codec.encode_chunks([chunk])
         decoded = codec.decode(frame, SCHEMA)
         assert len(decoded) == 1 and decoded.rows[0]["name"] == "bob, the builder"
@@ -221,8 +219,7 @@ class TestColumnarLayout:
 
     def test_decode_builds_no_rows_and_native_values(self):
         decoded = BinaryCodec().decode(BinaryCodec().encode(sample_relation()), SCHEMA)
-        assert isinstance(decoded, ColumnarRelation)
-        assert decoded._rows == [] and len(decoded) == 3   # nothing materialized yet
+        assert decoded._rows is None and len(decoded) == 3   # nothing materialized yet
         natives = (int, float, str, bool, datetime, type(None))
         for index in range(len(SCHEMA)):
             assert all(type(v) in natives for v in decoded.column_values(index))
@@ -255,8 +252,7 @@ class TestColumnarLayout:
         # Unvalidated result sets can type a column TEXT and fill it with
         # numbers; the frame carries their str(), as the codec always did.
         schema = Schema([("t", "text")])
-        relation = Relation(schema)
-        relation.rows.extend(Row(schema, [v]) for v in (1.5, "x", None, 7))
+        relation = Relation(schema, [Row(schema, [v]) for v in (1.5, "x", None, 7)])
         decoded = BinaryCodec().decode(BinaryCodec().encode(relation), schema)
         assert decoded.column_values(0) == ["1.5", "x", None, "7"]
 

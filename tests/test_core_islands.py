@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.core.islands.myria import MyriaPlan
 from repro.engines.array import ArrayEngine
 from repro.engines.keyvalue import KeyValueEngine
 from repro.engines.relational import RelationalEngine
+from repro.engines.relational.sql import parser as parser_module
 
 
 @pytest.fixture()
@@ -69,6 +72,38 @@ class TestRelationalIsland:
         island = bigdawg.island("relational")
         assert island.can_answer("SELECT 1")
         assert not island.can_answer("scan(waves)")
+
+    @pytest.mark.parametrize("query", [
+        "SELECT count(*) AS n FROM patients WHERE age > 60",          # pushed down
+        "SELECT count(*) AS n FROM waves WHERE value > 1.0",          # scratch engine
+        "SELECT p.id, w.value FROM patients p JOIN waves w ON p.id = w.i",
+        "SELECT 1 + 2 AS three",                                      # no table
+        "INSERT INTO rx VALUES (3, 'warfarin')",
+        "CREATE INDEX rx_pid ON rx (pid)",
+    ])
+    def test_each_statement_is_parsed_once(self, bigdawg, monkeypatch, query):
+        original = parser_module.parse_sql
+        parsed = []
+
+        def counting(text):
+            parsed.append(text)
+            return original(text)
+
+        # Every module that imported parse_sql by name counts.
+        for module in list(sys.modules.values()):
+            if getattr(module, "parse_sql", None) is original:
+                monkeypatch.setattr(module, "parse_sql", counting)
+        bigdawg.island("relational").execute(query)
+        assert parsed == [query]
+
+    def test_create_index_runs_on_the_engine_holding_the_table(self, bigdawg):
+        """A regex scan found no table in CREATE INDEX, so it ran on the
+        first SQL engine, whatever held the table."""
+        labs = RelationalEngine("warehouse")
+        bigdawg.add_engine(labs)
+        labs.execute("CREATE TABLE labs (pid INTEGER, value FLOAT)")
+        bigdawg.island("relational").execute("CREATE INDEX labs_pid ON labs (pid)")
+        assert "labs_pid" in labs.table("labs").indexes()
 
 
 class TestArrayIsland:

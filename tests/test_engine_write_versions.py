@@ -26,10 +26,7 @@ from repro.runtime import ResultCache
 
 def sample_relation() -> Relation:
     schema = Schema([Column("d0", DataType.INTEGER), Column("value", DataType.FLOAT)])
-    relation = Relation(schema)
-    for i in range(4):
-        relation.append([i, float(i)])
-    return relation
+    return Relation(schema, [[i, float(i)] for i in range(4)])
 
 
 ENGINE_FACTORIES = [

@@ -165,21 +165,23 @@ WRITES = (
     "INSERT INTO w VALUES (9, 9.0)",
     "DELETE FROM w WHERE i = 0",
     "UPDATE w SET value = 100.0 WHERE i = 1",
+    "DROP TABLE w",
 )
 
 
-@pytest.mark.parametrize("statement", WRITES, ids=["insert", "delete", "update"])
+@pytest.mark.parametrize("statement", WRITES, ids=["insert", "delete", "update", "drop"])
 def test_dml_on_a_non_sql_object_refuses_on_the_island(polystore, statement):
-    """Each used to report one row affected and leave the array as it was:
-    the write landed in the scratch copy."""
+    """Each used to report success and leave the array as it was: the write
+    landed in (or dropped) the scratch copy."""
     bd, _postgres, scidb = polystore
     before = scidb.export_relation("w").rows
     with pytest.raises(UnsupportedOperationError, match=r"'w'.*'scidb'"):
         bd.island("relational").execute(statement)
     assert scidb.export_relation("w").rows == before
+    assert bd.catalog.locate("w").engine_name == "scidb"
 
 
-@pytest.mark.parametrize("statement", WRITES, ids=["insert", "delete", "update"])
+@pytest.mark.parametrize("statement", WRITES, ids=["insert", "delete", "update", "drop"])
 def test_dml_on_a_non_sql_object_refuses_through_the_runtime(polystore, statement):
     bd, _postgres, scidb = polystore
     before = scidb.export_relation("w").rows

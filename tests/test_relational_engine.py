@@ -673,7 +673,7 @@ class TestRelationalEngine:
                 engine.execute(f"INSERT INTO patients VALUES {values}")
             after = engine.execute("SELECT * FROM patients ORDER BY id")
             assert [r.values for r in after] == before, values
-            assert engine.execute("SELECT * FROM patients WHERE id = 6").rows == []
+            assert engine.execute("SELECT * FROM patients WHERE id = 6").rows == ()
         done = engine.execute("INSERT INTO patients VALUES (6, 30 + 3, 'x', 1.0), (7, -1, 'y', 2.0)")
         assert done.rows[0]["affected_rows"] == 2
         assert engine.execute("SELECT age FROM patients WHERE id = 6").rows[0]["age"] == 33
@@ -721,6 +721,36 @@ class TestTransactions:
         engine.execute("DELETE FROM t WHERE id = 2")
         txn.rollback()
         assert engine.table_row_count("t") == 2
+
+    @staticmethod
+    def keyed_engine() -> RelationalEngine:
+        engine = RelationalEngine()
+        engine.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        engine.execute("INSERT INTO t VALUES (1, 10)")
+        return engine
+
+    def test_rollback_of_an_update_then_a_delete_of_the_same_row(self):
+        """The delete's undo used to put the row back under a new row id,
+        so the update's undo raised ObjectNotFoundError and left (1, 11)."""
+        engine = self.keyed_engine()
+        txn = engine.begin()
+        engine.execute("UPDATE t SET v = 11 WHERE id = 1")
+        engine.execute("DELETE FROM t WHERE id = 1")
+        txn.rollback()
+        assert result_rows(engine) == [(1, 10)]
+        assert result_rows(engine, "SELECT * FROM t WHERE id = 1") == [(1, 10)]
+
+    def test_rollback_of_an_insert_then_a_delete_of_the_same_row(self):
+        """The delete's undo used to re-insert (2, 20) under a new row id,
+        which the insert's undo then missed: the row survived the rollback."""
+        engine = self.keyed_engine()
+        txn = engine.begin()
+        engine.execute("INSERT INTO t VALUES (2, 20)")
+        engine.execute("DELETE FROM t WHERE id = 2")
+        txn.rollback()
+        assert result_rows(engine) == [(1, 10)]
+        assert result_rows(engine, "SELECT * FROM t WHERE id = 2") == []
+        engine.execute("INSERT INTO t VALUES (2, 21)")   # the key is free again
 
     def test_only_one_active_transaction(self):
         from repro.common.errors import TransactionError

@@ -324,6 +324,23 @@ class TestResultCache:
         assert cache.get("a") is None  # evicted as least recently used
         assert cache.get("c") is not None
 
+    def test_a_hit_shares_the_stored_relation_and_stale_reads_never_flag_it(self, bigdawg):
+        cache = ResultCache(bigdawg.catalog, keep_stale=True)
+        result = bigdawg.execute("RELATIONAL(SELECT id, age FROM patients)")
+        rows = result.rows
+        assert cache.put("q", result, cache.fingerprint())
+        # No copy per hit: the stored relation, with the rows already built.
+        hit = cache.get("q")
+        assert hit is result and hit.rows is rows and cache.get("q") is result
+        stale = cache.get_stale("q")
+        assert stale is not result and stale.stale is True
+        assert stale.rows == rows and stale.column_vector(0) is result.column_vector(0)
+        assert result.stale is False and cache.get("q").stale is False
+        # Invalidated, the entry moves to the stale buffer, still unflagged.
+        bigdawg.engine("postgres").execute("INSERT INTO patients VALUES (9, 19)")
+        assert cache.get("q") is None
+        assert cache.get_stale("q").stale is True and result.stale is False
+
 
 # -------------------------------------------------------------------- planner
 class TestPlannerConcurrencySupport:

@@ -359,7 +359,7 @@ class TestStreamingGroupBy:
         result = assert_matches_reference(
             self.make_engine([]), "SELECT g, count(*) AS n FROM facts GROUP BY g"
         )
-        assert result.rows == []
+        assert result.rows == ()
 
 
 # ------------------------------------------------------------- lexer / parser

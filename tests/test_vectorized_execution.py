@@ -27,7 +27,7 @@ from repro.common.expressions import (
     _like_regex,
     compile_predicate,
 )
-from repro.common.schema import Column, ColumnBatch, ColumnarRelation, Schema
+from repro.common.schema import Column, ColumnBatch, Relation, Schema
 from repro.common.serialization import BinaryCodec
 from repro.common.types import DataType
 from repro.engines.relational import RelationalEngine
@@ -355,7 +355,7 @@ def test_scans_of_the_column_snapshot_follow_every_write(
         elif write[0] == "truncate":
             e.table("t").truncate()
         else:
-            chunk = ColumnarRelation(
+            chunk = Relation.from_columns(
                 _SNAPSHOT_SCHEMA, [list(c) for c in zip(*write[1])] or [[] for _ in range(6)]
             )
             e.import_chunks("t", _SNAPSHOT_SCHEMA, [chunk])
@@ -489,19 +489,12 @@ class TestColumnBatch:
 
     def test_columnar_relation_lazy_rows(self):
         schema = Schema([("a", "integer"), ("b", "float")])
-        relation = ColumnarRelation(schema, [[1, 2], [0.5, 1.5]])
+        relation = Relation.from_columns(schema, [[1, 2], [0.5, 1.5]])
         assert len(relation) == 2
         assert relation.column_values(0) == [1, 2]  # no Row materialization
-        assert relation._materialized is False
+        assert relation._rows is None
         assert [r.values for r in relation.rows] == [(1, 0.5), (2, 1.5)]
-        assert relation._materialized is True
-
-    def test_columnar_relation_append_after_materialize(self):
-        schema = Schema([("a", "integer")])
-        relation = ColumnarRelation(schema, [[1]])
-        relation.append([2])
-        assert len(relation) == 2
-        assert relation.column_values(0) == [1, 2]
+        assert relation.rows is relation.rows   # built once, then kept
 
 
 class TestColumnarExport:
