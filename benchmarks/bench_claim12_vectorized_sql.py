@@ -4,8 +4,8 @@ BigDAWG's premise is that each island runs its workload "as fast as the
 hardware allows".  PR 3 rebuilt the relational engine's SELECT path around
 columnar batches and one-time expression compilation; this benchmark
 quantifies what that buys over the row-at-a-time reference executor (the
-same plan run through ``repro.engines.relational.executor.Executor``, which
-the engine itself no longer reaches) on the engine's hot shapes:
+same plan run through ``tests/reference_executor.py``'s ``Executor``, which
+the engine itself never reaches) on the engine's hot shapes:
 
 1. **Filter + aggregate** — the bench_claim1/claim8 hot path: a predicate
    over 100k rows feeding global aggregates.  The vectorized path must be at
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 import time
 
 import pytest
@@ -37,7 +38,9 @@ import pytest
 from repro.common.schema import Relation
 from repro.common.serialization import BinaryCodec
 from repro.engines.relational import RelationalEngine
-from repro.engines.relational.executor import Executor
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tests"))
+from reference_executor import Executor  # noqa: E402
 
 SMOKE = os.environ.get("RUNTIME_BENCH_SMOKE", "") not in ("", "0")
 

@@ -325,27 +325,21 @@ class InList(Expression):
     negated: bool = False
 
     def evaluate(self, row: Row) -> Any:
-        value = self.operand.evaluate(row)
+        return self._member(self.operand.evaluate(row))
+
+    def _member(self, value: Any) -> Any:
+        """Three-valued: a value absent from a list that holds a NULL may
+        equal that NULL, so it is unknown (NULL), under IN and NOT IN alike.
+        Tuple membership keeps ``==`` semantics; IN lists are short."""
         if value is None:
             return None
-        result = value in self.values
-        return (not result) if self.negated else result
+        if value in self.values:
+            return not self.negated
+        return None if None in self.values else self.negated
 
     def compile(self, schema: Schema) -> CompiledExpression:
-        operand = self.operand.compile(schema)
-        # Tuple membership preserves the interpreted path's ``==`` semantics
-        # exactly; IN lists are short, so linear probing stays cheap.
-        lookup = self.values
-        negated = self.negated
-
-        def _in(values: Sequence[Any]) -> Any:
-            value = operand(values)
-            if value is None:
-                return None
-            result = value in lookup
-            return (not result) if negated else result
-
-        return _in
+        operand, member = self.operand.compile(schema), self._member
+        return lambda values: member(operand(values))
 
     def referenced_columns(self) -> set[str]:
         return self.operand.referenced_columns()

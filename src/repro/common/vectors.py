@@ -12,9 +12,11 @@ A batch column is one of four kinds:
 * a plain ``list`` / ``tuple`` of Python values (what projections, sorts and
   aggregates compute).
 
-The first two are what :meth:`HeapTable.column_snapshot` hands the scan, and
-they stay typed through slice, compress, gather, concat and outer-join NULL
-padding, so kernels read ``values`` / ``nulls`` / ``codes`` directly.
+The first two are what :meth:`HeapTable.column_snapshot` hands the scan —
+read-only views of the table's append-only buffers, in position order, so a
+kernel never writes into a vector it was handed — and they stay typed
+through slice, compress, gather, concat and outer-join NULL padding, so
+kernels read ``values`` / ``nulls`` / ``codes`` directly.
 Indexing, iterating or ``tolist()``-ing any kind yields native Python values
 (``int`` / ``float`` / ``bool`` / ``str`` / ``None``), never numpy scalars:
 that is the boundary at which rows are made.

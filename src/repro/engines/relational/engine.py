@@ -271,7 +271,7 @@ class RelationalEngine(Engine, TableStatisticsProvider):
             raise DuplicateObjectError(f"table {name!r} already exists")
         table = HeapTable(name, schema, primary_key)
         for chunk in chunks:
-            table.insert_columns([chunk.column_values(i) for i in range(len(chunk.schema))])
+            table.insert_columns([chunk.column_vector(i) for i in range(len(chunk.schema))])
         self._tables[key] = table
         self.statistics.invalidate(name)
 
@@ -626,8 +626,7 @@ class RelationalEngine(Engine, TableStatisticsProvider):
 _COUNT_SCHEMA = Schema([Column("affected_rows", "integer")])
 
 
-def _snapshot_chunk(snapshot: ColumnSnapshot | ForeignTable, start: int,
-                    stop: int) -> Relation:
+def _snapshot_chunk(snapshot: ColumnSnapshot, start: int, stop: int) -> Relation:
     """Rows ``start:stop`` of a table snapshot as native-valued columns."""
     columns = [snapshot.values(i, start, stop) for i in range(len(snapshot.schema))]
     return Relation.from_columns(snapshot.schema, columns, stop - start)

@@ -12,7 +12,7 @@ The planner turns a parsed :class:`SelectStatement` into a tree of
   join's build side.
 
 The resulting physical plan is executed by
-:mod:`repro.engines.relational.executor`.
+:mod:`repro.engines.relational.vectorized`.
 """
 
 from __future__ import annotations

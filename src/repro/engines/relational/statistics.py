@@ -23,11 +23,11 @@ Maintenance model
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.common.types import DataType
+from repro.common.vectors import to_list
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engines.relational.engine import RelationalEngine
@@ -158,58 +158,38 @@ class StatisticsCatalog:
         return abs(live_rows - cached.analyzed_rows) > threshold
 
     def analyze(self, table: str) -> TableStats:
-        """Scan (a bounded sample of) the table and rebuild its statistics."""
-        heap = self._engine.table(table)
-        schema = heap.schema
-        total = heap.row_count
+        """Read (a bounded sample of) the table's columns and rebuild its
+        statistics."""
+        snapshot = self._engine.table(table).column_snapshot()
+        total = len(snapshot)
         # Ceiling division keeps the sample at or under the cap (floor would
         # let a 39,999-row table scan every row with stride 1).
         stride = max(1, -(-total // ANALYZE_SAMPLE_ROWS))
-        sampled = 0
-        width = len(schema)
-        distinct: list[set[Any]] = [set() for _ in range(width)]
-        nulls = [0] * width
-        minimums: list[Any] = [None] * width
-        maximums: list[Any] = [None] * width
-        text_bytes = [0] * width
-        # islice keeps the stride-skipping in C, so analyzing a 10M-row
-        # table costs ~ANALYZE_SAMPLE_ROWS iterations of Python work.
-        for values in itertools.islice(heap.scan_values(), 0, None, stride):
-            sampled += 1
-            for c, value in enumerate(values):
-                if value is None:
-                    nulls[c] += 1
-                    continue
-                try:
-                    distinct[c].add(value)
-                except TypeError:  # unhashable value: skip NDV tracking
-                    pass
-                if isinstance(value, str):
-                    text_bytes[c] += len(value)
-                try:
-                    if minimums[c] is None or value < minimums[c]:
-                        minimums[c] = value
-                    if maximums[c] is None or value > maximums[c]:
-                        maximums[c] = value
-                except TypeError:  # mixed/unorderable values: no bounds
-                    minimums[c] = maximums[c] = None
         columns: dict[str, ColumnStats] = {}
-        for c, column in enumerate(schema.columns):
-            present = sampled - nulls[c]
-            ndv = len(distinct[c])
+        for c, column in enumerate(snapshot.schema.columns):
+            sample = to_list(snapshot.column(c)[::stride])
+            sampled = len(sample)
+            present = [value for value in sample if value is not None]
+            nulls = sampled - len(present)
+            ndv = len(set(present))
+            try:
+                minimum, maximum = min(present), max(present)
+            except (TypeError, ValueError):  # unorderable values, or none: no bounds
+                minimum = maximum = None
             if sampled and sampled < total:
                 # Scale the sampled NDV back up: a column that is unique in
                 # the sample is assumed unique overall; otherwise the
                 # distinct set is assumed to be fully seen (dimension-like).
-                if present and ndv >= 0.9 * present:
-                    ndv = max(ndv, int(total * (1.0 - nulls[c] / sampled)))
+                if present and ndv >= 0.9 * len(present):
+                    ndv = max(ndv, int(total * (1.0 - nulls / sampled)))
             avg_width = float(_FIXED_WIDTHS.get(column.dtype, _DEFAULT_WIDTH))
             if column.dtype is DataType.TEXT:
                 avg_width = (
-                    text_bytes[c] / present + _TEXT_OVERHEAD if present else _NULL_WIDTH
+                    sum(map(len, present)) / len(present) + _TEXT_OVERHEAD
+                    if present else _NULL_WIDTH
                 )
-            if sampled and nulls[c]:
-                null_fraction = nulls[c] / sampled
+            if sampled and nulls:
+                null_fraction = nulls / sampled
                 avg_width = avg_width * (1 - null_fraction) + _NULL_WIDTH * null_fraction
             else:
                 null_fraction = 0.0
@@ -218,8 +198,8 @@ class StatisticsCatalog:
                 dtype=column.dtype,
                 ndv=ndv,
                 null_fraction=null_fraction,
-                minimum=minimums[c],
-                maximum=maximums[c],
+                minimum=minimum,
+                maximum=maximum,
                 avg_width=avg_width,
             )
         stats = TableStats(

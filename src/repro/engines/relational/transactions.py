@@ -76,8 +76,7 @@ class Transaction:
                 continue
             table = self.engine.table(record.table)
             if record.kind == "insert":
-                if record.row_id in table._rows:
-                    table.delete(record.row_id)
+                table.delete_many([record.row_id])   # skips a row already gone
             elif record.kind == "delete":
                 # Under its old row id: an older update or insert record of
                 # this transaction names that id.

@@ -1,7 +1,6 @@
 """Vectorized (columnar batch) execution: the relational engine's SELECT path.
 
-The reference executor in :mod:`repro.engines.relational.executor`
-materializes a :class:`~repro.common.schema.Row` object per tuple and
+A row-at-a-time executor materializes a :class:`~repro.common.schema.Row` object per tuple and
 tree-walks ``Expression.evaluate`` per row per predicate — exactly the
 interpreted per-tuple overhead the Cambridge report calls out.  This module
 is the cure, and the only executor ``RelationalEngine`` runs:
@@ -78,7 +77,6 @@ from repro.common.vectors import (
     take,
     to_list,
 )
-from repro.engines.relational.executor import _DUAL_SCHEMA, Executor
 from repro.engines.relational.functions import make_aggregate
 from repro.engines.relational.morsel import (
     HashJoinTable,
@@ -98,6 +96,13 @@ from repro.engines.relational.planner import (
     ScanNode,
     SortNode,
     SubqueryNode,
+)
+from repro.engines.relational.schemas import (
+    DUAL_SCHEMA,
+    dedupe,
+    having_input_schema,
+    qualified_schema,
+    split_join_condition,
 )
 from repro.observability.profile import observe_stream
 from repro.observability.tracing import get_tracer
@@ -538,8 +543,8 @@ def _unmatched_right_batches(
 class BatchExecutor:
     """Executes logical plans as a streaming columnar batch pipeline.
 
-    Produces results identical to :class:`Executor`, the row-at-a-time
-    reference implementation the parity suites compare against.
+    Produces results identical to the row-at-a-time reference executor
+    the parity suites compare against (``tests/reference_executor.py``).
     """
 
     def __init__(
@@ -624,9 +629,9 @@ class BatchExecutor:
         the first time any scan takes it — and only the former are emitted.
         """
         if node.table == "__dual__":
-            return _DUAL_SCHEMA, iter([ColumnBatch.from_value_rows(_DUAL_SCHEMA, [(0,)])])
+            return DUAL_SCHEMA, iter([ColumnBatch.from_value_rows(DUAL_SCHEMA, [(0,)])])
         table = self._engine.table(node.table)
-        full_schema = Executor._qualified_schema(table.schema, node.alias or node.table)
+        full_schema = qualified_schema(table.schema, node.alias or node.table)
         emitted = read = list(range(len(full_schema)))
         if columns is not None:
             try:
@@ -672,7 +677,7 @@ class BatchExecutor:
 
     def _index_scan_stream(self, node: IndexScanNode) -> tuple[Schema, Iterator[ColumnBatch]]:
         table = self._engine.table(node.table)
-        schema = Executor._qualified_schema(table.schema, node.alias or node.table)
+        schema = qualified_schema(table.schema, node.alias or node.table)
         predicate = None if node.residual is None else _PredicateRunner(node.residual, schema)
 
         def generate() -> Iterator[ColumnBatch]:
@@ -703,7 +708,7 @@ class BatchExecutor:
 
     def _subquery_stream(self, node: SubqueryNode) -> tuple[Schema, Iterator[ColumnBatch]]:
         inner_schema, batches = self.stream(node.plan)
-        schema = Executor._qualified_schema(inner_schema, node.alias)
+        schema = qualified_schema(inner_schema, node.alias)
         return schema, (batch.with_schema(schema) for batch in batches)
 
     # --------------------------------------------------------------- operators
@@ -738,7 +743,7 @@ class BatchExecutor:
         right_schema, right_batches = self.stream(node.right)
         keys: list[tuple[str, str]] = []
         if node.strategy == "hash" and node.condition is not None:
-            keys, residual_conjuncts = Executor.split_join_condition(
+            keys, residual_conjuncts = split_join_condition(
                 node.condition, left_schema, right_schema
             )
         if not keys:
@@ -951,7 +956,7 @@ class BatchExecutor:
             else:
                 dtype = self._expression_type(item.expression, child_schema, first_values)
                 columns.append(Column(item.output_name, dtype))
-        schema = Schema(Executor._dedupe(columns))
+        schema = Schema(dedupe(columns))
         compiled: list[tuple[bool, Any]] = []  # (star, fn | column index)
         for item in node.items:
             if item.star:
@@ -1044,8 +1049,8 @@ class BatchExecutor:
             else:
                 dtype = self._expression_type(item.expression, child_schema, first_values)
                 columns.append(Column(item.output_name, dtype))
-        schema = Schema(Executor._dedupe(columns))
-        having_schema = Executor._having_schema(schema, node.items, having_items)
+        schema = Schema(dedupe(columns))
+        having_schema = having_input_schema(schema, node.items, having_items)
         having = (
             _compile_predicate_or_defer(node.having, having_schema)
             if node.having is not None

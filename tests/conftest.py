@@ -15,10 +15,10 @@ from repro.common.types import DataType
 from repro.engines.array.schema import ArraySchema, Attribute, Dimension
 from repro.engines.array.storage import StoredArray
 from repro.engines.relational import RelationalEngine
-from repro.engines.relational.executor import Executor
 from repro.engines.relational.storage import HeapTable
 from repro.mimic import MimicGenerator, build_polystore
 from repro.mimic.generator import MimicDataset
+from reference_executor import Executor
 
 
 def reference_execute(engine: RelationalEngine, sql: str) -> Relation:

@@ -1,15 +1,15 @@
-"""Reference execution of logical plans (volcano style, row at a time).
+"""The reference execution of logical plans (volcano style, row at a time).
 
-This is the **test reference**, not a production path: nothing reachable
-from ``RelationalEngine.execute`` / ``explain`` instantiates
-:class:`Executor`.  The parity suites run it beside the batch pipeline
+A test reference, not a production path: ``RelationalEngine`` never runs
+it.  The parity suites run it beside the batch pipeline
 (:mod:`repro.engines.relational.vectorized`) and require byte-identical
-results (``tests/conftest.py::reference_execute``), which is why it favours
+results (``conftest.py::reference_execute``), which is why it favours
 obviousness over speed: each ``_execute_*`` method consumes its children's
 fully materialized relations, builds one ``Row`` per tuple and tree-walks
-``Expression.evaluate`` per row.  The batch pipeline borrows only its static
-schema helpers (``split_join_condition``, ``_qualified_schema``, ``_dedupe``,
-``_having_schema``) so both agree on naming and on what "the join key" means.
+``Expression.evaluate`` per row.  Both take their naming and join-key rules
+from :mod:`repro.engines.relational.schemas`.  It reads tables through
+the same ``scan_values`` the engine's storage serves; the independent
+check of that storage is ``test_sql_oracle.py``.
 """
 
 from __future__ import annotations
@@ -34,13 +34,16 @@ from repro.engines.relational.planner import (
     SortNode,
     SubqueryNode,
 )
-from repro.engines.relational.sql.ast import SelectItem
+from repro.engines.relational.schemas import (
+    DUAL_SCHEMA,
+    dedupe,
+    having_input_schema,
+    qualified_schema,
+    split_join_condition,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engines.relational.engine import RelationalEngine
-
-
-_DUAL_SCHEMA = Schema([Column("__dual__", DataType.INTEGER)])
 
 
 class Executor:
@@ -75,9 +78,9 @@ class Executor:
     # ------------------------------------------------------------------ scans
     def _execute_scan(self, node: ScanNode) -> Relation:
         if node.table == "__dual__":
-            return Relation(_DUAL_SCHEMA, [[0]])
+            return Relation(DUAL_SCHEMA, [[0]])
         table = self._engine.table(node.table)
-        schema = self._qualified_schema(table.schema, node.alias or node.table)
+        schema = qualified_schema(table.schema, node.alias or node.table)
         rows = (Row(schema, values) for values in table.scan_values())
         if node.predicate is None:
             return Relation(schema, rows)
@@ -85,7 +88,7 @@ class Executor:
 
     def _execute_index_scan(self, node: IndexScanNode) -> Relation:
         table = self._engine.table(node.table)
-        schema = self._qualified_schema(table.schema, node.alias or node.table)
+        schema = qualified_schema(table.schema, node.alias or node.table)
         rows = (Row(schema, values) for _row_id, values in node.candidates(table))
         return Relation(schema, [
             row for row in rows
@@ -94,19 +97,7 @@ class Executor:
 
     def _execute_subquery(self, node: SubqueryNode) -> Relation:
         inner = self.execute(node.plan)
-        return Relation(self._qualified_schema(inner.schema, node.alias), inner.rows)
-
-    @staticmethod
-    def _qualified_schema(schema: Schema, qualifier: str) -> Schema:
-        """Expose both bare and table-qualified column names via suffix matching."""
-        # Column.matches already supports "t.col" vs "col"; keep bare names but
-        # prefix them with the qualifier so self-joins stay unambiguous.
-        names = schema.names
-        if any("." in n for n in names):
-            return schema
-        return Schema(
-            [Column(f"{qualifier}.{c.name}", c.dtype, c.nullable) for c in schema]
-        )
+        return Relation(qualified_schema(inner.schema, node.alias), inner.rows)
 
     # ---------------------------------------------------------------- operators
     def _execute_filter(self, node: FilterNode) -> Relation:
@@ -200,53 +191,8 @@ class Executor:
         condition: Expression, left_schema: Schema, right_schema: Schema
     ) -> list[tuple[str, str]]:
         """Extract (left column, right column) pairs from equality conjuncts."""
-        keys, _residual = Executor.split_join_condition(condition, left_schema, right_schema)
+        keys, _residual = split_join_condition(condition, left_schema, right_schema)
         return keys
-
-    @staticmethod
-    def split_join_condition(
-        condition: Expression, left_schema: Schema, right_schema: Schema
-    ) -> tuple[list[tuple[str, str]], list[Expression]]:
-        """Split a join condition into equi-key pairs and residual conjuncts.
-
-        The key pairs are ``(left column, right column)`` equality conjuncts
-        usable for hashing/key-encoding; everything else (non-equi conjuncts,
-        same-side equalities) is returned as residual predicates the join
-        must still evaluate per candidate.  Shared by both executors so the
-        two paths agree on what "the join key" means.
-        """
-        from repro.common.expressions import BinaryOp, split_conjuncts
-
-        # Suffix matching lets ``l.f`` resolve against a right column ``r.f``:
-        # a name that is exactly the other input's column (and not exactly
-        # one of this input's) belongs to the other input.
-        left = (left_schema, {name.lower() for name in left_schema.names})
-        right = (right_schema, {name.lower() for name in right_schema.names})
-
-        def owns(side: tuple, other: tuple, name: str) -> bool:
-            schema, names = side
-            return schema.has_column(name) and (
-                name.lower() in names or name.lower() not in other[1]
-            )
-
-        keys: list[tuple[str, str]] = []
-        residual: list[Expression] = []
-        for conjunct in split_conjuncts(condition):
-            if (
-                isinstance(conjunct, BinaryOp)
-                and conjunct.op in ("=", "==")
-                and isinstance(conjunct.left, ColumnRef)
-                and isinstance(conjunct.right, ColumnRef)
-            ):
-                a, b = conjunct.left.name, conjunct.right.name
-                if owns(left, right, a) and owns(right, left, b):
-                    keys.append((a, b))
-                    continue
-                if owns(left, right, b) and owns(right, left, a):
-                    keys.append((b, a))
-                    continue
-            residual.append(conjunct)
-        return keys, residual
 
     def _execute_prune(self, node: PruneNode) -> Relation:
         """Optimizer-inserted narrowing: keep only the named columns."""
@@ -266,7 +212,7 @@ class Executor:
             else:
                 dtype = self._expression_type(item.expression, child)
                 columns.append(Column(item.output_name, dtype))
-        schema = Schema(self._dedupe(columns))
+        schema = Schema(dedupe(columns))
         out: list[Row] = []
         seen: set[tuple] = set()
         for row in child:
@@ -331,8 +277,8 @@ class Executor:
             else:
                 dtype = self._expression_type(item.expression, child)
                 columns.append(Column(item.output_name, dtype))
-        schema = Schema(self._dedupe(columns))
-        having_schema = self._having_schema(schema, node.items, having_items)
+        schema = Schema(dedupe(columns))
+        having_schema = having_input_schema(schema, node.items, having_items)
         out: list[Row] = []
         for key, accumulators in groups.items():
             values: list[Any] = []
@@ -361,32 +307,6 @@ class Executor:
                     continue
             out.append(out_row)
         return Relation(schema, out)
-
-    @staticmethod
-    def _having_schema(schema: Schema, items: list, having_items: list = ()) -> Schema:
-        """Schema exposing output columns twice (alias and canonical name),
-        plus trailing columns for HAVING-only aggregates."""
-        canonical = []
-        used = {c.name.lower() for c in schema.columns}
-        for i, item in enumerate(items):
-            if item.aggregate:
-                inner = "*" if item.expression is None else item.expression.to_sql()
-                name = f"{item.aggregate}({inner})"
-            else:
-                name = item.output_name
-            if name.lower() in used:
-                name = f"__having_{i}__"
-            used.add(name.lower())
-            canonical.append(Column(name, schema.columns[min(i, len(schema.columns) - 1)].dtype))
-        for j, item in enumerate(having_items):
-            inner = "*" if item.expression is None else item.expression.to_sql()
-            name = f"{item.aggregate}({inner})"
-            if name.lower() in used:
-                name = f"__having_only_{j}__"
-            used.add(name.lower())
-            dtype = DataType.INTEGER if item.aggregate == "count" else DataType.FLOAT
-            canonical.append(Column(name, dtype))
-        return Schema(list(schema.columns) + canonical)
 
     def _execute_sort(self, node: SortNode) -> Relation:
         child = self.execute(node.child)
@@ -418,22 +338,3 @@ class Executor:
             except Exception:  # noqa: BLE001 - fall back to float
                 return DataType.FLOAT
         return DataType.FLOAT
-
-    @staticmethod
-    def _dedupe(columns: list[Column]) -> list[Column]:
-        seen: dict[str, int] = {}
-        out = []
-        for col in columns:
-            key = col.name.lower()
-            if key in seen:
-                seen[key] += 1
-                out.append(col.with_name(f"{col.name}_{seen[key]}"))
-            else:
-                seen[key] = 0
-                out.append(col)
-        return out
-
-
-def make_select_items(names: list[str]) -> list[SelectItem]:
-    """Convenience: build plain column SelectItems from names (used by shims)."""
-    return [SelectItem(expression=ColumnRef(name)) for name in names]

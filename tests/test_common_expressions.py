@@ -104,6 +104,19 @@ class TestOtherNodes:
         assert InList(ColumnRef("race"), ("asian",), negated=True).evaluate(r) is True
         assert InList(ColumnRef("age"), (1, 2)).evaluate(row(None, "x", 1.0)) is None
 
+    def test_in_list_holding_a_null_is_three_valued(self):
+        """A value absent from a list that holds a NULL might equal it: the
+        answer is NULL under IN and NOT IN alike (it was False / True)."""
+        r = row(64, "white", 3.5)
+        for negated, found in ((False, True), (True, False)):
+            stay = InList(ColumnRef("stay"), (1.5, None), negated=negated)
+            race = InList(ColumnRef("race"), ("white", None), negated=negated)
+            assert stay.evaluate(r) is None
+            assert stay.compile(SCHEMA)(r.values) is None
+            assert race.evaluate(r) is found
+            assert race.compile(SCHEMA)(r.values) is found
+        assert UnaryOp("not", InList(ColumnRef("stay"), (1.5, None))).evaluate(r) is None
+
     def test_case_when(self):
         expr = CaseWhen(
             branches=(

@@ -107,6 +107,12 @@ def test_btree_property_sorted_iteration(values):
 
 
 # --------------------------------------------------------------------------- storage
+def snapshot_columns(table: HeapTable) -> list[list]:
+    """Every column of a fresh snapshot, as native values."""
+    snapshot = table.column_snapshot()
+    return [snapshot.column(i).tolist() for i in range(len(table.schema))]
+
+
 class TestHeapTable:
     def make_table(self) -> HeapTable:
         schema = Schema([("id", "integer", False), ("name", "text"), ("score", "float")])
@@ -251,7 +257,7 @@ class TestHeapTable:
                 ids = snapshot.column(0)
                 time.sleep(0)   # let the writers in between the two columns
                 assert len(ids) == len(snapshot.column(2)) == len(snapshot)
-                assert ids.tolist() == [values[0] for values in snapshot.rows]
+                assert ids.tolist() == [values[0] for values in snapshot.scan_values()]
                 assert all(len(values) == 3 for _row_id, values in table.scan())
 
         writers = [guarded(load), guarded(truncate), guarded(index_ddl)]
@@ -286,14 +292,15 @@ class TestHeapTable:
         table.insert_many([[i, f"n{i}", float(i)] for i in (1, 2, 3)])
         table.create_index("idx_name", ["name"], unique=True)
         before_rows = list(table.scan())
-        before_snapshot = table.column_snapshot()
+        before_columns = snapshot_columns(table)
+        positions = table._length
         (row_id, _values), = table.index_lookup("__pk__", 2)
         with pytest.raises(ConstraintViolationError, match="primary key"):
             table.update(row_id, [1, "n2", 2.0])
         with pytest.raises(ConstraintViolationError, match="idx_name"):
             table.update(row_id, [2, "n3", 2.0])
         assert list(table.scan()) == before_rows
-        assert table.column_snapshot() is before_snapshot
+        assert snapshot_columns(table) == before_columns and table._length == positions
         for found_id, values in before_rows:
             assert table.index_lookup("__pk__", values[0]) == [(found_id, values)]
             assert table.index_lookup("idx_name", values[1]) == [(found_id, values)]
@@ -368,36 +375,31 @@ class TestColumnSnapshot:
         null_free.insert_many([[1], [2]])
         assert null_free.column_snapshot().column(0).nulls is None
 
-    def test_memoised_until_any_mutator_and_lazy_from_captured_rows(self):
+    def test_a_snapshot_taken_before_a_write_reads_its_own_state(self):
+        """Every mutator leaves an earlier snapshot as it was, whether its
+        columns were made before the write or only after it."""
         table = self.make_table(3)
         first = table.column_snapshot()
-        assert table.column_snapshot() is first
         mutations = [
             lambda: table.insert(self.row(10)),
             lambda: table.insert_many([self.row(11), self.row(12)]),
             lambda: table.insert_columns([[13], ["n13"], [13.0]]),
-            lambda: table.update(table.index_lookup("__pk__", 10)[0][0], [10, "n10", 10.0]),
+            lambda: table.update(table.index_lookup("__pk__", 10)[0][0], [10, "m10", 10.5]),
             lambda: table.delete(table.index_lookup("__pk__", 11)[0][0]),
             table.truncate,
         ]
         for mutate in mutations:
-            before = table.column_snapshot()
-            size = len(before)
+            early, late = table.column_snapshot(), table.column_snapshot()
+            state = [early.column(i).tolist() for i in range(3)]
+            rows = list(table.scan_values())
             mutate()
+            assert [early.column(i).tolist() for i in range(3)] == state
+            assert [late.column(i).tolist() for i in range(3)] == state   # made after the write
+            assert list(late.scan_values()) == rows
             after = table.column_snapshot()
-            assert after is not before and table.column_snapshot() is after
-            # Packed only now, after the write: still the state it captured.
-            assert len(before.column(0)) == len(before.column(1)) == size
             assert after.column(0).tolist() == [values[0] for _rid, values in table.scan()]
         assert first.column(0).tolist() == [0, 1, 2]
-        # Reads and index DDL keep the memo.
-        table.insert(self.row(1))
-        kept = table.column_snapshot()
-        table.create_index("idx_name", ["name"])
-        list(table.scan_values())
-        table.index_lookup("__pk__", 1)
-        table.drop_index("idx_name")
-        assert table.column_snapshot() is kept
+        assert first.column(1).tolist() == ["n0", "n1", "n2"]
 
     def test_snapshots_race_writers(self):
         """Scanners pack one column, yield, then pack the others while
@@ -890,11 +892,12 @@ class TestAtomicUpdate:
 
     def test_a_key_clash_with_an_untouched_row_changes_nothing(self):
         engine = self.engine()
-        before_snapshot = engine.table("t").column_snapshot()
+        table = engine.table("t")
+        before_columns, positions = snapshot_columns(table), table._length
         with pytest.raises(ConstraintViolationError, match=r"\(12,\)"):
             engine.execute("UPDATE t SET id = id + 10 WHERE id < 3")
         assert result_rows(engine) == [(1, 5), (2, 0), (12, 30)]
-        assert engine.table("t").column_snapshot() is before_snapshot
+        assert snapshot_columns(table) == before_columns and table._length == positions
         assert result_rows(engine, "SELECT * FROM t WHERE id = 1") == [(1, 5)]
         with pytest.raises(ConstraintViolationError):
             engine.execute("UPDATE t SET id = 7")   # one key for three rows
@@ -1111,3 +1114,18 @@ def test_dml_through_the_index_path_touches_what_the_scan_would(data, where, ass
         by_scan = sorted(row_id for row_id, values in table.scan()
                          if value is not None and values[1] == value)
         assert by_index == by_scan
+
+
+def test_not_in_a_list_holding_a_null_selects_nothing():
+    """``x NOT IN (.., NULL)`` is never true, and ``x IN (.., NULL)`` is NULL
+    for an absent x — through the closure, the dictionary kernel and the
+    select list alike.  Every one of these used to answer two-valued."""
+    engine = RelationalEngine()
+    engine.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v FLOAT, name TEXT)")
+    engine.execute("INSERT INTO t VALUES (1, 1.5, 'a'), (2, 2.5, 'b'), (3, NULL, NULL)")
+    for where in ("v NOT IN (1.5, NULL)", "NOT (v IN (1.5, NULL))",
+                  "name NOT IN ('a', NULL)", "NOT (name IN ('a', NULL))"):
+        assert result_rows(engine, f"SELECT id FROM t WHERE {where}") == [], where
+    assert result_rows(engine, "SELECT id FROM t WHERE v IN (1.5, NULL)") == [(1,)]
+    selected = engine.execute("SELECT id, v IN (1.5, NULL) AS x FROM t ORDER BY id")
+    assert [row.values for row in selected.rows] == [(1, True), (2, None), (3, None)]
