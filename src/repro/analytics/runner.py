@@ -17,7 +17,6 @@ from repro.analytics.algorithms import (
     PcaResult,
     RegressionResult,
     dominant_frequency,
-    fft_spectrum,
     kmeans,
     linear_regression,
     pca,
@@ -53,12 +52,6 @@ class AnalyticsRunner:
         """Fit a linear regression over the result of a relational query."""
         matrix = self.feature_matrix(sql, feature_columns + [target_column])
         return linear_regression(matrix[:, :-1], matrix[:, -1])
-
-    def waveform_fft(self, array_name: str, signal_index: int, sample_rate_hz: float
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """Magnitude spectrum of one signal row of a waveform array."""
-        matrix = self.waveform_matrix(array_name)
-        return fft_spectrum(matrix[signal_index], sample_rate_hz)
 
     def waveform_dominant_frequency(self, array_name: str, signal_index: int,
                                     sample_rate_hz: float) -> float:

@@ -72,16 +72,6 @@ class CancellationToken:
     def reason(self) -> str | None:
         return self._reason
 
-    def expired(self) -> bool:
-        """Whether the deadline, if any, has passed."""
-        return self.deadline is not None and self._clock() >= self.deadline
-
-    def remaining_s(self) -> float | None:
-        """Seconds until the deadline, or ``None`` when there is none."""
-        if self.deadline is None:
-            return None
-        return self.deadline - self._clock()
-
     # ------------------------------------------------------------------ check
     def check(self) -> None:
         """Raise if the query should stop; otherwise return immediately."""

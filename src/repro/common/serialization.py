@@ -165,34 +165,6 @@ class CsvCodec(ChunkedCodecMixin):
             return value
         return str(value)
 
-    def _split(self, line: str) -> list[str]:
-        fields: list[str] = []
-        current = io.StringIO()
-        in_quotes = False
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if in_quotes:
-                if ch == '"':
-                    if i + 1 < len(line) and line[i + 1] == '"':
-                        current.write('"')
-                        i += 1
-                    else:
-                        in_quotes = False
-                else:
-                    current.write(ch)
-            else:
-                if ch == '"':
-                    in_quotes = True
-                elif ch == self.DELIMITER:
-                    fields.append(current.getvalue())
-                    current = io.StringIO()
-                else:
-                    current.write(ch)
-            i += 1
-        fields.append(current.getvalue())
-        return fields
-
     def _parse(self, field: str, dtype: DataType) -> Any:
         if field == self.NULL_TOKEN:
             return None

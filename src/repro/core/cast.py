@@ -32,11 +32,13 @@ Three methods are supported:
 
 Every cast is recorded — including per-chunk accounting (``chunks``,
 ``peak_chunk_bytes``) — so the monitor and benchmarks can inspect volume,
-latency and memory behaviour.
+latency and memory behaviour.  Stage timings are spans only: under an
+enabled tracer each chunk's export, encode, stage, decode and import is one.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
 import threading
@@ -240,19 +242,10 @@ class CastMigrator:
                 # answer from metadata, and fallback engines export the
                 # relation only once.
                 schema, exported = source.export_stream(object_name, size)
-                if codec is None:
-                    # Zero-copy fast path: every engine here shares the
-                    # in-memory Relation representation, so chunks flow
-                    # through unserialized.
-                    decoded = self._count_rows(exported, stats)
-                elif tracer.enabled:
-                    decoded = self._traced_frame_pipeline(
-                        exported, schema, codec, method, use_tempfile, stats, tracer
-                    )
-                else:
-                    decoded = self._frame_pipeline(
-                        exported, schema, codec, method, use_tempfile, stats
-                    )
+                decoded = self._pipeline(
+                    exported, schema, codec, method == "csv" and use_tempfile,
+                    stats, tracer,
+                )
                 with tracer.span("cast.import", kind="cast", object=destination_name,
                                  shadow=shadow_name):
                     target.import_chunks(shadow_name, schema, decoded, **import_options)
@@ -365,47 +358,28 @@ class CastMigrator:
             f"unknown cast method {method!r}; use 'binary', 'csv' or 'direct'"
         )
 
-    def _frame_pipeline(
+    def _pipeline(
         self,
         chunks: Iterator[Relation],
         schema: Schema,
-        codec: BinaryCodec | CsvCodec,
-        method: str,
-        use_tempfile: bool,
-        stats: "_PipelineStats",
-    ) -> Iterator[Relation]:
-        """encode -> (stage) -> decode, one frame at a time."""
-        for chunk in chunks:
-            check_cancelled()
-            payload = codec.encode(chunk)
-            if method == "csv" and use_tempfile:
-                payload = self._stage_through_tempfile(payload)
-            stats.rows += len(chunk)
-            stats.chunks += 1
-            stats.bytes_moved += len(payload)
-            stats.peak_chunk_bytes = max(stats.peak_chunk_bytes, len(payload))
-            yield codec.decode(payload, schema)
-
-    def _traced_frame_pipeline(
-        self,
-        chunks: Iterator[Relation],
-        schema: Schema,
-        codec: BinaryCodec | CsvCodec,
-        method: str,
-        use_tempfile: bool,
+        codec: BinaryCodec | CsvCodec | None,
+        stage: bool,
         stats: "_PipelineStats",
         tracer: Any,
     ) -> Iterator[Relation]:
-        """:meth:`_frame_pipeline` with one span per CAST stage per chunk.
+        """export -> encode -> (stage) -> decode -> import, one chunk at a time.
 
-        Export time is the pull from the source iterator; import time is
-        the gap between yielding a decoded chunk and being resumed (the
-        consumer is ``import_chunks``).  Kept as a separate method so the
-        untraced pipeline stays branch-free.
+        Every stage is timed only by its span (``cast.export`` with rows,
+        ``cast.encode`` with bytes, ``cast.stage``, ``cast.decode``,
+        ``cast.import_chunk``); a disabled tracer hands back the shared
+        ``NULL_SPAN`` for each.  Export time is the pull from the source
+        iterator; import time is the gap between yielding a chunk and being
+        resumed (the consumer is ``import_chunks``).  Without a codec
+        (``method="direct"``) chunks flow through unserialized: every engine
+        here shares the in-memory Relation representation.
         """
         source = iter(chunks)
-        index = 0
-        while True:
+        for index in itertools.count():
             check_cancelled()
             export_wall = time.time()
             export_begin = time.perf_counter()
@@ -418,35 +392,27 @@ class CastMigrator:
                 duration_s=time.perf_counter() - export_begin,
                 kind="cast", chunk=index, rows=len(chunk),
             )
-            with tracer.span("cast.encode", kind="cast", chunk=index) as span:
-                payload = codec.encode(chunk)
-                span.set("bytes", len(payload))
-            if method == "csv" and use_tempfile:
-                with tracer.span("cast.stage", kind="cast", chunk=index):
-                    payload = self._stage_through_tempfile(payload)
             stats.rows += len(chunk)
             stats.chunks += 1
-            stats.bytes_moved += len(payload)
-            stats.peak_chunk_bytes = max(stats.peak_chunk_bytes, len(payload))
-            with tracer.span("cast.decode", kind="cast", chunk=index):
-                decoded = codec.decode(payload, schema)
+            if codec is not None:
+                with tracer.span("cast.encode", kind="cast", chunk=index) as span:
+                    payload = codec.encode(chunk)
+                    span.set("bytes", len(payload))
+                if stage:
+                    with tracer.span("cast.stage", kind="cast", chunk=index):
+                        payload = self._stage_through_tempfile(payload)
+                stats.bytes_moved += len(payload)
+                stats.peak_chunk_bytes = max(stats.peak_chunk_bytes, len(payload))
+                with tracer.span("cast.decode", kind="cast", chunk=index):
+                    chunk = codec.decode(payload, schema)
             import_wall = time.time()
             import_begin = time.perf_counter()
-            yield decoded
+            yield chunk
             tracer.record(
                 "cast.import_chunk", start_s=import_wall,
                 duration_s=time.perf_counter() - import_begin,
                 kind="cast", chunk=index,
             )
-            index += 1
-
-    @staticmethod
-    def _count_rows(chunks: Iterator[Relation], stats: "_PipelineStats") -> Iterator[Relation]:
-        for chunk in chunks:
-            check_cancelled()
-            stats.rows += len(chunk)
-            stats.chunks += 1
-            yield chunk
 
     @staticmethod
     def _stage_through_tempfile(payload: bytes) -> bytes:

@@ -78,14 +78,6 @@ class ExecutionMonitor:
         with self._lock:
             self._observations.append(observation)
 
-    def time_and_record(self, query_class: str, object_name: str, engine_name: str,
-                        runner: Callable[[], object]) -> object:
-        """Run ``runner``, record its latency, and return its result."""
-        started = time.perf_counter()
-        result = runner()
-        self.record(query_class, object_name, engine_name, time.perf_counter() - started)
-        return result
-
     def probe(self, query_class: str, object_name: str,
               runners: dict[str, Callable[[], object]]) -> dict[str, float]:
         """Re-execute one representative query on several engines; record and return latencies."""

@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import re
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -135,7 +134,10 @@ class IslandQueryStep:
 
 @dataclass
 class QueryPlan:
-    """The ordered steps plus per-step timings filled in during execution.
+    """The ordered steps of a polystore query and their dependencies.
+
+    Each step's execution time is its ``step.<Type>`` span, recorded by
+    :meth:`PlanExecution.run_step` when the thread's tracer is enabled.
 
     ``dependencies[i]`` holds the indices of the steps that must complete
     before step ``i`` may run.  Serial execution simply runs steps in order
@@ -145,7 +147,6 @@ class QueryPlan:
     """
 
     steps: list = field(default_factory=list)
-    timings: dict[str, float] = field(default_factory=dict)
     dependencies: list[set[int]] = field(default_factory=list)
 
     def explain(self) -> str:
@@ -445,7 +446,6 @@ class PlanExecution:
     # ------------------------------------------------------------------ steps
     def run_step(self, index: int) -> None:
         step = self.plan.steps[index]
-        started = time.perf_counter()
         with get_tracer().span(
             f"step.{type(step).__name__}", kind="step", step=step.describe()
         ):
@@ -468,7 +468,6 @@ class PlanExecution:
                     self._has_result = True
             else:  # pragma: no cover - defensive
                 raise PlanningError(f"unknown plan step {type(step).__name__}")
-        self.plan.timings[f"{index + 1}. {step.describe()}"] = time.perf_counter() - started
 
     def _run_cast(self, index: int, step: CastStep) -> None:
         migrator = self._bigdawg.migrator

@@ -9,8 +9,8 @@ Three shim families exist, one per island data model:
 
 * :class:`RelationalShim` — object as a :class:`Relation`, native SQL pushdown
   when the engine speaks SQL.
-* :class:`ArrayShim` — object as a :class:`StoredArray`, native AFL pushdown
-  when the engine is the array engine.
+* :class:`ArrayShim` — object as a :class:`StoredArray`, read from the array
+  engine or converted from a tiled one.
 * :class:`AssociativeShim` — object as a D4M :class:`AssociativeArray`.
 """
 
@@ -69,9 +69,6 @@ class RelationalShim(Shim):
             )
         return self.engine.execute(sql)  # type: ignore[attr-defined]
 
-    def store_relation(self, object_name: str, relation: Relation, **options) -> None:
-        self.engine.import_relation(object_name, relation, **options)
-
 
 class ArrayShim(Shim):
     """Adapts array-capable engines to the array island."""
@@ -100,14 +97,6 @@ class ArrayShim(Shim):
         raise UnsupportedOperationError(
             f"no array conversion implemented for engine {self.engine.name!r}"
         )
-
-    def execute_afl(self, afl: str):
-        """Push an AFL query down to a native array engine."""
-        if not isinstance(self.engine, ArrayEngine):
-            raise UnsupportedOperationError(
-                f"engine {self.engine.name!r} cannot execute AFL natively"
-            )
-        return self.engine.execute(afl)
 
 
 class TextShim(Shim):

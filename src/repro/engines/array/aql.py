@@ -48,9 +48,6 @@ class AqlCall:
         return [str(arg).strip() for arg in self.arguments[1:]]
 
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-
-
 def parse_aql(text: str) -> AqlCall:
     """Parse a (possibly nested) AFL-style call."""
     text = text.strip().rstrip(";")
@@ -108,8 +105,3 @@ _ARRAY_OPERATORS = {
     "scan", "filter", "between", "subarray", "apply", "project",
     "aggregate", "window", "regrid", "cross_join",
 }
-
-
-def is_valid_identifier(name: str) -> bool:
-    """True for a bare array or attribute name."""
-    return bool(_NAME_RE.match(name))

@@ -28,10 +28,6 @@ _AGGREGATIONS: dict[str, Callable[[np.ndarray], float]] = {
 }
 
 
-def aggregate_names() -> set[str]:
-    return set(_AGGREGATIONS)
-
-
 def filter_array(array: StoredArray, attribute: str, predicate: Callable[[np.ndarray], np.ndarray]) -> StoredArray:
     """Keep only the cells where ``predicate`` over one attribute's values holds.
 

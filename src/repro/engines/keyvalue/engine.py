@@ -207,15 +207,6 @@ class KeyValueEngine(Engine):
         self.bump_write_version()
         return entry
 
-    def put_many(self, table_name: str, entries: Iterable[tuple[str, str, str, Any]]) -> int:
-        table = self.table(table_name)
-        count = 0
-        for row, family, qualifier, value in entries:
-            table.put(row, family, qualifier, value)
-            count += 1
-        self.bump_write_version()
-        return count
-
     def scan(self, table_name: str, scan_range: ScanRange | None = None,
              iterators: list[ScanIterator] | None = None) -> list[Entry]:
         check_cancelled()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
 
 @dataclass(frozen=True, order=True)
@@ -85,14 +85,6 @@ class SortedKeyValueStore:
         self._entries.insert(index, entry)
         self.mutations += 1
         return entry
-
-    def put_many(self, entries: Iterable[tuple[str, str, str, Any]]) -> int:
-        """Bulk insert (row, family, qualifier, value) tuples. Returns the count."""
-        count = 0
-        for row, family, qualifier, value in entries:
-            self.put(row, family, qualifier, value)
-            count += 1
-        return count
 
     def delete(self, row: str, family: str | None = None, qualifier: str | None = None) -> int:
         """Delete all versions matching the given key parts. Returns entries removed."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import ExecutionError
-from repro.engines.keyvalue.store import ScanRange, SortedKeyValueStore
+from repro.engines.keyvalue.store import SortedKeyValueStore
 
 
 @dataclass
@@ -29,9 +29,6 @@ class Tablet:
         if self.end_row is not None and row > self.end_row:
             return False
         return True
-
-    def to_scan_range(self) -> ScanRange:
-        return ScanRange(start_row=self.start_row, end_row=self.end_row)
 
 
 @dataclass

@@ -29,7 +29,8 @@ from repro.common.parallel import (
 from repro.common.schema import Column, Relation, Schema, TableDefinition
 from repro.engines.base import DEFAULT_CHUNK_ROWS, Engine, EngineCapability
 from repro.engines.relational.optimizer import Optimizer
-from repro.observability.profile import PlanProfiler, SlowQueryLog
+from repro.observability.profile import SlowQueryLog
+from repro.observability.tracing import Tracer, tracer_scope
 from repro.engines.relational.planner import (
     JoinNode,
     LogicalPlan,
@@ -414,7 +415,11 @@ class RelationalEngine(Engine, TableStatisticsProvider):
         operator is additionally annotated with its estimated vs. actual
         row count, batch count and wall time — ``(estimated=N rows,
         actual=M rows, batches=B, time=X.XXXms)`` — followed by a
-        ``Total(...)`` footer, in the spirit of ``EXPLAIN ANALYZE``.
+        ``Total(...)`` footer, in the spirit of ``EXPLAIN ANALYZE``.  The
+        actuals are the ``op.<Node>`` spans of a run under this call's own
+        tracer (installed for this thread only), so concurrent EXPLAIN
+        ANALYZEs never see each other's operators and an enabled global
+        tracer does not receive them.
         """
         statement = parse_sql(sql)
         if not isinstance(statement, SelectStatement):
@@ -428,20 +433,17 @@ class RelationalEngine(Engine, TableStatisticsProvider):
         stats_line = self._stats_line(tables)
         if stats_line:
             header = f"{stats_line}\n{header}"
-        profiler: PlanProfiler | None = None
-        total_s: float | None = None
-        result_rows: int | None = None
+        operators: dict[int, Any] | None = None
         if analyze:
-            profiler = PlanProfiler(plan, estimator=self.estimated_plan_rows)
-            self._batch_executor.profiler = profiler
-            started = time.perf_counter()
-            try:
-                result = self._batch_executor.execute(plan)
-            finally:
-                self._batch_executor.profiler = None
-            total_s = time.perf_counter() - started
-            result_rows = len(result)
+            tracer = Tracer(enabled=True)
+            with tracer_scope(tracer):
+                with tracer.span("explain.analyze", kind="query") as run:
+                    result = self._batch_executor.execute(plan)
             self.queries_executed += 1
+            operators = {
+                span.attrs["node"]: span for span in tracer.spans()
+                if span.name.startswith("op.")
+            }
 
         def annotate(node):
             parts: list[str] = []
@@ -453,17 +455,29 @@ class RelationalEngine(Engine, TableStatisticsProvider):
                 estimate = self._batch_executor.estimated_build_bytes(node)
                 if estimate is not None and estimate > self.join_memory_budget:
                     parts.append("[spill]")
-            if profiler is not None:
-                parts.append(profiler.annotation(node))
+            if operators is not None:
+                parts.append(self._analyze_annotation(node, operators.get(id(node))))
             return " ".join(parts)
 
         text = header + "\n" + plan.explain(annotate=annotate)
-        if total_s is not None:
+        if analyze:
             text = (
                 f"{text.rstrip()}\n"
-                f"Total(rows={result_rows}, time={total_s * 1000:.3f}ms)\n"
+                f"Total(rows={len(result)}, time={run.duration_s * 1000:.3f}ms)\n"
             )
         return text
+
+    def _analyze_annotation(self, node, span) -> str:
+        """One operator's EXPLAIN ANALYZE suffix: the estimate, then its
+        ``op.<Node>`` span's actuals (or ``not executed`` without one)."""
+        estimate = self.estimated_plan_rows(node)
+        est = "?" if estimate is None else str(estimate)
+        if span is None:
+            return f"(estimated={est} rows, not executed)"
+        return (
+            f"(estimated={est} rows, actual={span.attrs['rows']} rows, "
+            f"batches={span.attrs['batches']}, time={span.duration_s * 1000:.3f}ms)"
+        )
 
     def estimated_plan_rows(self, plan) -> int | None:
         """Estimated output row count of a plan subtree, or None if unknown.

@@ -172,7 +172,3 @@ def make_aggregate(name: str, count_star: bool = False, distinct: bool = False) 
     if key == "count":
         return CountAggregate(count_nulls=count_star, distinct=distinct)
     return _AGGREGATE_FACTORIES[key](distinct=distinct)
-
-
-def aggregate_names() -> set[str]:
-    return set(_AGGREGATE_FACTORIES)

@@ -109,19 +109,6 @@ class _Parser:
             return True
         return False
 
-    def accept_keyword(self, *words: str) -> bool:
-        return any(self.accept(TokenType.KEYWORD, word) for word in words[:1]) or (
-            len(words) > 1 and self._accept_sequence(words)
-        )
-
-    def _accept_sequence(self, words: tuple[str, ...]) -> bool:
-        saved = self._pos
-        for word in words:
-            if not self.accept(TokenType.KEYWORD, word):
-                self._pos = saved
-                return False
-        return True
-
     # -------------------------------------------------------------- statements
     def parse_statement(self) -> Statement:
         if self.check(TokenType.KEYWORD, "select"):
@@ -431,9 +418,17 @@ class _Parser:
 
     def _literal_value(self):
         expr = self.parse_expression()
-        if not isinstance(expr, Literal):
-            raise ParseError("IN list values must be literals", self.current.position)
-        return expr.value
+        if isinstance(expr, Literal):
+            return expr.value
+        if (
+            isinstance(expr, UnaryOp)
+            and expr.op == "-"
+            and isinstance(expr.operand, Literal)
+            and isinstance(expr.operand.value, (int, float))
+            and not isinstance(expr.operand.value, bool)
+        ):
+            return -expr.operand.value
+        raise ParseError("IN list values must be literals", self.current.position)
 
     def _parse_between(self, operand: Expression) -> Expression:
         low = self._parse_additive()
@@ -559,11 +554,3 @@ def parse_expression(text: str) -> Expression:
         )
     return expression
 
-
-def parse_many(text: str) -> list[Statement]:
-    """Parse a semicolon-separated script into a list of statements."""
-    statements = []
-    for part in text.split(";"):
-        if part.strip():
-            statements.append(parse_sql(part))
-    return statements

@@ -552,9 +552,6 @@ class BatchExecutor:
     ) -> None:
         self._engine = engine
         self._batch_rows = batch_rows
-        #: Installed by ``RelationalEngine.explain(analyze=True)`` for the
-        #: duration of one query; None keeps the pipeline unobserved.
-        self.profiler = None
 
     def estimated_build_bytes(self, node: JoinNode) -> int | None:
         """Statistics-based build-side size prediction (None without stats)."""
@@ -581,16 +578,15 @@ class BatchExecutor:
         those, so the snapshot packs no column nobody asked for.  Every
         other operator ignores it.
 
-        When a :class:`~repro.observability.profile.PlanProfiler` is
-        installed (EXPLAIN ANALYZE) or the global tracer is enabled, the
-        iterator is wrapped to account per-operator rows/batches/time;
+        When the thread's tracer is enabled (a traced query, or EXPLAIN
+        ANALYZE under its own tracer), the iterator is wrapped to record one
+        ``op.<NodeType>`` span with the operator's rows/batches/time;
         otherwise the pipeline is returned untouched.
         """
         schema, batches = self._stream_impl(plan, columns)
-        profiler = self.profiler
         tracer = get_tracer()
-        if profiler is not None or tracer.enabled:
-            batches = observe_stream(plan, batches, profiler, tracer)
+        if tracer.enabled:
+            batches = observe_stream(plan, batches, tracer)
         return schema, batches
 
     def _stream_impl(

@@ -19,8 +19,6 @@ from repro.common.schema import Column, Relation, Schema
 from repro.common.types import DataType
 from repro.engines.base import Engine, EngineCapability
 from repro.engines.tiledb.tiles import (
-    DenseTile,
-    SparseTile,
     Tile,
     TileExtent,
     TileStatistics,

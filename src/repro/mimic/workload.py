@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.common.schema import Relation
 from repro.mimic.loader import MimicDeployment
 
 

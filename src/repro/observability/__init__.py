@@ -1,4 +1,4 @@
-"""Observability: query tracing, typed metrics, per-operator profiling.
+"""Observability: query tracing, typed metrics, operator spans.
 
 Four pieces, used together or separately:
 
@@ -6,8 +6,9 @@ Four pieces, used together or separately:
   thread-local context that survives the runtime's worker pools.
 * :mod:`~repro.observability.registry` — a typed metric registry
   (counters, gauges, histograms) behind one namespaced snapshot.
-* :mod:`~repro.observability.profile` — per-operator rows/batches/time
-  profiling (EXPLAIN ANALYZE) and the slow-query log.
+* :mod:`~repro.observability.profile` — the operator stream wrapper that
+  records one ``op.<Node>`` span per operator (EXPLAIN ANALYZE reads them)
+  and the slow-query log.
 * :mod:`~repro.observability.export` — Chrome trace-event JSON and OTLP
   JSON export plus a text tree renderer for collected spans.
 """
@@ -19,12 +20,7 @@ from repro.observability.export import (
     write_chrome_trace,
     write_otlp,
 )
-from repro.observability.profile import (
-    OperatorProfile,
-    PlanProfiler,
-    SlowQueryLog,
-    observe_stream,
-)
+from repro.observability.profile import SlowQueryLog, observe_stream
 from repro.observability.registry import Counter, Gauge, Histogram, MetricRegistry
 from repro.observability.tracing import (
     NULL_SPAN,
@@ -44,8 +40,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricRegistry",
-    "OperatorProfile",
-    "PlanProfiler",
     "SlowQueryLog",
     "Span",
     "Tracer",

@@ -28,7 +28,7 @@ import contextlib
 import itertools
 import threading
 import time
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.common import cancellation
 

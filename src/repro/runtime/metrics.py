@@ -19,12 +19,11 @@ live production traffic rather than only from offline probes.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from collections import deque
 
-from repro.observability.registry import MetricRegistry
+from repro.observability.registry import Histogram, MetricRegistry
 
 #: Default sliding window (seconds) for :meth:`RuntimeMetrics.windowed_throughput`.
 DEFAULT_THROUGHPUT_WINDOW_S = 30.0
@@ -35,7 +34,9 @@ class RuntimeMetrics:
 
     def __init__(self, window: int = 4096, registry: MetricRegistry | None = None) -> None:
         self._lock = threading.Lock()
-        self._latencies: deque[float] = deque(maxlen=window)
+        #: End-to-end latencies; unregistered, so the snapshot's own
+        #: ``latency_p*_s`` keys stay the only place they surface.
+        self._latencies = Histogram(window)
         #: Completion timestamps (``perf_counter``) for windowed throughput.
         self._completions: deque[float] = deque(maxlen=window)
         self.submitted = 0
@@ -64,13 +65,13 @@ class RuntimeMetrics:
                 self._first_submit = time.perf_counter()
 
     def record_completed(self, seconds: float, cached: bool = False) -> None:
+        self._latencies.observe(seconds)
         with self._lock:
             self.completed += 1
             if cached:
                 self.cache_hits += 1
             else:
                 self.cache_misses += 1
-            self._latencies.append(seconds)
             now = time.perf_counter()
             self._last_complete = now
             self._completions.append(now)
@@ -91,17 +92,7 @@ class RuntimeMetrics:
     # -------------------------------------------------------------- statistics
     def latency_percentile(self, percentile: float) -> float | None:
         """Latency at ``percentile`` (0..100) over the recent window, or None."""
-        with self._lock:
-            samples = sorted(self._latencies)
-        if not samples:
-            return None
-        rank = (percentile / 100.0) * (len(samples) - 1)
-        lower = math.floor(rank)
-        upper = math.ceil(rank)
-        if lower == upper:
-            return samples[lower]
-        fraction = rank - lower
-        return samples[lower] * (1 - fraction) + samples[upper] * fraction
+        return self._latencies.percentile(percentile)
 
     def throughput(self) -> float:
         """Completed queries per second since the *first submission ever*.

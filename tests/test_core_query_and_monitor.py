@@ -14,6 +14,7 @@ from repro.core.semantics import ProbeCase, SemanticProber
 from repro.engines.array import ArrayEngine
 from repro.engines.keyvalue import KeyValueEngine
 from repro.engines.relational import RelationalEngine
+from repro.observability import Tracer, tracer_scope
 
 
 # ----------------------------------------------------------------- language
@@ -118,8 +119,11 @@ class TestCrossIslandPlanner:
 
     def test_plan_timings_recorded(self, bigdawg):
         plan = bigdawg.plan("ARRAY(aggregate(waves, avg(value)))")
-        bigdawg._planner.execute_plan(plan)
-        assert len(plan.timings) == len(plan.steps)
+        tracer = Tracer(enabled=True)
+        with tracer_scope(tracer):
+            bigdawg._planner.execute_plan(plan)
+        steps = [s for s in tracer.spans() if s.name.startswith("step.")]
+        assert len(steps) == len(plan.steps)
 
 
 # ------------------------------------------------------------------ monitor

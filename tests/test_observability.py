@@ -1,7 +1,7 @@
 """Tests for the observability subsystem: tracing (context propagation across
 the runtime's thread pools), the typed metric registry, queue-wait accounting,
-windowed throughput, per-operator profiling / EXPLAIN ANALYZE, the slow-query
-log, and the trace exporters."""
+windowed throughput, operator spans / EXPLAIN ANALYZE, the slow-query log,
+and the trace exporters."""
 
 from __future__ import annotations
 
@@ -18,10 +18,12 @@ from repro.core.bigdawg import BigDawg
 from repro.engines.array import ArrayEngine
 from repro.engines.keyvalue import KeyValueEngine
 from repro.engines.relational import RelationalEngine
+from repro.engines.relational import engine as relational_engine
 from repro.observability import (
     NULL_SPAN,
     MetricRegistry,
     SlowQueryLog,
+    Span,
     Tracer,
     capture_context,
     current_span,
@@ -278,6 +280,28 @@ class TestRuntimeTracing:
             runtime.shutdown()
         assert len(tracer) == before
 
+    def test_direct_cast_records_export_and_import(self, traced, bigdawg):
+        bigdawg.cast("wave_copy", "postgres", method="direct", chunk_size=2)
+        assert [s.attrs["rows"] for s in traced.spans("cast.export")] == [2, 2, 2]
+        assert len(traced.spans("cast.import_chunk")) == 3
+        assert not {"cast.encode", "cast.decode"} & traced.span_names()
+
+    def test_disabled_path_constructs_no_span(self, bigdawg, monkeypatch):
+        assert not get_tracer().enabled
+        constructed: list[str] = []
+        original = Span.__init__
+
+        def counting_init(self, tracer, name, *args, **kwargs):
+            constructed.append(name)
+            original(self, tracer, name, *args, **kwargs)
+
+        monkeypatch.setattr(Span, "__init__", counting_init)
+        result = bigdawg.execute("RELATIONAL(SELECT count(*) AS n FROM patients)")
+        record = bigdawg.cast("wave_copy", "postgres", method="binary", chunk_size=2)
+        assert result.rows[0]["n"] == 4
+        assert record.chunks == 3 and record.bytes_moved > 0
+        assert constructed == []
+
 
 # ---------------------------------------------------------------- registry
 class TestMetricRegistry:
@@ -433,13 +457,62 @@ class TestExplainAnalyze:
         # analyze=False must not execute the query.
         assert engine.queries_executed == before
 
-    def test_analyze_results_stay_correct_and_counted(self):
+    def test_analyze_results_stay_correct_and_counted(self, monkeypatch):
         engine = sql_engine()
         before = engine.queries_executed
+        created: list[Tracer] = []
+
+        class OwnTracer(Tracer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        monkeypatch.setattr(relational_engine, "Tracer", OwnTracer)
+        global_tracer = Tracer(enabled=False)
+        previous = set_tracer(global_tracer)
+        try:
+            engine.explain(JOIN_SQL, analyze=True)
+            assert engine.queries_executed == before + 1
+            # The EXPLAIN's tracer uninstalls afterwards: the thread's
+            # tracer is the disabled global one again, and a plain run
+            # records no operator span.
+            assert get_tracer() is global_tracer
+            (own,) = created
+            recorded = len(own.find(lambda s: s.name.startswith("op.")))
+            engine.execute(JOIN_SQL)
+            assert len(own.find(lambda s: s.name.startswith("op."))) == recorded
+        finally:
+            set_tracer(previous)
+
+    def test_concurrent_analyzes_see_their_own_operators(self):
+        engine = sql_engine()
+        expected = len(engine.execute(JOIN_SQL))
+        texts: list[str] = []
+
+        def explain_many():
+            for _ in range(30):
+                texts.append(engine.explain(JOIN_SQL, analyze=True))
+
+        threads = [threading.Thread(target=explain_many) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert len(texts) == 60
+        wrong = [
+            text for text in texts
+            if "not executed" in text
+            or f"actual={expected} rows" not in text.splitlines()[2]
+        ]
+        assert wrong == []
+
+    def test_analyze_spans_stay_off_an_enabled_global_tracer(self, traced):
+        engine = sql_engine()
         engine.explain(JOIN_SQL, analyze=True)
-        assert engine.queries_executed == before + 1
-        # The profiler uninstalls afterwards: a plain run stays unprofiled.
-        assert engine._batch_executor.profiler is None
+        assert not traced.find(lambda s: s.name.startswith("op."))
+        engine.execute(JOIN_SQL)
+        assert traced.find(lambda s: s.name.startswith("op."))
 
 
 # ------------------------------------------------------------- slow queries
