@@ -236,6 +236,12 @@ HIGHCARD_QUERY = (
     "SELECT hk, count(*) AS n, sum(value) AS s, avg(value) AS a, "
     "max(value) AS hi FROM htab GROUP BY hk"
 )
+#: The same groups under four keys (INTEGER x3, TEXT): k1, k2, k3 are hk's
+#: decimal digits and tag one of 97 strings, so the key tuple names hk.
+HIGHCARD_MULTI_QUERY = (
+    "SELECT k1, k2, k3, tag, count(*) AS n, sum(value) AS s, min(value) AS lo "
+    "FROM htab GROUP BY k1, k2, k3, tag"
+)
 
 #: Wide-join floor: optimized vectorized vs the PR-4 vectorized baseline
 #: (optimizer off, every column gathered).  The ISSUE-5 acceptance bar is
@@ -328,25 +334,32 @@ def build_highcard_engine() -> RelationalEngine:
     rng = random.Random(7)
     engine = RelationalEngine("bench_hc")
     engine.execute(
-        "CREATE TABLE htab (id INTEGER PRIMARY KEY, hk INTEGER, value FLOAT)"
+        "CREATE TABLE htab (id INTEGER PRIMARY KEY, hk INTEGER, value FLOAT, "
+        "k1 INTEGER, k2 INTEGER, k3 INTEGER, tag TEXT)"
     )
-    engine.insert_rows(
-        "htab",
-        [(i, rng.randrange(HIGHCARD_GROUPS), rng.random() * 50.0) for i in range(ROW_COUNT)],
-    )
+    rows = []
+    for i in range(ROW_COUNT):
+        hk, value = rng.randrange(HIGHCARD_GROUPS), rng.random() * 50.0
+        rows.append((i, hk, value, hk % 10, hk // 10 % 10, hk // 100, f"tag_{hk % 97}"))
+    engine.insert_rows("htab", rows)
     return engine
 
 
-def test_streaming_groupby_bounds_peak_resident_rows():
-    """ISSUE-5 acceptance + CI memory guard: the high-cardinality group-by
-    keeps at most O(batch + groups) rows resident, far below the input size.
-    ``parallelism=1`` pins the reported path name on any host."""
+@pytest.mark.parametrize(
+    "name, query",
+    [("group_by_highcard", HIGHCARD_QUERY), ("group_by_highcard_multi", HIGHCARD_MULTI_QUERY)],
+)
+def test_streaming_groupby_bounds_peak_resident_rows(name, query):
+    """ISSUE-5 acceptance + CI memory guard: the high-cardinality group-by,
+    on one key and on four, keeps at most O(batch + groups) rows resident,
+    far below the input size.  ``parallelism=1`` pins the reported path
+    name on any host."""
     from repro.engines.relational.vectorized import DEFAULT_BATCH_ROWS
 
     engine = build_highcard_engine()
     engine.parallelism = 1
-    stream_seconds, stream_result = time_query(engine, HIGHCARD_QUERY)
-    row_seconds, row_result = time_query(engine, HIGHCARD_QUERY, reference_execute)
+    stream_seconds, stream_result = time_query(engine, query)
+    row_seconds, row_result = time_query(engine, query, reference_execute)
 
     codec = BinaryCodec()
     assert codec.encode(stream_result) == codec.encode(row_result)
@@ -355,7 +368,7 @@ def test_streaming_groupby_bounds_peak_resident_rows():
     bound = DEFAULT_BATCH_ROWS + HIGHCARD_GROUPS
     speedup = row_seconds / stream_seconds if stream_seconds > 0 else float("inf")
     print(
-        f"\n[claim12:group_by_highcard] rows={ROW_COUNT} groups={HIGHCARD_GROUPS} "
+        f"\n[claim12:{name}] rows={ROW_COUNT} groups={HIGHCARD_GROUPS} "
         f"peak_resident_rows={peak} (bound {bound}) | "
         f"stream={stream_seconds * 1000:.1f}ms row={row_seconds * 1000:.1f}ms "
         f"speedup_vs_row={speedup:.1f}x"
@@ -363,7 +376,7 @@ def test_streaming_groupby_bounds_peak_resident_rows():
     from bench_recording import record_bench
 
     record_bench(
-        "claim12", "group_by_highcard",
+        "claim12", name,
         rows=ROW_COUNT,
         groups=HIGHCARD_GROUPS,
         stream_seconds=stream_seconds,

@@ -8,34 +8,40 @@ per-row Python tuples and dict probes.
 
 NULL-sentinel contract
 ----------------------
-* Inside a per-column encoding, code ``0`` is **reserved for NULL**; real
-  values are assigned codes ``1..k``.  Combining columns with a mixed-radix
-  step therefore keeps NULL distinct from every real value automatically.
+* Inside a join key column's encoding, code ``0`` is **reserved for
+  NULL**; real values are assigned codes ``1..k``.  Combining columns with
+  a mixed-radix step therefore keeps NULL distinct from every real value
+  automatically.
 * In the public results, :data:`NULL_CODE` (``-1``) marks rows whose key
   contains a NULL **in join position**: :meth:`JoinKeyTable.build_codes`
   and :meth:`JoinKeyTable.probe` return ``-1`` for NULL (or unseen) keys,
   because an SQL equi-join never matches on NULL.
-* :func:`encode_group_keys` instead treats NULL as a *regular grouping
-  value* (SQL GROUP BY puts all-NULL keys in one group), so its codes are
-  always ``>= 0``; the per-row NULL information is preserved in
-  :attr:`GroupCodes.null_rows`.
+* :class:`IncrementalGroupEncoder` instead treats NULL as a *regular
+  grouping value* (SQL GROUP BY puts all-NULL keys in one group): in each
+  key column NULL gets a code like any other value, so group codes are
+  always ``>= 0``.
 
 Dtype specialization
 --------------------
-INTEGER/FLOAT/BOOLEAN columns are factorized with ``np.unique`` over a
-fixed-width numpy array (a typed vector's own buffer; NULLs masked out
-first).  A dictionary-encoded TEXT column already *is* factorized: its codes
-shift by one.  Everything else — plain TEXT, TIMESTAMP, out-of-int64-range
-integers, and mixed-type column pairs — uses a stable insertion-ordered
-Python dict, which preserves the row path's ``==``/``hash`` equality
-semantics exactly (``1 == 1.0``, ``True == 1``).
+A join key column is factorized once: INTEGER/FLOAT/BOOLEAN with
+``np.unique`` over a fixed-width numpy array (a typed vector's own buffer;
+NULLs masked out first); a dictionary-encoded TEXT column already *is*
+factorized, so its codes shift by one.  A grouping key column keeps a
+dictionary that persists across the batches of a stream: a fixed-width
+column its sorted distinct values (looked up with ``searchsorted``, or by
+direct address when an INTEGER column's values span few slots), a
+dictionary TEXT column one remap array per dictionary object.  Everything
+else — plain TEXT, TIMESTAMP, out-of-int64-range integers, and mixed-type
+column pairs — uses a stable insertion-ordered Python dict, which
+preserves the row path's ``==``/``hash`` equality semantics exactly
+(``1 == 1.0``, ``True == 1``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
@@ -47,7 +53,6 @@ from repro.common.vectors import (
     NumericVector,
     null_mask,
     numeric_view,
-    take,
     to_list,
 )
 
@@ -177,65 +182,6 @@ def _encode_column(values: Sequence[Any], dtype: DataType | None):
     return _ObjectColumnCodes(values)
 
 
-def _combine(column_codes: list) -> tuple[np.ndarray, np.ndarray]:
-    """Mixed-radix combine per-column codes into one int64 code per row.
-
-    Returns ``(combined, null_any)`` where ``null_any`` flags rows with a
-    NULL (code 0) in any key column.  Re-densifies via ``np.unique`` before
-    any step that could overflow int64.
-    """
-    first = column_codes[0]
-    combined = first.codes
-    null_any = combined == 0
-    radix_total = np.int64(max(first.radix, 1))
-    for encoder in column_codes[1:]:
-        radix = np.int64(max(encoder.radix, 1))
-        if radix_total > _RADIX_LIMIT // radix:
-            uniq, inverse = np.unique(combined, return_inverse=True)
-            combined = inverse.astype(np.int64)
-            radix_total = np.int64(len(uniq))
-        combined = combined * radix + encoder.codes
-        null_any = null_any | (encoder.codes == 0)
-        radix_total = radix_total * radix
-    return combined, null_any
-
-
-@dataclass
-class GroupCodes:
-    """Result of :func:`encode_group_keys`.
-
-    ``codes[i]`` is the dense group id of row ``i``, numbered by **first
-    appearance** so that emitting groups in code order reproduces the row
-    executor's dict-insertion output order exactly.
-    """
-
-    codes: np.ndarray  #: int64 group id per row, first-appearance ordered
-    group_count: int
-    first_rows: np.ndarray  #: row index of each group's first occurrence
-    null_rows: np.ndarray  #: bool mask: key contains a NULL (still grouped)
-
-
-def encode_group_keys(
-    columns: Sequence[Sequence[Any]], dtypes: Sequence[DataType | None]
-) -> GroupCodes:
-    """Factorize grouping key columns into dense first-appearance codes."""
-    encoders = [_encode_column(col, dt) for col, dt in zip(columns, dtypes)]
-    combined, null_any = _combine(encoders)
-    uniq, first_idx, inverse = np.unique(
-        combined, return_index=True, return_inverse=True
-    )
-    order = np.argsort(first_idx, kind="stable")
-    rank = np.empty(len(uniq), dtype=np.int64)
-    rank[order] = np.arange(len(uniq), dtype=np.int64)
-    codes = rank[inverse]
-    return GroupCodes(
-        codes=codes,
-        group_count=len(uniq),
-        first_rows=first_idx[order],
-        null_rows=null_any,
-    )
-
-
 def partition_order(codes: np.ndarray, num_partitions: int) -> tuple[np.ndarray, list[int]]:
     """Rows stably sorted by partition ``codes[i] % num_partitions``, plus the
     ``num_partitions + 1`` bounds of each partition's slice of that order.
@@ -349,33 +295,235 @@ class PartitionRouter:
         return partition_order(codes // self.partitions**depth, self.partitions)
 
 
+#: A multi-key group dictionary addresses its groups directly by packed key
+#: while the product of the key columns' radices is at most this many
+#: slots (8 bytes each); past it, it searches a sorted table of packed keys.
+#: An INTEGER key column is addressed directly while its values span at
+#: most this many.
+_DIRECT_GROUP_SLOTS = 1 << 16
+
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+
+
+def _first_appearance(firsts: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Number new keys ``start, start + 1, ...`` by the row each first
+    appears at (``firsts``, distinct): the code of each key, and the first
+    rows in code order."""
+    order = np.argsort(firsts)
+    codes = np.empty(len(firsts), dtype=np.int64)
+    codes[order] = np.arange(start, start + len(firsts), dtype=np.int64)
+    return codes, firsts[order]
+
+
+def _distinct_first(keys: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``keys[rows]`` (ascending, ``rows`` ascending
+    and non-empty) and the first of ``rows`` each is at.  Integers spanning
+    at most :data:`_DIRECT_GROUP_SLOTS` take a direct-address pass;
+    anything else sorts."""
+    sub = keys[rows]
+    if sub.dtype.kind == "i":
+        low = int(sub.min())
+        span = int(sub.max()) - low + 1
+        if span <= _DIRECT_GROUP_SLOTS:
+            first = np.full(span, len(keys), dtype=np.int64)
+            np.minimum.at(first, sub - low, rows)
+            present = (first < len(keys)).nonzero()[0]
+            return (present + low).astype(sub.dtype, copy=False), first[present]
+    distinct, first = np.unique(sub, return_index=True)
+    return distinct, rows[first]
+
+
+def _new_first_rows(codes: np.ndarray, before: int) -> np.ndarray:
+    """The row each code ``>= before`` first appears at, in code order
+    (codes numbered by first appearance, so also in row order)."""
+    rows = (codes >= before).nonzero()[0]
+    return _distinct_first(codes, rows)[1] if len(rows) else _NO_ROWS
+
+
+def _sorted_insert(
+    keys: np.ndarray, codes: np.ndarray, added: np.ndarray, added_codes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """A sorted key table and its codes with ``added`` (sorted, all new) in."""
+    if not len(keys):
+        return added, added_codes
+    at = np.searchsorted(keys, added)
+    return np.insert(keys, at, added), np.insert(codes, at, added_codes)
+
+
+def _dict_codes(mapping: dict[Any, int], values: list) -> np.ndarray:
+    """The code of each of ``values`` in ``mapping``, after adding the values
+    it lacks, numbered by first appearance — every loop runs in C."""
+    fresh = itertools.filterfalse(mapping.__contains__, dict.fromkeys(values))
+    mapping.update(zip(fresh, itertools.count(len(mapping))))
+    return np.fromiter(map(mapping.__getitem__, values), np.int64, count=len(values))
+
+
+class _KeyColumn:
+    """Persistent value -> code dictionary of one grouping key column.
+
+    Codes are dense and numbered by first appearance over the stream; NULL
+    is a key value like any other.  A fixed-width column keeps its distinct
+    values sorted, beside their codes, and looks a batch up with
+    ``searchsorted`` (a narrow INTEGER column by direct address): a batch
+    sorts only the values it adds.  Every other column maps Python values
+    through one insertion-ordered dict, so equality is the row executor's
+    ``==``/``hash`` (``1 == 1.0 == True``): a dictionary TEXT batch reaches
+    the dict once per dictionary entry it uses, through a remap array per
+    dictionary object, and a plain batch through C-level ``dict.fromkeys``
+    / ``map``.  A fixed-width column that meets a batch its dtype cannot
+    hold (integers past int64) converts its table to that dict, once.
+    """
+
+    def __init__(self, dtype: DataType | None) -> None:
+        self._dtype = VECTOR_DTYPES.get(dtype) if dtype is not None else None
+        self.count = 0
+        #: Sorted distinct non-NULL values and the code of each.
+        self._values = np.zeros(0, dtype=self._dtype)
+        self._codes = _NO_ROWS
+        #: An INTEGER column whose values span at most _DIRECT_GROUP_SLOTS
+        #: also keeps the code of ``value - min`` (-1 for no value), read by
+        #: a batch that stays inside that span instead of a binary search.
+        self._lut: np.ndarray | None = None
+        self._null_code = -1
+        self._mapping: dict[Any, int] | None = None if self._dtype is not None else {}
+        #: id(dictionary) -> (dictionary, code per entry, -1 while unresolved);
+        #: holding the dictionary keeps its id from being reused.
+        self._remaps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def encode(self, column: Sequence[Any]) -> tuple[np.ndarray, np.ndarray]:
+        """The code of each row, plus the rows where new codes first appear
+        (in code order)."""
+        if self._mapping is None:
+            try:
+                values, nulls = numeric_view(column, self._dtype)
+            except (OverflowError, TypeError, ValueError):
+                self._mapping = dict(zip(self._values.tolist(), self._codes.tolist()))
+                if self._null_code >= 0:
+                    self._mapping[None] = self._null_code
+            else:
+                return self._encode_numeric(values, nulls)
+        if isinstance(column, DictVector):
+            return self._encode_dictionary(column)
+        before = self.count
+        codes = _dict_codes(self._mapping, to_list(column))
+        self.count = len(self._mapping)
+        return codes, _new_first_rows(codes, before)
+
+    def _encode_numeric(
+        self, values: np.ndarray, nulls: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if values.dtype == np.float64:
+            values = values + 0.0  # -0.0 groups with 0.0, as -0.0 == 0.0
+        codes = self._lookup(values)
+        new = codes < 0
+        null_rows = _NO_ROWS
+        if nulls is not None:
+            new &= ~nulls
+            if self._null_code >= 0:
+                codes[nulls] = self._null_code
+            else:
+                null_rows = nulls.nonzero()[0]
+        if not new.any() and not len(null_rows):
+            return codes, _NO_ROWS
+        rows = new.nonzero()[0]
+        added, firsts = _distinct_first(values, rows) if len(rows) else (values[rows], rows)
+        if len(null_rows):
+            firsts = np.append(firsts, null_rows[0])
+        new_codes, new_first_rows = _first_appearance(firsts, self.count)
+        self.count += len(firsts)
+        if len(null_rows):
+            self._null_code = int(new_codes[-1])
+            codes[null_rows] = self._null_code
+            new_codes = new_codes[:-1]
+        if len(rows):
+            table, self._codes = _sorted_insert(self._values, self._codes, added, new_codes)
+            self._values = table
+            self._lut = None
+            if self._dtype is np.int64 and int(table[-1]) - int(table[0]) < _DIRECT_GROUP_SLOTS:
+                self._lut = np.full(int(table[-1]) - int(table[0]) + 1, -1, dtype=np.int64)
+                self._lut[table - table[0]] = self._codes
+            codes[rows] = self._lookup(values[rows])
+        return codes, new_first_rows
+
+    def _lookup(self, values: np.ndarray) -> np.ndarray:
+        """The code of each of ``values`` (non-empty), -1 where it has none."""
+        table = self._values
+        if not len(table):
+            return np.full(len(values), -1, dtype=np.int64)
+        lut = self._lut
+        low, high = table[0], table[-1]
+        if lut is not None and len(values) and low <= values.min() and values.max() <= high:
+            return lut[values - low]
+        slots = np.minimum(np.searchsorted(table, values), len(table) - 1)
+        return np.where(table[slots] == values, self._codes[slots], -1)
+
+    def _encode_dictionary(self, column: DictVector) -> tuple[np.ndarray, np.ndarray]:
+        dictionary = column.dictionary
+        entry = self._remaps.get(id(dictionary))
+        if entry is None:
+            remap = np.full(len(dictionary), -1, dtype=np.int64)
+            entry = self._remaps[id(dictionary)] = (dictionary, remap)
+        remap = entry[1]
+        local = column.codes
+        codes = remap[local]
+        unresolved = codes < 0
+        if not unresolved.any():
+            return codes, _NO_ROWS
+        # Resolve each entry the batch uses that this dictionary has not met
+        # yet (NULL, code -1, is its trailing None): known to the column
+        # through another dictionary or a plain batch, or new.
+        rows = unresolved.nonzero()[0]
+        entries, firsts = _distinct_first(local, rows)
+        values = dictionary[entries].tolist()
+        mapping = self._mapping
+        resolved = np.fromiter(
+            map(mapping.get, values, itertools.repeat(-1)), np.int64, count=len(values)
+        )
+        fresh = resolved < 0
+        new_first_rows = _NO_ROWS
+        if fresh.any():
+            resolved[fresh], new_first_rows = _first_appearance(firsts[fresh], self.count)
+            mapping.update(zip(itertools.compress(values, fresh.tolist()), resolved[fresh].tolist()))
+            self.count = len(mapping)
+        remap[entries] = resolved
+        return remap[local], new_first_rows
+
+
 class IncrementalGroupEncoder:
     """Shared group-key dictionary for the streaming two-pass group-by.
 
-    Each batch is factorized locally with :func:`encode_group_keys` (the
-    numpy-fast path), then only the batch's **distinct** keys are mapped
-    through a persistent insertion-ordered dictionary.  Global codes are
-    therefore stable across batches and numbered by first appearance over
-    the whole stream — emitting groups in code order reproduces the row
-    executor's dict-insertion output order — while the per-batch Python
-    work is O(distinct keys in the batch), not O(rows).
+    Each key column keeps a persistent value -> code dictionary
+    (:class:`_KeyColumn`).  With one key, its codes are the group codes.
+    With several, the column codes are mixed-radix packed into one int64
+    per row, and a group table maps packed keys to group codes: a
+    direct-address array while the radix product is at most
+    :data:`_DIRECT_GROUP_SLOTS`, a sorted table searched with
+    ``searchsorted`` past it, and — only if the product would overflow
+    int64 — a dict of code tuples.  A column's radix doubles when its
+    codes outgrow it, and the known groups are re-packed once.
 
-    The dictionary keys are the actual key values (a scalar for
-    single-column keys, a tuple otherwise), so cross-batch equality follows
-    Python ``==``/``hash`` semantics exactly like the row executor's group
-    dict (``1 == 1.0``, ``True == 1``).  NaN grouping keys must be rejected
-    by the caller before encoding (``np.unique`` collapses NaNs that the
-    row path's dict keeps distinct).
+    Group codes are stable across batches and numbered by first appearance
+    in row order over the whole stream, so emitting groups in code order
+    reproduces the row executor's dict-insertion output order.  A batch
+    does Python work per call, not per row or key (the plain-TEXT,
+    TIMESTAMP and past-int64 columns excepted: their dict is fed by C-level
+    ``dict``/``map`` loops).  NaN grouping keys must be rejected by the
+    caller before encoding (numpy collapses NaNs that the row path's dict
+    keeps distinct).
     """
 
     def __init__(self, dtypes: Sequence[DataType | None]) -> None:
-        self._dtypes = list(dtypes)
-        self._single = len(self._dtypes) == 1
-        self._key_map: dict[Any, int] = {}
-
-    @property
-    def group_count(self) -> int:
-        return len(self._key_map)
+        self._columns = [_KeyColumn(dtype) for dtype in dtypes]
+        self.group_count = 0
+        #: One slot per column until a batch brings codes: the first batch
+        #: sizes the radices and the group table.
+        self._radices = [1] * len(self._columns)
+        #: Packed key of each group, in group-code order.
+        self._group_keys = _NO_ROWS
+        self._direct: np.ndarray | None = np.full(1, -1, dtype=np.int64)
+        self._sorted_keys = _NO_ROWS
+        self._sorted_groups = _NO_ROWS
+        self._tuples: dict[tuple, int] | None = None
 
     def encode_batch(
         self, columns: Sequence[Sequence[Any]]
@@ -387,24 +535,90 @@ class IncrementalGroupEncoder:
         that is **new** to the stream, in global-code order (the new groups
         occupy codes ``group_count_before .. group_count_after - 1``).
         """
-        local = encode_group_keys(columns, self._dtypes)
-        key_map = self._key_map
-        before = len(key_map)
-        # Only the batch's distinct keys turn into Python values: one gather
-        # per key column at the groups' first rows.
-        firsts = [to_list(take(column, local.first_rows)) for column in columns]
-        keys = firsts[0] if self._single else zip(*firsts)
-        setdefault = key_map.setdefault
-        translation = np.fromiter(
-            (setdefault(key, len(key_map)) for key in keys),
-            np.int64,
-            count=local.group_count,
-        )
-        # Local codes are first-appearance ordered, so new global codes are
-        # assigned in increasing order as the groups advance — the new-group
-        # representatives come out already sorted by global code.
-        new_first_rows = local.first_rows[translation >= before]
-        return translation[local.codes], new_first_rows
+        if len(self._columns) == 1:
+            key = self._columns[0]
+            codes, new_first_rows = key.encode(columns[0])
+            self.group_count = key.count
+            return codes, new_first_rows
+        per_column = [key.encode(values)[0] for key, values in zip(self._columns, columns)]
+        if self._tuples is None:
+            self._fit_radices()
+        if self._tuples is not None:
+            before = self.group_count
+            codes = _dict_codes(self._tuples, list(zip(*(c.tolist() for c in per_column))))
+            self.group_count = len(self._tuples)
+            return codes, _new_first_rows(codes, before)
+        packed = self._pack(per_column)
+        codes = self._lookup(packed)
+        rows = (codes < 0).nonzero()[0]
+        if not len(rows):
+            return codes, _NO_ROWS
+        keys, firsts = _distinct_first(packed, rows)
+        start = self.group_count
+        groups, new_first_rows = _first_appearance(firsts, start)
+        self.group_count += len(keys)
+        in_order = np.empty_like(keys)
+        in_order[groups - start] = keys
+        self._group_keys = np.concatenate([self._group_keys, in_order])
+        if self._direct is not None:
+            self._direct[keys] = groups
+        else:
+            self._sorted_keys, self._sorted_groups = _sorted_insert(
+                self._sorted_keys, self._sorted_groups, keys, groups
+            )
+        codes[rows] = self._lookup(packed[rows])
+        return codes, new_first_rows
+
+    def _fit_radices(self) -> None:
+        """Grow the radix of every column whose codes outgrew it, re-pack
+        the known groups and rebuild the group table for the new radices."""
+        counts = [key.count for key in self._columns]
+        if all(count <= radix for count, radix in zip(counts, self._radices)):
+            return
+        per_group = self._unpack(self._group_keys)
+        self._radices = [
+            radix if count <= radix else max(count, 2 * radix)
+            for count, radix in zip(counts, self._radices)
+        ]
+        product = math.prod(self._radices)
+        if product >= int(_RADIX_LIMIT):
+            rows = zip(*(codes.tolist() for codes in per_group))
+            self._tuples = dict(zip(rows, itertools.count()))
+            return
+        self._group_keys = self._pack(per_group)
+        groups = np.arange(self.group_count, dtype=np.int64)
+        if product <= _DIRECT_GROUP_SLOTS:
+            self._direct = np.full(product, -1, dtype=np.int64)
+            self._direct[self._group_keys] = groups
+        else:
+            self._direct = None
+            order = np.argsort(self._group_keys)
+            self._sorted_keys = self._group_keys[order]
+            self._sorted_groups = groups[order]
+
+    def _pack(self, per_column: list[np.ndarray]) -> np.ndarray:
+        packed = per_column[0]
+        for codes, radix in zip(per_column[1:], self._radices[1:]):
+            packed = packed * radix + codes
+        return packed
+
+    def _unpack(self, packed: np.ndarray) -> list[np.ndarray]:
+        per_column = []
+        for radix in reversed(self._radices[1:]):
+            packed, codes = np.divmod(packed, radix)
+            per_column.append(codes)
+        per_column.append(packed)
+        return per_column[::-1]
+
+    def _lookup(self, packed: np.ndarray) -> np.ndarray:
+        """Group code per packed key, -1 where the group is new."""
+        if self._direct is not None:
+            return self._direct[packed]
+        table = self._sorted_keys
+        if not len(table):
+            return np.full(len(packed), -1, dtype=np.int64)
+        slots = np.minimum(np.searchsorted(table, packed), len(table) - 1)
+        return np.where(table[slots] == packed, self._sorted_groups[slots], -1)
 
 
 class JoinKeyTable:
@@ -417,10 +631,10 @@ class JoinKeyTable:
     for NULL or never-seen keys — so a whole probe batch resolves to build
     rows with array lookups and zero per-row tuple construction.
 
-    Unlike :func:`encode_group_keys`, the multi-column combine here never
-    re-densifies mid-stream (probe must replay the build side's exact radix
-    arithmetic); when the radix product would overflow int64, the combine
-    degrades to a dict over per-column code tuples instead.
+    The multi-column combine keeps the build side's radices (probe must
+    replay its exact radix arithmetic); when their product would overflow
+    int64, the combine degrades to a dict over per-column code tuples
+    instead.
     """
 
     def __init__(

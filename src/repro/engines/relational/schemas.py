@@ -8,6 +8,8 @@ run beside it, so both agree on naming and on what "the join key" means.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.common.expressions import BinaryOp, ColumnRef, Expression, split_conjuncts
 from repro.common.schema import Column, Schema
 from repro.common.types import DataType
@@ -65,9 +67,27 @@ def split_join_condition(
     return keys, residual
 
 
-def having_input_schema(schema: Schema, items: list, having_items: list = ()) -> Schema:
+def aggregate_type(aggregate: str, argument: DataType) -> DataType:
+    """The type of ``aggregate``'s result over an argument of type
+    ``argument`` (INTEGER for ``*``): what its accumulator returns."""
+    if aggregate == "count":
+        return DataType.INTEGER
+    if aggregate in ("min", "max"):
+        return argument
+    if aggregate == "sum" and argument in (DataType.INTEGER, DataType.BOOLEAN):
+        return DataType.INTEGER
+    return DataType.FLOAT
+
+
+def having_input_schema(
+    schema: Schema,
+    items: list,
+    having_items: list,
+    type_of: Callable[[Expression | None], DataType],
+) -> Schema:
     """Schema exposing output columns twice (alias and canonical name),
-    plus trailing columns for HAVING-only aggregates."""
+    plus trailing columns for HAVING-only aggregates; ``type_of`` types an
+    aggregate's argument."""
     canonical = []
     used = {c.name.lower() for c in schema.columns}
     for i, item in enumerate(items):
@@ -86,8 +106,7 @@ def having_input_schema(schema: Schema, items: list, having_items: list = ()) ->
         if name.lower() in used:
             name = f"__having_only_{j}__"
         used.add(name.lower())
-        dtype = DataType.INTEGER if item.aggregate == "count" else DataType.FLOAT
-        canonical.append(Column(name, dtype))
+        canonical.append(Column(name, aggregate_type(item.aggregate, type_of(item.expression))))
     return Schema(list(schema.columns) + canonical)
 
 

@@ -15,7 +15,7 @@ is the cure, and the only executor ``RelationalEngine`` runs:
   handed to the :class:`~repro.common.schema.Relation` as they are.  Values
   turn back into native Python only where rows are made: the result's
   ``rows`` view, and ``value_rows()`` / ``row()`` for sort, projected
-  expressions, group representatives and row-closure fallbacks.
+  expressions and row-closure fallbacks.
 * **Compile once, run per batch.**  Predicates, projections, join keys,
   group keys and sort keys are lowered once per plan node with
   :meth:`Expression.compile` into positional-tuple closures — no per-row
@@ -27,14 +27,14 @@ is the cure, and the only executor ``RelationalEngine`` runs:
   ``IN`` and ``LIKE`` between a dictionary-encoded TEXT column and
   constants join the same kernel: evaluated once per distinct string and
   broadcast through the codes.
-* **Key-encoded joins and group-bys.**  Join keys and grouping keys are
-  factorized once into dense int64 codes (:mod:`repro.common.keycodes`);
-  a hash join probes whole batches with ``np.take`` gathers over a CSR
-  layout of the build side — including left/right/full outer joins, which
-  track a matched-build bitmap and emit null-padded batches — and grouped
+* **Key-encoded joins and group-bys.**  Join keys and grouping keys map
+  to dense int64 codes (:mod:`repro.common.keycodes`); a hash join probes
+  whole batches with ``np.take`` gathers over a CSR layout of the build
+  side — including left/right/full outer joins, which track a
+  matched-build bitmap and emit null-padded batches — and grouped
   aggregation accumulates count/sum/avg/min/max per group with
-  ``np.bincount``/segmented reductions whose accumulation order matches
-  the row accumulators bit for bit.
+  ``np.bincount`` / ``ufunc.at`` folds whose accumulation order matches
+  the row accumulators bit for bit, and emits its groups as columns.
 * **Batched nested-loop joins for everything else.**  Cross, non-equi and
   keyless joins evaluate the whole condition over bounded slabs of the
   left x right cross product (same kernel / compiled closure as a filter).
@@ -72,6 +72,7 @@ from repro.common.vectors import (
     VECTOR_DTYPES,
     DictVector,
     NumericVector,
+    concat,
     null_mask,
     numeric_view,
     take,
@@ -99,6 +100,7 @@ from repro.engines.relational.planner import (
 )
 from repro.engines.relational.schemas import (
     DUAL_SCHEMA,
+    aggregate_type,
     dedupe,
     having_input_schema,
     qualified_schema,
@@ -415,8 +417,9 @@ class FilterKernel:
         self._fn = fn
         self._columns = tuple(columns.items())
 
-    def __call__(self, batch: ColumnBatch) -> np.ndarray:
-        length = len(batch)
+    def values(self, batch: ColumnBatch) -> tuple[Any, np.ndarray | None]:
+        """The expression's values over ``batch`` (unspecified at NULL
+        positions, maybe a scalar) and its null mask, None when NULL-free."""
         env: dict[int, Any] = {}
         for index, dtype in self._columns:
             column = batch.columns[index]
@@ -426,10 +429,13 @@ class FilterKernel:
                 env[index] = column
             else:
                 raise _KernelUnsupported("TEXT column is not dictionary-encoded")
-        vals, nulls = self._fn(env, np.ones(length, dtype=np.bool_))
+        return self._fn(env, np.ones(len(batch), dtype=np.bool_))
+
+    def __call__(self, batch: ColumnBatch) -> np.ndarray:
+        vals, nulls = self.values(batch)
         mask = _as_bool(vals)
         if mask.ndim == 0:
-            mask = np.full(length, bool(mask), dtype=np.bool_)
+            mask = np.full(len(batch), bool(mask), dtype=np.bool_)
         if nulls is not None:
             mask = mask & ~nulls
         return mask
@@ -472,6 +478,31 @@ class _PredicateRunner:
         return batch if mask.all() else batch.compress(mask)
 
 
+#: Kernel results a column can hold as they are.
+_RESULT_DTYPES = (np.dtype(np.float64), np.dtype(np.bool_))
+
+
+class _ExpressionRunner:
+    """Evaluates one expression over a batch into a column: the numpy
+    kernel first, the compiled row closure as the fallback, split like
+    :class:`_PredicateRunner`."""
+
+    def __init__(self, expression: Expression, schema: Schema) -> None:
+        self._kernel = compile_filter_kernel(expression, schema)
+        self._row_fn = _compile_or_defer(expression, schema)
+
+    def __call__(self, batch: ColumnBatch) -> Sequence[Any]:
+        if self._kernel is not None:
+            try:
+                values, nulls = self._kernel.values(batch)
+            except (_KernelUnsupported, TypeError, OverflowError):
+                pass  # fall back; the row path reproduces exact semantics
+            else:
+                if np.ndim(values) == 1 and values.dtype in _RESULT_DTYPES:
+                    return NumericVector(values, nulls)
+        return [self._row_fn(row) for row in batch.value_rows()]
+
+
 _FAST_AGGREGATES = ("count", "sum", "avg", "min", "max")
 
 
@@ -484,6 +515,17 @@ def _abs_peak(ints: np.ndarray) -> int:
 def _has_negative_zero(floats: np.ndarray) -> bool:
     zeros = floats == 0.0
     return bool(zeros.any()) and bool(np.signbit(floats[zeros]).any())
+
+
+def _extreme_identity(name: str, dtype: Any) -> Any:
+    """The value MIN (or MAX) over ``dtype`` starts from: no value of the
+    dtype is above (below) it."""
+    if dtype is np.float64:
+        return np.inf if name == "min" else -np.inf
+    if dtype is np.bool_:
+        return name == "min"
+    info = np.iinfo(dtype)
+    return info.max if name == "min" else info.min
 
 
 def _fold_vector(name: str, total: Any, present: np.ndarray) -> Any:
@@ -1012,83 +1054,110 @@ class BatchExecutor:
         # index range; their values feed the predicate, never the output.
         extra_offset = len(node.items)
         agg_items += [(extra_offset + j, item) for j, item in enumerate(having_items)]
-        fast = self._fast_aggregate_plan(node, child_schema, agg_items)
-        first_values: tuple[Any, ...] | None = None
-        rep_cols: list[int] | None = None
-        if fast is not None:
-            results, saw_rows, first_values = self._run_fast_aggregates(batches, fast)
-            groups_out: list[tuple[tuple, dict[int, Any], tuple | None]] = []
-            if saw_rows or not node.group_by:
-                groups_out.append(((), results, first_values))
-        else:
-            grouped_plan = self._vector_group_plan(node, child_schema, agg_items)
-            if grouped_plan is not None:
-                rep_cols = self._representative_columns(node, child_schema)
-                if rep_cols is not None:
-                    self._engine.record_representative_prune(
-                        len(child_schema.columns) - len(rep_cols)
-                    )
-                groups_out, first_values = self._run_streaming_grouped(
-                    node, child_schema, batches, grouped_plan, agg_items, rep_cols
-                )
-            else:
-                self._engine.record_groupby("row", 0)
-                groups_out, first_values = self._fold_grouped_rows(
-                    node, child_schema, batches, agg_items
-                )
+        # The output types read the first input row, so the first non-empty
+        # batch is pulled now; the aggregation runs when the result is.
+        batches = iter(batches)
+        first = next((batch for batch in batches if len(batch)), None)
+        first_values = None if first is None else first.row(0)
+        if first is not None:
+            batches = itertools.chain([first], batches)
+
+        def type_of(expression: Expression | None) -> DataType:
+            return self._expression_type(expression, child_schema, first_values)
+
         # Output schema: mirrors the row executor exactly.
-        columns = []
-        for item in node.items:
-            if item.aggregate:
-                dtype = DataType.INTEGER if item.aggregate == "count" else DataType.FLOAT
-                columns.append(Column(item.output_name, dtype))
-            else:
-                dtype = self._expression_type(item.expression, child_schema, first_values)
-                columns.append(Column(item.output_name, dtype))
-        schema = Schema(dedupe(columns))
-        having_schema = having_input_schema(schema, node.items, having_items)
-        having = (
-            _compile_predicate_or_defer(node.having, having_schema)
-            if node.having is not None
-            else None
+        schema = Schema(
+            dedupe(
+                [
+                    Column(
+                        item.output_name,
+                        aggregate_type(item.aggregate, type_of(item.expression))
+                        if item.aggregate
+                        else type_of(item.expression),
+                    )
+                    for item in node.items
+                ]
+            )
         )
+        having_schema = having_input_schema(schema, node.items, having_items, type_of)
+        having = (
+            None if node.having is None else _PredicateRunner(node.having, having_schema)
+        )
+        fast = self._fast_aggregate_plan(node, child_schema, agg_items)
+        grouped_plan = (
+            None if fast is not None else self._vector_group_plan(node, child_schema, agg_items)
+        )
+        rep_cols = None
+        if grouped_plan is not None:
+            rep_cols = self._representative_columns(node, child_schema)
+            if rep_cols is not None:
+                self._engine.record_representative_prune(
+                    len(child_schema.columns) - len(rep_cols)
+                )
         rep_schema = (
             child_schema
             if rep_cols is None
             else Schema([child_schema.columns[i] for i in rep_cols])
         )
-        item_fns: dict[int, Any] = {}
-        for i, item in enumerate(node.items):
-            if not item.aggregate:
-                item_fns[i] = _compile_or_defer(item.expression, rep_schema)
 
         def generate() -> Iterator[ColumnBatch]:
-            out_rows: list[tuple[Any, ...]] = []
-            for _key, accumulators, representative in groups_out:
-                values: list[Any] = []
-                for i, item in enumerate(node.items):
-                    if item.aggregate:
-                        result = accumulators[i]
-                        values.append(result.result() if hasattr(result, "result") else result)
-                    elif representative is None:
-                        values.append(None)
-                    else:
-                        values.append(item_fns[i](representative))
-                out = tuple(values)
-                if having is not None:
-                    extra: list[Any] = []
-                    for j in range(len(having_items)):
-                        result = accumulators[extra_offset + j]
-                        extra.append(
-                            result.result() if hasattr(result, "result") else result
-                        )
-                    if not having(out + out + tuple(extra)):
-                        continue
-                out_rows.append(out)
-            if out_rows:
-                yield ColumnBatch.from_value_rows(schema, out_rows)
+            if fast is not None:
+                results = self._run_fast_aggregates(batches, fast)
+                count, agg_columns, rep_columns = 1, {i: [results[i]] for i in results}, None
+            elif grouped_plan is not None:
+                count, agg_columns, rep_columns = self._run_streaming_grouped(
+                    node, child_schema, batches, grouped_plan, agg_items, rep_cols
+                )
+            else:
+                self._engine.record_groupby("row", 0)
+                count, agg_columns, rep_columns = self._columns_of_groups(
+                    self._fold_grouped_rows(node, child_schema, batches, agg_items), agg_items
+                )
+            if not count:
+                return
+            out_columns: list[Any] = []
+            for i, item in enumerate(node.items):
+                if item.aggregate:
+                    out_columns.append(agg_columns[i])
+                elif rep_columns is None:
+                    # The one group of a global aggregate over no rows.
+                    out_columns.append([None] * count)
+                elif isinstance(item.expression, ColumnRef) and rep_schema.has_column(
+                    item.expression.name
+                ):
+                    out_columns.append(rep_columns[rep_schema.index_of(item.expression.name)])
+                else:
+                    runner = _ExpressionRunner(item.expression, rep_schema)
+                    out_columns.append(runner(ColumnBatch(rep_schema, rep_columns, count)))
+            out = ColumnBatch(schema, out_columns, count)
+            if having is not None:
+                # HAVING reads each output by alias and by canonical name,
+                # then the HAVING-only aggregates.
+                extra = [agg_columns[extra_offset + j] for j in range(len(having_items))]
+                out = out.compress(
+                    having.mask(
+                        ColumnBatch(having_schema, out_columns + out_columns + extra, count)
+                    )
+                )
+            if len(out):
+                yield out
 
         return schema, generate()
+
+    @staticmethod
+    def _columns_of_groups(
+        groups: list[tuple[tuple, dict[int, Any], tuple | None]], agg_items: list
+    ) -> tuple[int, dict[int, list[Any]], list[Sequence[Any]] | None]:
+        """The row fold's groups in the stream path's output shape: the
+        group count, one result column per aggregate, and the
+        representative columns (None for a global aggregate over no rows)."""
+        agg_columns = {
+            i: [accumulators[i].result() for _key, accumulators, _rep in groups]
+            for i, _item in agg_items
+        }
+        if groups and groups[0][2] is None:
+            return len(groups), agg_columns, None
+        return len(groups), agg_columns, list(zip(*(rep for _key, _acc, rep in groups)))
 
     @staticmethod
     def _representative_columns(
@@ -1161,17 +1230,10 @@ class BatchExecutor:
     @staticmethod
     def _run_fast_aggregates(
         batches: Iterator[ColumnBatch], plan: list[tuple[int, str, int | None]]
-    ) -> tuple[dict[int, Any], bool, tuple[Any, ...] | None]:
+    ) -> dict[int, Any]:
         counts = {i: 0 for i, _name, _col in plan}
         totals: dict[int, Any] = {i: None for i, _name, _col in plan}
-        saw_rows = False
-        first_values: tuple[Any, ...] | None = None
         for batch in batches:
-            if len(batch) == 0:
-                continue
-            if not saw_rows:
-                first_values = batch.row(0)
-                saw_rows = True
             for i, name, col_index in plan:
                 if name == "count_star":
                     counts[i] += len(batch)
@@ -1219,7 +1281,7 @@ class BatchExecutor:
                 results[i] = None if counts[i] == 0 else totals[i]
             else:
                 results[i] = totals[i]
-        return results, saw_rows, first_values
+        return results
 
     @staticmethod
     def _reject_nan(column: Sequence[Any], reason: str) -> None:
@@ -1241,7 +1303,7 @@ class BatchExecutor:
         TEXT keys use the dict-based encoder), and every aggregate is a
         non-distinct count/sum/avg/min/max over a bare column (or ``*``);
         sum/avg/min/max additionally need a fixed-width numeric column so
-        the segmented numpy reductions apply.
+        the numpy folds apply.
         """
         if not node.group_by:
             return None
@@ -1275,16 +1337,20 @@ class BatchExecutor:
         plan: list[tuple[int, str, int | None]],
         agg_items: list,
         rep_cols: list[int] | None = None,
-    ) -> tuple[list[tuple[tuple, dict[int, Any], tuple | None]], tuple[Any, ...] | None]:
+    ) -> tuple[int, dict[int, Sequence[Any]], list[Sequence[Any]]]:
         """Streaming two-pass group-by: encode per batch, merge partials.
 
-        Each batch's grouping keys are factorized locally and mapped through
-        a shared :class:`~repro.common.keycodes.IncrementalGroupEncoder`
-        dictionary, and its values fold into per-group accumulator arrays
-        (:class:`_StreamingGroupAggregator`) — so peak resident rows are
-        O(batch_size + groups) instead of the whole input, while per-group
-        accumulation order stays strictly sequential in row order (the
-        bit-for-bit parity contract with the row executor's accumulators).
+        Each batch's grouping keys map through a shared
+        :class:`~repro.common.keycodes.IncrementalGroupEncoder` (numpy
+        dictionaries that persist across batches), and its values fold into
+        per-group accumulator arrays (:class:`_StreamingGroupAggregator`) —
+        so peak resident rows are O(batch_size + groups) instead of the
+        whole input, while per-group accumulation order stays strictly
+        sequential in row order (the bit-for-bit parity contract with the
+        row executor's accumulators).  A batch's new groups leave their
+        representative values as one gather per kept column; the result is
+        the group count, one column per aggregate and the representative
+        columns, in group-code order, with no value per group in Python.
 
         Shapes the vector kernels cannot reproduce faithfully (NaN grouping
         keys, NaN in MIN/MAX, int64 overflow risk) are detected *before* a
@@ -1297,9 +1363,10 @@ class BatchExecutor:
         float_keys = [
             i for i in key_indices if child_schema.columns[i].dtype is DataType.FLOAT
         ]
+        kept = range(len(child_schema.columns)) if rep_cols is None else rep_cols
         encoder = IncrementalGroupEncoder(key_dtypes)
-        representatives: list[tuple[Any, ...]] = []
-        first_values: tuple[Any, ...] | None = None
+        #: Per kept column, the representatives each batch's new groups gathered.
+        rep_parts: list[list[Any]] = [[] for _ in kept]
         peak = 0
         iterator = iter(batches)
         state = _StreamingGroupAggregator(plan, child_schema)
@@ -1308,42 +1375,34 @@ class BatchExecutor:
             if n == 0:
                 continue
             columns = batch.columns
-            if first_values is None:
-                first_values = batch.row(0)
             try:
                 for index in float_keys:
                     self._reject_nan(columns[index], "NaN grouping key")
                 prepared = state.prepare(columns, n)
             except _KernelUnsupported:
-                groups_out = self._degrade_streaming(
+                groups = self._degrade_streaming(
                     node,
                     child_schema,
                     agg_items,
                     state,
                     key_indices,
-                    representatives,
+                    [concat(parts) for parts in rep_parts] if encoder.group_count else [],
                     itertools.chain([batch], iterator),
                     rep_cols,
                 )
                 self._engine.record_groupby("stream_degraded", peak)
-                return groups_out, first_values
+                return self._columns_of_groups(groups, agg_items)
             codes, new_first_rows = encoder.encode_batch(
                 [columns[i] for i in key_indices]
             )
             if new_first_rows.size:
-                kept = columns if rep_cols is None else [columns[i] for i in rep_cols]
-                representatives.extend(
-                    zip(*(to_list(take(column, new_first_rows)) for column in kept))
-                )
+                for parts, index in zip(rep_parts, kept):
+                    parts.append(take(columns[index], new_first_rows))
             state.accumulate(codes, prepared, encoder.group_count)
             peak = max(peak, n + encoder.group_count)
-        per_item = state.results()
-        groups_out = [
-            ((), {i: per_item[i][g] for i, _name, _col in plan}, representatives[g])
-            for g in range(encoder.group_count)
-        ]
         self._engine.record_groupby("stream", peak)
-        return groups_out, first_values
+        rep_columns = [concat(parts) if parts else [] for parts in rep_parts]
+        return encoder.group_count, state.results(), rep_columns
 
     def _degrade_streaming(
         self,
@@ -1352,7 +1411,7 @@ class BatchExecutor:
         agg_items: list,
         state: "_StreamingGroupAggregator",
         key_indices: list[int],
-        representatives: list[tuple[Any, ...]],
+        rep_columns: list[Sequence[Any]],
         remaining: Iterator[ColumnBatch],
         rep_cols: list[int] | None = None,
     ) -> list[tuple[tuple, dict[int, Any], tuple | None]]:
@@ -1362,7 +1421,8 @@ class BatchExecutor:
         accumulators (every already-consumed row was folded in strictly
         sequential order, so the seeded state is exactly what the row path
         would hold at this point); the tripping batch and everything after
-        it then fold per row.
+        it then fold per row.  The gathered representative columns turn
+        into row tuples here, once.
         """
         items_by_index = dict(agg_items)
         groups: dict[tuple, dict[int, Any]] = {}
@@ -1372,14 +1432,14 @@ class BatchExecutor:
         else:
             positions = {col: pos for pos, col in enumerate(rep_cols)}
             key_positions = [positions[i] for i in key_indices]
+        representatives = zip(*(to_list(column) for column in rep_columns))
         for code, repr_values in enumerate(representatives):
             key = tuple(repr_values[i] for i in key_positions)
             groups[key] = state.seeded_accumulators(code, items_by_index)
             group_reprs[key] = repr_values
-        out, _first = self._fold_grouped_rows(
+        return self._fold_grouped_rows(
             node, child_schema, remaining, agg_items, groups, group_reprs, rep_cols
         )
-        return out
 
     def _fold_grouped_rows(
         self,
@@ -1390,7 +1450,7 @@ class BatchExecutor:
         groups: dict[tuple, dict[int, Any]] | None = None,
         group_reprs: dict[tuple, tuple[Any, ...]] | None = None,
         rep_cols: list[int] | None = None,
-    ) -> tuple[list[tuple[tuple, dict[int, Any], tuple | None]], tuple[Any, ...] | None]:
+    ) -> list[tuple[tuple, dict[int, Any], tuple | None]]:
         group_fns = [_compile_or_defer(expr, child_schema) for expr in node.group_by]
         agg_fns: dict[int, Any] = {}
         for i, item in agg_items:
@@ -1400,11 +1460,8 @@ class BatchExecutor:
             groups = {}
         if group_reprs is None:
             group_reprs = {}
-        first_values: tuple[Any, ...] | None = None
         for batch in batches:
             for values in batch.value_rows():
-                if first_values is None:
-                    first_values = values
                 key = tuple(fn(values) for fn in group_fns)
                 accumulators = groups.get(key)
                 if accumulators is None:
@@ -1435,8 +1492,7 @@ class BatchExecutor:
                 for i, item in agg_items
             }
             group_reprs[()] = None  # type: ignore[assignment]
-        out = [(key, accs, group_reprs[key]) for key, accs in groups.items()]
-        return out, first_values
+        return [(key, accs, group_reprs[key]) for key, accs in groups.items()]
 
     def _sort_stream(self, node: SortNode) -> tuple[Schema, Iterator[ColumnBatch]]:
         schema, batches = self.stream(node.child)
@@ -1522,8 +1578,13 @@ class _StreamingGroupAggregator:
       differently);
     * integer SUM uses ``np.add.at`` (unbuffered, in input order) with a
       conservative overflow guard that trips *before* a batch is folded;
-    * COUNT merges with plain bincount addition and MIN/MAX with segmented
-      reductions — both order-insensitive (NaN is rejected up front).
+    * COUNT merges with plain bincount addition, and MIN/MAX fold each batch
+      into the running extremes with ``np.minimum.at`` / ``np.maximum.at``
+      (the extremes start at the dtype's identity) — both order-insensitive,
+      as NaN and ``-0.0`` are rejected up front.
+
+    :meth:`results` hands each aggregate back as one column, indexed by
+    group code.
     """
 
     def __init__(
@@ -1551,6 +1612,7 @@ class _StreamingGroupAggregator:
                     st["acc"] = np.zeros(0, dtype=np.float64)
                     st["sizes"] = np.zeros(0, dtype=np.int64)
                 else:  # min / max
+                    st["fill"] = _extreme_identity(name, dtype)
                     st["vals"] = np.zeros(0, dtype=dtype)
                     st["has"] = np.zeros(0, dtype=np.bool_)
             self._state[i] = st
@@ -1649,24 +1711,10 @@ class _StreamingGroupAggregator:
                         st["abs_max"], int(np.abs(st["acc"][:size]).max())
                     )
                 continue
-            # min / max: per-batch segmented reduction, then an
-            # order-insensitive merge into the running extremes.
-            if not sub.size:
-                continue
-            vals = values[present]
-            order = np.argsort(sub, kind="stable")
-            seg_codes = sub[order]
-            seg_vals = vals[order]
-            seg_starts = np.flatnonzero(
-                np.concatenate(([True], seg_codes[1:] != seg_codes[:-1]))
-            )
+            # min / max: fold straight into the running extremes.
             reducer = np.minimum if name == "min" else np.maximum
-            reduced = reducer.reduceat(seg_vals, seg_starts)
-            idx = seg_codes[seg_starts]
-            current = st["vals"][idx]
-            merged = np.where(st["has"][idx], reducer(current, reduced), reduced)
-            st["vals"][idx] = merged
-            st["has"][idx] = True
+            reducer.at(st["vals"], sub, values[present])
+            st["has"][sub] = True
 
     def _ensure(self, group_count: int) -> None:
         self._size = group_count
@@ -1677,40 +1725,37 @@ class _StreamingGroupAggregator:
             for key in ("counts", "acc", "sizes", "vals", "has"):
                 if key in st:
                     old = st[key]
-                    grown = np.zeros(cap, dtype=old.dtype)
+                    fill = st["fill"] if key == "vals" else 0
+                    grown = np.full(cap, fill, dtype=old.dtype)
                     grown[: len(old)] = old
                     st[key] = grown
         self._cap = cap
 
     # ---------------------------------------------------------------- results
-    def results(self) -> dict[int, list[Any]]:
-        """Per-item result lists indexed by global group code (Python
-        scalars, matching the row accumulators' output types)."""
+    def results(self) -> dict[int, NumericVector]:
+        """Per-item result columns indexed by global group code, NULL where
+        the row accumulator would hold None (native values on the way out,
+        like every vector)."""
         size = self._size
-        out: dict[int, list[Any]] = {}
+        out: dict[int, NumericVector] = {}
         for i, name, _col in self._plan:
             st = self._state[i]
             if name in ("count_star", "count"):
-                out[i] = st["counts"][:size].tolist()
-            elif name in ("sum", "avg"):
-                totals = st["acc"][:size].tolist()
-                sizes = st["sizes"][:size].tolist()
+                out[i] = NumericVector(st["counts"][:size])
+                continue
+            if name in ("sum", "avg"):
+                totals = st["acc"][:size]
+                sizes = st["sizes"][:size]
                 if name == "avg":
-                    out[i] = [
-                        None if count == 0 else total / count
-                        for total, count in zip(totals, sizes)
-                    ]
-                else:
-                    out[i] = [
-                        None if count == 0 else total
-                        for total, count in zip(totals, sizes)
-                    ]
+                    # float / int, as the accumulator divides; empty groups
+                    # are NULL, so their 0 / 0 never surfaces.
+                    with np.errstate(divide="ignore", invalid="ignore"):
+                        totals = totals / sizes
+                nulls = sizes == 0
             else:
-                values = st["vals"][:size].tolist()
-                present = st["has"][:size].tolist()
-                out[i] = [
-                    value if has else None for value, has in zip(values, present)
-                ]
+                totals = st["vals"][:size]
+                nulls = ~st["has"][:size]
+            out[i] = NumericVector(totals, nulls if nulls.any() else None)
         return out
 
     def seeded_accumulators(self, code: int, items_by_index: dict) -> dict[int, Any]:

@@ -48,9 +48,9 @@ def assert_matches_reference(engine: RelationalEngine, sql: str) -> Relation:
     try:
         expected_bytes = codec.encode(expected)
     except (ValueError, OverflowError):
-        # A known inference quirk (min over TEXT typed FLOAT) and integers
-        # beyond int64 make a few results unencodable on every path; values
-        # were compared above.
+        # A SUM over TEXT (the accumulator concatenates; the result is
+        # typed FLOAT) and integers beyond int64 make a few results
+        # unencodable on every path; values were compared above.
         return actual
     assert codec.encode(actual) == expected_bytes, sql
     return actual

@@ -36,6 +36,7 @@ from repro.engines.relational.planner import (
 )
 from repro.engines.relational.schemas import (
     DUAL_SCHEMA,
+    aggregate_type,
     dedupe,
     having_input_schema,
     qualified_schema,
@@ -270,15 +271,15 @@ class Executor:
         columns = []
         for item in node.items:
             if item.aggregate:
-                dtype = DataType.FLOAT if item.aggregate in ("avg", "stddev") else DataType.FLOAT
-                if item.aggregate == "count":
-                    dtype = DataType.INTEGER
-                columns.append(Column(item.output_name, dtype))
+                argument = self._expression_type(item.expression, child)
+                columns.append(Column(item.output_name, aggregate_type(item.aggregate, argument)))
             else:
                 dtype = self._expression_type(item.expression, child)
                 columns.append(Column(item.output_name, dtype))
         schema = Schema(dedupe(columns))
-        having_schema = having_input_schema(schema, node.items, having_items)
+        having_schema = having_input_schema(
+            schema, node.items, having_items, lambda e: self._expression_type(e, child)
+        )
         out: list[Row] = []
         for key, accumulators in groups.items():
             values: list[Any] = []

@@ -11,8 +11,10 @@ its scan and export hot paths.
 from __future__ import annotations
 
 import math
+import sys
 from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,7 +34,8 @@ from repro.common.serialization import BinaryCodec
 from repro.common.types import DataType
 from repro.engines.relational import RelationalEngine
 from repro.common.errors import TypeMismatchError
-from repro.common.vectors import vector_from_values
+from repro.common.keycodes import IncrementalGroupEncoder
+from repro.common.vectors import DictVector, NumericVector, vector_from_values
 from repro.engines.relational.vectorized import (
     DEFAULT_BATCH_ROWS,
     _KernelUnsupported,
@@ -968,3 +971,228 @@ class TestRuntimeMetrics:
             assert not hasattr(runtime, "set_relational_execution_mode")
         finally:
             runtime.shutdown()
+
+
+# ------------------------------------------------------- streaming group-by
+_GROUP_KEYS = ("i", "f", "s", "b")
+_GROUP_FLOATS = st.sampled_from([0.0, -0.0, 1.5, -2.0])
+_GROUP_VALUES = st.none() | st.sampled_from([0.5, 1.0, -3.0, 2.25])
+_GROUP_HAVING = [None, "count(*) > 1", "sum(w) >= 0", "max(v) > 0.5 OR min(w) < 0"]
+
+
+@st.composite
+def _group_by_cases(draw):
+    """A table whose early rows repeat a few keys and whose late rows bring
+    keys no earlier row has (ints past int64 in some draws), a grouped
+    query over 1-3 of its key columns, and a batch size."""
+    big = draw(st.booleans())
+    early = st.tuples(
+        st.none() | st.integers(-2, 2),
+        st.none() | _GROUP_FLOATS,
+        st.none() | st.sampled_from(["a", "b", "c"]),
+        st.none() | st.booleans(),
+        _GROUP_VALUES,
+        st.none() | st.integers(-5, 5),
+    )
+    late_ints = [10, 11] + ([2**63, -(2**63) - 1] if big else [])
+    late = st.tuples(
+        st.sampled_from(late_ints),
+        st.none() | st.sampled_from([7.5, -0.0]),
+        st.sampled_from(["x", "y"]),
+        st.none() | st.booleans(),
+        _GROUP_VALUES,
+        st.none() | st.integers(-5, 5),
+    )
+    rows = draw(st.lists(early, min_size=1, max_size=14)) + draw(st.lists(late, max_size=6))
+    nan = draw(st.integers(0, 4)) == 0
+    if nan:
+        # A NaN in the MIN/MAX column, after the rows before it streamed.
+        rows.append((draw(st.integers(-2, 2)), 1.5, "a", True, float("nan"), 1))
+    keys = draw(st.lists(st.sampled_from(_GROUP_KEYS), min_size=1, max_size=3, unique=True))
+    having = draw(st.sampled_from(_GROUP_HAVING))
+    return rows, keys, having, nan, draw(st.sampled_from([1, 3, 7, 4096]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_group_by_cases())
+def test_cross_batch_group_by_matches_reference(assert_matches_reference, case):
+    """Groups that span batches, first appear in a late batch, or have NULL,
+    signed-zero, past-int64 or boolean keys come out of the streaming
+    group-by as from the reference: values, order, types and bytes — also
+    when a NaN hands the stream to the row accumulators mid-way."""
+    rows, keys, having, nan, batch_rows = case
+    e = RelationalEngine("groups")
+    e.parallelism = 1
+    e._batch_executor._batch_rows = batch_rows
+    e.execute("CREATE TABLE t (i INTEGER, f FLOAT, s TEXT, b BOOLEAN, v FLOAT, w INTEGER)")
+    e.insert_rows("t", rows)
+    key_list = ", ".join(keys)
+    sql = (
+        f"SELECT {key_list}, count(*) AS n, count(v) AS cv, sum(v) AS sv, avg(w) AS aw, "
+        f"sum(w) AS sw, min(v) AS lo, max(w) AS hw FROM t GROUP BY {key_list}"
+    )
+    if having is not None:
+        sql += f" HAVING {having}"
+    assert_matches_reference(e, sql)
+    assert set(e.groupby_paths) == ({"stream_degraded"} if nan else {"stream"})
+
+
+@pytest.mark.parametrize("batch_rows", [3, None])
+def test_grouped_computed_items_match_reference(assert_matches_reference, batch_rows):
+    """A computed SELECT item over the group representatives runs its numpy
+    kernel where it has one (the column stays a vector) and the row closure
+    where it has none."""
+    e = make_engine(batch_rows=batch_rows)
+    result = assert_matches_reference(
+        e,
+        "SELECT grp, value * 2 AS twice, value > 10 AS big, upper(grp) AS g, "
+        "count(*) AS n FROM events GROUP BY grp, value HAVING count(*) >= 1",
+    )
+    assert isinstance(result.column_vector(1), NumericVector)
+    assert isinstance(result.column_vector(2), NumericVector)
+    assert e.groupby_paths == {"stream": 1}
+
+
+def _encoded_like_a_dict(encoder: IncrementalGroupEncoder, batches: list) -> None:
+    """Feed ``batches`` (each a list of key columns) to ``encoder`` and check
+    it numbers keys as a dict of key tuples does: by first appearance, with
+    Python equality, stable across batches."""
+    model: dict[tuple, int] = {}
+    for columns in batches:
+        expected, firsts = [], []
+        for row, key in enumerate(zip(*(list(column) for column in columns))):
+            if key not in model:
+                model[key] = len(model)
+                firsts.append(row)
+            expected.append(model[key])
+        codes, new_first_rows = encoder.encode_batch(columns)
+        assert codes.tolist() == expected
+        assert new_first_rows.tolist() == firsts
+        assert encoder.group_count == len(model)
+
+
+_ENCODER_KINDS = {
+    "int": (DataType.INTEGER, st.none() | st.integers(-3, 3) | st.sampled_from([2**63, -(2**64)])),
+    "float": (DataType.FLOAT, st.none() | _GROUP_FLOATS | st.sampled_from([math.inf, -math.inf])),
+    "bool": (DataType.BOOLEAN, st.none() | st.booleans()),
+    "text": (DataType.TEXT, st.none() | st.sampled_from(["a", "b", "", "é"])),
+    "time": (DataType.TIMESTAMP, st.none() | st.integers(0, 2).map(lambda h: _T0 + timedelta(hours=h))),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_group_encoder_numbers_keys_like_a_dict(data):
+    """Every column kind — typed vectors, object arrays, plain lists, a new
+    TEXT dictionary per batch — and kind changes mid-stream (an INTEGER
+    column meeting a value past int64) keep one numbering."""
+    kinds = data.draw(st.lists(st.sampled_from(sorted(_ENCODER_KINDS)), min_size=1, max_size=3))
+    encoder = IncrementalGroupEncoder([_ENCODER_KINDS[kind][0] for kind in kinds])
+    batches = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        rows = data.draw(
+            st.lists(st.tuples(*(_ENCODER_KINDS[kind][1] for kind in kinds)), min_size=1, max_size=9)
+        )
+        columns = []
+        for kind, values in zip(kinds, zip(*rows)):
+            values = list(values)
+            typed = data.draw(st.booleans())
+            columns.append(vector_from_values(values, _ENCODER_KINDS[kind][0]) if typed else values)
+        batches.append(columns)
+    _encoded_like_a_dict(encoder, batches)
+
+
+class TestIncrementalGroupEncoder:
+    def test_wide_key_products_leave_the_direct_table(self):
+        """Past the direct-address limit the groups sit in a sorted table,
+        and the codes do not change."""
+        side = 300  # 300 x 300 packed slots > _DIRECT_GROUP_SLOTS
+        first = [list(range(side)), [f"k{i}" for i in range(side)]]
+        second = [list(range(side - 5, 2 * side)), [f"k{i}" for i in range(side - 5, 2 * side)]]
+        encoder = IncrementalGroupEncoder([DataType.INTEGER, DataType.TEXT])
+        _encoded_like_a_dict(encoder, [first, second, first])
+        assert encoder._direct is None and encoder._tuples is None
+
+    def test_radix_products_past_int64_fall_back_to_code_tuples(self):
+        width, distinct = 7, 512  # 512 ** 7 = 2 ** 63 packed slots
+        base = [[(row * (c + 1)) % distinct for row in range(distinct)] for c in range(width)]
+        encoder = IncrementalGroupEncoder([DataType.INTEGER] * width)
+        late = [column[:3] + [distinct + c] for c, column in enumerate(base)]
+        _encoded_like_a_dict(encoder, [base, late, base])
+        assert encoder._tuples is not None
+
+    def test_python_work_does_not_grow_with_keys(self):
+        """One 4,096-row (INTEGER, dictionary TEXT) batch makes about as many
+        Python-level calls with 4,096 distinct keys as with 8."""
+        rows = np.arange(4096)
+        dictionary = np.array([f"t{i}" for i in range(8)] + [None], dtype=object)
+        text = DictVector((rows % 8).astype(np.int32), dictionary)
+
+        def profiled_calls(distinct: int) -> int:
+            encoder = IncrementalGroupEncoder([DataType.INTEGER, DataType.TEXT])
+            ints = NumericVector(rows % distinct)
+            calls = 0
+
+            def profile(frame, event, arg):
+                nonlocal calls
+                calls += event in ("call", "c_call")
+
+            sys.setprofile(profile)
+            try:
+                encoder.encode_batch([ints, text])
+            finally:
+                sys.setprofile(None)
+            assert encoder.group_count == distinct
+            return calls
+
+        few, many = profiled_calls(8), profiled_calls(4096)
+        assert many <= 2 * few, (few, many)
+
+
+class TestAggregateOutputTypes:
+    """An aggregate's output column has the type its values have: count is
+    INTEGER, avg FLOAT, sum INTEGER over INTEGER/BOOLEAN and FLOAT
+    otherwise, min/max the argument's type."""
+
+    @pytest.fixture
+    def bigdawg(self):
+        from repro.core.bigdawg import BigDawg
+
+        bigdawg = BigDawg()
+        engine = RelationalEngine("postgres")
+        bigdawg.add_engine(engine, islands=["relational"])
+        engine.execute("CREATE TABLE t (g INTEGER, s TEXT, v INTEGER, f FLOAT, b BOOLEAN)")
+        engine.insert_rows(
+            "t", [(i % 3, f"s{i}", i, i / 4, i % 2 == 0) for i in range(10)]
+        )
+        bigdawg.catalog.register_object("t", "postgres", "table", replace=True)
+        return bigdawg
+
+    QUERY = (
+        "SELECT g, max(s) AS ms, min(f) AS lf, sum(v) AS sv, sum(f) AS sf, sum(b) AS sb, "
+        "avg(v) AS av, count(*) AS n FROM t GROUP BY g"
+    )
+
+    def test_schema_follows_the_values(self, bigdawg, assert_matches_reference):
+        engine = bigdawg.engine("postgres")
+        result = assert_matches_reference(engine, self.QUERY)
+        assert [c.dtype for c in result.schema] == [
+            DataType.INTEGER, DataType.TEXT, DataType.FLOAT, DataType.INTEGER,
+            DataType.FLOAT, DataType.INTEGER, DataType.FLOAT, DataType.INTEGER,
+        ]
+        assert values_of(result)[0][:4] == (0, "s9", 0.0, 18)
+        having = "SELECT g, count(*) AS n FROM t GROUP BY g HAVING max(s) > 's7' AND sum(v) > 12"
+        assert values_of(assert_matches_reference(engine, having)) == [(0, 4), (2, 3)]
+
+    def test_with_binding_keeps_the_values(self, bigdawg):
+        direct = values_of(bigdawg.execute(f"RELATIONAL({self.QUERY})"))
+        bound = bigdawg.execute(f"WITH x = RELATIONAL({self.QUERY}) RELATIONAL(SELECT * FROM x)")
+        assert values_of(bound) == direct
+        assert [type(v) for v in values_of(bound)[0][:4]] == [int, str, float, int]
+
+    def test_codec_round_trip_keeps_the_values(self, bigdawg):
+        result = bigdawg.engine("postgres").execute(self.QUERY)
+        codec = BinaryCodec()
+        decoded = codec.decode(codec.encode(result), result.schema)
+        assert values_of(decoded) == values_of(result)
+        assert [type(v) for v in values_of(decoded)[0]] == [int, str, float, int, float, int, float, int]
