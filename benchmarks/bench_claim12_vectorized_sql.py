@@ -397,6 +397,78 @@ def test_streaming_groupby_bounds_peak_resident_rows(name, query):
     )
 
 
+#: Rows of the all-distinct group-by: every row is its own group, far past
+#: the key dictionary's sorted-table limit, so how the dictionary grows
+#: over a long stream is what this times.
+DISTINCT_GROUPS = 100_000 if SMOKE else 1_000_000
+DISTINCT_QUERY = "SELECT k, count(*) AS n, sum(v) AS s FROM dtab GROUP BY k"
+
+
+def build_distinct_engine(dtype: str) -> RelationalEngine:
+    """One FLOAT key, or one INTEGER key spread far past a direct-address
+    span, with DISTINCT_GROUPS distinct values in shuffled order."""
+    keys = list(range(DISTINCT_GROUPS))
+    random.Random(11).shuffle(keys)
+    engine = RelationalEngine("bench_distinct")
+    engine.execute(f"CREATE TABLE dtab (k {dtype}, v FLOAT)")
+    engine.insert_rows(
+        "dtab",
+        [
+            (k / 7.0 if dtype == "FLOAT" else k * 1_000_003, float(i % 13))
+            for i, k in enumerate(keys)
+        ],
+    )
+    return engine
+
+
+@pytest.mark.parametrize("dtype", ["FLOAT", "INTEGER"])
+def test_streaming_groupby_all_distinct_keys(dtype):
+    """A million-key group-by streams: byte-identical to the reference,
+    O(batch + groups) peak resident rows, and at the same floor over the
+    row executor as the high-cardinality case, so the key dictionary's
+    cost stays O(rows) rather than a table copy per batch."""
+    from repro.engines.relational.vectorized import DEFAULT_BATCH_ROWS
+
+    engine = build_distinct_engine(dtype)
+    engine.parallelism = 1
+    stream_seconds, stream_result = time_query(engine, DISTINCT_QUERY)
+    # One reference run: it is an order of magnitude slower than the noise.
+    started = time.perf_counter()
+    row_result = reference_execute(engine, DISTINCT_QUERY)
+    row_seconds = time.perf_counter() - started
+
+    codec = BinaryCodec()
+    assert codec.encode(stream_result) == codec.encode(row_result)
+    assert engine.groupby_paths == {"stream": REPEATS}
+    peak = engine.peak_groupby_resident_rows
+    speedup = row_seconds / stream_seconds if stream_seconds > 0 else float("inf")
+    name = f"group_by_distinct_{dtype.lower()}"
+    print(
+        f"\n[claim12:{name}] rows=groups={DISTINCT_GROUPS} peak_resident_rows={peak} | "
+        f"stream={stream_seconds * 1000:.1f}ms "
+        f"({stream_seconds / DISTINCT_GROUPS * 1e6:.2f}us/row) "
+        f"row={row_seconds * 1000:.1f}ms speedup_vs_row={speedup:.1f}x"
+    )
+    from bench_recording import record_bench
+
+    record_bench(
+        "claim12", name,
+        rows=DISTINCT_GROUPS,
+        groups=DISTINCT_GROUPS,
+        stream_seconds=stream_seconds,
+        row_seconds=row_seconds,
+        peak_resident_rows=peak,
+        speedup_vs_row=speedup,
+        smoke=SMOKE,
+    )
+    assert peak <= DEFAULT_BATCH_ROWS + DISTINCT_GROUPS
+    floor = 1.5 if SMOKE else 4.0
+    assert speedup >= floor, (
+        f"all-distinct streaming group-by must be >= {floor}x over the "
+        f"reference executor, got {speedup:.2f}x"
+    )
+
+
 # --------------------------------------------------------------------- ISSUE 6
 # Morsel-driven parallelism: a core-count sweep over the parallel join and
 # group-by pipelines, plus a larger-than-budget build that must complete via

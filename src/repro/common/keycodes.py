@@ -31,10 +31,11 @@ dictionary that persists across the batches of a stream: a fixed-width
 column its sorted distinct values (looked up with ``searchsorted``, or by
 direct address when an INTEGER column's values span few slots), a
 dictionary TEXT column one remap array per dictionary object.  Everything
-else — plain TEXT, TIMESTAMP, out-of-int64-range integers, and mixed-type
-column pairs — uses a stable insertion-ordered Python dict, which
-preserves the row path's ``==``/``hash`` equality semantics exactly
-(``1 == 1.0``, ``True == 1``).
+else — plain TEXT, TIMESTAMP, out-of-int64-range integers, mixed-type
+column pairs, and a fixed-width grouping column past
+:data:`_DIRECT_GROUP_SLOTS` distinct values — uses a stable
+insertion-ordered Python dict, which preserves the row path's
+``==``/``hash`` equality semantics exactly (``1 == 1.0``, ``True == 1``).
 """
 
 from __future__ import annotations
@@ -297,9 +298,11 @@ class PartitionRouter:
 
 #: A multi-key group dictionary addresses its groups directly by packed key
 #: while the product of the key columns' radices is at most this many
-#: slots (8 bytes each); past it, it searches a sorted table of packed keys.
-#: An INTEGER key column is addressed directly while its values span at
-#: most this many.
+#: slots (8 bytes each); past it, a dict of packed keys holds the groups.
+#: A fixed-width key column keeps at most this many values in its sorted
+#: table (a batch that adds values copies the table once) before a dict
+#: takes over, and an INTEGER column is addressed directly while its values
+#: span at most this many.
 _DIRECT_GROUP_SLOTS = 1 << 16
 
 _NO_ROWS = np.zeros(0, dtype=np.int64)
@@ -340,16 +343,6 @@ def _new_first_rows(codes: np.ndarray, before: int) -> np.ndarray:
     return _distinct_first(codes, rows)[1] if len(rows) else _NO_ROWS
 
 
-def _sorted_insert(
-    keys: np.ndarray, codes: np.ndarray, added: np.ndarray, added_codes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """A sorted key table and its codes with ``added`` (sorted, all new) in."""
-    if not len(keys):
-        return added, added_codes
-    at = np.searchsorted(keys, added)
-    return np.insert(keys, at, added), np.insert(codes, at, added_codes)
-
-
 def _dict_codes(mapping: dict[Any, int], values: list) -> np.ndarray:
     """The code of each of ``values`` in ``mapping``, after adding the values
     it lacks, numbered by first appearance — every loop runs in C."""
@@ -370,8 +363,11 @@ class _KeyColumn:
     ``==``/``hash`` (``1 == 1.0 == True``): a dictionary TEXT batch reaches
     the dict once per dictionary entry it uses, through a remap array per
     dictionary object, and a plain batch through C-level ``dict.fromkeys``
-    / ``map``.  A fixed-width column that meets a batch its dtype cannot
-    hold (integers past int64) converts its table to that dict, once.
+    / ``map``.  A fixed-width column converts its table to that dict, once,
+    when it meets a batch its dtype cannot hold (integers past int64) or
+    its table passes :data:`_DIRECT_GROUP_SLOTS` values — so a
+    high-cardinality key costs O(rows) dict work, not a table copy per
+    batch.
     """
 
     def __init__(self, dtype: DataType | None) -> None:
@@ -397,17 +393,25 @@ class _KeyColumn:
             try:
                 values, nulls = numeric_view(column, self._dtype)
             except (OverflowError, TypeError, ValueError):
-                self._mapping = dict(zip(self._values.tolist(), self._codes.tolist()))
-                if self._null_code >= 0:
-                    self._mapping[None] = self._null_code
+                self._to_dict()
             else:
-                return self._encode_numeric(values, nulls)
+                encoded = self._encode_numeric(values, nulls)
+                if len(self._values) > _DIRECT_GROUP_SLOTS:
+                    self._to_dict()
+                return encoded
         if isinstance(column, DictVector):
             return self._encode_dictionary(column)
         before = self.count
         codes = _dict_codes(self._mapping, to_list(column))
         self.count = len(self._mapping)
         return codes, _new_first_rows(codes, before)
+
+    def _to_dict(self) -> None:
+        """Move the sorted table into the insertion-ordered dict, once."""
+        self._mapping = dict(zip(self._values.tolist(), self._codes.tolist()))
+        if self._null_code >= 0:
+            self._mapping[None] = self._null_code
+        self._values, self._codes, self._lut = self._values[:0], _NO_ROWS, None
 
     def _encode_numeric(
         self, values: np.ndarray, nulls: np.ndarray | None
@@ -436,8 +440,9 @@ class _KeyColumn:
             codes[null_rows] = self._null_code
             new_codes = new_codes[:-1]
         if len(rows):
-            table, self._codes = _sorted_insert(self._values, self._codes, added, new_codes)
-            self._values = table
+            at = np.searchsorted(self._values, added)
+            self._values = table = np.insert(self._values, at, added)
+            self._codes = np.insert(self._codes, at, new_codes)
             self._lut = None
             if self._dtype is np.int64 and int(table[-1]) - int(table[0]) < _DIRECT_GROUP_SLOTS:
                 self._lut = np.full(int(table[-1]) - int(table[0]) + 1, -1, dtype=np.int64)
@@ -497,17 +502,18 @@ class IncrementalGroupEncoder:
     With several, the column codes are mixed-radix packed into one int64
     per row, and a group table maps packed keys to group codes: a
     direct-address array while the radix product is at most
-    :data:`_DIRECT_GROUP_SLOTS`, a sorted table searched with
-    ``searchsorted`` past it, and — only if the product would overflow
-    int64 — a dict of code tuples.  A column's radix doubles when its
-    codes outgrow it, and the known groups are re-packed once.
+    :data:`_DIRECT_GROUP_SLOTS`, an insertion-ordered dict of packed keys
+    past it, and a dict of code tuples once the product would overflow
+    int64.  A column's radix doubles when its codes outgrow it, and the
+    known groups are re-packed once.
 
     Group codes are stable across batches and numbered by first appearance
     in row order over the whole stream, so emitting groups in code order
     reproduces the row executor's dict-insertion output order.  A batch
-    does Python work per call, not per row or key (the plain-TEXT,
-    TIMESTAMP and past-int64 columns excepted: their dict is fed by C-level
-    ``dict``/``map`` loops).  NaN grouping keys must be rejected by the
+    does Python work per call, not per row or key, until a dict takes over
+    (a plain-TEXT, TIMESTAMP, past-int64 or very high-cardinality column,
+    or a group table past the direct limit): that dict is fed by C-level
+    ``dict``/``map`` loops.  NaN grouping keys must be rejected by the
     caller before encoding (numpy collapses NaNs that the row path's dict
     keeps distinct).
     """
@@ -518,12 +524,12 @@ class IncrementalGroupEncoder:
         #: One slot per column until a batch brings codes: the first batch
         #: sizes the radices and the group table.
         self._radices = [1] * len(self._columns)
-        #: Packed key of each group, in group-code order.
-        self._group_keys = _NO_ROWS
+        #: Group code per packed key, -1 for none; None once a dict holds
+        #: the groups.
         self._direct: np.ndarray | None = np.full(1, -1, dtype=np.int64)
-        self._sorted_keys = _NO_ROWS
-        self._sorted_groups = _NO_ROWS
-        self._tuples: dict[tuple, int] | None = None
+        #: Packed key (or, past int64, code tuple) -> group code.
+        self._groups: dict[Any, int] = {}
+        self._tuples = False
 
     def encode_batch(
         self, columns: Sequence[Sequence[Any]]
@@ -541,60 +547,60 @@ class IncrementalGroupEncoder:
             self.group_count = key.count
             return codes, new_first_rows
         per_column = [key.encode(values)[0] for key, values in zip(self._columns, columns)]
-        if self._tuples is None:
-            self._fit_radices()
-        if self._tuples is not None:
-            before = self.group_count
-            codes = _dict_codes(self._tuples, list(zip(*(c.tolist() for c in per_column))))
-            self.group_count = len(self._tuples)
+        self._fit_radices()
+        before = self.group_count
+        if self._direct is None:
+            keys = (
+                list(zip(*(c.tolist() for c in per_column)))
+                if self._tuples
+                else self._pack(per_column).tolist()
+            )
+            codes = _dict_codes(self._groups, keys)
+            self.group_count = len(self._groups)
             return codes, _new_first_rows(codes, before)
         packed = self._pack(per_column)
-        codes = self._lookup(packed)
+        codes = self._direct[packed]
         rows = (codes < 0).nonzero()[0]
         if not len(rows):
             return codes, _NO_ROWS
         keys, firsts = _distinct_first(packed, rows)
-        start = self.group_count
-        groups, new_first_rows = _first_appearance(firsts, start)
+        groups, new_first_rows = _first_appearance(firsts, before)
         self.group_count += len(keys)
-        in_order = np.empty_like(keys)
-        in_order[groups - start] = keys
-        self._group_keys = np.concatenate([self._group_keys, in_order])
-        if self._direct is not None:
-            self._direct[keys] = groups
-        else:
-            self._sorted_keys, self._sorted_groups = _sorted_insert(
-                self._sorted_keys, self._sorted_groups, keys, groups
-            )
-        codes[rows] = self._lookup(packed[rows])
+        self._direct[keys] = groups
+        codes[rows] = self._direct[packed[rows]]
         return codes, new_first_rows
 
     def _fit_radices(self) -> None:
         """Grow the radix of every column whose codes outgrew it, re-pack
-        the known groups and rebuild the group table for the new radices."""
+        the known groups and rebuild the group table for the new radices
+        (code tuples do not depend on the radices)."""
         counts = [key.count for key in self._columns]
-        if all(count <= radix for count, radix in zip(counts, self._radices)):
+        if self._tuples or all(count <= radix for count, radix in zip(counts, self._radices)):
             return
-        per_group = self._unpack(self._group_keys)
+        if self._direct is not None:
+            slots = (self._direct >= 0).nonzero()[0]
+            packed = np.empty(len(slots), dtype=np.int64)
+            packed[self._direct[slots]] = slots
+        else:
+            packed = np.fromiter(self._groups, np.int64, count=len(self._groups))
+        per_group = self._unpack(packed)
         self._radices = [
             radix if count <= radix else max(count, 2 * radix)
             for count, radix in zip(counts, self._radices)
         ]
         product = math.prod(self._radices)
-        if product >= int(_RADIX_LIMIT):
-            rows = zip(*(codes.tolist() for codes in per_group))
-            self._tuples = dict(zip(rows, itertools.count()))
-            return
-        self._group_keys = self._pack(per_group)
-        groups = np.arange(self.group_count, dtype=np.int64)
         if product <= _DIRECT_GROUP_SLOTS:
             self._direct = np.full(product, -1, dtype=np.int64)
-            self._direct[self._group_keys] = groups
-        else:
-            self._direct = None
-            order = np.argsort(self._group_keys)
-            self._sorted_keys = self._group_keys[order]
-            self._sorted_groups = groups[order]
+            self._direct[self._pack(per_group)] = np.arange(self.group_count, dtype=np.int64)
+            return
+        self._direct = None
+        self._tuples = product >= int(_RADIX_LIMIT)
+        keys = (
+            zip(*(codes.tolist() for codes in per_group))
+            if self._tuples
+            else self._pack(per_group).tolist()
+        )
+        self._groups = dict(zip(keys, itertools.count()))
 
     def _pack(self, per_column: list[np.ndarray]) -> np.ndarray:
         packed = per_column[0]
@@ -609,16 +615,6 @@ class IncrementalGroupEncoder:
             per_column.append(codes)
         per_column.append(packed)
         return per_column[::-1]
-
-    def _lookup(self, packed: np.ndarray) -> np.ndarray:
-        """Group code per packed key, -1 where the group is new."""
-        if self._direct is not None:
-            return self._direct[packed]
-        table = self._sorted_keys
-        if not len(table):
-            return np.full(len(packed), -1, dtype=np.int64)
-        slots = np.minimum(np.searchsorted(table, packed), len(table) - 1)
-        return np.where(table[slots] == packed, self._sorted_groups[slots], -1)
 
 
 class JoinKeyTable:

@@ -417,9 +417,8 @@ class FilterKernel:
         self._fn = fn
         self._columns = tuple(columns.items())
 
-    def values(self, batch: ColumnBatch) -> tuple[Any, np.ndarray | None]:
-        """The expression's values over ``batch`` (unspecified at NULL
-        positions, maybe a scalar) and its null mask, None when NULL-free."""
+    def __call__(self, batch: ColumnBatch) -> np.ndarray:
+        length = len(batch)
         env: dict[int, Any] = {}
         for index, dtype in self._columns:
             column = batch.columns[index]
@@ -429,13 +428,10 @@ class FilterKernel:
                 env[index] = column
             else:
                 raise _KernelUnsupported("TEXT column is not dictionary-encoded")
-        return self._fn(env, np.ones(len(batch), dtype=np.bool_))
-
-    def __call__(self, batch: ColumnBatch) -> np.ndarray:
-        vals, nulls = self.values(batch)
+        vals, nulls = self._fn(env, np.ones(length, dtype=np.bool_))
         mask = _as_bool(vals)
         if mask.ndim == 0:
-            mask = np.full(len(batch), bool(mask), dtype=np.bool_)
+            mask = np.full(length, bool(mask), dtype=np.bool_)
         if nulls is not None:
             mask = mask & ~nulls
         return mask
@@ -476,31 +472,6 @@ class _PredicateRunner:
     def __call__(self, batch: ColumnBatch) -> ColumnBatch:
         mask = self.mask(batch)
         return batch if mask.all() else batch.compress(mask)
-
-
-#: Kernel results a column can hold as they are.
-_RESULT_DTYPES = (np.dtype(np.float64), np.dtype(np.bool_))
-
-
-class _ExpressionRunner:
-    """Evaluates one expression over a batch into a column: the numpy
-    kernel first, the compiled row closure as the fallback, split like
-    :class:`_PredicateRunner`."""
-
-    def __init__(self, expression: Expression, schema: Schema) -> None:
-        self._kernel = compile_filter_kernel(expression, schema)
-        self._row_fn = _compile_or_defer(expression, schema)
-
-    def __call__(self, batch: ColumnBatch) -> Sequence[Any]:
-        if self._kernel is not None:
-            try:
-                values, nulls = self._kernel.values(batch)
-            except (_KernelUnsupported, TypeError, OverflowError):
-                pass  # fall back; the row path reproduces exact semantics
-            else:
-                if np.ndim(values) == 1 and values.dtype in _RESULT_DTYPES:
-                    return NumericVector(values, nulls)
-        return [self._row_fn(row) for row in batch.value_rows()]
 
 
 _FAST_AGGREGATES = ("count", "sum", "avg", "min", "max")
@@ -1115,6 +1086,7 @@ class BatchExecutor:
                 )
             if not count:
                 return
+            rep_rows: list[tuple[Any, ...]] | None = None
             out_columns: list[Any] = []
             for i, item in enumerate(node.items):
                 if item.aggregate:
@@ -1127,8 +1099,10 @@ class BatchExecutor:
                 ):
                     out_columns.append(rep_columns[rep_schema.index_of(item.expression.name)])
                 else:
-                    runner = _ExpressionRunner(item.expression, rep_schema)
-                    out_columns.append(runner(ColumnBatch(rep_schema, rep_columns, count)))
+                    if rep_rows is None:
+                        rep_rows = list(ColumnBatch(rep_schema, rep_columns, count).value_rows())
+                    fn = _compile_or_defer(item.expression, rep_schema)
+                    out_columns.append(list(map(fn, rep_rows)))
             out = ColumnBatch(schema, out_columns, count)
             if having is not None:
                 # HAVING reads each output by alias and by canonical name,

@@ -34,7 +34,7 @@ from repro.common.serialization import BinaryCodec
 from repro.common.types import DataType
 from repro.engines.relational import RelationalEngine
 from repro.common.errors import TypeMismatchError
-from repro.common.keycodes import IncrementalGroupEncoder
+from repro.common.keycodes import _DIRECT_GROUP_SLOTS, IncrementalGroupEncoder
 from repro.common.vectors import DictVector, NumericVector, vector_from_values
 from repro.engines.relational.vectorized import (
     DEFAULT_BATCH_ROWS,
@@ -1039,17 +1039,14 @@ def test_cross_batch_group_by_matches_reference(assert_matches_reference, case):
 
 @pytest.mark.parametrize("batch_rows", [3, None])
 def test_grouped_computed_items_match_reference(assert_matches_reference, batch_rows):
-    """A computed SELECT item over the group representatives runs its numpy
-    kernel where it has one (the column stays a vector) and the row closure
-    where it has none."""
+    """A computed SELECT item runs its row closure over the group
+    representatives."""
     e = make_engine(batch_rows=batch_rows)
-    result = assert_matches_reference(
+    assert_matches_reference(
         e,
         "SELECT grp, value * 2 AS twice, value > 10 AS big, upper(grp) AS g, "
         "count(*) AS n FROM events GROUP BY grp, value HAVING count(*) >= 1",
     )
-    assert isinstance(result.column_vector(1), NumericVector)
-    assert isinstance(result.column_vector(2), NumericVector)
     assert e.groupby_paths == {"stream": 1}
 
 
@@ -1104,14 +1101,14 @@ def test_group_encoder_numbers_keys_like_a_dict(data):
 
 class TestIncrementalGroupEncoder:
     def test_wide_key_products_leave_the_direct_table(self):
-        """Past the direct-address limit the groups sit in a sorted table,
-        and the codes do not change."""
+        """Past the direct-address limit the groups sit in a dict of packed
+        keys, and the codes do not change."""
         side = 300  # 300 x 300 packed slots > _DIRECT_GROUP_SLOTS
         first = [list(range(side)), [f"k{i}" for i in range(side)]]
         second = [list(range(side - 5, 2 * side)), [f"k{i}" for i in range(side - 5, 2 * side)]]
         encoder = IncrementalGroupEncoder([DataType.INTEGER, DataType.TEXT])
         _encoded_like_a_dict(encoder, [first, second, first])
-        assert encoder._direct is None and encoder._tuples is None
+        assert encoder._direct is None and not encoder._tuples
 
     def test_radix_products_past_int64_fall_back_to_code_tuples(self):
         width, distinct = 7, 512  # 512 ** 7 = 2 ** 63 packed slots
@@ -1119,7 +1116,21 @@ class TestIncrementalGroupEncoder:
         encoder = IncrementalGroupEncoder([DataType.INTEGER] * width)
         late = [column[:3] + [distinct + c] for c, column in enumerate(base)]
         _encoded_like_a_dict(encoder, [base, late, base])
-        assert encoder._tuples is not None
+        assert encoder._tuples
+
+    @pytest.mark.parametrize("dtype", [DataType.FLOAT, DataType.INTEGER])
+    def test_high_cardinality_column_moves_to_a_dict(self, dtype):
+        """A numeric key column whose sorted table passes the direct-address
+        limit converts it to a dict once, keeping every code (NULL's too)."""
+        distinct = _DIRECT_GROUP_SLOTS + 100
+        values = [v * 1000 if dtype is DataType.INTEGER else v / 8 for v in range(distinct)]
+        halves = [values[: distinct // 2] + [None], values[distinct // 2 :]]
+        batches = [[vector_from_values(half, dtype)] for half in halves]
+        zero = -0.0 if dtype is DataType.FLOAT else 0
+        batches.append([vector_from_values([None, values[1], zero, 7], dtype)])
+        encoder = IncrementalGroupEncoder([dtype])
+        _encoded_like_a_dict(encoder, batches)
+        assert encoder._columns[0]._mapping is not None
 
     def test_python_work_does_not_grow_with_keys(self):
         """One 4,096-row (INTEGER, dictionary TEXT) batch makes about as many
