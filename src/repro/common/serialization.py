@@ -9,7 +9,9 @@ The paper contrasts naive *file-based import/export* between engines with a
   *columnar* — one null-flag vector plus one contiguous value buffer per
   column — into a compact binary frame, so encoding and decoding a chunk is
   a handful of bulk numpy conversions, with no text parsing and no per-value
-  loop.
+  loop.  A fixed-width column stays a typed vector on both sides: encoding
+  reads a ``NumericVector``'s arrays and decoding hands one back over the
+  frame, so a numeric CAST makes no Python value per cell.
 
 Both codecs also support the chunked CAST pipeline through
 ``encode_chunks`` / ``decode_chunks``: each chunk becomes one independent,
@@ -36,7 +38,7 @@ import numpy as np
 from repro.common.errors import CastError
 from repro.common.schema import Relation, Schema
 from repro.common.types import DataType, coerce
-from repro.common.vectors import object_view
+from repro.common.vectors import DictVector, NumericVector, object_view, to_list
 
 
 def _timestamp_to_epoch(value: Any) -> float:
@@ -208,15 +210,23 @@ class BinaryCodec(ChunkedCodecMixin):
         TEXT/NULL -> [u32 blob_bytes][u32 length-in-characters x non-null]
                      then one UTF-8 blob of the values joined together
 
-    Encoding reads whole columns through ``Relation.column_values`` and
-    packs each with one ``numpy`` conversion; decoding unpacks each with one
-    ``np.frombuffer`` and returns ``Relation.from_columns``, so neither
-    side builds a :class:`~repro.common.schema.Row` or touches a value at a
-    time (TIMESTAMP and TEXT values are the exception: each datetime or
-    string is still its own Python object).  Decoded values are native
-    Python objects, never numpy scalars.  Frames are transient — written and
-    read by the same process during one CAST — so the layout carries no
-    version beyond its leading byte.
+    An INTEGER column holding a value beyond int64 travels under its own
+    tag (7) in the TEXT layout, as decimal digits.
+
+    Encoding reads each column as stored (``Relation.column_vector``): a
+    ``NumericVector`` is written from its value and null arrays, a
+    ``DictVector`` from its dictionary gathered by code, and only a plain
+    column (list or object array) is packed from Python values.  Decoding
+    unpacks each column with one ``np.frombuffer`` and returns
+    ``Relation.from_columns``: an INTEGER / FLOAT / BOOLEAN column whose
+    tag is the schema's type comes back as a ``NumericVector`` over the
+    frame (zero-copy when it holds no NULL), so a numeric CAST makes no
+    Python value per cell on either side.  Decoded columns are typed
+    vectors that read as native values, never numpy scalars; TIMESTAMP
+    and TEXT values are the exception to "no Python value": each datetime
+    or string is its own object.  Frames are transient — written and read
+    by the same process during one CAST — so the layout carries no version
+    beyond its leading byte.
     """
 
     LAYOUT_COLUMNAR = 1
@@ -230,6 +240,8 @@ class BinaryCodec(ChunkedCodecMixin):
         DataType.NULL: 6,
     }
     _TAG_TYPES = {v: k for k, v in _TYPE_TAGS.items()}
+    #: INTEGER values beyond int64, as decimal text.
+    _WIDE_INTEGER_TAG = 7
 
     #: Wire dtype of each fixed-width type; TEXT and NULL travel as a blob.
     _WIRE_DTYPES = {
@@ -242,41 +254,67 @@ class BinaryCodec(ChunkedCodecMixin):
 
     def encode(self, relation: Relation) -> bytes:
         schema = relation.schema
-        parts = [
-            struct.pack("<BII", self.LAYOUT_COLUMNAR, len(relation), len(schema)),
-            bytes(self._TYPE_TAGS[col.dtype] for col in schema),
-        ]
+        tags = bytearray()
+        parts: list[bytes] = []
         for index, col in enumerate(schema):
-            # column_values reads the stored column, so a CAST never
-            # converts through rows.
-            column = relation.column_values(index)
-            if None in column:
-                column = object_view(column)
-                nulls = np.equal(column, None)
-                parts.append(nulls.tobytes())
-                column = column[~nulls]
+            tags.append(self._encode_column(relation.column_vector(index), col.dtype, parts))
+        header = struct.pack("<BII", self.LAYOUT_COLUMNAR, len(relation), len(schema))
+        return b"".join([header, bytes(tags), *parts])
+
+    def _encode_column(self, column: Any, dtype: DataType, parts: list[bytes]) -> int:
+        """Append one column's null flags and values to ``parts``; returns
+        its type tag."""
+        wire = self._WIRE_DTYPES.get(dtype)
+        if isinstance(column, NumericVector) and wire is not None \
+                and np.can_cast(column.values.dtype, wire):
+            values, nulls = column.values, column.nulls
+            if nulls is None:
+                parts.append(bytes(len(values)))
             else:
-                parts.append(bytes(len(column)))
-            wire = self._WIRE_DTYPES.get(col.dtype)
-            if wire is None:
-                try:
-                    text = "".join(column)
-                except TypeError:
-                    # A column typed TEXT that holds other values (an
-                    # unvalidated result set): render them, as str() would.
-                    column = [str(v) for v in column]
-                    text = "".join(column)
-                blob = text.encode("utf-8")
-                parts.append(struct.pack("<I", len(blob)))
-                parts.append(
-                    np.fromiter(map(len, column), self._LENGTH_DTYPE, len(column)).tobytes()
-                )
-                parts.append(blob)
-                continue
-            if col.dtype is DataType.TIMESTAMP:
-                column = [_timestamp_to_epoch(v) for v in column]
+                parts.append(nulls.tobytes())
+                values = values[~nulls]
+            parts.append(values.astype(wire, copy=False).tobytes())
+            return self._TYPE_TAGS[dtype]
+        if isinstance(column, DictVector) and wire is None:
+            nulls = column.codes < 0
+            parts.append(nulls.tobytes())
+            self._encode_text(column.dictionary[column.codes[~nulls]], parts)
+            return self._TYPE_TAGS[dtype]
+        column = to_list(column)
+        if None in column:
+            column = object_view(column)
+            nulls = np.equal(column, None)
+            parts.append(nulls.tobytes())
+            column = column[~nulls]
+        else:
+            parts.append(bytes(len(column)))
+        if wire is None:
+            self._encode_text(column, parts)
+            return self._TYPE_TAGS[dtype]
+        if dtype is DataType.TIMESTAMP:
+            column = [_timestamp_to_epoch(v) for v in column]
+        try:
             parts.append(np.asarray(column, dtype=wire).tobytes())
-        return b"".join(parts)
+        except OverflowError:
+            if dtype is not DataType.INTEGER or not all(isinstance(v, int) for v in column):
+                raise
+            self._encode_text([str(v) for v in column], parts)
+            return self._WIDE_INTEGER_TAG
+        return self._TYPE_TAGS[dtype]
+
+    def _encode_text(self, strings: Any, parts: list[bytes]) -> None:
+        """The TEXT layout of the non-null ``strings``: blob size, lengths, blob."""
+        try:
+            text = "".join(strings)
+        except TypeError:
+            # A column typed TEXT that holds other values (an unvalidated
+            # result set): render them, as str() would.
+            strings = [str(v) for v in strings]
+            text = "".join(strings)
+        blob = text.encode("utf-8")
+        parts.append(struct.pack("<I", len(blob)))
+        parts.append(np.fromiter(map(len, strings), self._LENGTH_DTYPE, len(strings)).tobytes())
+        parts.append(blob)
 
     def decode(self, payload: bytes, schema: Schema) -> Relation:
         view = memoryview(payload)
@@ -288,13 +326,14 @@ class BinaryCodec(ChunkedCodecMixin):
                 f"binary frame has {col_count} columns but schema expects {len(schema)}"
             )
         offset = 9 + col_count
-        columns: list[list[Any]] = []
+        columns: list[Any] = []
         for tag, col in zip(view[9:offset], schema):
-            dtype = self._TAG_TYPES[tag]
+            wide = tag == self._WIDE_INTEGER_TAG
+            dtype = DataType.INTEGER if wide else self._TAG_TYPES[tag]
             nulls = np.frombuffer(view, np.bool_, row_count, offset)
             offset += row_count
             count = row_count - int(np.count_nonzero(nulls))
-            wire = self._WIRE_DTYPES.get(dtype)
+            wire = None if wide else self._WIRE_DTYPES.get(dtype)
             if wire is None:
                 (blob_bytes,) = struct.unpack_from("<I", view, offset)
                 offset += 4
@@ -305,9 +344,15 @@ class BinaryCodec(ChunkedCodecMixin):
                 text = str(view[offset : offset + blob_bytes], "utf-8")
                 offset += blob_bytes
                 values = [text[a:b] for a, b in zip([0] + ends, ends)]
+                if wide:
+                    values = list(map(int, values))
             else:
-                values = np.frombuffer(view, wire, count, offset).tolist()
+                packed = np.frombuffer(view, wire, count, offset)
                 offset += wire.itemsize * count
+                if dtype is col.dtype and dtype is not DataType.TIMESTAMP:
+                    columns.append(_numeric_column(packed, nulls, count))
+                    continue
+                values = packed.tolist()
                 if dtype is DataType.TIMESTAMP:
                     values = [datetime.fromtimestamp(v, tz=timezone.utc) for v in values]
             if count != row_count:
@@ -322,3 +367,14 @@ class BinaryCodec(ChunkedCodecMixin):
                 values = [coerce(v, col.dtype) for v in values]
             columns.append(values)
         return Relation.from_columns(schema, columns, row_count)
+
+
+def _numeric_column(packed: np.ndarray, nulls: np.ndarray, count: int) -> NumericVector:
+    """A fixed-width column's non-null ``packed`` values as a vector of
+    ``len(nulls)`` rows: the frame's buffer itself when nothing is NULL,
+    else scattered into a zeroed buffer beside the frame's null mask."""
+    if count == len(nulls):
+        return NumericVector(packed)
+    values = np.zeros(len(nulls), packed.dtype)
+    values[~nulls] = packed
+    return NumericVector(values, nulls)

@@ -247,7 +247,9 @@ class BigDawg:
         """The ephemeral relational engine holding WITH/session temporaries.
 
         Created lazily and joined to the relational-model islands so temps
-        stay reachable from every scope that could previously see them.
+        stay reachable from every scope that could previously see them;
+        registering it runs the catalog's engine setup, so under a runtime
+        it gets the runtime's parallelism and worker budget.
         """
         with self._temp_engine_lock:
             if self._temp_engine is None:

@@ -54,6 +54,7 @@ class BigDawgCatalog:
         self._replicas: dict[str, dict[str, ObjectLocation]] = {}
         self._content_versions: dict[str, int] = {}
         self._health_probe: Callable[[str], bool] | None = None
+        self._engine_setup: Callable[[Engine], None] | None = None
         self._schemas: dict[str, Schema] = {}
         # Concurrent runtime support: every read and write goes through one
         # re-entrant lock, and every metadata mutation advances ``version`` so
@@ -85,12 +86,33 @@ class BigDawgCatalog:
         self._version += 1  # callers hold self._lock
 
     # ----------------------------------------------------------------- engines
+    def set_engine_setup(self, setup: Callable[[Engine], None] | None) -> None:
+        """Install a callback every engine passes through before it serves:
+        each one registered from now on, and each scratch engine an island
+        makes for one query (:meth:`setup_engine`).
+
+        The runtime wires this to its intra-query parallelism, so an engine
+        created after it — the lazily made WITH-temporaries engine, a
+        cross-engine query's scratch engine — runs under the same worker
+        budget as the engines it found.  ``None`` removes the callback.
+        """
+        with self._lock:
+            self._engine_setup = setup
+
+    def setup_engine(self, engine: Engine) -> Engine:
+        """Pass ``engine`` through the installed setup callback (if any)."""
+        setup = self._engine_setup
+        if setup is not None:
+            setup(engine)
+        return engine
+
     def register_engine(self, engine: Engine, islands: Iterable[str] = ()) -> None:
         """Register an engine and the islands through which it is reachable."""
         with self._lock:
             key = engine.name.lower()
             if key in self._engines:
                 raise DuplicateObjectError(f"engine {engine.name!r} is already registered")
+            self.setup_engine(engine)
             self._engines[key] = engine
             for island in islands:
                 self._island_members.setdefault(island.lower(), set()).add(key)

@@ -72,7 +72,7 @@ class ArrayIsland(Island):
     def _to_relation(result) -> Relation:
         """Flatten an array / aggregate-dict result into a relation."""
         if isinstance(result, StoredArray):
-            return result.to_relation()
+            return next(result.cell_chunks())
         if isinstance(result, dict):
             # Either {aggregate_name: value} or {coordinate: value} from grouping.
             keys = list(result)

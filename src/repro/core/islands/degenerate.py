@@ -91,7 +91,7 @@ class DegenerateIsland(Island):
         if isinstance(result, Relation):
             return result
         if isinstance(result, StoredArray):
-            return result.to_relation()
+            return next(result.cell_chunks())
         if isinstance(result, dict):
             schema = Schema([Column("key", DataType.TEXT), Column("value", DataType.TEXT)])
             return Relation(schema, [[str(key), str(value)] for key, value in result.items()])

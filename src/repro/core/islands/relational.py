@@ -60,7 +60,7 @@ class RelationalIsland(Island):
                     return only_engine.execute(sql)
             # Cross-engine (or non-SQL source): each object's export becomes a
             # read-only foreign table of a scratch engine, scanned in place.
-            scratch = RelationalEngine("_relational_island_scratch")
+            scratch = self.catalog.setup_engine(RelationalEngine("_relational_island_scratch"))
             try:
                 for table, engine in placements.items():
                     relation = RelationalShim(engine).fetch_relation(table)
@@ -92,7 +92,7 @@ class RelationalIsland(Island):
         for engine in self.member_engines():
             if isinstance(engine, RelationalEngine):
                 return engine
-        return RelationalEngine("_relational_island_scratch")
+        return self.catalog.setup_engine(RelationalEngine("_relational_island_scratch"))
 
 
 def _tables(statement: Statement) -> list[str]:

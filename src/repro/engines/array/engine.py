@@ -21,7 +21,7 @@ from repro.common.errors import (
 )
 from repro.common.schema import Relation, Schema
 from repro.common.types import DataType
-from repro.common.vectors import object_view
+from repro.common.vectors import DictVector, NumericVector, object_view
 from repro.engines.array import operators as ops
 from repro.engines.array.aql import AqlCall, parse_aql
 from repro.engines.array.schema import ArraySchema, Attribute, Dimension
@@ -52,7 +52,7 @@ class ArrayEngine(Engine):
 
     def export_relation(self, name: str) -> Relation:
         """Flatten an array to rows: dimension coordinates then attribute values."""
-        return self.array(name).to_relation()
+        return next(self.array(name).cell_chunks())
 
     def import_relation(self, name: str, relation: Relation, **options: Any) -> None:
         """Build an array from a relation.
@@ -68,7 +68,10 @@ class ArrayEngine(Engine):
         return self.array(name).flat_schema()
 
     def export_chunks(self, name: str, chunk_size: int = DEFAULT_CHUNK_ROWS) -> Iterator[Relation]:
-        """Stream populated cells as bounded columnar chunks of flattened rows."""
+        """Stream populated cells as bounded columnar chunks of flattened
+        rows (:meth:`StoredArray.cell_chunks`): coordinates and fixed-width
+        attributes are ``NumericVector`` columns, so no Python value is
+        made for them."""
         if chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         array = self.array(name)
@@ -82,9 +85,11 @@ class ArrayEngine(Engine):
 
     def import_chunks(self, name: str, schema: Schema, chunks: Iterable[Relation],
                       **options: Any) -> None:
-        """Read each chunk's columns into typed numpy vectors, then build the
-        array once the dimension bounds are known (arrays need their extent
-        up front) and land every chunk with one scatter per attribute.
+        """Read each chunk's columns into typed numpy vectors — a
+        ``NumericVector`` column in place (:func:`_column_vector`) — then
+        build the array once the dimension bounds are known (arrays need
+        their extent up front) and land every chunk with one scatter per
+        attribute.
 
         Dimension values are coerced to int, a NULL float attribute becomes a
         NaN cell, TEXT lands in an object buffer, the last row wins on a
@@ -316,17 +321,52 @@ def _column_vector(array: str, chunk: Relation, column: str, dtype: DataType,
                    chunk_number: int) -> np.ndarray:
     """One column of an imported chunk as the numpy vector its cells are
     stored as; what numpy cannot convert (a NULL where the buffer is integer,
-    a datetime, an out-of-range integer) is an :class:`ExecutionError`."""
-    values = chunk.column_values(chunk.schema.index_of(column))
+    a datetime, an out-of-range integer) is an :class:`ExecutionError`.
+
+    A typed column is read in place (:func:`_typed_cells`) when that gives
+    what converting its values would; any other column — or one that
+    conversion would refuse — takes the conversion of its Python values,
+    so both give the same cells and the same errors."""
+    index = chunk.schema.index_of(column)
+    vector = chunk.column_vector(index)
     if dtype is DataType.TEXT:
-        return object_view(values)
+        if isinstance(vector, DictVector):
+            return vector.dictionary[vector.codes]
+        return object_view(chunk.column_values(index))
+    if isinstance(vector, NumericVector):
+        cells = _typed_cells(vector, np.dtype(_NUMPY_DTYPES[dtype]))
+        if cells is not None:
+            return cells
     try:
-        return np.asarray(values, dtype=_NUMPY_DTYPES[dtype])
+        return np.asarray(chunk.column_values(index), dtype=_NUMPY_DTYPES[dtype])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ExecutionError(
             f"cannot import array {array!r}: column {column!r} of chunk {chunk_number} "
             f"does not fit a {dtype} array buffer ({exc})"
         ) from exc
+
+
+def _typed_cells(vector: NumericVector, target: np.dtype) -> np.ndarray | None:
+    """``vector`` as a ``target`` buffer, as ``np.asarray`` makes one of its
+    Python values: a NULL is NaN in a float buffer and ``False`` in a boolean
+    one, and a float truncates into an integer buffer.  None where that
+    conversion raises (a NULL in an integer buffer, a float that is not a
+    finite int64) or narrows (no safe cast): the caller converts the values."""
+    values, nulls = vector.values, vector.nulls
+    if nulls is not None and not nulls.any():
+        nulls = None
+    if nulls is not None and target.kind not in "fb":
+        return None
+    if values.dtype != target:
+        if target.kind == "i" and values.dtype.kind == "f":
+            if not ((values >= -(2.0 ** 63)) & (values < 2.0 ** 63)).all():
+                return None
+        elif not np.can_cast(values.dtype, target):
+            return None
+        values = values.astype(target)
+    if nulls is not None:
+        values = np.where(nulls, np.nan if target.kind == "f" else False, values)
+    return values
 
 
 _COMPARISON_RE = re.compile(

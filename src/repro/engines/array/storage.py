@@ -137,53 +137,45 @@ class StoredArray:
         return Schema(columns)
 
     def cell_chunks(self, chunk_size: int | None = None) -> Iterator[Relation]:
-        """Populated cells, row-major, as relations over
-        :meth:`flat_schema` of at most ``chunk_size`` rows (one relation with
-        every cell when None; nothing for an array with no populated cell).
+        """Populated cells, row-major, as relations over :meth:`flat_schema`
+        of at most ``chunk_size`` rows; nothing for an array with no
+        populated cell.  With no ``chunk_size``, exactly one relation holding
+        every cell (empty for an empty array): the whole array flattened.
 
-        The one array -> relation gather (:meth:`_gather`), with ``tolist``
-        handing out native Python values.  Only one chunk's values exist as
-        Python objects at a time.
+        Each chunk is one gather (:meth:`_gather`), kept typed: coordinates
+        and INTEGER / FLOAT / BOOLEAN attributes are ``NumericVector``
+        columns over the gathered buffers, so no Python value is made for
+        them (see :meth:`Relation.column_vector`); TEXT and TIMESTAMP values
+        exist as Python objects one chunk at a time.
         """
         schema = self.flat_schema()
         indexes = np.nonzero(self._present)
         total = len(indexes[0])
-        step = chunk_size if chunk_size is not None else max(total, 1)
-        for start in range(0, total, step):
+        if chunk_size is None:
+            starts, step = range(1), total
+        else:
+            starts, step = range(0, total, chunk_size), chunk_size
+        for start in starts:
             part = tuple(axis[start : start + step] for axis in indexes)
-            columns = [
-                column.tolist() if isinstance(column, np.ndarray) else column
-                for column in self._gather(part)
-            ]
-            yield Relation.from_columns(schema, columns, len(part[0]))
-
-    def to_relation(self) -> Relation:
-        """The whole array flattened to one relation over :meth:`flat_schema`,
-        kept typed: coordinates and INTEGER/FLOAT/BOOLEAN attributes are
-        ``NumericVector`` columns over the gathered buffers, with no Python
-        value made (see :meth:`Relation.column_vector`)."""
-        indexes = np.nonzero(self._present)
-        columns = [
-            NumericVector(column) if isinstance(column, np.ndarray) else column
-            for column in self._gather(indexes)
-        ]
-        return Relation.from_columns(self.flat_schema(), columns, len(indexes[0]))
+            yield Relation.from_columns(schema, self._gather(part), len(part[0]))
 
     def _gather(self, part: tuple[np.ndarray, ...]) -> list[Any]:
         """The cells at ``part`` (one index array per axis, from ``np.nonzero``
         on the presence mask) as :meth:`flat_schema` columns: coordinates and
-        fixed-width attributes one fancy-index read each, an ``ndarray`` whose
-        dtype is the type guarantee; TEXT (an object buffer) and TIMESTAMP
+        fixed-width attributes one fancy-index read each, held as a
+        NULL-free ``NumericVector``; TEXT (an object buffer) and TIMESTAMP
         (epoch seconds in a float buffer) as lists through
         :func:`~repro.common.types.coerce`."""
         columns: list[Any] = [
-            axis + dimension.start for axis, dimension in zip(part, self.schema.dimensions)
+            NumericVector(axis + dimension.start)
+            for axis, dimension in zip(part, self.schema.dimensions)
         ]
         for attribute in self.schema.attributes:
             values = self._buffers[attribute.name.lower()][part]
             if attribute.dtype in (DataType.TEXT, DataType.TIMESTAMP):
-                values = [coerce(value, attribute.dtype) for value in values.tolist()]
-            columns.append(values)
+                columns.append([coerce(value, attribute.dtype) for value in values.tolist()])
+            else:
+                columns.append(NumericVector(values))
         return columns
 
     # ---------------------------------------------------------------- synopsis

@@ -245,9 +245,12 @@ class RelationalEngine(Engine, TableStatisticsProvider):
 
         Each chunk is a :class:`~repro.common.schema.Relation` sliced
         from the table's columnar snapshot — the same read image SELECT
-        scans, with values turned back into native Python lists here — so a
-        CAST whose consumer reads columns (the binary codec, a columnar
-        import) moves data from storage to the wire without touching a row.
+        scans — whose columns are the snapshot's typed vectors as they are
+        (INTEGER / FLOAT / BOOLEAN a ``NumericVector``, TEXT a
+        ``DictVector``, anything else an object array).  A CAST whose
+        consumer reads columns (the binary codec, a columnar import) so
+        moves data from storage to the wire without making a Python value
+        per cell.
         """
         if chunk_size <= 0:
             raise ValueError(f"chunk_size must be positive, got {chunk_size}")
@@ -641,7 +644,8 @@ _COUNT_SCHEMA = Schema([Column("affected_rows", "integer")])
 
 
 def _snapshot_chunk(snapshot: ColumnSnapshot, start: int, stop: int) -> Relation:
-    """Rows ``start:stop`` of a table snapshot as native-valued columns."""
-    columns = [snapshot.values(i, start, stop) for i in range(len(snapshot.schema))]
+    """Rows ``start:stop`` of a table snapshot, each column the snapshot's
+    own vector sliced: a read-only view, no value copied or converted."""
+    columns = [snapshot.column(i)[start:stop] for i in range(len(snapshot.schema))]
     return Relation.from_columns(snapshot.schema, columns, stop - start)
 

@@ -245,10 +245,6 @@ class ColumnSnapshot:
             column = self._columns[index] = self._make(index)
         return column
 
-    def values(self, index: int, start: int, stop: int) -> list[Any]:
-        """Rows ``start:stop`` of one column as native Python values."""
-        return to_list(self.column(index)[start:stop])
-
     def scan_values(self) -> Iterator[tuple[Any, ...]]:
         """The value tuples, in order."""
         return zip(*(to_list(self.column(i)) for i in range(len(self.schema))))

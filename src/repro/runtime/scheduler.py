@@ -54,6 +54,7 @@ from repro.common.schema import Relation
 from repro.core.bigdawg import BigDawg
 from repro.core.islands.base import Island, is_write_statement
 from repro.core.query.planner import BindingStep, CastStep, PlanExecution, QueryPlan
+from repro.engines.base import Engine
 from repro.observability.profile import SlowQueryLog
 from repro.observability.tracing import (
     Tracer,
@@ -429,14 +430,24 @@ class PolystoreRuntime:
         Each engine keeps borrowing extra workers from the runtime's shared
         :class:`WorkerCredits` budget, sized at construction to the cores
         the serving pool leaves idle, so raising the knob never lets the
-        deployment run more busy threads than the host has cores.
+        deployment run more busy threads than the host has cores.  Engines
+        created later get both as they are made (see
+        :meth:`BigDawgCatalog.set_engine_setup`).
         """
         resolve_parallelism(value)  # validates before touching any engine
         self.parallelism = value
-        for engine in self.bigdawg.catalog.engines():
-            if hasattr(engine, "task_credits"):
-                engine.parallelism = value
-                engine.task_credits = self.task_credits
+        catalog = self.bigdawg.catalog
+        catalog.set_engine_setup(self._pin_parallelism)
+        for engine in catalog.engines():
+            self._pin_parallelism(engine)
+
+    def _pin_parallelism(self, engine: Engine) -> None:
+        """Give a relational engine the runtime's worker count and budget:
+        every registered engine, and, through the catalog's engine setup,
+        every engine made later (WITH temporaries, per-query scratch)."""
+        if hasattr(engine, "task_credits"):
+            engine.parallelism = self.parallelism
+            engine.task_credits = self.task_credits
 
     # -------------------------------------------------------------- execution
     def _run(self, query: str, cast_method: str, chunk_size: int | None,

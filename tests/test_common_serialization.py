@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import time as time_module
 from datetime import datetime, timezone
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from repro.common.errors import CastError
 from repro.common.schema import Relation, Row, Schema
 from repro.common.serialization import BinaryCodec, CsvCodec
+from repro.common.vectors import NumericVector, vector_from_values
 
 
 SCHEMA = Schema(
@@ -305,3 +307,66 @@ def test_property_csv_roundtrip(rows):
     relation = Relation(schema, [list(r) for r in rows])
     decoded = CsvCodec().decode(CsvCodec().encode(relation), schema)
     assert [tuple(r.values) for r in decoded] == [tuple(r.values) for r in relation]
+
+
+# ----------------------------------------------------- frames across vector kinds
+ALL_TYPES_SCHEMA = Schema([
+    ("i", "integer"), ("f", "float"), ("t", "text"), ("b", "boolean"),
+    ("ts", "timestamp"), ("n", "null"),
+])
+_INT64 = (-(2 ** 63), 2 ** 63 - 1)
+_all_types_row = st.tuples(
+    st.one_of(st.none(), st.integers(*_INT64), st.sampled_from(_INT64)),
+    st.one_of(st.none(), st.floats(), st.sampled_from([-0.0, math.nan, math.inf])),
+    st.one_of(st.none(), st.text(max_size=6)),
+    st.one_of(st.none(), st.booleans()),
+    # Whole seconds survive the epoch-float timestamp exactly.
+    st.one_of(st.none(), st.integers(0, 4_000_000_000).map(
+        lambda s: datetime.fromtimestamp(s, tz=timezone.utc))),
+    st.none(),
+)
+
+
+def _exact(value):
+    """A value compared by type and bits: -0.0 is not 0.0, NaN equals NaN."""
+    return (type(value), value.hex() if isinstance(value, float) else value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_all_types_row, max_size=12))
+def test_property_frames_are_identical_across_vector_kinds(rows):
+    """Property: a relation over typed vectors (``NumericVector``,
+    ``DictVector``, object arrays) encodes to the same bytes as the same
+    rows given as values, and decodes to typed numeric columns that read as
+    exactly those native values."""
+    rows = [list(row) for row in rows]
+    by_rows = Relation(ALL_TYPES_SCHEMA, rows)
+    by_vectors = Relation.from_columns(ALL_TYPES_SCHEMA, [
+        vector_from_values([row[i] for row in rows], col.dtype)
+        for i, col in enumerate(ALL_TYPES_SCHEMA)
+    ], len(rows))
+    payload = BinaryCodec().encode(by_rows)
+    assert BinaryCodec().encode(by_vectors) == payload
+    decoded = BinaryCodec().decode(payload, ALL_TYPES_SCHEMA)
+    for index in (0, 1, 3):   # INTEGER, FLOAT, BOOLEAN
+        assert isinstance(decoded.column_vector(index), NumericVector)
+    natives = (int, float, str, bool, datetime, type(None))
+    assert [[_exact(v) for v in row.values] for row in decoded.rows] == \
+        [[_exact(v) for v in row] for row in rows]
+    assert all(type(v) in natives for row in decoded.rows for v in row.values)
+
+
+class TestWideIntegers:
+    def test_integers_beyond_int64_travel_as_decimal_text(self):
+        schema = Schema([("i", "integer")])
+        relation = Relation(schema, [[2 ** 70], [None], [-(2 ** 70)], [3]])
+        payload = BinaryCodec().encode(relation)
+        assert payload[9] == 7   # the wide-integer tag
+        assert BinaryCodec().decode(payload, schema).column_values(0) == \
+            [2 ** 70, None, -(2 ** 70), 3]
+
+    def test_an_integer_column_of_floats_beyond_int64_still_refuses(self):
+        schema = Schema([("i", "integer")])
+        relation = Relation.from_columns(schema, [[1e20]])
+        with pytest.raises(OverflowError):
+            BinaryCodec().encode(relation)

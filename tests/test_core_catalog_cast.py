@@ -177,3 +177,19 @@ class TestCastMigrator:
         binary_rows = sorted(str(e.value) for e in accumulo.scan("via_binary"))
         csv_rows = sorted(str(e.value) for e in accumulo.scan("via_csv"))
         assert binary_rows == csv_rows
+
+    @pytest.mark.parametrize("method", ["binary", "csv", "direct"])
+    def test_integers_beyond_int64_survive_every_cast_method(self, catalog, method):
+        # Regression: the binary frame packed INTEGER as i64 only, so a table
+        # holding 2**70 failed the default cast with a bare OverflowError.
+        postgres, warehouse = catalog.engine("postgres"), RelationalEngine("warehouse")
+        catalog.register_engine(warehouse, ["relational"])
+        postgres.execute("CREATE TABLE wide (id INTEGER, big INTEGER)")
+        rows = [(1, 2 ** 70), (2, -(2 ** 70)), (3, None), (4, 5)]
+        postgres.insert_rows("wide", rows)
+        catalog.register_object("wide", "postgres", "table")
+        record = CastMigrator(catalog).cast("wide", "warehouse", method=method)
+        assert record.rows == 4
+        got = [row.values for row in warehouse.export_relation("wide")]
+        assert got == rows
+        assert [type(v) for _id, v in got] == [int, int, type(None), int]

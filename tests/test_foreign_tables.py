@@ -81,7 +81,7 @@ def stored_arrays(draw):
     query=st.sampled_from(QUERIES),
 )
 def test_sql_over_a_foreign_table_equals_sql_over_a_heap_import(stored, x, k, query):
-    relation = stored.to_relation()
+    relation = next(stored.cell_chunks())
     foreign, heap = RelationalEngine("foreign"), RelationalEngine("heap")
     for engine in (foreign, heap):
         dimension_table(engine, 5)

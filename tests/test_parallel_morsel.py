@@ -670,6 +670,41 @@ class TestRuntimeParallelism:
             rt.execute("SELECT count(*) FROM big a JOIN big b ON a.id = b.id", use_cache=False)
         assert rt.task_credits.available == 3
 
+    def test_engines_made_after_the_runtime_draw_on_its_budget(self, monkeypatch):
+        """The WITH-temporaries engine and the island's per-query scratch
+        engine are both made after the runtime, and both take its worker
+        count and budget: under parallelism=1 a WITH join starts no pool,
+        even on a host where "auto" would mean 8 workers."""
+        from repro.core.bigdawg import BigDawg
+        from repro.engines.array import ArrayEngine
+        from repro.runtime import PolystoreRuntime
+
+        monkeypatch.setattr("repro.common.parallel.os.cpu_count", lambda: 8)
+
+        def no_pool(_context):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(TaskContext, "_executor", no_pool)
+        bd = BigDawg()
+        postgres, scidb = RelationalEngine("postgres"), ArrayEngine("scidb")
+        bd.add_engine(postgres, islands=["relational"])
+        bd.add_engine(scidb, islands=["array"])
+        postgres.execute("CREATE TABLE dim (signal INTEGER PRIMARY KEY, name TEXT)")
+        postgres.insert_rows("dim", [(i, f"lead_{i}") for i in range(4)])
+        bd.catalog.register_object("dim", "postgres", "table")
+        scidb.load_numpy("wave", np.arange(32.0).reshape(4, 8))
+        bd.catalog.register_object("wave", "scidb", "array")
+        with PolystoreRuntime(bd, workers=2, parallelism=1) as rt:
+            result = rt.execute(
+                "WITH s = ARRAY(aggregate(wave, avg(value), i)) "
+                "RELATIONAL(SELECT d.name, s.value FROM s JOIN dim d "
+                "ON s.coordinate = d.signal WHERE s.value > 10)"
+            )
+            assert sorted(row.values for row in result.rows) == [
+                ("lead_1", 11.5), ("lead_2", 19.5), ("lead_3", 27.5)]
+            temp = bd.temp_engine()
+            assert temp.task_credits is rt.task_credits and temp.parallelism == 1
+
     @pytest.mark.parametrize(
         "cores, workers, parallelism, expected",
         [

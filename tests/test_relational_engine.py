@@ -22,7 +22,7 @@ from repro.common.errors import (
 )
 from repro.common.expressions import compile_predicate
 from repro.common.schema import Schema
-from repro.common.vectors import DictVector, NumericVector
+from repro.common.vectors import DictVector, NumericVector, to_list
 from repro.engines.base import EngineCapability
 from repro.engines.relational import BTreeIndex, HeapTable, RelationalEngine
 from repro.engines.relational.sql.ast import SelectStatement
@@ -369,7 +369,7 @@ class TestColumnSnapshot:
             assert column.tolist() == [row[n] for row in rows]
             assert [column[r] for r in range(4)] == [row[n] for row in rows]
             assert [type(v) for v in column.tolist()] == [type(row[n]) for row in rows]
-            assert snapshot.values(n, 1, 3) == [row[n] for row in rows[1:3]]
+            assert to_list(column[1:3]) == [row[n] for row in rows[1:3]]
         assert str(f.tolist()[3]) == "-0.0"
         null_free = HeapTable("nf", Schema([("i", "integer")]))
         null_free.insert_many([[1], [2]])
