@@ -347,24 +347,19 @@ def _column_vector(array: str, chunk: Relation, column: str, dtype: DataType,
 
 
 def _typed_cells(vector: NumericVector, target: np.dtype) -> np.ndarray | None:
-    """``vector`` as a ``target`` buffer, as ``np.asarray`` makes one of its
-    Python values: a NULL is NaN in a float buffer and ``False`` in a boolean
-    one, and a float truncates into an integer buffer.  None where that
-    conversion raises (a NULL in an integer buffer, a float that is not a
-    finite int64) or narrows (no safe cast): the caller converts the values."""
+    """``vector`` read in place as a ``target`` buffer, the cells
+    ``np.asarray`` makes of its Python values: a NULL is NaN in a float
+    buffer and ``False`` in a boolean one.  None where the vector's dtype is
+    not ``target`` or it holds a NULL for an integer buffer: the caller
+    converts the values."""
     values, nulls = vector.values, vector.nulls
+    if values.dtype != target:
+        return None
     if nulls is not None and not nulls.any():
         nulls = None
-    if nulls is not None and target.kind not in "fb":
-        return None
-    if values.dtype != target:
-        if target.kind == "i" and values.dtype.kind == "f":
-            if not ((values >= -(2.0 ** 63)) & (values < 2.0 ** 63)).all():
-                return None
-        elif not np.can_cast(values.dtype, target):
-            return None
-        values = values.astype(target)
     if nulls is not None:
+        if target.kind not in "fb":
+            return None
         values = np.where(nulls, np.nan if target.kind == "f" else False, values)
     return values
 
