@@ -15,6 +15,18 @@ refuses the entry when the live fingerprint moved during execution — either
 because the query itself mutated state (engine-native DML, WITH
 materializations) or because a concurrent writer did.  Only results provably
 derived from the current polystore state are ever served.
+
+Eviction is LRU behind a frequency filter (TinyLFU: Einziger, Friedman &
+Manes, ACM TOS 2017).  Every lookup, hit or miss, counts its key in a
+fixed-size count-min sketch whose counters all halve after every
+``_SKETCH_WIDTH_PER_ENTRY * capacity`` counts, so popularity follows recent
+traffic and the sketch's memory never grows with the number of distinct
+texts.  A new key arriving at a full cache is admitted only when the LRU
+entry is dead (its fingerprint is no longer the live one, so it can never be
+served) or has been asked for no more often than the newcomer; otherwise
+the newcomer is refused and the entry stays.  Ties admit, so a cache with no
+frequency signal is plain LRU.  A burst of one-off texts therefore cannot
+flush the texts clients keep repeating.
 """
 
 from __future__ import annotations
@@ -28,6 +40,14 @@ from repro.core.catalog import BigDawgCatalog
 
 #: fingerprint = (catalog version, ((engine, write_version), ...))
 Fingerprint = tuple[int, tuple[tuple[str, int], ...]]
+
+#: Counters per row of the frequency sketch, per cache entry.  The sketch
+#: has two rows of ``_SKETCH_WIDTH_PER_ENTRY * capacity`` one-byte counters,
+#: and halves them all after that many counts.
+_SKETCH_WIDTH_PER_ENTRY = 64
+
+#: ``bytearray.translate`` table that halves every counter in one C pass.
+_HALVE = bytes(count >> 1 for count in range(256))
 
 
 def normalize_query(query: str) -> str:
@@ -60,6 +80,43 @@ def normalize_query(query: str) -> str:
     return "".join(result)
 
 
+class _FrequencySketch:
+    """Approximate recent lookup counts per key, in fixed memory.
+
+    A count-min sketch with two rows of ``width`` saturating one-byte
+    counters, indexed by the low and the high half of the key's hash; a key's
+    estimate is the smaller of its two counters, so collisions can only
+    over-count.
+    After every ``width`` additions all counters halve, which ages out old
+    popularity.  Callers hold the cache's lock.
+    """
+
+    __slots__ = ("_counts", "_width", "_added")
+
+    def __init__(self, width: int) -> None:
+        self._width = width
+        self._counts = bytearray(2 * width)
+        self._added = 0
+
+    def add(self, key: str) -> None:
+        h = hash(key)
+        counts, width = self._counts, self._width
+        first, second = h % width, width + (h >> 32) % width
+        if counts[first] < 255:
+            counts[first] += 1
+        if counts[second] < 255:
+            counts[second] += 1
+        self._added += 1
+        if self._added >= width:
+            self._added = 0
+            self._counts = counts.translate(_HALVE)
+
+    def estimate(self, key: str) -> int:
+        h = hash(key)
+        counts, width = self._counts, self._width
+        return min(counts[h % width], counts[width + (h >> 32) % width])
+
+
 @dataclass
 class _Entry:
     relation: Relation
@@ -67,7 +124,7 @@ class _Entry:
 
 
 class ResultCache:
-    """LRU cache of query results, verified against a state fingerprint."""
+    """LRU result cache behind frequency admission, verified against a state fingerprint."""
 
     def __init__(self, catalog: BigDawgCatalog, capacity: int = 256,
                  keep_stale: bool = False) -> None:
@@ -81,11 +138,15 @@ class ResultCache:
         self.keep_stale = keep_stale
         self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._stale: "OrderedDict[str, _Entry]" = OrderedDict()
+        self._sketch = _FrequencySketch(_SKETCH_WIDTH_PER_ENTRY * capacity)
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.stores = 0
         self.evictions = 0
+        #: New keys turned away at a full cache because the LRU entry is
+        #: asked for more often.
+        self.refused = 0
         self.invalidations = 0
         self.stale_hits = 0
 
@@ -109,10 +170,14 @@ class ResultCache:
     # ------------------------------------------------------------------ cache
     def get(self, query: str) -> Relation | None:
         key = normalize_query(query)
-        live = self.fingerprint()
+        # Fingerprint only a key that is there: most misses are absent keys.
+        # The unlocked peek is one dict lookup of a str under the GIL.
+        live = self.fingerprint() if key in self._entries else None
         with self._lock:
+            self._sketch.add(key)
             entry = self._entries.get(key)
-            if entry is None:
+            if entry is None or live is None:
+                # Absent, or stored since the peek: a miss either way.
                 self.misses += 1
                 return None
             if entry.fingerprint != live:
@@ -132,22 +197,34 @@ class ResultCache:
         """Store a result computed while the polystore was at ``fingerprint``.
 
         Returns False (and stores nothing) when the live fingerprint has
-        moved — the result may not reflect current state.
+        moved — the result may not reflect current state — or when a full
+        cache refuses a new key: its LRU entry is live and has been looked
+        up more often than ``query``.  With ``keep_stale`` a refused result
+        still goes to the stale buffer, as an evicted one does.
         """
         if fingerprint != self.fingerprint():
             return False
         key = normalize_query(query)
+        entry = _Entry(relation, fingerprint)
         with self._lock:
-            self._entries[key] = _Entry(relation, fingerprint)
-            self._entries.move_to_end(key)
+            entries = self._entries
+            if key not in entries and len(entries) >= self.capacity:
+                victim_key, victim = next(iter(entries.items()))
+                if (victim.fingerprint == fingerprint
+                        and self._sketch.estimate(key) < self._sketch.estimate(victim_key)):
+                    self.refused += 1
+                    if self.keep_stale:
+                        self._demote_locked(key, entry)
+                    return False
+                del entries[victim_key]
+                if self.keep_stale:
+                    self._demote_locked(victim_key, victim)
+                self.evictions += 1
+            entries[key] = entry
+            entries.move_to_end(key)
             # A fresh result supersedes any stale copy kept for fallback.
             self._stale.pop(key, None)
             self.stores += 1
-            while len(self._entries) > self.capacity:
-                evicted_key, evicted = self._entries.popitem(last=False)
-                if self.keep_stale:
-                    self._demote_locked(evicted_key, evicted)
-                self.evictions += 1
         return True
 
     def get_stale(self, query: str) -> Relation | None:
@@ -217,6 +294,7 @@ class ResultCache:
             "hit_rate": round(self.hit_rate, 4),
             "stores": self.stores,
             "evictions": self.evictions,
+            "refused": self.refused,
             "invalidations": self.invalidations,
             "keep_stale": self.keep_stale,
             "stale_size": stale_size,

@@ -117,10 +117,12 @@ class RuntimeMetrics:
         The window never reaches past the start of the current measurement
         window (a :meth:`reset_window` call, else the first submission), so
         a young runtime is not under-reported by dividing through idle time
-        it never lived.
+        it never lived.  Only the last ``window`` stamps are kept; when
+        older ones inside the window were dropped, the rate is taken over
+        the time the kept stamps span.
         """
-        now = time.perf_counter()
         with self._lock:
+            now = time.perf_counter()
             origin = self._window_start
             if origin is None:
                 origin = self._first_submit
@@ -134,7 +136,12 @@ class RuntimeMetrics:
             if span <= 0:
                 return 0.0
             cutoff = now - span
-            count = sum(1 for stamp in self._completions if stamp >= cutoff)
+            stamps = self._completions
+            if len(stamps) == stamps.maxlen and stamps[0] > cutoff:
+                # The bounded deque dropped stamps inside the window: count
+                # the kept ones over the time they actually span.
+                return len(stamps) / (now - stamps[0])
+            count = sum(1 for stamp in stamps if stamp >= cutoff)
         return count / span
 
     def reset_window(self) -> None:

@@ -7,7 +7,8 @@ and :meth:`~PolystoreRuntime.execute_many` hand queries to a worker pool.
 Either way each query flows through:
 
 1. **Result cache** — a fingerprint-verified lookup; hits return immediately
-   and never touch an engine.
+   and never touch an engine.  A miss's result is stored afterwards, unless
+   a full cache's frequency filter keeps the LRU entry instead.
 2. **Planning** — scoped queries become a :class:`~repro.core.query.planner.QueryPlan`
    whose dependency sets say which steps may overlap.
 3. **Scheduling** — plan steps run in dependency waves; steps in the same

@@ -407,6 +407,19 @@ class TestQueueWaitAndThroughput:
         # Lifetime throughput is untouched by a window reset.
         assert metrics.snapshot()["completed"] == 5
 
+    def test_windowed_throughput_past_the_kept_stamps(self):
+        # More completions than the 4,096 stamps kept fall inside the
+        # window: the rate must not be their count over the whole window.
+        metrics = RuntimeMetrics()
+        metrics.reset_window()
+        started = time.perf_counter()
+        completed = 16 * 4096
+        for _ in range(completed):
+            metrics.record_completed(0.0)
+        true_rate = completed / (time.perf_counter() - started)
+        # Dividing 4,096 by the whole run would read 1/16 of the true rate.
+        assert metrics.windowed_throughput() >= 0.25 * true_rate
+
     def test_snapshot_queue_depth_override(self):
         metrics = RuntimeMetrics()
         assert metrics.snapshot(queue_depth=9)["queue_depth"] == 9

@@ -341,6 +341,118 @@ class TestResultCache:
         assert cache.get("q") is None
         assert cache.get_stale("q").stale is True and result.stale is False
 
+    # ------------------------------------------------- frequency admission
+    @staticmethod
+    def _serve(cache, relation, query):
+        """One runtime lookup: get, and on a miss store the result."""
+        if cache.get(query) is not None:
+            return True
+        cache.put(query, relation, cache.fingerprint())
+        return False
+
+    def test_zipf_traffic_beats_lru(self, bigdawg):
+        from collections import OrderedDict
+
+        capacity, keys, lookups = 64, 16 * 64, 40_000
+        rng = np.random.default_rng(11)
+        weights = 1.0 / np.arange(1, keys + 1) ** 1.1
+        stream = [f"q{k}" for k in rng.choice(keys, size=lookups, p=weights / weights.sum())]
+        lru: OrderedDict[str, None] = OrderedDict()
+        lru_hits = 0
+        for query in stream:
+            if query in lru:
+                lru.move_to_end(query)
+                lru_hits += 1
+            else:
+                lru[query] = None
+                if len(lru) > capacity:
+                    lru.popitem(last=False)
+        cache = ResultCache(bigdawg.catalog, capacity=capacity)
+        relation = bigdawg.execute("RELATIONAL(SELECT count(*) AS n FROM patients)")
+        hits = sum(self._serve(cache, relation, query) for query in stream)
+        assert hits == cache.hits and cache.hits + cache.misses == lookups
+        assert hits / lookups >= lru_hits / lookups + 0.05
+        assert cache.describe()["refused"] == cache.refused > 0
+
+    def test_a_scan_of_one_off_keys_leaves_the_hot_set_cached(self, bigdawg):
+        capacity = 64
+        cache = ResultCache(bigdawg.catalog, capacity=capacity)
+        relation = bigdawg.execute("RELATIONAL(SELECT count(*) AS n FROM patients)")
+        hot = [f"hot{i}" for i in range(capacity)]
+        for _ in range(3):
+            for query in hot:
+                self._serve(cache, relation, query)
+        for i in range(4 * capacity):
+            self._serve(cache, relation, f"scan{i}")
+        assert sum(cache.get(query) is not None for query in hot) >= 0.9 * capacity
+
+    def test_a_dead_lru_entry_is_evicted_for_a_cold_newcomer(self, bigdawg):
+        cache = ResultCache(bigdawg.catalog, capacity=2)
+        relation = bigdawg.execute("RELATIONAL(SELECT count(*) AS n FROM patients)")
+        for query in ("a", "b"):
+            for _ in range(5):
+                self._serve(cache, relation, query)
+        # Both entries are popular but dead once the polystore moves.
+        bigdawg.engine("postgres").execute("INSERT INTO patients VALUES (7, 33)")
+        assert cache.put("cold", relation, cache.fingerprint())
+        assert len(cache) == 2 and cache.refused == 0 and cache.evictions == 1
+        assert cache.get("cold") is relation
+
+    def test_a_refused_newcomer_is_kept_for_stale_reads(self, bigdawg):
+        cache = ResultCache(bigdawg.catalog, capacity=2, keep_stale=True)
+        relation = bigdawg.execute("RELATIONAL(SELECT count(*) AS n FROM patients)")
+        for query in ("a", "b"):
+            for _ in range(5):
+                self._serve(cache, relation, query)
+        assert self._serve(cache, relation, "cold") is False
+        assert cache.refused == 1 and len(cache) == 2
+        assert cache.get("cold") is None
+        stale = cache.get_stale("cold")
+        assert stale is not None and stale.stale is True
+        assert stale.column_vector(0) is relation.column_vector(0)
+
+    def test_the_sketch_stays_one_size_however_many_keys_arrive(self, bigdawg):
+        cache = ResultCache(bigdawg.catalog, capacity=16)
+        counts = cache._sketch._counts
+        size, footprint = len(counts), sys.getsizeof(counts)
+        for i in range(100_000):
+            cache.get(f"distinct{i}")
+        counts = cache._sketch._counts
+        assert len(counts) == size and sys.getsizeof(counts) == footprint
+        assert cache.misses == 100_000 and len(cache) == 0
+
+    def test_threads_sharing_one_cache_keep_its_bounds_and_counts(self, bigdawg):
+        cache = ResultCache(bigdawg.catalog, capacity=32)
+        relation = bigdawg.execute("RELATIONAL(SELECT count(*) AS n FROM patients)")
+        lookups = [0] * 8
+        errors: list[Exception] = []
+        deadline = time.monotonic() + 1.0
+
+        def client(slot: int) -> None:
+            rng = np.random.default_rng(slot)
+            try:
+                while time.monotonic() < deadline:
+                    for key in rng.integers(0, 128, size=64):
+                        self._serve(cache, relation, f"k{key}")
+                        lookups[slot] += 1
+            except Exception as error:  # noqa: BLE001 - surfaced below
+                errors.append(error)
+
+        threads = [threading.Thread(target=client, args=(slot,)) for slot in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cache) <= cache.capacity
+        assert cache.hits + cache.misses == sum(lookups) > 0
+
 
 # -------------------------------------------------------------------- planner
 class TestPlannerConcurrencySupport:
