@@ -198,15 +198,14 @@ class BigDawg:
             return candidates[0]
         # Common semantics: prefer the island whose engines hold the referenced objects.
         for island in candidates:
-            if isinstance(island, RelationalIsland):
-                try:
-                    tables = island.referenced_tables(query)
-                    engines = {self.catalog.locate(t).engine_name for t in tables}
-                except (ObjectNotFoundError, ParseError):
-                    continue
-                members = {e.name.lower() for e in island.member_engines()}
-                if engines <= members:
-                    return island
+            try:
+                objects = island.parse(query).objects
+                engines = {self.catalog.locate(name).engine_name for name in objects}
+            except (ObjectNotFoundError, ParseError):
+                continue
+            members = {e.name.lower() for e in island.member_engines()}
+            if engines <= members:
+                return island
         return candidates[0]
 
     def materialize_temporary(self, name: str, relation: Relation) -> None:

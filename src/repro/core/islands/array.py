@@ -7,7 +7,7 @@ import re
 from repro.common.errors import ExecutionError
 from repro.common.schema import Column, Relation, Schema
 from repro.common.types import DataType
-from repro.core.islands.base import Island
+from repro.core.islands.base import Island, IslandStatement
 from repro.core.shims import ArrayShim
 from repro.engines.array.aql import AqlCall, parse_aql
 from repro.engines.array.engine import ArrayEngine
@@ -27,33 +27,27 @@ class ArrayIsland(Island):
     def can_answer(self, query: str) -> bool:
         return bool(self._OPERATOR_RE.match(query.strip()))
 
-    def execute(self, query: str) -> Relation:
-        """Execute an AFL query; the result is flattened to a relation."""
-        self.queries_executed += 1
-        call = parse_aql(query)
-        array_name = self._root_array(call)
-        engine = self.engine_for_object(array_name)
-        if isinstance(engine, ArrayEngine):
-            result = engine.execute(query)
-        else:
-            # Materialize through the shim into a scratch array engine first.
-            scratch = ArrayEngine("_array_island_scratch")
-            stored = ArrayShim(engine).fetch_array(array_name)
-            scratch.register(array_name, stored)
-            result = scratch.execute(query)
-        return self._to_relation(result)
+    def parse(self, text: str) -> IslandStatement:
+        """An AFL call reads one object, its root array, and writes none."""
+        call = parse_aql(text)
+        return IslandStatement(text, (self._root_array(call),), False, call)
 
-    def execute_native(self, query: str) -> StoredArray | dict:
+    def execute(self, query: str | IslandStatement) -> Relation:
+        """Execute an AFL query; the result is flattened to a relation."""
+        return self._to_relation(self.execute_native(query))
+
+    def execute_native(self, query: str | IslandStatement) -> StoredArray | dict:
         """Execute and return the engine's native result (used by analytics)."""
         self.queries_executed += 1
-        call = parse_aql(query)
-        array_name = self._root_array(call)
+        statement = self.statement(query)
+        (array_name,) = statement.objects
         engine = self.engine_for_object(array_name)
-        if isinstance(engine, ArrayEngine):
-            return engine.execute(query)
-        scratch = ArrayEngine("_array_island_scratch")
-        scratch.register(array_name, ArrayShim(engine).fetch_array(array_name))
-        return scratch.execute(query)
+        if not isinstance(engine, ArrayEngine):
+            # Materialize through the shim into a scratch array engine first.
+            scratch = ArrayEngine("_array_island_scratch")
+            scratch.register(array_name, ArrayShim(engine).fetch_array(array_name))
+            engine = scratch
+        return engine.execute(statement.parsed)
 
     def fetch_array(self, object_name: str) -> StoredArray:
         """Materialize an object as a stored array via the owning engine's shim."""

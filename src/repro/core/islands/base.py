@@ -4,8 +4,12 @@ Each island is a front-facing abstraction with a query language, a data model
 and a set of shims to the engines it federates (Section 2.1).  Every island
 answers:
 
-* ``execute(query)`` — run a query expressed in the island's language and
-  return a :class:`~repro.common.schema.Relation` (the common result form all
+* ``parse(text)`` — the island's own parse of one statement, made once: an
+  :class:`IslandStatement`, which the runtime routes and journals by.  The
+  base raises ``ParseError``: Myria and the degenerate islands take no text.
+* ``execute(query)`` — run a query in the island's language (text, or a
+  statement ``parse`` made, which is not parsed again) and return a
+  :class:`~repro.common.schema.Relation` (the common result form all
   interfaces consume).
 * ``can_answer(query)`` — a cheap syntactic check used by the cross-island
   planner when the user did not SCOPE a subquery explicitly.
@@ -14,22 +18,26 @@ answers:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
+from typing import Any
 
-from repro.common.errors import ObjectNotFoundError
+from repro.common.errors import ObjectNotFoundError, ParseError
 from repro.common.schema import Relation
 from repro.core.catalog import BigDawgCatalog
 from repro.core.shims import Shim, shim_for
 from repro.engines.base import Engine
 
-#: Statement prefixes that mutate their target objects — these must be
-#: routed to the primary copy and invalidate replicas afterwards.
-_WRITE_PREFIXES = ("insert", "update", "delete", "drop", "create", "alter")
 
+@dataclass(frozen=True)
+class IslandStatement:
+    """One parsed statement: the catalog ``objects`` it reads or writes,
+    first mention first; whether it ``writes`` (then it goes to their
+    primaries and is journaled); and the island's parse, which runs."""
 
-def is_write_statement(text: str) -> bool:
-    """Whether a statement writes: the islands send it to the primary copy
-    and the runtime journals it."""
-    return text.strip().lower().startswith(_WRITE_PREFIXES)
+    text: str
+    objects: tuple[str, ...]
+    writes: bool
+    parsed: Any
 
 
 class Island(ABC):
@@ -71,8 +79,16 @@ class Island(ABC):
         return self.catalog.engine(location.engine_name)
 
     # ------------------------------------------------------------------ query
+    def parse(self, text: str) -> IslandStatement:
+        """Parse one statement of this island's language."""
+        raise ParseError(f"island {self.name!r} takes no query text")
+
+    def statement(self, query: str | IslandStatement) -> IslandStatement:
+        """``query`` parsed: text is parsed, a statement is returned as is."""
+        return self.parse(query) if isinstance(query, str) else query
+
     @abstractmethod
-    def execute(self, query: str) -> Relation:
+    def execute(self, query: str | IslandStatement) -> Relation:
         """Execute a query in this island's language and return a relation."""
 
     @abstractmethod

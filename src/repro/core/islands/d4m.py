@@ -19,7 +19,7 @@ import re
 from repro.common.errors import ParseError
 from repro.common.schema import Column, Relation, Schema
 from repro.common.types import DataType, infer_type
-from repro.core.islands.base import Island
+from repro.core.islands.base import Island, IslandStatement
 from repro.core.shims import AssociativeShim
 from repro.d4m.associative_array import AssociativeArray
 
@@ -50,11 +50,16 @@ class D4MIsland(Island):
         return AssociativeShim(engine).fetch_associative(object_name)
 
     # ----------------------------------------------------------------- textual
-    def execute(self, query: str) -> Relation:
-        self.queries_executed += 1
-        match = _ASSOC_RE.match(query.strip())
+    def parse(self, text: str) -> IslandStatement:
+        """An ASSOC query reads its one object and writes nothing."""
+        match = _ASSOC_RE.match(text.strip())
         if match is None:
-            raise ParseError(f"not a D4M island query: {query!r}")
+            raise ParseError(f"not a D4M island query: {text!r}")
+        return IslandStatement(text, (match.group(1),), False, match)
+
+    def execute(self, query: str | IslandStatement) -> Relation:
+        self.queries_executed += 1
+        match = self.statement(query).parsed
         object_name, rows, cols, op, literal, degree, degree_axis = match.groups()
         engine = self.engine_for_object(object_name)
         assoc = AssociativeShim(engine).fetch_associative(object_name)

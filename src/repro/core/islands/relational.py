@@ -8,7 +8,7 @@ its relational shim and run the SQL in a scratch relational engine, where
 every export is a read-only foreign table: scanned in place, never copied
 into a heap, and refusing any write (a write there would change a copy).
 
-Each statement is parsed once (:meth:`RelationalEngine.parse`): its tables
+Each statement is parsed once (:meth:`RelationalIsland.parse`): its tables
 are read off the AST, and the engine that runs it receives the text with
 that AST, which it does not parse again.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.common.errors import TransientEngineError
 from repro.common.schema import Relation
-from repro.core.islands.base import Island
+from repro.core.islands.base import Island, IslandStatement
 from repro.core.shims import RelationalShim
 from repro.engines.base import EngineCapability
 from repro.engines.relational.engine import RelationalEngine
@@ -33,14 +33,20 @@ class RelationalIsland(Island):
         stripped = query.strip().lower()
         return stripped.startswith(("select", "insert", "update", "delete", "create", "drop"))
 
-    def execute(self, query: str) -> Relation:
+    def parse(self, text: str) -> IslandStatement:
+        """The statement's tables (a SELECT's FROM and JOIN tables, subqueries
+        included); every statement but a SELECT writes."""
+        sql = RelationalEngine.parse(text)
+        writes = not isinstance(sql.statement, SelectStatement)
+        return IslandStatement(text, tuple(_tables(sql.statement)), writes, sql)
+
+    def execute(self, query: str | IslandStatement) -> Relation:
         self.queries_executed += 1
-        sql = RelationalEngine.parse(query)
-        tables = _tables(sql.statement)
+        statement = self.statement(query)
+        sql, tables, is_write = statement.parsed, statement.objects, statement.writes
         if not tables:
             # Table-free SELECT (constant expressions): run on any SQL engine.
             return self._any_sql_engine().execute(sql)
-        is_write = not isinstance(sql.statement, SelectStatement)
         placements = {
             table: self.engine_for_object(table, for_write=is_write)
             for table in tables
@@ -83,11 +89,6 @@ class RelationalIsland(Island):
                         self.catalog.note_object_write(table, engine.name)
 
     # ----------------------------------------------------------------- helpers
-    def referenced_tables(self, query: str) -> list[str]:
-        """Table names a statement references: the one a DML/DDL statement
-        names, or a SELECT's FROM and JOIN tables, subqueries included."""
-        return _tables(RelationalEngine.parse(query).statement)
-
     def _any_sql_engine(self) -> RelationalEngine:
         for engine in self.member_engines():
             if isinstance(engine, RelationalEngine):

@@ -14,7 +14,7 @@ import re
 from repro.common.errors import ParseError
 from repro.common.schema import Column, Relation, Schema
 from repro.common.types import DataType
-from repro.core.islands.base import Island
+from repro.core.islands.base import Island, IslandStatement
 from repro.core.shims import TextShim
 
 
@@ -38,12 +38,16 @@ class TextIsland(Island):
     def can_answer(self, query: str) -> bool:
         return bool(_SEARCH_RE.match(query.strip()))
 
-    def execute(self, query: str) -> Relation:
-        self.queries_executed += 1
-        match = _SEARCH_RE.match(query.strip())
+    def parse(self, text: str) -> IslandStatement:
+        """A search reads its one table and writes nothing."""
+        match = _SEARCH_RE.match(text.strip())
         if match is None:
-            raise ParseError(f"not a text island query: {query!r}")
-        table, phrases_text, minimum = match.group(1), match.group(2), match.group(3)
+            raise ParseError(f"not a text island query: {text!r}")
+        return IslandStatement(text, (match.group(1),), False, match)
+
+    def execute(self, query: str | IslandStatement) -> Relation:
+        self.queries_executed += 1
+        table, phrases_text, minimum = self.statement(query).parsed.groups()
         phrases = [p.strip().strip('"').strip("'") for p in re.split(r"\s+and\s+", phrases_text, flags=re.IGNORECASE)]
         shim = TextShim(self.engine_for_object(table))
         if minimum is not None:

@@ -38,6 +38,18 @@ _WITH_RE = re.compile(
     r"^\s*WITH\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*", re.IGNORECASE
 )
 
+#: ``'…'`` string literals; and those or ``"…"`` identifiers ('' and "" escape).
+_LITERAL_RE = re.compile(r"('[^']*(?:''[^']*)*')")
+_QUOTED_RE = re.compile(r"""('[^']*(?:''[^']*)*'|"[^"]*(?:""[^"]*)*")""")
+_PARENTHESIS_RE = re.compile(r"[()]")
+
+
+def split_literals(text: str, identifiers: bool = False) -> list[str]:
+    """``text`` cut at its ``'…'`` literals (and ``"…"`` identifiers too when
+    ``identifiers``): even items lie outside them, where query structure
+    (parentheses, CAST terms, binding names) is read; odd items are spans."""
+    return (_QUOTED_RE if identifiers else _LITERAL_RE).split(text)
+
 
 @dataclass(frozen=True)
 class CastSpec:
@@ -45,7 +57,6 @@ class CastSpec:
 
     object_name: str
     target_island: str
-    original_text: str
 
 
 @dataclass
@@ -59,10 +70,11 @@ class ScopedQuery:
     @property
     def body_without_casts(self) -> str:
         """The inner query with every CAST(obj, island) replaced by the object name."""
-        text = self.body
-        for cast in self.casts:
-            text = text.replace(cast.original_text, cast.object_name)
-        return text
+        if not self.casts:
+            return self.body
+        pieces = split_literals(self.body, identifiers=True)
+        pieces[::2] = [_CAST_RE.sub(r"\1", piece) for piece in pieces[::2]]
+        return "".join(pieces)
 
 
 @dataclass
@@ -95,8 +107,9 @@ def parse_scope(text: str) -> ScopedQuery:
     if island == "bigdawg":
         return parse_scope(body)
     casts = [
-        CastSpec(m.group(1), m.group(2).lower(), m.group(0))
-        for m in _CAST_RE.finditer(body)
+        CastSpec(m.group(1), m.group(2).lower())
+        for piece in split_literals(body, identifiers=True)[::2]
+        for m in _CAST_RE.finditer(piece)
     ]
     return ScopedQuery(island=island, body=body.strip(), casts=casts)
 
@@ -125,15 +138,15 @@ def parse_query(text: str) -> CrossIslandQuery:
 
 
 def _matched_parentheses(text: str, open_index: int) -> tuple[str, int]:
-    """Return (inner text, index just past the matching close paren)."""
+    """Return (inner text, index just past the matching close paren);
+    parentheses inside quoted spans do not count."""
     if text[open_index] != "(":
         raise ParseError("internal error: expected an open parenthesis")
+    pieces = split_literals(text, identifiers=True)
+    pieces[1::2] = [" " * len(piece) for piece in pieces[1::2]]
     depth = 0
-    for i in range(open_index, len(text)):
-        if text[i] == "(":
-            depth += 1
-        elif text[i] == ")":
-            depth -= 1
-            if depth == 0:
-                return text[open_index + 1 : i], i + 1
+    for parenthesis in _PARENTHESIS_RE.finditer("".join(pieces), open_index):
+        depth += 1 if parenthesis.group() == "(" else -1
+        if depth == 0:
+            return text[open_index + 1 : parenthesis.start()], parenthesis.end()
     raise ParseError("unbalanced parentheses in BigDAWG query")

@@ -27,11 +27,12 @@ from typing import TYPE_CHECKING
 
 from repro.common.errors import CastError, PlanningError
 from repro.common.schema import Relation
-from repro.core.query.language import CrossIslandQuery, ScopedQuery, parse_query
+from repro.core.query.language import CrossIslandQuery, ScopedQuery, parse_query, split_literals
 from repro.observability.tracing import get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.bigdawg import BigDawg
+    from repro.core.islands.base import IslandStatement
 
 
 #: SQL emitted per join type by :func:`render_join_sql`.  RIGHT/FULL OUTER
@@ -209,11 +210,12 @@ class CrossIslandPlanner:
     @staticmethod
     def _binding_references(scope: ScopedQuery, plan: QueryPlan,
                             binding_indices: list[int]) -> set[int]:
-        """Indices of earlier BindingSteps whose names this scope's body mentions."""
+        """Indices of earlier BindingSteps named in this scope's body, outside literals."""
+        unquoted = " ".join(split_literals(scope.body)[::2])
         referenced: set[int] = set()
         for index in binding_indices:
             bound_name = plan.steps[index].name
-            if re.search(rf"\b{re.escape(bound_name)}\b", scope.body, re.IGNORECASE):
+            if re.search(rf"\b{re.escape(bound_name)}\b", unquoted, re.IGNORECASE):
                 referenced.add(index)
         return referenced
 
@@ -444,25 +446,32 @@ class PlanExecution:
         self.skipped_casts: list[int] = []
 
     # ------------------------------------------------------------------ steps
-    def run_step(self, index: int) -> None:
+    def statement(self, index: int) -> "IslandStatement":
+        """Step ``index``'s scope parsed by its island, CASTs elided and WITH
+        bindings under this execution's physical names."""
+        scope = self.plan.steps[index].scope
+        return self._bigdawg.island(scope.island).parse(self._rewrite(scope.body_without_casts))
+
+    def run_step(self, index: int, statement: "IslandStatement | None" = None) -> None:
+        """Run step ``index``; a scope step executes ``statement`` or, if None,
+        its text, which the island parses (in its own span, as a bare query's)."""
         step = self.plan.steps[index]
         with get_tracer().span(
             f"step.{type(step).__name__}", kind="step", step=step.describe()
         ):
+            query = statement
+            if query is None and not isinstance(step, CastStep):
+                query = self._rewrite(step.scope.body_without_casts)
             if isinstance(step, CastStep):
                 self._run_cast(index, step)
             elif isinstance(step, BindingStep):
-                relation = self._bigdawg.island(step.scope.island).execute(
-                    self._rewrite(step.scope.body_without_casts)
-                )
+                relation = self._bigdawg.island(step.scope.island).execute(query)
                 physical = self._renames[step.name.lower()]
                 self._bigdawg.materialize_temporary(physical, relation)
                 with self._lock:
                     self._materialized.append(physical)
             elif isinstance(step, IslandQueryStep):
-                result = self._bigdawg.island(step.scope.island).execute(
-                    self._rewrite(step.scope.body_without_casts)
-                )
+                result = self._bigdawg.island(step.scope.island).execute(query)
                 with self._lock:
                     self._result = result
                     self._has_result = True
@@ -497,10 +506,12 @@ class PlanExecution:
                     self.skipped_casts.append(index)
 
     def _rewrite(self, body: str) -> str:
-        """Swap logical WITH-binding names for this execution's physical names."""
+        """Swap logical WITH-binding names for this execution's physical ones, outside literals."""
+        pieces = split_literals(body)
         for logical, physical in self._renames.items():
-            body = re.sub(rf"\b{re.escape(logical)}\b", physical, body, flags=re.IGNORECASE)
-        return body
+            pattern = re.compile(rf"\b{re.escape(logical)}\b", re.IGNORECASE)
+            pieces[::2] = [pattern.sub(physical, piece) for piece in pieces[::2]]
+        return "".join(pieces)
 
     # ----------------------------------------------------------------- result
     def finish(self) -> Relation:

@@ -223,8 +223,9 @@ class ArrayEngine(Engine):
         return self._arrays[key]
 
     # ------------------------------------------------------------------ query
-    def execute(self, afl: str) -> StoredArray | dict[str, float | None] | dict[int, float]:
-        """Execute an AFL-style text query.
+    def execute(self, afl: str | AqlCall) -> StoredArray | dict[str, float | None] | dict[int, float]:
+        """Execute an AFL-style text query, or a call :func:`parse_aql`
+        already parsed (not parsed again).
 
         Returns a :class:`StoredArray` for array-valued operators, a dict of
         aggregate results for ``aggregate`` and a ``{coordinate: value}`` dict
@@ -232,7 +233,7 @@ class ArrayEngine(Engine):
         """
         check_cancelled()
         self.queries_executed += 1
-        call = parse_aql(afl)
+        call = afl if isinstance(afl, AqlCall) else parse_aql(afl)
         return self._execute_call(call)
 
     def _execute_call(self, call: AqlCall) -> Any:

@@ -14,8 +14,9 @@ Either way each query flows through:
 3. **Scheduling** — plan steps run in dependency waves; steps in the same
    wave (independent CASTs, unrelated WITH-binding materializations) run on
    parallel threads.
-4. **Dispatch** — an island query or plan step is one record (its statement
-   scanned once for the objects it names) on one path: a write's journal
+4. **Dispatch** — an island query or plan step is one record, built from
+   its island's parse of the statement (the objects it touches, whether it
+   writes; the island then runs that parse), on one path: a write's journal
    intent, breakers and retry, admission at the gates of the engines it
    touches (so no engine sees more concurrency than its slot budget), the
    call, and failover when a breaker is open.
@@ -31,7 +32,6 @@ use it to study scheduling under realistic service times; it defaults to 0.
 
 from __future__ import annotations
 
-import re
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -53,7 +53,7 @@ from repro.common.errors import (
 from repro.common.parallel import WorkerCredits, resolve_parallelism
 from repro.common.schema import Relation
 from repro.core.bigdawg import BigDawg
-from repro.core.islands.base import Island, is_write_statement
+from repro.core.islands.base import Island, IslandStatement
 from repro.core.query.planner import BindingStep, CastStep, PlanExecution, QueryPlan
 from repro.engines.base import Engine
 from repro.observability.profile import SlowQueryLog
@@ -71,18 +71,6 @@ from repro.runtime.metrics import RuntimeMetrics
 from repro.runtime.recovery import JournalRecovery, RecoveryReport
 from repro.runtime.resilience import EngineResilience
 from repro.runtime.session import RuntimeSession
-
-#: An identifier, or a whole single-quoted string literal (``''`` escapes
-#: included) whose identifier group stays empty: no island syntax quotes an
-#: object name, so a literal that spells one must not count as naming it.
-_IDENTIFIER_RE = re.compile(r"'[^']*(?:''[^']*)*'|([A-Za-z_][A-Za-z0-9_]*)")
-
-
-def _object_names(text: str) -> list[str]:
-    """The identifiers of ``text`` outside its string literals: candidate
-    catalog objects, each once, in order of first appearance."""
-    return list(dict.fromkeys(name for name in _IDENTIFIER_RE.findall(text) if name))
-
 
 def _span_text(query: str, limit: int = 200) -> str:
     """Query text trimmed for span attributes (traces stay bounded)."""
@@ -118,10 +106,11 @@ _UNSAMPLED_TRACER = Tracer(enabled=False)
 class _Dispatch:
     """One island query or plan step on its way to the engines.
 
-    Built once per dispatch, its statement scanned once: journaling, engine
-    resolution, failover and the execution monitor read it.  ``call`` runs
-    the dispatch (attempts and failovers call it again); ``step`` is None for
-    a bare island query; a CAST step has no island and no text.
+    Built once per dispatch from its island's parse of the statement, which
+    ``call`` executes (attempts and failovers call it again): journaling,
+    engine resolution, failover and the execution monitor read the objects
+    it touches (``names``) and ``is_write``.  ``step`` is None for a bare
+    island query; a CAST step has no island and no statement.
     ``cast_method`` / ``chunk_size`` are how a read failover CASTs a
     stranded object into the island.
     """
@@ -132,17 +121,17 @@ class _Dispatch:
     )
 
     def __init__(self, description: str, call, step: object = None,
-                 island: Island | None = None, text: str | None = None,
+                 island: Island | None = None, statement: IslandStatement | None = None,
                  cast_method: str = "binary", chunk_size: int | None = None) -> None:
         self.description, self.call, self.step = description, call, step
-        self.island, self.text = island, text
+        self.island, self.text = island, None if statement is None else statement.text
         self.cast_method, self.chunk_size = cast_method, chunk_size
         self.members = (
             None if island is None else [engine.name for engine in island.member_engines()]
         )
-        self.is_write = text is not None and is_write_statement(text)
-        #: Candidate catalog objects the statement names.
-        self.names = [] if text is None else _object_names(text)
+        self.is_write = statement is not None and statement.writes
+        #: The catalog objects the statement reads or writes.
+        self.names = [] if statement is None else list(statement.objects)
 
 
 class PolystoreRuntime:
@@ -471,12 +460,8 @@ class PolystoreRuntime:
                     parent=root, kind="lifecycle",
                 )
             serve_stale = use_cache and self.serve_stale_on_open
-            if serve_stale:
-                # The engines the query needs, resolved when asked: routing
-                # moves as breakers open.
-                names, is_write = _object_names(query), is_write_statement(query)
-                needed = lambda: self._referenced_engines(names, is_write)  # noqa: E731
             pre_open: set[str] = set()
+            records: list[_Dispatch] = []
             try:
                 hit = self.cache.get(query) if use_cache else None
                 if hit is not None:
@@ -487,12 +472,9 @@ class PolystoreRuntime:
                 if serve_stale:
                     # Breakers already open *before* this execution (see
                     # _stale_read).
-                    try:
-                        pre_open = self.resilience.open_engines(needed())
-                    except BigDawgError:
-                        pass
-                result, final = self._execute_uncached(
-                    query, cast_method, chunk_size, deadline
+                    pre_open = self.resilience.open_engines(self.resilience.states())
+                result = self._execute_uncached(
+                    query, cast_method, chunk_size, deadline, records
                 )
                 if use_cache:
                     # put() refuses the entry if any engine (including ones this
@@ -502,11 +484,14 @@ class PolystoreRuntime:
                 self.metrics.record_completed(elapsed, cached=False)
                 if self.slow_queries.enabled:
                     self.slow_queries.observe(query, elapsed)
-                self._observe(final, elapsed)
+                self._observe(records[-1], elapsed)
                 return result
             except Exception as error:
                 if serve_stale and isinstance(error, (CircuitOpenError, TransientEngineError)):
-                    stale = self._stale_read(query, error, needed(), pre_open)
+                    # The engines the query's dispatches need, resolved now:
+                    # routing moves as breakers open.
+                    needed = set().union(*(self._engines(record) for record in records))
+                    stale = self._stale_read(query, error, needed, pre_open)
                     if stale is not None:
                         self.metrics.record_completed(time.perf_counter() - started, cached=True)
                         root.set("stale", True)
@@ -535,9 +520,10 @@ class PolystoreRuntime:
 
     def _execute_uncached(
         self, query: str, cast_method: str, chunk_size: int | None,
-        deadline: float | None = None,
-    ) -> tuple[Relation, _Dispatch]:
-        """Run the query; returns its result and its final dispatch."""
+        deadline: float | None, records: list[_Dispatch],
+    ) -> Relation:
+        """Run the query; each dispatch record it builds is appended to
+        ``records``, the final one last."""
         stripped = query.strip()
         tracer = get_tracer()
         if self.bigdawg.is_scoped(stripped):
@@ -548,33 +534,36 @@ class PolystoreRuntime:
             execution = self.bigdawg.planner.start(plan)
             try:
                 with tracer.span("executed", kind="lifecycle", steps=len(plan.steps)):
-                    final = self._run_plan(plan, execution, deadline)
+                    self._run_plan(plan, execution, deadline, records)
                 self.metrics.record_casts_skipped(len(execution.skipped_casts))
-                return execution.finish(), final
+                return execution.finish()
             finally:
                 execution.cleanup()
         island = self.bigdawg._choose_island(stripped)
+        statement = island.parse(stripped)
         record = _Dispatch(
-            "island query", lambda: island.execute(stripped), island=island,
-            text=stripped, cast_method=cast_method, chunk_size=chunk_size,
+            "island query", lambda: island.execute(statement), island=island,
+            statement=statement, cast_method=cast_method, chunk_size=chunk_size,
         )
+        records.append(record)
         with tracer.span("executed", kind="lifecycle"):
-            return self._dispatch(record, deadline), record
+            return self._dispatch(record, deadline)
 
     def _run_plan(self, plan: QueryPlan, execution: PlanExecution,
-                  deadline: float | None = None) -> _Dispatch:
-        """Run steps in dependency waves, a wave's steps on parallel threads;
-        returns the final step's dispatch record."""
-        records: list[_Dispatch | None] = [None] * len(plan.steps)
+                  deadline: float | None, records: list[_Dispatch]) -> None:
+        """Run steps in dependency waves, a wave's steps on parallel threads,
+        appending their records to ``records`` (the final step's comes last)."""
 
         def run_step(index: int) -> None:
             step = plan.steps[index]
             scope = getattr(step, "scope", None)
-            record = records[index] = _Dispatch(
-                step.describe(), lambda: execution.run_step(index), step=step,
+            statement = None if scope is None else execution.statement(index)
+            record = _Dispatch(
+                step.describe(), lambda: execution.run_step(index, statement), step=step,
                 island=self.bigdawg.island(scope.island) if scope is not None else None,
-                text=scope.body_without_casts if scope is not None else None,
+                statement=statement,
             )
+            records.append(record)
             with get_tracer().span("plan_step", kind="step", step=record.description):
                 self._dispatch(record, deadline)
 
@@ -609,7 +598,6 @@ class PolystoreRuntime:
                     raise errors[0]
             completed.update(ready)
             remaining.difference_update(ready)
-        return records[-1]
 
     def _dispatch(self, record: _Dispatch, deadline: float | None):
         """Run one dispatch: journal → breakers/retry → admission → call → failover.
@@ -702,12 +690,12 @@ class PolystoreRuntime:
             failover_attempts = self.resilience.retry.attempts_within(remaining)
         elected = False
         if record.is_write and record.island is not None:
-            elected = self._elect_write_primaries(record.text, broken, record.description)
+            elected = self._elect_write_primaries(record.names, broken, record.description)
             if not elected:
                 raise error
         rerouted = self._engines(record)
         if not record.is_write and (rerouted == engines or rerouted & broken) \
-                and record.island is not None and record.text is not None:
+                and record.island is not None and record.names:
             if self._provision_replicas(record):
                 rerouted = self._engines(record)
         if not rerouted or rerouted == engines or rerouted & broken:
@@ -730,12 +718,12 @@ class PolystoreRuntime:
                 max_attempts=failover_attempts,
             )
 
-    def _elect_write_primaries(self, text: str, broken: set[str],
+    def _elect_write_primaries(self, names: Sequence[str], broken: set[str],
                                description: str) -> bool:
         """Promote fresh healthy replicas to primary for a failed write.
 
-        For every catalog object the statement mentions whose primary sits
-        on a broken engine, a *fresh* (current-content) replica on a healthy
+        For every catalog object among ``names`` whose primary sits on a
+        broken engine, a *fresh* (current-content) replica on a healthy
         engine is promoted via :meth:`BigDawgCatalog.promote_primary`.  Each
         election is journaled as a ``promotion`` intent — begin before the
         catalog swap, commit after — so a crash mid-election is either
@@ -745,7 +733,7 @@ class PolystoreRuntime:
         """
         catalog = self.bigdawg.catalog
         elected = False
-        for name in sorted(_object_names(text)):
+        for name in sorted(names):
             check_cancelled()  # client cancellation lands between elections
             try:
                 primary = catalog.locate(name)
@@ -844,43 +832,36 @@ class PolystoreRuntime:
     # ------------------------------------------------------- engine discovery
     def _engines(self, record: _Dispatch) -> set[str]:
         """The engines a dispatch claims at the breakers and gates, resolved
-        afresh on every call: a CAST its source and target, a statement the
-        copies the islands will touch, a WITH binding also the temp engine."""
-        step = record.step
+        afresh on every call: a CAST its source and target, a WITH binding
+        also the temp engine, and a statement the copies the islands will
+        touch — each object's primary for a write, else the copy the
+        catalog's replica-aware read routing picks among the members."""
+        step, catalog = record.step, self.bigdawg.catalog
         if isinstance(step, CastStep):
             engines = {step.target_engine.lower()}
             if step.source_engine is not None:
                 engines.add(step.source_engine.lower())
             else:
                 try:
-                    engines.add(self.bigdawg.catalog.locate(step.object_name).engine_name)
+                    engines.add(catalog.locate(step.object_name).engine_name)
                 except ObjectNotFoundError:
                     pass
             return engines
-        engines = self._referenced_engines(record.names, record.is_write, record.members)
+        locate = catalog.locate if record.is_write else partial(
+            catalog.locate_for_read, members=record.members
+        )
+        engines = set()
+        for name in record.names:
+            try:
+                engines.add(locate(name).engine_name)
+            except ObjectNotFoundError:
+                continue
         if isinstance(step, BindingStep):
             # The materialization writes into the temp engine: admit there
             # too, so binding writes stay inside that engine's slot budget.
             engines.add(self.bigdawg.temp_engine().name.lower())
         elif step is None and not engines and record.members:
             engines = {record.members[0].lower()}
-        return engines
-
-    def _referenced_engines(self, names: Sequence[str], is_write: bool,
-                            members: Sequence[str] | None = None) -> set[str]:
-        """Engines serving the catalog objects among ``names``: the primary
-        for a write, else the copy the catalog's replica-aware read routing
-        picks (among ``members`` when given) — where the islands will go."""
-        catalog = self.bigdawg.catalog
-        engines: set[str] = set()
-        for name in names:
-            try:
-                if is_write:
-                    engines.add(catalog.locate(name).engine_name)
-                else:
-                    engines.add(catalog.locate_for_read(name, members=members).engine_name)
-            except ObjectNotFoundError:
-                continue
         return engines
 
     # -------------------------------------------------------------- monitoring

@@ -12,9 +12,11 @@ from repro.common.schema import Row
 from repro.core.bigdawg import BigDawg
 from repro.core.islands.myria import MyriaPlan
 from repro.engines.array import ArrayEngine
+from repro.engines.array import aql as aql_module
 from repro.engines.keyvalue import KeyValueEngine
 from repro.engines.relational import RelationalEngine
 from repro.engines.relational.sql import parser as parser_module
+from repro.runtime import PolystoreRuntime
 
 
 @pytest.fixture()
@@ -62,11 +64,11 @@ class TestRelationalIsland:
 
     def test_referenced_tables_extraction(self, bigdawg):
         island = bigdawg.island("relational")
-        tables = island.referenced_tables(
+        tables = island.parse(
             "SELECT * FROM a JOIN b ON a.x = b.x JOIN (SELECT * FROM c) s ON s.y = a.y"
-        )
-        assert tables == ["a", "b", "c"]
-        assert island.referenced_tables("UPDATE t SET x = 1") == ["t"]
+        ).objects
+        assert tables == ("a", "b", "c")
+        assert island.parse("UPDATE t SET x = 1").objects == ("t",)
 
     def test_can_answer(self, bigdawg):
         island = bigdawg.island("relational")
@@ -229,3 +231,76 @@ class TestDegenerateIslands:
         assert bigdawg.island("degenerate_postgres") is bigdawg.degenerate_island("postgres")
         with pytest.raises(ObjectNotFoundError):
             bigdawg.island("degenerate_mysql")
+
+
+# -------------------------------------------------------------------- parse
+class TestIslandParse:
+    """Each text island parses a statement once into the catalog objects it
+    reads or writes and whether it writes: what the runtime routes by."""
+
+    @pytest.mark.parametrize("island, text, objects, writes", [
+        ("relational",
+         "SELECT r.drug FROM rx r JOIN patients p ON p.id = r.pid "
+         "JOIN (SELECT id FROM seniors WHERE age > 65) s ON s.id = p.id",
+         ("rx", "patients", "seniors"), False),
+        ("relational", "INSERT INTO rx VALUES (3, 'aspirin')", ("rx",), True),
+        ("relational", "UPDATE patients SET age = 65 WHERE id = 1", ("patients",), True),
+        ("relational", "DELETE FROM rx WHERE pid = 2", ("rx",), True),
+        ("relational", "CREATE TABLE labs (pid INTEGER, value FLOAT)", ("labs",), True),
+        ("relational", "DROP TABLE rx", ("rx",), True),
+        ("array", "aggregate(filter(waves, value > 0.5), avg(value))", ("waves",), False),
+        ("text", 'SEARCH notes FOR "very sick" MIN 2', ("notes",), False),
+        ("d4m", "ASSOC notes ROWS p1,p2", ("notes",), False),
+    ])
+    def test_objects_and_writes(self, bigdawg, island, text, objects, writes):
+        statement = bigdawg.island(island).parse(text)
+        assert (statement.text, statement.objects, statement.writes) == (text, objects, writes)
+
+    def test_a_select_lists_only_its_tables(self, bigdawg):
+        """Its columns and literals spell other catalog objects."""
+        bigdawg.engine("postgres").execute("CREATE TABLE visits (id INTEGER, rx INTEGER)")
+        statement = bigdawg.island("relational").parse(
+            "SELECT id, rx AS notes FROM visits WHERE 'waves' <> 'patients'"
+        )
+        assert statement.objects == ("visits",)
+
+    def test_a_parsed_statement_executes_as_its_text_does(self, bigdawg):
+        for name, text in [("relational", "SELECT count(*) AS n FROM rx"),
+                           ("array", "aggregate(waves, max(value))"),
+                           ("text", 'SEARCH notes FOR "very sick"'),
+                           ("d4m", "ASSOC notes DEGREE ROWS")]:
+            island = bigdawg.island(name)
+            parsed = island.execute(island.parse(text))
+            assert [tuple(row.values) for row in parsed.rows] == [
+                tuple(row.values) for row in island.execute(text).rows
+            ]
+
+    def test_islands_without_text_refuse_to_parse(self, bigdawg):
+        with pytest.raises(ParseError):
+            bigdawg.island("myria").parse("SELECT 1")
+        with pytest.raises(ParseError):
+            bigdawg.degenerate_island("postgres").parse("SELECT 1")
+
+    @pytest.mark.parametrize("query, parser", [
+        ("ARRAY(aggregate(waves, avg(value)))", "parse_aql"),
+        ("RELATIONAL(SELECT count(*) AS n FROM patients)", "parse_sql"),
+        ("SELECT count(*) AS n FROM patients", "parse_sql"),
+    ])
+    def test_one_runtime_query_parses_its_statement_once(self, bigdawg, monkeypatch,
+                                                          query, parser):
+        calls = []
+        for original in (parser_module.parse_sql, aql_module.parse_aql):
+            def counting(text, original=original):
+                calls.append(original.__name__)
+                return original(text)
+
+            # Every module that imported the parser by name counts.
+            for module in list(sys.modules.values()):
+                if getattr(module, original.__name__, None) is original:
+                    monkeypatch.setattr(module, original.__name__, counting)
+        runtime = PolystoreRuntime(bigdawg, workers=1)
+        try:
+            runtime.execute(query, use_cache=False)
+        finally:
+            runtime.shutdown()
+        assert calls == [parser]

@@ -126,6 +126,61 @@ class TestCrossIslandPlanner:
         assert len(steps) == len(plan.steps)
 
 
+# ------------------------------------------------- literals are not structure
+class TestQuotedLiteralsAreData:
+    """Text inside a quoted literal names no WITH binding, closes no scope and
+    casts nothing: each query below spells query structure in a literal."""
+
+    @pytest.fixture()
+    def labelled(self, bigdawg):
+        postgres = bigdawg.engine("postgres")
+        postgres.execute("CREATE TABLE t (label TEXT, v INTEGER)")
+        postgres.execute(
+            "INSERT INTO t VALUES ('x', 1), (')', 2), ('CAST(t, array)', 3), "
+            "('CAST(t, relational)', 4)"
+        )
+        return bigdawg
+
+    @staticmethod
+    def values(relation):
+        return [tuple(row.values) for row in relation.rows]
+
+    def test_a_literal_spelling_a_binding_is_not_renamed(self, labelled):
+        result = labelled.execute(
+            "WITH x = RELATIONAL(SELECT label, v FROM t) "
+            "RELATIONAL(SELECT label FROM x WHERE label = 'x')"
+        )
+        assert self.values(result) == [("x",)]
+
+    def test_a_parenthesis_in_a_literal_closes_no_scope(self, labelled):
+        result = labelled.execute("RELATIONAL(SELECT v FROM t WHERE label = ')')")
+        assert self.values(result) == [(2,)]
+
+    def test_a_cast_spelled_in_a_literal_casts_nothing(self, labelled):
+        query = "RELATIONAL(SELECT v FROM t WHERE label = 'CAST(t, array)')"
+        assert [type(step) for step in labelled.plan(query).steps] == [IslandQueryStep]
+        assert self.values(labelled.execute(query)) == [(3,)]
+        assert labelled.migrator.history == []
+        assert labelled.catalog.locate("t").engine_name == "postgres"
+
+    def test_eliding_a_cast_leaves_the_same_text_in_a_literal(self, labelled):
+        scope = parse_scope(
+            "RELATIONAL(SELECT v FROM CAST(t, relational) WHERE label = 'CAST(t, relational)')"
+        )
+        assert len(scope.casts) == 1
+        assert scope.body_without_casts == "SELECT v FROM t WHERE label = 'CAST(t, relational)'"
+        result = labelled.execute(f"RELATIONAL({scope.body})")
+        assert self.values(result) == [(4,)]
+
+    def test_a_binding_named_only_in_a_literal_is_no_dependency(self, labelled):
+        plan = labelled.plan(
+            "WITH a = RELATIONAL(SELECT v FROM t) "
+            "WITH b = RELATIONAL(SELECT label FROM t WHERE label = 'a') "
+            "RELATIONAL(SELECT count(*) AS n FROM b)"
+        )
+        assert plan.dependencies[:2] == [set(), set()]
+
+
 # ------------------------------------------------------------------ monitor
 class TestMonitorAndAdvisor:
     def test_monitor_statistics(self):

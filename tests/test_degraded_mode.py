@@ -213,6 +213,76 @@ class TestFailoverRouting:
             runtime.shutdown()
 
 
+# ------------------------------------------------------- routing by parse
+class TestRoutingByParse:
+    """The runtime routes a statement by the objects its island parsed: a
+    column of ``patients`` is named like the table ``visits``, which lives
+    on ``mysql``, and the statements below touch ``patients`` only."""
+
+    READ = "SELECT id, visits FROM patients"
+    WRITE = "UPDATE patients SET visits = 4 WHERE id = 1"
+
+    @pytest.fixture()
+    def clinic(self):
+        bd = BigDawg()
+        postgres, mysql = RelationalEngine("postgres"), RelationalEngine("mysql")
+        bd.add_engine(postgres, islands=["relational"])
+        bd.add_engine(mysql, islands=["relational"])
+        postgres.execute("CREATE TABLE patients (id INTEGER PRIMARY KEY, visits INTEGER)")
+        postgres.execute("INSERT INTO patients VALUES (1, 3), (2, 5)")
+        mysql.execute("CREATE TABLE visits (id INTEGER PRIMARY KEY, patient INTEGER)")
+        mysql.execute("INSERT INTO visits VALUES (10, 1)")
+        runtime = fast_runtime(bd)
+        yield bd, runtime
+        runtime.shutdown()
+
+    @pytest.mark.parametrize("scoped", [False, True])
+    def test_an_open_breaker_the_statement_does_not_touch_refuses_nothing(
+        self, clinic, scoped
+    ):
+        bd, runtime = clinic
+        runtime.resilience.breaker("mysql").record_failure()
+        assert runtime.resilience.open_engines(["mysql"]) == {"mysql"}
+        wrap = (lambda q: f"RELATIONAL({q})") if scoped else (lambda q: q)
+        read = runtime.execute(wrap(self.READ), use_cache=False)
+        assert sorted(tuple(row.values) for row in read.rows) == [(1, 3), (2, 5)]
+        runtime.execute(wrap(self.WRITE))
+        rows = bd.engine("postgres").execute("SELECT visits FROM patients WHERE id = 1").rows
+        assert [row["visits"] for row in rows] == [4]
+
+    def test_the_dispatch_claims_only_the_engine_it_touches(self, clinic):
+        _bd, runtime = clinic
+        for query in (self.READ, self.WRITE):
+            _result, tracer = runtime.trace(query)
+            assert [span.attrs["engines"] for span in tracer.spans("admitted")] == ["postgres"]
+
+    def test_the_write_journals_only_its_table(self, clinic):
+        _bd, runtime = clinic
+        runtime.execute(self.WRITE)
+        (intent,) = runtime.journal.replay()
+        assert intent.kind == "dml" and intent.committed
+        assert intent.payload["tables"] == ["patients"]
+        assert intent.payload["engines"] == ["postgres"]
+
+    def test_a_failed_write_promotes_no_object_it_names_as_a_column(self, clinic):
+        """Both tables have a fresh replica on mysql and their primary on
+        postgres, whose breaker is open: the write fails over by promoting
+        ``patients`` alone."""
+        bd, runtime = clinic
+        bd.migrator.cast("visits", "postgres", drop_source=True)
+        bd.migrator.cast("visits", "mysql")
+        bd.migrator.cast("patients", "mysql")
+        runtime.resilience.breaker("postgres").record_failure()
+        runtime.execute(self.WRITE)
+        assert bd.catalog.locate("patients").engine_name == "mysql"
+        assert bd.catalog.locate("visits").engine_name == "postgres"
+        promotions = [i.payload["object"] for i in runtime.journal.replay()
+                      if i.kind == "promotion"]
+        assert promotions == ["patients"]
+        rows = bd.engine("mysql").execute("SELECT visits FROM patients WHERE id = 1").rows
+        assert [row["visits"] for row in rows] == [4]
+
+
 # ---------------------------------------------------------- cancellation
 class TestCooperativeCancellation:
     def test_deadline_expires_mid_scan(self, polystore):

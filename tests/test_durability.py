@@ -800,14 +800,14 @@ class TestCancellationDuringWriteFailover:
         runtime = fast_runtime(bd)
         original = runtime._elect_write_primaries
 
-        def cancel_then_elect(text, broken, description):
+        def cancel_then_elect(names, broken, description):
             # The client gives up exactly as the election starts — the
             # nastiest moment: the breaker is open, the promotion has not
             # yet been journaled.
             token = current_token()
             assert token is not None
             token.cancel("client abandoned the write")
-            return original(text, broken, description)
+            return original(names, broken, description)
 
         runtime._elect_write_primaries = cancel_then_elect
         injector = FaultInjector().outage()

@@ -5,6 +5,8 @@
 * Every function or method defined in ``src/`` is named somewhere besides its
   own ``def`` in ``src/``, ``tests/``, ``examples/`` or ``benchmarks/``.
   Dunder methods are exempt: the language calls them.
+* No module under ``src/repro/runtime/`` imports ``re``: the runtime routes by
+  the islands' parses, never by the query text.
 """
 
 from __future__ import annotations
@@ -58,3 +60,20 @@ def test_every_function_is_named_somewhere_else():
                      if not (name.startswith("__") and name.endswith("__"))
                      and corpus[name] <= defined[name])
     assert not unnamed, "functions nothing names:\n" + "\n".join(unnamed)
+
+
+def test_the_runtime_does_not_read_query_text():
+    """The runtime routes, journals and fails over by the statement its
+    island parsed, never by matching patterns in the query text."""
+    importers = []
+    for path, tree in SOURCES.items():
+        if (ROOT / "src" / "repro" / "runtime") not in path.parents:
+            continue
+        for node in ast.walk(tree):
+            modules = (
+                [alias.name for alias in node.names] if isinstance(node, ast.Import)
+                else [node.module] if isinstance(node, ast.ImportFrom) else []
+            )
+            if "re" in modules:
+                importers.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not importers, "runtime modules importing re:\n" + "\n".join(importers)
