@@ -1,41 +1,39 @@
-"""Dense int64 key codes for vectorized joins and grouped aggregation.
+"""Dense int64 key codes for vectorized joins, group-bys and DISTINCT.
 
-The batch executor's joins and group-bys both reduce to the same primitive:
-map one-or-many key columns to a single dense ``int64`` code per row so that
-"same key" becomes "same integer" and the rest of the operator is numpy
-index arithmetic (``np.bincount``, ``np.take``, ``np.repeat``) instead of
-per-row Python tuples and dict probes.
+All three reduce to one primitive: map one-or-many key columns to a single
+dense ``int64`` code per row, so that "same key" becomes "same integer" and
+the rest of the operator is numpy index arithmetic (``np.bincount``,
+``np.take``, ``np.repeat``) instead of per-row Python tuples and dict
+probes.  One encoder does it, :class:`IncrementalGroupEncoder`: a
+dictionary per key column that persists across a stream's batches, and a
+group table over the radix-packed column codes.  A group-by and DISTINCT
+encode every batch; a hash join encodes its build side once
+(:class:`JoinKeyTable`) and maps probe batches through the read-only
+:meth:`~IncrementalGroupEncoder.lookup`.
 
-NULL-sentinel contract
-----------------------
-* Inside a join key column's encoding, code ``0`` is **reserved for
-  NULL**; real values are assigned codes ``1..k``.  Combining columns with
-  a mixed-radix step therefore keeps NULL distinct from every real value
-  automatically.
-* In the public results, :data:`NULL_CODE` (``-1``) marks rows whose key
-  contains a NULL **in join position**: :meth:`JoinKeyTable.build_codes`
-  and :meth:`JoinKeyTable.probe` return ``-1`` for NULL (or unseen) keys,
-  because an SQL equi-join never matches on NULL.
-* :class:`IncrementalGroupEncoder` instead treats NULL as a *regular
-  grouping value* (SQL GROUP BY puts all-NULL keys in one group): in each
-  key column NULL gets a code like any other value, so group codes are
-  always ``>= 0``.
+NULL and NaN
+------------
+* The encoder treats NULL as a key value like any other (GROUP BY puts all
+  NULL keys in one group, DISTINCT keeps one all-NULL row).
+* One rule for joins: a key holding a NULL or a NaN matches nothing.  The
+  build side never encodes such a row (its code is :data:`NULL_CODE`), so
+  ``lookup`` answers ``-1`` for such a probe key, as for any key the build
+  side lacks.
+* numpy would merge the NaNs of a FLOAT vector, which the row path keeps
+  apart (no NaN equals another), so none reaches the encoder's sorted
+  tables: the group-by rejects it, and DISTINCT keeps its row unencoded.
 
 Dtype specialization
 --------------------
-A join key column is factorized once: INTEGER/FLOAT/BOOLEAN with
-``np.unique`` over a fixed-width numpy array (a typed vector's own buffer;
-NULLs masked out first); a dictionary-encoded TEXT column already *is*
-factorized, so its codes shift by one.  A grouping key column keeps a
-dictionary that persists across the batches of a stream: a fixed-width
-column its sorted distinct values (looked up with ``searchsorted``, or by
-direct address when an INTEGER column's values span few slots), a
-dictionary TEXT column one remap array per dictionary object.  Everything
-else — plain TEXT, TIMESTAMP, out-of-int64-range integers, mixed-type
-column pairs, and a fixed-width grouping column past
-:data:`_DIRECT_GROUP_SLOTS` distinct values — uses a stable
-insertion-ordered Python dict, which preserves the row path's
-``==``/``hash`` equality semantics exactly (``1 == 1.0``, ``True == 1``).
+A key column fed vectors of its fixed-width dtype (INTEGER, FLOAT,
+BOOLEAN) keeps its distinct values sorted, looked up with
+``searchsorted`` (or by direct address when INTEGER values span few
+slots); a dictionary TEXT column resolves each dictionary entry once,
+through a remap array per dictionary object.  Everything else — plain
+columns of Python values, TIMESTAMP, mixed-type join pairs, and a
+fixed-width column past :data:`_DIRECT_GROUP_SLOTS` distinct values — goes
+through an insertion-ordered Python dict, which keeps the row path's
+``==``/``hash`` equality exactly (``1 == 1.0``, ``True == 1``).
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -53,134 +51,17 @@ from repro.common.vectors import (
     DictVector,
     NumericVector,
     null_mask,
-    numeric_view,
+    take,
     to_list,
 )
 
 #: Public sentinel: the code of a row whose key must not participate in a
-#: join (NULL key on either side, or a probe key absent from the build side).
+#: join (NULL or NaN key on either side, or a probe key absent from the
+#: build side).
 NULL_CODE = -1
 
-#: Mixed-radix combination must stay inside int64; re-densify before this.
+#: Mixed-radix packing must stay inside int64; past it, code tuples.
 _RADIX_LIMIT = np.int64(2) ** 62
-
-
-class _NumericColumnCodes:
-    """Per-column factorization over a fixed-width numpy dtype."""
-
-    def __init__(self, values: Sequence[Any], dtype: Any) -> None:
-        filled, nulls = numeric_view(values, dtype)  # may raise OverflowError
-        self._dtype = dtype
-        if nulls is not None and nulls.any():
-            uniq, inverse = np.unique(filled[~nulls], return_inverse=True)
-            codes = np.zeros(len(values), dtype=np.int64)
-            codes[~nulls] = inverse.astype(np.int64) + 1
-        else:
-            uniq, inverse = np.unique(filled, return_inverse=True)
-            codes = inverse.astype(np.int64) + 1
-        self.uniques = uniq
-        self.codes = codes
-        self.radix = len(uniq) + 1
-
-    def transform(self, values: Sequence[Any]) -> np.ndarray:
-        """Codes for probe-side values against this column's dictionary.
-
-        Unseen values and NULLs map to 0 (the reserved NULL slot), which the
-        caller treats as non-matching.
-        """
-        uniq = self.uniques
-        if len(uniq) == 0:
-            return np.zeros(len(values), dtype=np.int64)
-        try:
-            filled, nulls = numeric_view(values, self._dtype)
-        except (OverflowError, TypeError, ValueError):
-            return self._transform_one_by_one(values)
-        idx = np.searchsorted(uniq, filled)
-        clipped = np.minimum(idx, len(uniq) - 1)
-        found = (idx < len(uniq)) & (uniq[clipped] == filled)
-        if nulls is not None:
-            found &= ~nulls
-        return np.where(found, clipped + 1, 0).astype(np.int64)
-
-    def _transform_one_by_one(self, values: Sequence[Any]) -> np.ndarray:
-        """Probe values that will not pack into the build dtype (e.g. Python
-        ints beyond int64): a misfit value can never equal an in-range build
-        key, so it maps to 0; the remaining values probe individually."""
-        uniq = self.uniques
-        out = np.zeros(len(values), dtype=np.int64)
-        for i, value in enumerate(values):
-            if value is None:
-                continue
-            try:
-                packed = np.array([value], dtype=self._dtype)[0]
-            except (OverflowError, TypeError, ValueError):
-                continue
-            idx = int(np.searchsorted(uniq, packed))
-            if idx < len(uniq) and uniq[idx] == packed:
-                out[i] = idx + 1
-        return out
-
-
-class _ObjectColumnCodes:
-    """Insertion-ordered dict factorization: the stable fallback for object
-    columns, preserving Python ``==``/``hash`` equality across types.  A
-    dictionary-encoded column skips the per-row dict: its codes are the
-    factorization, and the value -> code mapping is built from its
-    dictionary only if a probe side ever needs it."""
-
-    def __init__(self, values: Sequence[Any]) -> None:
-        self._mapping: dict[Any, int] | None = None
-        self._remapped: tuple[Any, np.ndarray] | None = None
-        if isinstance(values, DictVector):
-            self._entries = values.dictionary[:-1].tolist()
-            self.codes = values.codes.astype(np.int64) + 1
-            self.radix = len(self._entries) + 1
-            return
-        mapping: dict[Any, int] = {}
-        setdefault = mapping.setdefault
-        # fromiter writes int64 slots directly — no interim list, no
-        # per-element ndarray __setitem__.
-        self.codes = np.fromiter(
-            (0 if v is None else setdefault(v, len(mapping) + 1) for v in to_list(values)),
-            np.int64,
-            count=len(values),
-        )
-        self._mapping = mapping
-        self.radix = len(mapping) + 1
-
-    def transform(self, values: Sequence[Any]) -> np.ndarray:
-        mapping = self._mapping
-        if mapping is None:
-            mapping = self._mapping = {
-                entry: code for code, entry in enumerate(self._entries, 1)
-            }
-        get = mapping.get
-        if isinstance(values, DictVector):
-            # One lookup per distinct probe string, broadcast through the
-            # codes (NULL, -1, lands on the trailing 0).
-            if self._remapped is None or self._remapped[0] is not values.dictionary:
-                entries = values.dictionary[:-1].tolist()
-                remap = np.fromiter(
-                    (get(entry, 0) for entry in entries), np.int64, count=len(entries)
-                )
-                self._remapped = (values.dictionary, np.append(remap, 0))
-            return self._remapped[1][values.codes]
-        return np.fromiter(
-            (0 if v is None else get(v, 0) for v in to_list(values)),
-            np.int64,
-            count=len(values),
-        )
-
-
-def _encode_column(values: Sequence[Any], dtype: DataType | None):
-    """Factorize one key column; numpy-specialized when the dtype allows."""
-    np_dtype = VECTOR_DTYPES.get(dtype) if dtype is not None else None
-    if np_dtype is not None:
-        try:
-            return _NumericColumnCodes(values, np_dtype)
-        except (OverflowError, TypeError, ValueError):
-            pass  # e.g. Python ints beyond int64: fall through to the dict
-    return _ObjectColumnCodes(values)
 
 
 def partition_order(codes: np.ndarray, num_partitions: int) -> tuple[np.ndarray, list[int]]:
@@ -318,22 +199,35 @@ def _first_appearance(firsts: np.ndarray, start: int) -> tuple[np.ndarray, np.nd
     return codes, firsts[order]
 
 
-def _distinct_first(keys: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of ``keys[rows]`` (ascending, ``rows`` ascending
-    and non-empty) and the first of ``rows`` each is at.  Integers spanning
-    at most :data:`_DIRECT_GROUP_SLOTS` take a direct-address pass;
-    anything else sorts."""
+def _distinct_first(
+    keys: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of ``keys[rows]`` (ascending; ``rows`` ascending
+    and non-empty), the first of ``rows`` each is at, and the index of each
+    row's value among the distinct ones.  Integers spanning at most
+    :data:`_DIRECT_GROUP_SLOTS` take a direct-address pass; anything else
+    sorts once (unstably: a value's first row is the least of its run)."""
     sub = keys[rows]
     if sub.dtype.kind == "i":
         low = int(sub.min())
         span = int(sub.max()) - low + 1
         if span <= _DIRECT_GROUP_SLOTS:
+            offsets = sub - low
             first = np.full(span, len(keys), dtype=np.int64)
-            np.minimum.at(first, sub - low, rows)
-            present = (first < len(keys)).nonzero()[0]
-            return (present + low).astype(sub.dtype, copy=False), first[present]
-    distinct, first = np.unique(sub, return_index=True)
-    return distinct, rows[first]
+            np.minimum.at(first, offsets, rows)
+            slots = (first < len(keys)).nonzero()[0]
+            index = np.empty(span, dtype=np.int64)  # read only at ``slots``
+            index[slots] = np.arange(len(slots))
+            return (slots + low).astype(sub.dtype, copy=False), first[slots], index[offsets]
+    order = np.argsort(sub)
+    ordered = sub[order]
+    head = np.empty(len(sub), dtype=np.bool_)
+    head[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    starts = head.nonzero()[0]
+    inverse = np.empty(len(sub), dtype=np.int64)
+    inverse[order] = np.cumsum(head) - 1
+    return ordered[starts], rows[np.minimum.reduceat(order, starts)], inverse
 
 
 def _new_first_rows(codes: np.ndarray, before: int) -> np.ndarray:
@@ -351,8 +245,15 @@ def _dict_codes(mapping: dict[Any, int], values: list) -> np.ndarray:
     return np.fromiter(map(mapping.__getitem__, values), np.int64, count=len(values))
 
 
+def _dict_lookup(mapping: dict[Any, int], values: list) -> np.ndarray:
+    """The code of each of ``values`` in ``mapping``, -1 where it has none."""
+    return np.fromiter(
+        map(mapping.get, values, itertools.repeat(-1)), np.int64, count=len(values)
+    )
+
+
 class _KeyColumn:
-    """Persistent value -> code dictionary of one grouping key column.
+    """Persistent value -> code dictionary of one key column.
 
     Codes are dense and numbered by first appearance over the stream; NULL
     is a key value like any other.  A fixed-width column keeps its distinct
@@ -364,10 +265,14 @@ class _KeyColumn:
     the dict once per dictionary entry it uses, through a remap array per
     dictionary object, and a plain batch through C-level ``dict.fromkeys``
     / ``map``.  A fixed-width column converts its table to that dict, once,
-    when it meets a batch its dtype cannot hold (integers past int64) or
-    its table passes :data:`_DIRECT_GROUP_SLOTS` values — so a
-    high-cardinality key costs O(rows) dict work, not a table copy per
-    batch.
+    when a batch is not a vector of its dtype (a plain column holds
+    whatever values it holds: one typed INTEGER by its first value may
+    hold 0.5) or finds the table past :data:`_DIRECT_GROUP_SLOTS` values —
+    so a high-cardinality key costs O(rows) dict work, not a table copy per
+    batch, while a table encoded once (a join's build side) stays sorted.
+
+    :meth:`lookup` writes nothing :meth:`encode` reads, so threads may look
+    batches up at once while no encode runs.
     """
 
     def __init__(self, dtype: DataType | None) -> None:
@@ -385,20 +290,17 @@ class _KeyColumn:
         #: id(dictionary) -> (dictionary, code per entry, -1 while unresolved);
         #: holding the dictionary keeps its id from being reused.
         self._remaps: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        #: What lookup derived from the dictionary (a remap per dictionary
+        #: object, the sorted table as a dict), with the count it was made at.
+        self._lookups: dict[Any, tuple[int, Any, Any]] = {}
 
     def encode(self, column: Sequence[Any]) -> tuple[np.ndarray, np.ndarray]:
         """The code of each row, plus the rows where new codes first appear
         (in code order)."""
         if self._mapping is None:
-            try:
-                values, nulls = numeric_view(column, self._dtype)
-            except (OverflowError, TypeError, ValueError):
-                self._to_dict()
-            else:
-                encoded = self._encode_numeric(values, nulls)
-                if len(self._values) > _DIRECT_GROUP_SLOTS:
-                    self._to_dict()
-                return encoded
+            if len(self._values) <= _DIRECT_GROUP_SLOTS and self._typed(column):
+                return self._encode_numeric(column.values, column.nulls)
+            self._to_dict()
         if isinstance(column, DictVector):
             return self._encode_dictionary(column)
         before = self.count
@@ -406,11 +308,51 @@ class _KeyColumn:
         self.count = len(self._mapping)
         return codes, _new_first_rows(codes, before)
 
+    def lookup(self, column: Sequence[Any]) -> np.ndarray:
+        """The code of each row, -1 where the column has not met its value
+        (a NULL before any NULL was encoded included); adds nothing."""
+        mapping = self._mapping
+        if mapping is None:
+            if self._typed(column):
+                codes = self._lookup(column.values)
+                if column.nulls is not None:
+                    codes[column.nulls] = self._null_code
+                return codes
+            mapping = self._cached("table", None, self._table_mapping)
+        if isinstance(column, DictVector):
+            dictionary = column.dictionary
+            remap = self._cached(
+                id(dictionary), dictionary, lambda: _dict_lookup(mapping, dictionary.tolist())
+            )
+            return remap[column.codes]
+        return _dict_lookup(mapping, to_list(column))
+
+    def _typed(self, column: Sequence[Any]) -> bool:
+        """Whether ``column`` is a vector of this column's fixed-width dtype,
+        the only kind the sorted table reads."""
+        return isinstance(column, NumericVector) and column.values.dtype == self._dtype
+
+    def _cached(self, key: Any, anchor: Any, build: Callable[[], Any]) -> Any:
+        """``build()``, kept under ``key`` until the column's count changes
+        (``anchor``, the dictionary whose id is the key, stays referenced so
+        the id is not reused).  The cache is replaced whole, never updated
+        in place, as lookups may run on several threads."""
+        entry = self._lookups.get(key)
+        if entry is None or entry[0] != self.count:
+            entry = (self.count, anchor, build())
+            self._lookups = {**self._lookups, key: entry}
+        return entry[2]
+
+    def _table_mapping(self) -> dict[Any, int]:
+        """The sorted table (and NULL's code) as a value -> code dict."""
+        mapping = dict(zip(self._values.tolist(), self._codes.tolist()))
+        if self._null_code >= 0:
+            mapping[None] = self._null_code
+        return mapping
+
     def _to_dict(self) -> None:
         """Move the sorted table into the insertion-ordered dict, once."""
-        self._mapping = dict(zip(self._values.tolist(), self._codes.tolist()))
-        if self._null_code >= 0:
-            self._mapping[None] = self._null_code
+        self._mapping = self._table_mapping()
         self._values, self._codes, self._lut = self._values[:0], _NO_ROWS, None
 
     def _encode_numeric(
@@ -430,7 +372,9 @@ class _KeyColumn:
         if not new.any() and not len(null_rows):
             return codes, _NO_ROWS
         rows = new.nonzero()[0]
-        added, firsts = _distinct_first(values, rows) if len(rows) else (values[rows], rows)
+        added, firsts, inverse = (
+            _distinct_first(values, rows) if len(rows) else (values[rows], rows, rows)
+        )
         if len(null_rows):
             firsts = np.append(firsts, null_rows[0])
         new_codes, new_first_rows = _first_appearance(firsts, self.count)
@@ -447,11 +391,11 @@ class _KeyColumn:
             if self._dtype is np.int64 and int(table[-1]) - int(table[0]) < _DIRECT_GROUP_SLOTS:
                 self._lut = np.full(int(table[-1]) - int(table[0]) + 1, -1, dtype=np.int64)
                 self._lut[table - table[0]] = self._codes
-            codes[rows] = self._lookup(values[rows])
+            codes[rows] = new_codes[inverse]
         return codes, new_first_rows
 
     def _lookup(self, values: np.ndarray) -> np.ndarray:
-        """The code of each of ``values`` (non-empty), -1 where it has none."""
+        """The code of each of ``values``, -1 where it has none."""
         table = self._values
         if not len(table):
             return np.full(len(values), -1, dtype=np.int64)
@@ -478,12 +422,10 @@ class _KeyColumn:
         # yet (NULL, code -1, is its trailing None): known to the column
         # through another dictionary or a plain batch, or new.
         rows = unresolved.nonzero()[0]
-        entries, firsts = _distinct_first(local, rows)
+        entries, firsts, _ = _distinct_first(local, rows)
         values = dictionary[entries].tolist()
         mapping = self._mapping
-        resolved = np.fromiter(
-            map(mapping.get, values, itertools.repeat(-1)), np.int64, count=len(values)
-        )
+        resolved = _dict_lookup(mapping, values)
         fresh = resolved < 0
         new_first_rows = _NO_ROWS
         if fresh.any():
@@ -495,7 +437,8 @@ class _KeyColumn:
 
 
 class IncrementalGroupEncoder:
-    """Shared group-key dictionary for the streaming two-pass group-by.
+    """Shared key dictionary for the streaming group-by, DISTINCT and the
+    hash join's build side.
 
     Each key column keeps a persistent value -> code dictionary
     (:class:`_KeyColumn`).  With one key, its codes are the group codes.
@@ -511,11 +454,10 @@ class IncrementalGroupEncoder:
     in row order over the whole stream, so emitting groups in code order
     reproduces the row executor's dict-insertion output order.  A batch
     does Python work per call, not per row or key, until a dict takes over
-    (a plain-TEXT, TIMESTAMP, past-int64 or very high-cardinality column,
-    or a group table past the direct limit): that dict is fed by C-level
-    ``dict``/``map`` loops.  NaN grouping keys must be rejected by the
-    caller before encoding (numpy collapses NaNs that the row path's dict
-    keeps distinct).
+    (see :class:`_KeyColumn`; or a group table past the direct limit): that
+    dict is fed by C-level ``dict``/``map`` loops.  The caller keeps the
+    NaNs of FLOAT vectors out (:func:`nan_rows`).  :meth:`lookup` adds
+    nothing, and may run on several threads while no encode runs.
     """
 
     def __init__(self, dtypes: Sequence[DataType | None]) -> None:
@@ -550,12 +492,7 @@ class IncrementalGroupEncoder:
         self._fit_radices()
         before = self.group_count
         if self._direct is None:
-            keys = (
-                list(zip(*(c.tolist() for c in per_column)))
-                if self._tuples
-                else self._pack(per_column).tolist()
-            )
-            codes = _dict_codes(self._groups, keys)
+            codes = _dict_codes(self._groups, self._dict_keys(per_column))
             self.group_count = len(self._groups)
             return codes, _new_first_rows(codes, before)
         packed = self._pack(per_column)
@@ -563,12 +500,27 @@ class IncrementalGroupEncoder:
         rows = (codes < 0).nonzero()[0]
         if not len(rows):
             return codes, _NO_ROWS
-        keys, firsts = _distinct_first(packed, rows)
+        keys, firsts, inverse = _distinct_first(packed, rows)
         groups, new_first_rows = _first_appearance(firsts, before)
         self.group_count += len(keys)
         self._direct[keys] = groups
-        codes[rows] = self._direct[packed[rows]]
+        codes[rows] = groups[inverse]
         return codes, new_first_rows
+
+    def lookup(self, columns: Sequence[Sequence[Any]]) -> np.ndarray:
+        """The group code of each row of a batch of key columns, -1 where
+        the stream has no such group; adds nothing."""
+        per_column = [key.lookup(values) for key, values in zip(self._columns, columns)]
+        if len(per_column) == 1:
+            return per_column[0]
+        missing = np.min(per_column, axis=0) < 0
+        if self._direct is not None:
+            # A missing column code (-1) would pack into some other slot.
+            codes = self._direct[np.where(missing, 0, self._pack(per_column))]
+        else:
+            codes = _dict_lookup(self._groups, self._dict_keys(per_column))
+        codes[missing] = -1
+        return codes
 
     def _fit_radices(self) -> None:
         """Grow the radix of every column whose codes outgrew it, re-pack
@@ -595,12 +547,13 @@ class IncrementalGroupEncoder:
             return
         self._direct = None
         self._tuples = product >= int(_RADIX_LIMIT)
-        keys = (
-            zip(*(codes.tolist() for codes in per_group))
-            if self._tuples
-            else self._pack(per_group).tolist()
-        )
-        self._groups = dict(zip(keys, itertools.count()))
+        self._groups = dict(zip(self._dict_keys(per_group), itertools.count()))
+
+    def _dict_keys(self, per_column: list[np.ndarray]) -> list:
+        """The group dict's key per row: the packed key, or the code tuple."""
+        if self._tuples:
+            return list(zip(*(codes.tolist() for codes in per_column)))
+        return self._pack(per_column).tolist()
 
     def _pack(self, per_column: list[np.ndarray]) -> np.ndarray:
         packed = per_column[0]
@@ -617,20 +570,46 @@ class IncrementalGroupEncoder:
         return per_column[::-1]
 
 
+def nan_rows(columns: Sequence[Sequence[Any]]) -> np.ndarray:
+    """Mask of the rows holding a NaN in a FLOAT vector among ``columns``:
+    the rows a sorted table would merge, though no NaN equals another.  (A
+    plain column is keyed through the dict, where a NaN equals only itself,
+    as in the row path.)"""
+    mask = np.zeros(len(columns[0]), dtype=np.bool_)
+    for column in columns:
+        if isinstance(column, NumericVector) and column.values.dtype == np.float64:
+            nan = np.isnan(column.values)
+            mask |= nan if column.nulls is None else nan & ~column.nulls
+    return mask
+
+
+def encode_except(
+    encoder: IncrementalGroupEncoder, columns: Sequence[Sequence[Any]], skip: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`~IncrementalGroupEncoder.encode_batch` over the rows ``skip``
+    does not mark: the skipped rows get :data:`NULL_CODE` and are never
+    encoded, and the new groups' first rows index the whole batch."""
+    if not skip.any():
+        return encoder.encode_batch(columns)
+    rows = (~skip).nonzero()[0]
+    kept, new_first_rows = encoder.encode_batch([take(column, rows) for column in columns])
+    codes = np.full(len(skip), NULL_CODE, dtype=np.int64)
+    codes[rows] = kept
+    return codes, rows[new_first_rows]
+
+
 class JoinKeyTable:
-    """Code dictionary fitted on a hash join's build side.
+    """The key dictionary of a hash join's build side.
 
-    Construction factorizes the build keys; :attr:`build_codes` holds one
-    dense code per build row with :data:`NULL_CODE` at NULL keys (excluded
-    from matching).  :meth:`probe` maps probe-side key columns through the
-    same dictionary, returning the matching build code or :data:`NULL_CODE`
-    for NULL or never-seen keys — so a whole probe batch resolves to build
-    rows with array lookups and zero per-row tuple construction.
-
-    The multi-column combine keeps the build side's radices (probe must
-    replay its exact radix arithmetic); when their product would overflow
-    int64, the combine degrades to a dict over per-column code tuples
-    instead.
+    The build keys go through one
+    :meth:`IncrementalGroupEncoder.encode_batch` — over the rows whose key
+    holds no NULL or NaN; the others get :data:`NULL_CODE` and are never
+    encoded — so :attr:`build_codes` numbers the distinct build keys
+    ``0 .. group_count - 1``.  :meth:`probe` maps probe key columns through
+    :meth:`IncrementalGroupEncoder.lookup`, which adds nothing and answers
+    :data:`NULL_CODE` for a key the build side lacks (so for NULL and NaN):
+    a whole probe batch resolves to build codes with array lookups and no
+    per-row tuples, and probes may run on several threads at once.
     """
 
     def __init__(
@@ -640,69 +619,18 @@ class JoinKeyTable:
         probe_dtypes: Sequence[DataType | None] | None = None,
     ) -> None:
         probe_dtypes = probe_dtypes if probe_dtypes is not None else build_dtypes
-        self._encoders = []
-        for col, build_dt, probe_dt in zip(build_columns, build_dtypes, probe_dtypes):
-            # The numpy path requires both sides to share the fixed-width
-            # dtype; mixed pairs (e.g. INTEGER vs FLOAT) use the dict path,
-            # whose Python hashing equates 1 and 1.0 like the row executor.
-            dtype = build_dt if build_dt == probe_dt else None
-            self._encoders.append(_encode_column(col, dtype))
-        self._radices = [max(enc.radix, 1) for enc in self._encoders]
-        product = 1
-        for radix in self._radices:
-            product *= radix
-        self._tuple_mode = product >= int(_RADIX_LIMIT)
-        per_codes = [enc.codes for enc in self._encoders]
-        if self._tuple_mode:
-            self._tuple_map: dict[tuple, int] = {}
-            self.build_codes = self._tuple_encode(per_codes, fit=True)
-            self.group_count = len(self._tuple_map)
-        else:
-            combined, null_any = self._radix_combine(per_codes)
-            valid = ~null_any
-            uniq, inverse = np.unique(combined[valid], return_inverse=True)
-            codes = np.full(len(combined), NULL_CODE, dtype=np.int64)
-            codes[valid] = inverse.astype(np.int64)
-            self.build_codes = codes
-            self.group_count = len(uniq)
-            self._uniques = uniq
+        # A column takes the fixed-width path only when both sides share its
+        # dtype; mixed pairs (e.g. INTEGER vs FLOAT) use the dict path, whose
+        # Python hashing equates 1 and 1.0 like the row executor.
+        self._encoder = IncrementalGroupEncoder(
+            [build if build == probe else None for build, probe in zip(build_dtypes, probe_dtypes)]
+        )
+        unmatchable = nan_rows(build_columns)
+        for column in build_columns:
+            unmatchable |= null_mask(column)
+        self.build_codes = encode_except(self._encoder, build_columns, unmatchable)[0]
+        self.group_count = self._encoder.group_count
 
     def probe(self, columns: Sequence[Sequence[Any]]) -> np.ndarray:
         """Map probe key columns to build codes (``NULL_CODE`` = no match)."""
-        per_codes = [enc.transform(col) for enc, col in zip(self._encoders, columns)]
-        if self._tuple_mode:
-            return self._tuple_encode(per_codes, fit=False)
-        combined, null_any = self._radix_combine(per_codes)
-        uniq = self._uniques
-        n = len(combined)
-        if len(uniq) == 0:
-            return np.full(n, NULL_CODE, dtype=np.int64)
-        idx = np.searchsorted(uniq, combined)
-        clipped = np.minimum(idx, len(uniq) - 1)
-        found = (~null_any) & (idx < len(uniq)) & (uniq[clipped] == combined)
-        return np.where(found, clipped, NULL_CODE).astype(np.int64)
-
-    def _radix_combine(self, per_codes: list) -> tuple[np.ndarray, np.ndarray]:
-        combined = per_codes[0]
-        null_any = combined == 0
-        for codes, radix in zip(per_codes[1:], self._radices[1:]):
-            combined = combined * np.int64(radix) + codes
-            null_any = null_any | (codes == 0)
-        return combined, null_any
-
-    def _tuple_encode(self, per_codes: list, fit: bool) -> np.ndarray:
-        n = len(per_codes[0])
-        out = np.full(n, NULL_CODE, dtype=np.int64)
-        mapping = self._tuple_map
-        rows = zip(*(codes.tolist() for codes in per_codes))
-        if fit:
-            setdefault = mapping.setdefault
-            for i, key in enumerate(rows):
-                if 0 not in key:
-                    out[i] = setdefault(key, len(mapping))
-        else:
-            get = mapping.get
-            for i, key in enumerate(rows):
-                if 0 not in key:
-                    out[i] = get(key, NULL_CODE)
-        return out
+        return self._encoder.lookup(columns)

@@ -15,6 +15,7 @@ from repro.common.errors import ParseError
 from repro.common.schema import Column, Relation, Schema
 from repro.common.types import DataType
 from repro.core.islands.base import Island, IslandStatement
+from repro.core.query.language import split_literals
 from repro.core.shims import TextShim
 
 
@@ -22,6 +23,18 @@ _SEARCH_RE = re.compile(
     r"^\s*search\s+([A-Za-z_][A-Za-z0-9_]*)\s+for\s+(.+?)(?:\s+min\s+(\d+))?\s*$",
     re.IGNORECASE,
 )
+_AND_RE = re.compile(r"\s+and\s+", re.IGNORECASE)
+
+
+def _phrases(text: str) -> list[str]:
+    """The ``AND``-separated phrases of a search; an ``and`` inside a quoted
+    phrase is part of the phrase."""
+    phrases = [""]
+    for index, piece in enumerate(split_literals(text, identifiers=True)):
+        parts = [piece] if index % 2 else _AND_RE.split(piece)
+        phrases[-1] += parts[0]
+        phrases.extend(parts[1:])
+    return [phrase.strip().strip('"').strip("'") for phrase in phrases]
 
 
 _ROWS = Schema([Column("row", DataType.TEXT)])
@@ -48,7 +61,7 @@ class TextIsland(Island):
     def execute(self, query: str | IslandStatement) -> Relation:
         self.queries_executed += 1
         table, phrases_text, minimum = self.statement(query).parsed.groups()
-        phrases = [p.strip().strip('"').strip("'") for p in re.split(r"\s+and\s+", phrases_text, flags=re.IGNORECASE)]
+        phrases = _phrases(phrases_text)
         shim = TextShim(self.engine_for_object(table))
         if minimum is not None:
             return Relation.from_columns(

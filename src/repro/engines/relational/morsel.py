@@ -107,15 +107,12 @@ class HashJoinTable:
             [spec.build_schema.columns[i].dtype for i in spec.build_key_idx],
             [spec.probe_schema.columns[i].dtype for i in spec.probe_key_idx],
         )
-        build_codes = self._keys.build_codes
-        group_count = self._keys.group_count
-        order = np.argsort(build_codes, kind="stable")
-        sorted_codes = build_codes[order]
-        first_valid = int(np.searchsorted(sorted_codes, 0))
-        self._sorted_rows = order[first_valid:]
-        sorted_codes = sorted_codes[first_valid:]
-        self._starts = np.searchsorted(sorted_codes, np.arange(group_count))
-        self._counts = np.bincount(sorted_codes, minlength=group_count).astype(np.int64)
+        codes = self._keys.build_codes
+        self._counts = np.bincount(codes[codes >= 0], minlength=self._keys.group_count)
+        self._starts = np.cumsum(self._counts) - self._counts
+        # NULL_CODE rows sort first and belong to no code.
+        order = np.argsort(codes, kind="stable")
+        self._sorted_rows = order[len(order) - int(self._counts.sum()) :]
         #: Build rows some probe row matched (right/full joins only).
         self.matched = np.zeros(len(build_block), dtype=np.bool_) if spec.track_build else None
 

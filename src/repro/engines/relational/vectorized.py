@@ -65,7 +65,7 @@ from repro.common.expressions import (
     conjunction,
     evaluate_predicate,
 )
-from repro.common.keycodes import IncrementalGroupEncoder
+from repro.common.keycodes import IncrementalGroupEncoder, encode_except, nan_rows
 from repro.common.schema import Column, ColumnBatch, Relation, Row, Schema
 from repro.common.types import DataType, infer_type
 from repro.common.vectors import (
@@ -977,27 +977,9 @@ class BatchExecutor:
         all_batches = batches if first is None else itertools.chain([first], batches)
 
         def generate() -> Iterator[ColumnBatch]:
-            seen: set[tuple] = set()
+            # DISTINCT: a group-by without aggregates over the output columns.
+            encoder = IncrementalGroupEncoder(schema.types) if node.distinct else None
             for batch in all_batches:
-                if node.distinct:
-                    out_rows: list[tuple[Any, ...]] = []
-                    for values in batch.value_rows():
-                        out: list[Any] = []
-                        for star, spec in compiled:
-                            if star:
-                                out.extend(values)
-                            elif isinstance(spec, int):
-                                out.append(values[spec])
-                            else:
-                                out.append(spec(values))
-                        candidate = tuple(out)
-                        if candidate in seen:
-                            continue
-                        seen.add(candidate)
-                        out_rows.append(candidate)
-                    if out_rows:
-                        yield ColumnBatch.from_value_rows(schema, out_rows)
-                    continue
                 out_columns: list[list[Any]] = []
                 computed: list[tuple[int, Any]] = []
                 for star, spec in compiled:
@@ -1013,7 +995,17 @@ class BatchExecutor:
                     for values in batch.value_rows():
                         for slot_index, fn in computed:
                             out_columns[slot_index].append(fn(values))
-                yield ColumnBatch(schema, out_columns, len(batch))
+                out = ColumnBatch(schema, out_columns, len(batch))
+                if encoder is None:
+                    yield out
+                    continue
+                # Each NaN is a fresh value to the row path: its row stays.
+                nan = nan_rows(out_columns)
+                rows = encode_except(encoder, out_columns, nan)[1]
+                if nan.any():
+                    rows = np.union1d(rows, nan.nonzero()[0])
+                if len(rows):
+                    yield out.gather(rows)
 
         return schema, generate()
 
@@ -1258,16 +1250,6 @@ class BatchExecutor:
         return results
 
     @staticmethod
-    def _reject_nan(column: Sequence[Any], reason: str) -> None:
-        try:
-            values, nulls = numeric_view(column, np.float64)
-        except (TypeError, ValueError) as exc:
-            raise _KernelUnsupported(str(exc)) from exc
-        nan = np.isnan(values)
-        if bool((nan if nulls is None else nan & ~nulls).any()):
-            raise _KernelUnsupported(reason)
-
-    @staticmethod
     def _vector_group_plan(
         node: AggregateNode, child_schema: Schema, agg_items: list
     ) -> list[tuple[int, str, int | None]] | None:
@@ -1326,17 +1308,14 @@ class BatchExecutor:
         the group count, one column per aggregate and the representative
         columns, in group-code order, with no value per group in Python.
 
-        Shapes the vector kernels cannot reproduce faithfully (NaN grouping
-        keys, NaN in MIN/MAX, int64 overflow risk) are detected *before* a
-        batch is folded in; the stream then degrades by seeding per-row
+        Shapes the vector kernels cannot reproduce faithfully (NaN in a
+        FLOAT key vector, NaN in MIN/MAX, int64 overflow risk) are detected
+        *before* a batch is folded in; the stream then degrades by seeding per-row
         accumulators from the vectorized partial state and folding the
         remaining rows through them — never re-reading consumed input.
         """
         key_indices = [child_schema.index_of(expr.name) for expr in node.group_by]
         key_dtypes = [child_schema.columns[i].dtype for i in key_indices]
-        float_keys = [
-            i for i in key_indices if child_schema.columns[i].dtype is DataType.FLOAT
-        ]
         kept = range(len(child_schema.columns)) if rep_cols is None else rep_cols
         encoder = IncrementalGroupEncoder(key_dtypes)
         #: Per kept column, the representatives each batch's new groups gathered.
@@ -1349,9 +1328,10 @@ class BatchExecutor:
             if n == 0:
                 continue
             columns = batch.columns
+            keys = [columns[i] for i in key_indices]
             try:
-                for index in float_keys:
-                    self._reject_nan(columns[index], "NaN grouping key")
+                if nan_rows(keys).any():
+                    raise _KernelUnsupported("NaN grouping key")
                 prepared = state.prepare(columns, n)
             except _KernelUnsupported:
                 groups = self._degrade_streaming(
@@ -1366,9 +1346,7 @@ class BatchExecutor:
                 )
                 self._engine.record_groupby("stream_degraded", peak)
                 return self._columns_of_groups(groups, agg_items)
-            codes, new_first_rows = encoder.encode_batch(
-                [columns[i] for i in key_indices]
-            )
+            codes, new_first_rows = encoder.encode_batch(keys)
             if new_first_rows.size:
                 for parts, index in zip(rep_parts, kept):
                     parts.append(take(columns[index], new_first_rows))

@@ -146,6 +146,18 @@ class TestTextIsland:
         hits = island.execute('SEARCH notes FOR "patient" AND "sick"')
         assert [r["row"] for r in hits.rows] == ["p1"]
 
+    def test_and_inside_a_quoted_phrase_is_part_of_it(self, bigdawg):
+        accumulo = bigdawg.engine("accumulo")
+        accumulo.put("notes", "p3", "cook", "n1", "pepper salt")
+        accumulo.put("notes", "p4", "cook", "n1", "add salt and pepper")
+        island = bigdawg.island("text")
+        hits = island.execute('SEARCH notes FOR "salt and pepper"')
+        assert [r["row"] for r in hits.rows] == ["p4"]
+        hits = island.execute("SEARCH notes FOR 'salt' AND 'pepper' AND \"add salt\"")
+        assert [r["row"] for r in hits.rows] == ["p4"]
+        hits = island.execute("SEARCH notes FOR salt and pepper")
+        assert sorted(r["row"] for r in hits.rows) == ["p3", "p4"]
+
     def test_malformed_query(self, bigdawg):
         island = bigdawg.island("text")
         with pytest.raises(ParseError):

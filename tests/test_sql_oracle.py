@@ -11,6 +11,7 @@ speak:
   ``AND`` / ``OR`` / ``NOT``;
 * inner and left joins with residual conjuncts in ``ON``;
 * ``GROUP BY`` / ``HAVING`` with ``count``, ``sum``, ``min`` and ``max``;
+* ``SELECT DISTINCT`` over columns and computed items, across batches;
 * ``ORDER BY`` a unique key with ``LIMIT``;
 * interleaved INSERT, UPDATE and DELETE by key and by range on an indexed
   table, with ``SELECT *`` compared after every statement.
@@ -202,6 +203,16 @@ def test_group_by_having(rows, key, floor, predicate):
         f"SELECT {key}, count(*) AS n, count(f) AS nf, sum(v) AS sv, min(f) AS lo, "
         f"max(s) AS hi FROM t{where} GROUP BY {key} HAVING count(*) > {floor}",
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=_T_ROWS, items=st.sampled_from(["v", "f", "s", "v, s", "f, s, v", "v + 1 AS w, s", "*"]),
+       predicate=st.one_of(st.none(), _PREDICATES))
+def test_select_distinct(rows, items, predicate):
+    engine, lite = _pair(rows)
+    engine._batch_executor._batch_rows = 3
+    where = "" if predicate is None else f" WHERE {predicate}"
+    assert_agrees(engine, lite, f"SELECT DISTINCT {items} FROM t{where}")
 
 
 @settings(max_examples=100, deadline=None)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -35,7 +36,8 @@ from repro.common.types import DataType
 from repro.engines.relational import RelationalEngine
 from repro.common.errors import TypeMismatchError
 from repro.common.keycodes import _DIRECT_GROUP_SLOTS, IncrementalGroupEncoder
-from repro.common.vectors import DictVector, NumericVector, vector_from_values
+from repro.common.vectors import DictVector, NumericVector, to_list, vector_from_values
+from repro.engines.relational.morsel import HashJoinTable, JoinSpec
 from repro.engines.relational.vectorized import (
     DEFAULT_BATCH_ROWS,
     _KernelUnsupported,
@@ -1053,11 +1055,16 @@ def test_grouped_computed_items_match_reference(assert_matches_reference, batch_
 def _encoded_like_a_dict(encoder: IncrementalGroupEncoder, batches: list) -> None:
     """Feed ``batches`` (each a list of key columns) to ``encoder`` and check
     it numbers keys as a dict of key tuples does: by first appearance, with
-    Python equality, stable across batches."""
+    Python equality, stable across batches.  Before and after each batch,
+    ``lookup`` of it answers the dict's codes — -1 for a key not met yet, an
+    unseen value or a NULL before any NULL was encoded — and adds nothing."""
     model: dict[tuple, int] = {}
     for columns in batches:
+        keys = list(zip(*(list(column) for column in columns)))
+        assert encoder.lookup(columns).tolist() == [model.get(key, -1) for key in keys]
+        assert encoder.group_count == len(model)
         expected, firsts = [], []
-        for row, key in enumerate(zip(*(list(column) for column in columns))):
+        for row, key in enumerate(keys):
             if key not in model:
                 model[key] = len(model)
                 firsts.append(row)
@@ -1065,6 +1072,8 @@ def _encoded_like_a_dict(encoder: IncrementalGroupEncoder, batches: list) -> Non
         codes, new_first_rows = encoder.encode_batch(columns)
         assert codes.tolist() == expected
         assert new_first_rows.tolist() == firsts
+        assert encoder.group_count == len(model)
+        assert encoder.lookup(columns).tolist() == expected
         assert encoder.group_count == len(model)
 
 
@@ -1134,12 +1143,16 @@ class TestIncrementalGroupEncoder:
 
     def test_python_work_does_not_grow_with_keys(self):
         """One 4,096-row (INTEGER, dictionary TEXT) batch makes about as many
-        Python-level calls with 4,096 distinct keys as with 8."""
+        Python-level calls with 4,096 distinct keys as with 8 — encoded, and
+        probed through ``lookup`` with a second TEXT dictionary."""
         rows = np.arange(4096)
         dictionary = np.array([f"t{i}" for i in range(8)] + [None], dtype=object)
         text = DictVector((rows % 8).astype(np.int32), dictionary)
+        probe_text = DictVector(
+            (7 - rows % 8).astype(np.int32), np.array([*dictionary[7::-1], None], dtype=object)
+        )
 
-        def profiled_calls(distinct: int) -> int:
+        def profiled_calls(distinct: int) -> tuple[int, int]:
             encoder = IncrementalGroupEncoder([DataType.INTEGER, DataType.TEXT])
             ints = NumericVector(rows % distinct)
             calls = 0
@@ -1148,16 +1161,182 @@ class TestIncrementalGroupEncoder:
                 nonlocal calls
                 calls += event in ("call", "c_call")
 
-            sys.setprofile(profile)
-            try:
-                encoder.encode_batch([ints, text])
-            finally:
-                sys.setprofile(None)
-            assert encoder.group_count == distinct
-            return calls
+            def profiled(fn, *args):
+                nonlocal calls
+                calls = 0
+                sys.setprofile(profile)
+                try:
+                    result = fn(*args)
+                finally:
+                    sys.setprofile(None)
+                return result, calls
 
-        few, many = profiled_calls(8), profiled_calls(4096)
+            (codes, _firsts), encode_calls = profiled(encoder.encode_batch, [ints, text])
+            probed, lookup_calls = profiled(encoder.lookup, [ints, probe_text])
+            assert encoder.group_count == distinct
+            assert probed.tolist() == codes.tolist()
+            return encode_calls, lookup_calls
+
+        (few, few_probe), (many, many_probe) = profiled_calls(8), profiled_calls(4096)
         assert many <= 2 * few, (few, many)
+        assert many_probe <= 2 * few_probe, (few_probe, many_probe)
+
+
+class TestConcurrentJoinProbes:
+    def test_threads_probing_one_table_match_a_serial_probe(self):
+        """Eight threads probe one hash table — INTEGER keys beside TEXT keys
+        out of the build's dictionary, a second dictionary and plain lists —
+        with a 10 us switch interval, while the lookups cache what they
+        derive from each dictionary: every result equals a serial probe's."""
+        rng = np.random.default_rng(5)
+        words = np.array([f"w{i}" for i in range(40)] + [None], dtype=object)
+        other = np.array([*words[39::-1], "x", None], dtype=object)  # reversed, plus one more
+        build_schema = Schema([Column("k", DataType.INTEGER), Column("s", DataType.TEXT)])
+        probe_schema = Schema([Column("pk", DataType.INTEGER), Column("ps", DataType.TEXT)])
+        spec = JoinSpec(
+            joined_schema=build_schema.concat(probe_schema),
+            build_schema=build_schema,
+            probe_schema=probe_schema,
+            build_key_idx=[0, 1],
+            probe_key_idx=[0, 1],
+            residual=None,
+            build_on_left=True,
+            pad_probe=True,
+            track_build=False,
+        )
+        n = 3000
+        build = ColumnBatch(
+            build_schema,
+            [
+                NumericVector(rng.integers(0, 50, n), rng.random(n) < 0.05),
+                DictVector(rng.integers(-1, 40, n).astype(np.int32), words),
+            ],
+            n,
+        )
+        probes = []
+        for i in range(24):
+            ints = NumericVector(rng.integers(0, 60, 512), rng.random(512) < 0.05)
+            dictionary = (words, other)[i % 2]
+            text = DictVector(rng.integers(-1, len(dictionary) - 1, 512).astype(np.int32), dictionary)
+            if i % 3 == 2:
+                ints, text = to_list(ints), to_list(text)
+            probes.append(ColumnBatch(probe_schema, [ints, text], 512))
+
+        def outcome(table: HashJoinTable, batch: ColumnBatch) -> tuple:
+            build_rows, probe_rows, joined = table.probe(batch)
+            return build_rows.tolist(), probe_rows.tolist(), [to_list(c) for c in joined.columns]
+
+        serial_table = HashJoinTable(spec, build)
+        expected = [outcome(serial_table, batch) for batch in probes]
+        assert sum(len(rows) for rows, _, _ in expected) > 1000
+        table = HashJoinTable(spec, build)
+        start = threading.Barrier(8)
+        results: dict[int, list] = {}
+
+        def probe_all(worker: int) -> None:
+            start.wait()
+            order = list(range(len(probes)))[worker % 3 :] + list(range(len(probes)))[: worker % 3]
+            results[worker] = [(i, outcome(table, probes[i])) for i in order * 3]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=probe_all, args=(w,)) for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(results) == list(range(8))
+        for got in results.values():
+            for i, result in got:
+                assert result == expected[i]
+
+
+class TestDistinctParity:
+    """DISTINCT is a group-by with no aggregates over the output columns;
+    each shape here is one the encoder must not merge or split."""
+
+    @staticmethod
+    def engine(ddl: str, rows: list, batch_rows: int = 2) -> RelationalEngine:
+        e = RelationalEngine("d")
+        e.parallelism = 1
+        e._batch_executor._batch_rows = batch_rows
+        e.execute(ddl)
+        e.insert_rows("t", rows)
+        return e
+
+    def test_every_nan_row_is_kept(self, assert_matches_reference):
+        nan = float("nan")
+        e = self.engine(
+            "CREATE TABLE t (f FLOAT, g INTEGER)",
+            [(nan, 1), (1.0, 1), (nan, 1), (1.0, 1), (None, 1), (None, 1), (nan, 2)],
+        )
+        result = assert_matches_reference(e, "SELECT DISTINCT f, g FROM t")
+        assert [str(v) for row in result.rows for v in row.values] == [
+            "nan", "1", "1.0", "1", "nan", "1", "None", "1", "nan", "2"]
+
+    @pytest.mark.parametrize("zeros", [(-0.0, 0.0), (0.0, -0.0)])
+    def test_signed_zeros_collapse_to_the_first(self, assert_matches_reference, zeros):
+        first, second = zeros
+        e = self.engine("CREATE TABLE t (f FLOAT)", [(first,), (second,), (1.5,), (second,)])
+        result = assert_matches_reference(e, "SELECT DISTINCT f FROM t")
+        assert [str(row.values[0]) for row in result.rows] == [str(first), "1.5"]
+
+    def test_text_through_two_dictionaries_collapses(self, assert_matches_reference, monkeypatch):
+        """Each scan batch's TEXT column gets a dictionary of its own, in its
+        own first-appearance order."""
+        e = self.engine(
+            "CREATE TABLE t (s TEXT, k INTEGER)",
+            [("b", 1), ("a", 1), (None, 1), ("a", 1), ("b", 1), ("c", 1), (None, 1), ("a", 2)],
+            batch_rows=3,
+        )
+        sliced = DictVector.__getitem__
+        dictionaries = []
+
+        def fresh_dictionary(self, key):
+            part = sliced(self, key)
+            if isinstance(key, slice):
+                part = vector_from_values(part.tolist(), DataType.TEXT)
+                dictionaries.append(part.dictionary)
+            return part
+
+        monkeypatch.setattr(DictVector, "__getitem__", fresh_dictionary)
+        result = assert_matches_reference(e, "SELECT DISTINCT s, k FROM t")
+        assert values_of(result) == [("b", 1), ("a", 1), (None, 1), ("c", 1), ("a", 2)]
+        assert len(dictionaries) >= 3
+
+    def test_integers_past_int64_stay_distinct(self, assert_matches_reference):
+        big = 2**70
+        e = self.engine("CREATE TABLE t (k INTEGER)", [(5,), (big,), (big + 1,), (5,), (big,)])
+        result = assert_matches_reference(e, "SELECT DISTINCT k FROM t")
+        assert values_of(result) == [(5,), (big,), (big + 1,)]
+
+    def test_computed_items(self, assert_matches_reference):
+        e = self.engine(
+            "CREATE TABLE t (k INTEGER, s TEXT)",
+            [(1, "a"), (4, "a"), (2, None), (1, "a"), (None, "b"), (7, "a")],
+        )
+        result = assert_matches_reference(e, "SELECT DISTINCT k + 1 AS k1 FROM t")
+        assert values_of(result) == [(2,), (5,), (3,), (None,), (8,)]
+        result = assert_matches_reference(e, "SELECT DISTINCT k % 3 AS m, s FROM t")
+        assert values_of(result) == [(1, "a"), (2, None), (None, "b")]
+
+    def test_keys_typed_by_their_first_value_keep_their_values(self, assert_matches_reference):
+        """A computed column is typed by its first value (here INTEGER) and
+        may hold others: DISTINCT, GROUP BY and a join key it feeds compare
+        the values it holds — 0.5 and 0.75 are neither one key nor 0."""
+        e = self.engine("CREATE TABLE t (k INTEGER)", [(1,), (2,), (3,), (1,)])
+        e.execute("CREATE TABLE z (k INTEGER)")
+        e.insert_rows("z", [(0,), (1,)])
+        x = "(SELECT CASE WHEN k = 1 THEN 1 ELSE k / 4.0 END AS x FROM t) a"
+        result = assert_matches_reference(e, f"SELECT DISTINCT x FROM {x}")
+        assert values_of(result) == [(1,), (0.5,), (0.75,)]
+        result = assert_matches_reference(e, f"SELECT x, count(*) AS n FROM {x} GROUP BY x")
+        assert values_of(result) == [(1, 2), (0.5, 1), (0.75, 1)]
+        result = assert_matches_reference(e, f"SELECT a.x, z.k FROM {x} JOIN z ON a.x = z.k")
+        assert values_of(result) == [(1, 1), (1, 1)]
 
 
 class TestAggregateOutputTypes:
