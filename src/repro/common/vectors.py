@@ -144,23 +144,40 @@ def vector_from_values(values: list[Any], dtype: DataType) -> Any:
 
 def numeric_view(column: Any, dtype: Any) -> tuple[np.ndarray, np.ndarray | None]:
     """``column`` as a ``dtype`` array (0 at NULLs) plus its null mask, None
-    when NULL-free.  A typed vector is read in place; plain columns are
-    packed, raising ``OverflowError`` / ``TypeError`` / ``ValueError`` when
-    their values do not fit."""
+    when NULL-free.  A typed vector of that dtype is read in place; anything
+    else is packed, raising ``OverflowError`` / ``TypeError`` /
+    ``ValueError`` when its values do not fit — floats bound for an integer
+    or boolean array included, which a cast would truncate."""
     if isinstance(column, NumericVector):
         values = column.values
-        return (values if values.dtype == dtype else values.astype(dtype)), column.nulls
+        return (values if values.dtype == dtype else _packed(values, dtype)), column.nulls
     if isinstance(column, DictVector):
         raise TypeError("a dictionary column has no numeric view")
     if isinstance(column, np.ndarray):
         nulls = np.equal(column, None)
         if nulls.any():
-            return np.where(nulls, 0, column).astype(dtype), nulls
-        return column.astype(dtype), None
+            return _packed(np.where(nulls, 0, column), dtype), nulls
+        return _packed(column, dtype), None
     if None in column:
         nulls = _is_none(column)
-        return np.array([0 if v is None else v for v in column], dtype=dtype), nulls
-    return np.array(column, dtype=dtype), None
+        return _packed([0 if v is None else v for v in column], dtype), nulls
+    return _packed(column, dtype), None
+
+
+def _packed(values: Any, dtype: Any) -> np.ndarray:
+    """``values`` as a ``dtype`` array; floats bound for an integer or
+    boolean array raise ``TypeError`` instead of being truncated."""
+    read = np.asarray(values)  # at the values' own type
+    if np.can_cast(read.dtype, dtype, "safe"):
+        return read.astype(dtype, copy=False)
+    # A typed array says what it holds; Python values are asked one by one
+    # (numpy reads ints past int64 beside negatives as floats).
+    typed = isinstance(values, np.ndarray) and values.dtype.kind != "O"
+    if np.dtype(dtype).kind in "iub" and (
+            values.dtype.kind == "f" and values.size if typed
+            else any(isinstance(v, float) for v in values)):
+        raise TypeError(f"float values have no lossless {np.dtype(dtype)} view")
+    return np.array(values, dtype=dtype)
 
 
 def null_mask(column: Any) -> np.ndarray:

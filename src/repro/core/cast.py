@@ -238,10 +238,8 @@ class CastMigrator:
             source=source.name, target=target.name, method=method,
         ):
             try:
-                # One export_stream call: engines with native chunk support
-                # answer from metadata, and fallback engines export the
-                # relation only once.
-                schema, exported = source.export_stream(object_name, size)
+                schema = source.export_schema(object_name)
+                exported = source.export_chunks(object_name, size)
                 decoded = self._pipeline(
                     exported, schema, codec, method == "csv" and use_tempfile,
                     stats, tracer,

@@ -55,7 +55,6 @@ class BigDawgCatalog:
         self._content_versions: dict[str, int] = {}
         self._health_probe: Callable[[str], bool] | None = None
         self._engine_setup: Callable[[Engine], None] | None = None
-        self._schemas: dict[str, Schema] = {}
         # Concurrent runtime support: every read and write goes through one
         # re-entrant lock, and every metadata mutation advances ``version`` so
         # the result cache can fingerprint catalog state cheaply.  Temporary
@@ -181,7 +180,6 @@ class BigDawgCatalog:
             self._objects[key] = location
             # The new primary engine may previously have held a replica.
             self._replicas.get(key, {}).pop(location.engine_name, None)
-            self._schemas.pop(key, None)
             if properties.get("temporary") and not existed:
                 self._temp_version += 1
             else:
@@ -191,7 +189,6 @@ class BigDawgCatalog:
     def unregister_object(self, name: str) -> None:
         with self._lock:
             removed = self._objects.pop(name.lower(), None)
-            self._schemas.pop(name.lower(), None)
             self._replicas.pop(name.lower(), None)
             self._content_versions.pop(name.lower(), None)
             if removed is None:
@@ -246,7 +243,6 @@ class BigDawgCatalog:
             self._objects[key] = location
             # A replica on the target engine is absorbed into the primary.
             self._replicas.get(key, {}).pop(location.engine_name, None)
-            self._schemas.pop(key, None)
             self._bump()
             return location
 
@@ -318,7 +314,6 @@ class BigDawgCatalog:
             copies[primary.engine_name] = primary  # demoted, keeps its version
             self._replicas[key] = copies
             self._objects[key] = candidate
-            self._schemas.pop(key, None)
             self._bump()
             return candidate
 
@@ -433,37 +428,11 @@ class BigDawgCatalog:
 
     # ----------------------------------------------------------------- schemas
     def schema_of(self, name: str) -> Schema:
-        """The relational schema an export of ``name`` would have.
-
-        Planning a CAST only needs the schema, never the data.  Engines with
-        a native (metadata-only) ``export_schema`` are asked directly every
-        time, so engine-side DDL such as drop-and-recreate is always
-        reflected.  Only for engines relying on the full-export fallback is
-        the result cached — there a lookup costs a whole relation export —
-        with the entry dropped whenever the object is re-registered, moved
-        or unregistered (out-of-band mutation needs ``invalidate_schema``).
-        """
-        with self._lock:
-            location = self.locate(name)
-            engine = self.engine(location.engine_name)
-            if type(engine).export_schema is not Engine.export_schema:
-                return engine.export_schema(name)
-            key = name.lower()
-            if key not in self._schemas:
-                self._schemas[key] = engine.export_schema(name)
-            return self._schemas[key]
-
-    def invalidate_schema(self, name: str | None = None) -> None:
-        """Drop cached schemas (all of them when ``name`` is None).
-
-        Call this after mutating an object's shape directly on an engine,
-        outside the catalog's register/move/unregister paths.
-        """
-        with self._lock:
-            if name is None:
-                self._schemas.clear()
-            else:
-                self._schemas.pop(name.lower(), None)
+        """The relational schema an export of ``name`` would have: planning
+        a CAST needs the schema, never the data, and every engine answers
+        from metadata."""
+        location = self.locate(name)
+        return self.engine(location.engine_name).export_schema(name)
 
     def describe(self) -> dict:
         """Summary used by the demo's status screen."""

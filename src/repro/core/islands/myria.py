@@ -23,7 +23,6 @@ from typing import Callable
 from repro.common.errors import PlanningError
 from repro.common.schema import Relation, Row
 from repro.core.islands.base import Island
-from repro.core.shims import RelationalShim
 from repro.engines.base import EngineCapability
 
 
@@ -102,7 +101,7 @@ class MyriaIsland(Island):
     # ----------------------------------------------------------------- engine
     def _scan(self, object_name: str) -> Relation:
         engine = self._choose_backend(object_name)
-        return RelationalShim(engine).fetch_relation(object_name)
+        return engine.export_relation(object_name)
 
     def _choose_backend(self, object_name: str):
         """Prefer the engine already holding the object; tie-break toward SQL engines."""

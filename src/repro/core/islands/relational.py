@@ -18,7 +18,6 @@ from __future__ import annotations
 from repro.common.errors import TransientEngineError
 from repro.common.schema import Relation
 from repro.core.islands.base import Island, IslandStatement
-from repro.core.shims import RelationalShim
 from repro.engines.base import EngineCapability
 from repro.engines.relational.engine import RelationalEngine
 from repro.engines.relational.sql.ast import SelectStatement, Statement
@@ -69,7 +68,7 @@ class RelationalIsland(Island):
             scratch = self.catalog.setup_engine(RelationalEngine("_relational_island_scratch"))
             try:
                 for table, engine in placements.items():
-                    relation = RelationalShim(engine).fetch_relation(table)
+                    relation = engine.export_relation(table)
                     scratch.attach_foreign(table, relation, engine.name)
                 return scratch.execute(sql)
             finally:

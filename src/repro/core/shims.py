@@ -7,8 +7,8 @@ can run it natively.
 
 Three shim families exist, one per island data model:
 
-* :class:`RelationalShim` — object as a :class:`Relation`, native SQL pushdown
-  when the engine speaks SQL.
+* :class:`RelationalShim` — native SQL pushdown when the engine speaks SQL;
+  any object's relational form is its engine's ``export_relation``.
 * :class:`ArrayShim` — object as a :class:`StoredArray`, read from the array
   engine or converted from a tiled one.
 * :class:`AssociativeShim` — object as a D4M :class:`AssociativeArray`.
@@ -56,10 +56,6 @@ class RelationalShim(Shim):
 
     def supports_native(self) -> bool:
         return bool(self.engine.capabilities & EngineCapability.SQL)
-
-    def fetch_relation(self, object_name: str) -> Relation:
-        """Fetch an object as a relation, whatever the engine's native model."""
-        return self.engine.export_relation(object_name)
 
     def execute_sql(self, sql: str) -> Relation:
         """Push a SQL query down to the engine (only for SQL-capable engines)."""

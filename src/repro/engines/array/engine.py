@@ -27,7 +27,7 @@ from repro.engines.array.aql import AqlCall, parse_aql
 from repro.engines.array.schema import ArraySchema, Attribute, Dimension
 from repro.engines.array.storage import _NUMPY_DTYPES, StoredArray
 from repro.common.cancellation import check_cancelled
-from repro.engines.base import DEFAULT_CHUNK_ROWS, Engine, EngineCapability
+from repro.engines.base import DEFAULT_CHUNK_ROWS, Engine, EngineCapability, check_chunk_size
 
 
 class ArrayEngine(Engine):
@@ -50,21 +50,9 @@ class ArrayEngine(Engine):
     def has_object(self, name: str) -> bool:
         return name.lower() in self._arrays
 
-    def export_relation(self, name: str) -> Relation:
-        """Flatten an array to rows: dimension coordinates then attribute values."""
-        return next(self.array(name).cell_chunks())
-
-    def import_relation(self, name: str, relation: Relation, **options: Any) -> None:
-        """Build an array from a relation.
-
-        By default the first column becomes the single dimension (its values
-        must be integers); remaining columns become attributes.  Pass
-        ``dimensions=[...]`` to treat several leading columns as dimensions.
-        """
-        self.import_chunks(name, relation.schema, [relation], **options)
-
     def export_schema(self, name: str) -> Schema:
-        """The relational schema of a flattened export, from metadata alone."""
+        """The flattened export's schema, from the array schema alone:
+        dimension coordinates, then attribute values."""
         return self.array(name).flat_schema()
 
     def export_chunks(self, name: str, chunk_size: int = DEFAULT_CHUNK_ROWS) -> Iterator[Relation]:
@@ -72,30 +60,28 @@ class ArrayEngine(Engine):
         rows (:meth:`StoredArray.cell_chunks`): coordinates and fixed-width
         attributes are ``NumericVector`` columns, so no Python value is
         made for them."""
-        if chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        array = self.array(name)
-
-        def generate() -> Iterator[Relation]:
-            for chunk in array.cell_chunks(chunk_size):
-                check_cancelled()  # chunk boundary: cancelled exports stop here
-                yield chunk
-
-        return generate()
+        check_chunk_size(chunk_size)
+        return self.array(name).cell_chunks(chunk_size)
 
     def import_chunks(self, name: str, schema: Schema, chunks: Iterable[Relation],
                       **options: Any) -> None:
-        """Read each chunk's columns into typed numpy vectors — a
-        ``NumericVector`` column in place (:func:`_column_vector`) — then
-        build the array once the dimension bounds are known (arrays need
-        their extent up front) and land every chunk with one scatter per
-        attribute.
+        """Build an array from chunks of flattened rows.
 
-        Dimension values are coerced to int, a NULL float attribute becomes a
-        NaN cell, TEXT lands in an object buffer, the last row wins on a
-        repeated coordinate, and an empty stream yields the 1-cell ``(0, ...)``
-        array.  A column the array cannot hold (a NULL coordinate, a NULL
-        integer attribute) raises :class:`ExecutionError`.
+        Options: ``dimensions`` (the columns that become dimensions, default
+        the first column alone; the rest become attributes),
+        ``chunk_length`` (the array's chunk length per dimension, default
+        10 000) and ``replace``.
+
+        Each chunk's columns are read into typed numpy vectors — a
+        ``NumericVector`` column in place (:func:`_column_vector`); the array
+        is built once the dimension bounds are known (arrays need their
+        extent up front) and every chunk lands with one scatter per
+        attribute.  This method validates: dimension values are coerced to
+        int, a NULL float attribute becomes a NaN cell, TEXT lands in an
+        object buffer, the last row wins on a repeated coordinate, and an
+        empty stream yields the 1-cell ``(0, ...)`` array.  A column the
+        array cannot hold (a NULL coordinate, a NULL integer attribute)
+        raises :class:`ExecutionError`.
         """
         if name.lower() in self._arrays and not options.get("replace", True):
             raise DuplicateObjectError(f"array {name!r} already exists")
@@ -163,13 +149,8 @@ class ArrayEngine(Engine):
 
     def rename_object(self, old_name: str, new_name: str,
                       replace: bool = True) -> None:
-        """O(1) rename: re-key the stored array, keeping dimensions intact.
-
-        The export/import fallback would re-derive dimensions from the
-        flattened relation; the native rename preserves the array schema
-        exactly, which is what lets transactional CAST publish an imported
-        array atomically.
-        """
+        """O(1) rename: re-key the stored array, keeping its schema (and so
+        its dimensions) exactly as they are."""
         old_key, new_key = old_name.lower(), new_name.lower()
         if old_key == new_key:
             return

@@ -14,6 +14,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
+from repro.common.cancellation import check_cancelled
 from repro.common.errors import SchemaError, UnsupportedOperationError
 from repro.common.schema import Column, Relation, Schema
 from repro.common.types import DataType, coerce
@@ -156,6 +157,7 @@ class StoredArray:
         else:
             starts, step = range(0, total, chunk_size), chunk_size
         for start in starts:
+            check_cancelled()  # chunk boundary: cancelled exports stop here
             part = tuple(axis[start : start + step] for axis in indexes)
             yield Relation.from_columns(schema, self._gather(part), len(part[0]))
 

@@ -2,18 +2,28 @@
 
 An engine owns data objects (tables, arrays, streams, key-value tables) and
 executes queries in its native language.  The only thing BigDAWG requires of
-an engine is the small surface in :class:`Engine`: enumerate objects, export
-an object as a relation (all at once or as bounded chunks), import a relation
-as a new object (likewise chunked), and report which capabilities it has so
-the planner can route subqueries.
+an engine is the small surface in :class:`Engine`: enumerate objects, move an
+object out and in over one chunked data path, drop and rename it, and report
+which capabilities it has so the planner can route subqueries.
 
-The chunked half of the surface — :meth:`Engine.export_schema`,
-:meth:`Engine.export_chunks` and :meth:`Engine.import_chunks` — is what the
-streaming CAST pipeline uses so that a cross-engine move never materializes
-the whole object on the wire.  The base class provides full-relation
-fallbacks, so an engine only has to implement ``export_relation`` /
-``import_relation`` to participate; engines with native chunk support
-override the chunked methods to avoid the full copy.
+The data path is three methods every engine implements; CAST streams over
+them, so a cross-engine move never holds the whole object on the wire:
+
+* ``export_schema(name)`` is the schema an export of ``name`` has, read from
+  metadata: it reads no rows.
+* ``export_chunks(name, chunk_size)`` yields the object's rows as relations.
+  Every chunk has the ``export_schema`` schema, and every chunk but the last
+  holds exactly ``chunk_size`` rows.  An empty object yields no chunk.  A
+  non-positive ``chunk_size`` raises ``ValueError``, and a missing object
+  :class:`ObjectNotFoundError`, at the call, not at the first ``next``.
+* ``import_chunks(name, schema, chunks, **options)`` creates the object from
+  chunks over ``schema``.  It replaces an existing object of that name unless
+  ``replace=False``, which raises :class:`DuplicateObjectError` instead.
+  Each engine's ``import_chunks`` docstring names the options it reads and
+  says who validates the chunks' types and NULLs.
+
+``export_relation`` and ``import_relation`` are the same path for one whole
+relation (a shim's read, a one-relation load); no engine overrides them.
 """
 
 from __future__ import annotations
@@ -21,11 +31,11 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import sys
 import threading
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.common import vectors
 from repro.common.cancellation import check_cancelled
 from repro.common.schema import Relation, Schema
 
@@ -33,21 +43,27 @@ from repro.common.schema import Relation, Schema
 DEFAULT_CHUNK_ROWS = 8192
 
 
-def _sliced(relation: Relation, chunk_size: int) -> Iterator[Relation]:
-    """``relation`` as relations of at most ``chunk_size`` rows, each a slice
-    of every column (views where the column is typed).  Raises eagerly on a
-    non-positive ``chunk_size``; yields nothing for an empty relation."""
+def check_chunk_size(chunk_size: int) -> None:
+    """Raise ``ValueError`` for a non-positive ``chunk_size``."""
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    columns = [relation.column_vector(i) for i in range(len(relation.schema))]
+
+
+def row_chunks(schema: Schema, rows: Iterable[Sequence[Any]],
+               chunk_size: int) -> Iterator[Relation]:
+    """``rows`` as relations over ``schema`` of ``chunk_size`` rows (the last
+    may hold fewer), each row coerced by :class:`Relation`: the export of an
+    engine whose storage is row-shaped.  Checks ``chunk_size`` at the call."""
+    check_chunk_size(chunk_size)
+    rows = iter(rows)
 
     def generate() -> Iterator[Relation]:
-        for start in range(0, len(relation), chunk_size):
+        while True:
             check_cancelled()  # chunk boundary: cancelled exports stop here
-            stop = min(start + chunk_size, len(relation))
-            yield Relation.from_columns(
-                relation.schema, [column[start:stop] for column in columns], stop - start
-            )
+            chunk = Relation(schema, itertools.islice(rows, chunk_size))
+            if not len(chunk):
+                return
+            yield chunk
 
     return generate()
 
@@ -91,7 +107,7 @@ def _bumps_write_version(method: Callable) -> Callable:
 #: to remember to do it.  Engine-*native* mutation entry points (SQL DML, kv
 #: ``put``, array loads) sit outside this interface and call
 #: :meth:`Engine.bump_write_version` explicitly.
-_MUTATOR_NAMES = ("import_relation", "import_chunks", "drop_object", "rename_object")
+_MUTATOR_NAMES = ("import_chunks", "drop_object", "rename_object")
 
 
 class Engine(ABC):
@@ -182,99 +198,49 @@ class Engine(ABC):
         """Whether the engine stores an object with this name."""
 
     @abstractmethod
-    def export_relation(self, name: str) -> Relation:
-        """Export a stored object as a relation (the CAST egress path)."""
-
-    @abstractmethod
-    def import_relation(self, name: str, relation: Relation, **options: Any) -> None:
-        """Create (or replace) an object from a relation (the CAST ingress path)."""
-
-    @abstractmethod
     def drop_object(self, name: str) -> None:
         """Remove an object."""
 
+    @abstractmethod
     def rename_object(self, old_name: str, new_name: str,
                       replace: bool = True) -> None:
-        """Rename an object in place, replacing any object at ``new_name``.
+        """Rename an object in place, replacing any object at ``new_name``
+        (with ``replace=False``, raise :class:`DuplicateObjectError`).
 
         The commit primitive of transactional CAST: the migrator imports
         into a shadow name and publishes the finished object with one
         rename, so a consumer can never observe (or be left with) a
-        half-imported object under the real name.  The fallback copies
-        through export/import; engines with dict-keyed storage override it
-        with an O(1) key move.
+        half-imported object under the real name.  Every engine re-keys its
+        storage, so a rename copies no data.
         """
-        if old_name.lower() == new_name.lower():
-            return
-        if not replace and self.has_object(new_name):
-            from repro.common.errors import DuplicateObjectError
 
-            raise DuplicateObjectError(
-                f"object {new_name!r} already exists in engine {self.name!r}"
-            )
-        self.import_relation(new_name, self.export_relation(old_name))
-        self.drop_object(old_name)
-
-    # ------------------------------------------------------- chunked CAST path
+    # ---------------------------------------------------------------- data path
+    @abstractmethod
     def export_schema(self, name: str) -> Schema:
-        """The relational schema an export of ``name`` would have.
+        """The schema an export of ``name`` has, read without reading rows."""
 
-        The fallback exports the whole object just to read its schema; engines
-        override this with a metadata-only lookup so planning a CAST is cheap.
-        """
-        return self.export_relation(name).schema
-
+    @abstractmethod
     def export_chunks(self, name: str, chunk_size: int = DEFAULT_CHUNK_ROWS) -> Iterator[Relation]:
-        """Export an object as a stream of relations of at most ``chunk_size`` rows.
+        """The object's rows as relations of ``chunk_size`` rows (the last
+        may hold fewer); nothing for an empty object."""
 
-        The fallback exports the full relation and slices its columns;
-        engines with an incremental scan override this to bound memory.
-        Yields nothing for an empty object.
-        """
-        return _sliced(self.export_relation(name), chunk_size)
-
-    def export_stream(self, name: str, chunk_size: int = DEFAULT_CHUNK_ROWS
-                      ) -> tuple[Schema, Iterator[Relation]]:
-        """Schema plus chunk stream in one call — the CAST egress entry point.
-
-        Dispatches to ``export_schema``/``export_chunks`` whenever a subclass
-        overrides them, so native chunk or metadata paths are always
-        honoured.  An engine overriding only ``export_chunks`` gets its
-        schema from the first chunk rather than the full-export schema
-        fallback, preserving the override's memory bound.  Only for
-        pure-fallback engines does it materialize the relation *once* and
-        derive both from it (calling the two fallbacks separately would
-        export twice).
-        """
-        cls = type(self)
-        if cls.export_schema is not Engine.export_schema:
-            return self.export_schema(name), self.export_chunks(name, chunk_size)
-        if cls.export_chunks is not Engine.export_chunks:
-            chunks = self.export_chunks(name, chunk_size)
-            first = next(chunks, None)
-            if first is not None:
-                return first.schema, itertools.chain([first], chunks)
-            # Empty stream: the object has no rows, so the schema fallback's
-            # full export is cheap here.
-            return self.export_relation(name).schema, iter(())
-        relation = self.export_relation(name)
-        return relation.schema, _sliced(relation, chunk_size)
-
+    @abstractmethod
     def import_chunks(self, name: str, schema: Schema, chunks: Iterable[Relation],
                       **options: Any) -> None:
-        """Create (or replace) an object from a stream of relation chunks.
+        """Create (or replace) an object from a stream of chunks over ``schema``."""
 
-        The fallback concatenates the chunks' columns and delegates to
-        ``import_relation``; engines that can append incrementally override
-        this so only one decoded chunk is held at a time.
-        """
-        parts = list(chunks)
-        columns = [
-            vectors.concat([chunk.column_vector(i) for chunk in parts]) if parts else []
-            for i in range(len(schema))
-        ]
-        combined = Relation.from_columns(schema, columns, sum(len(chunk) for chunk in parts))
-        self.import_relation(name, combined, **options)
+    def export_relation(self, name: str) -> Relation:
+        """The whole object as one relation: the one chunk of an unbounded
+        :meth:`export_chunks`, as the engine made it, or an empty relation
+        over :meth:`export_schema` for an empty object."""
+        for chunk in self.export_chunks(name, sys.maxsize):
+            return chunk
+        return Relation(self.export_schema(name))
+
+    def import_relation(self, name: str, relation: Relation, **options: Any) -> None:
+        """Create (or replace) an object from one relation: :meth:`import_chunks`
+        of that one chunk, with the same options."""
+        self.import_chunks(name, relation.schema, [relation], **options)
 
     def describe(self) -> dict[str, Any]:
         """Human-readable summary used by EXPLAIN output and the demo."""

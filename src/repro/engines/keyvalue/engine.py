@@ -6,17 +6,20 @@ values, scanned through server-side iterator stacks and split into tablets.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.common.cancellation import check_cancelled
 from repro.common.errors import DuplicateObjectError, ObjectNotFoundError, TypeMismatchError
 from repro.common.schema import Column, Relation, Schema
 from repro.common.types import DataType, common_type, infer_type
-from repro.engines.base import Engine, EngineCapability
+from repro.engines.base import DEFAULT_CHUNK_ROWS, Engine, EngineCapability, row_chunks
 from repro.engines.keyvalue.iterators import ScanIterator, apply_stack
 from repro.engines.keyvalue.store import Entry, ScanRange, SortedKeyValueStore
 from repro.engines.keyvalue.tablet import TabletManager
 from repro.engines.keyvalue.text_index import DocumentMatches, InvertedTextIndex
+
+#: The columns of an export: one row per cell.
+_CELL_COLUMNS = ["row", "family", "qualifier", "value"]
 
 
 class KeyValueTable:
@@ -109,14 +112,6 @@ class KeyValueEngine(Engine):
     def has_object(self, name: str) -> bool:
         return name.lower() in self._tables
 
-    def export_relation(self, name: str) -> Relation:
-        """Flatten a key-value table to (row, family, qualifier, value) rows,
-        one per cell: its newest version."""
-        return Relation(self.export_schema(name), [
-            [entry.key.row, entry.key.family, entry.key.qualifier, entry.value]
-            for entry in self.table(name).store.latest()
-        ])
-
     def export_schema(self, name: str) -> Schema:
         """The flattened export schema, widening the value column to a type
         every stored cell can coerce to (e.g. INTEGER + FLOAT -> FLOAT).
@@ -126,41 +121,51 @@ class KeyValueEngine(Engine):
         written behind the table's back (directly into the store).
         """
         value_type = self.table(name).export_value_type()
-        if value_type is None:
-            value_type = DataType.TEXT
-        return Schema(
-            [
-                Column("row", DataType.TEXT),
-                Column("family", DataType.TEXT),
-                Column("qualifier", DataType.TEXT),
-                Column("value", value_type),
-            ]
-        )
+        return Schema([
+            *(Column(column, DataType.TEXT) for column in _CELL_COLUMNS[:3]),
+            Column("value", DataType.TEXT if value_type is None else value_type),
+        ])
+
+    def export_chunks(self, name: str, chunk_size: int = DEFAULT_CHUNK_ROWS) -> Iterator[Relation]:
+        """The table flattened to (row, family, qualifier, value) rows, one
+        per cell (its newest version), in key order; each chunk coerces the
+        values to :meth:`export_schema`'s value type."""
+        store = self.table(name).store
+        return row_chunks(self.export_schema(name), (
+            (entry.key.row, entry.key.family, entry.key.qualifier, entry.value)
+            for entry in store.latest()
+        ), chunk_size)
 
     def import_chunks(self, name: str, schema: Schema, chunks: Iterable[Relation],
                       **options: Any) -> None:
-        """Write cells chunk by chunk; the sorted store appends incrementally."""
+        """Write cells chunk by chunk; the sorted store appends incrementally.
+
+        A relation in the export's own layout (``row``, ``family``,
+        ``qualifier``, ``value``) lands one cell per row, so an export
+        imports back as the same table.  Any other relation lands one cell
+        per non-key column: (its row key, family ``"attr"``, qualifier =
+        the column name).  Options: ``row_column`` (whose value, as a
+        string, is the row key; default the first column), ``text_indexed``
+        (index TEXT values for the text island, default False) and
+        ``replace``.  Nothing is validated: a cell holds any value, NULL
+        included, and the export widens its value type to what is stored."""
         if name.lower() in self._tables and not options.get("replace", True):
             raise DuplicateObjectError(f"key-value table {name!r} already exists")
         table = KeyValueTable(name, text_indexed=bool(options.get("text_indexed", False)))
         names = schema.names
-        row_column = options.get("row_column", names[0])
-        for chunk in chunks:
-            for row in chunk:
-                row_key = str(row[row_column])
-                for column in names:
-                    if column == row_column:
-                        continue
-                    table.put(row_key, "attr", column, row[column])
+        if [n.lower() for n in names] == _CELL_COLUMNS:
+            for chunk in chunks:
+                for row, family, qualifier, value in zip(*map(chunk.column_values, range(4))):
+                    table.put(str(row), family, qualifier, value)
+        else:
+            row_column = options.get("row_column", names[0])
+            for chunk in chunks:
+                for row in chunk:
+                    row_key = str(row[row_column])
+                    for column in names:
+                        if column != row_column:
+                            table.put(row_key, "attr", column, row[column])
         self._tables[name.lower()] = table
-
-    def import_relation(self, name: str, relation: Relation, **options: Any) -> None:
-        """Create a table from a relation.
-
-        The first column becomes the row key; remaining columns become
-        (family="attr", qualifier=column name) cells.
-        """
-        self.import_chunks(name, relation.schema, [relation], **options)
 
     def drop_object(self, name: str) -> None:
         if name.lower() not in self._tables:

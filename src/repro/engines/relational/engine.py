@@ -27,7 +27,7 @@ from repro.common.parallel import (
     resolve_parallelism,
 )
 from repro.common.schema import Column, Relation, Schema, TableDefinition
-from repro.engines.base import DEFAULT_CHUNK_ROWS, Engine, EngineCapability
+from repro.engines.base import DEFAULT_CHUNK_ROWS, Engine, EngineCapability, check_chunk_size
 from repro.engines.relational.optimizer import Optimizer
 from repro.observability.profile import SlowQueryLog
 from repro.observability.tracing import Tracer, tracer_scope
@@ -201,13 +201,6 @@ class RelationalEngine(Engine, TableStatisticsProvider):
     def has_object(self, name: str) -> bool:
         return name.lower() in self._tables
 
-    def export_relation(self, name: str) -> Relation:
-        snapshot = self.table(name).column_snapshot()
-        return _snapshot_chunk(snapshot, 0, len(snapshot))
-
-    def import_relation(self, name: str, relation: Relation, **options: Any) -> None:
-        self.import_chunks(name, relation.schema, [relation], **options)
-
     def attach_foreign(self, name: str, relation: Relation, engine: str) -> None:
         """Make ``relation``, object ``name`` as exported by ``engine``,
         scannable here as a read-only :class:`ForeignTable` over its
@@ -252,8 +245,7 @@ class RelationalEngine(Engine, TableStatisticsProvider):
         moves data from storage to the wire without making a Python value
         per cell.
         """
-        if chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+        check_chunk_size(chunk_size)
         table = self.table(name)
 
         def generate() -> Iterator[Relation]:
@@ -266,8 +258,15 @@ class RelationalEngine(Engine, TableStatisticsProvider):
 
     def import_chunks(self, name: str, schema: Schema, chunks: Iterable[Relation],
                       **options: Any) -> None:
-        """Bulk-load the destination table one chunk's columns at a time
-        (see :meth:`HeapTable.insert_columns`), then publish it."""
+        """Bulk-load a new table one chunk's columns at a time, then publish
+        it under ``name``.
+
+        Options: ``primary_key`` (column names, default none) and
+        ``replace``.  The table validates: :meth:`HeapTable.insert_columns`
+        appends a column already of the schema's exact type as is and
+        coerces any other chunk row by row through
+        :meth:`Schema.validate_row`, which refuses a value of the wrong type
+        and a NULL in a NOT NULL column."""
         primary_key = options.get("primary_key", ())
         replace = options.get("replace", True)
         key = name.lower()

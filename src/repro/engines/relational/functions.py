@@ -135,14 +135,20 @@ class MaxAggregate(Aggregate):
 class StddevAggregate(Aggregate):
     """Sample standard deviation via Welford's online algorithm."""
 
-    def __init__(self, **_kwargs: Any) -> None:
+    def __init__(self, distinct: bool = False) -> None:
         self._count = 0
         self._mean = 0.0
         self._m2 = 0.0
+        self._distinct = distinct
+        self._seen: set[Any] = set()
 
     def add(self, value: Any) -> None:
         if value is None:
             return
+        if self._distinct:
+            if value in self._seen:
+                return
+            self._seen.add(value)
         self._count += 1
         delta = value - self._mean
         self._mean += delta / self._count

@@ -8,12 +8,12 @@ commits for lightweight recovery, and ages old tuples into the array engine.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.common.errors import DuplicateObjectError, ObjectNotFoundError
 from repro.common.schema import Column, Relation, Schema
 from repro.common.types import DataType
-from repro.engines.base import Engine, EngineCapability
+from repro.engines.base import DEFAULT_CHUNK_ROWS, Engine, EngineCapability, row_chunks
 from repro.engines.streaming.aging import AgingPolicy
 from repro.engines.streaming.ingestion import FeedConnection, IngestionModule
 from repro.engines.streaming.procedures import (
@@ -54,29 +54,61 @@ class StreamingEngine(Engine):
     def has_object(self, name: str) -> bool:
         return name.lower() in self._streams
 
-    def export_relation(self, name: str) -> Relation:
-        """Export the live (retained) contents of a stream as a relation."""
-        stream = self.stream(name)
-        schema = Schema(
-            [Column("timestamp", DataType.FLOAT)] + list(stream.schema.columns)
-        )
-        return Relation(schema, [[item.timestamp, *item.values] for item in stream.tuples()])
+    def export_schema(self, name: str) -> Schema:
+        """A ``timestamp`` FLOAT column, then the stream's own columns."""
+        return Schema([Column("timestamp", DataType.FLOAT), *self.stream(name).schema.columns])
 
-    def import_relation(self, name: str, relation: Relation, **options: Any) -> None:
-        """Create a stream from a relation; a ``timestamp`` column orders the tuples."""
+    def export_chunks(self, name: str, chunk_size: int = DEFAULT_CHUNK_ROWS) -> Iterator[Relation]:
+        """The retained tuples, oldest first, as (timestamp, values...) rows,
+        from a copy of the deque taken at the call (appends go on)."""
+        retained = list(self.stream(name).tuples())
+        return row_chunks(self.export_schema(name), (
+            (item.timestamp, *item.values) for item in retained
+        ), chunk_size)
+
+    def import_chunks(self, name: str, schema: Schema, chunks: Iterable[Relation],
+                      **options: Any) -> None:
+        """Create a stream of the chunks' rows, appended in timestamp order.
+
+        Options: ``timestamp_column`` (default the column named
+        ``timestamp``, else the first) orders the tuples and is not part of
+        the payload; ``retention_seconds`` (default 3600); ``replace``.  The
+        stream validates: :meth:`Stream.append` coerces each payload through
+        :meth:`Schema.validate_row`; a NULL timestamp raises."""
+        if name.lower() in self._streams and not options.get("replace", True):
+            raise DuplicateObjectError(f"stream {name!r} already exists")
         retention = float(options.get("retention_seconds", 3600.0))
-        names = relation.schema.names
-        ts_column = options.get("timestamp_column", "timestamp" if "timestamp" in [n.lower() for n in names] else names[0])
-        payload_columns = [c for c in relation.schema.columns if c.name.lower() != ts_column.lower()]
-        stream = self.create_stream(name, Schema(payload_columns), retention, replace=True)
-        ordered = sorted(relation.rows, key=lambda r: r[ts_column])
-        for row in ordered:
-            stream.append(float(row[ts_column]), [row[c.name] for c in payload_columns])
+        names = [n.lower() for n in schema.names]
+        ts_index = schema.index_of(
+            options.get("timestamp_column", "timestamp" if "timestamp" in names else names[0])
+        )
+        payload = [i for i in range(len(names)) if i != ts_index]
+        stream = Stream(name, Schema([schema.columns[i] for i in payload]), retention)
+        rows = [row.values for chunk in chunks for row in chunk.rows]
+        rows.sort(key=lambda values: values[ts_index])
+        for values in rows:
+            stream.append(float(values[ts_index]), [values[i] for i in payload])
+        self._streams[name.lower()] = stream
 
     def drop_object(self, name: str) -> None:
         if name.lower() not in self._streams:
             raise ObjectNotFoundError(f"stream {name!r} does not exist")
         del self._streams[name.lower()]
+
+    def rename_object(self, old_name: str, new_name: str,
+                      replace: bool = True) -> None:
+        """O(1) rename: re-key the stream (the CAST commit primitive).
+        Procedures follow the stream *name* they were registered on, as
+        they would had the stream been dropped and re-created."""
+        old_key, new_key = old_name.lower(), new_name.lower()
+        if old_key == new_key:
+            return
+        stream = self.stream(old_name)
+        if new_key in self._streams and not replace:
+            raise DuplicateObjectError(f"stream {new_name!r} already exists")
+        del self._streams[old_key]
+        stream.name = new_name
+        self._streams[new_key] = stream
 
     # ---------------------------------------------------------------- streams
     def create_stream(self, name: str, schema: Schema, retention_seconds: float = 60.0,

@@ -10,14 +10,14 @@ out of it, which is the tight linear-algebra coupling Section 2.4 motivates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
 from repro.common.errors import DuplicateObjectError, ObjectNotFoundError, SchemaError
 from repro.common.schema import Column, Relation, Schema
 from repro.common.types import DataType
-from repro.engines.base import Engine, EngineCapability
+from repro.engines.base import DEFAULT_CHUNK_ROWS, Engine, EngineCapability, row_chunks
 from repro.engines.tiledb.tiles import (
     Tile,
     TileExtent,
@@ -210,17 +210,32 @@ class TileDBEngine(Engine):
             raise ObjectNotFoundError(f"tiledb array {name!r} does not exist")
         return self._arrays[key]
 
-    def export_relation(self, name: str) -> Relation:
+    def export_schema(self, name: str) -> Schema:
+        """One INTEGER column per dimension (``d0``, ``d1``, ...), then the
+        FLOAT attribute."""
         array = self.array(name)
         columns = [Column(f"d{i}", DataType.INTEGER) for i in range(array.schema.ndim)]
-        columns.append(Column(array.schema.attribute, DataType.FLOAT))
-        return Relation(Schema(columns), [[*coordinates, value] for coordinates, value in array.cells()])
+        return Schema([*columns, Column(array.schema.attribute, DataType.FLOAT)])
 
-    def import_relation(self, name: str, relation: Relation, **options: Any) -> None:
-        names = relation.schema.names
-        dim_columns = options.get("dimensions") or names[:-1]
-        value_column = options.get("value_column", names[-1])
-        rows = relation.rows
+    def export_chunks(self, name: str, chunk_size: int = DEFAULT_CHUNK_ROWS) -> Iterator[Relation]:
+        """The written cells, tile by tile, as (coordinates..., value) rows."""
+        cells = self.array(name).cells()
+        return row_chunks(self.export_schema(name), (
+            (*coordinates, value) for coordinates, value in cells
+        ), chunk_size)
+
+    def import_chunks(self, name: str, schema: Schema, chunks: Iterable[Relation],
+                      **options: Any) -> None:
+        """Build a tiled array over the bounding box of the chunks' cells,
+        holding the rows until the last chunk fixes the domain (no rows:
+        :class:`SchemaError`).  Options: ``dimensions`` (default every
+        column but the last), ``value_column`` (default the last) and
+        ``replace``.  Validated here: coordinates go through ``int`` and
+        values through ``float``, so a NULL in either raises."""
+        names = schema.names
+        dim_columns = [schema.index_of(d) for d in options.get("dimensions") or names[:-1]]
+        value_column = schema.index_of(options.get("value_column", names[-1]))
+        rows = [row.values for chunk in chunks for row in chunk.rows]
         if not rows:
             raise SchemaError("cannot infer a tiledb domain from an empty relation")
         domain = []
@@ -230,11 +245,10 @@ class TileDBEngine(Engine):
         extents = tuple(
             max(1, (high - low + 1) // 10) for low, high in domain
         )
-        schema = TileDBArraySchema(name, tuple(domain), extents)
-        array = self.create_array(schema, replace=bool(options.get("replace", True)))
+        array = self.create_array(TileDBArraySchema(name, tuple(domain), extents),
+                                  replace=bool(options.get("replace", True)))
         for row in rows:
-            coordinates = tuple(int(row[dim]) for dim in dim_columns)
-            array.write(coordinates, float(row[value_column]))
+            array.write(tuple(int(row[dim]) for dim in dim_columns), float(row[value_column]))
 
     def drop_object(self, name: str) -> None:
         if name.lower() not in self._arrays:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -10,9 +10,11 @@ from repro.common.cancellation import check_cancelled
 from repro.common.errors import DuplicateObjectError, ObjectNotFoundError
 from repro.common.schema import Column, Relation, Schema
 from repro.common.types import DataType
-from repro.engines.base import Engine, EngineCapability
+from repro.engines.base import DEFAULT_CHUNK_ROWS, Engine, EngineCapability, row_chunks
 from repro.engines.tupleware.compiler import CompiledExecutor, ExecutionReport, InterpretedExecutor
 from repro.engines.tupleware.workflow import Workflow
+
+_EXPORT_SCHEMA = Schema([Column("index", DataType.INTEGER), Column("value", DataType.FLOAT)])
 
 
 class TuplewareEngine(Engine):
@@ -37,14 +39,25 @@ class TuplewareEngine(Engine):
     def has_object(self, name: str) -> bool:
         return name.lower() in self._datasets
 
-    def export_relation(self, name: str) -> Relation:
-        values = self.dataset(name).ravel().tolist()
-        schema = Schema([Column("index", DataType.INTEGER), Column("value", DataType.FLOAT)])
-        return Relation.from_columns(schema, [list(range(len(values))), values])
+    def export_schema(self, name: str) -> Schema:
+        """``index`` (a value's position in the dataset) and ``value``."""
+        self.dataset(name)  # a missing dataset raises here
+        return _EXPORT_SCHEMA
 
-    def import_relation(self, name: str, relation: Relation, **options: Any) -> None:
-        value_column = options.get("value_column", relation.schema.names[-1])
-        values = [float(row[value_column]) for row in relation if row[value_column] is not None]
+    def export_chunks(self, name: str, chunk_size: int = DEFAULT_CHUNK_ROWS) -> Iterator[Relation]:
+        """The flattened dataset as (index, value) rows."""
+        return row_chunks(_EXPORT_SCHEMA, enumerate(self.dataset(name).ravel().tolist()), chunk_size)
+
+    def import_chunks(self, name: str, schema: Schema, chunks: Iterable[Relation],
+                      **options: Any) -> None:
+        """Load one column of the chunks as the dataset.  Options:
+        ``value_column`` (default the last) and ``replace``.  NULLs are
+        skipped; ``float`` refuses any other value that is not a number."""
+        column = schema.index_of(options.get("value_column", schema.names[-1]))
+        values = [
+            float(value) for chunk in chunks for value in chunk.column_values(column)
+            if value is not None
+        ]
         self.load(name, values, replace=bool(options.get("replace", True)))
 
     def drop_object(self, name: str) -> None:

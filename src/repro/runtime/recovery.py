@@ -372,7 +372,6 @@ class JournalRecovery:
                     f"of {name!r} (old primary lost the object)"
                 )
                 break
-        catalog.invalidate_schema()
 
     def _engine_has(self, engine_name: str, object_name: str) -> bool | None:
         """Whether an engine holds an object; None when it cannot be asked."""

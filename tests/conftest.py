@@ -12,10 +12,15 @@ from repro.common.errors import ExecutionError
 from repro.common.schema import Column, Relation, Schema
 from repro.common.serialization import BinaryCodec
 from repro.common.types import DataType
+from repro.engines.array import ArrayEngine
 from repro.engines.array.schema import ArraySchema, Attribute, Dimension
 from repro.engines.array.storage import StoredArray
+from repro.engines.keyvalue import KeyValueEngine
 from repro.engines.relational import RelationalEngine
 from repro.engines.relational.storage import HeapTable
+from repro.engines.streaming import StreamingEngine
+from repro.engines.tiledb import TileDBEngine
+from repro.engines.tupleware import TuplewareEngine
 from repro.mimic import MimicGenerator, build_polystore
 from repro.mimic.generator import MimicDataset
 from reference_executor import Executor
@@ -139,6 +144,23 @@ def _reference_array_export_fixture():
 @pytest.fixture(scope="session", name="reference_table_import")
 def _reference_table_import_fixture():
     return reference_table_import
+
+
+#: One factory per engine kind BigDAWG federates.
+ENGINE_FACTORIES = {
+    "relational": lambda: RelationalEngine("pg"),
+    "array": lambda: ArrayEngine("scidb"),
+    "keyvalue": lambda: KeyValueEngine("accumulo"),
+    "streaming": lambda: StreamingEngine("sstore"),
+    "tiledb": lambda: TileDBEngine("tiledb"),
+    "tupleware": lambda: TuplewareEngine("tupleware"),
+}
+
+
+@pytest.fixture(params=list(ENGINE_FACTORIES), name="each_engine")
+def _each_engine_fixture(request):
+    """A fresh engine of every kind in turn (the test runs once per kind)."""
+    return ENGINE_FACTORIES[request.param]()
 
 
 SMALL_GENERATOR = MimicGenerator(

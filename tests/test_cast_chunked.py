@@ -124,95 +124,6 @@ class TestEngineChunkApi:
         table.store.put("r2", "attr", "q", 5)
         assert accumulo.export_schema("shrink").column("value").dtype is DataType.INTEGER
 
-    def test_fallback_engine_exports_only_once_per_cast(self):
-        # Engines without native chunk support must not export the relation
-        # twice (once for the schema, once for the chunks).
-        from repro.engines.base import Engine, EngineCapability
-
-        class CountingEngine(Engine):
-            kind = "relational"
-
-            def __init__(self, name):
-                super().__init__(name)
-                self.relation = _relation(10)
-                self.exports = 0
-
-            @property
-            def capabilities(self):
-                return EngineCapability.NONE
-
-            def list_objects(self):
-                return ["obj"]
-
-            def has_object(self, name):
-                return name == "obj"
-
-            def export_relation(self, name):
-                self.exports += 1
-                return self.relation
-
-            def import_relation(self, name, relation, **options):
-                pass
-
-            def drop_object(self, name):
-                pass
-
-        catalog = BigDawgCatalog()
-        counting = CountingEngine("legacy")
-        catalog.register_engine(counting, ["relational"])
-        catalog.register_engine(KeyValueEngine("accumulo"), ["text"])
-        catalog.register_object("obj", "legacy", "table")
-        record = CastMigrator(catalog).cast("obj", "accumulo", chunk_size=4)
-        assert record.rows == 10 and record.chunks == 3
-        assert counting.exports == 1
-
-    def test_export_stream_honours_partial_overrides(self):
-        # An engine overriding only export_chunks (the documented extension
-        # point) must have its override used on the CAST path.
-        from repro.engines.base import Engine, EngineCapability
-
-        class ChunkOnlyEngine(Engine):
-            kind = "relational"
-
-            def __init__(self, name):
-                super().__init__(name)
-                self.native_chunk_calls = 0
-                self.full_exports = 0
-
-            @property
-            def capabilities(self):
-                return EngineCapability.NONE
-
-            def list_objects(self):
-                return ["obj"]
-
-            def has_object(self, name):
-                return name == "obj"
-
-            def export_relation(self, name):
-                self.full_exports += 1
-                return _relation(6)
-
-            def export_chunks(self, name, chunk_size=4):
-                self.native_chunk_calls += 1
-                relation = _relation(6)
-                for start in range(0, len(relation), chunk_size):
-                    yield Relation(SCHEMA, relation.rows[start : start + chunk_size])
-
-            def import_relation(self, name, relation, **options):
-                pass
-
-            def drop_object(self, name):
-                pass
-
-        engine = ChunkOnlyEngine("partial")
-        schema, chunks = engine.export_stream("obj", 4)
-        assert schema.names == SCHEMA.names
-        assert [len(c) for c in chunks] == [4, 2]
-        assert engine.native_chunk_calls == 1
-        # The schema came from the first chunk, not a full-export fallback.
-        assert engine.full_exports == 0
-
 
 # ------------------------------------------------------------- chunk pipeline
 class TestChunkedCast:
@@ -475,48 +386,6 @@ class TestPolicyThreading:
         postgres.execute("DROP TABLE readings")
         postgres.execute("CREATE TABLE readings (name TEXT, value FLOAT)")
         assert bigdawg.catalog.schema_of("readings").names == ["name", "value"]
-
-    def test_schema_of_caches_only_for_fallback_engines(self):
-        from repro.engines.base import Engine, EngineCapability
-
-        class FallbackEngine(Engine):
-            kind = "relational"
-
-            def __init__(self, name):
-                super().__init__(name)
-                self.exports = 0
-
-            @property
-            def capabilities(self):
-                return EngineCapability.NONE
-
-            def list_objects(self):
-                return ["obj"]
-
-            def has_object(self, name):
-                return name == "obj"
-
-            def export_relation(self, name):
-                self.exports += 1
-                return _relation(3)
-
-            def import_relation(self, name, relation, **options):
-                pass
-
-            def drop_object(self, name):
-                pass
-
-        catalog = BigDawgCatalog()
-        legacy = FallbackEngine("legacy")
-        catalog.register_engine(legacy, ["relational"])
-        catalog.register_object("obj", "legacy", "table")
-        first = catalog.schema_of("obj")
-        second = catalog.schema_of("obj")
-        assert first == second and legacy.exports == 1
-        # Re-registering the object invalidates the cached schema.
-        catalog.register_object("obj", "legacy", "table", replace=True)
-        catalog.schema_of("obj")
-        assert legacy.exports == 2
 
     def test_rebalance_accepts_chunk_size_in_cast_options(self, bigdawg):
         # Regression: passing chunk_size inside cast_options used to collide

@@ -87,7 +87,7 @@ class TestShims:
         assert result.rows[0]["n"] == 3
         array_shim = RelationalShim(catalog.engine("scidb"))
         assert not array_shim.supports_native()
-        relation = array_shim.fetch_relation("waves")
+        relation = array_shim.engine.export_relation("waves")
         assert len(relation) == 20
         from repro.common.errors import UnsupportedOperationError
 

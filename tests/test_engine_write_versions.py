@@ -2,10 +2,11 @@
 
 The runtime's result cache fingerprints engine state with ``write_version``;
 a mutator that forgets to bump it leaves stale results servable forever.
-This suite sweeps every engine kind through its interface-level mutators
-(import/drop) and its native mutation entry points, asserting each one
-invalidates the fingerprint — including the tiledb and tupleware prototypes,
-whose native paths (create_array/write/load) previously skipped the bump.
+This suite sweeps every engine kind (conftest's ``each_engine``) through its
+interface-level mutators (import/drop) and its native mutation entry points,
+asserting each one invalidates the fingerprint — including the tiledb and
+tupleware prototypes, whose native paths (create_array/write/load)
+previously skipped the bump.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import pytest
 from repro.common.schema import Column, Relation, Schema
 from repro.common.types import DataType
 from repro.core.catalog import BigDawgCatalog
-from repro.engines.array import ArrayEngine
-from repro.engines.keyvalue import KeyValueEngine
 from repro.engines.relational import RelationalEngine
 from repro.engines.tiledb import TileDBArraySchema, TileDBEngine
 from repro.engines.tupleware import TuplewareEngine
@@ -29,21 +28,11 @@ def sample_relation() -> Relation:
     return Relation(schema, [[i, float(i)] for i in range(4)])
 
 
-ENGINE_FACTORIES = [
-    pytest.param(lambda: RelationalEngine("pg"), id="relational"),
-    pytest.param(lambda: ArrayEngine("scidb"), id="array"),
-    pytest.param(lambda: KeyValueEngine("accumulo"), id="keyvalue"),
-    pytest.param(lambda: TileDBEngine("tiledb"), id="tiledb"),
-    pytest.param(lambda: TuplewareEngine("tupleware"), id="tupleware"),
-]
-
-
 class TestInterfaceMutatorsBump:
     """import_relation / import_chunks / drop_object must bump on every engine."""
 
-    @pytest.mark.parametrize("factory", ENGINE_FACTORIES)
-    def test_import_and_drop_bump(self, factory):
-        engine = factory()
+    def test_import_and_drop_bump(self, each_engine):
+        engine = each_engine
         relation = sample_relation()
         before = engine.write_version
         engine.import_relation("obj", relation)
@@ -52,9 +41,8 @@ class TestInterfaceMutatorsBump:
         engine.drop_object("obj")
         assert engine.write_version > after_import, f"{engine.kind}: drop_object must bump"
 
-    @pytest.mark.parametrize("factory", ENGINE_FACTORIES)
-    def test_import_chunks_bumps(self, factory):
-        engine = factory()
+    def test_import_chunks_bumps(self, each_engine):
+        engine = each_engine
         relation = sample_relation()
         before = engine.write_version
         engine.import_chunks("obj", relation.schema, [relation])

@@ -1129,3 +1129,16 @@ def test_not_in_a_list_holding_a_null_selects_nothing():
     assert result_rows(engine, "SELECT id FROM t WHERE v IN (1.5, NULL)") == [(1,)]
     selected = engine.execute("SELECT id, v IN (1.5, NULL) AS x FROM t ORDER BY id")
     assert [row.values for row in selected.rows] == [(1, True), (2, None), (3, None)]
+
+
+def test_stddev_distinct_counts_each_value_once():
+    """``stddev(DISTINCT v)`` over 1, 1, 2, 3 is the sample deviation of
+    1, 2, 3: exactly 1.0 (it used to ignore DISTINCT and answer 0.957)."""
+    engine = RelationalEngine()
+    engine.execute("CREATE TABLE t (g INTEGER, v INTEGER)")
+    engine.execute("INSERT INTO t VALUES (1, 1), (1, 1), (1, 2), (1, 3), (2, 5), (2, 5), (2, 7), (2, NULL)")
+    whole = engine.execute("SELECT stddev(DISTINCT v) AS d, stddev(v) AS s FROM t WHERE g = 1")
+    assert whole.rows[0]["d"] == pytest.approx(1.0)
+    assert whole.rows[0]["s"] == pytest.approx((11 / 12) ** 0.5)  # mean 7/4, squares 11/4 over 3
+    grouped = result_rows(engine, "SELECT g, stddev(DISTINCT v) AS d FROM t GROUP BY g ORDER BY g")
+    assert grouped == [(1, pytest.approx(1.0)), (2, pytest.approx(2 ** 0.5))]

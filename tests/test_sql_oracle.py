@@ -12,6 +12,7 @@ speak:
 * inner and left joins with residual conjuncts in ``ON``;
 * ``GROUP BY`` / ``HAVING`` with ``count``, ``sum``, ``min`` and ``max``;
 * ``SELECT DISTINCT`` over columns and computed items, across batches;
+* a filter over a computed column holding both integers and floats;
 * ``ORDER BY`` a unique key with ``LIMIT``;
 * interleaved INSERT, UPDATE and DELETE by key and by range on an indexed
   table, with ``SELECT *`` compared after every statement.
@@ -42,6 +43,7 @@ from __future__ import annotations
 import math
 import sqlite3
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -158,6 +160,20 @@ def assert_agrees(engine, lite, sql: str, ordered: bool = False) -> None:
 def test_filters(rows, predicate):
     engine, lite = _pair(rows)
     assert_agrees(engine, lite, f"SELECT id, v, f, s FROM t WHERE {predicate}")
+
+
+@pytest.mark.parametrize("predicate", [
+    "x = 0", "x > 0.6", "x < 1", "x <> 0.5", "x IN (0, 1)", "x BETWEEN 0.1 AND 0.8",
+])
+def test_filter_over_a_column_of_ints_and_floats(predicate):
+    """A computed column whose first value is an integer and the rest floats:
+    the filter kernel used to pack it as integers, truncating 0.5 to 0."""
+    engine, lite = _pair([(k, None, None) for k in range(1, 5)])
+    assert_agrees(
+        engine, lite,
+        "SELECT x FROM (SELECT CASE WHEN v = 1 THEN 1 ELSE v / 4.0 END AS x FROM t) AS q "
+        f"WHERE {predicate}",
+    )
 
 
 @settings(max_examples=80, deadline=None)

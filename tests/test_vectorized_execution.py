@@ -36,7 +36,7 @@ from repro.common.types import DataType
 from repro.engines.relational import RelationalEngine
 from repro.common.errors import TypeMismatchError
 from repro.common.keycodes import _DIRECT_GROUP_SLOTS, IncrementalGroupEncoder
-from repro.common.vectors import DictVector, NumericVector, to_list, vector_from_values
+from repro.common.vectors import DictVector, NumericVector, numeric_view, to_list, vector_from_values
 from repro.engines.relational.morsel import HashJoinTable, JoinSpec
 from repro.engines.relational.vectorized import (
     DEFAULT_BATCH_ROWS,
@@ -1386,3 +1386,27 @@ class TestAggregateOutputTypes:
         decoded = codec.decode(codec.encode(result), result.schema)
         assert values_of(decoded) == values_of(result)
         assert [type(v) for v in values_of(decoded)[0]] == [int, str, float, int, float, int, float, int]
+
+
+@pytest.mark.parametrize("column", [
+    [1, 0.5, 0.75],
+    [1, None, 2.5],
+    np.array([1, 0.5, None], dtype=object),
+    np.array([0.25, 1.0]),
+    NumericVector(np.array([1.0, 0.5])),
+], ids=["list", "list-with-null", "object-array", "float-array", "float-vector"])
+def test_numeric_view_never_truncates_floats_into_integers(column):
+    """A float column asked for as int64 raises, so the filter kernel and
+    the aggregates fall back to the row path instead of reading 0.5 as 0."""
+    with pytest.raises(TypeError):
+        numeric_view(column, np.int64)
+    values, _nulls = numeric_view(column, np.float64)
+    assert any(value % 1 for value in values.tolist())  # the fractions survive
+
+
+def test_numeric_view_packs_integers_and_refuses_ones_past_int64():
+    values, nulls = numeric_view([3, None, True], np.int64)
+    assert values.tolist() == [3, 0, 1] and nulls.tolist() == [False, True, False]
+    for column in ([2 ** 63], [-1, 2 ** 63], [2 ** 70, 1]):
+        with pytest.raises(OverflowError):
+            numeric_view(column, np.int64)
