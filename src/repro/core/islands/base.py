@@ -11,12 +11,15 @@ answers:
   statement ``parse`` made, which is not parsed again) and return a
   :class:`~repro.common.schema.Relation` (the common result form all
   interfaces consume).
+* ``rebind(statement, renames)`` — the statement reading WITH bindings
+  under their temporary tables' names, renamed on the parse, not the text.
 * ``can_answer(query)`` — a cheap syntactic check used by the cross-island
   planner when the user did not SCOPE a subquery explicitly.
 """
 
 from __future__ import annotations
 
+import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any
@@ -87,6 +90,11 @@ class Island(ABC):
         """``query`` parsed: text is parsed, a statement is returned as is."""
         return self.parse(query) if isinstance(query, str) else query
 
+    def rebind(self, statement: IslandStatement, renames: dict[str, str]) -> IslandStatement:
+        """``statement`` with the objects in ``renames`` (lower-case logical
+        name -> physical name) renamed; no binding reaches the base's."""
+        return statement
+
     @abstractmethod
     def execute(self, query: str | IslandStatement) -> Relation:
         """Execute a query in this island's language and return a relation."""
@@ -101,3 +109,27 @@ class Island(ABC):
             "engines": [engine.name for engine in self.member_engines()],
             "queries_executed": self.queries_executed,
         }
+
+
+class PatternIsland(Island):
+    """An island whose statements are one line matched by ``pattern``;
+    group 1 names the one object a statement reads, and it writes none."""
+
+    pattern: re.Pattern
+
+    def can_answer(self, query: str) -> bool:
+        return bool(self.pattern.match(query.strip()))
+
+    def parse(self, text: str) -> IslandStatement:
+        match = self.pattern.match(text.strip())
+        if match is None:
+            raise ParseError(f"not a {self.name} island query: {text!r}")
+        return IslandStatement(text, (match.group(1),), False, match)
+
+    def rebind(self, statement: IslandStatement, renames: dict[str, str]) -> IslandStatement:
+        """The match's object span replaced, parsed again."""
+        match = statement.parsed
+        physical = renames.get(match.group(1).lower())
+        if physical is None:
+            return statement
+        return self.parse(match.string[: match.start(1)] + physical + match.string[match.end(1):])

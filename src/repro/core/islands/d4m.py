@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import re
 
-from repro.common.errors import ParseError
 from repro.common.schema import Column, Relation, Schema
 from repro.common.types import DataType, infer_type
-from repro.core.islands.base import Island, IslandStatement
+from repro.core.islands.base import IslandStatement, PatternIsland
 from repro.core.shims import AssociativeShim
 from repro.d4m.associative_array import AssociativeArray
 
@@ -34,13 +33,11 @@ _ASSOC_RE = re.compile(
 )
 
 
-class D4MIsland(Island):
+class D4MIsland(PatternIsland):
     """Associative arrays over every shimmed engine."""
 
     name = "d4m"
-
-    def can_answer(self, query: str) -> bool:
-        return bool(_ASSOC_RE.match(query.strip()))
+    pattern = _ASSOC_RE
 
     # ------------------------------------------------------------ programmatic
     def fetch(self, object_name: str) -> AssociativeArray:
@@ -50,13 +47,6 @@ class D4MIsland(Island):
         return AssociativeShim(engine).fetch_associative(object_name)
 
     # ----------------------------------------------------------------- textual
-    def parse(self, text: str) -> IslandStatement:
-        """An ASSOC query reads its one object and writes nothing."""
-        match = _ASSOC_RE.match(text.strip())
-        if match is None:
-            raise ParseError(f"not a D4M island query: {text!r}")
-        return IslandStatement(text, (match.group(1),), False, match)
-
     def execute(self, query: str | IslandStatement) -> Relation:
         self.queries_executed += 1
         match = self.statement(query).parsed

@@ -15,12 +15,14 @@ that AST, which it does not parse again.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.common.errors import TransientEngineError
 from repro.common.schema import Relation
 from repro.core.islands.base import Island, IslandStatement
 from repro.engines.base import EngineCapability
-from repro.engines.relational.engine import RelationalEngine
-from repro.engines.relational.sql.ast import SelectStatement, Statement
+from repro.engines.relational.engine import ParsedSql, RelationalEngine
+from repro.engines.relational.sql.ast import SelectStatement, Statement, TableRef
 
 
 class RelationalIsland(Island):
@@ -38,6 +40,16 @@ class RelationalIsland(Island):
         sql = RelationalEngine.parse(text)
         writes = not isinstance(sql.statement, SelectStatement)
         return IslandStatement(text, tuple(_tables(sql.statement)), writes, sql)
+
+    def rebind(self, statement: IslandStatement, renames: dict[str, str]) -> IslandStatement:
+        """Table references (FROM, JOIN, FROM-subqueries, a write's target)
+        renamed, an unaliased one aliased to its logical name, so qualifiers
+        and output columns keep it; the text, which logs show, keeps it too."""
+        objects = tuple(renames.get(name.lower(), name) for name in statement.objects)
+        if objects == statement.objects:
+            return statement
+        sql = _renamed(statement.parsed.statement, renames)
+        return IslandStatement(statement.text, objects, statement.writes, ParsedSql(statement.text, sql))
 
     def execute(self, query: str | IslandStatement) -> Relation:
         self.queries_executed += 1
@@ -93,6 +105,25 @@ class RelationalIsland(Island):
             if isinstance(engine, RelationalEngine):
                 return engine
         return self.catalog.setup_engine(RelationalEngine("_relational_island_scratch"))
+
+
+def _renamed(statement: Statement, renames: dict[str, str]) -> Statement:
+    """A copy of ``statement`` whose table references follow ``renames``."""
+    if not isinstance(statement, SelectStatement):
+        return replace(statement, table=renames.get(statement.table.lower(), statement.table))
+
+    def ref(table: TableRef | None) -> TableRef | None:
+        if table is None:
+            return None
+        if table.subquery is not None:
+            return replace(table, subquery=_renamed(table.subquery, renames))
+        physical = renames.get(table.name.lower())
+        return table if physical is None else TableRef(physical, table.alias or table.name)
+
+    return replace(
+        statement, from_table=ref(statement.from_table),
+        joins=[replace(join, table=ref(join.table)) for join in statement.joins],
+    )
 
 
 def _tables(statement: Statement) -> list[str]:

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import re
 
-from repro.common.errors import ParseError
 from repro.common.schema import Column, Relation, Schema
 from repro.common.types import DataType
-from repro.core.islands.base import Island, IslandStatement
+from repro.core.islands.base import IslandStatement, PatternIsland
 from repro.core.query.language import split_literals
 from repro.core.shims import TextShim
 
@@ -30,7 +29,7 @@ def _phrases(text: str) -> list[str]:
     """The ``AND``-separated phrases of a search; an ``and`` inside a quoted
     phrase is part of the phrase."""
     phrases = [""]
-    for index, piece in enumerate(split_literals(text, identifiers=True)):
+    for index, piece in enumerate(split_literals(text)):
         parts = [piece] if index % 2 else _AND_RE.split(piece)
         phrases[-1] += parts[0]
         phrases.extend(parts[1:])
@@ -43,20 +42,11 @@ _DOCUMENTS = Schema(
 )
 
 
-class TextIsland(Island):
+class TextIsland(PatternIsland):
     """Full-text search over the federation's key-value engines."""
 
     name = "text"
-
-    def can_answer(self, query: str) -> bool:
-        return bool(_SEARCH_RE.match(query.strip()))
-
-    def parse(self, text: str) -> IslandStatement:
-        """A search reads its one table and writes nothing."""
-        match = _SEARCH_RE.match(text.strip())
-        if match is None:
-            raise ParseError(f"not a text island query: {text!r}")
-        return IslandStatement(text, (match.group(1),), False, match)
+    pattern = _SEARCH_RE
 
     def execute(self, query: str | IslandStatement) -> Relation:
         self.queries_executed += 1

@@ -38,17 +38,16 @@ _WITH_RE = re.compile(
     r"^\s*WITH\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*", re.IGNORECASE
 )
 
-#: ``'…'`` string literals; and those or ``"…"`` identifiers ('' and "" escape).
-_LITERAL_RE = re.compile(r"('[^']*(?:''[^']*)*')")
+#: ``'…'`` string literals and ``"…"`` identifiers ('' and "" escape).
 _QUOTED_RE = re.compile(r"""('[^']*(?:''[^']*)*'|"[^"]*(?:""[^"]*)*")""")
 _PARENTHESIS_RE = re.compile(r"[()]")
 
 
-def split_literals(text: str, identifiers: bool = False) -> list[str]:
-    """``text`` cut at its ``'…'`` literals (and ``"…"`` identifiers too when
-    ``identifiers``): even items lie outside them, where query structure
-    (parentheses, CAST terms, binding names) is read; odd items are spans."""
-    return (_QUOTED_RE if identifiers else _LITERAL_RE).split(text)
+def split_literals(text: str) -> list[str]:
+    """``text`` cut at its ``'…'`` literals and ``"…"`` identifiers: even
+    items lie outside them, where query structure (parentheses, CAST terms)
+    is read; odd items are the quoted spans."""
+    return _QUOTED_RE.split(text)
 
 
 @dataclass(frozen=True)
@@ -61,20 +60,14 @@ class CastSpec:
 
 @dataclass
 class ScopedQuery:
-    """One scope: the island it addresses, its inner query text, and its casts."""
+    """One scope: the island it addresses, its inner query text, its casts,
+    and that text with every CAST(obj, island) replaced by the object name
+    (what the island parses)."""
 
     island: str
     body: str
-    casts: list[CastSpec] = field(default_factory=list)
-
-    @property
-    def body_without_casts(self) -> str:
-        """The inner query with every CAST(obj, island) replaced by the object name."""
-        if not self.casts:
-            return self.body
-        pieces = split_literals(self.body, identifiers=True)
-        pieces[::2] = [_CAST_RE.sub(r"\1", piece) for piece in pieces[::2]]
-        return "".join(pieces)
+    casts: list[CastSpec]
+    body_without_casts: str
 
 
 @dataclass
@@ -83,13 +76,6 @@ class CrossIslandQuery:
 
     bindings: list[tuple[str, ScopedQuery]] = field(default_factory=list)
     final: ScopedQuery | None = None
-
-    @property
-    def scopes(self) -> list[ScopedQuery]:
-        out = [scope for _name, scope in self.bindings]
-        if self.final is not None:
-            out.append(self.final)
-        return out
 
 
 def parse_scope(text: str) -> ScopedQuery:
@@ -106,12 +92,16 @@ def parse_scope(text: str) -> ScopedQuery:
         raise ParseError(f"unexpected trailing input after scope: {text[end:]!r}")
     if island == "bigdawg":
         return parse_scope(body)
+    body = body.strip()
+    pieces = split_literals(body)
     casts = [
         CastSpec(m.group(1), m.group(2).lower())
-        for piece in split_literals(body, identifiers=True)[::2]
+        for piece in pieces[::2]
         for m in _CAST_RE.finditer(piece)
     ]
-    return ScopedQuery(island=island, body=body.strip(), casts=casts)
+    if casts:
+        pieces[::2] = [_CAST_RE.sub(r"\1", piece) for piece in pieces[::2]]
+    return ScopedQuery(island, body, casts, "".join(pieces))
 
 
 def parse_query(text: str) -> CrossIslandQuery:
@@ -142,7 +132,7 @@ def _matched_parentheses(text: str, open_index: int) -> tuple[str, int]:
     parentheses inside quoted spans do not count."""
     if text[open_index] != "(":
         raise ParseError("internal error: expected an open parenthesis")
-    pieces = split_literals(text, identifiers=True)
+    pieces = split_literals(text)
     pieces[1::2] = [" " * len(piece) for piece in pieces[1::2]]
     depth = 0
     for parenthesis in _PARENTHESIS_RE.finditer("".join(pieces), open_index):

@@ -10,6 +10,10 @@ steps:
    into the relational engine as a temporary table so later scopes can read it.
 3. :class:`IslandQueryStep` — run the final scoped query on its island.
 
+Each scope is parsed once, by its island, when the plan is built; an
+execution renames the WITH bindings a statement reads on that parse
+(:meth:`Island.rebind`), never on its text.
+
 Island selection for un-scoped queries: when the user supplies bare query
 text, the planner asks each island ``can_answer`` and, if several overlap
 (common semantics, Section 2.1), picks the one whose engines already hold the
@@ -20,14 +24,13 @@ describes.
 from __future__ import annotations
 
 import itertools
-import re
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.common.errors import CastError, PlanningError
 from repro.common.schema import Relation
-from repro.core.query.language import CrossIslandQuery, ScopedQuery, parse_query, split_literals
+from repro.core.query.language import CrossIslandQuery, ScopedQuery, parse_query
 from repro.observability.tracing import get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -118,6 +121,7 @@ class BindingStep:
 
     name: str
     scope: ScopedQuery
+    statement: "IslandStatement"
 
     def describe(self) -> str:
         return f"BIND {self.name} = {self.scope.island.upper()}(...)"
@@ -128,6 +132,7 @@ class IslandQueryStep:
     """Run the final island query."""
 
     scope: ScopedQuery
+    statement: "IslandStatement"
 
     def describe(self) -> str:
         return f"EXECUTE on island {self.scope.island.upper()}"
@@ -154,11 +159,8 @@ class QueryPlan:
         return "\n".join(f"{i + 1}. {step.describe()}" for i, step in enumerate(self.steps))
 
     def step_dependencies(self) -> list[set[int]]:
-        """Per-step prerequisite sets, falling back to strictly serial order
-        when the plan was built without dependency info."""
-        if len(self.dependencies) == len(self.steps):
-            return [set(deps) for deps in self.dependencies]
-        return [set(range(i)) for i in range(len(self.steps))]
+        """A copy of the per-step prerequisite sets."""
+        return [set(deps) for deps in self.dependencies]
 
 
 class CrossIslandPlanner:
@@ -194,63 +196,37 @@ class CrossIslandPlanner:
                 indices.add(index)
             return indices
 
-        for name, scope in query.bindings:
-            cast_indices = add_cast_steps(scope)
-            # A binding may reference any earlier binding by name, so it
-            # conservatively waits for them; bindings of the *same* rank
-            # (their casts aside) can run concurrently only when the runtime
-            # proves independence — here earlier bindings are prerequisites
-            # only if they exist.
-            deps = cast_indices | self._binding_references(scope, plan, binding_indices)
-            binding_indices.append(add_step(BindingStep(name, scope), deps))
-        final_casts = add_cast_steps(query.final)
-        add_step(IslandQueryStep(query.final), final_casts | set(binding_indices))
+        for name, scope in [*query.bindings, (None, query.final)]:
+            statement = self._bigdawg.island(scope.island).parse(scope.body_without_casts)
+            deps = add_cast_steps(scope)
+            if name is None:
+                add_step(IslandQueryStep(scope, statement), deps | set(binding_indices))
+            else:
+                # A binding waits for the earlier ones its statement reads:
+                # bindings that read none of each other run concurrently.
+                reads = {object_name.lower() for object_name in statement.objects}
+                deps |= {i for i in binding_indices if plan.steps[i].name.lower() in reads}
+                binding_indices.append(add_step(BindingStep(name, scope, statement), deps))
         return plan
-
-    @staticmethod
-    def _binding_references(scope: ScopedQuery, plan: QueryPlan,
-                            binding_indices: list[int]) -> set[int]:
-        """Indices of earlier BindingSteps named in this scope's body, outside literals."""
-        unquoted = " ".join(split_literals(scope.body)[::2])
-        referenced: set[int] = set()
-        for index in binding_indices:
-            bound_name = plan.steps[index].name
-            if re.search(rf"\b{re.escape(bound_name)}\b", unquoted, re.IGNORECASE):
-                referenced.add(index)
-        return referenced
 
     def _cast_steps(self, scope: ScopedQuery, cast_method: str = "binary",
                     chunk_size: int | None = None) -> list[CastStep]:
         steps = []
         catalog = self._bigdawg.catalog
         for cast in scope.casts:
-            island = self._bigdawg.island(cast.target_island)
-            members = {engine.name.lower() for engine in island.member_engines()}
-            # Breaker/replica-aware reachability: a cast is needed only when
-            # no fresh *healthy* copy is already inside the target island.
-            fresh = catalog.fresh_locations(cast.object_name)
-            healthy = [
-                loc for loc in fresh if catalog.engine_is_healthy(loc.engine_name)
-            ]
-            if any(loc.engine_name in members for loc in healthy):
-                continue  # already reachable through a healthy copy
-            if not healthy and any(loc.engine_name in members for loc in fresh):
-                # Reachable in principle but every copy is unhealthy — a cast
-                # has nothing healthy to read from, so keep the plan as-is
-                # and let dispatch-time retry/failover handle it.
+            if self._reachable(cast.object_name, cast.target_island):
                 continue
-            target_engine = self._choose_target_engine(cast.target_island)
             # Export from a healthy replica when the primary is down.
-            primary = catalog.locate(cast.object_name)
-            source_engine = None
-            if healthy and primary.engine_name not in {
-                loc.engine_name for loc in healthy
-            }:
-                source_engine = healthy[0].engine_name
+            healthy = [
+                loc.engine_name for loc in catalog.fresh_locations(cast.object_name)
+                if catalog.engine_is_healthy(loc.engine_name)
+            ]
+            primary = catalog.locate(cast.object_name).engine_name
             steps.append(
-                CastStep(cast.object_name, cast.target_island, target_engine,
+                CastStep(cast.object_name, cast.target_island,
+                         self._choose_target_engine(cast.target_island),
                          method=cast_method, chunk_size=chunk_size,
-                         source_engine=source_engine)
+                         source_engine=healthy[0] if healthy and primary not in healthy else None)
             )
         return steps
 
@@ -368,27 +344,26 @@ class CrossIslandPlanner:
         finally:
             execution.cleanup()
 
-    def cast_is_noop(self, step: CastStep) -> bool:
-        """Whether the cast's object is *already* reachable through the target
-        island — e.g. because a concurrent plan (or an advisor migration)
-        moved it after this plan was built.  Reachability mirrors
-        :meth:`_cast_steps`: a fresh healthy copy counts; when every copy is
-        unhealthy, plain freshness does (the cast could not improve things)."""
-        island = self._bigdawg.island(step.target_island)
+    def _reachable(self, object_name: str, island_name: str) -> bool:
+        """Whether a CAST of the object into the island is a no-op: a fresh
+        healthy copy is inside it, or every copy is unhealthy and a fresh one
+        is inside (a cast has nothing healthy to read; dispatch-time retry
+        and failover handle it).  Planning skips such a cast, and a cast step
+        checks again as it runs: a concurrent plan or an advisor migration
+        may have moved the object since."""
+        island = self._bigdawg.island(island_name)
         members = {engine.name.lower() for engine in island.member_engines()}
         catalog = self._bigdawg.catalog
-        fresh = catalog.fresh_locations(step.object_name)
+        fresh = catalog.fresh_locations(object_name)
         healthy = [loc for loc in fresh if catalog.engine_is_healthy(loc.engine_name)]
-        pool = healthy or fresh
-        return any(loc.engine_name in members for loc in pool)
+        return any(loc.engine_name in members for loc in healthy or fresh)
 
     def _cast_options(self, step: CastStep) -> dict:
         """Extra import options needed by particular target engines."""
         engine = self._bigdawg.catalog.engine(step.target_engine)
         if engine.kind == "array":
             # Casting rows into the array engine: use the leading integer columns
-            # as dimensions when possible.  The cached schema lookup means
-            # planning never exports the source relation just to see columns.
+            # as dimensions when possible (the schema comes from metadata).
             schema = self._bigdawg.catalog.schema_of(step.object_name)
             from repro.common.types import DataType
 
@@ -435,7 +410,6 @@ class PlanExecution:
         self.plan = plan
         self._lock = threading.Lock()
         self._result: Relation | None = None
-        self._has_result = False
         namespace = f"p{next(_EXECUTION_IDS)}"
         self._renames = {
             step.name.lower(): f"{step.name}__{namespace}"
@@ -447,43 +421,39 @@ class PlanExecution:
 
     # ------------------------------------------------------------------ steps
     def statement(self, index: int) -> "IslandStatement":
-        """Step ``index``'s scope parsed by its island, CASTs elided and WITH
-        bindings under this execution's physical names."""
-        scope = self.plan.steps[index].scope
-        return self._bigdawg.island(scope.island).parse(self._rewrite(scope.body_without_casts))
+        """Step ``index``'s statement, the WITH bindings it reads under this
+        execution's physical names."""
+        step = self.plan.steps[index]
+        return self._bigdawg.island(step.scope.island).rebind(step.statement, self._renames)
 
     def run_step(self, index: int, statement: "IslandStatement | None" = None) -> None:
-        """Run step ``index``; a scope step executes ``statement`` or, if None,
-        its text, which the island parses (in its own span, as a bare query's)."""
+        """Run step ``index``; a scope step executes ``statement``, or
+        :meth:`statement` of ``index`` when it is None."""
         step = self.plan.steps[index]
         with get_tracer().span(
             f"step.{type(step).__name__}", kind="step", step=step.describe()
         ):
-            query = statement
-            if query is None and not isinstance(step, CastStep):
-                query = self._rewrite(step.scope.body_without_casts)
             if isinstance(step, CastStep):
                 self._run_cast(index, step)
-            elif isinstance(step, BindingStep):
-                relation = self._bigdawg.island(step.scope.island).execute(query)
+                return
+            relation = self._bigdawg.island(step.scope.island).execute(
+                self.statement(index) if statement is None else statement
+            )
+            if isinstance(step, BindingStep):
                 physical = self._renames[step.name.lower()]
                 self._bigdawg.materialize_temporary(physical, relation)
                 with self._lock:
                     self._materialized.append(physical)
-            elif isinstance(step, IslandQueryStep):
-                result = self._bigdawg.island(step.scope.island).execute(query)
+            else:
                 with self._lock:
-                    self._result = result
-                    self._has_result = True
-            else:  # pragma: no cover - defensive
-                raise PlanningError(f"unknown plan step {type(step).__name__}")
+                    self._result = relation
 
     def _run_cast(self, index: int, step: CastStep) -> None:
         migrator = self._bigdawg.migrator
         # Check and cast under the object's (re-entrant) cast lock: two plans
         # that both found the object unreachable must not both move it.
         with migrator.object_lock(step.object_name):
-            if self._planner.cast_is_noop(step):
+            if self._planner._reachable(step.object_name, step.target_island):
                 with self._lock:
                     self.skipped_casts.append(index)
                 return
@@ -500,23 +470,15 @@ class PlanExecution:
                 # Lost a race with a cast made outside a plan (an advisor
                 # migration): if the object is reachable now, that is
                 # exactly the state this step wanted.
-                if not self._planner.cast_is_noop(step):
+                if not self._planner._reachable(step.object_name, step.target_island):
                     raise
                 with self._lock:
                     self.skipped_casts.append(index)
 
-    def _rewrite(self, body: str) -> str:
-        """Swap logical WITH-binding names for this execution's physical ones, outside literals."""
-        pieces = split_literals(body)
-        for logical, physical in self._renames.items():
-            pattern = re.compile(rf"\b{re.escape(logical)}\b", re.IGNORECASE)
-            pieces[::2] = [pattern.sub(physical, piece) for piece in pieces[::2]]
-        return "".join(pieces)
-
     # ----------------------------------------------------------------- result
     def finish(self) -> Relation:
         with self._lock:
-            if not self._has_result or self._result is None:
+            if self._result is None:
                 raise PlanningError("plan produced no final result")
             return self._result
 

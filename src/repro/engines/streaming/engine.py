@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.common.errors import DuplicateObjectError, ObjectNotFoundError
+from repro.common.errors import DuplicateObjectError, ObjectNotFoundError, SchemaError
 from repro.common.schema import Column, Relation, Schema
 from repro.common.types import DataType
 from repro.engines.base import DEFAULT_CHUNK_ROWS, Engine, EngineCapability, row_chunks
@@ -24,6 +24,16 @@ from repro.engines.streaming.procedures import (
 )
 from repro.engines.streaming.recovery import CommandLogRecord, RecoveryManager
 from repro.engines.streaming.streams import SlidingWindow, Stream, StreamTuple
+
+
+def _new_stream(name: str, payload: Schema, retention_seconds: float) -> Stream:
+    """A stream of ``payload`` tuples; a ``timestamp`` payload column is
+    refused, as an export puts each tuple's timestamp under that name."""
+    if "timestamp" in (column.lower() for column in payload.names):
+        raise SchemaError(
+            f"stream {name!r}: a payload column may not be named 'timestamp'"
+        )
+    return Stream(name, payload, retention_seconds)
 
 
 class StreamingEngine(Engine):
@@ -83,7 +93,7 @@ class StreamingEngine(Engine):
             options.get("timestamp_column", "timestamp" if "timestamp" in names else names[0])
         )
         payload = [i for i in range(len(names)) if i != ts_index]
-        stream = Stream(name, Schema([schema.columns[i] for i in payload]), retention)
+        stream = _new_stream(name, Schema([schema.columns[i] for i in payload]), retention)
         rows = [row.values for chunk in chunks for row in chunk.rows]
         rows.sort(key=lambda values: values[ts_index])
         for values in rows:
@@ -116,7 +126,7 @@ class StreamingEngine(Engine):
         key = name.lower()
         if key in self._streams and not replace:
             raise DuplicateObjectError(f"stream {name!r} already exists")
-        stream = Stream(name, schema, retention_seconds)
+        stream = _new_stream(name, schema, retention_seconds)
         self._streams[key] = stream
         return stream
 

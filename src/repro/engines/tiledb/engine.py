@@ -227,26 +227,27 @@ class TileDBEngine(Engine):
     def import_chunks(self, name: str, schema: Schema, chunks: Iterable[Relation],
                       **options: Any) -> None:
         """Build a tiled array over the bounding box of the chunks' cells,
-        holding the rows until the last chunk fixes the domain (no rows:
-        :class:`SchemaError`).  Options: ``dimensions`` (default every
-        column but the last), ``value_column`` (default the last) and
-        ``replace``.  Validated here: coordinates go through ``int`` and
-        values through ``float``, so a NULL in either raises."""
+        holding the rows until the last chunk fixes the domain (no rows: a
+        one-cell domain with no cell written).  The value column names the
+        attribute.  Options: ``dimensions`` (default every column but the
+        last), ``value_column`` (default the last) and ``replace``.
+        Validated here: coordinates go through ``int`` and values through
+        ``float``, so a NULL in either raises."""
         names = schema.names
         dim_columns = [schema.index_of(d) for d in options.get("dimensions") or names[:-1]]
         value_column = schema.index_of(options.get("value_column", names[-1]))
         rows = [row.values for chunk in chunks for row in chunk.rows]
-        if not rows:
-            raise SchemaError("cannot infer a tiledb domain from an empty relation")
         domain = []
         for dim in dim_columns:
-            values = [int(row[dim]) for row in rows]
+            values = [int(row[dim]) for row in rows] or [0]
             domain.append((min(values), max(values)))
         extents = tuple(
             max(1, (high - low + 1) // 10) for low, high in domain
         )
-        array = self.create_array(TileDBArraySchema(name, tuple(domain), extents),
-                                  replace=bool(options.get("replace", True)))
+        array = self.create_array(
+            TileDBArraySchema(name, tuple(domain), extents, names[value_column]),
+            replace=bool(options.get("replace", True)),
+        )
         for row in rows:
             array.write(tuple(int(row[dim]) for dim in dim_columns), float(row[value_column]))
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ParseError, PlanningError
 from repro.core.bigdawg import BigDawg
@@ -179,6 +181,103 @@ class TestQuotedLiteralsAreData:
             "RELATIONAL(SELECT count(*) AS n FROM b)"
         )
         assert plan.dependencies[:2] == [set(), set()]
+
+
+# ------------------------------------------ WITH bindings renamed on the parse
+def values_sorted(relation):
+    return sorted((tuple(row.values) for row in relation.rows), key=repr)
+
+
+def with_table_t(bigdawg: BigDawg) -> BigDawg:
+    postgres = bigdawg.engine("postgres")
+    postgres.execute("CREATE TABLE t (x INTEGER, v INTEGER)")
+    postgres.execute("INSERT INTO t VALUES " + ", ".join(f"({i}, {i * 3 % 7})" for i in range(8)))
+    return bigdawg
+
+
+class TestBindingsRenamedOnTheParse:
+    """A WITH binding is renamed only where a statement reads it as a table:
+    columns, aliases and qualifiers spelled like a binding stay as written."""
+
+    @pytest.fixture()
+    def tx(self, bigdawg):
+        return with_table_t(bigdawg)
+
+    def test_a_column_named_like_the_binding_is_not_renamed(self, tx):
+        result = tx.execute("WITH x = RELATIONAL(SELECT x, v FROM t) RELATIONAL(SELECT v FROM x)")
+        assert values_sorted(result) == values_sorted(tx.execute("SELECT v FROM t"))
+
+    def test_another_tables_qualified_column_is_not_renamed(self, tx):
+        result = tx.execute(
+            "WITH x = RELATIONAL(SELECT v FROM t WHERE x < 3) "
+            "RELATIONAL(SELECT t.x FROM t JOIN x ON t.v = x.v)"
+        )
+        # v = 3x mod 7: rows 0..2 hold v 0, 3, 6, and row 7 holds v 0 too.
+        assert values_sorted(result) == [(0,), (1,), (2,), (7,)]
+
+    def test_a_column_alias_named_like_a_binding_is_no_dependency(self, tx):
+        query = (
+            "WITH a = RELATIONAL(SELECT v FROM t) "
+            "WITH b = RELATIONAL(SELECT x AS a FROM t) "
+            "RELATIONAL(SELECT * FROM b)"
+        )
+        assert tx.plan(query).dependencies == [set(), set(), {0, 1}]
+        result = tx.execute(query)
+        assert result.schema.names == ["b.a"]
+        assert values_sorted(result) == [(i,) for i in range(8)]
+
+    def test_a_result_names_the_binding_not_its_temporary(self, tx):
+        query = "WITH y = RELATIONAL(SELECT x FROM t) RELATIONAL(SELECT * FROM y)"
+        assert tx.execute(query).schema.names == ["y.x"]
+
+    def test_two_runs_of_one_query_return_one_schema(self, tx):
+        query = "WITH y = RELATIONAL(SELECT x, v FROM t) RELATIONAL(SELECT * FROM y WHERE y.v > 2)"
+        assert tx.execute(query).schema == tx.execute(query).schema
+
+    def test_a_d4m_keyword_named_like_the_binding_is_not_renamed(self, tx):
+        result = tx.execute(
+            "WITH rows = RELATIONAL(SELECT x, v FROM t WHERE x < 2) "
+            "D4M(ASSOC rows DEGREE ROWS)"
+        )
+        assert len(result) == 2
+
+    def test_a_statement_naming_no_binding_is_returned_as_planned(self, tx):
+        plan = tx.plan("WITH y = RELATIONAL(SELECT x FROM t) RELATIONAL(SELECT count(*) AS n FROM t)")
+        execution = tx.planner.start(plan)
+        assert execution.statement(1) is plan.steps[1].statement
+        assert execution.statement(0) is plan.steps[0].statement
+
+
+#: Final queries over bindings ``{a}`` (columns x, w) and ``{b}`` (y, v):
+#: each also spells the names a binding may take as columns, aliases and
+#: qualifiers.
+FINAL_QUERIES = (
+    "SELECT {a}.x, {a}.w, {b}.v FROM {a} JOIN {b} ON {a}.x = {b}.y",
+    "SELECT count(*) AS {a} FROM (SELECT {b}.y FROM {b} WHERE {b}.v > 1) AS q",
+    "SELECT {a}.w AS {b}, t.x FROM t JOIN {a} ON t.x = {a}.x",
+    "SELECT x, w FROM {a} AS y WHERE y.w < 5",
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    names=st.lists(st.sampled_from(["x", "v", "w", "y", "q", "a", "b"]),
+                   min_size=2, max_size=2, unique=True),
+    final=st.sampled_from(FINAL_QUERIES),
+)
+def test_a_binding_name_drawn_from_column_names_and_aliases_changes_no_row(names, final):
+    def query(a: str, b: str) -> str:
+        return (
+            f"WITH {a} = RELATIONAL(SELECT x, v AS w FROM t WHERE v > 1) "
+            f"WITH {b} = RELATIONAL(SELECT q.x AS y, q.v AS v FROM t AS q WHERE q.x < 6) "
+            f"RELATIONAL({final.format(a=a, b=b)})"
+        )
+
+    bigdawg = BigDawg()
+    bigdawg.add_engine(RelationalEngine("postgres"))
+    with_table_t(bigdawg)
+    expected = values_sorted(bigdawg.execute(query("fresh_a", "fresh_b")))
+    assert values_sorted(bigdawg.execute(query(*names))) == expected
 
 
 # ------------------------------------------------------------------ monitor

@@ -2,8 +2,8 @@
 engine kind: ``export_schema`` reads no rows, every chunk has that schema and
 all but the last hold exactly ``chunk_size`` rows, a non-positive
 ``chunk_size`` raises at the call, an empty object yields no chunk,
-``import_chunks`` replaces unless ``replace=False``, and an export imports
-back as the same object."""
+``import_chunks`` replaces unless ``replace=False``, and an export (an
+empty one too) imports back as the same object."""
 
 from __future__ import annotations
 
@@ -123,6 +123,17 @@ def test_an_export_imports_back_as_the_same_object(each_engine):
     )
     assert each_engine.export_schema("copy") == schema
     assert values(each_engine, "copy") == values(each_engine, "obj")
+
+
+def test_an_empty_export_imports_back_as_an_empty_object(each_engine):
+    make_object(each_engine, "empty", rows=0)
+    schema = each_engine.export_schema("empty")
+    each_engine.import_chunks(
+        "copy", schema, each_engine.export_chunks("empty", 3),
+        **IMPORT_OPTIONS.get(each_engine.kind, {}),
+    )
+    assert each_engine.export_schema("copy") == schema
+    assert values(each_engine, "copy") == []
 
 
 def test_import_chunks_replaces_unless_told_not_to(each_engine):

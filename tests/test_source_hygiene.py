@@ -64,10 +64,12 @@ def test_every_function_is_named_somewhere_else():
 
 def test_the_runtime_does_not_read_query_text():
     """The runtime routes, journals and fails over by the statement its
-    island parsed, never by matching patterns in the query text."""
+    island parsed, and the planner finds and renames WITH bindings on that
+    parse: neither matches patterns in the query text."""
+    planner = ROOT / "src" / "repro" / "core" / "query" / "planner.py"
     importers = []
     for path, tree in SOURCES.items():
-        if (ROOT / "src" / "repro" / "runtime") not in path.parents:
+        if (ROOT / "src" / "repro" / "runtime") not in path.parents and path != planner:
             continue
         for node in ast.walk(tree):
             modules = (
@@ -76,4 +78,4 @@ def test_the_runtime_does_not_read_query_text():
             )
             if "re" in modules:
                 importers.append(f"{path.relative_to(ROOT)}:{node.lineno}")
-    assert not importers, "runtime modules importing re:\n" + "\n".join(importers)
+    assert not importers, "runtime or planner modules importing re:\n" + "\n".join(importers)

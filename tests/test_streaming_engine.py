@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.common.errors import DuplicateObjectError, IngestionError, TransactionError
+from repro.common.errors import DuplicateObjectError, IngestionError, SchemaError, TransactionError
 from repro.common.schema import Schema
 from repro.engines.array import ArrayEngine
 from repro.engines.streaming import (
@@ -262,6 +262,18 @@ class TestAging:
         engine.import_relation("s", relation)
         values = [t.values[0] for t in engine.stream("s").tuples()]
         assert values == [10.0, 20.0, 30.0]
+
+    def test_a_payload_column_named_timestamp_is_refused(self):
+        from repro.common.schema import Relation
+
+        engine = StreamingEngine()
+        clashing = Schema([("value", "float"), ("Timestamp", "float")])
+        with pytest.raises(SchemaError):
+            engine.create_stream("feed", clashing)
+        schema = Schema([("ts", "float"), ("timestamp", "float")])
+        with pytest.raises(SchemaError):
+            engine.import_relation("s", Relation(schema, [[1.0, 2.0]]), timestamp_column="ts")
+        assert engine.list_objects() == []
 
     def test_statistics_shape(self):
         engine = StreamingEngine()
