@@ -411,20 +411,25 @@ class PlanExecution:
         self._lock = threading.Lock()
         self._result: Relation | None = None
         namespace = f"p{next(_EXECUTION_IDS)}"
-        self._renames = {
-            step.name.lower(): f"{step.name}__{namespace}"
-            for step in plan.steps
-            if isinstance(step, BindingStep)
-        }
+        self._renames: dict[str, str] = {}
+        #: Per step, the renames of the bindings before it: a scope reads
+        #: only earlier bindings, and any other name is a stored object.
+        self._visible: list[dict[str, str]] = []
+        for step in plan.steps:
+            self._visible.append(dict(self._renames))
+            if isinstance(step, BindingStep):
+                self._renames[step.name.lower()] = f"{step.name}__{namespace}"
         self._materialized: list[str] = []
         self.skipped_casts: list[int] = []
 
     # ------------------------------------------------------------------ steps
     def statement(self, index: int) -> "IslandStatement":
-        """Step ``index``'s statement, the WITH bindings it reads under this
-        execution's physical names."""
+        """Step ``index``'s statement, the WITH bindings before it that it
+        reads under this execution's physical names."""
         step = self.plan.steps[index]
-        return self._bigdawg.island(step.scope.island).rebind(step.statement, self._renames)
+        return self._bigdawg.island(step.scope.island).rebind(
+            step.statement, self._visible[index]
+        )
 
     def run_step(self, index: int, statement: "IslandStatement | None" = None) -> None:
         """Run step ``index``; a scope step executes ``statement``, or

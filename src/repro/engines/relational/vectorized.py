@@ -34,7 +34,8 @@ is the cure, and the only executor ``RelationalEngine`` runs:
   matched-build bitmap and emit null-padded batches — and grouped
   aggregation accumulates count/sum/avg/min/max per group with
   ``np.bincount`` / ``ufunc.at`` folds whose accumulation order matches
-  the row accumulators bit for bit, and emits its groups as columns.
+  the row accumulators bit for bit, and emits its groups as columns.  A
+  global aggregate is the same group-by with no keys and one group.
 * **Batched nested-loop joins for everything else.**  Cross, non-equi and
   keyless joins evaluate the whole condition over bounded slabs of the
   left x right cross product (same kernel / compiled closure as a filter).
@@ -186,12 +187,6 @@ def _union_nulls(left: np.ndarray | None, right: np.ndarray | None) -> np.ndarra
 
 def _as_bool(values: Any) -> np.ndarray:
     return np.asarray(values).astype(np.bool_, copy=False)
-
-
-def _count_nulls(column: Sequence[Any]) -> int:
-    if isinstance(column, (list, tuple)):
-        return column.count(None)
-    return int(np.count_nonzero(null_mask(column)))
 
 
 # Each lowered node maps ({column index: (values array, null mask | None),
@@ -474,7 +469,7 @@ class _PredicateRunner:
         return batch if mask.all() else batch.compress(mask)
 
 
-_FAST_AGGREGATES = ("count", "sum", "avg", "min", "max")
+_VECTOR_AGGREGATES = ("count", "sum", "avg", "min", "max")
 
 
 def _abs_peak(ints: np.ndarray) -> int:
@@ -485,7 +480,7 @@ def _abs_peak(ints: np.ndarray) -> int:
 
 def _has_negative_zero(floats: np.ndarray) -> bool:
     zeros = floats == 0.0
-    return bool(zeros.any()) and bool(np.signbit(floats[zeros]).any())
+    return np.count_nonzero(zeros) > 0 and np.count_nonzero(np.signbit(floats[zeros])) > 0
 
 
 def _extreme_identity(name: str, dtype: Any) -> Any:
@@ -497,39 +492,6 @@ def _extreme_identity(name: str, dtype: Any) -> Any:
         return name == "min"
     info = np.iinfo(dtype)
     return info.max if name == "min" else info.min
-
-
-def _fold_vector(name: str, total: Any, present: np.ndarray) -> Any:
-    """Fold one batch's non-NULL values (a non-empty fixed-width array) into
-    a global SUM / AVG / MIN / MAX running ``total`` (None before the first
-    value), to the bit what the row accumulators hold after the same rows."""
-    if name in ("sum", "avg"):
-        if name == "avg" or present.dtype == np.float64:
-            # accumulate() is a strict left fold, like the accumulators' +=;
-            # the running total rides in front as the fold's first term.
-            seed = 0.0 if name == "avg" and total is None else total
-            terms = present.astype(np.float64, copy=False)
-            if seed is not None:
-                terms = np.concatenate(([seed], terms))
-            with np.errstate(over="ignore", invalid="ignore"):  # inf / NaN, like float +
-                return float(np.add.accumulate(terms)[-1])
-        ints = present.astype(np.int64, copy=False)
-        if _abs_peak(ints) * ints.size < 2**62:
-            batch_sum = int(ints.sum())
-        else:
-            batch_sum = sum(ints.tolist())
-        return batch_sum if total is None else total + batch_sum
-    extreme = (present.min() if name == "min" else present.max()).item()
-    if present.dtype == np.float64 and (extreme != extreme or extreme == 0.0):
-        # NaN (the accumulators never replace on it) or a zero that may be
-        # signed: which value wins depends on where they sit, so fold this
-        # batch the way the accumulators do.
-        extreme = (min if name == "min" else max)(present.tolist())
-    if total is None:
-        return extreme
-    if name == "min":
-        return extreme if extreme < total else total
-    return extreme if extreme > total else total
 
 
 def _unmatched_right_batches(
@@ -1046,14 +1008,11 @@ class BatchExecutor:
         having = (
             None if node.having is None else _PredicateRunner(node.having, having_schema)
         )
-        fast = self._fast_aggregate_plan(node, child_schema, agg_items)
-        grouped_plan = (
-            None if fast is not None else self._vector_group_plan(node, child_schema, agg_items)
-        )
+        grouped_plan = self._vector_group_plan(node, child_schema, agg_items)
         rep_cols = None
         if grouped_plan is not None:
             rep_cols = self._representative_columns(node, child_schema)
-            if rep_cols is not None:
+            if rep_cols is not None and node.group_by:  # a global aggregate keeps none
                 self._engine.record_representative_prune(
                     len(child_schema.columns) - len(rep_cols)
                 )
@@ -1064,10 +1023,7 @@ class BatchExecutor:
         )
 
         def generate() -> Iterator[ColumnBatch]:
-            if fast is not None:
-                results = self._run_fast_aggregates(batches, fast)
-                count, agg_columns, rep_columns = 1, {i: [results[i]] for i in results}, None
-            elif grouped_plan is not None:
+            if grouped_plan is not None:
                 count, agg_columns, rep_columns = self._run_streaming_grouped(
                     node, child_schema, batches, grouped_plan, agg_items, rep_cols
                 )
@@ -1084,7 +1040,7 @@ class BatchExecutor:
                 if item.aggregate:
                     out_columns.append(agg_columns[i])
                 elif rep_columns is None:
-                    # The one group of a global aggregate over no rows.
+                    # The row fold's one group of a global aggregate over no rows.
                     out_columns.append([None] * count)
                 elif isinstance(item.expression, ColumnRef) and rep_schema.has_column(
                     item.expression.name
@@ -1158,97 +1114,6 @@ class BatchExecutor:
             return None
         return cols
 
-    def _fast_aggregate_plan(
-        self, node: AggregateNode, child_schema: Schema, agg_items: list
-    ) -> list[tuple[int, str, int | None]] | None:
-        """Column-wise plan [(item index, aggregate, column index | None)] or None.
-
-        Applies only to global (ungrouped) aggregates whose arguments are bare
-        column references: those reduce per batch with C-speed builtins whose
-        accumulation order matches the row accumulators value for value.
-        """
-        if node.group_by or node.having is not None:
-            return None
-        if any(not item.aggregate for item in node.items):
-            # Non-aggregate outputs need a representative row; the general
-            # path tracks one, the fast path does not.
-            return None
-        plan: list[tuple[int, str, int | None]] = []
-        for i, item in agg_items:
-            name = item.aggregate
-            if name not in _FAST_AGGREGATES or item.distinct:
-                return None
-            if item.expression is None:
-                plan.append((i, "count_star", None))
-            elif isinstance(item.expression, ColumnRef) and child_schema.has_column(
-                item.expression.name
-            ):
-                index = child_schema.index_of(item.expression.name)
-                if name in ("sum", "avg") and child_schema.columns[index].dtype not in VECTOR_DTYPES:
-                    # sum(values, 0) over e.g. TEXT would raise where the row
-                    # accumulator (seeded from the first value) does not.
-                    return None
-                plan.append((i, name, index))
-            else:
-                return None
-        return plan
-
-    @staticmethod
-    def _run_fast_aggregates(
-        batches: Iterator[ColumnBatch], plan: list[tuple[int, str, int | None]]
-    ) -> dict[int, Any]:
-        counts = {i: 0 for i, _name, _col in plan}
-        totals: dict[int, Any] = {i: None for i, _name, _col in plan}
-        for batch in batches:
-            for i, name, col_index in plan:
-                if name == "count_star":
-                    counts[i] += len(batch)
-                    continue
-                column = batch.columns[col_index]
-                if name == "count":
-                    counts[i] += len(column) - _count_nulls(column)
-                    continue
-                if isinstance(column, NumericVector):
-                    present = (
-                        column.values if column.nulls is None else column.values[~column.nulls]
-                    )
-                    if not present.size:
-                        continue
-                    counts[i] += int(present.size)
-                    totals[i] = _fold_vector(name, totals[i], present)
-                    continue
-                present = [v for v in column if v is not None]
-                if not present:
-                    continue
-                counts[i] += len(present)
-                if name in ("sum", "avg"):
-                    # sum(values, start) adds sequentially, reproducing the
-                    # row accumulator's += order bit for bit: AVG starts
-                    # from 0.0, SUM from its first value.
-                    if totals[i] is not None:
-                        totals[i] = sum(present, totals[i])
-                    elif name == "avg":
-                        totals[i] = sum(present, 0.0)
-                    else:
-                        totals[i] = sum(present[1:], present[0])
-                elif name == "min":
-                    low = min(present)
-                    totals[i] = low if totals[i] is None or low < totals[i] else totals[i]
-                elif name == "max":
-                    high = max(present)
-                    totals[i] = high if totals[i] is None or high > totals[i] else totals[i]
-        results: dict[int, Any] = {}
-        for i, name, _col in plan:
-            if name in ("count_star", "count"):
-                results[i] = counts[i]
-            elif name == "avg":
-                results[i] = None if counts[i] == 0 else totals[i] / counts[i]
-            elif name == "sum":
-                results[i] = None if counts[i] == 0 else totals[i]
-            else:
-                results[i] = totals[i]
-        return results
-
     @staticmethod
     def _vector_group_plan(
         node: AggregateNode, child_schema: Schema, agg_items: list
@@ -1259,9 +1124,11 @@ class BatchExecutor:
         TEXT keys use the dict-based encoder), and every aggregate is a
         non-distinct count/sum/avg/min/max over a bare column (or ``*``);
         sum/avg/min/max additionally need a fixed-width numeric column so
-        the numpy folds apply.
+        the numpy folds apply.  A global aggregate is the group-by with no
+        keys, all rows in group 0, when every item is an aggregate: its one
+        group has no representative row to read another item from.
         """
-        if not node.group_by:
+        if not node.group_by and not all(item.aggregate for item in node.items):
             return None
         for expr in node.group_by:
             if not (isinstance(expr, ColumnRef) and child_schema.has_column(expr.name)):
@@ -1269,7 +1136,7 @@ class BatchExecutor:
         plan: list[tuple[int, str, int | None]] = []
         for i, item in agg_items:
             name = item.aggregate
-            if name not in _FAST_AGGREGATES or item.distinct:
+            if name not in _VECTOR_AGGREGATES or item.distinct:
                 return None
             if item.expression is None:
                 plan.append((i, "count_star", None))
@@ -1313,16 +1180,21 @@ class BatchExecutor:
         *before* a batch is folded in; the stream then degrades by seeding per-row
         accumulators from the vectorized partial state and folding the
         remaining rows through them — never re-reading consumed input.
+
+        With no keys (a global aggregate) every row is in group 0, which
+        exists before the first row: over no rows it still yields its one
+        row, COUNT 0 and the others NULL.
         """
         key_indices = [child_schema.index_of(expr.name) for expr in node.group_by]
         key_dtypes = [child_schema.columns[i].dtype for i in key_indices]
         kept = range(len(child_schema.columns)) if rep_cols is None else rep_cols
-        encoder = IncrementalGroupEncoder(key_dtypes)
+        encoder = IncrementalGroupEncoder(key_dtypes) if key_indices else None
+        group_count = 0 if key_indices else 1
         #: Per kept column, the representatives each batch's new groups gathered.
         rep_parts: list[list[Any]] = [[] for _ in kept]
         peak = 0
         iterator = iter(batches)
-        state = _StreamingGroupAggregator(plan, child_schema)
+        state = _StreamingGroupAggregator(plan, child_schema, group_count)
         for batch in iterator:
             n = len(batch)
             if n == 0:
@@ -1330,7 +1202,7 @@ class BatchExecutor:
             columns = batch.columns
             keys = [columns[i] for i in key_indices]
             try:
-                if nan_rows(keys).any():
+                if keys and nan_rows(keys).any():
                     raise _KernelUnsupported("NaN grouping key")
                 prepared = state.prepare(columns, n)
             except _KernelUnsupported:
@@ -1340,21 +1212,25 @@ class BatchExecutor:
                     agg_items,
                     state,
                     key_indices,
-                    [concat(parts) for parts in rep_parts] if encoder.group_count else [],
+                    [concat(parts) for parts in rep_parts] if group_count else [],
                     itertools.chain([batch], iterator),
                     rep_cols,
                 )
                 self._engine.record_groupby("stream_degraded", peak)
                 return self._columns_of_groups(groups, agg_items)
-            codes, new_first_rows = encoder.encode_batch(keys)
-            if new_first_rows.size:
-                for parts, index in zip(rep_parts, kept):
-                    parts.append(take(columns[index], new_first_rows))
-            state.accumulate(codes, prepared, encoder.group_count)
-            peak = max(peak, n + encoder.group_count)
+            if encoder is None:
+                codes = np.zeros(n, dtype=np.intp)
+            else:
+                codes, new_first_rows = encoder.encode_batch(keys)
+                group_count = encoder.group_count
+                if new_first_rows.size:
+                    for parts, index in zip(rep_parts, kept):
+                        parts.append(take(columns[index], new_first_rows))
+            state.accumulate(codes, prepared, group_count)
+            peak = max(peak, n + group_count)
         self._engine.record_groupby("stream", peak)
         rep_columns = [concat(parts) if parts else [] for parts in rep_parts]
-        return encoder.group_count, state.results(), rep_columns
+        return group_count, state.results(), rep_columns
 
     def _degrade_streaming(
         self,
@@ -1374,7 +1250,8 @@ class BatchExecutor:
         sequential order, so the seeded state is exactly what the row path
         would hold at this point); the tripping batch and everything after
         it then fold per row.  The gathered representative columns turn
-        into row tuples here, once.
+        into row tuples here, once; a global aggregate keeps none, and its
+        one group is seeded under the empty key.
         """
         items_by_index = dict(agg_items)
         groups: dict[tuple, dict[int, Any]] = {}
@@ -1384,7 +1261,7 @@ class BatchExecutor:
         else:
             positions = {col: pos for pos, col in enumerate(rep_cols)}
             key_positions = [positions[i] for i in key_indices]
-        representatives = zip(*(to_list(column) for column in rep_columns))
+        representatives = zip(*(to_list(column) for column in rep_columns)) if key_indices else [()]
         for code, repr_values in enumerate(representatives):
             key = tuple(repr_values[i] for i in key_positions)
             groups[key] = state.seeded_accumulators(code, items_by_index)
@@ -1473,23 +1350,24 @@ class BatchExecutor:
         limit = node.limit
 
         def generate() -> Iterator[ColumnBatch]:
+            # Prefixes are slices: typed columns stay typed, no row is made.
             to_skip = start
             remaining = limit
             for batch in batches:
-                rows = list(batch.value_rows())
                 if to_skip:
-                    if to_skip >= len(rows):
-                        to_skip -= len(rows)
+                    if to_skip >= len(batch):
+                        to_skip -= len(batch)
                         continue
-                    rows = rows[to_skip:]
+                    batch = batch.slice(to_skip, len(batch))
                     to_skip = 0
                 if remaining is not None:
                     if remaining <= 0:
                         return
-                    rows = rows[:remaining]
-                    remaining -= len(rows)
-                if rows:
-                    yield ColumnBatch.from_value_rows(schema, rows)
+                    if len(batch) > remaining:
+                        batch = batch.slice(0, remaining)
+                    remaining -= len(batch)
+                if len(batch):
+                    yield batch
                 if remaining is not None and remaining <= 0:
                     return
 
@@ -1520,167 +1398,180 @@ class _StreamingGroupAggregator:
 
     One instance serves one aggregation; arrays are indexed by the global
     group codes handed out by the shared incremental key dictionary and
-    grow geometrically as new groups appear.  The merge discipline keeps
-    every per-group fold strictly sequential in row order:
+    grow geometrically as new groups appear.  State is kept per column, not
+    per aggregate, so a batch reads each column once however many
+    aggregates share it: the column's non-NULL rows per group (which
+    COUNT reads, and SUM/AVG/MIN/MAX to tell an empty group) and, as its
+    aggregates need them, a float total, an integer total and the running
+    extremes (``None`` stands for COUNT(*)'s column of every row).  The
+    merge discipline keeps every per-group fold strictly sequential in row
+    order:
 
-    * float SUM/AVG use a **seeded bincount** — the running totals ride
-      along as one leading entry per group, so ``np.bincount``'s
-      sequential C loop continues the exact ``((t + v1) + v2)...`` fold
-      the row accumulators perform (plain partial-sum merging would round
-      differently);
+    * float totals (float SUM, every AVG) use a **seeded bincount** — the
+      running totals ride along as one leading entry per group, so
+      ``np.bincount``'s sequential C loop continues the exact
+      ``((t + v1) + v2)...`` fold the row accumulators perform (plain
+      partial-sum merging would round differently).  A float SUM and an
+      AVG share one total: both start at 0.0, as ``-0.0`` under SUM is
+      rejected up front;
     * integer SUM uses ``np.add.at`` (unbuffered, in input order) with a
       conservative overflow guard that trips *before* a batch is folded;
-    * COUNT merges with plain bincount addition, and MIN/MAX fold each batch
-      into the running extremes with ``np.minimum.at`` / ``np.maximum.at``
-      (the extremes start at the dtype's identity) — both order-insensitive,
-      as NaN and ``-0.0`` are rejected up front.
+    * counts merge with plain bincount addition, and MIN/MAX fold each
+      batch into the running extremes with ``np.minimum.at`` /
+      ``np.maximum.at`` (the extremes start at the dtype's identity) — both
+      order-insensitive, as NaN and ``-0.0`` are rejected up front.
+
+    With one group the counts, integer sums and extremes are plain
+    reductions instead.
 
     :meth:`results` hands each aggregate back as one column, indexed by
     group code.
     """
 
     def __init__(
-        self, plan: list[tuple[int, str, int | None]], child_schema: Schema
+        self, plan: list[tuple[int, str, int | None]], child_schema: Schema, groups: int = 0
     ) -> None:
         self._plan = plan
         self._size = 0
         self._cap = 0
-        self._state: dict[int, dict[str, Any]] = {}
-        for i, name, col in plan:
-            st: dict[str, Any] = {}
+        #: Per column: its per-group arrays, by what they hold ("rows",
+        #: "fsum", "isum", "min", "max").
+        self._columns: dict[int | None, dict[str, np.ndarray]] = {}
+        #: The dtype each column some SUM/AVG/MIN/MAX reads packs to.
+        self._dtypes: dict[int, Any] = {}
+        #: FLOAT columns under MIN/MAX, which must hold no NaN and no -0.0,
+        #: and under SUM, which must hold no -0.0.
+        self._float_extremes: set[int] = set()
+        self._float_sums: set[int] = set()
+        #: Largest integer total so far per column under integer SUM.
+        self._abs_max: dict[int, int] = {}
+        for _i, name, col in plan:
+            arrays = self._columns.setdefault(col, {"rows": np.zeros(0, dtype=np.int64)})
             if name in ("count_star", "count"):
-                st["counts"] = np.zeros(0, dtype=np.int64)
-            else:
-                dtype = VECTOR_DTYPES[child_schema.columns[col].dtype]
-                st["dtype"] = dtype
+                continue
+            dtype = self._dtypes[col] = VECTOR_DTYPES[child_schema.columns[col].dtype]
+            if name in ("min", "max"):
+                arrays[name] = np.zeros(0, dtype=dtype)
+                if dtype is np.float64:
+                    self._float_extremes.add(col)
+            elif name == "avg" or dtype is np.float64:
+                arrays["fsum"] = np.zeros(0, dtype=np.float64)
                 if name == "sum":
-                    st["float"] = dtype is np.float64
-                    st["acc"] = np.zeros(
-                        0, dtype=np.float64 if st["float"] else np.int64
-                    )
-                    st["sizes"] = np.zeros(0, dtype=np.int64)
-                    st["abs_max"] = 0
-                elif name == "avg":
-                    st["acc"] = np.zeros(0, dtype=np.float64)
-                    st["sizes"] = np.zeros(0, dtype=np.int64)
-                else:  # min / max
-                    st["fill"] = _extreme_identity(name, dtype)
-                    st["vals"] = np.zeros(0, dtype=dtype)
-                    st["has"] = np.zeros(0, dtype=np.bool_)
-            self._state[i] = st
+                    self._float_sums.add(col)
+            else:
+                arrays["isum"] = np.zeros(0, dtype=np.int64)
+                self._abs_max[col] = 0
+        self._ensure(groups)
 
     # ---------------------------------------------------------------- batches
-    def prepare(self, columns: list, n: int) -> list:
+    def prepare(
+        self, columns: list, n: int
+    ) -> dict[int, tuple[np.ndarray | None, np.ndarray | None]]:
         """Pack and vet one batch's aggregate inputs **before** any state
         mutation, raising :class:`_KernelUnsupported` on shapes the vector
         fold cannot reproduce faithfully (so the caller can still hand the
-        untouched batch to the row accumulators)."""
-        prepared: list[Any] = []
-        # Several aggregates over one column (count/sum/avg/max of `value`)
-        # share a single null-mask pass and a single packed array per batch.
-        present_cache: dict[int, np.ndarray] = {}
-        packed_cache: dict[int, np.ndarray] = {}
-        for i, name, col in self._plan:
-            if name == "count_star":
-                prepared.append(None)
+        untouched batch to the row accumulators).
+
+        Returns, per column an aggregate reads, the mask of its non-NULL
+        rows (None when there is no NULL) and those rows' packed values
+        (None for a column only COUNT reads)."""
+        prepared: dict[int, tuple[np.ndarray | None, np.ndarray | None]] = {}
+        for col in self._columns:
+            if col is None:
                 continue
-            present = present_cache.get(col)
-            if present is None:
-                present = ~null_mask(columns[col])
-                present_cache[col] = present
-            if name == "count":
-                prepared.append((present, None))
-                continue
-            st = self._state[i]
-            dtype = st["dtype"]
-            values = packed_cache.get(col)
-            if values is None:
+            dtype = self._dtypes.get(col)
+            if dtype is None:
+                values, nulls = None, null_mask(columns[col])
+            else:
                 try:
-                    values, _nulls = numeric_view(columns[col], dtype)
+                    values, nulls = numeric_view(columns[col], dtype)
                 except (OverflowError, TypeError, ValueError) as exc:
                     # e.g. Python ints beyond int64: only the row
                     # accumulators' arbitrary precision is faithful.
                     raise _KernelUnsupported(str(exc)) from exc
-                packed_cache[col] = values
-            if name in ("min", "max"):
-                if dtype is np.float64:
-                    floats = values[present]
-                    if bool(np.isnan(floats).any()):
-                        # The row fold never replaces on NaN, making MIN/MAX
-                        # position-dependent; reductions cannot reproduce that.
-                        raise _KernelUnsupported("NaN in MIN/MAX column")
-                    if _has_negative_zero(floats):
-                        # Nor which of two equal zeros the fold keeps (the first).
-                        raise _KernelUnsupported("negative zero in MIN/MAX column")
-                prepared.append((present, values))
-                continue
-            if name == "sum" and not st["float"]:
-                ints = values.astype(np.int64, copy=False)
-                peak = _abs_peak(ints[present]) if present.any() else 0
-                if peak and st["abs_max"] + peak * n > 2**62:
-                    raise _KernelUnsupported("int64 overflow risk in SUM")
-                prepared.append((present, ints))
-                continue
-            if name == "sum" and _has_negative_zero(values[present]):
-                # A SUM of negative zeros only is -0.0, but every bincount
-                # bin starts at +0.0.
-                raise _KernelUnsupported("negative zero in SUM column")
-            prepared.append((present, values))
+            present = None if nulls is None or not np.count_nonzero(nulls) else ~nulls
+            if values is not None:
+                if present is not None:
+                    values = values[present]
+                self._vet(col, values, n)
+            prepared[col] = (present, values)
         return prepared
 
-    def accumulate(self, codes: np.ndarray, prepared: list, group_count: int) -> None:
-        """Fold one prepared batch into the per-group state."""
+    def _vet(self, col: int, values: np.ndarray, n: int) -> None:
+        """Reject one column's non-NULL values where a vector fold would
+        differ from the row accumulators."""
+        extremes = col in self._float_extremes
+        if extremes and np.count_nonzero(np.isnan(values)):
+            # The row fold never replaces on NaN, making MIN/MAX
+            # position-dependent; reductions cannot reproduce that.
+            raise _KernelUnsupported("NaN in MIN/MAX column")
+        if (extremes or col in self._float_sums) and _has_negative_zero(values):
+            # Nor which of two equal zeros MIN/MAX keeps (the first), nor a
+            # SUM of negative zeros only, which is -0.0 where every bincount
+            # bin starts at +0.0.
+            raise _KernelUnsupported("negative zero in MIN/MAX/SUM column")
+        if col in self._abs_max and values.size:
+            if self._abs_max[col] + _abs_peak(values) * n > 2**62:
+                raise _KernelUnsupported("int64 overflow risk in SUM")
+
+    def accumulate(
+        self,
+        codes: np.ndarray,
+        prepared: dict[int, tuple[np.ndarray | None, np.ndarray | None]],
+        group_count: int,
+    ) -> None:
+        """Fold one prepared batch into the per-group state.  With one group
+        the counts, integer sums and extremes are plain reductions instead
+        of ``ufunc.at`` scatters: :meth:`prepare` has ruled out the
+        overflow, NaN and -0.0 that would make their order matter."""
         self._ensure(group_count)
         size = self._size
-        for (i, name, _col), payload in zip(self._plan, prepared):
-            st = self._state[i]
-            if name == "count_star":
-                st["counts"][:size] += np.bincount(codes, minlength=size)
+        one = size == 1
+        for col, arrays in self._columns.items():
+            present, values = prepared.get(col, (None, None))
+            sub = codes if present is None else codes[present]
+            arrays["rows"][:size] += len(sub) if one else np.bincount(sub, minlength=size)
+            if values is None or not values.size:
                 continue
-            present, values = payload
-            sub = codes[present]
-            if name == "count":
-                st["counts"][:size] += np.bincount(sub, minlength=size)
-                continue
-            if name == "avg" or (name == "sum" and st.get("float")):
-                weights = values[present]
-                if weights.dtype != np.float64:
-                    weights = weights.astype(np.float64)
-                seeded_codes = np.concatenate(
-                    [np.arange(size, dtype=np.int64), sub]
+            fsum = arrays.get("fsum")
+            if fsum is not None:
+                fsum[:size] = np.bincount(
+                    np.concatenate((np.arange(size, dtype=np.int64), sub)),
+                    weights=np.concatenate((fsum[:size], values.astype(np.float64, copy=False))),
+                    minlength=size,
                 )
-                seeded_weights = np.concatenate([st["acc"][:size], weights])
-                st["acc"][:size] = np.bincount(
-                    seeded_codes, weights=seeded_weights, minlength=size
-                )
-                st["sizes"][:size] += np.bincount(sub, minlength=size)
-                continue
-            if name == "sum":
-                np.add.at(st["acc"][:size], sub, values[present])
-                st["sizes"][:size] += np.bincount(sub, minlength=size)
-                if sub.size:
-                    st["abs_max"] = max(
-                        st["abs_max"], int(np.abs(st["acc"][:size]).max())
-                    )
-                continue
-            # min / max: fold straight into the running extremes.
-            reducer = np.minimum if name == "min" else np.maximum
-            reducer.at(st["vals"], sub, values[present])
-            st["has"][sub] = True
+            isum = arrays.get("isum")
+            if isum is not None:
+                ints = values.astype(np.int64, copy=False)
+                if one:
+                    isum[0] += ints.sum()
+                else:
+                    np.add.at(isum[:size], sub, ints)
+                self._abs_max[col] = max(self._abs_max[col], int(np.abs(isum[:size]).max()))
+            for name, reducer in (("min", np.minimum), ("max", np.maximum)):
+                extremes = arrays.get(name)
+                if extremes is None:
+                    continue
+                if one:
+                    extreme = values.min() if name == "min" else values.max()
+                    extremes[0] = reducer(extremes[0], extreme)
+                else:
+                    reducer.at(extremes, sub, values)
 
     def _ensure(self, group_count: int) -> None:
         self._size = group_count
         if group_count <= self._cap:
             return
         cap = max(64, self._cap * 2, group_count)
-        for st in self._state.values():
-            for key in ("counts", "acc", "sizes", "vals", "has"):
-                if key in st:
-                    old = st[key]
-                    fill = st["fill"] if key == "vals" else 0
-                    grown = np.full(cap, fill, dtype=old.dtype)
+        for arrays in self._columns.values():
+            for key, old in arrays.items():
+                if key in ("min", "max"):
+                    grown = np.full(cap, _extreme_identity(key, old.dtype.type), dtype=old.dtype)
+                else:
+                    grown = np.zeros(cap, dtype=old.dtype)
+                if len(old):
                     grown[: len(old)] = old
-                    st[key] = grown
+                arrays[key] = grown
         self._cap = cap
 
     # ---------------------------------------------------------------- results
@@ -1690,24 +1581,25 @@ class _StreamingGroupAggregator:
         like every vector)."""
         size = self._size
         out: dict[int, NumericVector] = {}
-        for i, name, _col in self._plan:
-            st = self._state[i]
+        #: Per column, its empty groups (None when there is none).
+        empty: dict[int | None, np.ndarray | None] = {}
+        for i, name, col in self._plan:
+            arrays = self._columns[col]
+            rows = arrays["rows"][:size]
             if name in ("count_star", "count"):
-                out[i] = NumericVector(st["counts"][:size])
+                out[i] = NumericVector(rows)
                 continue
-            if name in ("sum", "avg"):
-                totals = st["acc"][:size]
-                sizes = st["sizes"][:size]
-                if name == "avg":
-                    # float / int, as the accumulator divides; empty groups
-                    # are NULL, so their 0 / 0 never surfaces.
-                    with np.errstate(divide="ignore", invalid="ignore"):
-                        totals = totals / sizes
-                nulls = sizes == 0
+            if col not in empty:
+                nulls = rows == 0
+                empty[col] = nulls if np.count_nonzero(nulls) else None
+            if name == "avg":
+                # float / int, as the accumulator divides; empty groups are
+                # NULL, so their 0 / 0 never surfaces.
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    totals = arrays["fsum"][:size] / rows
             else:
-                totals = st["vals"][:size]
-                nulls = ~st["has"][:size]
-            out[i] = NumericVector(totals, nulls if nulls.any() else None)
+                totals = self._totals(name, col)[:size]
+            out[i] = NumericVector(totals, empty[col])
         return out
 
     def seeded_accumulators(self, code: int, items_by_index: dict) -> dict[int, Any]:
@@ -1715,24 +1607,27 @@ class _StreamingGroupAggregator:
         (the degrade handoff: consumed rows were folded in row order, so
         this state is bit-for-bit what the row path would hold)."""
         accumulators: dict[int, Any] = {}
-        for i, name, _col in self._plan:
+        for i, name, col in self._plan:
             item = items_by_index[i]
             accumulator = make_aggregate(
                 item.aggregate,
                 count_star=(item.expression is None),
                 distinct=item.distinct,
             )
-            st = self._state[i]
+            arrays = self._columns[col]
+            rows = int(arrays["rows"][code])
             if name in ("count_star", "count"):
-                accumulator.load(int(st["counts"][code]))
-            elif name == "sum":
-                if int(st["sizes"][code]):
-                    total = st["acc"][code]
-                    accumulator.load(float(total) if st["float"] else int(total))
+                accumulator.load(rows)
             elif name == "avg":
-                accumulator.load(float(st["acc"][code]), int(st["sizes"][code]))
-            else:
-                if bool(st["has"][code]):
-                    accumulator.load(st["vals"][code].item())
+                accumulator.load(float(arrays["fsum"][code]), rows)
+            elif rows:
+                accumulator.load(self._totals(name, col)[code].item())
             accumulators[i] = accumulator
         return accumulators
+
+    def _totals(self, name: str, col: int) -> np.ndarray:
+        """The per-group array a SUM, MIN or MAX over ``col`` reads."""
+        arrays = self._columns[col]
+        if name != "sum":
+            return arrays[name]
+        return arrays["fsum" if col in self._float_sums else "isum"]

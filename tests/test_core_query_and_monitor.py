@@ -241,6 +241,22 @@ class TestBindingsRenamedOnTheParse:
         )
         assert len(result) == 2
 
+    def test_a_binding_named_like_the_table_it_reads_reads_the_table(self, tx):
+        # v = 3x mod 7 is above 3 at x = 2, 4 and 6.
+        result = tx.execute(
+            "WITH t = RELATIONAL(SELECT x FROM t WHERE v > 3) RELATIONAL(SELECT * FROM t)"
+        )
+        assert values_sorted(result) == [(2,), (4,), (6,)]
+
+    def test_a_binding_reads_the_table_a_later_binding_is_named_like(self, tx):
+        query = (
+            "WITH a = RELATIONAL(SELECT x FROM t WHERE x < 3) "
+            "WITH t = RELATIONAL(SELECT x FROM a WHERE x > 0) "
+            "RELATIONAL(SELECT * FROM t)"
+        )
+        assert tx.plan(query).dependencies == [set(), {0}, {0, 1}]
+        assert values_sorted(tx.execute(query)) == [(1,), (2,)]
+
     def test_a_statement_naming_no_binding_is_returned_as_planned(self, tx):
         plan = tx.plan("WITH y = RELATIONAL(SELECT x FROM t) RELATIONAL(SELECT count(*) AS n FROM t)")
         execution = tx.planner.start(plan)

@@ -123,6 +123,15 @@ QUERY_GRID = [
     "SELECT id FROM events WHERE id >= 480 ORDER BY id",
     "SELECT id, -value AS neg, NOT (flag = 1) AS nf FROM events WHERE id < 20",
     "SELECT 1 + 2 AS three",
+    # LIMIT / OFFSET straight over scans and joins: prefixes of typed batches.
+    "SELECT id, grp, value FROM events LIMIT 9 OFFSET 4",
+    "SELECT id, value FROM events WHERE flag = 2 LIMIT 40 OFFSET 15",
+    "SELECT e.id, d.weight FROM events e JOIN dims d ON e.grp = d.grp LIMIT 12 OFFSET 3",
+    "SELECT id FROM events LIMIT 0",
+    "SELECT * FROM events LIMIT 3 OFFSET 600",
+    "SELECT count(*) AS n, max(value) AS hi FROM (SELECT id, value FROM events LIMIT 25 OFFSET 490) t",
+    # A global aggregate under HAVING.
+    "SELECT count(*) AS n, max(value) AS hi FROM events HAVING count(*) > 100",
 ]
 
 #: Joins with no hashable key — cross, non-equi, keyless — which run on the
@@ -1050,6 +1059,87 @@ def test_grouped_computed_items_match_reference(assert_matches_reference, batch_
         "count(*) AS n FROM events GROUP BY grp, value HAVING count(*) >= 1",
     )
     assert e.groupby_paths == {"stream": 1}
+
+
+_AGGREGATED_FLOATS = st.none() | st.sampled_from(
+    [float("nan"), 0.0, -0.0, 1.5, -2.0, 1e308, float("inf"), float("-inf")]
+)
+_AGGREGATED_INTS = st.none() | st.sampled_from([0, 3, -4, 2**62, -(2**62), 2**63 - 1, -(2**63)])
+_AGGREGATES = (
+    "count(*) AS n, count(f) AS cf, sum(f) AS sf, avg(f) AS af, min(f) AS lf, max(f) AS hf, "
+    "count(i) AS ci, sum(i) AS si, avg(i) AS ai, min(i) AS li, max(i) AS hi"
+)
+
+
+def _aggregate_table(rows: list[tuple]) -> RelationalEngine:
+    e = RelationalEngine("agg")
+    e.parallelism = 1
+    e.execute("CREATE TABLE t (g INTEGER, f FLOAT, i INTEGER)")
+    e.insert_rows("t", rows)
+    return e
+
+
+def _as_run(engine: RelationalEngine, sql: str, batch_rows: int) -> tuple:
+    """``sql``'s schema and rows at ``batch_rows`` rows per batch, each row
+    as its repr: NaN equals NaN, while -0.0, 0.0, 0 and False stay apart."""
+    engine._batch_executor._batch_rows = batch_rows
+    result = engine.execute(sql)
+    return result.schema, [repr(row.values) for row in result.rows]
+
+
+class TestAggregatePath:
+    """A global aggregate is the streaming group-by with one group."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.none() | st.integers(0, 2), _AGGREGATED_FLOATS, _AGGREGATED_INTS),
+            max_size=20,
+        ),
+        grouped=st.booleans(),
+    )
+    def test_aggregates_hold_at_every_batch_size(self, reference_execute, rows, grouped):
+        """Global and one-key COUNT/SUM/AVG/MIN/MAX over FLOATs holding NaN,
+        signed zeros and NULL, and INTEGER sums near the int64 limits: one
+        result at 1, 7 and the default rows per batch, the reference's."""
+        e = _aggregate_table(rows)
+        sql = f"SELECT g, {_AGGREGATES} FROM t GROUP BY g" if grouped else f"SELECT {_AGGREGATES} FROM t"
+        runs = [_as_run(e, sql, batch_rows) for batch_rows in (1, 7, DEFAULT_BATCH_ROWS)]
+        assert runs[0] == runs[1] == runs[2]
+        expected = reference_execute(e, sql)
+        assert runs[2] == (expected.schema, [repr(row.values) for row in expected.rows])
+
+    def test_a_nan_that_opens_a_later_batch_does_not_stop_max(self):
+        """The row fold compares each value with the running MAX, so a NaN
+        met after 0.0 changes nothing and 1.0 still wins."""
+        e = _aggregate_table([(0, 0.0, 1)] * 7 + [(0, float("nan"), 2**62), (0, 1.0, 1)])
+        for sql in ("SELECT max(f) AS hf FROM t", "SELECT g, max(f) AS hf FROM t GROUP BY g"):
+            for batch_rows in (7, DEFAULT_BATCH_ROWS):
+                e._batch_executor._batch_rows = batch_rows
+                assert values_of(e.execute(sql))[0][-1] == 1.0, (sql, batch_rows)
+
+    def test_a_degraded_global_aggregate_keeps_the_rows_it_consumed(self):
+        """The second batch's NaN and 2**62 hand the fold to the row
+        accumulators, seeded with the first batch's seven rows."""
+        e = _aggregate_table([(0, 0.0, 1)] * 7 + [(0, float("nan"), 2**62), (0, 1.0, 1)])
+        e._batch_executor._batch_rows = 7
+        result = e.execute("SELECT max(f) AS hf, count(*) AS n, sum(i) AS si FROM t")
+        assert values_of(result) == [(1.0, 9, 2**62 + 8)]
+        assert e.groupby_paths == {"stream_degraded": 1}
+
+    def test_a_global_aggregate_over_no_rows_is_one_row(self):
+        e = make_engine()
+        result = e.execute(
+            "SELECT count(*) AS n, count(value) AS c, sum(value) AS s, avg(flag) AS a, "
+            "min(value) AS lo, max(flag) AS hi FROM events WHERE id < 0"
+        )
+        assert values_of(result) == [(0, 0, None, None, None, None)]
+        assert e.groupby_paths == {"stream": 1}
+
+    def test_global_min_max_over_text_runs_on_the_row_fold(self, assert_matches_reference):
+        e = make_engine(batch_rows=7)
+        assert_matches_reference(e, "SELECT min(grp) AS lo, max(note) AS hi FROM events")
+        assert e.groupby_paths == {"row": 1}
 
 
 def _encoded_like_a_dict(encoder: IncrementalGroupEncoder, batches: list) -> None:
