@@ -21,7 +21,9 @@ NULL and NaN
   side lacks.
 * numpy would merge the NaNs of a FLOAT vector, which the row path keeps
   apart (no NaN equals another), so none reaches the encoder's sorted
-  tables: the group-by rejects it, and DISTINCT keeps its row unencoded.
+  tables: the group-by hands such a column over as a list, which moves it
+  to the dict, where each NaN is a fresh float and so a fresh group; and
+  DISTINCT keeps its row unencoded.
 
 Dtype specialization
 --------------------
@@ -456,8 +458,9 @@ class IncrementalGroupEncoder:
     does Python work per call, not per row or key, until a dict takes over
     (see :class:`_KeyColumn`; or a group table past the direct limit): that
     dict is fed by C-level ``dict``/``map`` loops.  The caller keeps the
-    NaNs of FLOAT vectors out (:func:`nan_rows`).  :meth:`lookup` adds
-    nothing, and may run on several threads while no encode runs.
+    NaNs of FLOAT vectors out of the sorted tables (:func:`nan_rows`).
+    :meth:`lookup` adds nothing, and may run on several threads while no
+    encode runs.
     """
 
     def __init__(self, dtypes: Sequence[DataType | None]) -> None:

@@ -102,9 +102,11 @@ class RelationalEngine(Engine, TableStatisticsProvider):
         #: ``relational_fallback_reasons`` snapshot key built from it.
         self.fallback_reasons: dict[str, int] = {}
         #: Total columns the optimizer pruned below joins/aggregates, and
-        #: grouped-aggregation executions per path ("stream",
-        #: "stream_degraded" or per-"row"), for the runtime's metrics
-        #: snapshot.
+        #: aggregations per path, for the runtime's metrics snapshot:
+        #: "stream" (every aggregate folded as vectors), "row" (some
+        #: aggregate folded per group code from the first batch) or
+        #: "stream_degraded" (the vector state handed over mid-stream).
+        #: NaN keys never degrade: they go to the key encoder's dict.
         self.columns_pruned = 0
         self.groupby_paths: dict[str, int] = {}
         #: Largest resident row footprint (batch + groups) any streaming

@@ -18,9 +18,10 @@ class Aggregate:
         raise NotImplementedError
 
     def load(self, *state: Any) -> None:
-        """Seed the accumulator with partial state (the vectorized streaming
-        group-by hands over mid-stream through this when it degrades to the
-        per-row path).  Non-distinct accumulators only."""
+        """Seed the accumulator with one group's partial state: when the
+        vector fold refuses a batch, the streaming group-by hands each
+        vector aggregate over to per-group-code accumulators through this.
+        Non-distinct accumulators only."""
         raise NotImplementedError
 
 
@@ -62,7 +63,11 @@ class SumAggregate(Aggregate):
             if value in self._seen:
                 return
             self._seen.add(value)
-        self._total = value if self._total is None else self._total + value
+        if self._total is None:
+            # An INTEGER total, also over BOOLEAN: True starts it at 1.
+            self._total = int(value) if isinstance(value, bool) else value
+        else:
+            self._total += value
 
     def result(self) -> Any:
         return self._total

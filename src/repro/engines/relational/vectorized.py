@@ -79,7 +79,7 @@ from repro.common.vectors import (
     take,
     to_list,
 )
-from repro.engines.relational.functions import make_aggregate
+from repro.engines.relational.functions import Aggregate, make_aggregate
 from repro.engines.relational.morsel import (
     HashJoinTable,
     JoinSpec,
@@ -470,6 +470,13 @@ class _PredicateRunner:
 
 
 _VECTOR_AGGREGATES = ("count", "sum", "avg", "min", "max")
+
+
+def _accumulator(item: Any) -> Aggregate:
+    """A fresh row accumulator for one aggregate SELECT or HAVING item."""
+    return make_aggregate(
+        item.aggregate, count_star=item.expression is None, distinct=item.distinct
+    )
 
 
 def _abs_peak(ints: np.ndarray) -> int:
@@ -1008,14 +1015,9 @@ class BatchExecutor:
         having = (
             None if node.having is None else _PredicateRunner(node.having, having_schema)
         )
-        grouped_plan = self._vector_group_plan(node, child_schema, agg_items)
-        rep_cols = None
-        if grouped_plan is not None:
-            rep_cols = self._representative_columns(node, child_schema)
-            if rep_cols is not None and node.group_by:  # a global aggregate keeps none
-                self._engine.record_representative_prune(
-                    len(child_schema.columns) - len(rep_cols)
-                )
+        rep_cols = self._representative_columns(node, child_schema)
+        if rep_cols is not None and node.group_by:  # counted for group-bys only
+            self._engine.record_representative_prune(len(child_schema.columns) - len(rep_cols))
         rep_schema = (
             child_schema
             if rep_cols is None
@@ -1023,15 +1025,9 @@ class BatchExecutor:
         )
 
         def generate() -> Iterator[ColumnBatch]:
-            if grouped_plan is not None:
-                count, agg_columns, rep_columns = self._run_streaming_grouped(
-                    node, child_schema, batches, grouped_plan, agg_items, rep_cols
-                )
-            else:
-                self._engine.record_groupby("row", 0)
-                count, agg_columns, rep_columns = self._columns_of_groups(
-                    self._fold_grouped_rows(node, child_schema, batches, agg_items), agg_items
-                )
+            count, agg_columns, rep_columns = self._run_streaming_grouped(
+                node, child_schema, batches, agg_items, rep_cols
+            )
             if not count:
                 return
             rep_rows: list[tuple[Any, ...]] | None = None
@@ -1039,9 +1035,10 @@ class BatchExecutor:
             for i, item in enumerate(node.items):
                 if item.aggregate:
                     out_columns.append(agg_columns[i])
-                elif rep_columns is None:
-                    # The row fold's one group of a global aggregate over no rows.
-                    out_columns.append([None] * count)
+                elif first is None:
+                    # The one group of a global aggregate over no rows has
+                    # no representative row.
+                    out_columns.append([None])
                 elif isinstance(item.expression, ColumnRef) and rep_schema.has_column(
                     item.expression.name
                 ):
@@ -1065,21 +1062,6 @@ class BatchExecutor:
                 yield out
 
         return schema, generate()
-
-    @staticmethod
-    def _columns_of_groups(
-        groups: list[tuple[tuple, dict[int, Any], tuple | None]], agg_items: list
-    ) -> tuple[int, dict[int, list[Any]], list[Sequence[Any]] | None]:
-        """The row fold's groups in the stream path's output shape: the
-        group count, one result column per aggregate, and the
-        representative columns (None for a global aggregate over no rows)."""
-        agg_columns = {
-            i: [accumulators[i].result() for _key, accumulators, _rep in groups]
-            for i, _item in agg_items
-        }
-        if groups and groups[0][2] is None:
-            return len(groups), agg_columns, None
-        return len(groups), agg_columns, list(zip(*(rep for _key, _acc, rep in groups)))
 
     @staticmethod
     def _representative_columns(
@@ -1115,213 +1097,149 @@ class BatchExecutor:
         return cols
 
     @staticmethod
-    def _vector_group_plan(
-        node: AggregateNode, child_schema: Schema, agg_items: list
-    ) -> list[tuple[int, str, int | None]] | None:
-        """Plan for the key-encoded numpy group-by, or None to run per-row.
-
-        Requirements: grouping keys are bare column references (any dtype —
-        TEXT keys use the dict-based encoder), and every aggregate is a
-        non-distinct count/sum/avg/min/max over a bare column (or ``*``);
-        sum/avg/min/max additionally need a fixed-width numeric column so
-        the numpy folds apply.  A global aggregate is the group-by with no
-        keys, all rows in group 0, when every item is an aggregate: its one
-        group has no representative row to read another item from.
-        """
-        if not node.group_by and not all(item.aggregate for item in node.items):
+    def _source(expression: Expression | None, schema: Schema) -> Any:
+        """Where a grouping key's or an aggregate argument's values come
+        from: a bare column's index, None for ``*``, or else a row closure."""
+        if expression is None:
             return None
-        for expr in node.group_by:
-            if not (isinstance(expr, ColumnRef) and child_schema.has_column(expr.name)):
-                return None
-        plan: list[tuple[int, str, int | None]] = []
-        for i, item in agg_items:
-            name = item.aggregate
-            if name not in _VECTOR_AGGREGATES or item.distinct:
-                return None
-            if item.expression is None:
-                plan.append((i, "count_star", None))
-                continue
-            if not (
-                isinstance(item.expression, ColumnRef)
-                and child_schema.has_column(item.expression.name)
-            ):
-                return None
-            index = child_schema.index_of(item.expression.name)
-            if name != "count" and child_schema.columns[index].dtype not in VECTOR_DTYPES:
-                return None
-            plan.append((i, name, index))
-        return plan
+        if isinstance(expression, ColumnRef) and schema.has_column(expression.name):
+            return schema.index_of(expression.name)
+        return _compile_or_defer(expression, schema)
+
+    @staticmethod
+    def _vector_plan(item: Any, source: Any, child_schema: Schema) -> tuple[str, int | None] | None:
+        """How the vector fold takes one aggregate, or None when it folds per
+        group code instead: a non-distinct count/sum/avg/min/max over a bare
+        column (or ``*``), sum/avg/min/max over a fixed-width numeric one."""
+        if item.aggregate not in _VECTOR_AGGREGATES or item.distinct or callable(source):
+            return None
+        if source is None:
+            return "count_star", None
+        if item.aggregate != "count" and child_schema.columns[source].dtype not in VECTOR_DTYPES:
+            return None
+        return item.aggregate, source
 
     def _run_streaming_grouped(
         self,
         node: AggregateNode,
         child_schema: Schema,
         batches: Iterator[ColumnBatch],
-        plan: list[tuple[int, str, int | None]],
         agg_items: list,
-        rep_cols: list[int] | None = None,
+        rep_cols: list[int] | None,
     ) -> tuple[int, dict[int, Sequence[Any]], list[Sequence[Any]]]:
-        """Streaming two-pass group-by: encode per batch, merge partials.
+        """Streaming group-by, the one loop over an aggregation's batches.
 
         Each batch's grouping keys map through a shared
-        :class:`~repro.common.keycodes.IncrementalGroupEncoder` (numpy
-        dictionaries that persist across batches), and its values fold into
-        per-group accumulator arrays (:class:`_StreamingGroupAggregator`) —
-        so peak resident rows are O(batch_size + groups) instead of the
-        whole input, while per-group accumulation order stays strictly
-        sequential in row order (the bit-for-bit parity contract with the
-        row executor's accumulators).  A batch's new groups leave their
-        representative values as one gather per kept column; the result is
-        the group count, one column per aggregate and the representative
-        columns, in group-code order, with no value per group in Python.
+        :class:`~repro.common.keycodes.IncrementalGroupEncoder` (dictionaries
+        that persist across batches) to group codes numbered by first
+        appearance.  A bare-column key is the batch column; a computed key
+        is a list from its row closure; a FLOAT key vector holding NaN goes
+        to the encoder as a list, which moves its column to the dict, where
+        each NaN is a fresh float and so a fresh group, as no NaN equals
+        another.  Peak resident rows are O(batch_size + groups) instead of
+        the whole input.  A batch's new groups leave their representative
+        values as one gather per kept column; with no keys (a global
+        aggregate) every row is in group 0, which exists before the first
+        row (over no rows it still yields its one row, COUNT 0, the others
+        NULL), and row 0 of the first batch represents it.
 
-        Shapes the vector kernels cannot reproduce faithfully (NaN in a
-        FLOAT key vector, NaN in MIN/MAX, int64 overflow risk) are detected
-        *before* a batch is folded in; the stream then degrades by seeding per-row
-        accumulators from the vectorized partial state and folding the
-        remaining rows through them — never re-reading consumed input.
+        Each aggregate with a vector plan folds into per-group arrays
+        (:class:`_StreamingGroupAggregator`), strictly sequential in row
+        order (the bit-for-bit parity contract with the row accumulators).
+        Any other aggregate keeps one row accumulator per group code and
+        adds the batch's argument values at their rows' codes.  Shapes the
+        vector fold cannot reproduce faithfully (NaN or -0.0 in MIN/MAX,
+        int64 overflow risk) are detected *before* a batch folds in; every
+        vector aggregate then hands over to per-code accumulators seeded
+        from its state, and the same encoder and representatives carry on,
+        never re-reading consumed input.
 
-        With no keys (a global aggregate) every row is in group 0, which
-        exists before the first row: over no rows it still yields its one
-        row, COUNT 0 and the others NULL.
+        The path recorded is ``stream`` when every aggregate folded as
+        vectors, ``row`` when some folded per group code from the first
+        batch and ``stream_degraded`` after a handoff.  Returns the group
+        count, one column per aggregate and the representative columns, in
+        group-code order.
         """
-        key_indices = [child_schema.index_of(expr.name) for expr in node.group_by]
-        key_dtypes = [child_schema.columns[i].dtype for i in key_indices]
+        keys = [self._source(expr, child_schema) for expr in node.group_by]
         kept = range(len(child_schema.columns)) if rep_cols is None else rep_cols
-        encoder = IncrementalGroupEncoder(key_dtypes) if key_indices else None
-        group_count = 0 if key_indices else 1
+        encoder = (
+            IncrementalGroupEncoder(
+                [None if callable(key) else child_schema.columns[key].dtype for key in keys]
+            )
+            if keys
+            else None
+        )
+        group_count = 0 if keys else 1
+        items_by_index = dict(agg_items)
+        plan: list[tuple[int, str, int | None]] = []
+        #: Per aggregate the vector fold does not take: the source of its
+        #: argument and one row accumulator per group code.
+        folds: dict[int, tuple[Any, list[Aggregate]]] = {}
+        for i, item in agg_items:
+            source = self._source(item.expression, child_schema)
+            vector = self._vector_plan(item, source, child_schema)
+            if vector is None:
+                folds[i] = (source, [_accumulator(item) for _ in range(group_count)])
+            else:
+                plan.append((i, *vector))
+        state = _StreamingGroupAggregator(plan, child_schema, group_count) if plan else None
+        path = "row" if folds else "stream"
+        by_row = any(map(callable, [*keys, *(source for source, _ in folds.values())]))
         #: Per kept column, the representatives each batch's new groups gathered.
         rep_parts: list[list[Any]] = [[] for _ in kept]
         peak = 0
-        iterator = iter(batches)
-        state = _StreamingGroupAggregator(plan, child_schema, group_count)
-        for batch in iterator:
+        for batch in batches:
             n = len(batch)
             if n == 0:
                 continue
             columns = batch.columns
-            keys = [columns[i] for i in key_indices]
-            try:
-                if keys and nan_rows(keys).any():
-                    raise _KernelUnsupported("NaN grouping key")
-                prepared = state.prepare(columns, n)
-            except _KernelUnsupported:
-                groups = self._degrade_streaming(
-                    node,
-                    child_schema,
-                    agg_items,
-                    state,
-                    key_indices,
-                    [concat(parts) for parts in rep_parts] if group_count else [],
-                    itertools.chain([batch], iterator),
-                    rep_cols,
-                )
-                self._engine.record_groupby("stream_degraded", peak)
-                return self._columns_of_groups(groups, agg_items)
+            rows = list(batch.value_rows()) if by_row else None
+
+            def values_of(source: Any) -> Any:
+                return columns[source] if isinstance(source, int) else list(map(source, rows))
+
+            if state is not None:
+                try:
+                    prepared = state.prepare(columns, n)
+                except _KernelUnsupported:
+                    seeded = state.seeded_accumulators(items_by_index)
+                    for i, _name, col in plan:
+                        folds[i] = (col, seeded[i])
+                    state, path = None, "stream_degraded"
             if encoder is None:
                 codes = np.zeros(n, dtype=np.intp)
+                # Row 0 of the first batch (peak is still 0) represents group 0.
+                new_first_rows = np.zeros(0 if peak else 1, dtype=np.intp)
             else:
-                codes, new_first_rows = encoder.encode_batch(keys)
+                key_columns = [values_of(key) for key in keys]
+                if nan_rows(key_columns).any():  # a sorted table would merge NaNs
+                    key_columns = [
+                        to_list(column) if nan_rows([column]).any() else column
+                        for column in key_columns
+                    ]
+                codes, new_first_rows = encoder.encode_batch(key_columns)
                 group_count = encoder.group_count
-                if new_first_rows.size:
-                    for parts, index in zip(rep_parts, kept):
-                        parts.append(take(columns[index], new_first_rows))
-            state.accumulate(codes, prepared, group_count)
-            peak = max(peak, n + group_count)
-        self._engine.record_groupby("stream", peak)
-        rep_columns = [concat(parts) if parts else [] for parts in rep_parts]
-        return group_count, state.results(), rep_columns
-
-    def _degrade_streaming(
-        self,
-        node: AggregateNode,
-        child_schema: Schema,
-        agg_items: list,
-        state: "_StreamingGroupAggregator",
-        key_indices: list[int],
-        rep_columns: list[Sequence[Any]],
-        remaining: Iterator[ColumnBatch],
-        rep_cols: list[int] | None = None,
-    ) -> list[tuple[tuple, dict[int, Any], tuple | None]]:
-        """Hand a partially-streamed group-by over to the row accumulators.
-
-        The vectorized per-group state is loaded into freshly-made row
-        accumulators (every already-consumed row was folded in strictly
-        sequential order, so the seeded state is exactly what the row path
-        would hold at this point); the tripping batch and everything after
-        it then fold per row.  The gathered representative columns turn
-        into row tuples here, once; a global aggregate keeps none, and its
-        one group is seeded under the empty key.
-        """
-        items_by_index = dict(agg_items)
-        groups: dict[tuple, dict[int, Any]] = {}
-        group_reprs: dict[tuple, tuple[Any, ...]] = {}
-        if rep_cols is None:
-            key_positions = key_indices
-        else:
-            positions = {col: pos for pos, col in enumerate(rep_cols)}
-            key_positions = [positions[i] for i in key_indices]
-        representatives = zip(*(to_list(column) for column in rep_columns)) if key_indices else [()]
-        for code, repr_values in enumerate(representatives):
-            key = tuple(repr_values[i] for i in key_positions)
-            groups[key] = state.seeded_accumulators(code, items_by_index)
-            group_reprs[key] = repr_values
-        return self._fold_grouped_rows(
-            node, child_schema, remaining, agg_items, groups, group_reprs, rep_cols
-        )
-
-    def _fold_grouped_rows(
-        self,
-        node: AggregateNode,
-        child_schema: Schema,
-        batches: Iterator[ColumnBatch],
-        agg_items: list,
-        groups: dict[tuple, dict[int, Any]] | None = None,
-        group_reprs: dict[tuple, tuple[Any, ...]] | None = None,
-        rep_cols: list[int] | None = None,
-    ) -> list[tuple[tuple, dict[int, Any], tuple | None]]:
-        group_fns = [_compile_or_defer(expr, child_schema) for expr in node.group_by]
-        agg_fns: dict[int, Any] = {}
-        for i, item in agg_items:
-            if item.expression is not None:
-                agg_fns[i] = _compile_or_defer(item.expression, child_schema)
-        if groups is None:
-            groups = {}
-        if group_reprs is None:
-            group_reprs = {}
-        for batch in batches:
-            for values in batch.value_rows():
-                key = tuple(fn(values) for fn in group_fns)
-                accumulators = groups.get(key)
-                if accumulators is None:
-                    accumulators = {
-                        i: make_aggregate(
-                            item.aggregate,
-                            count_star=(item.expression is None),
-                            distinct=item.distinct,
-                        )
-                        for i, item in agg_items
-                    }
-                    groups[key] = accumulators
-                    group_reprs[key] = (
-                        values
-                        if rep_cols is None
-                        else tuple(values[i] for i in rep_cols)
+            if new_first_rows.size:
+                for parts, index in zip(rep_parts, kept):
+                    parts.append(take(columns[index], new_first_rows))
+            if state is not None:
+                state.accumulate(codes, prepared, group_count)
+            if folds:
+                code_list = codes.tolist()
+                for i, (source, accumulators) in folds.items():
+                    accumulators.extend(
+                        _accumulator(items_by_index[i])
+                        for _ in range(group_count - len(accumulators))
                     )
-                for i, item in agg_items:
-                    value = 1 if item.expression is None else agg_fns[i](values)
-                    accumulators[i].add(value)
-        if not groups and not node.group_by:
-            groups[()] = {
-                i: make_aggregate(
-                    item.aggregate,
-                    count_star=(item.expression is None),
-                    distinct=item.distinct,
-                )
-                for i, item in agg_items
-            }
-            group_reprs[()] = None  # type: ignore[assignment]
-        return [(key, accs, group_reprs[key]) for key, accs in groups.items()]
+                    values = itertools.repeat(1) if source is None else to_list(values_of(source))
+                    for code, value in zip(code_list, values):
+                        accumulators[code].add(value)
+            peak = max(peak, n + group_count)
+        self._engine.record_groupby(path, peak)
+        agg_columns: dict[int, Sequence[Any]] = {} if state is None else state.results()
+        for i, (_source, accumulators) in folds.items():
+            agg_columns[i] = [accumulator.result() for accumulator in accumulators]
+        return group_count, agg_columns, [concat(parts) if parts else [] for parts in rep_parts]
 
     def _sort_stream(self, node: SortNode) -> tuple[Schema, Iterator[ColumnBatch]]:
         schema, batches = self.stream(node.child)
@@ -1602,28 +1520,29 @@ class _StreamingGroupAggregator:
             out[i] = NumericVector(totals, empty[col])
         return out
 
-    def seeded_accumulators(self, code: int, items_by_index: dict) -> dict[int, Any]:
-        """Row accumulators pre-loaded with one group's vectorized state
-        (the degrade handoff: consumed rows were folded in row order, so
-        this state is bit-for-bit what the row path would hold)."""
-        accumulators: dict[int, Any] = {}
+    def seeded_accumulators(self, items_by_index: dict) -> dict[int, list[Aggregate]]:
+        """Per item, row accumulators pre-loaded with each group's vector
+        state, in group-code order (the handoff: consumed rows were folded
+        in row order, so this state is bit-for-bit what the row
+        accumulators would hold)."""
+        size = self._size
+        seeded: dict[int, list[Aggregate]] = {}
         for i, name, col in self._plan:
-            item = items_by_index[i]
-            accumulator = make_aggregate(
-                item.aggregate,
-                count_star=(item.expression is None),
-                distinct=item.distinct,
-            )
             arrays = self._columns[col]
-            rows = int(arrays["rows"][code])
+            rows = arrays["rows"][:size].tolist()
             if name in ("count_star", "count"):
-                accumulator.load(rows)
+                states = [(count,) for count in rows]
             elif name == "avg":
-                accumulator.load(float(arrays["fsum"][code]), rows)
-            elif rows:
-                accumulator.load(self._totals(name, col)[code].item())
-            accumulators[i] = accumulator
-        return accumulators
+                states = list(zip(arrays["fsum"][:size].tolist(), rows))
+            else:
+                # An empty group's accumulator keeps its None.
+                totals = self._totals(name, col)[:size].tolist()
+                states = [(total,) if count else () for total, count in zip(totals, rows)]
+            seeded[i] = [_accumulator(items_by_index[i]) for _ in states]
+            for accumulator, state in zip(seeded[i], states):
+                if state:
+                    accumulator.load(*state)
+        return seeded
 
     def _totals(self, name: str, col: int) -> np.ndarray:
         """The per-group array a SUM, MIN or MAX over ``col`` reads."""

@@ -209,15 +209,17 @@ def test_joins_with_residual_conjuncts(t_rows, d_rows, residual, kind, anti):
 
 
 @settings(max_examples=100, deadline=None)
-@given(rows=_T_ROWS, key=st.sampled_from(["v", "s", "f"]), floor=st.integers(0, 2),
+@given(rows=_T_ROWS, key=st.sampled_from(["v", "s", "f", "v + 1"]), floor=st.integers(0, 2),
        predicate=st.one_of(st.none(), _PREDICATES))
 def test_group_by_having(rows, key, floor, predicate):
     engine, lite = _pair(rows)
+    engine._batch_executor._batch_rows = 3
     where = "" if predicate is None else f" WHERE {predicate}"
     assert_agrees(
         engine, lite,
-        f"SELECT {key}, count(*) AS n, count(f) AS nf, sum(v) AS sv, min(f) AS lo, "
-        f"max(s) AS hi FROM t{where} GROUP BY {key} HAVING count(*) > {floor}",
+        f"SELECT {key} AS k, count(*) AS n, count(f) AS nf, sum(v) AS sv, min(f) AS lo, "
+        f"max(s) AS hi, count(DISTINCT s) AS ds FROM t{where} GROUP BY {key} "
+        f"HAVING count(*) > {floor}",
     )
 
 

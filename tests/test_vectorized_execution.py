@@ -1071,10 +1071,33 @@ _AGGREGATES = (
 )
 
 
+#: The shapes of grouping the property draws: the SELECT items before the
+#: aggregates, and the GROUP BY.
+_GROUPINGS = [
+    ("", ""),
+    ("g, ", " GROUP BY g"),
+    # NaN keys, each its own group, before and after other keys.
+    ("f, ", " GROUP BY f"),
+    ("g + 1 AS k, ", " GROUP BY g + 1"),
+    # A global aggregate with a non-aggregate item reads the first row.
+    ("g, ", ""),
+]
+#: Aggregate lists the property draws: the vector fold's, and ones that
+#: fold per group code (DISTINCT, stddev, TEXT MIN/MAX, a computed argument).
+_AGGREGATE_LISTS = [
+    _AGGREGATES,
+    "count(DISTINCT f) AS df, sum(DISTINCT i) AS di",
+    "stddev(i) AS sd",
+    "min(s) AS ls, max(s) AS hs",
+    "sum(i * 2) AS s2",
+    "count(*) AS n, max(s) AS hs, max(f) AS hf",
+]
+
+
 def _aggregate_table(rows: list[tuple]) -> RelationalEngine:
     e = RelationalEngine("agg")
     e.parallelism = 1
-    e.execute("CREATE TABLE t (g INTEGER, f FLOAT, i INTEGER)")
+    e.execute("CREATE TABLE t (g INTEGER, f FLOAT, i INTEGER, s TEXT)")
     e.insert_rows("t", rows)
     return e
 
@@ -1088,31 +1111,79 @@ def _as_run(engine: RelationalEngine, sql: str, batch_rows: int) -> tuple:
 
 
 class TestAggregatePath:
-    """A global aggregate is the streaming group-by with one group."""
+    """Every aggregation is the streaming group-by; a global aggregate is the
+    one with one group."""
 
     @settings(max_examples=150, deadline=None)
     @given(
         rows=st.lists(
-            st.tuples(st.none() | st.integers(0, 2), _AGGREGATED_FLOATS, _AGGREGATED_INTS),
+            st.tuples(
+                st.none() | st.integers(0, 2),
+                _AGGREGATED_FLOATS,
+                _AGGREGATED_INTS,
+                st.none() | st.sampled_from(["a", "B", "b", ""]),
+            ),
             max_size=20,
         ),
-        grouped=st.booleans(),
+        grouping=st.sampled_from(_GROUPINGS),
+        aggregates=st.sampled_from(_AGGREGATE_LISTS),
     )
-    def test_aggregates_hold_at_every_batch_size(self, reference_execute, rows, grouped):
-        """Global and one-key COUNT/SUM/AVG/MIN/MAX over FLOATs holding NaN,
-        signed zeros and NULL, and INTEGER sums near the int64 limits: one
-        result at 1, 7 and the default rows per batch, the reference's."""
+    def test_aggregates_hold_at_every_batch_size(
+        self, reference_execute, rows, grouping, aggregates
+    ):
+        """Global and grouped COUNT/SUM/AVG/MIN/MAX over FLOATs holding NaN,
+        signed zeros and NULL, and INTEGER sums near the int64 limits, and
+        the aggregates and keys that fold per group code (DISTINCT, stddev,
+        TEXT MIN/MAX, a computed argument or key, a NaN key): one result at
+        1, 7 and the default rows per batch, the reference's."""
         e = _aggregate_table(rows)
-        sql = f"SELECT g, {_AGGREGATES} FROM t GROUP BY g" if grouped else f"SELECT {_AGGREGATES} FROM t"
+        items, group_by = grouping
+        sql = f"SELECT {items}{aggregates} FROM t{group_by}"
         runs = [_as_run(e, sql, batch_rows) for batch_rows in (1, 7, DEFAULT_BATCH_ROWS)]
         assert runs[0] == runs[1] == runs[2]
         expected = reference_execute(e, sql)
         assert runs[2] == (expected.schema, [repr(row.values) for row in expected.rows])
 
+    def test_a_handoff_keeps_every_group_in_first_appearance_order(self):
+        """TEXT MAX folds per group code from the first batch; the NaN in
+        the second batch hands FLOAT MAX, COUNT and SUM over to per-code
+        accumulators, and group 2 first appears in the third."""
+        e = _aggregate_table(
+            [
+                (3, 0.5, 1, "b"), (1, 1.5, 10, "a"),
+                (1, float("nan"), 100, "c"), (3, 2.5, 1000, "a"),
+                (2, 4.0, 10000, "d"), (3, 0.25, 100000, "z"),
+            ]
+        )
+        e._batch_executor._batch_rows = 2
+        result = e.execute(
+            "SELECT g, max(s) AS hs, max(f) AS hf, count(*) AS n, sum(i) AS si "
+            "FROM t GROUP BY g"
+        )
+        assert values_of(result) == [
+            (3, "z", 2.5, 3, 101001),
+            (1, "c", 1.5, 2, 110),
+            (2, "d", 4.0, 1, 10000),
+        ]
+        assert e.groupby_paths == {"stream_degraded": 1}
+
+    def test_a_sum_over_booleans_is_an_integer(self):
+        """SUM starts its total from the first value as an int, so a group
+        with one true row sums to 1, not True, on either fold."""
+        e = RelationalEngine("bools")
+        e.execute("CREATE TABLE t (b BOOLEAN, f FLOAT)")
+        e.insert_rows("t", [(True, 1.0)])
+        (total,) = values_of(e.execute("SELECT sum(DISTINCT b) AS s FROM t"))[0]
+        assert type(total) is int and total == 1
+        e.insert_rows("t", [(None, float("nan"))])
+        total, top = values_of(e.execute("SELECT sum(b) AS s, max(f) AS m FROM t"))[0]
+        assert type(total) is int and (total, top) == (1, 1.0)
+        assert e.groupby_paths == {"row": 1, "stream_degraded": 1}
+
     def test_a_nan_that_opens_a_later_batch_does_not_stop_max(self):
         """The row fold compares each value with the running MAX, so a NaN
         met after 0.0 changes nothing and 1.0 still wins."""
-        e = _aggregate_table([(0, 0.0, 1)] * 7 + [(0, float("nan"), 2**62), (0, 1.0, 1)])
+        e = _aggregate_table([(0, 0.0, 1, "a")] * 7 + [(0, float("nan"), 2**62, "a"), (0, 1.0, 1, "a")])
         for sql in ("SELECT max(f) AS hf FROM t", "SELECT g, max(f) AS hf FROM t GROUP BY g"):
             for batch_rows in (7, DEFAULT_BATCH_ROWS):
                 e._batch_executor._batch_rows = batch_rows
@@ -1121,7 +1192,7 @@ class TestAggregatePath:
     def test_a_degraded_global_aggregate_keeps_the_rows_it_consumed(self):
         """The second batch's NaN and 2**62 hand the fold to the row
         accumulators, seeded with the first batch's seven rows."""
-        e = _aggregate_table([(0, 0.0, 1)] * 7 + [(0, float("nan"), 2**62), (0, 1.0, 1)])
+        e = _aggregate_table([(0, 0.0, 1, "a")] * 7 + [(0, float("nan"), 2**62, "a"), (0, 1.0, 1, "a")])
         e._batch_executor._batch_rows = 7
         result = e.execute("SELECT max(f) AS hf, count(*) AS n, sum(i) AS si FROM t")
         assert values_of(result) == [(1.0, 9, 2**62 + 8)]
