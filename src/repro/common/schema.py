@@ -25,6 +25,12 @@ from repro.common.errors import SchemaError, TypeMismatchError
 from repro.common.types import DataType, coerce, common_type, parse_type
 
 
+def name_suffix(name: str) -> str:
+    """The last dotted segment of ``name``, lowercased: what a bare name and
+    a qualified one (``t.col``) must share to match."""
+    return name.lower().rpartition(".")[2]
+
+
 @dataclass(frozen=True)
 class Column:
     """A named, typed column.
@@ -54,17 +60,20 @@ class Column:
         return Column(name, self.dtype, self.nullable)
 
     def matches(self, name: str) -> bool:
-        """Case-insensitive name comparison, also matching a qualified suffix."""
-        own = self.name.lower()
-        other = name.lower()
-        if own == other:
-            return True
-        # Allow "t.col" to match "col" and vice versa.
-        return own.split(".")[-1] == other.split(".")[-1]
+        """Case-insensitive name comparison, also matching a qualified suffix:
+        ``t.col`` matches ``col`` and vice versa."""
+        return self.name.lower() == name.lower() or name_suffix(self.name) == name_suffix(name)
 
 
 class Schema:
-    """An ordered collection of :class:`Column` objects."""
+    """An ordered collection of :class:`Column` objects.
+
+    A schema never changes once built, so it keeps what name lookups need:
+    a map from each lowercase name to its position, and (built the first
+    time a name misses it) one from each :func:`name_suffix` to the
+    positions that share it, plus the qualified copies :meth:`prefixed`
+    has handed out.
+    """
 
     def __init__(self, columns: Sequence[Column | tuple[str, Any]]) -> None:
         normalized: list[Column] = []
@@ -79,7 +88,9 @@ class Schema:
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate column names in schema: {names}")
         self._columns = tuple(normalized)
-        self._index = {c.name.lower(): i for i, c in enumerate(self._columns)}
+        self._index = dict(zip(names, range(len(names))))
+        self._suffixes: dict[str, tuple[int, ...]] | None = None
+        self._prefixed: dict[str, Schema] | None = None
 
     @property
     def columns(self) -> tuple[Column, ...]:
@@ -111,16 +122,32 @@ class Schema:
         cols = ", ".join(f"{c.name}:{c.dtype}" for c in self._columns)
         return f"Schema({cols})"
 
+    def _positions(self, name: str) -> tuple[int, ...]:
+        """Where ``name`` resolves: the column named exactly that (case
+        aside), else every column whose suffix is the name's."""
+        exact = self._index.get(name.lower())
+        if exact is not None:
+            return (exact,)
+        if self._suffixes is None:
+            suffixes: dict[str, tuple[int, ...]] = {}
+            for i, column in enumerate(self._columns):
+                key = name_suffix(column.name)
+                suffixes[key] = suffixes.get(key, ()) + (i,)
+            self._suffixes = suffixes
+        return self._suffixes.get(name_suffix(name), ())
+
+    def find(self, name: str) -> int | None:
+        """The position ``name`` resolves to, or None when it names no
+        column or several."""
+        positions = self._positions(name)
+        return positions[0] if len(positions) == 1 else None
+
     def index_of(self, name: str) -> int:
         """Return the ordinal position of a column by (case-insensitive) name."""
-        key = name.lower()
-        if key in self._index:
-            return self._index[key]
-        # Fall back to suffix matching for qualified names.
-        matches = [i for i, c in enumerate(self._columns) if c.matches(name)]
-        if len(matches) == 1:
-            return matches[0]
-        if len(matches) > 1:
+        positions = self._positions(name)
+        if len(positions) == 1:
+            return positions[0]
+        if positions:
             raise SchemaError(f"ambiguous column reference: {name!r}")
         raise SchemaError(f"no such column: {name!r} in {self.names}")
 
@@ -128,11 +155,7 @@ class Schema:
         return self._columns[self.index_of(name)]
 
     def has_column(self, name: str) -> bool:
-        try:
-            self.index_of(name)
-            return True
-        except SchemaError:
-            return False
+        return self.find(name) is not None
 
     def project(self, names: Sequence[str]) -> "Schema":
         """Return a new schema with only the named columns, in the given order."""
@@ -149,8 +172,18 @@ class Schema:
         )
 
     def prefixed(self, prefix: str) -> "Schema":
-        """Return a schema whose columns are qualified as ``prefix.column``."""
-        return Schema([c.with_name(f"{prefix}.{c.name}") for c in self._columns])
+        """Return a schema whose columns are qualified as ``prefix.column``:
+        the same object for the same prefix while the memo, which starts
+        over past eight prefixes, holds it."""
+        memo = self._prefixed
+        if memo is None:
+            memo = self._prefixed = {}
+        schema = memo.get(prefix)
+        if schema is None:
+            if len(memo) >= 8:
+                memo.clear()
+            schema = memo[prefix] = Schema([c.with_name(f"{prefix}.{c.name}") for c in self._columns])
+        return schema
 
     def concat(self, other: "Schema") -> "Schema":
         """Concatenate two schemas (used by joins)."""

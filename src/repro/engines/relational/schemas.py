@@ -19,12 +19,16 @@ DUAL_SCHEMA = Schema([Column("__dual__", DataType.INTEGER)])
 
 
 def qualified_schema(schema: Schema, qualifier: str) -> Schema:
-    """Expose both bare and table-qualified column names via suffix matching."""
-    # Column.matches already supports "t.col" vs "col"; keep bare names but
-    # prefix them with the qualifier so self-joins stay unambiguous.
-    if any("." in n for n in schema.names):
+    """Expose both bare and table-qualified column names via suffix matching.
+
+    Bare names are prefixed with the qualifier, so self-joins stay
+    unambiguous and ``col`` still finds ``t.col``; the result is
+    :meth:`Schema.prefixed`'s, the same object on every scan.  A schema
+    that already holds a dotted name comes back as it is.
+    """
+    if any("." in column.name for column in schema):
         return schema
-    return Schema([Column(f"{qualifier}.{c.name}", c.dtype, c.nullable) for c in schema])
+    return schema.prefixed(qualifier)
 
 
 def split_join_condition(

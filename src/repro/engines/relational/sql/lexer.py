@@ -1,9 +1,10 @@
-"""Tokenizer for the SQL subset."""
+"""Tokenizer for the SQL subset: one compiled pattern, matched token by token."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from repro.common.errors import ParseError
 
@@ -35,140 +36,119 @@ KEYWORDS = {
 #: ``KEYWORDS`` means a column named ``right`` or ``full`` still parses.
 SOFT_KEYWORDS = {"right", "full"}
 
-_OPERATOR_CHARS = set("=<>!+-*/%")
-_TWO_CHAR_OPERATORS = {"<=", ">=", "!=", "<>", "=="}
+#: One token per match: the whitespace and ``--`` comments before it (never
+#: given back, so a token cannot start inside a comment), then the first
+#: alternative that fits.  A number is ASCII digits; a malformed one (an
+#: exponent with no digits, ``1e5.3``) is matched whole so it can be
+#: refused where it starts.  A word is an identifier chain: bare and/or
+#: double-quoted (``""`` escapes a quote) segments joined by dots, so
+#: keyword-named columns can be table-qualified (``t."left"``,
+#: ``"t"."order"``); an unterminated quoted segment runs to the end of the
+#: text.  A string that does not close is ``unterminated``.
+_QUOTED = r'"[^"]*(?:""[^"]*)*(?:"(?!")|\Z)'
+_MANTISSA = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+_TOKEN = re.compile(
+    rf"""
+    (?>(?:\s|--[^\n]*)*)
+    (?:
+        (?P<word>(?:[^\W0-9]\w*|{_QUOTED})(?:\.(?:\w+|{_QUOTED}))*\.?)
+      | (?P<punctuation>[(),;])
+      | (?P<operator><=|>=|!=|<>|==|[=<>!+\-*/%])
+      | (?P<malformed>{_MANTISSA}[eE](?![+-]?[0-9])|[0-9]+[eE][+-]?[0-9]+\.)
+      | (?P<number>{_MANTISSA}(?:[eE][+-]?[0-9]+)?)
+      | (?P<string>'[^']*(?:''[^']*)*'(?!'))
+      | (?P<unterminated>')
+      | (?P<end>\Z)
+      | (?P<unexpected>.)
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+#: The pieces of a word that holds a quoted segment: a bare run (dots
+#: included), or a quoted segment's text and its closing quote ('' when the
+#: text ended first).
+_WORD_PIECE = re.compile(r'([^"]+)|"([^"]*(?:""[^"]*)*)("(?!")|\Z)')
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     value: str
     position: int
     #: True when any part of an identifier was double-quoted; quoting forces
     #: identifier treatment, so the parser must never reinterpret a quoted
     #: ``"right"``/``"full"`` as a soft join keyword.
-    quoted: bool = False
+    quoted: bool
+    #: What the parser compares with a keyword: a word's ``value``
+    #: lowercased, every other token's ``value`` as it is.
+    low: str
 
-    def matches(self, token_type: TokenType, value: str | None = None) -> bool:
-        if self.type is not token_type:
-            return False
-        if value is None:
-            return True
-        return self.value.lower() == value.lower()
+
+#: Builds a :class:`Token` from its field tuple, skipping NamedTuple's
+#: Python-level ``__new__``.
+_new = tuple.__new__
+_KEYWORD = TokenType.KEYWORD
+_IDENTIFIER = TokenType.IDENTIFIER
+_SIMPLE = {
+    "punctuation": TokenType.PUNCTUATION,
+    # '*' is both multiplication and the star selector; the parser decides.
+    "operator": TokenType.OPERATOR,
+    "number": TokenType.NUMBER,
+}
+
+
+def _quoted_word(word: str, position: int) -> str:
+    """The identifier a word holding a double-quoted segment names."""
+    pieces: list[str] = []
+    for bare, quoted, closing in _WORD_PIECE.findall(word):
+        if bare:
+            pieces.append(bare)
+        elif not closing:
+            raise ParseError("unterminated quoted identifier", position)
+        elif not quoted:
+            raise ParseError("empty quoted identifier", position)
+        else:
+            pieces.append(quoted.replace('""', '"'))
+    return "".join(pieces)
 
 
 def tokenize(text: str) -> list[Token]:
     """Split SQL text into tokens, raising :class:`ParseError` on bad input."""
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1] == "-":
-            # Line comment.
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            start = i
-            seen_dot = False
-            seen_exp = False
-            while i < n and (
-                text[i].isdigit()
-                or (text[i] == "." and not seen_dot)
-                or (text[i] in "eE" and not seen_exp)
-                or (text[i] in "+-" and i > start and text[i - 1] in "eE")
-            ):
-                if text[i] == ".":
-                    seen_dot = True
-                if text[i] in "eE":
-                    seen_exp = True
-                i += 1
-            tokens.append(Token(TokenType.NUMBER, text[start:i], start))
-            continue
-        if ch == "'":
-            start = i
-            i += 1
-            parts: list[str] = []
-            while i < n:
-                if text[i] == "'":
-                    if i + 1 < n and text[i + 1] == "'":
-                        parts.append("'")
-                        i += 2
-                        continue
-                    break
-                parts.append(text[i])
-                i += 1
-            if i >= n:
-                raise ParseError("unterminated string literal", start)
-            i += 1
-            tokens.append(Token(TokenType.STRING, "".join(parts), start))
-            continue
-        if ch.isalpha() or ch == "_" or ch == '"':
-            # An identifier chain: bare and/or double-quoted ("" escapes a
-            # quote) segments joined by dots, so keyword-named columns can be
-            # table-qualified (t."left", "t"."order").  Quoting any segment
-            # forces identifier treatment, so even hard keywords work as
-            # column names.
-            start = i
-            quoted = False
-            pieces: list[str] = []
-            while i < n:
-                if text[i] == '"':
-                    quoted = True
-                    i += 1
-                    segment: list[str] = []
-                    while i < n:
-                        if text[i] == '"':
-                            if i + 1 < n and text[i + 1] == '"':
-                                segment.append('"')
-                                i += 2
-                                continue
-                            break
-                        segment.append(text[i])
-                        i += 1
-                    if i >= n:
-                        raise ParseError("unterminated quoted identifier", start)
-                    i += 1
-                    if not segment:
-                        raise ParseError("empty quoted identifier", start)
-                    pieces.append("".join(segment))
+    append = tokens.append
+    match = _TOKEN.match
+    end = 0
+    while True:
+        m = match(text, end)
+        kind = m.lastgroup
+        value = m.group(kind)
+        end = m.end()
+        pos = end - len(value)
+        if kind == "word":
+            first = value[0]
+            # The pattern's first character also admits numerals that are
+            # not letters (``²``); a bare word starts with a letter or ``_``.
+            if not (first.isalpha() or first == "_" or first == '"'):
+                raise ParseError(f"unexpected character {first!r}", pos)
+            if '"' in value:
+                word = _quoted_word(value, pos)
+                append(_new(Token, (_IDENTIFIER, word, pos, True, word.lower())))
+            else:
+                low = value.lower()
+                if low in KEYWORDS:
+                    append(_new(Token, (_KEYWORD, low, pos, False, low)))
                 else:
-                    seg_start = i
-                    while i < n and (text[i].isalnum() or text[i] == "_"):
-                        i += 1
-                    pieces.append(text[seg_start:i])
-                if i < n and text[i] == ".":
-                    pieces.append(".")
-                    i += 1
-                    if i < n and (text[i].isalnum() or text[i] in '_"'):
-                        continue
-                break
-            word = "".join(pieces)
-            if not quoted and word.lower() in KEYWORDS and "." not in word:
-                tokens.append(Token(TokenType.KEYWORD, word.lower(), start))
-            else:
-                tokens.append(Token(TokenType.IDENTIFIER, word, start, quoted))
-            continue
-        if ch in _OPERATOR_CHARS:
-            if i + 1 < n and text[i : i + 2] in _TWO_CHAR_OPERATORS:
-                tokens.append(Token(TokenType.OPERATOR, text[i : i + 2], i))
-                i += 2
-            else:
-                tokens.append(Token(TokenType.OPERATOR, ch, i))
-                i += 1
-            continue
-        if ch in "(),;*":
-            token_type = TokenType.PUNCTUATION
-            if ch == "*":
-                # '*' is both multiplication and the star selector; the parser decides.
-                token_type = TokenType.OPERATOR
-            tokens.append(Token(token_type, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(Token(TokenType.EOF, "", n))
-    return tokens
+                    append(_new(Token, (_IDENTIFIER, value, pos, False, low)))
+        elif kind in _SIMPLE:
+            append(_new(Token, (_SIMPLE[kind], value, pos, False, value)))
+        elif kind == "string":
+            body = value[1:-1].replace("''", "'")
+            append(_new(Token, (TokenType.STRING, body, pos, False, body)))
+        elif kind == "end":
+            append(_new(Token, (TokenType.EOF, "", pos, False, "")))
+            return tokens
+        elif kind == "malformed":
+            raise ParseError(f"malformed number {value!r}", pos)
+        elif kind == "unterminated":
+            raise ParseError("unterminated string literal", pos)
+        else:
+            raise ParseError(f"unexpected character {value!r}", pos)

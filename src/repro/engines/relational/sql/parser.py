@@ -9,6 +9,8 @@ aggregates, ``CASE`` expressions, ``IN`` lists, ``BETWEEN``, ``LIKE`` and
 
 from __future__ import annotations
 
+from typing import Callable, TypeVar
+
 from repro.common.errors import ParseError
 from repro.common.expressions import (
     BinaryOp,
@@ -46,6 +48,15 @@ from repro.engines.relational.sql.lexer import (
 )
 
 _AGGREGATES = {"count", "sum", "avg", "min", "max", "stddev"}
+#: How tightly each binary operator binds: OR 1, AND 2, the comparisons
+#: (NOT opens ``NOT LIKE/IN/BETWEEN``) 3, ``+ -`` 4 and ``* / %`` 5.
+_LEVELS = {
+    "or": 1, "and": 2,
+    **dict.fromkeys(("=", "==", "!=", "<>", "<", "<=", ">", ">="), 3),
+    **dict.fromkeys(("like", "not", "in", "between", "is"), 3),
+    "+": 4, "-": 4, "*": 5, "/": 5, "%": 5,
+}
+_T = TypeVar("_T")
 
 
 class _Parser:
@@ -54,60 +65,72 @@ class _Parser:
         self._pos = 0
 
     # ------------------------------------------------------------- primitives
-    @property
-    def current(self) -> Token:
-        return self._tokens[self._pos]
-
     def advance(self) -> Token:
-        token = self.current
+        token = self._tokens[self._pos]
         self._pos += 1
         return token
 
     def check(self, token_type: TokenType, value: str | None = None) -> bool:
-        return self.current.matches(token_type, value)
+        token = self._tokens[self._pos]
+        return token.type is token_type and (value is None or token.low == value)
 
     def accept(self, token_type: TokenType, value: str | None = None) -> Token | None:
-        if self.check(token_type, value):
-            return self.advance()
+        token = self._tokens[self._pos]
+        if token.type is token_type and (value is None or token.low == value):
+            self._pos += 1
+            return token
         return None
 
     def expect(self, token_type: TokenType, value: str | None = None) -> Token:
-        if not self.check(token_type, value):
+        token = self._tokens[self._pos]
+        if token.type is not token_type or (value is not None and token.low != value):
             raise ParseError(
-                f"expected {value or token_type.value!s} but found {self.current.value!r}",
-                self.current.position,
+                f"expected {value or token_type.value!s} but found {token.value!r}",
+                token.position,
             )
-        return self.advance()
+        self._pos += 1
+        return token
+
+    def expect_end(self) -> None:
+        token = self._tokens[self._pos]
+        if token.type is not TokenType.EOF:
+            raise ParseError(f"unexpected trailing input: {token.value!r}", token.position)
+
+    def _identifier(self) -> str:
+        return self.expect(TokenType.IDENTIFIER).value
+
+    def _comma_list(self, parse_one: Callable[[], _T]) -> list[_T]:
+        """One or more ``parse_one`` items separated by commas."""
+        items = [parse_one()]
+        while self.accept(TokenType.PUNCTUATION, ","):
+            items.append(parse_one())
+        return items
+
+    def _parenthesized(self, parse_one: Callable[[], _T]) -> list[_T]:
+        """A parenthesized :meth:`_comma_list`."""
+        self.expect(TokenType.PUNCTUATION, "(")
+        items = self._comma_list(parse_one)
+        self.expect(TokenType.PUNCTUATION, ")")
+        return items
 
     def _peek(self, offset: int = 1) -> Token:
         index = min(self._pos + offset, len(self._tokens) - 1)
         return self._tokens[index]
 
-    def _starts_soft_join(self, word: str | None = None) -> bool:
-        """Whether the current token is a soft keyword (``word``, or any
-        member of :data:`~repro.engines.relational.sql.lexer.SOFT_KEYWORDS`
-        when ``word`` is None) opening a join clause.  Soft keywords lex as
-        identifiers, so the decision needs one token of lookahead: only
+    def _starts_soft_join(self) -> bool:
+        """Whether the current token is a soft keyword (a member of
+        :data:`~repro.engines.relational.sql.lexer.SOFT_KEYWORDS`) opening
+        a join clause.  Soft keywords lex as identifiers, so the decision
+        needs one token of lookahead: only
         ``right/full`` directly followed by ``JOIN`` or ``OUTER`` is a join;
         anywhere else — or when the user double-quoted the word, which
         forces identifier treatment — it is an ordinary identifier (a
         column name, an alias, ...)."""
-        token = self.current
-        if token.type is not TokenType.IDENTIFIER or token.quoted:
-            return False
-        value = token.value.lower()
-        if value not in SOFT_KEYWORDS or (word is not None and value != word):
+        token = self._tokens[self._pos]
+        if token.type is not TokenType.IDENTIFIER or token.quoted or token.low not in SOFT_KEYWORDS:
             return False
         upcoming = self._peek()
-        return upcoming.matches(TokenType.KEYWORD, "join") or upcoming.matches(
-            TokenType.KEYWORD, "outer"
-        )
-
-    def _accept_soft_join_keyword(self, word: str) -> bool:
-        if self._starts_soft_join(word):
-            self.advance()
-            return True
-        return False
+        return upcoming.type is TokenType.KEYWORD and upcoming.value in ("join", "outer")
 
     # -------------------------------------------------------------- statements
     def parse_statement(self) -> Statement:
@@ -123,18 +146,19 @@ class _Parser:
             return self.parse_create()
         if self.check(TokenType.KEYWORD, "drop"):
             return self.parse_drop()
-        raise ParseError(f"unexpected statement start: {self.current.value!r}", self.current.position)
+        token = self._tokens[self._pos]
+        raise ParseError(f"unexpected statement start: {token.value!r}", token.position)
 
     def parse_create(self) -> Statement:
         self.expect(TokenType.KEYWORD, "create")
         unique = bool(self.accept(TokenType.KEYWORD, "unique"))
         if self.accept(TokenType.KEYWORD, "table"):
             if unique:
-                raise ParseError("UNIQUE is not valid before TABLE", self.current.position)
+                raise ParseError("UNIQUE is not valid before TABLE", self._tokens[self._pos].position)
             return self._parse_create_table()
         if self.accept(TokenType.KEYWORD, "index"):
             return self._parse_create_index(unique)
-        raise ParseError("expected TABLE or INDEX after CREATE", self.current.position)
+        raise ParseError("expected TABLE or INDEX after CREATE", self._tokens[self._pos].position)
 
     def _parse_create_table(self) -> CreateTableStatement:
         if_not_exists = False
@@ -142,43 +166,33 @@ class _Parser:
             self.expect(TokenType.KEYWORD, "not")
             self.expect(TokenType.KEYWORD, "exists")
             if_not_exists = True
-        table = self.expect(TokenType.IDENTIFIER).value
-        self.expect(TokenType.PUNCTUATION, "(")
-        columns: list[ColumnDefinition] = []
-        while True:
-            name = self.expect(TokenType.IDENTIFIER).value
-            type_token = self.advance()
-            dtype = parse_type(type_token.value)
-            nullable = True
-            primary_key = False
-            while True:
-                if self.accept(TokenType.KEYWORD, "not"):
-                    self.expect(TokenType.KEYWORD, "null")
-                    nullable = False
-                elif self.accept(TokenType.KEYWORD, "primary"):
-                    self.expect(TokenType.KEYWORD, "key")
-                    primary_key = True
-                    nullable = False
-                elif self.accept(TokenType.KEYWORD, "null"):
-                    nullable = True
-                else:
-                    break
-            columns.append(ColumnDefinition(name, dtype, nullable, primary_key))
-            if not self.accept(TokenType.PUNCTUATION, ","):
-                break
-        self.expect(TokenType.PUNCTUATION, ")")
+        table = self._identifier()
+        columns = self._parenthesized(self._parse_column_definition)
         return CreateTableStatement(table, columns, if_not_exists)
 
+    def _parse_column_definition(self) -> ColumnDefinition:
+        name = self._identifier()
+        dtype = parse_type(self.advance().value)
+        nullable = True
+        primary_key = False
+        while True:
+            if self.accept(TokenType.KEYWORD, "not"):
+                self.expect(TokenType.KEYWORD, "null")
+                nullable = False
+            elif self.accept(TokenType.KEYWORD, "primary"):
+                self.expect(TokenType.KEYWORD, "key")
+                primary_key = True
+                nullable = False
+            elif self.accept(TokenType.KEYWORD, "null"):
+                nullable = True
+            else:
+                return ColumnDefinition(name, dtype, nullable, primary_key)
+
     def _parse_create_index(self, unique: bool) -> CreateIndexStatement:
-        index = self.expect(TokenType.IDENTIFIER).value
+        index = self._identifier()
         self.expect(TokenType.KEYWORD, "on")
-        table = self.expect(TokenType.IDENTIFIER).value
-        self.expect(TokenType.PUNCTUATION, "(")
-        columns = [self.expect(TokenType.IDENTIFIER).value]
-        while self.accept(TokenType.PUNCTUATION, ","):
-            columns.append(self.expect(TokenType.IDENTIFIER).value)
-        self.expect(TokenType.PUNCTUATION, ")")
-        return CreateIndexStatement(index, table, columns, unique)
+        table = self._identifier()
+        return CreateIndexStatement(index, table, self._parenthesized(self._identifier), unique)
 
     def parse_drop(self) -> DropTableStatement:
         self.expect(TokenType.KEYWORD, "drop")
@@ -187,52 +201,39 @@ class _Parser:
         if self.accept(TokenType.KEYWORD, "if"):
             self.expect(TokenType.KEYWORD, "exists")
             if_exists = True
-        table = self.expect(TokenType.IDENTIFIER).value
+        table = self._identifier()
         return DropTableStatement(table, if_exists)
 
     def parse_insert(self) -> InsertStatement:
         self.expect(TokenType.KEYWORD, "insert")
         self.expect(TokenType.KEYWORD, "into")
-        table = self.expect(TokenType.IDENTIFIER).value
+        table = self._identifier()
         columns: list[str] = []
-        if self.accept(TokenType.PUNCTUATION, "("):
-            columns.append(self.expect(TokenType.IDENTIFIER).value)
-            while self.accept(TokenType.PUNCTUATION, ","):
-                columns.append(self.expect(TokenType.IDENTIFIER).value)
-            self.expect(TokenType.PUNCTUATION, ")")
+        if self.check(TokenType.PUNCTUATION, "("):
+            columns = self._parenthesized(self._identifier)
         self.expect(TokenType.KEYWORD, "values")
-        rows: list[list[Expression]] = []
-        while True:
-            self.expect(TokenType.PUNCTUATION, "(")
-            row = [self.parse_expression()]
-            while self.accept(TokenType.PUNCTUATION, ","):
-                row.append(self.parse_expression())
-            self.expect(TokenType.PUNCTUATION, ")")
-            rows.append(row)
-            if not self.accept(TokenType.PUNCTUATION, ","):
-                break
+        rows = self._comma_list(lambda: self._parenthesized(self.parse_expression))
         return InsertStatement(table, columns, rows)
 
     def parse_update(self) -> UpdateStatement:
         self.expect(TokenType.KEYWORD, "update")
-        table = self.expect(TokenType.IDENTIFIER).value
+        table = self._identifier()
         self.expect(TokenType.KEYWORD, "set")
-        assignments: dict[str, Expression] = {}
-        while True:
-            column = self.expect(TokenType.IDENTIFIER).value
-            self.expect(TokenType.OPERATOR, "=")
-            assignments[column] = self.parse_expression()
-            if not self.accept(TokenType.PUNCTUATION, ","):
-                break
+        assignments = dict(self._comma_list(self._parse_assignment))
         where = None
         if self.accept(TokenType.KEYWORD, "where"):
             where = self.parse_expression()
         return UpdateStatement(table, assignments, where)
 
+    def _parse_assignment(self) -> tuple[str, Expression]:
+        column = self._identifier()
+        self.expect(TokenType.OPERATOR, "=")
+        return column, self.parse_expression()
+
     def parse_delete(self) -> DeleteStatement:
         self.expect(TokenType.KEYWORD, "delete")
         self.expect(TokenType.KEYWORD, "from")
-        table = self.expect(TokenType.IDENTIFIER).value
+        table = self._identifier()
         where = None
         if self.accept(TokenType.KEYWORD, "where"):
             where = self.parse_expression()
@@ -244,32 +245,20 @@ class _Parser:
         statement = SelectStatement()
         if self.accept(TokenType.KEYWORD, "distinct"):
             statement.distinct = True
-        statement.items.append(self._parse_select_item())
-        while self.accept(TokenType.PUNCTUATION, ","):
-            statement.items.append(self._parse_select_item())
+        statement.items = self._comma_list(self._parse_select_item)
         if self.accept(TokenType.KEYWORD, "from"):
             statement.from_table = self._parse_table_ref()
             while True:
-                join_type = None
                 if self.accept(TokenType.KEYWORD, "join") or self.accept(TokenType.KEYWORD, "inner"):
-                    if self.check(TokenType.KEYWORD, "join"):
-                        self.advance()
+                    self.accept(TokenType.KEYWORD, "join")
                     join_type = "inner"
-                elif self.accept(TokenType.KEYWORD, "left"):
-                    self.accept(TokenType.KEYWORD, "outer")
-                    self.expect(TokenType.KEYWORD, "join")
-                    join_type = "left"
-                elif self._accept_soft_join_keyword("right"):
-                    self.accept(TokenType.KEYWORD, "outer")
-                    self.expect(TokenType.KEYWORD, "join")
-                    join_type = "right"
-                elif self._accept_soft_join_keyword("full"):
-                    self.accept(TokenType.KEYWORD, "outer")
-                    self.expect(TokenType.KEYWORD, "join")
-                    join_type = "full"
                 elif self.accept(TokenType.KEYWORD, "cross"):
                     self.expect(TokenType.KEYWORD, "join")
                     join_type = "cross"
+                elif self.check(TokenType.KEYWORD, "left") or self._starts_soft_join():
+                    join_type = self.advance().low  # left, right or full
+                    self.accept(TokenType.KEYWORD, "outer")
+                    self.expect(TokenType.KEYWORD, "join")
                 else:
                     break
                 table = self._parse_table_ref()
@@ -282,21 +271,24 @@ class _Parser:
             statement.where = self.parse_expression()
         if self.accept(TokenType.KEYWORD, "group"):
             self.expect(TokenType.KEYWORD, "by")
-            statement.group_by.append(self.parse_expression())
-            while self.accept(TokenType.PUNCTUATION, ","):
-                statement.group_by.append(self.parse_expression())
+            statement.group_by = self._comma_list(self.parse_expression)
         if self.accept(TokenType.KEYWORD, "having"):
             statement.having = self.parse_expression()
         if self.accept(TokenType.KEYWORD, "order"):
             self.expect(TokenType.KEYWORD, "by")
-            statement.order_by.append(self._parse_order_item())
-            while self.accept(TokenType.PUNCTUATION, ","):
-                statement.order_by.append(self._parse_order_item())
+            statement.order_by = self._comma_list(self._parse_order_item)
         if self.accept(TokenType.KEYWORD, "limit"):
-            statement.limit = int(self.expect(TokenType.NUMBER).value)
+            statement.limit = self._parse_count()
         if self.accept(TokenType.KEYWORD, "offset"):
-            statement.offset = int(self.expect(TokenType.NUMBER).value)
+            statement.offset = self._parse_count()
         return statement
+
+    def _parse_count(self) -> int:
+        """A LIMIT or OFFSET count: an integer literal."""
+        token = self.expect(TokenType.NUMBER)
+        if not token.value.isdigit():
+            raise ParseError(f"expected an integer but found {token.value!r}", token.position)
+        return int(token.value)
 
     def _parse_table_ref(self) -> TableRef:
         if self.accept(TokenType.PUNCTUATION, "("):
@@ -312,10 +304,10 @@ class _Parser:
             ):
                 alias = self.advance().value
             return TableRef(subquery=subquery, alias=alias)
-        name = self.expect(TokenType.IDENTIFIER).value
+        name = self._identifier()
         alias = None
         if self.accept(TokenType.KEYWORD, "as"):
-            alias = self.expect(TokenType.IDENTIFIER).value
+            alias = self._identifier()
         elif self.check(TokenType.IDENTIFIER) and not self._starts_soft_join(
             # "FROM a RIGHT JOIN b": the soft keyword opens a join clause,
             # it is not an implicit alias (write "a AS right" to alias).
@@ -337,7 +329,8 @@ class _Parser:
             self.advance()
             return SelectItem(star=True)
         # Aggregate functions.
-        if self.current.type is TokenType.KEYWORD and self.current.value in _AGGREGATES:
+        token = self._tokens[self._pos]
+        if token.type is TokenType.KEYWORD and token.value in _AGGREGATES:
             aggregate = self.advance().value
             self.expect(TokenType.PUNCTUATION, "(")
             distinct = bool(self.accept(TokenType.KEYWORD, "distinct"))
@@ -355,66 +348,72 @@ class _Parser:
 
     def _parse_alias(self) -> str | None:
         if self.accept(TokenType.KEYWORD, "as"):
-            return self.expect(TokenType.IDENTIFIER).value
+            return self._identifier()
         if self.check(TokenType.IDENTIFIER):
             return self.advance().value
         return None
 
     # -------------------------------------------------------------- expressions
-    def parse_expression(self) -> Expression:
-        return self._parse_or()
+    def parse_expression(self, level: int = 1) -> Expression:
+        """An expression of operators that bind at ``level`` or tighter
+        (:data:`_LEVELS`; 6 is a unary minus or a primary).  Binary
+        operators associate to the left; a comparison takes no second one
+        and nothing but AND/OR after it, and a NOT prefix only AND/OR."""
+        token = self._tokens[self._pos]
+        ceiling = 5
+        if level <= 3 and token.type is TokenType.KEYWORD and token.value == "not":
+            self._pos += 1
+            left: Expression = UnaryOp("not", self.parse_expression(3))
+            ceiling = 2
+        elif token.type is TokenType.OPERATOR and token.value == "-":
+            self._pos += 1
+            left = UnaryOp("-", self.parse_expression(6))
+        else:
+            left = self._parse_primary()
+        while True:
+            token = self._tokens[self._pos]
+            if token.type is not TokenType.OPERATOR and token.type is not TokenType.KEYWORD:
+                return left
+            at = _LEVELS.get(token.value)
+            if at is None or not level <= at <= ceiling:
+                return left
+            if at == 3:
+                comparison = self._parse_comparison(left)
+                if comparison is None:
+                    return left
+                left = comparison
+                ceiling = 2
+            else:
+                self._pos += 1
+                left = BinaryOp(token.value, left, self.parse_expression(at + 1))
+                ceiling = at
 
-    def _parse_or(self) -> Expression:
-        left = self._parse_and()
-        while self.accept(TokenType.KEYWORD, "or"):
-            left = BinaryOp("or", left, self._parse_and())
-        return left
-
-    def _parse_and(self) -> Expression:
-        left = self._parse_not()
-        while self.accept(TokenType.KEYWORD, "and"):
-            left = BinaryOp("and", left, self._parse_not())
-        return left
-
-    def _parse_not(self) -> Expression:
-        if self.accept(TokenType.KEYWORD, "not"):
-            return UnaryOp("not", self._parse_not())
-        return self._parse_comparison()
-
-    def _parse_comparison(self) -> Expression:
-        left = self._parse_additive()
-        if self.check(TokenType.OPERATOR) and self.current.value in ("=", "==", "!=", "<>", "<", "<=", ">", ">="):
-            op = self.advance().value
-            return BinaryOp(op, left, self._parse_additive())
-        if self.accept(TokenType.KEYWORD, "like"):
-            return BinaryOp("like", left, self._parse_additive())
-        if self.check(TokenType.KEYWORD, "not"):
-            saved = self._pos
-            self.advance()
+    def _parse_comparison(self, left: Expression) -> Expression | None:
+        """The comparison the current token opens with ``left`` as its
+        operand, or None (nothing consumed) for a NOT that opens none."""
+        token = self.advance()
+        word = token.value
+        if token.type is TokenType.OPERATOR or word == "like":
+            return BinaryOp(word, left, self.parse_expression(4))
+        if word == "not":
             if self.accept(TokenType.KEYWORD, "like"):
-                return UnaryOp("not", BinaryOp("like", left, self._parse_additive()))
+                return UnaryOp("not", BinaryOp("like", left, self.parse_expression(4)))
             if self.accept(TokenType.KEYWORD, "in"):
                 return self._parse_in(left, negated=True)
             if self.accept(TokenType.KEYWORD, "between"):
                 return UnaryOp("not", self._parse_between(left))
-            self._pos = saved
-        if self.accept(TokenType.KEYWORD, "in"):
+            self._pos -= 1
+            return None
+        if word == "in":
             return self._parse_in(left, negated=False)
-        if self.accept(TokenType.KEYWORD, "between"):
+        if word == "between":
             return self._parse_between(left)
-        if self.accept(TokenType.KEYWORD, "is"):
-            negated = bool(self.accept(TokenType.KEYWORD, "not"))
-            self.expect(TokenType.KEYWORD, "null")
-            return IsNull(left, negated)
-        return left
+        negated = bool(self.accept(TokenType.KEYWORD, "not"))  # IS [NOT] NULL
+        self.expect(TokenType.KEYWORD, "null")
+        return IsNull(left, negated)
 
     def _parse_in(self, operand: Expression, negated: bool) -> Expression:
-        self.expect(TokenType.PUNCTUATION, "(")
-        values = [self._literal_value()]
-        while self.accept(TokenType.PUNCTUATION, ","):
-            values.append(self._literal_value())
-        self.expect(TokenType.PUNCTUATION, ")")
-        return InList(operand, tuple(values), negated)
+        return InList(operand, tuple(self._parenthesized(self._literal_value)), negated)
 
     def _literal_value(self):
         expr = self.parse_expression()
@@ -428,42 +427,20 @@ class _Parser:
             and not isinstance(expr.operand.value, bool)
         ):
             return -expr.operand.value
-        raise ParseError("IN list values must be literals", self.current.position)
+        raise ParseError("IN list values must be literals", self._tokens[self._pos].position)
 
     def _parse_between(self, operand: Expression) -> Expression:
-        low = self._parse_additive()
+        low = self.parse_expression(4)
         self.expect(TokenType.KEYWORD, "and")
-        high = self._parse_additive()
+        high = self.parse_expression(4)
         return BinaryOp("and", BinaryOp(">=", operand, low), BinaryOp("<=", operand, high))
 
-    def _parse_additive(self) -> Expression:
-        left = self._parse_multiplicative()
-        while self.check(TokenType.OPERATOR) and self.current.value in ("+", "-"):
-            op = self.advance().value
-            left = BinaryOp(op, left, self._parse_multiplicative())
-        return left
-
-    def _parse_multiplicative(self) -> Expression:
-        left = self._parse_unary()
-        while self.check(TokenType.OPERATOR) and self.current.value in ("*", "/", "%"):
-            op = self.advance().value
-            left = BinaryOp(op, left, self._parse_unary())
-        return left
-
-    def _parse_unary(self) -> Expression:
-        if self.check(TokenType.OPERATOR, "-"):
-            self.advance()
-            return UnaryOp("-", self._parse_unary())
-        return self._parse_primary()
-
     def _parse_primary(self) -> Expression:
-        token = self.current
+        token = self._tokens[self._pos]
         if token.type is TokenType.NUMBER:
             self.advance()
             text = token.value
-            if "." in text or "e" in text.lower():
-                return Literal(float(text))
-            return Literal(int(text))
+            return Literal(int(text) if text.isdigit() else float(text))
         if token.type is TokenType.STRING:
             self.advance()
             return Literal(token.value)
@@ -499,13 +476,11 @@ class _Parser:
             return expr
         if token.type is TokenType.IDENTIFIER:
             self.advance()
-            if self.check(TokenType.PUNCTUATION, "(") and token.value.lower() in scalar_function_names():
+            if self.check(TokenType.PUNCTUATION, "(") and token.low in scalar_function_names():
                 self.advance()
                 args: list[Expression] = []
                 if not self.check(TokenType.PUNCTUATION, ")"):
-                    args.append(self.parse_expression())
-                    while self.accept(TokenType.PUNCTUATION, ","):
-                        args.append(self.parse_expression())
+                    args = self._comma_list(self.parse_expression)
                 self.expect(TokenType.PUNCTUATION, ")")
                 return FunctionCall(token.value, tuple(args))
             return ColumnRef(token.value)
@@ -531,10 +506,7 @@ def parse_sql(text: str) -> Statement:
     tokens = tokenize(text.strip().rstrip(";"))
     parser = _Parser(tokens)
     statement = parser.parse_statement()
-    if not parser.check(TokenType.EOF):
-        raise ParseError(
-            f"unexpected trailing input: {parser.current.value!r}", parser.current.position
-        )
+    parser.expect_end()
     return statement
 
 
@@ -548,9 +520,6 @@ def parse_expression(text: str) -> Expression:
     tokens = tokenize(text.strip())
     parser = _Parser(tokens)
     expression = parser.parse_expression()
-    if not parser.check(TokenType.EOF):
-        raise ParseError(
-            f"unexpected trailing input: {parser.current.value!r}", parser.current.position
-        )
+    parser.expect_end()
     return expression
 

@@ -621,8 +621,13 @@ class BatchExecutor:
                 # A reference that does not resolve must fail where the row
                 # path fails it — on the first evaluated row — so read it all.
                 emitted = read
-        read_schema = Schema([full_schema.columns[i] for i in read])
-        schema = Schema([full_schema.columns[i] for i in emitted])
+        # A scan of every column keeps the table's qualified schema itself.
+        read_schema = full_schema if len(read) == len(full_schema) else Schema(
+            [full_schema.columns[i] for i in read]
+        )
+        schema = read_schema if len(emitted) == len(read) else Schema(
+            [full_schema.columns[i] for i in emitted]
+        )
         keep = [read.index(i) for i in emitted]
         predicate = (
             None if node.predicate is None else _PredicateRunner(node.predicate, read_schema)
@@ -928,21 +933,22 @@ class BatchExecutor:
         first = next(batches, None)
         first_values = first.row(0) if first is not None and len(first) else None
         columns: list[Column] = []
-        for item in node.items:
-            if item.star:
-                columns.extend(child_schema.columns)
-            else:
-                dtype = self._expression_type(item.expression, child_schema, first_values)
-                columns.append(Column(item.output_name, dtype))
-        schema = Schema(dedupe(columns))
         compiled: list[tuple[bool, Any]] = []  # (star, fn | column index)
         for item in node.items:
             if item.star:
+                columns.extend(child_schema.columns)
                 compiled.append((True, None))
-            elif isinstance(item.expression, ColumnRef) and child_schema.has_column(item.expression.name):
-                compiled.append((False, child_schema.index_of(item.expression.name)))
+                continue
+            expression = item.expression
+            index = child_schema.find(expression.name) if isinstance(expression, ColumnRef) else None
+            if index is None:
+                dtype = self._expression_type(expression, child_schema, first_values)
+                compiled.append((False, _compile_or_defer(expression, child_schema)))
             else:
-                compiled.append((False, _compile_or_defer(item.expression, child_schema)))
+                dtype = child_schema.columns[index].dtype
+                compiled.append((False, index))
+            columns.append(Column(item.output_name, dtype))
+        schema = Schema(dedupe(columns))
         all_batches = batches if first is None else itertools.chain([first], batches)
 
         def generate() -> Iterator[ColumnBatch]:
@@ -1039,10 +1045,10 @@ class BatchExecutor:
                     # The one group of a global aggregate over no rows has
                     # no representative row.
                     out_columns.append([None])
-                elif isinstance(item.expression, ColumnRef) and rep_schema.has_column(
-                    item.expression.name
-                ):
-                    out_columns.append(rep_columns[rep_schema.index_of(item.expression.name)])
+                elif isinstance(item.expression, ColumnRef) and (
+                    index := rep_schema.find(item.expression.name)
+                ) is not None:
+                    out_columns.append(rep_columns[index])
                 else:
                     if rep_rows is None:
                         rep_rows = list(ColumnBatch(rep_schema, rep_columns, count).value_rows())
@@ -1102,8 +1108,8 @@ class BatchExecutor:
         from: a bare column's index, None for ``*``, or else a row closure."""
         if expression is None:
             return None
-        if isinstance(expression, ColumnRef) and schema.has_column(expression.name):
-            return schema.index_of(expression.name)
+        if isinstance(expression, ColumnRef) and (index := schema.find(expression.name)) is not None:
+            return index
         return _compile_or_defer(expression, schema)
 
     @staticmethod
@@ -1301,8 +1307,8 @@ class BatchExecutor:
         """Mirror of the row executor's output-type inference, over batches."""
         if expression is None:
             return DataType.INTEGER
-        if isinstance(expression, ColumnRef) and child_schema.has_column(expression.name):
-            return child_schema.column(expression.name).dtype
+        if isinstance(expression, ColumnRef) and (index := child_schema.find(expression.name)) is not None:
+            return child_schema.columns[index].dtype
         if first_values is not None:
             try:
                 return infer_type(expression.compile(child_schema)(first_values))

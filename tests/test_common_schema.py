@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 from datetime import datetime, timezone
 
 import pytest
@@ -104,6 +106,101 @@ class TestSchema:
             patient_schema.validate_row([None, 60, "white", 1.0])
         with pytest.raises(SchemaError):
             patient_schema.validate_row([1, 2])
+
+
+def scan_lookup(schema: Schema, name: str) -> int:
+    """Column lookup restated as a scan: the exact name (case aside), else
+    every column whose last dotted segment is the name's; one match wins."""
+    exact = [i for i, c in enumerate(schema) if c.name.lower() == name.lower()]
+    matches = exact or [i for i, c in enumerate(schema)
+                        if c.name.lower().split(".")[-1] == name.lower().split(".")[-1]]
+    if len(matches) == 1:
+        return matches[0]
+    raise SchemaError(f"ambiguous column reference: {name!r}" if matches
+                      else f"no such column: {name!r} in {schema.names}")
+
+
+def _recase(draw, word: str) -> str:
+    flips = draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
+    return "".join(c.upper() if flip else c.lower() for c, flip in zip(word, flips))
+
+
+_SEGMENTS = st.sampled_from(["a", "b", "ab", "id", "t", "x1", "_"])
+
+
+@st.composite
+def lookup_cases(draw):
+    """A schema of bare, qualified and multiply-dotted names in mixed case,
+    and names to look up: its own (recased, requalified, unqualified) and
+    near misses (an extra or missing character, a trailing dot)."""
+    dotted = st.lists(_SEGMENTS, min_size=1, max_size=3).map(".".join)
+    names = draw(st.lists(dotted, min_size=1, max_size=6, unique_by=str.lower))
+    schema = Schema([(_recase(draw, n), "integer") for n in names])
+    lookups = []
+    for name in schema.names:
+        suffix = name.rpartition(".")[2]
+        qualifier = draw(_SEGMENTS)
+        lookups += [name, _recase(draw, name), suffix, f"{qualifier}.{suffix}",
+                    f"{qualifier}.{name}", name + "z", name[:-1] or "q", name + "."]
+    lookups += draw(st.lists(dotted.map(lambda n: _recase(draw, n)), max_size=4))
+    return schema, lookups
+
+
+@settings(max_examples=200, deadline=None)
+@given(lookup_cases())
+def test_column_lookup_equals_the_scan_rule(case):
+    schema, lookups = case
+    for name in lookups:
+        try:
+            expected = scan_lookup(schema, name)
+        except SchemaError as error:
+            with pytest.raises(SchemaError) as raised:
+                schema.index_of(name)
+            assert str(raised.value) == str(error)
+            assert not schema.has_column(name)
+            assert schema.find(name) is None
+            continue
+        assert schema.index_of(name) == expected
+        assert schema.has_column(name)
+        assert schema.find(name) == expected
+        assert schema.column(name) is schema.columns[expected]
+        assert schema.columns[expected].matches(name)
+
+
+def test_lookup_maps_and_prefix_memo_hold_under_threads():
+    """Eight threads share fresh schemas: each builds the suffix map on its
+    first miss and cycles through more prefixes than the memo keeps, with a
+    10 us switch interval.  Every lookup and every prefixed schema stays
+    right, and no thread fails."""
+    names = [f"t{i}.c{i % 5}" for i in range(10)] + ["x", "y.z"]
+    expected = {"x": 10, "z": 11, "y.z": 11, "T3.C3": 3, "c3": None, "q.c3": None}
+    failures: list[BaseException] = []
+    switch = sys.getswitchinterval()
+
+    def work(schema: Schema) -> None:
+        try:
+            for round_ in range(200):
+                for name, position in expected.items():
+                    assert schema.find(name) == position
+                    assert schema.has_column(name) == (position is not None)
+                prefix = f"p{round_ % 11}"
+                assert schema.prefixed(prefix).names[10] == f"{prefix}.x"
+        except BaseException as error:  # noqa: BLE001 - reported below
+            failures.append(error)
+
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(5):
+            schema = Schema([(name, "integer") for name in names])
+            threads = [threading.Thread(target=work, args=(schema,)) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    assert failures == []
 
 
 class TestRow:

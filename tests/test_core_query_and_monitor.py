@@ -1,4 +1,14 @@
-"""Tests for the SCOPE/CAST language, the cross-island planner, the monitor and semantics."""
+"""Tests for the SCOPE/CAST language, the cross-island planner, the monitor and semantics.
+
+The scoped-query tests fail if a WITH binding is renamed anywhere but in a
+table reference: a column, alias or qualifier spelled like a binding must
+stay as written, a binding's name must not leak its per-execution temporary
+into result columns, and a property test draws binding names from the
+queried columns and aliases.  The runtime's WITH and temporary-scoping tests
+(``test_runtime.py -k "with or binding or temporar"``) go with them.  CI
+runs the tier-1 suite under ``python -X dev``, so the debug allocator and
+warnings are on for these tests too.
+"""
 
 from __future__ import annotations
 

@@ -3,7 +3,14 @@ engine kind: ``export_schema`` reads no rows, every chunk has that schema and
 all but the last hold exactly ``chunk_size`` rows, a non-positive
 ``chunk_size`` raises at the call, an empty object yields no chunk,
 ``import_chunks`` replaces unless ``replace=False``, and an export (an
-empty one too) imports back as the same object."""
+empty one too) imports back as the same object.
+
+These fail if any of the six engines breaks the contract stated in
+``src/repro/engines/base.py``, including that a rename re-keys the object.
+``test_cast_chunked.py``, which drives CAST over the same path, goes with
+them.  CI runs the tier-1 suite under ``python -X dev``, so the debug
+allocator and warnings are on for these tests too.
+"""
 
 from __future__ import annotations
 

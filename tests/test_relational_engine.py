@@ -25,8 +25,10 @@ from repro.common.schema import Schema
 from repro.common.vectors import DictVector, NumericVector, to_list
 from repro.engines.base import EngineCapability
 from repro.engines.relational import BTreeIndex, HeapTable, RelationalEngine
+from repro.engines.relational.schemas import qualified_schema
 from repro.engines.relational.sql.ast import SelectStatement
-from repro.engines.relational.sql.parser import parse_sql
+from repro.engines.relational.sql.lexer import tokenize
+from repro.engines.relational.sql.parser import parse_expression, parse_sql
 
 
 # --------------------------------------------------------------------------- B-tree
@@ -524,6 +526,192 @@ class TestSqlParser:
             parse_sql("SELECT 'unterminated FROM t")
         with pytest.raises(ParseError):
             parse_sql("SELECT * FROM t extra garbage )")
+
+
+class TestSqlLexer:
+    """The exact token stream: type, value, position and ``quoted``."""
+
+    @staticmethod
+    def lex(text: str) -> list[tuple[str, str, int, bool]]:
+        return [(t.type.name, t.value, t.position, t.quoted) for t in tokenize(text)]
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("1.5e-3", [("NUMBER", "1.5e-3", 0, False)]),
+            (".5", [("NUMBER", ".5", 0, False)]),
+            ("1.", [("NUMBER", "1.", 0, False)]),
+            ("1e5e3", [("NUMBER", "1e5", 0, False), ("IDENTIFIER", "e3", 3, False)]),
+            ("1.5.3", [("NUMBER", "1.5", 0, False), ("NUMBER", ".3", 3, False)]),
+            ("x 1.e5 2E+1", [
+                ("IDENTIFIER", "x", 0, False),
+                ("NUMBER", "1.e5", 2, False),
+                ("NUMBER", "2E+1", 7, False),
+            ]),
+            ("'a''b'", [("STRING", "a'b", 0, False)]),
+            ("'' 'it''s'", [("STRING", "", 0, False), ("STRING", "it's", 3, False)]),
+            ('"x""y"', [("IDENTIFIER", 'x"y', 0, True)]),
+            ('"""x"', [("IDENTIFIER", '"x', 0, True)]),
+            ('t."left"', [("IDENTIFIER", "t.left", 0, True)]),
+            ('"t"."order"', [("IDENTIFIER", "t.order", 0, True)]),
+            ("t.", [("IDENTIFIER", "t.", 0, False)]),
+            ("t.1 a.b.c", [("IDENTIFIER", "t.1", 0, False), ("IDENTIFIER", "a.b.c", 4, False)]),
+            ('"a"b', [("IDENTIFIER", "a", 0, True), ("IDENTIFIER", "b", 3, False)]),
+            ('a right join "right"', [
+                ("IDENTIFIER", "a", 0, False),
+                ("IDENTIFIER", "right", 2, False),
+                ("KEYWORD", "join", 8, False),
+                ("IDENTIFIER", "right", 13, True),
+            ]),
+            ("FULL Outer JOIN", [
+                ("IDENTIFIER", "FULL", 0, False),
+                ("KEYWORD", "outer", 5, False),
+                ("KEYWORD", "join", 11, False),
+            ]),
+            ('SELECT "select", t.select', [
+                ("KEYWORD", "select", 0, False),
+                ("IDENTIFIER", "select", 7, True),
+                ("PUNCTUATION", ",", 15, False),
+                ("IDENTIFIER", "t.select", 17, False),
+            ]),
+            ("a <> b", [
+                ("IDENTIFIER", "a", 0, False),
+                ("OPERATOR", "<>", 2, False),
+                ("IDENTIFIER", "b", 5, False),
+            ]),
+            ("a==b", [
+                ("IDENTIFIER", "a", 0, False),
+                ("OPERATOR", "==", 1, False),
+                ("IDENTIFIER", "b", 3, False),
+            ]),
+            ("a != b<=c>=d", [
+                ("IDENTIFIER", "a", 0, False),
+                ("OPERATOR", "!=", 2, False),
+                ("IDENTIFIER", "b", 5, False),
+                ("OPERATOR", "<=", 6, False),
+                ("IDENTIFIER", "c", 8, False),
+                ("OPERATOR", ">=", 9, False),
+                ("IDENTIFIER", "d", 11, False),
+            ]),
+            ("-a+b/c%d<e>f=g!h", [
+                ("OPERATOR", "-", 0, False),
+                ("IDENTIFIER", "a", 1, False),
+                ("OPERATOR", "+", 2, False),
+                ("IDENTIFIER", "b", 3, False),
+                ("OPERATOR", "/", 4, False),
+                ("IDENTIFIER", "c", 5, False),
+                ("OPERATOR", "%", 6, False),
+                ("IDENTIFIER", "d", 7, False),
+                ("OPERATOR", "<", 8, False),
+                ("IDENTIFIER", "e", 9, False),
+                ("OPERATOR", ">", 10, False),
+                ("IDENTIFIER", "f", 11, False),
+                ("OPERATOR", "=", 12, False),
+                ("IDENTIFIER", "g", 13, False),
+                ("OPERATOR", "!", 14, False),
+                ("IDENTIFIER", "h", 15, False),
+            ]),
+            ("SELECT * FROM t;", [
+                ("KEYWORD", "select", 0, False),
+                ("OPERATOR", "*", 7, False),
+                ("KEYWORD", "from", 9, False),
+                ("IDENTIFIER", "t", 14, False),
+                ("PUNCTUATION", ";", 15, False),
+            ]),
+            ("count(x)", [
+                ("KEYWORD", "count", 0, False),
+                ("PUNCTUATION", "(", 5, False),
+                ("IDENTIFIER", "x", 6, False),
+                ("PUNCTUATION", ")", 7, False),
+            ]),
+            ("x -- done", [("IDENTIFIER", "x", 0, False)]),
+            ("a --one\n\tb", [("IDENTIFIER", "a", 0, False), ("IDENTIFIER", "b", 9, False)]),
+            ("café é_1 _x", [
+                ("IDENTIFIER", "café", 0, False),
+                ("IDENTIFIER", "é_1", 5, False),
+                ("IDENTIFIER", "_x", 9, False),
+            ]),
+        ],
+    )
+    def test_token_stream(self, text, expected):
+        assert self.lex(text) == expected + [("EOF", "", len(text), False)]
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("x = 'abc", "unterminated string literal", 4),
+            ("x 'a''", "unterminated string literal", 2),
+            ('x "abc', "unterminated quoted identifier", 2),
+            ('t."ab', "unterminated quoted identifier", 0),
+            ('"""', "unterminated quoted identifier", 0),
+            ('x ""', "empty quoted identifier", 2),
+            ('t."".x', "empty quoted identifier", 0),
+            ("a # b", "unexpected character '#'", 2),
+            ("a..b", "unexpected character '.'", 2),
+        ],
+    )
+    def test_errors(self, text, message, position):
+        with pytest.raises(ParseError) as info:
+            tokenize(text)
+        assert str(info.value) == message
+        assert info.value.position == position
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("SELECT 1e FROM t", 7),
+            ("SELECT 1e+ FROM t", 7),
+            ("SELECT 1.5E- FROM t", 7),
+            ("SELECT x FROM t WHERE y = 2ex", 26),
+            ("SELECT 1e5.3 FROM t", 7),
+            ("SELECT x FROM t WHERE y = ²", 26),
+            ("SELECT ٣", 7),
+        ],
+    )
+    def test_malformed_number_is_a_parse_error(self, text, position):
+        """A number literal is ASCII ``[0-9]``: a bad one raises ParseError
+        at the literal, never ValueError from ``float()``/``int()``."""
+        with pytest.raises(ParseError) as info:
+            parse_sql(text)
+        assert info.value.position == position
+
+    @pytest.mark.parametrize("clause", ["LIMIT 1.5", "LIMIT 1e2", "LIMIT 2 OFFSET .5"])
+    def test_non_integer_limit_is_a_parse_error(self, clause):
+        with pytest.raises(ParseError, match="integer"):
+            parse_sql(f"SELECT a FROM t {clause}")
+
+
+@pytest.mark.parametrize(
+    "text, rendered",
+    [
+        ("not a = 1 and b or c", "(((NOT (a = 1)) AND b) OR c)"),
+        ("a - b - c * -d % e", "((a - b) - ((c * (- d)) % e))"),
+        ("- - a * b", "((- (- a)) * b)"),
+        ("a + 1 between 2 and b * 3 or x not in (1, -2)",
+         "((((a + 1) >= 2) AND ((a + 1) <= (b * 3))) OR (x NOT IN (1, -2)))"),
+        ("a is not null and not b like 'x%'", "((a IS NOT NULL) AND (NOT (b LIKE 'x%')))"),
+    ],
+)
+def test_expression_precedence_and_associativity(text, rendered):
+    assert parse_expression(text).to_sql() == rendered
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("a = b = c", "unexpected trailing input: '='", 6),
+        ("a is null + 1", "unexpected trailing input: '+'", 10),
+        ("not a = 1 = 2", "unexpected trailing input: '='", 10),
+        ("a and b = 1 = 2", "unexpected trailing input: '='", 12),
+        ("a in (1) * 2", "unexpected trailing input: '*'", 9),
+        ("a = not b", "unexpected token 'not'", 4),
+    ],
+)
+def test_a_comparison_takes_no_second_operator(text, message, position):
+    """A comparison (and a NOT prefix) may be followed only by AND/OR."""
+    with pytest.raises(ParseError) as info:
+        parse_expression(text)
+    assert (str(info.value), info.value.position) == (message, position)
 
 
 # --------------------------------------------------------------------------- engine
@@ -1142,3 +1330,25 @@ def test_stddev_distinct_counts_each_value_once():
     assert whole.rows[0]["s"] == pytest.approx((11 / 12) ** 0.5)  # mean 7/4, squares 11/4 over 3
     grouped = result_rows(engine, "SELECT g, stddev(DISTINCT v) AS d FROM t GROUP BY g ORDER BY g")
     assert grouped == [(1, pytest.approx(1.0)), (2, pytest.approx(2 ** 0.5))]
+
+
+def test_scans_reuse_one_qualified_schema_per_alias():
+    """A scan's qualified schema is built once per table schema and alias,
+    more aliases than the memo keeps still resolve, and a self-join under
+    two aliases keeps its columns apart."""
+    engine = RelationalEngine()
+    engine.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+    engine.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)")
+    schema = engine.table("t").schema
+    first = qualified_schema(schema, "a")
+    assert qualified_schema(schema, "a") is first
+    assert first.names == ["a.id", "a.v"]
+    assert qualified_schema(first, "b") is first
+    for i in range(20):
+        alias = f"q{i}"
+        assert result_rows(engine, f"SELECT {alias}.v FROM t {alias} WHERE {alias}.id = 2") == [(20,)]
+    assert qualified_schema(schema, "a") == first
+    joined = result_rows(
+        engine, "SELECT a.id, b.v FROM t a JOIN t b ON a.id + 1 = b.id ORDER BY a.id"
+    )
+    assert joined == [(1, 20), (2, 30)]

@@ -1,7 +1,18 @@
 """Tests for the concurrent polystore runtime: scheduler, admission control,
 versioned result cache, runtime metrics, sessions, and the concurrency-safety
 fixes that ride along (temp-table scoping, run-time cast elision, full-rank
-array cast dimensions)."""
+array cast dimensions).
+
+``TestResultCache`` fails if the result cache stops admitting by frequency:
+on a seeded Zipf(1.1) stream its hit ratio must beat an LRU model of the
+same stream by 5 points, a scan of one-off keys must leave 90 % of a warm
+hot set cached, a dead LRU entry must always give way, a refused result
+must stay readable as stale, and the frequency sketch must keep one size
+over 100k distinct keys.  Eight threads share one cache with a 10 us switch
+interval and must keep its size bound and its hit/miss counts.  CI runs the
+tier-1 suite under ``python -X dev``, so the debug allocator and warnings
+are on for these tests too.
+"""
 
 from __future__ import annotations
 

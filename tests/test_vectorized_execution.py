@@ -6,6 +6,38 @@ same ordering, same ``BinaryCodec`` bytes — to the row-at-a-time reference
 executor (``conftest.reference_execute``), at any worker count and with a
 join memory budget set, while never constructing per-row ``Row`` objects on
 its scan and export hot paths.
+
+The key encoder that joins, group-bys and DISTINCT share
+(``test_group_encoder_numbers_keys_like_a_dict``,
+``TestIncrementalGroupEncoder``, ``TestConcurrentJoinProbes``,
+``TestDistinctParity``, with ``test_sql_oracle.py::test_select_distinct``):
+these fail if it stops numbering keys as a dict of key tuples does, or if
+its read-only ``lookup`` adds a key or answers other than the encode
+(property test, with the encoder's own cases).  Eight threads probe one
+hash table over INTEGER keys and TEXT keys from two dictionaries with a
+10 us switch interval and must equal a serial probe.  DISTINCT must keep
+every NaN row, collapse -0.0 into 0.0, collapse one string out of two
+dictionaries, keep integers past int64 apart and agree with sqlite.
+
+The aggregate path (``TestAggregatePath``,
+``test_cross_batch_group_by_matches_reference``, ``TestNaNParity``,
+``TestAggregateOutputTypes``, with ``test_sql_oracle.py::test_group_by_having``):
+these fail if an aggregation leaves the one streaming group-by loop or a
+global aggregate stops being its one-group case.  Global and grouped
+COUNT/SUM/AVG/MIN/MAX over FLOATs holding NaN, signed zeros and NULL,
+INTEGER sums near the int64 limits, and what folds per group code
+(DISTINCT, stddev, TEXT MIN/MAX, a computed argument or key, NaN keys, a
+non-aggregate item with no GROUP BY), must return one result at 1, 7 and
+the default rows per batch, the reference's (property test); a NaN opening
+a later batch must not stop MAX, a degraded global aggregate must keep the
+rows it consumed, a handoff mid-stream must keep every group in
+first-appearance order, SUM over BOOLEAN must be an int, and no rows must
+still give one row.  The grouped parity tests cover cross-batch groups, NaN
+and signed zeros, output types, and sqlite's GROUP BY ... HAVING with a
+computed key and COUNT DISTINCT at 3 rows per batch.
+
+CI runs the tier-1 suite under ``python -X dev``, so the debug allocator and
+warnings are on for these tests too.
 """
 
 from __future__ import annotations
