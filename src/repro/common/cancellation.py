@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Iterator
-from contextlib import contextmanager
+from typing import Callable
 
 from repro.common.errors import DeadlineExceededError, QueryCancelledError
 
@@ -99,14 +98,21 @@ def _install(token: CancellationToken | None) -> CancellationToken | None:
     return previous
 
 
-@contextmanager
-def cancel_scope(token: CancellationToken | None) -> Iterator[CancellationToken | None]:
+class cancel_scope:
     """Install ``token`` as the ambient token for the duration of the block."""
-    previous = _install(token)
-    try:
-        yield token
-    finally:
-        _install(previous)
+
+    __slots__ = ("_token", "_previous")
+
+    def __init__(self, token: CancellationToken | None) -> None:
+        self._token = token
+
+    def __enter__(self) -> CancellationToken | None:
+        self._previous = _install(self._token)
+        return self._token
+
+    def __exit__(self, *exc_info: object) -> bool:
+        _install(self._previous)
+        return False
 
 
 def check_cancelled() -> None:

@@ -36,7 +36,7 @@ from repro.core.islands.myria import MyriaIsland
 from repro.core.islands.relational import RelationalIsland
 from repro.core.islands.text import TextIsland
 from repro.core.monitor import ExecutionMonitor, MigrationAdvisor
-from repro.core.query.language import parse_query
+from repro.core.query.language import is_scoped_query, parse_query
 from repro.core.query.planner import CrossIslandPlanner, QueryPlan
 from repro.engines.base import Engine
 from repro.engines.relational.engine import RelationalEngine
@@ -141,7 +141,7 @@ class BigDawg:
         the policy for any CASTs the plan performs.
         """
         stripped = query.strip()
-        if self._looks_scoped(stripped):
+        if is_scoped_query(stripped):
             return self._planner.execute(
                 parse_query(stripped), cast_method=cast_method, chunk_size=chunk_size
             )
@@ -155,7 +155,7 @@ class BigDawg:
         Pass the same ``cast_method``/``chunk_size`` the query will be
         executed with so the explained CAST steps match what would run.
         """
-        if not self._looks_scoped(query.strip()):
+        if not is_scoped_query(query):
             island = self._choose_island(query.strip())
             return f"1. EXECUTE on island {island.name.upper()}"
         return self.plan(query, cast_method=cast_method, chunk_size=chunk_size).explain()
@@ -176,17 +176,9 @@ class BigDawg:
     # ----------------------------------------------------------------- helpers
     @staticmethod
     def is_scoped(query: str) -> bool:
-        """Whether the query is in SCOPE/CAST form (vs bare island text)."""
-        return BigDawg._looks_scoped(query.strip())
-
-    @staticmethod
-    def _looks_scoped(query: str) -> bool:
-        from repro.core.query.language import SCOPE_NAMES
-
-        lowered = query.lower()
-        if lowered.startswith("with "):
-            return True
-        return any(lowered.startswith(f"{scope}(") for scope in SCOPE_NAMES)
+        """Whether the query is in SCOPE/CAST form (vs bare island text):
+        it opens the way :func:`parse_query` reads a WITH binding or a scope."""
+        return is_scoped_query(query)
 
     def _choose_island(self, query: str) -> Island:
         candidates = [island for island in self._islands.values() if island.can_answer(query)]

@@ -68,6 +68,9 @@ class BigDawgCatalog:
         self._lock = threading.RLock()
         self._version = 0
         self._temp_version = 0
+        #: ``(version, non-ephemeral engines)``, rebuilt by
+        #: :meth:`durable_engines` the first time it is asked at a new version.
+        self._durable: tuple[int, tuple[Engine, ...]] = (0, ())
 
     @property
     def version(self) -> int:
@@ -127,6 +130,25 @@ class BigDawgCatalog:
     def engines(self) -> list[Engine]:
         with self._lock:
             return list(self._engines.values())
+
+    def durable_engines(self) -> tuple[int, tuple[Engine, ...]]:
+        """The durable catalog version and, at that version, every engine
+        that is not ``ephemeral``, in registration order.
+
+        The result cache fingerprints state with it on every lookup, so the
+        tuple is built once per version and then read without the lock:
+        registering an engine bumps the version, so an unchanged version
+        means an unchanged engine list.  An engine's ``ephemeral`` flag is
+        read when the tuple is built; set it before registering the engine.
+        """
+        durable = self._durable
+        if durable[0] != self._version:
+            with self._lock:
+                durable = self._durable = (
+                    self._version,
+                    tuple(engine for engine in self._engines.values() if not engine.ephemeral),
+                )
+        return durable
 
     def has_engine(self, name: str) -> bool:
         with self._lock:

@@ -29,13 +29,20 @@ from repro.common.errors import ParseError
 #: Island keywords accepted as scope names.
 SCOPE_NAMES = ("relational", "array", "text", "d4m", "myria", "bigdawg")
 
-_SCOPE_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\(", re.DOTALL)
+#: A scope's opening (its name, formatted in, and the parenthesis) and a
+#: WITH binding's (up to its ``=``): what :func:`parse_query` reads first.
+_SCOPE_OPEN = r"^\s*({})\s*\("
+_WITH_OPEN = r"^\s*WITH\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*"
+
+_SCOPE_RE = re.compile(_SCOPE_OPEN.format(r"[A-Za-z_][A-Za-z0-9_]*"))
 _CAST_RE = re.compile(
     r"\bCAST\s*\(\s*([A-Za-z_][A-Za-z0-9_]*)\s*,\s*([A-Za-z_][A-Za-z0-9_]*)\s*\)",
     re.IGNORECASE,
 )
-_WITH_RE = re.compile(
-    r"^\s*WITH\s+([A-Za-z_][A-Za-z0-9_]*)\s*=\s*", re.IGNORECASE
+_WITH_RE = re.compile(_WITH_OPEN, re.IGNORECASE)
+#: Either opening, the scope's name one of :data:`SCOPE_NAMES`.
+_SCOPED_RE = re.compile(
+    _WITH_OPEN + "|" + _SCOPE_OPEN.format("|".join(SCOPE_NAMES)), re.IGNORECASE
 )
 
 #: ``'…'`` string literals and ``"…"`` identifiers ('' and "" escape).
@@ -76,6 +83,12 @@ class CrossIslandQuery:
 
     bindings: list[tuple[str, ScopedQuery]] = field(default_factory=list)
     final: ScopedQuery | None = None
+
+
+def is_scoped_query(text: str) -> bool:
+    """Whether ``text`` opens as a BigDAWG query (a WITH binding, or a
+    known scope's name and parenthesis) rather than as bare island text."""
+    return _SCOPED_RE.match(text) is not None
 
 
 def parse_scope(text: str) -> ScopedQuery:

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 from repro.common.errors import CastError, PlanningError
 from repro.common.schema import Relation
 from repro.core.query.language import CrossIslandQuery, ScopedQuery, parse_query
-from repro.observability.tracing import get_tracer
+from repro.observability.tracing import NULL_SPAN, get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.bigdawg import BigDawg
@@ -435,8 +435,10 @@ class PlanExecution:
         """Run step ``index``; a scope step executes ``statement``, or
         :meth:`statement` of ``index`` when it is None."""
         step = self.plan.steps[index]
-        with get_tracer().span(
-            f"step.{type(step).__name__}", kind="step", step=step.describe()
+        tracer = get_tracer()
+        with (
+            tracer.span(f"step.{type(step).__name__}", kind="step", step=step.describe())
+            if tracer.enabled else NULL_SPAN
         ):
             if isinstance(step, CastStep):
                 self._run_cast(index, step)

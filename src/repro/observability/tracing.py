@@ -24,11 +24,10 @@ Two properties drive the design:
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import threading
 import time
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.common import cancellation
 
@@ -39,6 +38,7 @@ __all__ = [
     "capture_context",
     "current_span",
     "get_tracer",
+    "query_scope",
     "set_tracer",
     "tracer_scope",
     "with_context",
@@ -78,19 +78,12 @@ def with_context(ctx: Any, fn: Callable, *args: Any, **kwargs: Any) -> Any:
     """Run ``fn`` with a captured context installed as the thread's ambient.
 
     ``ctx`` is what :func:`capture_context` returned: None (nothing to
-    carry — ``fn`` is called directly), a ``(span, tracer, token)`` triple,
-    a ``(span, tracer)`` pair from older callers, or a bare :class:`Span`.
+    carry — ``fn`` is called directly) or a ``(span, tracer, token)``
+    triple.
     """
     if ctx is None:
         return fn(*args, **kwargs)
-    token = None
-    if isinstance(ctx, tuple):
-        if len(ctx) == 3:
-            span, tracer, token = ctx
-        else:
-            span, tracer = ctx
-    else:
-        span, tracer = ctx, None
+    span, tracer, token = ctx
     prev_span = getattr(_ACTIVE, "span", None)
     prev_tracer = getattr(_ACTIVE, "tracer", None)
     prev_token = cancellation._install(token)
@@ -104,8 +97,7 @@ def with_context(ctx: Any, fn: Callable, *args: Any, **kwargs: Any) -> Any:
         cancellation._install(prev_token)
 
 
-@contextlib.contextmanager
-def tracer_scope(tracer: "Tracer") -> "Iterator[Tracer]":
+class tracer_scope:
     """Install ``tracer`` as this thread's tracer for the ``with`` body.
 
     Everything under the block that calls :func:`get_tracer` — the
@@ -115,12 +107,42 @@ def tracer_scope(tracer: "Tracer") -> "Iterator[Tracer]":
     query's spans without enabling tracing for concurrent traffic, and how
     sampled tracing silences the queries that lost the draw.
     """
-    prev = getattr(_ACTIVE, "tracer", None)
-    _ACTIVE.tracer = tracer
-    try:
-        yield tracer
-    finally:
-        _ACTIVE.tracer = prev
+
+    __slots__ = ("_tracer", "_prev")
+
+    def __init__(self, tracer: "Tracer") -> None:
+        self._tracer = tracer
+
+    def __enter__(self) -> "Tracer":
+        self._prev = getattr(_ACTIVE, "tracer", None)
+        _ACTIVE.tracer = self._tracer
+        return self._tracer
+
+    def __exit__(self, *exc_info: object) -> bool:
+        _ACTIVE.tracer = self._prev
+        return False
+
+
+class query_scope:
+    """Install a tracer override and a cancellation token together for the
+    ``with`` body: the pair :func:`with_context` carries into workers, in
+    one scope, as the runtime serves a query on its thread."""
+
+    __slots__ = ("_tracer", "_token", "_prev_tracer", "_prev_token")
+
+    def __init__(self, tracer: "Tracer",
+                 token: "cancellation.CancellationToken | None") -> None:
+        self._tracer, self._token = tracer, token
+
+    def __enter__(self) -> None:
+        self._prev_tracer = getattr(_ACTIVE, "tracer", None)
+        _ACTIVE.tracer = self._tracer
+        self._prev_token = cancellation._install(self._token)
+
+    def __exit__(self, *exc_info: object) -> bool:
+        _ACTIVE.tracer = self._prev_tracer
+        cancellation._install(self._prev_token)
+        return False
 
 
 class _NullSpan:

@@ -15,8 +15,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.common.errors import BigDawgError
 
@@ -58,36 +57,49 @@ class EngineGate:
     def acquire(self, timeout: float | None = None) -> float:
         """Wait (FIFO) for a slot; raise :class:`AdmissionTimeout` on timeout.
 
-        Returns the seconds spent queued before admission.
+        Returns the seconds spent queued before admission: 0.0 when nobody
+        was queued and a slot was free, so the slot is taken at once.
         """
+        with self._condition:
+            if not self._queue and self._in_use < self.slots:
+                self._in_use += 1
+                self.admitted += 1
+                waited = 0.0
+            else:
+                waited = self._wait_in_queue(timeout)
+        if self._on_wait is not None:
+            self._on_wait(waited)
+        return waited
+
+    def _wait_in_queue(self, timeout: float | None) -> float:
+        """Queue a ticket and wait until it heads the queue with a slot free
+        (callers hold the condition); the seconds it waited."""
         ticket = object()
         entered = time.monotonic()
         deadline = None if timeout is None else entered + timeout
-        with self._condition:
-            self._queue.append(ticket)
-            self.peak_waiting = max(self.peak_waiting, len(self._queue))
-            while not (self._queue[0] is ticket and self._in_use < self.slots):
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    self._queue.remove(ticket)
-                    self.timed_out += 1
-                    self.wait_seconds_total += time.monotonic() - entered
-                    # Our departure may unblock the ticket behind us.
-                    self._condition.notify_all()
-                    raise AdmissionTimeout(
-                        f"engine {self.engine_name!r}: no free slot within {timeout:.3f}s "
-                        f"({self._in_use}/{self.slots} in use, {len(self._queue)} waiting)"
-                    )
-                self._condition.wait(remaining)
-            self._queue.popleft()
-            self._in_use += 1
-            self.admitted += 1
-            waited = time.monotonic() - entered
-            self.wait_seconds_total += waited
-            # The new queue head may also be admittable (multiple slots).
+        self._queue.append(ticket)
+        self.peak_waiting = max(self.peak_waiting, len(self._queue))
+        while not (self._queue[0] is ticket and self._in_use < self.slots):
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
+                self._queue.remove(ticket)
+                self.timed_out += 1
+                self.wait_seconds_total += time.monotonic() - entered
+                # Our departure may unblock the ticket behind us.
+                self._condition.notify_all()
+                raise AdmissionTimeout(
+                    f"engine {self.engine_name!r}: no free slot within {timeout:.3f}s "
+                    f"({self._in_use}/{self.slots} in use, {len(self._queue)} waiting)"
+                )
+            self._condition.wait(remaining)
+        self._queue.popleft()
+        self._in_use += 1
+        self.admitted += 1
+        waited = time.monotonic() - entered
+        self.wait_seconds_total += waited
+        if self._queue and self._in_use < self.slots:
+            # The new queue head is admittable too (multiple slots).
             self._condition.notify_all()
-        if self._on_wait is not None:
-            self._on_wait(waited)
         return waited
 
     def release(self) -> None:
@@ -95,7 +107,8 @@ class EngineGate:
             if self._in_use <= 0:
                 raise RuntimeError(f"engine gate {self.engine_name!r} released more than acquired")
             self._in_use -= 1
-            self._condition.notify_all()
+            if self._queue:
+                self._condition.notify_all()
 
     def record_hold(self, seconds: float) -> None:
         """Account seconds one admitted step held a slot (execution time)."""
@@ -153,6 +166,9 @@ class AdmissionController:
 
     def gate(self, engine_name: str) -> EngineGate:
         key = engine_name.lower()
+        gate = self._gates.get(key)
+        if gate is not None:
+            return gate
         with self._lock:
             if key not in self._gates:
                 self._gates[key] = EngineGate(
@@ -166,27 +182,13 @@ class AdmissionController:
         if sink is not None:
             sink(seconds)
 
-    @contextmanager
     def admit(self, engine_names: Iterable[str],
-              timeout: float | None = None) -> Iterator[None]:
+              timeout: float | None = None) -> _Admission:
         """Hold one slot on every named engine for the duration of the block."""
-        effective = self.timeout if timeout is None else timeout
-        ordered = sorted({name.lower() for name in engine_names})
-        acquired: list[EngineGate] = []
-        held_from: float | None = None
-        try:
-            for name in ordered:
-                gate = self.gate(name)
-                gate.acquire(effective)
-                acquired.append(gate)
-            held_from = time.monotonic()
-            yield
-        finally:
-            held = 0.0 if held_from is None else time.monotonic() - held_from
-            for gate in reversed(acquired):
-                if held_from is not None:
-                    gate.record_hold(held)
-                gate.release()
+        return _Admission(
+            self, sorted({name.lower() for name in engine_names}),
+            self.timeout if timeout is None else timeout,
+        )
 
     # ----------------------------------------------------------------- status
     def queue_depth(self) -> int:
@@ -211,3 +213,36 @@ class AdmissionController:
         with self._lock:
             gates = list(self._gates.values())
         return {gate.engine_name: gate.describe() for gate in gates}
+
+
+class _Admission:
+    """One ``with`` block's hold on its engines' gates: entering acquires
+    them in sorted name order, leaving records the hold on each and
+    releases them (a failed acquisition releases what it took)."""
+
+    __slots__ = ("_controller", "_names", "_timeout", "_gates", "_held_from")
+
+    def __init__(self, controller: AdmissionController, names: list[str],
+                 timeout: float | None) -> None:
+        self._controller, self._names, self._timeout = controller, names, timeout
+
+    def __enter__(self) -> None:
+        gates: list[EngineGate] = []
+        try:
+            for name in self._names:
+                gate = self._controller.gate(name)
+                gate.acquire(self._timeout)
+                gates.append(gate)
+        except BaseException:
+            for gate in reversed(gates):
+                gate.release()
+            raise
+        self._gates = gates
+        self._held_from = time.monotonic()
+
+    def __exit__(self, *exc_info: object) -> bool:
+        held = time.monotonic() - self._held_from
+        for gate in reversed(self._gates):
+            gate.record_hold(held)
+            gate.release()
+        return False

@@ -2,7 +2,9 @@
 
 Entries are keyed by whitespace-normalized query text and stamped with a
 *fingerprint* of the polystore's state: the catalog's metadata version plus
-every engine's ``write_version``.  A lookup whose stored fingerprint no
+every engine's ``write_version``, in the order the catalog registered them
+(a new engine bumps the catalog version, so the position names the
+engine).  A lookup whose stored fingerprint no
 longer matches the live fingerprint is a miss (and evicts the stale entry),
 which makes invalidation automatic: CASTs bump the target (and, for moves,
 source) engine and the catalog; imports, drops and temp materializations bump
@@ -34,12 +36,15 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.common.schema import Relation
 from repro.core.catalog import BigDawgCatalog
 
-#: fingerprint = (catalog version, ((engine, write_version), ...))
-Fingerprint = tuple[int, tuple[tuple[str, int], ...]]
+#: fingerprint = (catalog version, (write_version of each durable engine, ...))
+Fingerprint = tuple[int, tuple[int, ...]]
+
+_WRITE_VERSION = attrgetter("write_version")
 
 #: Counters per row of the frequency sketch, per cache entry.  The sketch
 #: has two rows of ``_SKETCH_WIDTH_PER_ENTRY * capacity`` one-byte counters,
@@ -159,13 +164,11 @@ class ResultCache:
         name, and including them would invalidate the whole cache on every
         WITH query.  Replacing a *pre-existing* temporary name still bumps
         the catalog's durable version, so reuse of a temp name invalidates.
+        The catalog hands out its version and the non-ephemeral engines
+        together, built once per version, so a call reads one int per engine.
         """
-        engines = tuple(
-            (engine.name.lower(), engine.write_version)
-            for engine in self._catalog.engines()
-            if not engine.ephemeral
-        )
-        return (self._catalog.version, engines)
+        version, engines = self._catalog.durable_engines()
+        return (version, tuple(map(_WRITE_VERSION, engines)))
 
     # ------------------------------------------------------------------ cache
     def get(self, query: str) -> Relation | None:

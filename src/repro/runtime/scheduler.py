@@ -35,11 +35,10 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import ExitStack
 from functools import partial
 from typing import Sequence
 
-from repro.common.cancellation import CancellationToken, cancel_scope, check_cancelled
+from repro.common.cancellation import CancellationToken, check_cancelled
 from repro.common.errors import (
     BigDawgError,
     CatalogError,
@@ -58,9 +57,11 @@ from repro.core.query.planner import BindingStep, CastStep, PlanExecution, Query
 from repro.engines.base import Engine
 from repro.observability.profile import SlowQueryLog
 from repro.observability.tracing import (
+    NULL_SPAN,
     Tracer,
     capture_context,
     get_tracer,
+    query_scope,
     tracer_scope,
     with_context,
 )
@@ -452,8 +453,10 @@ class PolystoreRuntime:
             # for the query's whole call tree makes every layer below
             # (steps, CAST chunks, operators) skip its spans too.
             tracer, queued_at = _UNSAMPLED_TRACER, None
-        with tracer_scope(tracer), cancel_scope(token), \
-                tracer.span("query", kind="lifecycle", query=_span_text(query)) as root:
+        with query_scope(tracer, token), (
+            tracer.span("query", kind="lifecycle", query=_span_text(query))
+            if tracer.enabled else NULL_SPAN
+        ) as root:
             if queued_at is not None and tracer.enabled:
                 tracer.record(
                     "queued", start_s=queued_at, duration_s=time.time() - queued_at,
@@ -645,11 +648,17 @@ class PolystoreRuntime:
     def _admitted_call(self, record: _Dispatch, engines: set[str],
                        write_token: str | None):
         """One attempt: admit at the engines' gates, call, and stamp a
-        write's token onto the engines once the call succeeded."""
-        with ExitStack() as stack:
-            with get_tracer().span("admitted", kind="lifecycle",
-                                   engines=",".join(sorted(engines))):
-                stack.enter_context(self.admission.admit(engines))
+        write's token onto the engines once the call succeeded.  The
+        ``admitted`` span times the admission alone, so the block is entered
+        inside it and left after the call."""
+        admission = self.admission.admit(engines)
+        tracer = get_tracer()
+        if tracer.enabled:
+            with tracer.span("admitted", kind="lifecycle", engines=",".join(sorted(engines))):
+                admission.__enter__()
+        else:
+            admission.__enter__()
+        try:
             if self.engine_latency > 0:
                 time.sleep(self.engine_latency)
             result = record.call()
@@ -659,7 +668,11 @@ class PolystoreRuntime:
                         self.bigdawg.catalog.engine(name).note_write_token(write_token)
                     except ObjectNotFoundError:  # pragma: no cover - defensive
                         pass
-            return result
+        except BaseException as error:
+            admission.__exit__(type(error), error, error.__traceback__)
+            raise
+        admission.__exit__(None, None, None)
+        return result
 
     def _failover(self, record: _Dispatch, engines: set[str], error: Exception,
                   deadline: float | None, write_token: str | None):

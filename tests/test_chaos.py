@@ -9,6 +9,12 @@ The invariants under test are the robustness layer's contract:
 * breaker transitions are observable through ``metrics.snapshot()`` and
   trace spans;
 * shutdown and session close are race-safe.
+
+A failure here names a regression in retry/backoff, the circuit breakers
+or transactional CAST recovery; zero lost or partially-imported catalog
+objects under injected faults is the bar.  CI runs the tier-1 suite under
+``python -X dev``, so the debug allocator and warnings are on for these
+tests too.
 """
 
 from __future__ import annotations

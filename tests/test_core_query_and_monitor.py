@@ -27,6 +27,7 @@ from repro.engines.array import ArrayEngine
 from repro.engines.keyvalue import KeyValueEngine
 from repro.engines.relational import RelationalEngine
 from repro.observability import Tracer, tracer_scope
+from repro.runtime import PolystoreRuntime
 
 
 # ----------------------------------------------------------------- language
@@ -136,6 +137,80 @@ class TestCrossIslandPlanner:
             bigdawg._planner.execute_plan(plan)
         steps = [s for s in tracer.spans() if s.name.startswith("step.")]
         assert len(steps) == len(plan.steps)
+
+
+# ---------------------------------------------------------- scope detection
+class TestScopeDetection:
+    """A query is scoped exactly when it opens the way the grammar reads a
+    scope or a WITH binding: the whitespace the grammar allows before a
+    scope's parenthesis and after WITH must not send a query to the islands
+    as bare text (they recognize none of these)."""
+
+    SPELLINGS = [
+        "RELATIONAL (SELECT count(*) AS n FROM patients)",
+        "relational\n(SELECT count(*) AS n FROM patients)",
+        "BIGDAWG (RELATIONAL(SELECT count(*) AS n FROM patients))",
+        "  BigDawg(\tRELATIONAL (SELECT count(*) AS n FROM patients))",
+        "with\tp = RELATIONAL(SELECT id FROM patients) RELATIONAL(SELECT count(*) AS n FROM p)",
+        "WITH\np = RELATIONAL (SELECT id FROM patients)\nRELATIONAL(SELECT count(*) AS n FROM p)",
+    ]
+
+    @pytest.mark.parametrize("query", SPELLINGS)
+    def test_every_spelling_the_grammar_reads_runs_and_explains_scoped(self, bigdawg, query):
+        parse_query(query)
+        assert BigDawg.is_scoped(query)
+        assert bigdawg.execute(query).rows[0]["n"] == 3
+        assert bigdawg.explain(query) == bigdawg.plan(query).explain()
+
+    def test_the_runtime_runs_every_spelling_uncached(self, bigdawg):
+        with PolystoreRuntime(bigdawg, workers=1) as runtime:
+            for query in self.SPELLINGS:
+                assert runtime.execute(query, use_cache=False).rows[0]["n"] == 3
+
+    @pytest.mark.parametrize("query", [
+        "SELECT count(*) AS n FROM patients",
+        'SEARCH notes FOR "relational("',
+        "aggregate(waves, avg(value))",
+        "relationalx(SELECT 1)",
+        "SELECT * FROM withheld",
+        "WITHp = RELATIONAL(SELECT 1) RELATIONAL(SELECT 1)",
+        "with (SELECT 1)",
+    ])
+    def test_bare_island_text_is_not_scoped(self, query):
+        assert not BigDawg.is_scoped(query)
+
+
+_WHITESPACE = st.text(alphabet=" \t\n\r", max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(["relational", "array", "text", "d4m", "myria", "bigdawg",
+                          "quantum", "select", "relationalx", "with"]),
+    keyword=st.sampled_from(["with", "within", "wit"]),
+    upper=st.lists(st.booleans(), min_size=11, max_size=11),
+    spaces=st.lists(_WHITESPACE, min_size=4, max_size=4),
+    binding=st.booleans(),
+)
+def test_scope_detection_agrees_with_the_grammar(name, keyword, upper, spaces, binding):
+    """``is_scoped`` holds exactly for the texts ``parse_query`` reads, over
+    openings spelled in any case, with names that are scopes and names that
+    are not, and any whitespace the grammar skips (or needs, after WITH)."""
+    def cased(word: str) -> str:
+        return "".join(c.upper() if u else c for c, u in zip(word, upper))
+
+    if binding:
+        scope = "RELATIONAL(SELECT 1)"
+        text = f"{spaces[0]}{cased(keyword)}{spaces[1]}p{spaces[2]}= {scope} {scope}"
+    else:
+        body = "RELATIONAL(SELECT 1)" if name == "bigdawg" else "SELECT 1"
+        text = f"{spaces[0]}{cased(name)}{spaces[1]}({body})"
+    try:
+        parse_query(text)
+        parses = True
+    except ParseError:
+        parses = False
+    assert BigDawg.is_scoped(text) == parses
 
 
 # ------------------------------------------------- literals are not structure

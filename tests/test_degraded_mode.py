@@ -14,6 +14,9 @@ The invariants under test extend the chaos suite's contract:
   changes;
 * a flapping engine exhausts its retry budget and stops amplifying load,
   while healthy engines keep their full budgets.
+
+CI runs the tier-1 suite under ``python -X dev``, so the debug allocator
+and warnings are on for these tests too.
 """
 
 from __future__ import annotations

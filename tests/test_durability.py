@@ -20,6 +20,14 @@ The contract under test:
   sleep past the deadline;
 * client cancellation during a write failover unwinds cleanly: no dangling
   intents, no half-promotions, no shadow objects.
+
+The crash sweep moves a simulated process death across every journal
+boundary of each protocol.  The streaming replay is guarded too:
+``TestStreamingReplay`` checks it against ``replay()`` on out-of-order
+journals, and ``test_recovery_memory_stays_flat_as_committed_history_grows``
+fails if ``recover()``'s tracemalloc peak grows by 1.5x when the committed
+DML history grows 10x.  CI runs the tier-1 suite under ``python -X dev``,
+so the debug allocator and warnings are on for these tests too.
 """
 
 from __future__ import annotations

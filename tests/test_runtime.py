@@ -38,6 +38,7 @@ from repro.observability.tracing import Tracer, get_tracer, set_tracer, tracer_s
 from repro.runtime import (
     AdmissionController,
     AdmissionTimeout,
+    EngineGate,
     EngineResilience,
     FaultInjector,
     MemoryJournalBackend,
@@ -229,6 +230,159 @@ class TestAdmission:
         for t in threads:
             t.join()
         assert controller.gate("a").admitted == 10
+
+
+class TestAdmissionFastPath:
+    """An uncontended gate hands out a slot at once; a contended one still
+    queues strictly FIFO, times out, and honors per-engine slot counts."""
+
+    def test_an_uncontended_acquire_waits_zero_and_reports_it(self):
+        waits: list[float] = []
+        gate = EngineGate("e", slots=2, on_wait=waits.append)
+        assert gate.acquire(1.0) == 0.0
+        assert gate.acquire(1.0) == 0.0
+        assert waits == [0.0, 0.0]
+        assert (gate.admitted, gate.in_use, gate.waiting) == (2, 2, 0)
+        gate.release()
+        gate.release()
+        with pytest.raises(RuntimeError, match="released more than acquired"):
+            gate.release()
+
+    def test_a_newcomer_never_jumps_a_queued_waiter(self):
+        gate = EngineGate("e", slots=1)
+        order: list[str] = []
+        gate.acquire()
+
+        def waiter():
+            gate.acquire(5.0)
+            order.append("queued")
+            gate.release()
+
+        thread = threading.Thread(target=waiter)
+        thread.start()
+        deadline = time.monotonic() + 5.0
+        while gate.waiting == 0 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert gate.waiting == 1
+        # Free the slot and arrive as a newcomer before the woken waiter can
+        # run: the gate's condition is re-entrant, so holding it keeps the
+        # waiter from taking the slot until the newcomer has asked for it.
+        with gate._condition:
+            gate.release()
+            assert (gate.in_use, gate.waiting) == (0, 1)
+            waited = gate.acquire(5.0)
+            order.append("newcomer")
+        gate.release()
+        thread.join(5.0)
+        assert order == ["queued", "newcomer"]
+        assert waited > 0.0
+        assert (gate.admitted, gate.in_use, gate.waiting) == (3, 0, 0)
+
+    def test_a_full_gate_still_times_out_and_then_serves_at_once(self):
+        waits: list[float] = []
+        gate = EngineGate("e", slots=1, on_wait=waits.append)
+        gate.acquire()
+        with pytest.raises(AdmissionTimeout):
+            gate.acquire(0.02)
+        assert (gate.timed_out, gate.waiting) == (1, 0)
+        assert gate.wait_seconds_total >= 0.02
+        gate.release()
+        assert gate.acquire(0.02) == 0.0
+        assert waits == [0.0, 0.0]
+        gate.release()
+
+    def test_a_failed_multi_engine_admit_releases_what_it_took(self):
+        controller = AdmissionController(slots_per_engine=1, timeout=0.02)
+        controller.gate("b").acquire()
+        with pytest.raises(AdmissionTimeout):
+            with controller.admit(["b", "a"]):
+                pass
+        assert controller.gate("a").in_use == 0
+        with controller.admit(["a"]):
+            assert controller.gate("a").in_use == 1
+        assert controller.gate("a").held_seconds_total > 0.0
+
+    def test_threads_racing_the_fast_path_never_overfill_a_gate(self):
+        """Eight threads on a two-slot gate with a 10 us switch interval:
+        the fast path and the queue together never admit a third holder."""
+        gate = EngineGate("e", slots=2)
+        active, peak, errors = [0], [0], []
+        lock = threading.Lock()
+
+        def worker():
+            try:
+                for _ in range(200):
+                    gate.acquire(10.0)
+                    with lock:
+                        active[0] += 1
+                        peak[0] = max(peak[0], active[0])
+                    with lock:
+                        active[0] -= 1
+                    gate.release()
+            except Exception as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert peak[0] <= 2
+        assert (gate.admitted, gate.in_use, gate.waiting) == (1600, 0, 0)
+
+    def test_engine_slots_cap_one_engine_and_leave_the_rest_at_the_default(
+        self, bigdawg, monkeypatch
+    ):
+        """With ``engine_slots={"postgres": 1}`` postgres runs one query at a
+        time while scidb keeps ``slots_per_engine`` = 2: two scidb calls must
+        meet inside the engine at once, or the barrier breaks."""
+        active = {"postgres": 0, "scidb": 0}
+        peak = dict(active)
+        lock = threading.Lock()
+        barrier = threading.Barrier(2, timeout=10)
+
+        def track(name, pause):
+            engine = bigdawg.engine(name)
+            original = engine.execute
+
+            def execute(*args, **kwargs):
+                with lock:
+                    active[name] += 1
+                    peak[name] = max(peak[name], active[name])
+                try:
+                    pause()
+                    return original(*args, **kwargs)
+                finally:
+                    with lock:
+                        active[name] -= 1
+
+            monkeypatch.setattr(engine, "execute", execute)
+
+        track("postgres", lambda: time.sleep(0.01))
+        track("scidb", barrier.wait)
+        with PolystoreRuntime(bigdawg, workers=6, slots_per_engine=2,
+                              engine_slots={"POSTGRES": 1}) as runtime:
+            assert runtime.admission.gate("postgres").slots == 1
+            assert runtime.admission.gate("scidb").slots == 2
+            futures = [
+                runtime.submit("ARRAY(aggregate(waves, avg(value)))", use_cache=False)
+                for _ in range(2)
+            ] + [
+                runtime.submit("RELATIONAL(SELECT count(*) AS n FROM patients)",
+                               use_cache=False)
+                for _ in range(4)
+            ]
+            results = [future.result(timeout=30) for future in futures]
+        assert [len(result) for result in results] == [1] * 6
+        assert peak == {"postgres": 1, "scidb": 2}
+        assert runtime.admission.gate("postgres").admitted == 4
 
 
 # ---------------------------------------------------------------------- cache
@@ -463,6 +617,117 @@ class TestResultCache:
         assert errors == []
         assert len(cache) <= cache.capacity
         assert cache.hits + cache.misses == sum(lookups) > 0
+
+
+def state_rule(catalog) -> tuple:
+    """The state a cached result is valid for, restated: the catalog's
+    durable version and every non-ephemeral engine's write version, by name."""
+    return (
+        catalog.version,
+        tuple((e.name.lower(), e.write_version) for e in catalog.engines() if not e.ephemeral),
+    )
+
+
+FINGERPRINT_OPS = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "write", "insert", "engine", "register", "unregister",
+            "temporary", "drop_temporary", "with",
+        ]),
+        st.integers(0, 3),
+    ),
+    max_size=14,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=FINGERPRINT_OPS)
+def test_the_fingerprint_moves_exactly_when_the_state_rule_does(ops):
+    """Across writes to any engine (the ephemeral temp engine included), new
+    engines (ephemeral or not), objects registered, replaced and dropped,
+    and WITH temporaries, two fingerprints are equal exactly when the state
+    rule gives equal values at those two points."""
+    bd = BigDawg()
+    postgres = RelationalEngine("postgres")
+    bd.add_engine(postgres, islands=["relational"])
+    postgres.execute("CREATE TABLE patients (id INTEGER PRIMARY KEY, age INTEGER)")
+    catalog, cache = bd.catalog, ResultCache(bd.catalog)
+    schema = Schema([("id", "integer")])
+    points = [(cache.fingerprint(), state_rule(catalog))]
+    for step, (op, pick) in enumerate(ops):
+        engines = catalog.engines()
+        if op == "write":
+            engines[pick % len(engines)].bump_write_version()
+        elif op == "insert":
+            postgres.execute(f"INSERT INTO patients VALUES ({step}, {pick})")
+        elif op == "engine":
+            engine = RelationalEngine(f"extra{step}")
+            engine.ephemeral = pick % 2 == 1
+            bd.add_engine(engine, islands=["relational"])
+        elif op == "register":
+            catalog.register_object(
+                f"obj{pick}", engines[pick % len(engines)].name, "table", replace=True
+            )
+        elif op == "unregister":
+            catalog.unregister_object(f"obj{pick}")
+        elif op == "temporary":
+            bd.materialize_temporary(f"tmp{pick}", Relation(schema, [[pick]]))
+        elif op == "drop_temporary":
+            bd.drop_temporary(f"tmp{pick}")
+        else:
+            bd.execute(
+                "WITH s = RELATIONAL(SELECT id FROM patients) "
+                "RELATIONAL(SELECT count(*) AS n FROM s)"
+            )
+        points.append((cache.fingerprint(), state_rule(catalog)))
+    for later, (fingerprint, rule) in enumerate(points):
+        for earlier_fingerprint, earlier_rule in points[:later]:
+            assert (fingerprint == earlier_fingerprint) == (rule == earlier_rule)
+
+
+def test_fingerprints_taken_while_engines_register_match_their_version():
+    """The catalog's engine snapshot is read without its lock: while one
+    thread registers engines (each bumps the version once), fingerprints
+    taken on other threads with a 10 us switch interval must list exactly
+    the engines registered at their version."""
+    bd = BigDawg()
+    bd.add_engine(RelationalEngine("postgres"), islands=["relational"])
+    cache = ResultCache(bd.catalog)
+    base = bd.catalog.version
+    seen: list = []
+    done = threading.Event()
+
+    def register():
+        for index in range(300):
+            engine = RelationalEngine(f"extra{index}")
+            engine.ephemeral = index % 3 == 0
+            bd.add_engine(engine, islands=["relational"])
+        done.set()
+
+    def read():
+        while not done.is_set():
+            seen.append(cache.fingerprint())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=register)] + [
+        threading.Thread(target=read) for _ in range(3)
+    ]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen
+
+    def durable_at(version: int) -> int:
+        registered = version - base
+        return 1 + registered - (registered + 2) // 3
+
+    assert all(len(writes) == durable_at(version) for version, writes in seen)
 
 
 # -------------------------------------------------------------------- planner
@@ -1038,6 +1303,88 @@ class TestDispatchContract:
         finally:
             set_tracer(previous)
         return calls, runtime.journal.records_written - written, runtime_span_edges(tracer)
+
+
+class TestTracedSpans:
+    """Golden spans: under an enabled tracer, every span the runtime and the
+    planner open keeps its name, kind, nesting and attributes (keys and
+    values, the ``query`` text whitespace-collapsed and cut at 200
+    characters).  Computing attributes only while tracing must not change
+    what a trace says."""
+
+    SCOPED = "RELATIONAL(SELECT  count(*) AS n\n FROM patients   WHERE age > 60)"
+    WITH = (
+        "WITH seniors = RELATIONAL(SELECT id, age FROM patients WHERE age >= 64 "
+        "AND id > 0 AND id < 1000)\n"
+        "     RELATIONAL(SELECT count(*) AS n,   min(age) AS youngest, max(age) AS oldest\n"
+        "                FROM seniors WHERE age >= 70 AND id <> 3)"
+    )
+
+    @staticmethod
+    def runtime_spans(runtime, query: str) -> list[tuple]:
+        """(name, kind, nearest runtime parent, attrs) of every runtime and
+        plan-step span one traced ``execute`` records, in finish order."""
+        tracer = Tracer(enabled=True)
+        with tracer_scope(tracer):
+            runtime.execute(query)
+        spans = tracer.spans()
+        by_id = {span.span_id: span for span in spans}
+
+        def is_runtime(span) -> bool:
+            return span.name in RUNTIME_SPANS or span.name.startswith("step.")
+
+        out = []
+        for span in spans:
+            if not is_runtime(span):
+                continue
+            parent = by_id.get(span.parent_id)
+            while parent is not None and not is_runtime(parent):
+                parent = by_id.get(parent.parent_id)
+            out.append((span.name, span.kind, None if parent is None else parent.name,
+                        dict(span.attrs)))
+        return out
+
+    def test_a_scoped_miss_then_its_hit(self, runtime):
+        normalized = "RELATIONAL(SELECT count(*) AS n FROM patients WHERE age > 60)"
+        execute = "EXECUTE on island RELATIONAL"
+        assert self.runtime_spans(runtime, self.SCOPED) == [
+            ("planned", "lifecycle", "query", {}),
+            ("admitted", "lifecycle", "plan_step", {"engines": "postgres"}),
+            ("step.IslandQueryStep", "step", "plan_step", {"step": execute}),
+            ("plan_step", "step", "executed", {"step": execute}),
+            ("executed", "lifecycle", "query", {"steps": 1}),
+            ("query", "lifecycle", None, {"query": normalized}),
+        ]
+        assert self.runtime_spans(runtime, normalized) == [
+            ("query", "lifecycle", None, {"query": normalized, "cached": True}),
+        ]
+
+    def test_a_with_query(self, runtime):
+        bind = "BIND seniors = RELATIONAL(...)"
+        execute = "EXECUTE on island RELATIONAL"
+        trimmed = (
+            "WITH seniors = RELATIONAL(SELECT id, age FROM patients WHERE age >= 64 "
+            "AND id > 0 AND id < 1000) RELATIONAL(SELECT count(*) AS n, min(age) AS "
+            "youngest, max(age) AS oldest FROM seniors WHERE age >= ..."
+        )
+        assert self.runtime_spans(runtime, self.WITH) == [
+            ("planned", "lifecycle", "query", {}),
+            ("admitted", "lifecycle", "plan_step", {"engines": "_bigdawg_temp,postgres"}),
+            ("step.BindingStep", "step", "plan_step", {"step": bind}),
+            ("plan_step", "step", "executed", {"step": bind}),
+            ("admitted", "lifecycle", "plan_step", {"engines": "_bigdawg_temp"}),
+            ("step.IslandQueryStep", "step", "plan_step", {"step": execute}),
+            ("plan_step", "step", "executed", {"step": execute}),
+            ("executed", "lifecycle", "query", {"steps": 2}),
+            ("query", "lifecycle", None, {"query": trimmed}),
+        ]
+
+    def test_a_bare_island_query(self, runtime):
+        assert self.runtime_spans(runtime, "SELECT count(*) AS n FROM patients") == [
+            ("admitted", "lifecycle", "executed", {"engines": "postgres"}),
+            ("executed", "lifecycle", "query", {}),
+            ("query", "lifecycle", None, {"query": "SELECT count(*) AS n FROM patients"}),
+        ]
 
 
 # ---------------------------------------------------------------------------
